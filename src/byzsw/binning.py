@@ -1,16 +1,19 @@
 """Seeded random-binning codebooks.
 
-The idealized uniform random binning of the coding scheme is realized by a
-keyed 128-bit hash (blake2b) of the canonical byte encoding of
-(sensor, subcodebook, block, sequence), reduced modulo the block's bin count.
-This keeps codebooks O(1) memory while behaving statistically like stored
-random bins. Bin counts are rounded up to integers; rate accounting elsewhere
-uses log2(actual bin count) so it stays exact.
+The idealized uniform random binning of the coding scheme is realized by one
+keyed-hash kernel, :func:`hash_bins`: the bin of a sequence is the keyed
+128-bit blake2b hash of a header (tag, sensor, subcodebook, block) followed
+by the sequence, one byte per symbol, reduced modulo the block's bin count.
+The kernel bins a whole array of candidate sequences in one call, so decoders
+test every candidate of a block at once; the scalar encoders are thin
+wrappers over it. Codebooks stay O(1) memory while behaving statistically
+like stored random bins. Bin counts are rounded up to integers; rate
+accounting elsewhere uses log2(actual bin count) so it stays exact.
 
 A variable-rate codebook for sensor i consists of C subcodebooks, each a chain
 of J_i block encoders: the first block carries n*(eps+nu) bits, later blocks
 n*eps bits each. Composite encodings are prefixes of one another by
-construction. The same hashing realizes one-shot fixed-rate encoders.
+construction. The same kernel realizes one-shot fixed-rate encoders.
 """
 from __future__ import annotations
 
@@ -23,6 +26,7 @@ from hashlib import blake2b
 import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
+_INT64_MAX = (1 << 63) - 1
 
 
 class EnumerationGuardError(RuntimeError):
@@ -42,24 +46,29 @@ def all_sequences(alphabet: int, n: int) -> np.ndarray:
     return rows
 
 
-@lru_cache(maxsize=None)
-def all_sequence_bytes(alphabet: int, n: int) -> tuple[bytes, ...]:
-    return tuple(row.tobytes() for row in all_sequences(alphabet, n))
+def hash_bins(seed: int, header: bytes, seqs: np.ndarray, bins: int) -> np.ndarray:
+    """Bin index of every row of a (k, n) symbol array: the keyed blake2b-128
+    digest of ``header + row`` (one byte per symbol) modulo ``bins``.
 
-
-def sequence_bytes(x) -> bytes:
-    """Canonical byte encoding of a symbol sequence: one byte per symbol."""
-    arr = np.asarray(x)
-    if arr.ndim != 1:
-        raise ValueError("expected a single 1-d sequence")
-    if arr.size and (arr.min() < 0 or arr.max() > 255):
-        raise ValueError("symbols must fit in one byte")
-    return arr.astype(np.uint8).tobytes()
-
-
-def _hash_to_bin(key: bytes, header: bytes, payload: bytes, bins: int) -> int:
-    digest = blake2b(header + payload, key=key, digest_size=16).digest()
-    return int.from_bytes(digest, "big") % bins
+    The key and header are absorbed once; each row then hashes a copy of that
+    state, which yields the same digest as hashing the concatenation.
+    """
+    if not 1 <= bins <= _INT64_MAX:
+        raise ValueError(f"bin count {bins} outside [1, 2^63)")
+    rows = np.asarray(seqs)
+    if rows.ndim != 2:
+        raise ValueError("expected a (k, n) array of sequences")
+    if rows.dtype != np.uint8:
+        if rows.size and (rows.min() < 0 or rows.max() > 255):
+            raise ValueError("symbols must fit in one byte")
+        rows = rows.astype(np.uint8)
+    keyed = blake2b(header, key=(seed & _SEED_MASK).to_bytes(8, "big"), digest_size=16)
+    out = []
+    for row in np.ascontiguousarray(rows):
+        h = keyed.copy()
+        h.update(row)
+        out.append(int.from_bytes(h.digest(), "big") % bins)
+    return np.array(out, dtype=np.int64)
 
 
 def bin_count_for_rate(n: int, rate: float) -> int:
@@ -126,52 +135,45 @@ class BinningCodebook:
         if c is not None and not 0 <= c < self.C:
             raise ValueError(f"subcodebook index {c} out of range [0, {self.C})")
 
-    def _key(self) -> bytes:
-        return (self.master_seed & _SEED_MASK).to_bytes(8, "big")
-
-    def encode_block_bytes(self, xb: bytes, c: int, j: int) -> int:
+    def encode_blocks(self, seqs, c: int, j: int) -> np.ndarray:
+        """Bin indices of every row of ``seqs`` under subcodebook c, block j."""
         self._check_block(j, c)
+        rows = np.asarray(seqs)
+        if rows.ndim != 2 or rows.shape[1] != self.n:
+            raise ValueError(f"expected sequences of length n={self.n}, got shape {rows.shape}")
         header = struct.pack(">BIII", 0x01, self.sensor_id, c, j)
-        return _hash_to_bin(self._key(), header, xb, self.bin_count(j))
+        return hash_bins(self.master_seed, header, rows, self.bin_count(j))
 
     def encode_block(self, x, c: int, j: int) -> int:
         """Bin index of sequence x under subcodebook c, block j."""
-        xb = sequence_bytes(x)
-        if len(xb) != self.n:
-            raise ValueError(f"sequence length {len(xb)} != n={self.n}")
-        return self.encode_block_bytes(xb, c, j)
+        return int(self.encode_blocks(np.asarray(x)[None], c, j)[0])
 
     def composite_encode(self, x, c: int, j: int) -> BinIndexChain:
         """Chain of block indices for blocks 0..j (inclusive)."""
         self._check_block(j, c)
-        xb = sequence_bytes(x)
-        return BinIndexChain(c, tuple(self.encode_block_bytes(xb, c, k)
-                                      for k in range(j + 1)))
+        return BinIndexChain(c, tuple(self.encode_block(x, c, k) for k in range(j + 1)))
 
     def search_bin(self, chain: BinIndexChain, candidates) -> list[np.ndarray]:
         """All candidate sequences whose composite encoding equals ``chain``,
         in lexicographic order. Candidate set must be desk-scale."""
-        matches = []
-        for cand in sorted((np.asarray(c) for c in candidates), key=lambda a: tuple(a)):
-            xb = sequence_bytes(cand)
-            ok = True
-            for k, want in enumerate(chain.indices):
-                if self.encode_block_bytes(xb, chain.c, k) != want:
-                    ok = False
-                    break
-            if ok:
-                matches.append(cand)
-        return matches
+        rows = [np.asarray(cand) for cand in candidates]
+        if not rows:
+            return []
+        cands = np.stack(rows)
+        cands = cands[np.lexsort(cands.T[::-1])]
+        match = np.ones(len(cands), dtype=bool)
+        for k, want in enumerate(chain.indices):
+            match &= self.encode_blocks(cands, chain.c, k) == want
+        return list(cands[match])
+
+
+def fixed_rate_header(sensor_id: int, c: int) -> bytes:
+    """Hash header of the one-shot fixed-rate encoder of (sensor, c)."""
+    return struct.pack(">BIII", 0x02, sensor_id, c, 0)
 
 
 def fixed_rate_encode(seed: int, sensor_id: int, x, rate: float, c: int = 0) -> int:
     """One-shot fixed-rate bin index: deterministic in (seed, sensor, c, x)."""
-    xb = sequence_bytes(x)
-    bins = bin_count_for_rate(len(xb), rate)
-    header = struct.pack(">BIII", 0x02, sensor_id, c, 0)
-    return _hash_to_bin((seed & _SEED_MASK).to_bytes(8, "big"), header, xb, bins)
-
-
-def fixed_rate_encode_bytes(seed: int, sensor_id: int, xb: bytes, bins: int, c: int = 0) -> int:
-    header = struct.pack(">BIII", 0x02, sensor_id, c, 0)
-    return _hash_to_bin((seed & _SEED_MASK).to_bytes(8, "big"), header, xb, bins)
+    x = np.asarray(x)
+    bins = bin_count_for_rate(x.size, rate)
+    return int(hash_bins(seed, fixed_rate_header(sensor_id, c), x[None], bins)[0])

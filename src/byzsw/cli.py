@@ -107,8 +107,8 @@ def cmd_region(args) -> int:
         from .rate_region import r_star_general
         res = r_star_general(p, scn.collection, scn.info_model,
                              scn.honest_true, scn.r_true, seed=scn.seed)
-        print(f"R*({scn.honest_true}, r) >= {res.value:.6f} bits/symbol "
-              f"(certified lower bound, residual {res.residual:.2e})")
+        print(f"R*({scn.honest_true}, r) ~ {res.value:.6f} bits/symbol "
+              f"(estimate, residual {res.residual:.2e})")
         print("maximizer V:", " ".join(str(s) for s in res.maximizer_V))
         return 0
     report = scn.region()

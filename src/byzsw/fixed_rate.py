@@ -21,11 +21,11 @@ import numpy as np
 from .adversary import AmbiguityOutcome, FixedRateAmbiguity, TraitorContext, TraitorStrategy
 from .binning import (
     EnumerationGuardError,
-    all_sequence_bytes,
     all_sequences,
     bin_count_for_rate,
     fixed_rate_encode,
-    fixed_rate_encode_bytes,
+    fixed_rate_header,
+    hash_bins,
 )
 from .prob_core import JointPMF, SubsetView, eta_ball_contains, marginal, type_of
 from .rate_region import HonestCollection
@@ -114,11 +114,9 @@ def _bin_matches(code: FixedRateCode, sensor: int, alphabet: int,
     in the received bin."""
     c, idx = message
     bins = bin_count_for_rate(code.n, code.rates[sensor])
-    key_matches = []
-    for k, xb in enumerate(all_sequence_bytes(alphabet, code.n)):
-        if fixed_rate_encode_bytes(code.seed, sensor, xb, bins, c) == idx:
-            key_matches.append(k)
-    return np.asarray(key_matches, dtype=np.int64)
+    seq_bins = hash_bins(code.seed, fixed_rate_header(sensor, c),
+                         all_sequences(alphabet, code.n), bins)
+    return np.nonzero(seq_bins == idx)[0]
 
 
 def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],

@@ -429,7 +429,7 @@ def q_set_feasible(q: JointPMF, S: SubsetView, r_prime: ConditionalPMF, p: Joint
 
 @dataclass(frozen=True)
 class GeneralRateResult:
-    value: float              # certified lower bound on the supremum, bits
+    value: float              # estimate of the supremum, bits (not a bound)
     residual: float           # constraint mismatch at the reported point
     maximizer_V: tuple[SubsetView, ...]
 
@@ -500,7 +500,9 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
 
     Perfect information falls back to the exact IPF path; otherwise a
     multi-start projected-gradient ascent over the stacked simulation tables
-    reports a certified lower bound with the residual attached.
+    reports an estimate with its constraint residual attached. The estimate
+    is taken at a point whose residual is below 1e-4, not at an exactly
+    feasible one, so it may overshoot the supremum: it is not a bound.
     """
     if p.num_cells > JOINT_CELL_GUARD:
         raise EnumerationGuardError(

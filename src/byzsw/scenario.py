@@ -77,7 +77,6 @@ class Scenario:
     fr_plurality: bool
     trials: int
     seed: int
-    eavesdropping: bool = False
     raw: dict = field(default_factory=dict, repr=False)
 
     _region_cache: RegionReport | None = field(default=None, repr=False)
@@ -171,7 +170,6 @@ def scenario_to_dict(s: Scenario) -> dict:
         },
         "trials": s.trials,
         "seed": s.seed,
-        "eavesdropping": s.eavesdropping,
     }
     return doc
 
@@ -253,10 +251,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
         if len(fr.rates) != m:
             raise ValueError("fixed_rate.rates length != m")
 
-    eaves = bool(doc.get("eavesdropping", False))
-    if eaves and not info.perfect:
-        raise ValueError("eavesdropping traitors are only modeled under "
-                         "perfect information")
+    if doc.get("eavesdropping", False):
+        raise ValueError("eavesdropping traitors are not modeled")
 
     return Scenario(m=m, alphabet_sizes=sizes, p=p, collection=collection,
                     info_model=info, honest_true=honest_true, r_true=r_true,
@@ -264,7 +260,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     target_set=target_set, vr=vr, fr=fr,
                     fr_plurality=fr_plurality,
                     trials=int(doc.get("trials", 1)), seed=int(doc["seed"]),
-                    eavesdropping=eaves, raw=doc)
+                    raw=doc)
 
 
 def load_scenario(path) -> Scenario:
@@ -334,7 +330,6 @@ def _preset_three_sensor() -> dict:
         "fixed_rate": None,
         "trials": 100,
         "seed": 20260810,
-        "eavesdropping": False,
     }
 
 
@@ -354,7 +349,6 @@ def _preset_two_sensor_baseline() -> dict:
         "fixed_rate": None,
         "trials": 100,
         "seed": 20260810,
-        "eavesdropping": False,
     }
 
 
@@ -374,7 +368,6 @@ def _preset_independent_coding() -> dict:
         "fixed_rate": None,
         "trials": 50,
         "seed": 20260810,
-        "eavesdropping": False,
     }
 
 
@@ -399,7 +392,6 @@ def _preset_four_sensor_plurality() -> dict:
                        "eps_decode": 3.2, "plurality": True},
         "trials": 100,
         "seed": 20260810,
-        "eavesdropping": False,
     }
 
 
@@ -424,7 +416,6 @@ def _preset_fixed_rate_randomized() -> dict:
                        "plurality": False},
         "trials": 200,
         "seed": 20260810,
-        "eavesdropping": False,
     }
 
 
@@ -449,7 +440,6 @@ def _preset_fixed_rate_demo() -> dict:
                        "eps_decode": 1.4, "plurality": False},
         "trials": 200,
         "seed": 20260810,
-        "eavesdropping": False,
     }
 
 

@@ -112,9 +112,7 @@ class DecoderState:
     """Everything the decoder carries across a session."""
 
     V: tuple[SubsetView, ...]
-    round_index: int = 0
     estimates: dict = field(default_factory=dict)   # sensor -> sequence or None
-    bits_received: float = 0.0
     transcript: list = field(default_factory=list)
 
     def U(self) -> SubsetView:
@@ -200,30 +198,20 @@ def _decode_phase(cb: BinningCodebook, prior: list[tuple[int, np.ndarray]],
         prior_flat, prior_cells = None, 1
     cond_h = _conditional_type_entropies(cands, prior_flat, alphabet, prior_cells)
 
-    from .binning import all_sequence_bytes
-    cand_bytes = all_sequence_bytes(alphabet, n)
-    # chain verification memo: candidate -> (blocks verified ok, failed flag)
-    verified = np.zeros(len(cand_bytes), dtype=np.int32)
-    failed = np.zeros(len(cand_bytes), dtype=bool)
-
     received: list[int] = []
+    alive = np.ones(len(cands), dtype=bool)      # chain matches every block checked
+    in_prev = np.zeros(len(cands), dtype=bool)   # members of T_{j-1}
     for j in range(cb.J):
         received.append(int(next_message(j)))
-        members = np.nonzero(cond_h <= (j + 1) * eps + 1e-12)[0]
-        for idx in members:
-            if failed[idx]:
-                continue
-            k = int(verified[idx])
-            ok = True
-            while k <= j:
-                if cb.encode_block_bytes(cand_bytes[idx], c, k) != received[k]:
-                    ok = False
-                    failed[idx] = True
-                    break
-                k += 1
-            verified[idx] = k
-            if ok:
-                return np.array(cands[idx], dtype=np.int64), j + 1, received, False
+        in_t = cond_h <= (j + 1) * eps + 1e-12
+        fresh = in_t & ~in_prev    # new members still owe blocks 0..j-1
+        for k in range(j + 1):
+            rows = np.nonzero(alive & (in_t if k == j else fresh))[0]
+            alive[rows] = cb.encode_blocks(cands[rows], c, k) == received[k]
+        hits = np.nonzero(in_t & alive)[0]
+        if hits.size:
+            return np.array(cands[hits[0]], dtype=np.int64), j + 1, received, False
+        in_prev = in_t
     # Exhausted all blocks with no candidate matching the full chain; this is
     # only reachable when the sender's messages are inconsistent with every
     # sequence (a garbage-spewing traitor). Take the lexicographically least
@@ -457,8 +445,6 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         round_estimates.append({i: e for i, e in state.estimates.items()
                                 if e is not None})
         subcode_bits += len(tx_counts) * math.log2(C)
-        state.bits_received += round_bits
-        state.round_index = I + 1
 
     # canonical accounting: one left-to-right sum over the transcript, so the
     # reported rate equals sum(log2 bin count) / (n N) bit-exactly

@@ -3,16 +3,21 @@
 Each oracle deliberately avoids the code path it checks: entropies by
 explicit per-cell loops, marginals by nested summation, the max-entropy value
 by projected-gradient ascent with Dykstra projection, simulability by grid
-search over the simulation table.
+search over the simulation table, bins by one keyed hash per sequence, and
+the phase search by the lazy candidate-by-candidate loop.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import struct
+from hashlib import blake2b
 
 import numpy as np
 
+from byzsw.binning import all_sequences
 from byzsw.prob_core import JointPMF, SubsetView, marginal
+from byzsw.variable_rate import _conditional_type_entropies
 
 
 def brute_entropy(table) -> float:
@@ -129,3 +134,55 @@ def product_form_feasible(q: JointPMF, p: JointPMF, S: SubsetView,
                 cand[tuple(idx)] = p_s[xs] * g[xc]
         best = min(best, float(np.max(np.abs(cand - q.mass))))
     return best < 1e-6
+
+
+def reference_bin(seed: int, header: bytes, seq, bins: int) -> int:
+    """Bin of one sequence: keyed blake2b-128 of header + one byte per
+    symbol, reduced modulo the bin count."""
+    payload = np.asarray(seq).astype(np.uint8).tobytes()
+    key = (seed & ((1 << 64) - 1)).to_bytes(8, "big")
+    digest = blake2b(header + payload, key=key, digest_size=16).digest()
+    return int.from_bytes(digest, "big") % bins
+
+
+def reference_decode_phase(cb, prior, sizes, c: int, eps: float, next_message):
+    """Lazy phase search: after block j arrives, walk the members of T_j in
+    index order, verify each chain block by block (remembering verified and
+    failed prefixes), and return the first full match; force the least
+    sequence when every block is exhausted. Same return shape as
+    ``variable_rate._decode_phase``."""
+    cands = all_sequences(cb.alphabet_size, cb.n)
+    if prior:
+        prior_sizes = [sizes[s] for s, _seq in prior]
+        prior_flat = np.ravel_multi_index(
+            tuple(np.stack([seq for _s, seq in prior])), prior_sizes)
+        prior_cells = int(np.prod(prior_sizes))
+    else:
+        prior_flat, prior_cells = None, 1
+    cond_h = _conditional_type_entropies(cands, prior_flat, cb.alphabet_size,
+                                         prior_cells)
+
+    def bin_of(idx, k):
+        header = struct.pack(">BIII", 0x01, cb.sensor_id, c, k)
+        return reference_bin(cb.master_seed, header, cands[idx], cb.bin_count(k))
+
+    verified = np.zeros(len(cands), dtype=np.int32)
+    failed = np.zeros(len(cands), dtype=bool)
+    received = []
+    for j in range(cb.J):
+        received.append(int(next_message(j)))
+        for idx in np.nonzero(cond_h <= (j + 1) * eps + 1e-12)[0]:
+            if failed[idx]:
+                continue
+            k = int(verified[idx])
+            ok = True
+            while k <= j:
+                if bin_of(idx, k) != received[k]:
+                    ok = False
+                    failed[idx] = True
+                    break
+                k += 1
+            verified[idx] = k
+            if ok:
+                return np.array(cands[idx], dtype=np.int64), j + 1, received, False
+    return np.array(cands[0], dtype=np.int64), cb.J, received, True

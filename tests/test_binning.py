@@ -1,5 +1,6 @@
 """Tests for the hashed random-binning codebooks."""
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -12,12 +13,53 @@ from byzsw.binning import (
     all_sequences,
     bin_count_for_rate,
     fixed_rate_encode,
+    fixed_rate_header,
+    hash_bins,
 )
+from oracles import reference_bin
 
 
 def small_codebook(seed=0, eps=0.1, nu=0.15, n=12, C=4) -> BinningCodebook:
     return BinningCodebook(sensor_id=0, n=n, alphabet_size=2, eps=eps, nu=nu,
                            C=C, master_seed=seed)
+
+
+class TestHashBins:
+    @pytest.mark.parametrize("tag", [0x01, 0x02])
+    @pytest.mark.parametrize("seed,sensor,c,j,bins", [
+        (0, 0, 0, 0, 7),
+        (123456789, 1, 7, 0, 1),
+        ((1 << 64) + 5, 3, 2, 1, 2 ** 40 + 3),
+        (2 ** 63 + 11, 2, 1023, 4, 2 ** 63 - 1),
+    ])
+    def test_matches_per_sequence_reference(self, tag, seed, sensor, c, j, bins):
+        seqs = all_sequences(2, 10)
+        header = struct.pack(">BIII", tag, sensor, c, j)
+        got = hash_bins(seed, header, seqs, bins)
+        assert got.dtype == np.int64 and got.shape == (len(seqs),)
+        assert got.tolist() == [reference_bin(seed, header, s, bins) for s in seqs]
+
+    def test_scalar_wrappers_agree_with_kernel(self):
+        cb = small_codebook(seed=9)
+        seqs = all_sequences(2, 12)[::37]
+        for c, j in ((0, 0), (3, 1), (2, cb.J - 1)):
+            assert (cb.encode_blocks(seqs, c, j).tolist()
+                    == [cb.encode_block(x, c, j) for x in seqs])
+        bins = bin_count_for_rate(12, 0.9)
+        assert (hash_bins(4, fixed_rate_header(1, 5), seqs, bins).tolist()
+                == [fixed_rate_encode(4, 1, x, 0.9, 5) for x in seqs])
+
+    def test_bin_count_must_fit_int64(self):
+        seqs = all_sequences(2, 4)
+        for bins in (0, 2 ** 63):
+            with pytest.raises(ValueError):
+                hash_bins(0, b"", seqs, bins)
+
+    def test_symbols_must_fit_a_byte(self):
+        with pytest.raises(ValueError):
+            hash_bins(0, b"", np.array([[0, 256]]), 4)
+        with pytest.raises(ValueError):
+            hash_bins(0, b"", np.array([0, 1]), 4)
 
 
 class TestEncodeBlock:

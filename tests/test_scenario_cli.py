@@ -50,14 +50,13 @@ class TestSchema:
         with pytest.raises(ValueError):
             scenario_from_dict(doc)
 
-    def test_eavesdropping_requires_perfect_info(self):
+    def test_eavesdropping_field_rejected(self):
         doc = tiny_vr_doc()
+        scenario_from_dict(doc)    # absent: loads
+        doc["eavesdropping"] = False
+        assert "eavesdropping" not in scenario_to_dict(scenario_from_dict(doc))
         doc["eavesdropping"] = True
-        scenario_from_dict(doc)    # fine under perfect information
-        rows = [[[0.5, 0.5], [0.5, 0.5]], [[0.5, 0.5], [0.5, 0.5]]]
-        doc["info_model"] = {"channels": {"0,1": [rows]}}
-        doc["true_channel"] = rows
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="eavesdropping"):
             scenario_from_dict(doc)
 
     def test_imperfect_channel_membership_checked(self):
@@ -157,8 +156,8 @@ class TestCli:
         path.write_text(canonical_dumps(doc))
         assert main(["region", "--scenario", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "certified lower bound" in out
-        value = float(out.split(">=")[1].split("bits")[0])
+        assert "(estimate, residual" in out
+        value = float(out.split(" ~ ")[1].split("bits")[0])
         assert abs(value - 1.9709505944546686) < 5e-3
 
     def test_simulate_vr_csv_deterministic(self, tmp_path, capsys):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from byzsw.adversary import BlackHole, FakeDistribution, optimal_fake_conditional
+from byzsw.binning import BinningCodebook, all_sequences
 from byzsw.prob_core import JointPMF, SubsetView, entropy
 from byzsw.rate_region import HonestCollection, InfoModel, r_star_perfect
 from byzsw.source_model import sample_block
@@ -14,9 +15,11 @@ from byzsw.variable_rate import (
     ProtocolParams,
     run_round,
     run_session,
+    _decode_phase,
     transcript_lines,
     update_V,
 )
+from oracles import reference_decode_phase
 
 
 def dsbs(cross=0.11) -> JointPMF:
@@ -95,6 +98,39 @@ class TestAllHonest:
         assert polled == {0, 1}
         assert all(2 not in est for est in rep.round_estimates)
         assert not rep.honest_error
+
+
+class TestDecodePhaseOracle:
+    """The array-mask phase search returns exactly what the lazy
+    candidate-by-candidate loop returns."""
+
+    @pytest.mark.parametrize("eps,nu", [(0.35, 1.925), (0.2, 0.25), (0.1, 0.15)])
+    def test_matches_lazy_reference(self, eps, nu):
+        rng = np.random.default_rng(int(eps * 1000))
+        n, sizes = 10, [2, 3, 2]
+        for trial in range(6):
+            cb = BinningCodebook(2, n, 2, eps, nu, C=4,
+                                 master_seed=int(rng.integers(1 << 62)))
+            prior = [(0, rng.integers(0, 2, n)),
+                     (1, rng.integers(0, 3, n))][:trial % 3]
+            c = int(rng.integers(cb.C))
+            truth, other = rng.integers(0, 2, (2, n))
+            taken = set(cb.encode_blocks(all_sequences(2, n), c, 0).tolist())
+            unused = min(set(range(len(taken) + 1)) - taken)
+            senders = {
+                "honest": lambda j: cb.encode_block(truth, c, j),
+                "replay": lambda j: cb.encode_block(other, c, j),
+                # block 0 lands in a bin no sequence occupies: forced decode
+                "no_match": lambda j: unused if j == 0 else cb.encode_block(truth, c, j),
+            }
+            for name, sender in senders.items():
+                got = _decode_phase(cb, prior, sizes, c, eps, sender)
+                want = reference_decode_phase(cb, prior, sizes, c, eps, sender)
+                assert np.array_equal(got[0], want[0]), name
+                assert got[0].dtype == want[0].dtype
+                assert got[1:] == want[1:], name
+                if name == "no_match":
+                    assert got[3] and got[1] == cb.J
 
 
 class TestRunRound:
