@@ -247,9 +247,8 @@ def _joint_flat_space(sizes: tuple[int, ...], n: int) -> np.ndarray:
 def _ball_distances(flat_seqs: np.ndarray, cells: int, p_flat: np.ndarray) -> np.ndarray:
     """max_cell |type - p| for every sequence of per-slot flat symbols."""
     k, n = flat_seqs.shape
-    counts = np.zeros((k, cells))
-    np.add.at(counts, (np.repeat(np.arange(k), n),
-                       flat_seqs.astype(np.int64).reshape(-1)), 1.0)
+    flat = (np.arange(k)[:, None] * cells + flat_seqs.astype(np.int64)).reshape(-1)
+    counts = np.bincount(flat, minlength=k * cells).reshape(k, cells)
     return np.max(np.abs(counts / n - p_flat[None, :]), axis=1)
 
 

@@ -42,7 +42,7 @@ from .prob_core import (
     union_of,
 )
 
-COLLECTION_GUARD = 20          # max candidate sets before subset enumeration explodes
+FAMILY_GUARD = 4096            # max irredundant sub-collections per enumeration
 JOINT_CELL_GUARD = 256         # max joint alphabet size for the general optimizer
 
 
@@ -226,27 +226,55 @@ def _lex_key(V: Sequence[SubsetView]):
 
 def _candidate_collections(candidates: Sequence[SubsetView],
                            must_contain: SubsetView | None):
-    """Nonempty sub-collections, skipping any whose union and constraint set
-    are both dominated by a smaller one already enumerated (dropping one set
-    leaves the union unchanged). ``must_contain`` pins one set that may not
-    be dropped, for per-true-honest-set evaluations."""
-    out = []
+    """Irredundant sub-collections: every nonempty V in which each member
+    covers a sensor no other member covers. A member without such a private
+    sensor can be dropped without changing the union, so the smaller family
+    dominates; singletons always qualify. ``must_contain`` pins one set that
+    every family holds and that needs no private sensor, for
+    per-true-honest-set evaluations.
+
+    Depth-first over int bitmasks with members in candidate order, carrying
+    the sensors covered exactly once and those covered more than once. A set
+    joins only if it brings a new sensor, and a branch is cut as soon as an
+    unpinned member loses its last private sensor: private sensors only
+    shrink as sets join, so no family below the cut qualifies. Returns
+    (V, union) pairs sorted by (-|union|, _lex_key(V)); raises
+    EnumerationGuardError past FAMILY_GUARD families.
+    """
+    masks = [sum(1 << i for i in s.indices) for s in candidates]
     n = len(candidates)
-    for mask in range(1, 1 << n):
-        V = [candidates[k] for k in range(n) if mask >> k & 1]
-        if must_contain is not None and all(s.indices != must_contain.indices for s in V):
-            continue
-        u = union_of(V)
-        dominated = False
-        for s in V:
-            if must_contain is not None and s.indices == must_contain.indices:
+    pin = None
+    if must_contain is not None:
+        pin = next((k for k, s in enumerate(candidates)
+                    if s.indices == must_contain.indices), None)
+        if pin is None:
+            return []
+    families = []
+
+    def walk(members, start, once, more):
+        families.append(members)
+        if len(families) > FAMILY_GUARD:
+            raise EnumerationGuardError(
+                f"more than {FAMILY_GUARD} irredundant sub-collections of "
+                f"{n} candidate sets; enumeration guard is {FAMILY_GUARD}")
+        for k in range(start, n):
+            mk = masks[k]
+            new = mk & ~(once | more)
+            if k == pin or not new:
                 continue
-            rest = [x for x in V if x is not s]
-            if rest and union_of(rest).indices == u.indices:
-                dominated = True
-                break
-        if not dominated:
-            out.append((tuple(V), u))
+            once_k = (once & ~mk) | new
+            if all(masks[i] & once_k for i in members if i != pin):
+                walk(members + (k,), k + 1, once_k, more | (once & mk))
+
+    if pin is None:
+        for k in range(n):
+            walk((k,), k + 1, masks[k], 0)
+    else:
+        walk((pin,), 0, masks[pin], 0)
+    out = []
+    for members in families:
+        V = tuple(candidates[k] for k in sorted(members))
+        out.append((V, union_of(V)))
     out.sort(key=lambda vu: (-len(vu[1].indices), _lex_key(vu[0])))
     return out
 
@@ -256,9 +284,6 @@ def r_star_perfect(p: JointPMF, H: HonestCollection, *,
     """Minimum achievable variable-rate sum rate under perfect traitor
     information: the supremum over sub-collections V of the max-entropy value
     with the marginals of every set in V pinned to p."""
-    if len(H) > COLLECTION_GUARD:
-        raise EnumerationGuardError(
-            f"honest collection has {len(H)} sets; enumeration guard is {COLLECTION_GUARD}")
     cands = list(H.candidates)
     memo: dict = {}
 
@@ -440,34 +465,32 @@ def _pg_sup_entropy(p: JointPMF, U: SubsetView, systems, rng: np.random.Generato
     every (S, r') system simultaneously. Variables are the stacked simulation
     tables; projection onto the coupling constraints is by alternating
     projections. Returns (value, residual)."""
-    mats = []
-    for A, perm, w, cells_c in systems:
-        inv_perm = np.argsort(perm)
-        mats.append((A, perm, inv_perm, w, cells_c))
+    mats = [(A, np.linalg.pinv(A), perm, np.argsort(perm), w, cells_c)
+            for A, perm, w, cells_c in systems]
     cells = int(np.prod(p.alphabet_sizes))
     drop = tuple(i for i in range(p.m) if i not in U)
 
     def q_of(vs):
         qs = []
-        for (A, perm, inv_perm, w, cells_c), v in zip(mats, vs):
+        for (A, _pinv, perm, inv_perm, w, cells_c), v in zip(mats, vs):
             qp = (A @ v.reshape(-1)).reshape([p.alphabet_sizes[i] for i in perm])
             qs.append(np.transpose(qp, inv_perm))
         return sum(qs) / len(qs), qs
 
     def project(vs, iters):
         for _ in range(iters):
-            qbar, qs = q_of(vs)
+            qbar, _ = q_of(vs)
             new_vs = []
-            for (A, perm, inv_perm, w, cells_c), v, qk in zip(mats, vs, qs):
+            for (A, pinvA, perm, _inv, w, cells_c), v in zip(mats, vs):
                 target = np.transpose(qbar, perm).reshape(-1)
                 flat = v.reshape(-1)
-                flat = flat - np.linalg.pinv(A) @ (A @ flat - target)
+                flat = flat - pinvA @ (A @ flat - target)
                 new_vs.append(_project_rows_to_simplex(flat.reshape(w, cells_c)))
             vs = new_vs
         return vs
 
     vs = [_project_rows_to_simplex(rng.random((w, cells_c)) + 1e-3)
-          for (_A, _p, _ip, w, cells_c) in mats]
+          for *_, w, cells_c in mats]
     vs = project(vs, inner)
     step = 0.5
     for _ in range(outer):
@@ -477,7 +500,7 @@ def _pg_sup_entropy(p: JointPMF, U: SubsetView, systems, rng: np.random.Generato
         shape_full = tuple(p.alphabet_sizes[i] if i in U else 1 for i in range(p.m))
         grad_q = np.broadcast_to(grad_qU.reshape(shape_full), p.alphabet_sizes)
         new_vs = []
-        for (A, perm, inv_perm, w, cells_c), v in zip(mats, vs):
+        for (A, _pinv, perm, _inv, w, cells_c), v in zip(mats, vs):
             g = (A.T @ np.transpose(grad_q, perm).reshape(-1)).reshape(w, cells_c)
             new_vs.append(v + step * g / len(mats))
         vs = project(new_vs, 5)

@@ -158,10 +158,8 @@ def _conditional_type_entropies(cands: np.ndarray, prior_flat: np.ndarray | None
     else:
         codes = prior_flat[None, :] * alphabet + cands
         cells = prior_cells * alphabet
-    counts = np.zeros((k, cells), dtype=np.int64)
-    rows = np.repeat(np.arange(k), n)
-    np.add.at(counts, (rows, codes.reshape(-1)), 1)
-    cnt = counts.astype(float)
+    flat = (np.arange(k)[:, None] * cells + codes).reshape(-1)
+    cnt = np.bincount(flat, minlength=k * cells).reshape(k, cells).astype(float)
     if prior_flat is None:
         tot = float(n)
         with np.errstate(divide="ignore", invalid="ignore"):

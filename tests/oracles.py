@@ -3,8 +3,9 @@
 Each oracle deliberately avoids the code path it checks: entropies by
 explicit per-cell loops, marginals by nested summation, the max-entropy value
 by projected-gradient ascent with Dykstra projection, simulability by grid
-search over the simulation table, bins by one keyed hash per sequence, and
-the phase search by the lazy candidate-by-candidate loop.
+search over the simulation table, bins by one keyed hash per sequence, the
+phase search by the lazy candidate-by-candidate loop, and the irredundant
+sub-collections by a scan over every subset mask.
 """
 from __future__ import annotations
 
@@ -16,7 +17,8 @@ from hashlib import blake2b
 import numpy as np
 
 from byzsw.binning import all_sequences
-from byzsw.prob_core import JointPMF, SubsetView, marginal
+from byzsw.prob_core import JointPMF, SubsetView, marginal, union_of
+from byzsw.rate_region import _lex_key
 from byzsw.variable_rate import _conditional_type_entropies
 
 
@@ -186,3 +188,29 @@ def reference_decode_phase(cb, prior, sizes, c: int, eps: float, next_message):
             if ok:
                 return np.array(cands[idx], dtype=np.int64), j + 1, received, False
     return np.array(cands[0], dtype=np.int64), cb.J, received, True
+
+
+def reference_candidate_collections(candidates, must_contain):
+    """Nonempty sub-collections, skipping any whose union and constraint set
+    are both dominated by a smaller one already enumerated (dropping one set
+    leaves the union unchanged). ``must_contain`` pins one set that may not
+    be dropped, for per-true-honest-set evaluations."""
+    out = []
+    n = len(candidates)
+    for mask in range(1, 1 << n):
+        V = [candidates[k] for k in range(n) if mask >> k & 1]
+        if must_contain is not None and all(s.indices != must_contain.indices for s in V):
+            continue
+        u = union_of(V)
+        dominated = False
+        for s in V:
+            if must_contain is not None and s.indices == must_contain.indices:
+                continue
+            rest = [x for x in V if x is not s]
+            if rest and union_of(rest).indices == u.indices:
+                dominated = True
+                break
+        if not dominated:
+            out.append((tuple(V), u))
+    out.sort(key=lambda vu: (-len(vu[1].indices), _lex_key(vu[0])))
+    return out

@@ -1,4 +1,5 @@
 """Tests for the rate-region calculators."""
+import functools
 import itertools
 
 import numpy as np
@@ -26,8 +27,14 @@ from byzsw.rate_region import (
     r_star_perfect,
     sw_region_contains,
 )
+from byzsw import rate_region
+from byzsw.binning import EnumerationGuardError
 
-from oracles import pg_maxent_oracle, product_form_feasible
+from oracles import (
+    pg_maxent_oracle,
+    product_form_feasible,
+    reference_candidate_collections,
+)
 
 
 def random_pmf(rng, sizes) -> JointPMF:
@@ -212,14 +219,81 @@ class TestRStarPerfect:
                     >= r_star_perfect(p, small).r_star - 1e-9)
 
     def test_guard_refuses_huge_collections(self):
-        from byzsw.binning import EnumerationGuardError
-        p = random_pmf(np.random.default_rng(9), (2,) * 5)
+        # the guard counts irredundant families, not sets: 21 sets with 443
+        # families enumerate, threshold(6, 5) (63 sets, 10127 families) does not
         sets = [list(c) for c in itertools.combinations(range(5), 2)] + \
                [list(c) for c in itertools.combinations(range(5), 3)] + \
                [[0], [1], [2], [3], [4]] + [[0, 1, 2, 3], [1, 2, 3, 4]]
         coll = HonestCollection.explicit(sets[:21])
-        with pytest.raises(EnumerationGuardError):
-            r_star_perfect(p, coll)
+        assert len(rate_region._candidate_collections(list(coll.candidates), None)) == 443
+        p = random_pmf(np.random.default_rng(9), (2,) * 6)
+        with pytest.raises(EnumerationGuardError, match="4096"):
+            r_star_perfect(p, HonestCollection.threshold(6, 5))
+
+    def test_closed_forms_up_to_seven_sensors(self):
+        rng = np.random.default_rng(31)
+        for m in range(3, 8):
+            for t in sorted({1, 2, m - 1}):
+                p = random_pmf(rng, (2,) * m)
+                H = HonestCollection.threshold(m, t)
+                if m >= 6 and t == m - 1:
+                    with pytest.raises(EnumerationGuardError):
+                        r_star_perfect(p, H)
+                    continue
+                assert r_star_perfect(p, H).r_star == pytest.approx(
+                    closed_form_t(p, t), abs=1e-6), (m, t)
+
+
+@functools.lru_cache(maxsize=None)
+def oracle_families(cands: tuple, pin):
+    return reference_candidate_collections(list(cands), pin)
+
+
+def family_keys(families):
+    return [(tuple(s.indices for s in V), u.indices) for V, u in families]
+
+
+class TestCandidateCollections:
+    def assert_matches_oracle(self, H):
+        cands = list(H.candidates)
+        for pin in [None] + cands:
+            got = rate_region._candidate_collections(cands, pin)
+            want = oracle_families(tuple(cands), pin)
+            assert family_keys(got) == family_keys(want), (cands, pin)
+
+    # every threshold collection on up to 7 sensors with at most 16 sets; the
+    # 15- and 16-set ones, (4, 3) and (5, 2), take most of the oracle's time
+    @pytest.mark.parametrize("m, t", [
+        (m, t) for m in range(1, 8) for t in range(m)
+        if len(HonestCollection.threshold(m, t)) <= 16])
+    def test_threshold_collections_match_oracle(self, m, t):
+        self.assert_matches_oracle(HonestCollection.threshold(m, t))
+
+    def test_random_collections_match_oracle(self):
+        rng = np.random.default_rng(41)
+        for _ in range(40):
+            m = int(rng.integers(2, 7))
+            pool = [c for k in range(m + 1) for c in itertools.combinations(range(m), k)]
+            count = int(rng.integers(1, min(12, len(pool)) + 1))
+            picks = rng.choice(len(pool), size=count, replace=False)
+            self.assert_matches_oracle(HonestCollection.explicit([pool[i] for i in picks]))
+
+    def test_r_star_identical_under_oracle(self, monkeypatch):
+        p = random_pmf(np.random.default_rng(43), (2,) * 4)
+        H = HonestCollection.threshold(4, 3)
+        fast = r_star_perfect(p, H)
+        monkeypatch.setattr(rate_region, "_candidate_collections",
+                            lambda cands, pin: oracle_families(tuple(cands), pin))
+        slow = r_star_perfect(p, H)
+        assert fast.r_star == slow.r_star
+        assert fast.per_pair == slow.per_pair
+        assert fast.maximizer_V == slow.maximizer_V
+        assert np.array_equal(fast.maximizer_q.mass, slow.maximizer_q.mass)
+        assert fast.all_converged == slow.all_converged
+        for h_true, (v, V, q) in fast.per_pair_detail.items():
+            v_o, V_o, q_o = slow.per_pair_detail[h_true]
+            assert (v, V) == (v_o, V_o)
+            assert np.array_equal(q.mass, q_o.mass)
 
 
 class TestClosedForms:
@@ -335,6 +409,16 @@ class TestQSetFeasible:
         assert checked >= 30
 
 
+def constant_w_toy():
+    """Two binary sensors, collection {0}, {1}, and a side-information
+    channel W that is constant for every candidate."""
+    p = JointPMF((2, 2), np.array([[0.4, 0.2], [0.1, 0.3]]))
+    H = HonestCollection.explicit([[0], [1]])
+    r = ConditionalPMF((2, 2), 1, np.ones((2, 2, 1)))
+    R = InfoModel.from_channels({SubsetView.of(0): [r], SubsetView.of(1): [r]}, (2, 2))
+    return p, H, R, r
+
+
 class TestRStarGeneral:
     def test_perfect_info_falls_back_to_exact(self):
         p = three_sensor_law()
@@ -350,18 +434,19 @@ class TestRStarGeneral:
         # W carries nothing: each candidate singleton pins its own marginal
         # and leaves the other coordinate free; the max-entropy coupling is
         # the independent product with uniform free coordinate.
-        p = JointPMF((2, 2), np.array([[0.4, 0.2], [0.1, 0.3]]))
-        H = HonestCollection.explicit([[0], [1]])
-        rows = np.ones((2, 2, 1))
-        r = ConditionalPMF((2, 2), 1, rows)
-        R = InfoModel.from_channels({SubsetView.of(0): [r], SubsetView.of(1): [r]},
-                                    (2, 2))
+        p, H, R, r = constant_w_toy()
         res = r_star_general(p, H, R, SubsetView.of(0), r, starts=4)
         # grid-search oracle over q = p(x0) g(x1) meeting q(x1) = p(x1):
         # forced to the product p(x0) p(x1), so the value is H(X0) + H(X1)
         want = entropy(p, SubsetView.of(0)) + entropy(p, SubsetView.of(1))
         assert res.value == pytest.approx(want, abs=5e-3)
         assert res.residual < 1e-4
+
+    def test_constant_w_two_sensor_value_frozen(self):
+        # frozen float: a change to the projection's arithmetic shows here
+        p, H, R, r = constant_w_toy()
+        res = r_star_general(p, H, R, SubsetView.of(0), r, seed=0, starts=2)
+        assert res.value.hex() == "0x1.f89037d936ed7p+0"
 
 
 class TestFixedRateRegions:
