@@ -30,6 +30,8 @@ from .binning import (
     all_sequences,
     bin_count_for_rate,
     fixed_rate_encode,
+    fixed_rate_header,
+    hash_bins,
 )
 from .prob_core import (
     ConditionalPMF,
@@ -302,21 +304,23 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     comp_syms_all = np.stack(np.unravel_index(
         comp.reshape(-1).astype(np.int64),
         sizes_outer)).reshape(len(sizes_outer), comp.shape[0], n)
-    truth_bins = {i: fixed_rate_encode(code.seed, i, true_block.sensor(i),
-                                       code.rates[i], 0) for i in inter}
+    # bin prefilter over every kept candidate at once, one kernel call per
+    # intersection sensor; per-sensor symbols stay uint8 so the temporaries
+    # stay small next to the 2^n-row candidate tables
+    flat = cands[keep]
+    truth_flat = np.ravel_multi_index(tuple(truth_inter), sizes_inter)
+    match = np.any(flat != truth_flat[None, :], axis=1)
+    stride = cells_inter
+    for size, i in zip(sizes_inter, inter):
+        stride //= size
+        syms = flat // stride % size
+        truth_bin = fixed_rate_encode(code.seed, i, true_block.sensor(i), code.rates[i], 0)
+        match &= hash_bins(code.seed, fixed_rate_header(i, 0), syms,
+                           bin_count_for_rate(n, code.rates[i])) == truth_bin
 
-    attempts = 0
-    for k in keep:
-        if attempts >= max_attempts:
-            break
+    for k in keep[match][:max_attempts]:
         cand_syms = np.stack(np.unravel_index(cands[k].astype(np.int64),
                                               sizes_inter))
-        if np.array_equal(cand_syms, truth_inter):
-            continue
-        if any(fixed_rate_encode(code.seed, i, cand_syms[row], code.rates[i], 0)
-               != truth_bins[i] for row, i in enumerate(inter)):
-            continue
-        attempts += 1
         base = (cand_syms * inter_mult[:, None]).sum(axis=0)      # (n,)
         joint_codes = base[None, :] + np.tensordot(outer_mult,
                                                    comp_syms_all, axes=(0, 0))

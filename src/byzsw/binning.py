@@ -1,12 +1,16 @@
 """Seeded random-binning codebooks.
 
 The idealized uniform random binning of the coding scheme is realized by one
-keyed-hash kernel, :func:`hash_bins`: the bin of a sequence is the keyed
-128-bit blake2b hash of a header (tag, sensor, subcodebook, block) followed
-by the sequence, one byte per symbol, reduced modulo the block's bin count.
-The kernel bins a whole array of candidate sequences in one call, so decoders
-test every candidate of a block at once; the scalar encoders are thin
-wrappers over it. Codebooks stay O(1) memory while behaving statistically
+kernel, :func:`hash_bins`. Each (seed, tag, sensor, subcodebook, block) gets
+a 64-bit key, derived once with keyed blake2b; the bin of a sequence is a
+SplitMix64 chain over the sequence's bytes, started from that key and
+reduced modulo the block's bin count. Uniform binning is all the scheme
+needs (the traitors know the codebooks anyway), so a non-cryptographic mixer
+suffices, and it bins a whole array of candidate sequences in a few numpy
+operations. The mixer replaced a per-sequence keyed blake2b-128: the bin
+draws changed, the preset CSV digests in the tests did not. Decoders test
+every candidate of a block at once; the scalar encoders are thin wrappers
+over the kernel. Codebooks stay O(1) memory while behaving statistically
 like stored random bins. Bin counts are rounded up to integers; rate
 accounting elsewhere uses log2(actual bin count) so it stays exact.
 
@@ -26,7 +30,7 @@ from hashlib import blake2b
 import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
-_INT64_MAX = (1 << 63) - 1
+_MAX_BINS = 1 << 32
 
 
 class EnumerationGuardError(RuntimeError):
@@ -46,15 +50,34 @@ def all_sequences(alphabet: int, n: int) -> np.ndarray:
     return rows
 
 
-def hash_bins(seed: int, header: bytes, seqs: np.ndarray, bins: int) -> np.ndarray:
-    """Bin index of every row of a (k, n) symbol array: the keyed blake2b-128
-    digest of ``header + row`` (one byte per symbol) modulo ``bins``.
+_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
+_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
 
-    The key and header are absorbed once; each row then hashes a copy of that
-    state, which yields the same digest as hashing the concatenation.
+
+def _splitmix64(z: np.ndarray) -> None:
+    """SplitMix64 finalizer (Steele, Lea & Flood 2014), in place on a uint64
+    array with wrap-around arithmetic."""
+    z ^= z >> _S30
+    z *= _MIX1
+    z ^= z >> _S27
+    z *= _MIX2
+    z ^= z >> _S31
+
+
+def hash_bins(seed: int, header: bytes, seqs: np.ndarray, bins: int) -> np.ndarray:
+    """Bin index of every row of a (k, n) symbol array under a keyed 64-bit
+    mixer.
+
+    The key is the 8-byte blake2b digest of ``header``, keyed by the seed;
+    it is derived once per call. Each row (one byte per symbol) is zero-padded
+    to a multiple of 8 bytes and read as big-endian 64-bit words; starting
+    from ``h = key``, every word is absorbed as ``h = splitmix64(h ^ word)``,
+    and the bin is ``h mod bins``. n is fixed per codebook, so the padding is
+    unambiguous. ``bins`` is capped at 2^32, which keeps the relative bias of
+    the reduction at most 2^-32.
     """
-    if not 1 <= bins <= _INT64_MAX:
-        raise ValueError(f"bin count {bins} outside [1, 2^63)")
+    if not 1 <= bins <= _MAX_BINS:
+        raise ValueError(f"bin count {bins} outside [1, 2^32]")
     rows = np.asarray(seqs)
     if rows.ndim != 2:
         raise ValueError("expected a (k, n) array of sequences")
@@ -62,13 +85,16 @@ def hash_bins(seed: int, header: bytes, seqs: np.ndarray, bins: int) -> np.ndarr
         if rows.size and (rows.min() < 0 or rows.max() > 255):
             raise ValueError("symbols must fit in one byte")
         rows = rows.astype(np.uint8)
-    keyed = blake2b(header, key=(seed & _SEED_MASK).to_bytes(8, "big"), digest_size=16)
-    out = []
-    for row in np.ascontiguousarray(rows):
-        h = keyed.copy()
-        h.update(row)
-        out.append(int.from_bytes(h.digest(), "big") % bins)
-    return np.array(out, dtype=np.int64)
+    k, n = rows.shape
+    key = blake2b(header, key=(seed & _SEED_MASK).to_bytes(8, "big"), digest_size=8)
+    padded = np.zeros((k, -(-n // 8) * 8), dtype=np.uint8)
+    padded[:, :n] = rows
+    words = padded.view(">u8").astype(np.uint64)
+    h = np.full(k, int.from_bytes(key.digest(), "big"), dtype=np.uint64)
+    for w in range(words.shape[1]):
+        h ^= words[:, w]
+        _splitmix64(h)
+    return (h % np.uint64(bins)).astype(np.int64)
 
 
 def bin_count_for_rate(n: int, rate: float) -> int:

@@ -150,28 +150,25 @@ class SessionReport:
 
 def _conditional_type_entropies(cands: np.ndarray, prior_flat: np.ndarray | None,
                                 alphabet: int, prior_cells: int) -> np.ndarray:
-    """H_type(X_i | X_prior) for every candidate sequence at once, in bits."""
+    """H_type(X_i | X_prior) for every candidate sequence at once, in bits.
+
+    With f(c) = c log2 c and n_p the number of slots whose prior symbol is p,
+    H = sum_p [f(n_p) - sum_a f(cnt_{p,a})] / n. The n_p do not depend on the
+    candidate; the counts cnt_{p,a} come from one product per symbol a of the
+    candidates' indicator of a with the prior's one-hot slot table, and f is
+    looked up from a table over 0..n.
+    """
     k, n = cands.shape
+    f = np.arange(n + 1) * np.log2(np.maximum(np.arange(n + 1), 1))
     if prior_flat is None:
-        codes = cands.astype(np.int64)
-        cells = alphabet
+        onehot = np.ones((n, 1))
     else:
-        codes = prior_flat[None, :] * alphabet + cands
-        cells = prior_cells * alphabet
-    flat = (np.arange(k)[:, None] * cells + codes).reshape(-1)
-    cnt = np.bincount(flat, minlength=k * cells).reshape(k, cells).astype(float)
-    if prior_flat is None:
-        tot = float(n)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            h = np.where(cnt > 0, cnt * (np.log2(tot) - np.log2(np.maximum(cnt, 1))), 0.0)
-        return h.sum(axis=1) / n
-    grouped = cnt.reshape(k, prior_cells, alphabet)
-    marg = grouped.sum(axis=2, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where(grouped > 0,
-                     grouped * (np.log2(np.maximum(marg, 1)) - np.log2(np.maximum(grouped, 1))),
-                     0.0)
-    return h.sum(axis=(1, 2)) / n
+        onehot = (prior_flat[:, None] == np.arange(prior_cells)).astype(float)
+    h = np.full(k, f[onehot.sum(axis=0).astype(np.intp)].sum())
+    for a in range(alphabet):
+        cnt = (cands == a) @ onehot
+        h -= f[cnt.astype(np.intp)].sum(axis=1)
+    return h / n
 
 
 def _decode_phase(cb: BinningCodebook, prior: list[tuple[int, np.ndarray]],

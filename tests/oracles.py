@@ -3,8 +3,9 @@
 Each oracle deliberately avoids the code path it checks: entropies by
 explicit per-cell loops, marginals by nested summation, the max-entropy value
 by projected-gradient ascent with Dykstra projection, simulability by grid
-search over the simulation table, bins by one keyed hash per sequence, the
-phase search by the lazy candidate-by-candidate loop, and the irredundant
+search over the simulation table, bins by integer arithmetic one sequence
+at a time, conditional type entropies by explicit type counts, the phase
+search by the lazy candidate-by-candidate loop, and the irredundant
 sub-collections by a scan over every subset mask.
 """
 from __future__ import annotations
@@ -19,7 +20,6 @@ import numpy as np
 from byzsw.binning import all_sequences
 from byzsw.prob_core import JointPMF, SubsetView, marginal, union_of
 from byzsw.rate_region import _lex_key
-from byzsw.variable_rate import _conditional_type_entropies
 
 
 def brute_entropy(table) -> float:
@@ -139,30 +139,46 @@ def product_form_feasible(q: JointPMF, p: JointPMF, S: SubsetView,
 
 
 def reference_bin(seed: int, header: bytes, seq, bins: int) -> int:
-    """Bin of one sequence: keyed blake2b-128 of header + one byte per
-    symbol, reduced modulo the bin count."""
-    payload = np.asarray(seq).astype(np.uint8).tobytes()
-    key = (seed & ((1 << 64) - 1)).to_bytes(8, "big")
-    digest = blake2b(header + payload, key=key, digest_size=16).digest()
-    return int.from_bytes(digest, "big") % bins
+    """Bin of one sequence, in plain Python integers: a 64-bit key from keyed
+    blake2b of the header, then a SplitMix64 finalizer over the sequence's
+    bytes (one per symbol, zero-padded to whole big-endian 8-byte words),
+    each word XORed into the state before mixing, reduced modulo the bin
+    count."""
+    mask = (1 << 64) - 1
+    key = blake2b(header, key=(seed & mask).to_bytes(8, "big"), digest_size=8)
+    payload = bytes(int(v) for v in np.asarray(seq).ravel())
+    payload += bytes(-len(payload) % 8)
+    h = int.from_bytes(key.digest(), "big")
+    for off in range(0, len(payload), 8):
+        z = h ^ int.from_bytes(payload[off:off + 8], "big")
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+        h = z ^ (z >> 31)
+    return h % bins
+
+
+def brute_conditional_type_entropy(seq, prior_seqs) -> float:
+    """Empirical H(X | X_prior) of one sequence, in bits, by explicit counting
+    of joint and prior types: sum over joint cells of c/n * log2(n_prior / c)."""
+    n = len(seq)
+    joint, prior = {}, {}
+    for t in range(n):
+        ctx = tuple(int(s[t]) for s in prior_seqs)
+        joint[ctx, int(seq[t])] = joint.get((ctx, int(seq[t])), 0) + 1
+        prior[ctx] = prior.get(ctx, 0) + 1
+    return sum(c / n * math.log2(prior[ctx] / c) for (ctx, _a), c in joint.items())
 
 
 def reference_decode_phase(cb, prior, sizes, c: int, eps: float, next_message):
     """Lazy phase search: after block j arrives, walk the members of T_j in
     index order, verify each chain block by block (remembering verified and
     failed prefixes), and return the first full match; force the least
-    sequence when every block is exhausted. Same return shape as
-    ``variable_rate._decode_phase``."""
+    sequence when every block is exhausted. Same arguments and return shape
+    as ``variable_rate._decode_phase``; ``sizes`` goes unused, since the
+    brute entropy counts types without alphabet sizes."""
     cands = all_sequences(cb.alphabet_size, cb.n)
-    if prior:
-        prior_sizes = [sizes[s] for s, _seq in prior]
-        prior_flat = np.ravel_multi_index(
-            tuple(np.stack([seq for _s, seq in prior])), prior_sizes)
-        prior_cells = int(np.prod(prior_sizes))
-    else:
-        prior_flat, prior_cells = None, 1
-    cond_h = _conditional_type_entropies(cands, prior_flat, cb.alphabet_size,
-                                         prior_cells)
+    prior_seqs = [seq for _s, seq in prior]
+    cond_h = np.array([brute_conditional_type_entropy(x, prior_seqs) for x in cands])
 
     def bin_of(idx, k):
         header = struct.pack(">BIII", 0x01, cb.sensor_id, c, k)

@@ -29,8 +29,8 @@ class TestHashBins:
     @pytest.mark.parametrize("seed,sensor,c,j,bins", [
         (0, 0, 0, 0, 7),
         (123456789, 1, 7, 0, 1),
-        ((1 << 64) + 5, 3, 2, 1, 2 ** 40 + 3),
-        (2 ** 63 + 11, 2, 1023, 4, 2 ** 63 - 1),
+        ((1 << 64) + 5, 3, 2, 1, 2 ** 32),
+        (2 ** 63 + 11, 2, 1023, 4, 2 ** 32),
     ])
     def test_matches_per_sequence_reference(self, tag, seed, sensor, c, j, bins):
         seqs = all_sequences(2, 10)
@@ -38,6 +38,14 @@ class TestHashBins:
         got = hash_bins(seed, header, seqs, bins)
         assert got.dtype == np.int64 and got.shape == (len(seqs),)
         assert got.tolist() == [reference_bin(seed, header, s, bins) for s in seqs]
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 24])
+    def test_matches_reference_across_word_boundaries(self, n):
+        # rows shorter than, equal to and longer than whole 8-byte words
+        seqs = np.random.default_rng(n).integers(0, 256, size=(64, n), dtype=np.uint8)
+        header = struct.pack(">BIII", 0x01, 5, 3, 2)
+        got = hash_bins(99, header, seqs, 1000003)
+        assert got.tolist() == [reference_bin(99, header, s, 1000003) for s in seqs]
 
     def test_scalar_wrappers_agree_with_kernel(self):
         cb = small_codebook(seed=9)
@@ -54,6 +62,12 @@ class TestHashBins:
         for bins in (0, 2 ** 63):
             with pytest.raises(ValueError):
                 hash_bins(0, b"", seqs, bins)
+
+    def test_bin_count_capped_at_2_32(self):
+        seqs = all_sequences(2, 4)
+        assert hash_bins(0, b"", seqs, 2 ** 32).max() < 2 ** 32
+        with pytest.raises(ValueError):
+            hash_bins(0, b"", seqs, 2 ** 32 + 1)
 
     def test_symbols_must_fit_a_byte(self):
         with pytest.raises(ValueError):

@@ -5,13 +5,20 @@ the SHA-256 of the emitted ``*_trials.csv`` is compared with a frozen value.
 A change that alters any random draw (bins, subcodebook choices, sampled
 blocks, traitor behaviour) or any reported field changes a digest; a change
 that only restructures the code keeps every CSV byte-identical.
+
+The fixed-rate CSVs carry no field that depends on the bin draws at these
+presets, so the bins themselves are frozen too: the SHA-256 of every
+sensor's full-space bin table under trial 0's code.
 """
 import hashlib
 import warnings
 
 import pytest
 
+from byzsw.binning import all_sequences, bin_count_for_rate, fixed_rate_header, hash_bins
 from byzsw.cli import main
+from byzsw.scenario import preset_scenario
+from byzsw.source_model import derive_seed
 
 # preset, command, CSV file, trials, SHA-256 of the CSV
 GOLDEN = [
@@ -39,3 +46,28 @@ def test_trials_csv_digest(tmp_path, preset, command, csv_name, trials, digest):
                      "--out", str(tmp_path)]) == 0
     data = (tmp_path / csv_name).read_bytes()
     assert hashlib.sha256(data).hexdigest() == digest
+
+
+# preset, SHA-256 of the little-endian int64 bins of all sequences, sensor by
+# sensor, under subcodebook 0 of trial 0's code
+GOLDEN_FR_BINS = [
+    ("fixed_rate_randomized",
+     "17e528af6fbc5f9769350f8ff55a58346378e2b4261fada9ae88d412ad5ea97a"),
+    ("fixed_rate_demo",
+     "9b0a064d8703243a1e9bcb9340719fb978f270f6f6f17d2b5bd2ddd3e665d88e"),
+]
+
+
+@pytest.mark.parametrize("preset,digest", GOLDEN_FR_BINS,
+                         ids=[g[0] for g in GOLDEN_FR_BINS])
+def test_fixed_rate_bin_draws_digest(preset, digest):
+    """Digests computed with the keyed SplitMix64 kernel; the per-sequence
+    blake2b kernel before it drew different bins."""
+    scn = preset_scenario(preset)
+    seed = derive_seed(derive_seed(scn.seed, "trial", 0), "fr-code")   # as run_fr_trial
+    h = hashlib.sha256()
+    for i, (alphabet, rate) in enumerate(zip(scn.alphabet_sizes, scn.fr.rates)):
+        bins = hash_bins(seed, fixed_rate_header(i, 0), all_sequences(alphabet, scn.fr.n),
+                         bin_count_for_rate(scn.fr.n, rate))
+        h.update(bins.astype("<i8").tobytes())
+    assert h.hexdigest() == digest

@@ -15,11 +15,12 @@ from byzsw.variable_rate import (
     ProtocolParams,
     run_round,
     run_session,
+    _conditional_type_entropies,
     _decode_phase,
     transcript_lines,
     update_V,
 )
-from oracles import reference_decode_phase
+from oracles import brute_conditional_type_entropy, reference_decode_phase
 
 
 def dsbs(cross=0.11) -> JointPMF:
@@ -98,6 +99,27 @@ class TestAllHonest:
         assert polled == {0, 1}
         assert all(2 not in est for est in rep.round_estimates)
         assert not rep.honest_error
+
+
+class TestConditionalTypeEntropies:
+    """The table-lookup entropies agree with explicit per-sequence counting."""
+
+    @pytest.mark.parametrize("alphabet", [2, 3])
+    @pytest.mark.parametrize("num_prior", [0, 1, 2])
+    def test_matches_brute_count(self, alphabet, num_prior):
+        n = 9
+        rng = np.random.default_rng(10 * alphabet + num_prior)
+        cands = all_sequences(alphabet, n)
+        prior_sizes = [3, 2][:num_prior]
+        prior_seqs = [rng.integers(0, a, n) for a in prior_sizes]
+        if prior_seqs:
+            prior_flat = np.ravel_multi_index(tuple(np.stack(prior_seqs)), prior_sizes)
+        else:
+            prior_flat = None
+        got = _conditional_type_entropies(cands, prior_flat, alphabet,
+                                          int(np.prod(prior_sizes)))
+        want = [brute_conditional_type_entropy(x, prior_seqs) for x in cands]
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
 
 class TestDecodePhaseOracle:
