@@ -459,21 +459,31 @@ class GeneralRateResult:
     maximizer_V: tuple[SubsetView, ...]
 
 
-def _pg_sup_entropy(p: JointPMF, U: SubsetView, systems, rng: np.random.Generator,
-                    *, outer: int = 150, inner: int = 40) -> tuple[float, float]:
+def _pg_sup_entropy(p: JointPMF, U: SubsetView, systems, rngs: Sequence[np.random.Generator],
+                    *, outer: int = 150, inner: int = 40) -> list[tuple[float, float]]:
     """Projected-gradient ascent of H(X_U) over joint laws expressible in
     every (S, r') system simultaneously. Variables are the stacked simulation
     tables; projection onto the coupling constraints is by alternating
-    projections. Returns (value, residual)."""
-    mats = [(A, np.linalg.pinv(A), perm, np.argsort(perm), w, cells_c)
+    projections. Returns one (value, residual) per start.
+
+    Start b draws its initial tables from ``rngs[b]``, and every array
+    carries the starts on a leading axis, so one pass does the work of all
+    of them. The starts never mix: each product with A, pinv(A) or A.T is a
+    stacked matrix-vector product (one gemv per start) and the simplex
+    projection is row-wise, so each start's floats equal those of running it
+    alone."""
+    B = len(rngs)
+    # permutations and shapes carry the start axis in front
+    mats = [(A, np.linalg.pinv(A), (0,) + tuple(1 + i for i in perm),
+             (0,) + tuple(1 + i for i in np.argsort(perm)),
+             (B,) + tuple(p.alphabet_sizes[i] for i in perm), w, cells_c)
             for A, perm, w, cells_c in systems]
-    cells = int(np.prod(p.alphabet_sizes))
-    drop = tuple(i for i in range(p.m) if i not in U)
+    drop = tuple(1 + i for i in range(p.m) if i not in U)
 
     def q_of(vs):
         qs = []
-        for (A, _pinv, perm, inv_perm, w, cells_c), v in zip(mats, vs):
-            qp = (A @ v.reshape(-1)).reshape([p.alphabet_sizes[i] for i in perm])
+        for (A, _pinv, _perm, inv_perm, shape, w, cells_c), v in zip(mats, vs):
+            qp = (A @ v.reshape(B, -1, 1)).reshape(shape)
             qs.append(np.transpose(qp, inv_perm))
         return sum(qs) / len(qs), qs
 
@@ -481,37 +491,40 @@ def _pg_sup_entropy(p: JointPMF, U: SubsetView, systems, rng: np.random.Generato
         for _ in range(iters):
             qbar, _ = q_of(vs)
             new_vs = []
-            for (A, pinvA, perm, _inv, w, cells_c), v in zip(mats, vs):
-                target = np.transpose(qbar, perm).reshape(-1)
-                flat = v.reshape(-1)
+            for (A, pinvA, perm, _inv, _shape, w, cells_c), v in zip(mats, vs):
+                target = np.transpose(qbar, perm).reshape(B, -1, 1)
+                flat = v.reshape(B, -1, 1)
                 flat = flat - pinvA @ (A @ flat - target)
-                new_vs.append(_project_rows_to_simplex(flat.reshape(w, cells_c)))
+                new_vs.append(_project_rows_to_simplex(flat.reshape(B * w, cells_c))
+                              .reshape(B, w, cells_c))
             vs = new_vs
         return vs
 
-    vs = [_project_rows_to_simplex(rng.random((w, cells_c)) + 1e-3)
+    vs = [_project_rows_to_simplex(np.concatenate([rng.random((w, cells_c)) for rng in rngs])
+                                   + 1e-3).reshape(B, w, cells_c)
           for *_, w, cells_c in mats]
     vs = project(vs, inner)
     step = 0.5
+    shape_full = (B,) + tuple(p.alphabet_sizes[i] if i in U else 1 for i in range(p.m))
     for _ in range(outer):
         qbar, qs = q_of(vs)
         qU = qbar.sum(axis=drop) if drop else qbar
         grad_qU = -(np.log2(np.maximum(qU, 1e-12)) + 1.0 / math.log(2.0))
-        shape_full = tuple(p.alphabet_sizes[i] if i in U else 1 for i in range(p.m))
-        grad_q = np.broadcast_to(grad_qU.reshape(shape_full), p.alphabet_sizes)
+        grad_q = np.broadcast_to(grad_qU.reshape(shape_full), qbar.shape)
         new_vs = []
-        for (A, _pinv, perm, _inv, w, cells_c), v in zip(mats, vs):
-            g = (A.T @ np.transpose(grad_q, perm).reshape(-1)).reshape(w, cells_c)
+        for (A, _pinv, perm, _inv, _shape, w, cells_c), v in zip(mats, vs):
+            g = (A.T @ np.transpose(grad_q, perm).reshape(B, -1, 1)).reshape(B, w, cells_c)
             new_vs.append(v + step * g / len(mats))
         vs = project(new_vs, 5)
     vs = project(vs, inner * 4)
     qbar, qs = q_of(vs)
-    residual = max(float(np.max(np.abs(qk - qbar))) for qk in qs)
     qU = qbar.sum(axis=drop) if drop else qbar
-    total = qU.sum()
-    if total <= 0:
-        return 0.0, residual
-    return entropy_of_table(qU / total), residual
+    out = []
+    for b in range(B):
+        residual = max(float(np.max(np.abs(qk[b] - qbar[b]))) for qk in qs)
+        total = qU[b].sum()
+        out.append((0.0 if total <= 0 else entropy_of_table(qU[b] / total), residual))
+    return out
 
 
 def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
@@ -526,7 +539,15 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
     reports an estimate with its constraint residual attached. The estimate
     is taken at a point whose residual is below 1e-4, not at an exactly
     feasible one, so it may overshoot the supremum: it is not a bound.
+
+    Each (V, channel) system is solved once for all ``starts`` starts, start
+    k seeded by ``rng_for(seed, "rstar-general", V, k)``; every start's
+    floats equal those of running it on its own, and the results are taken
+    in k order, so value, residual and maximizer do not depend on the
+    stacking. ``starts`` must be at least 1.
     """
+    if starts < 1:
+        raise ValueError(f"starts must be at least 1, got {starts}")
     if p.num_cells > JOINT_CELL_GUARD:
         raise EnumerationGuardError(
             f"joint alphabet {p.num_cells} exceeds guard {JOINT_CELL_GUARD}")
@@ -551,9 +572,8 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
             for S, chan in zip(sets, combo):
                 r_t = _effective_channel(chan, p, S)
                 systems.append(_simulability_matrix(p, S, r_t))
-            for k in range(starts):
-                rng = rng_for(seed, "rstar-general", _lex_key(V), k)
-                value, residual = _pg_sup_entropy(p, U, systems, rng)
+            rngs = [rng_for(seed, "rstar-general", _lex_key(V), k) for k in range(starts)]
+            for value, residual in _pg_sup_entropy(p, U, systems, rngs):
                 if residual < 1e-4 and value > best_value + 1e-9:
                     best_value, best_res, best_V = value, residual, tuple(V)
     if best_value == -math.inf:

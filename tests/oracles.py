@@ -5,8 +5,9 @@ explicit per-cell loops, marginals by nested summation, the max-entropy value
 by projected-gradient ascent with Dykstra projection, simulability by grid
 search over the simulation table, bins by integer arithmetic one sequence
 at a time, conditional type entropies by explicit type counts, the phase
-search by the lazy candidate-by-candidate loop, and the irredundant
-sub-collections by a scan over every subset mask.
+search by the lazy candidate-by-candidate loop, the irredundant
+sub-collections by a scan over every subset mask, and the multi-start
+projected-gradient ascent by running one start at a time.
 """
 from __future__ import annotations
 
@@ -18,8 +19,8 @@ from hashlib import blake2b
 import numpy as np
 
 from byzsw.binning import all_sequences
-from byzsw.prob_core import JointPMF, SubsetView, marginal, union_of
-from byzsw.rate_region import _lex_key
+from byzsw.prob_core import JointPMF, SubsetView, entropy_of_table, marginal, union_of
+from byzsw.rate_region import _lex_key, _project_rows_to_simplex
 
 
 def brute_entropy(table) -> float:
@@ -230,3 +231,62 @@ def reference_candidate_collections(candidates, must_contain):
             out.append((tuple(V), u))
     out.sort(key=lambda vu: (-len(vu[1].indices), _lex_key(vu[0])))
     return out
+
+
+def reference_pg_sup_entropy(p: JointPMF, U: SubsetView, systems, rng: np.random.Generator,
+                    *, outer: int = 150, inner: int = 40) -> tuple[float, float]:
+    """Projected-gradient ascent of H(X_U) over joint laws expressible in
+    every (S, r') system simultaneously. Variables are the stacked simulation
+    tables; projection onto the coupling constraints is by alternating
+    projections. Returns (value, residual).
+
+    The one-start-at-a-time ascent, kept verbatim from before the starts were
+    stacked on a leading axis: the stacked optimizer must give every start
+    these floats bit for bit."""
+    mats = [(A, np.linalg.pinv(A), perm, np.argsort(perm), w, cells_c)
+            for A, perm, w, cells_c in systems]
+    cells = int(np.prod(p.alphabet_sizes))
+    drop = tuple(i for i in range(p.m) if i not in U)
+
+    def q_of(vs):
+        qs = []
+        for (A, _pinv, perm, inv_perm, w, cells_c), v in zip(mats, vs):
+            qp = (A @ v.reshape(-1)).reshape([p.alphabet_sizes[i] for i in perm])
+            qs.append(np.transpose(qp, inv_perm))
+        return sum(qs) / len(qs), qs
+
+    def project(vs, iters):
+        for _ in range(iters):
+            qbar, _ = q_of(vs)
+            new_vs = []
+            for (A, pinvA, perm, _inv, w, cells_c), v in zip(mats, vs):
+                target = np.transpose(qbar, perm).reshape(-1)
+                flat = v.reshape(-1)
+                flat = flat - pinvA @ (A @ flat - target)
+                new_vs.append(_project_rows_to_simplex(flat.reshape(w, cells_c)))
+            vs = new_vs
+        return vs
+
+    vs = [_project_rows_to_simplex(rng.random((w, cells_c)) + 1e-3)
+          for *_, w, cells_c in mats]
+    vs = project(vs, inner)
+    step = 0.5
+    for _ in range(outer):
+        qbar, qs = q_of(vs)
+        qU = qbar.sum(axis=drop) if drop else qbar
+        grad_qU = -(np.log2(np.maximum(qU, 1e-12)) + 1.0 / math.log(2.0))
+        shape_full = tuple(p.alphabet_sizes[i] if i in U else 1 for i in range(p.m))
+        grad_q = np.broadcast_to(grad_qU.reshape(shape_full), p.alphabet_sizes)
+        new_vs = []
+        for (A, _pinv, perm, _inv, w, cells_c), v in zip(mats, vs):
+            g = (A.T @ np.transpose(grad_q, perm).reshape(-1)).reshape(w, cells_c)
+            new_vs.append(v + step * g / len(mats))
+        vs = project(new_vs, 5)
+    vs = project(vs, inner * 4)
+    qbar, qs = q_of(vs)
+    residual = max(float(np.max(np.abs(qk - qbar))) for qk in qs)
+    qU = qbar.sum(axis=drop) if drop else qbar
+    total = qU.sum()
+    if total <= 0:
+        return 0.0, residual
+    return entropy_of_table(qU / total), residual

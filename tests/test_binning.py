@@ -109,7 +109,7 @@ class TestEncodeBlock:
         seqs = all_sequences(2, 12)
         for seed in range(100):
             cb = small_codebook(seed=seed)
-            idx = np.array([cb.encode_block(x, 0, 0) for x in seqs])
+            idx = cb.encode_blocks(seqs, 0, 0)
             counts = np.bincount(idx, minlength=cb.bin_count(0))
             p_value = stats.chisquare(counts).pvalue
             passed += p_value > 0.001

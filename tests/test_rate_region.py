@@ -29,11 +29,13 @@ from byzsw.rate_region import (
 )
 from byzsw import rate_region
 from byzsw.binning import EnumerationGuardError
+from byzsw.source_model import rng_for
 
 from oracles import (
     pg_maxent_oracle,
     product_form_feasible,
     reference_candidate_collections,
+    reference_pg_sup_entropy,
 )
 
 
@@ -447,6 +449,57 @@ class TestRStarGeneral:
         p, H, R, r = constant_w_toy()
         res = r_star_general(p, H, R, SubsetView.of(0), r, seed=0, starts=2)
         assert res.value.hex() == "0x1.f89037d936ed7p+0"
+
+    @pytest.mark.parametrize("starts", [0, -1])
+    def test_starts_below_one_rejected(self, starts):
+        p, H, R, r = constant_w_toy()
+        with pytest.raises(ValueError, match="starts"):
+            r_star_general(p, H, R, SubsetView.of(0), r, starts=starts)
+
+
+def random_channel(rng, input_sizes, w) -> ConditionalPMF:
+    rows = rng.dirichlet(np.ones(w), size=input_sizes)
+    return ConditionalPMF(tuple(input_sizes), w, rows.reshape(tuple(input_sizes) + (w,)))
+
+
+class TestPgSupEntropyOracle:
+    """All starts stacked in one pass give each start the floats of the
+    one-start-at-a-time ascent, bit for bit: after the full ascent, and
+    after a short one, where the starts have not yet reached a common point
+    and a start fed another start's draws would show."""
+
+    @staticmethod
+    def assert_matches_oracle(p, U, sets, channels, starts):
+        systems = [rate_region._simulability_matrix(
+                       p, S, rate_region._effective_channel(chan, p, S))
+                   for S, chan in zip(sets, channels)]
+        key = rate_region._lex_key(sets[1:])
+        for iters in ({}, {"outer": 2, "inner": 1}):
+            got = rate_region._pg_sup_entropy(
+                p, U, systems, [rng_for(0, "rstar-general", key, k) for k in range(starts)],
+                **iters)
+            want = [reference_pg_sup_entropy(p, U, systems, rng_for(0, "rstar-general", key, k),
+                                             **iters)
+                    for k in range(starts)]
+            got_hex = [(float(v).hex(), float(r).hex()) for v, r in got]
+            assert got_hex == [(float(v).hex(), float(r).hex()) for v, r in want]
+        assert len(set(got_hex)) > 1
+
+    def test_constant_w_toy_sixteen_starts(self):
+        p, H, R, r = constant_w_toy()
+        sets = [SubsetView.of(0), SubsetView.of(0), SubsetView.of(1)]
+        self.assert_matches_oracle(p, SubsetView.of(0, 1), sets, [r, r, r], starts=16)
+
+    @pytest.mark.parametrize("U", [(0, 1, 2), (0,)])
+    def test_three_sensor_systems_of_different_shapes(self, U):
+        # channels with w = 2, 3, 1 on sets of sizes 2, 2, 1: the simulation
+        # tables are 2x2, 3x2 and 1x4; U = {0} sums out two axes
+        rng = np.random.default_rng(5)
+        p = random_pmf(rng, (2, 2, 2))
+        sets = [SubsetView.of(0, 1), SubsetView.of(0, 2), SubsetView.of(1)]
+        channels = [random_channel(rng, (2, 2), 2), random_channel(rng, (2, 2), 3),
+                    random_channel(rng, (2,), 1)]
+        self.assert_matches_oracle(p, SubsetView.of(*U), sets, channels, starts=6)
 
 
 class TestFixedRateRegions:
