@@ -28,22 +28,24 @@ from .scenario import (
     canonical_dumps,
     load_scenario,
     preset_scenario,
-    run_attack_trial,
-    run_fr_trial,
-    run_vr_trial,
+    run_trial,
     scenario_from_dict,
     scenario_to_dict,
 )
 
-CSV_COLUMNS = {
-    "vr": ["schema_version", "mode", "trial", "honest_error", "sum_rate",
-           "v_final_size", "over_budget_rounds", "decode_forced",
-           "v_empty_restores", "error"],
-    "fr": ["schema_version", "mode", "trial", "honest_error",
-           "num_null_finals", "num_disagreements", "error"],
-    "attack": ["schema_version", "mode", "trial", "attack_found",
-               "honest_error", "indistinguishable", "v_final_size",
-               "sum_rate", "over_budget_rounds", "error"],
+# trial command -> (output stem, CSV columns)
+TRIAL_COMMANDS = {
+    "simulate-vr": ("vr_trials",
+                    ["schema_version", "mode", "trial", "honest_error", "sum_rate",
+                     "v_final_size", "over_budget_rounds", "decode_forced",
+                     "v_empty_restores", "error"]),
+    "simulate-fr": ("fr_trials",
+                    ["schema_version", "mode", "trial", "honest_error",
+                     "num_null_finals", "num_disagreements", "error"]),
+    "attack-demo": ("attack_trials",
+                    ["schema_version", "mode", "trial", "attack_found",
+                     "honest_error", "indistinguishable", "v_final_size",
+                     "sum_rate", "over_budget_rounds", "error"]),
 }
 
 
@@ -64,14 +66,14 @@ def _load(args) -> Scenario:
     return scenario_from_dict(doc)
 
 
-def _write_outputs(out_dir: str | None, stem: str, mode: str, rows: list[dict],
+def _write_outputs(out_dir: str | None, command: str, rows: list[dict],
                    summary: dict, scn: Scenario) -> None:
     if out_dir is None:
         return
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     (out / "scenario.json").write_text(canonical_dumps(scenario_to_dict(scn)))
-    cols = CSV_COLUMNS[mode]
+    stem, cols = TRIAL_COMMANDS[command]
     with open(out / f"{stem}.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=cols, extrasaction="ignore",
                                 lineterminator="\n")
@@ -84,16 +86,31 @@ def _write_outputs(out_dir: str | None, stem: str, mode: str, rows: list[dict],
     (out / f"{stem}_summary.json").write_text(canonical_dumps(summary))
 
 
-def _run_trials(scn: Scenario, runner, workers: int) -> list[dict]:
+def _trial_mode(command: str, scn: Scenario) -> str:
+    """Row mode that a trial command runs on ``scn``; refuses, before any
+    trial runs, a scenario that lacks the strategy or section it needs."""
+    if command == "attack-demo":
+        if scn.strategy_kind is None:
+            raise ValueError("attack-demo needs a scenario with a strategy")
+        mode = "attack-fr" if scn.strategy_kind == "fixed_rate_ambiguity" else "attack-vr"
+    else:
+        mode = "vr" if command == "simulate-vr" else "fr"
+    if mode.endswith("fr") and scn.fr is None:
+        raise ValueError(f"{command} ({mode}) needs a fixed_rate section")
+    if mode.endswith("vr") and scn.vr is None:
+        raise ValueError(f"{command} ({mode}) needs a variable_rate section")
+    return mode
+
+
+def _run_trials(scn: Scenario, mode: str, workers: int) -> list[dict]:
+    """Rows of every trial in trial order (``map`` keeps its input order)."""
     doc_json = canonical_dumps(scenario_to_dict(scn))
     trials = range(scn.trials)
     if workers <= 1:
-        rows = [runner(doc_json, t) for t in trials]
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(runner, [doc_json] * scn.trials, trials))
-    rows.sort(key=lambda r: r["trial"])
-    return rows
+        return [run_trial(doc_json, t, mode) for t in trials]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(run_trial, [doc_json] * scn.trials, trials,
+                             [mode] * scn.trials))
 
 
 def cmd_region(args) -> int:
@@ -157,49 +174,20 @@ def cmd_region(args) -> int:
     return 0
 
 
-def _print_summary(summary: dict) -> None:
-    for key in sorted(summary):
-        print(f"  {key}: {summary[key]}")
-
-
-def cmd_simulate_vr(args) -> int:
+def cmd_trials(args) -> int:
     scn = _load(args)
-    if scn.vr is None:
-        raise SystemExit("scenario has no variable_rate section")
-    rows = _run_trials(scn, run_vr_trial, args.workers)
+    mode = _trial_mode(args.command, scn)
+    rows = _run_trials(scn, mode, args.workers)
     summary = aggregate_rows(rows)
-    if scn.info_model.perfect:
+    if mode == "vr" and scn.info_model.perfect:
         r_star = scn.region().r_star
         summary["r_star"] = r_star
         if "mean_sum_rate" in summary:
             summary["rate_gap_vs_r_star"] = summary["mean_sum_rate"] - r_star
-    print(f"simulate-vr: {scn.trials} trials")
-    _print_summary(summary)
-    _write_outputs(args.out, "vr_trials", "vr", rows, summary, scn)
-    return 0
-
-
-def cmd_simulate_fr(args) -> int:
-    scn = _load(args)
-    if scn.fr is None:
-        raise SystemExit("scenario has no fixed_rate section")
-    rows = _run_trials(scn, run_fr_trial, args.workers)
-    summary = aggregate_rows(rows)
-    print(f"simulate-fr: {scn.trials} trials")
-    _print_summary(summary)
-    _write_outputs(args.out, "fr_trials", "fr", rows, summary, scn)
-    return 0
-
-
-def cmd_attack_demo(args) -> int:
-    scn = _load(args)
-    if scn.strategy_kind is None:
-        raise SystemExit("attack-demo needs a scenario with a strategy")
-    rows = _run_trials(scn, run_attack_trial, args.workers)
-    summary = aggregate_rows(rows)
-    print(f"attack-demo ({rows[0]['mode'] if rows else '?'}): {scn.trials} trials")
-    _print_summary(summary)
-    _write_outputs(args.out, "attack_trials", "attack", rows, summary, scn)
+    print(f"{args.command} ({mode}): {scn.trials} trials")
+    for key in sorted(summary):
+        print(f"  {key}: {summary[key]}")
+    _write_outputs(args.out, args.command, rows, summary, scn)
     return 0
 
 
@@ -209,10 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="Distributed source coding under Byzantine sensors: "
                     "rate regions and protocol simulation.")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn in (("region", cmd_region),
-                     ("simulate-vr", cmd_simulate_vr),
-                     ("simulate-fr", cmd_simulate_fr),
-                     ("attack-demo", cmd_attack_demo)):
+    for name in ("region", *TRIAL_COMMANDS):
         sp = sub.add_parser(name)
         sp.add_argument("--scenario", help="path to a scenario JSON file")
         sp.add_argument("--preset", choices=sorted(PRESETS),
@@ -221,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--seed", type=int, default=None)
         sp.add_argument("--workers", type=int, default=1)
         sp.add_argument("--out", default=None, help="directory for CSV/JSON records")
-        sp.set_defaults(fn=fn)
+        sp.set_defaults(fn=cmd_region if name == "region" else cmd_trials)
     return parser
 
 

@@ -1,4 +1,4 @@
-"""Scenario files, presets, and Monte Carlo trial runners.
+"""Scenario files, presets, and the Monte Carlo trial runner.
 
 A scenario file is canonical JSON (sorted keys, two-space indent, trailing
 newline) with explicit probability tables and 0-based sensor indices, so that
@@ -11,7 +11,7 @@ import itertools
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Sequence
 
 import numpy as np
@@ -37,7 +37,6 @@ from .rate_region import (
 )
 from .source_model import SourceBlock, derive_seed, sample_block, sample_side_info
 from .variable_rate import ProtocolParams, run_session
-from .binning import EnumerationGuardError
 
 SCHEMA_VERSION = 1
 
@@ -77,7 +76,6 @@ class Scenario:
     fr_plurality: bool
     trials: int
     seed: int
-    raw: dict = field(default_factory=dict, repr=False)
 
     _region_cache: RegionReport | None = field(default=None, repr=False)
 
@@ -259,8 +257,7 @@ def scenario_from_dict(doc: dict) -> Scenario:
                     strategy_kind=strategy_kind, q_bar_spec=q_bar_spec,
                     target_set=target_set, vr=vr, fr=fr,
                     fr_plurality=fr_plurality,
-                    trials=int(doc.get("trials", 1)), seed=int(doc["seed"]),
-                    raw=doc)
+                    trials=int(doc.get("trials", 1)), seed=int(doc["seed"]))
 
 
 def load_scenario(path) -> Scenario:
@@ -462,7 +459,7 @@ def preset_scenario(name: str) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# trial runners (module-level for process-pool pickling)
+# one trial runner for every mode (module-level for process-pool pickling)
 # ---------------------------------------------------------------------------
 
 _SCENARIO_CACHE: dict[str, Scenario] = {}
@@ -476,154 +473,96 @@ def _scenario_from_json(doc_json: str) -> Scenario:
     return scn
 
 
-def _vr_budget(scn: Scenario) -> float | None:
-    if not scn.info_model.perfect:
-        return None
-    params = scn.vr
-    m = scn.m
-    return scn.region().r_star + m * (2 * params.eps + params.nu_value)
-
-
-def _guard_row(mode: str, trial: int, exc: Exception, t0: float) -> dict:
+def _session_fields(scn: Scenario, session_seed: int) -> dict:
+    strategy = scn.build_strategy()
+    report = run_session(scn.p, scn.collection, scn.info_model, scn.honest_true,
+                         scn.r_true, strategy, scn.vr, session_seed)
+    over: Any = ""
+    if scn.info_model.perfect:
+        budget = scn.region().r_star + scn.m * (2 * scn.vr.eps + scn.vr.nu_value)
+        over = sum(1 for r in report.round_rates if r > budget)
     return {
-        "schema_version": SCHEMA_VERSION,
-        "mode": mode,
-        "trial": trial,
-        "error": str(exc),
-        "wall_time_s": time.perf_counter() - t0,
-    }
-
-
-def run_vr_trial(doc_json: str, trial: int) -> dict:
-    scn = _scenario_from_json(doc_json)
-    if scn.vr is None:
-        raise ValueError("scenario has no variable_rate section")
-    t0 = time.perf_counter()
-    try:
-        strategy = scn.build_strategy()
-        session_seed = derive_seed(scn.seed, "trial", trial)
-        report = run_session(scn.p, scn.collection, scn.info_model,
-                             scn.honest_true, scn.r_true, strategy, scn.vr,
-                             session_seed)
-    except EnumerationGuardError as exc:
-        return _guard_row("vr", trial, exc, t0)
-    budget = _vr_budget(scn)
-    over = ("" if budget is None
-            else sum(1 for r in report.round_rates if r > budget))
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "vr",
-        "trial": trial,
         "honest_error": int(report.honest_error),
         "sum_rate": repr(report.sum_rate),
         "v_final_size": len(report.final_V),
         "over_budget_rounds": over,
         "decode_forced": report.decode_forced,
         "v_empty_restores": report.v_empty_restores,
-        "error": "",
-        "wall_time_s": time.perf_counter() - t0,
     }
 
 
-def run_fr_trial(doc_json: str, trial: int) -> dict:
-    scn = _scenario_from_json(doc_json)
-    if scn.fr is None:
-        raise ValueError("scenario has no fixed_rate section")
-    t0 = time.perf_counter()
-    session_seed = derive_seed(scn.seed, "trial", trial)
-    try:
-        code = FixedRateCode(rates=scn.fr.rates, n=scn.fr.n, kind=scn.fr.kind,
-                             C=scn.fr.C, seed=derive_seed(session_seed, "fr-code"),
-                             eps_decode=scn.fr.eps_decode)
-        block = sample_block(scn.p, code.n, derive_seed(session_seed, "fr-block"))
-        traitors = scn.traitors()
-        strategy = scn.build_strategy()
-        ctx = None
-        if len(traitors) > 0:
-            r = scn.r_true if scn.r_true is not None else identity_channel(scn.alphabet_sizes)
-            w_block = sample_side_info(block=block, r=r,
-                                       seed=derive_seed(session_seed, "fr-sideinfo"))
-            ctx = TraitorContext(traitors=traitors,
-                                 seed=derive_seed(session_seed, "traitor"),
-                                 w_block=w_block,
-                                 own_block=SourceBlock(code.n, block.subset(traitors.indices)),
-                                 codebooks=None)
-        messages = encode_all(code, block, strategy, ctx, scn.p,
-                              derive_seed(session_seed, "fr-honest"))
-        table = decode_all(code, messages, scn.p, scn.collection,
-                           plurality=scn.fr_plurality)
-    except EnumerationGuardError as exc:
-        return _guard_row("fr", trial, exc, t0)
+def _attack_session_fields(scn: Scenario, session_seed: int) -> dict:
+    # only attack rows carry this field, so simulate-vr summaries have no
+    # indistinguishable_rate
+    fields = _session_fields(scn, session_seed)
+    fields["indistinguishable"] = int(fields["v_final_size"] >= 2)
+    return fields
+
+
+def _fixed_rate_fields(scn: Scenario, session_seed: int) -> dict:
+    code = replace(scn.fr, seed=derive_seed(session_seed, "fr-code"))
+    block = sample_block(scn.p, code.n, derive_seed(session_seed, "fr-block"))
+    traitors = scn.traitors()
+    strategy = scn.build_strategy()
+    ctx = None
+    if len(traitors) > 0:
+        r = scn.r_true if scn.r_true is not None else identity_channel(scn.alphabet_sizes)
+        w_block = sample_side_info(block=block, r=r,
+                                   seed=derive_seed(session_seed, "fr-sideinfo"))
+        ctx = TraitorContext(traitors=traitors,
+                             seed=derive_seed(session_seed, "traitor"),
+                             w_block=w_block,
+                             own_block=SourceBlock(code.n, block.subset(traitors.indices)),
+                             codebooks=None)
+    messages = encode_all(code, block, strategy, ctx, scn.p,
+                          derive_seed(session_seed, "fr-honest"))
+    table = decode_all(code, messages, scn.p, scn.collection,
+                       plurality=scn.fr_plurality)
     wrong = [i for i in scn.honest_true
              if table.final[i] is None
              or not np.array_equal(table.final[i], block.sensor(i))]
     return {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "fr",
-        "trial": trial,
         "honest_error": int(bool(wrong)),
         "num_null_finals": sum(1 for i in range(scn.m) if table.final[i] is None),
         "num_disagreements": len(table.disagreements),
-        "error": "",
-        "wall_time_s": time.perf_counter() - t0,
     }
 
 
-def run_attack_trial(doc_json: str, trial: int) -> dict:
+def _converse_fields(scn: Scenario, session_seed: int) -> dict:
+    code = replace(scn.fr, seed=derive_seed(session_seed, "fr-code"))
+    out = demonstrate_converse(code, scn.p, scn.collection, scn.honest_true,
+                               scn.target_set, session_seed, plurality=scn.fr_plurality)
+    return {"attack_found": int(out.attack_found), "honest_error": int(out.honest_error)}
+
+
+# row mode -> the trial's fields, as a function of (scenario, session seed)
+TRIAL_MODES = {
+    "vr": _session_fields,
+    "attack-vr": _attack_session_fields,
+    "fr": _fixed_rate_fields,
+    "attack-fr": _converse_fields,
+}
+
+
+def run_trial(doc_json: str, trial: int, mode: str) -> dict:
+    """One Monte Carlo trial of ``mode`` (a key of ``TRIAL_MODES``) as a row.
+
+    A trial that raises becomes a row with the message in ``error`` and the
+    exception class in ``error_type``; ``wall_time_s`` times the trial from
+    its scenario lookup on."""
+    trial_fields = TRIAL_MODES[mode]
     scn = _scenario_from_json(doc_json)
     t0 = time.perf_counter()
     session_seed = derive_seed(scn.seed, "trial", trial)
-    if scn.strategy_kind == "fixed_rate_ambiguity":
-        if scn.fr is None:
-            raise ValueError("ambiguity attack demo needs a fixed_rate section")
-        try:
-            code = FixedRateCode(rates=scn.fr.rates, n=scn.fr.n, kind=scn.fr.kind,
-                                 C=scn.fr.C,
-                                 seed=derive_seed(session_seed, "fr-code"),
-                                 eps_decode=scn.fr.eps_decode)
-            out = demonstrate_converse(code, scn.p, scn.collection,
-                                       scn.honest_true, scn.target_set,
-                                       session_seed, plurality=scn.fr_plurality)
-        except EnumerationGuardError as exc:
-            return _guard_row("attack-fr", trial, exc, t0)
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "mode": "attack-fr",
-            "trial": trial,
-            "attack_found": int(out.attack_found),
-            "honest_error": int(out.honest_error),
-            "indistinguishable": "",
-            "v_final_size": "",
-            "sum_rate": "",
-            "over_budget_rounds": "",
-            "error": "",
-            "wall_time_s": time.perf_counter() - t0,
-        }
-    if scn.vr is None:
-        raise ValueError("attack demo needs a variable_rate section")
+    row: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "mode": mode, "trial": trial}
     try:
-        strategy = scn.build_strategy()
-        report = run_session(scn.p, scn.collection, scn.info_model,
-                             scn.honest_true, scn.r_true, strategy, scn.vr,
-                             session_seed)
-    except EnumerationGuardError as exc:
-        return _guard_row("attack-vr", trial, exc, t0)
-    budget = _vr_budget(scn)
-    over = ("" if budget is None
-            else sum(1 for r in report.round_rates if r > budget))
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "mode": "attack-vr",
-        "trial": trial,
-        "attack_found": "",
-        "honest_error": int(report.honest_error),
-        "indistinguishable": int(len(report.final_V) >= 2),
-        "v_final_size": len(report.final_V),
-        "sum_rate": repr(report.sum_rate),
-        "over_budget_rounds": over,
-        "error": "",
-        "wall_time_s": time.perf_counter() - t0,
-    }
+        row.update(trial_fields(scn, session_seed), error="")
+    except Exception as exc:   # any failing trial is a row, never a crashed run
+        # never empty: an empty error reads as success downstream
+        row["error"] = str(exc) or type(exc).__name__
+        row["error_type"] = type(exc).__name__
+    row["wall_time_s"] = time.perf_counter() - t0
+    return row
 
 
 # ---------------------------------------------------------------------------
@@ -641,40 +580,36 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
     return (max(0.0, center - half), min(1.0, center + half))
 
 
+_RATE_FIELDS = ("honest_error", "indistinguishable", "attack_found")
+_MEAN_FIELDS = ("sum_rate", "v_final_size")
+
+
 def aggregate_rows(rows: list[dict]) -> dict:
-    n = len(rows)
-    agg: dict[str, Any] = {"trials": n}
-    if n == 0:
+    """Summary of trial rows: failures counted by exception type, then rates
+    with 95% Wilson intervals and means over the trials that did not fail."""
+    agg: dict[str, Any] = {"trials": len(rows)}
+    failures: dict[str, int] = {}
+    values: dict[str, list[float]] = {}
+    wall = 0.0
+    for row in rows:
+        if row.get("error"):
+            failures[row["error_type"]] = failures.get(row["error_type"], 0) + 1
+            continue
+        wall += float(row.get("wall_time_s", 0.0))
+        for name in _RATE_FIELDS + _MEAN_FIELDS:
+            if row.get(name, "") != "":
+                values.setdefault(name, []).append(float(row[name]))
+    if failures:
+        agg["failures"] = failures
+    if sum(failures.values()) == len(rows):
         return agg
-    failed = sum(1 for r in rows if r.get("error"))
-    if failed:
-        agg["guard_failures"] = failed
-    ok_rows = [r for r in rows if not r.get("error")]
-    if not ok_rows:
-        return agg
-    rows = ok_rows
-    n = len(rows)
-    if "honest_error" in rows[0] and rows[0]["honest_error"] != "":
-        k = sum(int(r["honest_error"]) for r in rows)
-        lo, hi = wilson_interval(k, n)
-        agg["honest_error_rate"] = k / n
-        agg["honest_error_ci95"] = [lo, hi]
-    for field_name in ("sum_rate",):
-        vals = [float(r[field_name]) for r in rows
-                if field_name in r and r[field_name] != ""]
-        if vals:
-            agg["mean_sum_rate"] = sum(vals) / len(vals)
-    for field_name in ("indistinguishable", "attack_found"):
-        vals = [int(r[field_name]) for r in rows
-                if field_name in r and r[field_name] != ""]
-        if vals:
-            k = sum(vals)
-            lo, hi = wilson_interval(k, len(vals))
-            agg[f"{field_name}_rate"] = k / len(vals)
-            agg[f"{field_name}_ci95"] = [lo, hi]
-    if "v_final_size" in rows[0] and rows[0]["v_final_size"] != "":
-        sizes = [int(r["v_final_size"]) for r in rows if r["v_final_size"] != ""]
-        if sizes:
-            agg["mean_v_final_size"] = sum(sizes) / len(sizes)
-    agg["total_wall_time_s"] = sum(float(r.get("wall_time_s", 0.0)) for r in rows)
+    for name in _RATE_FIELDS:
+        if name in values:
+            k, n = sum(values[name]), len(values[name])
+            agg[f"{name}_rate"] = k / n
+            agg[f"{name}_ci95"] = list(wilson_interval(k, n))
+    for name in _MEAN_FIELDS:
+        if name in values:
+            agg[f"mean_{name}"] = sum(values[name]) / len(values[name])
+    agg["total_wall_time_s"] = wall
     return agg

@@ -29,9 +29,7 @@ from byzsw.rate_region import (
 from byzsw.scenario import (
     PRESETS,
     canonical_dumps,
-    run_attack_trial,
-    run_fr_trial,
-    run_vr_trial,
+    run_trial,
 )
 from byzsw.source_model import derive_seed, sample_block
 from byzsw.variable_rate import ProtocolParams, run_session
@@ -197,7 +195,7 @@ def test_criterion_4_variable_rate_no_traitors():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for trial in range(doc["trials"]):
-            rows.append(run_vr_trial(doc_json, trial))
+            rows.append(run_trial(doc_json, trial, "vr"))
     err_rate = sum(r["honest_error"] for r in rows) / len(rows)
     mean_rate = sum(float(r["sum_rate"]) for r in rows) / len(rows)
     p = JointPMF((2, 2), np.asarray(doc["pmf"]))
@@ -222,7 +220,7 @@ def test_criterion_5_variable_rate_under_attack():
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         for trial in range(doc["trials"]):
-            rows.append(run_attack_trial(doc_json, trial))
+            rows.append(run_trial(doc_json, trial, "attack-vr"))
     err_rate = sum(r["honest_error"] for r in rows) / len(rows)
     mean_rate = sum(float(r["sum_rate"]) for r in rows) / len(rows)
     indist = sum(r["indistinguishable"] for r in rows) / len(rows)
@@ -261,7 +259,7 @@ def test_criterion_6_fixed_rate_achievability_and_converse():
     assert fixed_rate_region_contains(base, p, H, R, "randomized")
 
     doc_json = canonical_dumps(doc)
-    rows = [run_fr_trial(doc_json, t) for t in range(doc["trials"])]
+    rows = [run_trial(doc_json, t, "fr") for t in range(doc["trials"])]
     err_rate = sum(r["honest_error"] for r in rows) / len(rows)
     assert err_rate <= 0.1
 
@@ -273,7 +271,7 @@ def test_criterion_6_fixed_rate_achievability_and_converse():
     assert fixed_rate_region_contains(drates, p, H, R, "randomized")
     assert not fixed_rate_region_contains(drates, p, H, R, "deterministic")
     demo_json = canonical_dumps(demo)
-    demo_rows = [run_attack_trial(demo_json, t) for t in range(demo["trials"])]
+    demo_rows = [run_trial(demo_json, t, "attack-fr") for t in range(demo["trials"])]
     demo_err = sum(r["honest_error"] for r in demo_rows) / len(demo_rows)
     elapsed = time.perf_counter() - t0
     print(f"ACCEPTANCE 6 fixed-rate achievability/converse: PASS "

@@ -149,14 +149,13 @@ class TestComposite:
         for k in range(j + 1):
             nominal /= cb.bin_count(k)
         trials = 40_000
-        hits = 0
-        for _ in range(trials):
-            x = rng.integers(0, 2, size=12)
-            y = rng.integers(0, 2, size=12)
-            if np.array_equal(x, y):
-                continue
-            hits += (cb.composite_encode(x, 0, j).indices
-                     == cb.composite_encode(y, 0, j).indices)
+        # the same stream as drawing x then y, pair by pair
+        pairs = rng.integers(0, 2, size=(trials, 2, 12))
+        x, y = pairs[:, 0], pairs[:, 1]
+        same_chain = np.any(x != y, axis=1)
+        for k in range(j + 1):
+            same_chain &= cb.encode_blocks(x, 0, k) == cb.encode_blocks(y, 0, k)
+        hits = int(same_chain.sum())
         freq = hits / trials
         sigma = math.sqrt(nominal * (1 - nominal) / trials)
         assert abs(freq - nominal) < 4 * sigma + 1e-4

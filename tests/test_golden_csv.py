@@ -64,7 +64,7 @@ def test_fixed_rate_bin_draws_digest(preset, digest):
     """Digests computed with the keyed SplitMix64 kernel; the per-sequence
     blake2b kernel before it drew different bins."""
     scn = preset_scenario(preset)
-    seed = derive_seed(derive_seed(scn.seed, "trial", 0), "fr-code")   # as run_fr_trial
+    seed = derive_seed(derive_seed(scn.seed, "trial", 0), "fr-code")   # as the "fr" trial mode
     h = hashlib.sha256()
     for i, (alphabet, rate) in enumerate(zip(scn.alphabet_sizes, scn.fr.rates)):
         bins = hash_bins(seed, fixed_rate_header(i, 0), all_sequences(alphabet, scn.fr.n),

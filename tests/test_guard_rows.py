@@ -1,7 +1,7 @@
 """Guard violations surface as per-trial failures, not crashes."""
 import warnings
 
-from byzsw.scenario import PRESETS, aggregate_rows, canonical_dumps, run_vr_trial
+from byzsw.scenario import PRESETS, aggregate_rows, canonical_dumps, run_trial
 
 
 def test_vr_guard_failure_becomes_row():
@@ -10,8 +10,8 @@ def test_vr_guard_failure_becomes_row():
     doc["trials"] = 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        row = run_vr_trial(canonical_dumps(doc), 0)
+        row = run_trial(canonical_dumps(doc), 0, "vr")
     assert row["error"]
     assert "guard" in row["error"]
     agg = aggregate_rows([row])
-    assert agg["guard_failures"] == 1
+    assert agg["failures"] == {"EnumerationGuardError": 1}

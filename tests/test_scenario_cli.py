@@ -1,18 +1,19 @@
 """Tests for scenario files, presets, and the CLI harness."""
+import csv
 import json
 import warnings
 from pathlib import Path
 
 import pytest
 
+import byzsw.scenario
 from byzsw.cli import main
 from byzsw.scenario import (
     PRESETS,
     aggregate_rows,
     canonical_dumps,
     preset_scenario,
-    run_fr_trial,
-    run_vr_trial,
+    run_trial,
     scenario_from_dict,
     scenario_to_dict,
     wilson_interval,
@@ -95,8 +96,8 @@ class TestRunners:
         doc_json = canonical_dumps(tiny_vr_doc())
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            a = run_vr_trial(doc_json, 0)
-            b = run_vr_trial(doc_json, 0)
+            a = run_trial(doc_json, 0, "vr")
+            b = run_trial(doc_json, 0, "vr")
         a.pop("wall_time_s")
         b.pop("wall_time_s")
         assert a == b
@@ -104,7 +105,7 @@ class TestRunners:
     def test_fr_runner(self):
         doc = PRESETS["fixed_rate_randomized"]()
         doc["trials"] = 2
-        row = run_fr_trial(canonical_dumps(doc), 1)
+        row = run_trial(canonical_dumps(doc), 1, "fr")
         assert row["mode"] == "fr"
         assert row["honest_error"] in (0, 1)
 
@@ -232,3 +233,66 @@ class TestCli:
         emitted = json.loads((tmp_path / "x" / "scenario.json").read_text())
         assert emitted["trials"] == 1
         assert emitted["seed"] == 99
+
+
+class TestTrialChecks:
+    @pytest.mark.parametrize("command,preset,missing", [
+        ("simulate-fr", "three_sensor", "fixed_rate"),
+        ("simulate-vr", "fixed_rate_demo", "variable_rate"),
+        ("attack-demo", "two_sensor_baseline", "strategy"),
+    ])
+    def test_bad_scenario_fails_before_any_trial(self, tmp_path, capsys, command,
+                                                 preset, missing):
+        assert main([command, "--preset", preset, "--trials", "2",
+                     "--out", str(tmp_path)]) == 2
+        assert missing in capsys.readouterr().err
+        assert not list(tmp_path.glob("*_trials.csv"))
+
+    @pytest.mark.parametrize("command,target,stem", [
+        ("simulate-vr", "run_session", "vr_trials"),
+        ("simulate-fr", "decode_all", "fr_trials"),
+    ])
+    def test_failing_trial_becomes_error_row(self, tmp_path, monkeypatch, command,
+                                             target, stem):
+        real = getattr(byzsw.scenario, target)
+        calls = []
+
+        def fail_on_trial_1(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:     # one call per trial, in trial order
+                raise RuntimeError("planted failure")
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(byzsw.scenario, target, fail_on_trial_1)
+        doc = tiny_vr_doc() if command == "simulate-vr" else PRESETS["fixed_rate_randomized"]()
+        doc["trials"] = 4
+        path = tmp_path / "scenario_in.json"
+        path.write_text(canonical_dumps(doc))
+        out = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main([command, "--scenario", str(path), "--workers", "1",
+                         "--out", str(out)]) == 0
+
+        with open(out / f"{stem}.csv", newline="") as fh:
+            table = list(csv.DictReader(fh))
+        assert [r["trial"] for r in table] == ["0", "1", "2", "3"]
+        assert [r["error"] for r in table] == ["", "planted failure", "", ""]
+        assert "error_type" not in table[0]
+
+        rows = [json.loads(line) for line in (out / f"{stem}.jsonl").read_text().splitlines()]
+        assert rows[1]["error_type"] == "RuntimeError"
+        assert ["error_type" in r for r in rows] == [False, True, False, False]
+        ok = [rows[0], rows[2], rows[3]]
+
+        summary = json.loads((out / f"{stem}_summary.json").read_text())
+        assert summary["trials"] == 4
+        assert summary["failures"] == {"RuntimeError": 1}
+        k = sum(r["honest_error"] for r in ok)
+        assert summary["honest_error_rate"] == k / 3
+        assert summary["honest_error_ci95"] == list(wilson_interval(k, 3))
+        assert summary["total_wall_time_s"] == pytest.approx(
+            sum(r["wall_time_s"] for r in ok))
+        if command == "simulate-vr":
+            assert summary["mean_sum_rate"] == pytest.approx(
+                sum(float(r["sum_rate"]) for r in ok) / 3)
