@@ -136,9 +136,12 @@ class TraitorStrategy:
 
     kind = "honest_passthrough"
     _round = 0
+    _phase: tuple | None = None     # (round, sensor, c) whose chain ``_chain`` holds
+    _chain: np.ndarray | None = None
 
     def begin_round(self, ctx: TraitorContext, round_index: int) -> None:
         self._round = round_index
+        self._phase = None      # a new session may reuse round indices
 
     def reported_block(self, ctx: TraitorContext, sensor: int) -> np.ndarray | None:
         """The sequence this traitor pretends is its observation, or None if
@@ -153,8 +156,15 @@ class TraitorStrategy:
                    .integers(C))
 
     def respond(self, ctx: TraitorContext, sensor: int, c: int, j: int) -> int:
-        block = self.reported_block(ctx, sensor)
-        return ctx.codebooks[sensor].encode_block(block, c, j)
+        """Block j's index of the reported block under subcodebook c. The
+        whole chain is encoded in one call at the phase's first poll and
+        kept until the round, the sensor or c changes."""
+        phase = (self._round, sensor, c)
+        if self._phase != phase:
+            block = self.reported_block(ctx, sensor)
+            self._chain = ctx.codebooks[sensor].encode_chain(block, c)
+            self._phase = phase
+        return int(self._chain[j])
 
     def fixed_rate_messages(self, ctx: TraitorContext, code, block: SourceBlock,
                             p: JointPMF) -> dict[int, tuple[int, int]]:

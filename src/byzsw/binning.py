@@ -14,6 +14,13 @@ over the kernel. Codebooks stay O(1) memory while behaving statistically
 like stored random bins. Bin counts are rounded up to integers; rate
 accounting elsewhere uses log2(actual bin count) so it stays exact.
 
+The kernel also takes a header axis: a sequence of headers with one bin
+count each gives one row of bins per header, from the same single pass over
+the rows. A sender encodes all J blocks of its chain with one such call
+(``encode_chain``), and ``encode_blocks`` bins a set of rows under a
+sequence of blocks the same way. Each row equals the single-header call
+bit for bit.
+
 A variable-rate codebook for sensor i consists of C subcodebooks, each a chain
 of J_i block encoders: the first block carries n*(eps+nu) bits, later blocks
 n*eps bits each. Composite encodings are prefixes of one another by
@@ -24,8 +31,9 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from hashlib import blake2b
+from typing import Sequence
 
 import numpy as np
 
@@ -50,8 +58,9 @@ def all_sequences(alphabet: int, n: int) -> np.ndarray:
     return rows
 
 
-_MIX1, _MIX2 = np.uint64(0xBF58476D1CE4E5B9), np.uint64(0x94D049BB133111EB)
-_S27, _S30, _S31 = np.uint64(27), np.uint64(30), np.uint64(31)
+# 0-d arrays rather than numpy scalars: cheaper per ufunc call on small arrays
+_MIX1, _MIX2, _S27, _S30, _S31 = (np.array(v, dtype=np.uint64) for v in (
+    0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31))
 
 
 def _splitmix64(z: np.ndarray) -> None:
@@ -64,20 +73,32 @@ def _splitmix64(z: np.ndarray) -> None:
     z ^= z >> _S31
 
 
-def hash_bins(seed: int, header: bytes, seqs: np.ndarray, bins: int) -> np.ndarray:
+def hash_bins(seed: int, header: bytes | Sequence[bytes], seqs: np.ndarray,
+              bins: int | Sequence[int]) -> np.ndarray:
     """Bin index of every row of a (k, n) symbol array under a keyed 64-bit
-    mixer.
+    mixer, for one header or for each header of a sequence.
 
-    The key is the 8-byte blake2b digest of ``header``, keyed by the seed;
-    it is derived once per call. Each row (one byte per symbol) is zero-padded
-    to a multiple of 8 bytes and read as big-endian 64-bit words; starting
-    from ``h = key``, every word is absorbed as ``h = splitmix64(h ^ word)``,
-    and the bin is ``h mod bins``. n is fixed per codebook, so the padding is
-    unambiguous. ``bins`` is capped at 2^32, which keeps the relative bias of
-    the reduction at most 2^-32.
+    A header's key is the 8-byte blake2b digest of the header, keyed by the
+    seed; every key is derived once per call. Each row (one byte per symbol)
+    is zero-padded to a multiple of 8 bytes and read as big-endian 64-bit
+    words; starting from ``h = key``, every word is absorbed as
+    ``h = splitmix64(h ^ word)``, and the bin is ``h mod bins``. n is fixed
+    per codebook, so the padding is unambiguous. Each bin count is capped at
+    2^32, which keeps the relative bias of the reduction at most 2^-32.
+
+    ``header`` is either one ``bytes`` with one int ``bins``, giving a (k,)
+    array, or a sequence of h headers with a sequence of h bin counts, giving
+    an (h, k) array whose row r equals the single-header call on header r.
+    Either way the mixing runs once, over an (h, k) array of states.
     """
-    if not 1 <= bins <= _MAX_BINS:
-        raise ValueError(f"bin count {bins} outside [1, 2^32]")
+    single = isinstance(header, bytes)
+    headers = (header,) if single else tuple(header)
+    counts = (bins,) if single else tuple(bins)
+    if len(counts) != len(headers):
+        raise ValueError(f"{len(headers)} headers but {len(counts)} bin counts")
+    for b in counts:
+        if not 1 <= b <= _MAX_BINS:
+            raise ValueError(f"bin count {b} outside [1, 2^32]")
     rows = np.asarray(seqs)
     if rows.ndim != 2:
         raise ValueError("expected a (k, n) array of sequences")
@@ -86,15 +107,20 @@ def hash_bins(seed: int, header: bytes, seqs: np.ndarray, bins: int) -> np.ndarr
             raise ValueError("symbols must fit in one byte")
         rows = rows.astype(np.uint8)
     k, n = rows.shape
-    key = blake2b(header, key=(seed & _SEED_MASK).to_bytes(8, "big"), digest_size=8)
+    seed_key = (seed & _SEED_MASK).to_bytes(8, "big")
+    keys = np.array([int.from_bytes(blake2b(hd, key=seed_key, digest_size=8).digest(), "big")
+                     for hd in headers], dtype=np.uint64)
     padded = np.zeros((k, -(-n // 8) * 8), dtype=np.uint8)
     padded[:, :n] = rows
-    words = padded.view(">u8").astype(np.uint64)
-    h = np.full(k, int.from_bytes(key.digest(), "big"), dtype=np.uint64)
+    words = padded.view(">u8")
+    h = np.empty((len(keys), k), dtype=np.uint64)
+    h[:] = keys[:, None]
     for w in range(words.shape[1]):
         h ^= words[:, w]
         _splitmix64(h)
-    return (h % np.uint64(bins)).astype(np.int64)
+    h %= np.array(counts, dtype=np.uint64)[:, None]
+    out = h.view(np.int64)    # every bin is below 2^32
+    return out[0] if single else out
 
 
 def bin_count_for_rate(n: int, rate: float) -> int:
@@ -142,14 +168,18 @@ class BinningCodebook:
         if self.C < 1:
             raise ValueError("need at least one subcodebook")
 
-    @property
+    @cached_property
     def J(self) -> int:
         return max(1, math.ceil(math.log2(self.alphabet_size) / self.eps))
 
     def bin_count(self, j: int) -> int:
         self._check_block(j)
-        rate = self.eps + self.nu if j == 0 else self.eps
-        return bin_count_for_rate(self.n, rate)
+        return self._bin_counts[j]
+
+    @cached_property
+    def _bin_counts(self) -> tuple[int, ...]:
+        return tuple(bin_count_for_rate(self.n, self.eps + self.nu if j == 0 else self.eps)
+                     for j in range(self.J))
 
     def block_bits(self, j: int) -> float:
         """Exact payload size of block j in bits: log2(actual bin count)."""
@@ -161,23 +191,33 @@ class BinningCodebook:
         if c is not None and not 0 <= c < self.C:
             raise ValueError(f"subcodebook index {c} out of range [0, {self.C})")
 
-    def encode_blocks(self, seqs, c: int, j: int) -> np.ndarray:
-        """Bin indices of every row of ``seqs`` under subcodebook c, block j."""
-        self._check_block(j, c)
+    def encode_blocks(self, seqs, c: int, blocks: Sequence[int]) -> np.ndarray:
+        """Bin indices of every row of ``seqs`` under subcodebook c, one row
+        per block in ``blocks``: a (len(blocks), k) array from one kernel
+        call."""
+        blocks = tuple(blocks)
+        for j in blocks:
+            self._check_block(j, c)
         rows = np.asarray(seqs)
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise ValueError(f"expected sequences of length n={self.n}, got shape {rows.shape}")
-        header = struct.pack(">BIII", 0x01, self.sensor_id, c, j)
-        return hash_bins(self.master_seed, header, rows, self.bin_count(j))
+        return hash_bins(self.master_seed,
+                         [struct.pack(">BIII", 0x01, self.sensor_id, c, j) for j in blocks],
+                         rows, [self._bin_counts[j] for j in blocks])
 
     def encode_block(self, x, c: int, j: int) -> int:
         """Bin index of sequence x under subcodebook c, block j."""
-        return int(self.encode_blocks(np.asarray(x)[None], c, j)[0])
+        return int(self.encode_blocks(np.asarray(x)[None], c, [j])[0, 0])
+
+    def encode_chain(self, x, c: int) -> np.ndarray:
+        """Bin indices of sequence x in every block 0..J-1 of subcodebook c,
+        from one kernel call."""
+        return self.encode_blocks(np.asarray(x)[None], c, range(self.J))[:, 0]
 
     def composite_encode(self, x, c: int, j: int) -> BinIndexChain:
         """Chain of block indices for blocks 0..j (inclusive)."""
         self._check_block(j, c)
-        return BinIndexChain(c, tuple(self.encode_block(x, c, k) for k in range(j + 1)))
+        return BinIndexChain(c, tuple(self.encode_chain(x, c)[:j + 1]))
 
     def search_bin(self, chain: BinIndexChain, candidates) -> list[np.ndarray]:
         """All candidate sequences whose composite encoding equals ``chain``,
@@ -187,10 +227,8 @@ class BinningCodebook:
             return []
         cands = np.stack(rows)
         cands = cands[np.lexsort(cands.T[::-1])]
-        match = np.ones(len(cands), dtype=bool)
-        for k, want in enumerate(chain.indices):
-            match &= self.encode_blocks(cands, chain.c, k) == want
-        return list(cands[match])
+        bins = self.encode_blocks(cands, chain.c, range(chain.blocks))
+        return list(cands[(bins == np.array(chain.indices)[:, None]).all(axis=0)])
 
 
 def fixed_rate_header(sensor_id: int, c: int) -> bytes:

@@ -179,6 +179,11 @@ def cmd_trials(args) -> int:
     mode = _trial_mode(args.command, scn)
     rows = _run_trials(scn, mode, args.workers)
     summary = aggregate_rows(rows)
+    if mode.endswith("vr"):
+        requested, used = scn.vr.subcodebook_counts(scn.m, scn.alphabet_sizes)
+        if used < requested:
+            summary["subcodebooks_requested"] = requested
+            summary["subcodebooks_used"] = used
     if mode == "vr" and scn.info_model.perfect:
         r_star = scn.region().r_star
         summary["r_star"] = r_star

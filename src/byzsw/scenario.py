@@ -95,8 +95,6 @@ class Scenario:
         if self.strategy_kind == "fake_distribution":
             return make_strategy("fake_distribution", q_bar=self.q_bar())
         if self.strategy_kind == "fixed_rate_ambiguity":
-            if self.target_set is None:
-                raise ValueError("ambiguity strategy needs target_set")
             return make_strategy("fixed_rate_ambiguity", target_set=self.target_set)
         return make_strategy(self.strategy_kind)
 
@@ -226,6 +224,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         q_bar_spec = strat_doc.get("q_bar")
         ts = strat_doc.get("target_set")
         target_set = SubsetView(tuple(int(i) for i in ts)) if ts else None
+        if target_set is not None and not all(0 <= i < m for i in target_set):
+            raise ValueError(f"target_set {target_set} has a sensor outside [0, {m})")
+        if strategy_kind == "fixed_rate_ambiguity" and target_set is None:
+            raise ValueError("fixed_rate_ambiguity strategy needs a nonempty target_set")
 
     vr_doc = doc.get("variable_rate")
     vr = None
@@ -582,11 +584,13 @@ def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tup
 
 _RATE_FIELDS = ("honest_error", "indistinguishable", "attack_found")
 _MEAN_FIELDS = ("sum_rate", "v_final_size")
+_TOTAL_FIELDS = ("decode_forced", "v_empty_restores")
 
 
 def aggregate_rows(rows: list[dict]) -> dict:
     """Summary of trial rows: failures counted by exception type, then rates
-    with 95% Wilson intervals and means over the trials that did not fail."""
+    with 95% Wilson intervals, means and totals over the trials that did not
+    fail."""
     agg: dict[str, Any] = {"trials": len(rows)}
     failures: dict[str, int] = {}
     values: dict[str, list[float]] = {}
@@ -596,7 +600,7 @@ def aggregate_rows(rows: list[dict]) -> dict:
             failures[row["error_type"]] = failures.get(row["error_type"], 0) + 1
             continue
         wall += float(row.get("wall_time_s", 0.0))
-        for name in _RATE_FIELDS + _MEAN_FIELDS:
+        for name in _RATE_FIELDS + _MEAN_FIELDS + _TOTAL_FIELDS:
             if row.get(name, "") != "":
                 values.setdefault(name, []).append(float(row[name]))
     if failures:
@@ -611,5 +615,8 @@ def aggregate_rows(rows: list[dict]) -> dict:
     for name in _MEAN_FIELDS:
         if name in values:
             agg[f"mean_{name}"] = sum(values[name]) / len(values[name])
+    for name in _TOTAL_FIELDS:
+        if name in values:
+            agg[f"total_{name}"] = int(sum(values[name]))
     agg["total_wall_time_s"] = wall
     return agg

@@ -9,6 +9,15 @@ indices; after j transactions the decoder searches the set
 
 for sequences matching the received composite bin, stops at the first
 non-empty intersection, and takes the lexicographically least member.
+
+The search scores all alphabet^n candidates at once. The empirical
+conditional entropy splits over the cells of the prior sensors' decoded
+symbols, so it is a sum of small cached per-cell tables broadcast onto an
+(alphabet,)*n array; without a prior it is one cached read-only array.
+Since the search stops at the first non-empty T_j, only the members new to
+T_j are tested after transaction j: first on block 0, which has the most
+bins, then the few survivors on blocks 1..j in one kernel call. An honest
+sender encodes its whole block chain for the phase in one kernel call.
 At the end of a round the decoder prunes the collection V of candidate
 honest sets by testing the empirical type of the decoded block against the
 eta-blurred simulable-law sets of each candidate.
@@ -23,6 +32,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 from typing import Callable, Sequence
 
 import numpy as np
@@ -83,18 +93,23 @@ class ProtocolParams:
     def eta_value(self) -> float:
         return 2.0 * self.eps if self.eta is None else self.eta
 
-    def subcodebook_count(self, m: int, alphabet_sizes: Sequence[int]) -> int:
+    def subcodebook_counts(self, m: int, alphabet_sizes: Sequence[int]) -> tuple[int, int]:
+        """(requested, used) subcodebook counts: an explicit C is used as
+        given; the analysis bound is capped at SUBCODEBOOK_CAP."""
         if self.C is not None:
-            return self.C
+            return self.C, self.C
         log_xm = sum(math.log2(a) for a in alphabet_sizes)
         b = max(1, math.ceil(log_xm / (self.nu_value - self.eps)))
         c = max(8, math.ceil(3 * self.rounds * m * b / self.alpha))
-        if c > SUBCODEBOOK_CAP:
+        return c, min(c, SUBCODEBOOK_CAP)
+
+    def subcodebook_count(self, m: int, alphabet_sizes: Sequence[int]) -> int:
+        requested, used = self.subcodebook_counts(m, alphabet_sizes)
+        if used < requested:
             warnings.warn(
-                f"subcodebook count {c} capped at {SUBCODEBOOK_CAP} for desk scale",
+                f"subcodebook count {requested} capped at {used} for desk scale",
                 RuntimeWarning, stacklevel=2)
-            c = SUBCODEBOOK_CAP
-        return c
+        return used
 
 
 @dataclass
@@ -148,27 +163,38 @@ class SessionReport:
 # phase decoding
 # ---------------------------------------------------------------------------
 
-def _conditional_type_entropies(cands: np.ndarray, prior_flat: np.ndarray | None,
-                                alphabet: int, prior_cells: int) -> np.ndarray:
-    """H_type(X_i | X_prior) for every candidate sequence at once, in bits.
-
-    With f(c) = c log2 c and n_p the number of slots whose prior symbol is p,
-    H = sum_p [f(n_p) - sum_a f(cnt_{p,a})] / n. The n_p do not depend on the
-    candidate; the counts cnt_{p,a} come from one product per symbol a of the
-    candidates' indicator of a with the prior's one-hot slot table, and f is
-    looked up from a table over 0..n.
-    """
-    k, n = cands.shape
+@lru_cache(maxsize=None)
+def _cell_entropies(alphabet: int, s: int, n: int) -> np.ndarray:
+    """G(y) = [f(s) - sum_a f(#a in y)] / n for every y in alphabet^s, as a
+    read-only (alphabet,)*s array, with f(c) = c log2 c: one prior cell's
+    share of an empirical conditional entropy at block length n."""
     f = np.arange(n + 1) * np.log2(np.maximum(np.arange(n + 1), 1))
+    seqs = all_sequences(alphabet, s)
+    fsum = sum(f[(seqs == a).sum(axis=1)] for a in range(alphabet))
+    g = ((f[s] - fsum) / n).reshape((alphabet,) * s)
+    g.setflags(write=False)
+    return g
+
+
+def _conditional_type_entropies(n: int, alphabet: int,
+                                prior_flat: np.ndarray | None) -> np.ndarray:
+    """H_type(X_i | X_prior) in bits for every length-n candidate, in
+    ``all_sequences`` order.
+
+    The entropy splits over prior cells: with S_p the slots whose prior
+    symbol is p, H(x) = sum_p G_p(x restricted to S_p) (``_cell_entropies``).
+    Each G_p is broadcast onto the S_p axes of an (alphabet,)*n array, whose
+    C-order ravel is the lexicographic candidate order. Without a prior the
+    one cell holds every slot, and the cached read-only array is returned.
+    """
     if prior_flat is None:
-        onehot = np.ones((n, 1))
-    else:
-        onehot = (prior_flat[:, None] == np.arange(prior_cells)).astype(float)
-    h = np.full(k, f[onehot.sum(axis=0).astype(np.intp)].sum())
-    for a in range(alphabet):
-        cnt = (cands == a) @ onehot
-        h -= f[cnt.astype(np.intp)].sum(axis=1)
-    return h / n
+        return _cell_entropies(alphabet, n, n).reshape(-1)
+    h = np.zeros((alphabet,) * n)
+    slot_counts = np.bincount(prior_flat)
+    for p in np.flatnonzero(slot_counts):
+        h += _cell_entropies(alphabet, int(slot_counts[p]), n).reshape(
+            np.where(prior_flat == p, alphabet, 1))
+    return h.reshape(-1)
 
 
 def _decode_phase(cb: BinningCodebook, prior: list[tuple[int, np.ndarray]],
@@ -181,32 +207,29 @@ def _decode_phase(cb: BinningCodebook, prior: list[tuple[int, np.ndarray]],
     """
     n = cb.n
     alphabet = cb.alphabet_size
-    if n * math.log2(alphabet) > 22 + 1e-9:
-        raise EnumerationGuardError("phase search space exceeds the 2^22 guard")
     cands = all_sequences(alphabet, n)
+    prior_flat = None
     if prior:
-        prior_sizes = [sizes[s] for s, _seq in prior]
-        prior_syms = np.stack([seq for _s, seq in prior])
-        prior_flat = np.ravel_multi_index(tuple(prior_syms), prior_sizes)
-        prior_cells = int(np.prod(prior_sizes))
-    else:
-        prior_flat, prior_cells = None, 1
-    cond_h = _conditional_type_entropies(cands, prior_flat, alphabet, prior_cells)
+        prior_flat = np.ravel_multi_index(tuple(np.stack([seq for _s, seq in prior])),
+                                          [sizes[s] for s, _seq in prior])
+    cond_h = _conditional_type_entropies(n, alphabet, prior_flat)
 
     received: list[int] = []
-    alive = np.ones(len(cands), dtype=bool)      # chain matches every block checked
-    in_prev = np.zeros(len(cands), dtype=bool)   # members of T_{j-1}
+    below = -np.inf    # T_{j-1} = {cond_h <= below}; its members all failed
     for j in range(cb.J):
         received.append(int(next_message(j)))
-        in_t = cond_h <= (j + 1) * eps + 1e-12
-        fresh = in_t & ~in_prev    # new members still owe blocks 0..j-1
-        for k in range(j + 1):
-            rows = np.nonzero(alive & (in_t if k == j else fresh))[0]
-            alive[rows] = cb.encode_blocks(cands[rows], c, k) == received[k]
-        hits = np.nonzero(in_t & alive)[0]
-        if hits.size:
-            return np.array(cands[hits[0]], dtype=np.int64), j + 1, received, False
-        in_prev = in_t
+        bound = (j + 1) * eps + 1e-12
+        # the members new to T_j, in index order, tested on block 0 (the one
+        # with the most bins, so few survive it), then on blocks 1..j at once
+        rows = np.nonzero((cond_h > below) & (cond_h <= bound))[0]
+        if rows.size:
+            rows = rows[cb.encode_blocks(cands[rows], c, [0])[0] == received[0]]
+        if j and rows.size:
+            bins = cb.encode_blocks(cands[rows], c, range(1, j + 1))
+            rows = rows[(bins == np.array(received[1:])[:, None]).all(axis=0)]
+        if rows.size:
+            return np.array(cands[rows[0]], dtype=np.int64), j + 1, received, False
+        below = bound
     # Exhausted all blocks with no candidate matching the full chain; this is
     # only reachable when the sender's messages are inconsistent with every
     # sequence (a garbage-spewing traitor). Take the lexicographically least
@@ -278,12 +301,17 @@ def _ball_membership_general(t_u: np.ndarray, U: SubsetView, S: SubsetView,
 
 
 def update_V(V: Sequence[SubsetView], estimates: dict, U_prev: SubsetView,
-             p: JointPMF, info_model: InfoModel, eta: float, n: int):
+             p: JointPMF, info_model: InfoModel, eta: float, n: int,
+             marginals: dict):
     """One end-of-round prune of the candidate collection: keep S iff the
     empirical type of the decoded block is consistent with some channel the
     code accepts for S. Returns (new V, emptied flag); on emptying, the caller
     restores the previous V (vanishing-probability event at proper
-    parameters) and logs it."""
+    parameters) and logs it.
+
+    ``marginals`` maps each candidate S to ``marginal(p, S).mass``, which
+    the perfect-information test reads; a session computes them once, since
+    p is fixed."""
     sizes_u = tuple(p.alphabet_sizes[i] for i in U_prev)
     syms = np.stack([estimates[i] for i in U_prev])
     t_u = type_of(syms, sizes_u).normalized().mass
@@ -295,8 +323,8 @@ def update_V(V: Sequence[SubsetView], estimates: dict, U_prev: SubsetView,
         if not S.is_subset_of(U_prev):
             continue
         if info_model.perfect:
-            p_s = marginal(p, S).mass
-            ok = _ball_marginal_feasible_perfect(t_u, sizes_u, pos_in_u, S, p_s, tau_u)
+            ok = _ball_marginal_feasible_perfect(t_u, sizes_u, pos_in_u, S,
+                                                 marginals[S], tau_u)
         else:
             ok = False
             for chan in info_model.channels_for(S):
@@ -348,8 +376,7 @@ def run_round(state: DecoderState, block: SourceBlock, w_block,
             sender = lambda j, _i=i, _c=c: strategy.respond(ctx, _i, _c, j)
         else:
             c = int(rng_for(seed, "subcode", round_index, i).integers(C))
-            truth = block.sensor(i)
-            sender = lambda j, _x=truth, _cb=cb, _c=c: _cb.encode_block(_x, _c, j)
+            sender = cb.encode_chain(block.sensor(i), c).__getitem__
         est, j_used, received, forced = _decode_phase(
             cb, prior, sizes, c, params.eps, sender)
         assert j_used <= cb.J
@@ -389,6 +416,9 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         from .prob_core import identity_channel
         r_true = identity_channel(sizes)
 
+    if n * math.log2(max(sizes)) > 22 + 1e-9:
+        # before any sender encodes: bin counts may overflow at such n
+        raise EnumerationGuardError("phase search space exceeds the 2^22 guard")
     codebooks = {
         i: BinningCodebook(i, n, sizes[i], params.eps, params.nu_value, C,
                            derive_seed(seed, "codebook", i))
@@ -398,6 +428,7 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
                          codebooks=codebooks)
 
     state = DecoderState(V=tuple(H.candidates))
+    marginals = {S: marginal(p, S).mass for S in H.candidates}
     honest_errors = []
     round_rates = []
     v_traj = [state.V]
@@ -420,7 +451,7 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         forced_count += forced
 
         newV, emptied = update_V(state.V, state.estimates, state.U(), p,
-                                 info_model, params.eta_value, n)
+                                 info_model, params.eta_value, n, marginals)
         if emptied:
             restores += 1
         else:

@@ -149,6 +149,41 @@ class TestVariableRateResponses:
                 strat._round = rep
                 assert 0 <= strat.respond(ctx, 2, 0, j) < cb.bin_count(j)
 
+    def test_respond_follows_the_reported_block_per_round(self):
+        # the chain is encoded once per phase; a new round or a new (sensor,
+        # c) pair must encode afresh, block by block equal to encode_block
+        p = three_sensor_law()
+        cb = BinningCodebook(2, 12, 2, 0.35, 1.925, 8, 5)
+        strat = HonestPassthrough()
+        for seed in (17, 18):
+            ctx, _ = perfect_ctx(p, SubsetView.of(0, 1), 12, seed)
+            ctx.codebooks = {2: cb}
+            strat.begin_round(ctx, seed)
+            for c in (0, 3, 0):
+                block = strat.reported_block(ctx, 2)
+                assert [strat.respond(ctx, 2, c, j) for j in range(cb.J)] == \
+                    [cb.encode_block(block, c, j) for j in range(cb.J)]
+
+    def test_kept_chain_is_keyed_on_the_round(self):
+        # a subclass whose begin_round skips super() still gets a fresh chain
+        # once the round changes
+        class PerRound(HonestPassthrough):
+            def begin_round(self, ctx, round_index):
+                self._round = round_index
+
+            def reported_block(self, ctx, sensor):
+                return np.full(12, self._round % 2)
+
+        p = three_sensor_law()
+        cb = BinningCodebook(2, 12, 2, 0.35, 1.925, 8, 5)
+        ctx, _ = perfect_ctx(p, SubsetView.of(0, 1), 12, 17)
+        ctx.codebooks = {2: cb}
+        strat = PerRound()
+        for r in (0, 1, 0):
+            strat.begin_round(ctx, r)
+            assert [strat.respond(ctx, 2, 0, j) for j in range(cb.J)] == \
+                [cb.encode_block(np.full(12, r), 0, j) for j in range(cb.J)]
+
     def test_honest_passthrough_matches_all_honest_session(self):
         p = three_sensor_law()
         H = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])

@@ -51,7 +51,7 @@ class TestHashBins:
         cb = small_codebook(seed=9)
         seqs = all_sequences(2, 12)[::37]
         for c, j in ((0, 0), (3, 1), (2, cb.J - 1)):
-            assert (cb.encode_blocks(seqs, c, j).tolist()
+            assert (cb.encode_blocks(seqs, c, [j])[0].tolist()
                     == [cb.encode_block(x, c, j) for x in seqs])
         bins = bin_count_for_rate(12, 0.9)
         assert (hash_bins(4, fixed_rate_header(1, 5), seqs, bins).tolist()
@@ -74,6 +74,59 @@ class TestHashBins:
             hash_bins(0, b"", np.array([[0, 256]]), 4)
         with pytest.raises(ValueError):
             hash_bins(0, b"", np.array([0, 1]), 4)
+
+
+class TestHeaderAxis:
+    """A call with a header axis is the single-header calls stacked, bit for
+    bit."""
+
+    @pytest.mark.parametrize("n", [5, 8, 12, 17])
+    def test_matches_single_header_calls(self, n):
+        rng = np.random.default_rng(n)
+        seqs = rng.integers(0, 3, size=(200, n), dtype=np.uint8)
+        headers = [struct.pack(">BIII", 0x01, 2, c, j) for c in (0, 7) for j in range(4)]
+        bins = [1, 2, 1000003, 2 ** 32 - 1, 2 ** 32, 7, 2 ** 31 + 5, 2 ** 32]
+        seed = (1 << 64) + 3 * n
+        got = hash_bins(seed, headers, seqs, bins)
+        assert got.dtype == np.int64 and got.shape == (len(headers), len(seqs))
+        want = np.stack([hash_bins(seed, hd, seqs, b) for hd, b in zip(headers, bins)])
+        assert np.array_equal(got, want)
+        assert got[4].tolist() == [reference_bin(seed, headers[4], x, bins[4]) for x in seqs]
+
+    def test_empty_rows_and_headers(self):
+        seqs = np.zeros((0, 6), dtype=np.uint8)
+        assert hash_bins(1, [b"a", b"b"], seqs, [3, 4]).shape == (2, 0)
+        assert hash_bins(1, [], all_sequences(2, 4), []).shape == (0, 16)
+
+    def test_checks_fire_on_every_header(self):
+        seqs = all_sequences(2, 4)
+        for bins in ([4, 0], [2 ** 32 + 1, 4], [4, 2 ** 63]):
+            with pytest.raises(ValueError):
+                hash_bins(0, [b"a", b"b"], seqs, bins)
+        with pytest.raises(ValueError):
+            hash_bins(0, [b"a", b"b"], seqs, [4])
+        with pytest.raises(ValueError):
+            hash_bins(0, [b"a"], np.array([[0, 256]]), [4])
+        with pytest.raises(ValueError):
+            hash_bins(0, [b"a"], np.array([0, 1]), [4])
+
+    @pytest.mark.parametrize("eps,nu,n", [(0.1, 0.15, 12), (0.35, 1.925, 12), (0.3, 0.5, 17)])
+    def test_chain_matches_block_by_block(self, eps, nu, n):
+        cb = BinningCodebook(sensor_id=3, n=n, alphabet_size=2, eps=eps, nu=nu,
+                             C=5, master_seed=2 ** 63 + n)
+        rng = np.random.default_rng(n)
+        for c in range(cb.C):
+            x = rng.integers(0, 2, n)
+            chain = cb.encode_chain(x, c)
+            assert chain.shape == (cb.J,)
+            assert chain.tolist() == [cb.encode_block(x, c, j) for j in range(cb.J)]
+
+    def test_chain_checks_subcodebook_and_length(self):
+        cb = small_codebook()
+        with pytest.raises(ValueError):
+            cb.encode_chain(np.zeros(12, dtype=int), cb.C)
+        with pytest.raises(ValueError):
+            cb.encode_chain(np.zeros(5, dtype=int), 0)
 
 
 class TestEncodeBlock:
@@ -109,7 +162,7 @@ class TestEncodeBlock:
         seqs = all_sequences(2, 12)
         for seed in range(100):
             cb = small_codebook(seed=seed)
-            idx = cb.encode_blocks(seqs, 0, 0)
+            idx = cb.encode_blocks(seqs, 0, [0])[0]
             counts = np.bincount(idx, minlength=cb.bin_count(0))
             p_value = stats.chisquare(counts).pvalue
             passed += p_value > 0.001
@@ -154,7 +207,7 @@ class TestComposite:
         x, y = pairs[:, 0], pairs[:, 1]
         same_chain = np.any(x != y, axis=1)
         for k in range(j + 1):
-            same_chain &= cb.encode_blocks(x, 0, k) == cb.encode_blocks(y, 0, k)
+            same_chain &= cb.encode_blocks(x, 0, [k])[0] == cb.encode_blocks(y, 0, [k])[0]
         hits = int(same_chain.sum())
         freq = hits / trials
         sigma = math.sqrt(nominal * (1 - nominal) / trials)

@@ -296,3 +296,62 @@ class TestTrialChecks:
         if command == "simulate-vr":
             assert summary["mean_sum_rate"] == pytest.approx(
                 sum(float(r["sum_rate"]) for r in ok) / 3)
+
+    @pytest.mark.parametrize("target_set", [None, [], [0, 3]])
+    def test_bad_ambiguity_target_refused_at_load(self, tmp_path, capsys, target_set):
+        doc = PRESETS["fixed_rate_demo"]()
+        doc["strategy"]["target_set"] = target_set
+        with pytest.raises(ValueError):
+            scenario_from_dict(doc)
+        path = tmp_path / "scenario_in.json"
+        path.write_text(canonical_dumps(doc))
+        out = tmp_path / "out"
+        assert main(["attack-demo", "--scenario", str(path), "--trials", "2",
+                     "--out", str(out)]) == 2
+        assert "target_set" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSummaryCounts:
+    def test_restore_and_forced_totals_match_rows(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["simulate-vr", "--preset", "two_sensor_baseline", "--trials", "3",
+                         "--out", str(tmp_path)]) == 0
+        rows = [json.loads(line)
+                for line in (tmp_path / "vr_trials.jsonl").read_text().splitlines()]
+        summary = json.loads((tmp_path / "vr_trials_summary.json").read_text())
+        restores = sum(r["v_empty_restores"] for r in rows)
+        assert restores > 0     # eta = 0.7 at n = 12 empties V in many rounds
+        assert summary["total_v_empty_restores"] == restores
+        assert summary["total_decode_forced"] == sum(r["decode_forced"] for r in rows)
+        # the cap shows in the summary only; the CSV header is unchanged
+        assert (summary["subcodebooks_requested"], summary["subcodebooks_used"]) == (12000, 1024)
+        header = (tmp_path / "vr_trials.csv").read_text().splitlines()[0]
+        assert "total" not in header and "subcodebooks" not in header
+
+    def test_three_sensor_cap_reported(self, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert main(["attack-demo", "--preset", "three_sensor", "--trials", "0"]) == 0
+        out = capsys.readouterr().out
+        assert "subcodebooks_requested: 18000" in out
+        assert "subcodebooks_used: 1024" in out
+
+    def test_no_cap_keys_with_explicit_c(self, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            path = tmp_path / "scenario.json"
+            path.write_text(canonical_dumps(tiny_vr_doc()))
+            assert main(["simulate-vr", "--scenario", str(path), "--out", str(tmp_path)]) == 0
+        summary = json.loads((tmp_path / "vr_trials_summary.json").read_text())
+        assert "subcodebooks_requested" not in summary
+
+    def test_aggregate_totals_skip_failed_rows(self):
+        rows = [{"decode_forced": 2, "v_empty_restores": 1, "error": ""},
+                {"error": "boom", "error_type": "RuntimeError"},
+                {"decode_forced": 0, "v_empty_restores": 4, "error": ""}]
+        agg = aggregate_rows(rows)
+        assert agg["total_decode_forced"] == 2
+        assert agg["total_v_empty_restores"] == 5
+        assert "total_decode_forced" not in aggregate_rows([{"honest_error": 0, "error": ""}])

@@ -7,7 +7,7 @@ import pytest
 
 from byzsw.adversary import BlackHole, FakeDistribution, optimal_fake_conditional
 from byzsw.binning import BinningCodebook, all_sequences
-from byzsw.prob_core import JointPMF, SubsetView, entropy
+from byzsw.prob_core import JointPMF, SubsetView, entropy, marginal
 from byzsw.rate_region import HonestCollection, InfoModel, r_star_perfect
 from byzsw.source_model import sample_block
 from byzsw.variable_rate import (
@@ -102,24 +102,59 @@ class TestAllHonest:
 
 
 class TestConditionalTypeEntropies:
-    """The table-lookup entropies agree with explicit per-sequence counting."""
+    """The separable per-cell entropies agree with explicit per-sequence
+    counting."""
+
+    @staticmethod
+    def _check(n, alphabet, prior_sizes, prior_seqs):
+        prior_flat = None
+        if prior_seqs:
+            prior_flat = np.ravel_multi_index(tuple(np.stack(prior_seqs)), prior_sizes)
+        got = _conditional_type_entropies(n, alphabet, prior_flat)
+        want = [brute_conditional_type_entropy(x, prior_seqs)
+                for x in all_sequences(alphabet, n)]
+        assert got.shape == (alphabet ** n,)
+        assert np.max(np.abs(got - np.array(want))) <= 1e-12
 
     @pytest.mark.parametrize("alphabet", [2, 3])
     @pytest.mark.parametrize("num_prior", [0, 1, 2])
     def test_matches_brute_count(self, alphabet, num_prior):
         n = 9
         rng = np.random.default_rng(10 * alphabet + num_prior)
-        cands = all_sequences(alphabet, n)
         prior_sizes = [3, 2][:num_prior]
-        prior_seqs = [rng.integers(0, a, n) for a in prior_sizes]
-        if prior_seqs:
-            prior_flat = np.ravel_multi_index(tuple(np.stack(prior_seqs)), prior_sizes)
-        else:
-            prior_flat = None
-        got = _conditional_type_entropies(cands, prior_flat, alphabet,
-                                          int(np.prod(prior_sizes)))
-        want = [brute_conditional_type_entropy(x, prior_seqs) for x in cands]
-        assert np.max(np.abs(got - np.array(want))) <= 1e-12
+        self._check(n, alphabet, prior_sizes, [rng.integers(0, a, n) for a in prior_sizes])
+
+    @pytest.mark.parametrize("alphabet,n", [(2, 10), (3, 7)])
+    def test_prior_cells_without_slots(self, alphabet, n):
+        # 3 * 2 * 3 = 18 prior cells, at most n of them occupied; one prior
+        # sensor never shows symbol 2 and one prior is constant
+        rng = np.random.default_rng(alphabet * n)
+        prior_sizes = [3, 2, 3]
+        prior_seqs = [rng.integers(0, 2, n), rng.integers(0, 2, n), np.full(n, 2)]
+        self._check(n, alphabet, prior_sizes, prior_seqs)
+
+    @pytest.mark.parametrize("alphabet,n", [(2, 11), (3, 8)])
+    def test_three_prior_sensors(self, alphabet, n):
+        rng = np.random.default_rng(100 + alphabet)
+        prior_sizes = [2, 3, 2]
+        self._check(n, alphabet, prior_sizes,
+                    [rng.integers(0, a, n) for a in prior_sizes])
+
+    def test_alphabet_three_one_slot_per_cell(self):
+        # every prior cell holds exactly one slot: the entropy is 0 for all x
+        n = 6
+        prior_sizes = [6]
+        self._check(n, 3, prior_sizes, [np.arange(n)])
+        assert not _conditional_type_entropies(n, 3, np.arange(n)).any()
+
+    def test_prior_free_array_cached_read_only(self):
+        a = _conditional_type_entropies(12, 2, None)
+        b = _conditional_type_entropies(12, 2, None)
+        assert not a.flags.writeable
+        assert np.shares_memory(a, b)
+        with pytest.raises(ValueError):
+            a[0] = 1.0
+        self._check(12, 2, [], [])
 
 
 class TestDecodePhaseOracle:
@@ -137,7 +172,7 @@ class TestDecodePhaseOracle:
                      (1, rng.integers(0, 3, n))][:trial % 3]
             c = int(rng.integers(cb.C))
             truth, other = rng.integers(0, 2, (2, n))
-            taken = set(cb.encode_blocks(all_sequences(2, n), c, 0).tolist())
+            taken = set(cb.encode_blocks(all_sequences(2, n), c, [0])[0].tolist())
             unused = min(set(range(len(taken) + 1)) - taken)
             senders = {
                 "honest": lambda j: cb.encode_block(truth, c, j),
@@ -181,6 +216,10 @@ class TestRunRound:
         assert all(r.round == 0 for r in state.transcript)
 
 
+def candidate_marginals(p, coll):
+    return {S: marginal(p, S).mass for S in coll.candidates}
+
+
 class TestUpdateV:
     def test_all_honest_types_keep_everything_at_large_n(self):
         p = three_sensor_law()
@@ -191,7 +230,8 @@ class TestUpdateV:
             blk = sample_block(p, 4096, seed)
             est = {i: blk.sensor(i) for i in range(3)}
             newV, emptied = update_V(tuple(coll.candidates), est,
-                                     SubsetView.of(0, 1, 2), p, im, 0.35, 4096)
+                                     SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
+                                     candidate_marginals(p, coll))
             keep += (not emptied) and len(newV) == 3
         assert keep >= 19
 
@@ -208,7 +248,8 @@ class TestUpdateV:
             blk = sample_block(q_star, 4096, seed)
             est = {i: blk.sensor(i) for i in range(3)}
             newV, emptied = update_V(tuple(coll.candidates), est,
-                                     SubsetView.of(0, 1, 2), p, im, 0.35, 4096)
+                                     SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
+                                     candidate_marginals(p, coll))
             assert not emptied
             kept = {v.indices for v in newV}
             drops += kept == {(0, 1), (1, 2)}
@@ -246,7 +287,8 @@ class TestUpdateV:
         blk = sample_block(p, 2048, 9)
         est = {i: blk.sensor(i) for i in range(2)}
         newV, emptied = update_V(tuple(coll.candidates), est,
-                                 SubsetView.of(0, 1), p, im, 0.5, 2048)
+                                 SubsetView.of(0, 1), p, im, 0.5, 2048,
+                                 candidate_marginals(p, coll))
         assert not emptied
         assert {v.indices for v in newV} == {(0,), (1,), (0, 1)}
 
