@@ -15,6 +15,7 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
+from .binning import EnumerationGuardError
 from .prob_core import SubsetView, conditional_mutual_information, entropy
 from .rate_region import (
     closed_form_t,
@@ -117,18 +118,20 @@ def cmd_region(args) -> int:
     scn = _load(args)
     p = scn.p
     m = scn.m
-    print(f"sensors: {m}, alphabet sizes: {list(scn.alphabet_sizes)}")
-    print("honest collection:",
-          " ".join(str(c) for c in scn.collection.candidates))
+    # each branch solves before it prints, so a refused instance prints nothing
+    header = (f"sensors: {m}, alphabet sizes: {list(scn.alphabet_sizes)}\n"
+              "honest collection: " + " ".join(str(c) for c in scn.collection.candidates))
     if not scn.info_model.perfect:
         from .rate_region import r_star_general
         res = r_star_general(p, scn.collection, scn.info_model,
                              scn.honest_true, scn.r_true, seed=scn.seed)
+        print(header)
         print(f"R*({scn.honest_true}, r) ~ {res.value:.6f} bits/symbol "
               f"(estimate, residual {res.residual:.2e})")
         print("maximizer V:", " ".join(str(s) for s in res.maximizer_V))
         return 0
     report = scn.region()
+    print(header)
     print(f"R* (min achievable variable-rate sum rate): {report.r_star:.6f} bits/symbol")
     print("maximizer V:", " ".join(str(s) for s in report.maximizer_V))
     for h_true in scn.collection.candidates:
@@ -219,7 +222,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, FileNotFoundError, EnumerationGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,7 +10,9 @@ Conventions:
 * 0 * log 0 = 0 by continuity,
 * probabilities are 64-bit floats; tables must sum to 1 within 1e-12,
 * all types are immutable after construction and safe to share across
-  concurrent workers; every operation is a pure function.
+  concurrent workers; every operation is a pure function. A JointPMF
+  memoizes its marginal entropies (``entropy``); the memo only ever gains
+  the value a fresh computation would give, so sharing stays safe.
 """
 from __future__ import annotations
 
@@ -103,6 +105,9 @@ class JointPMF:
             raise ValueError(f"mass sums to {total!r}, not 1")
         object.__setattr__(self, "alphabet_sizes", sizes)
         object.__setattr__(self, "mass", _frozen(arr))
+        # H(X_s) by s.indices, filled lazily by entropy(); not a field, so it
+        # takes no part in equality or repr
+        object.__setattr__(self, "_entropies", {})
 
     @classmethod
     def from_table(cls, table, alphabet_sizes=None) -> "JointPMF":
@@ -216,10 +221,21 @@ def marginal(pmf: JointPMF, s: SubsetView) -> JointPMF:
 
 
 def entropy(pmf: JointPMF, s: SubsetView | None = None) -> float:
-    """H(X_s) in bits; s=None means the full joint entropy."""
-    if s is None or len(s) == pmf.m:
-        return entropy_of_table(pmf.mass)
-    return entropy_of_table(marginal(pmf, s).mass)
+    """H(X_s) in bits; s=None means the full joint entropy.
+
+    Memoized per law on ``s.indices``: every marginal entropy of a law is
+    computed once, with the same arithmetic each time, so a cached value is
+    bit for bit the one a fresh computation gives."""
+    full = tuple(range(pmf.m))
+    key = full if s is None else s.indices
+    h = pmf._entropies.get(key)
+    if h is None:
+        if key == full:
+            h = entropy_of_table(pmf.mass)
+        else:
+            h = entropy_of_table(marginal(pmf, s).mass)
+        pmf._entropies[key] = h
+    return h
 
 
 def conditional_entropy(pmf: JointPMF, target: SubsetView, given: SubsetView) -> float:

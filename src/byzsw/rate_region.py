@@ -2,10 +2,12 @@
 
 Three groups of operations live here:
 
-* the max-entropy projection with prescribed marginals (iterative
-  proportional fitting), which is the workhorse behind the variable-rate
-  minimum sum rate under perfect traitor information, plus the analytic
-  closed forms for 1, 2, and m-1 tolerated traitors;
+* the max-entropy value with prescribed marginals, behind the variable-rate
+  minimum sum rate under perfect traitor information: a junction-tree
+  closed form over memoized marginal entropies for alpha-acyclic families,
+  iterative proportional fitting (IPF) for cyclic families and for each
+  search's winner, whose law q the traitors need; plus the analytic closed
+  forms for 1, 2, and m-1 tolerated traitors;
 * feasibility of a joint law for a given candidate honest set and
   side-information channel (the set the traitors can simulate), solved as a
   linear feasibility problem by alternating projections;
@@ -19,8 +21,10 @@ instances that would require exponential work beyond ~2^20 cells.
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -279,11 +283,51 @@ def _candidate_collections(candidates: Sequence[SubsetView],
     return out
 
 
+def _acyclic_entropy(p: JointPMF, V: Sequence[SubsetView]) -> float | None:
+    """Max-entropy value H(X_U) with the marginals of every set in V pinned
+    to p, in closed form when V is alpha-acyclic; None when it is cyclic.
+
+    GYO ear reduction (Beeri et al. 1983): a set is an ear when the sensors
+    it shares with the other sets all lie in one of them. Removing ears one
+    at a time empties an acyclic family, in any order, and stalls on a
+    cyclic one. Read backwards, the removals are a running-intersection
+    order, so the max-entropy law is the junction-tree product and
+    H = sum H(X_E) - sum H(X_{E n rest}) over the removed ears E (Darroch,
+    Lauritzen & Speed 1980). Entropies come from the law's memo.
+    """
+    edges = [(sum(1 << i for i in s.indices), s) for s in V]
+    value = 0.0
+    while len(edges) > 1:
+        for k, (e, s) in enumerate(edges):
+            rest = [f for j, (f, _) in enumerate(edges) if j != k]
+            shared = e & functools.reduce(operator.or_, rest)
+            if any(shared & ~f == 0 for f in rest):
+                value += entropy(p, s)
+                if shared:
+                    value -= entropy(p, SubsetView(tuple(
+                        i for i in range(shared.bit_length()) if shared >> i & 1)))
+                del edges[k]
+                break
+        else:
+            return None
+    return value + entropy(p, edges[0][1])
+
+
 def r_star_perfect(p: JointPMF, H: HonestCollection, *,
                    tol: float = 1e-10, max_sweeps: int = 100_000) -> RegionReport:
     """Minimum achievable variable-rate sum rate under perfect traitor
     information: the supremum over sub-collections V of the max-entropy value
-    with the marginals of every set in V pinned to p."""
+    with the marginals of every set in V pinned to p.
+
+    Each family is scored in closed form when it is alpha-acyclic
+    (``_acyclic_entropy``) and by IPF when it is cyclic. The winner of each
+    search, overall and per true honest set, is then solved by IPF for its
+    law q and convergence flag, and its IPF value is the one reported. On an
+    acyclic family the closed form and IPF agree to a few ulps, far inside
+    the 1e-12 margin a family needs to displace an earlier one, so unless
+    two families' values differ by that margin to within a few ulps, the
+    winners, and so every reported float, are those of scoring every family
+    by IPF."""
     cands = list(H.candidates)
     memo: dict = {}
 
@@ -296,10 +340,13 @@ def r_star_perfect(p: JointPMF, H: HonestCollection, *,
     def best_over(must_contain):
         best = None
         for V, _u in _candidate_collections(cands, must_contain):
-            res = solve(V)
-            if best is None or res.value > best[0] + 1e-12:
-                best = (res.value, V, res)
-        return best
+            value = _acyclic_entropy(p, V)
+            if value is None:
+                value = solve(V).value
+            if best is None or value > best[0] + 1e-12:
+                best = (value, V)
+        res = solve(best[1])
+        return res.value, best[1], res
 
     value, maxV, maxres = best_over(None)
     per_pair = {}

@@ -6,8 +6,9 @@ by projected-gradient ascent with Dykstra projection, simulability by grid
 search over the simulation table, bins by integer arithmetic one sequence
 at a time, conditional type entropies by explicit type counts, the phase
 search by the lazy candidate-by-candidate loop, the irredundant
-sub-collections by a scan over every subset mask, and the multi-start
-projected-gradient ascent by running one start at a time.
+sub-collections by a scan over every subset mask, the multi-start
+projected-gradient ascent by running one start at a time, and the region
+report by running IPF on every family.
 """
 from __future__ import annotations
 
@@ -20,7 +21,14 @@ import numpy as np
 
 from byzsw.binning import all_sequences
 from byzsw.prob_core import JointPMF, SubsetView, entropy_of_table, marginal, union_of
-from byzsw.rate_region import _lex_key, _project_rows_to_simplex
+from byzsw.rate_region import (
+    HonestCollection,
+    RegionReport,
+    _candidate_collections,
+    _lex_key,
+    _project_rows_to_simplex,
+    max_entropy_with_marginals,
+)
 
 
 def brute_entropy(table) -> float:
@@ -290,3 +298,41 @@ def reference_pg_sup_entropy(p: JointPMF, U: SubsetView, systems, rng: np.random
     if total <= 0:
         return 0.0, residual
     return entropy_of_table(qU / total), residual
+
+
+def reference_r_star_perfect(p: JointPMF, H: HonestCollection, *,
+                             tol: float = 1e-10, max_sweeps: int = 100_000) -> RegionReport:
+    """Minimum achievable variable-rate sum rate under perfect traitor
+    information: the supremum over sub-collections V of the max-entropy value
+    with the marginals of every set in V pinned to p.
+
+    Kept verbatim from before families were scored in closed form: every
+    family is solved by IPF. The closed-form scoring must give this report
+    bit for bit."""
+    cands = list(H.candidates)
+    memo: dict = {}
+
+    def solve(V):
+        key = _lex_key(V)
+        if key not in memo:
+            memo[key] = max_entropy_with_marginals(p, V, tol=tol, max_sweeps=max_sweeps)
+        return memo[key]
+
+    def best_over(must_contain):
+        best = None
+        for V, _u in _candidate_collections(cands, must_contain):
+            res = solve(V)
+            if best is None or res.value > best[0] + 1e-12:
+                best = (res.value, V, res)
+        return best
+
+    value, maxV, maxres = best_over(None)
+    per_pair = {}
+    per_pair_detail = {}
+    all_conv = maxres.converged
+    for h_true in cands:
+        v, V, res = best_over(h_true)
+        per_pair[h_true] = v
+        per_pair_detail[h_true] = (v, V, res.q)
+        all_conv = all_conv and res.converged
+    return RegionReport(value, per_pair, maxV, maxres.q, per_pair_detail, all_conv)

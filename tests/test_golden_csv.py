@@ -9,10 +9,16 @@ that only restructures the code keeps every CSV byte-identical.
 The fixed-rate CSVs carry no field that depends on the bin draws at these
 presets, so the bins themselves are frozen too: the SHA-256 of every
 sensor's full-space bin table under trial 0's code.
+
+``byzsw region`` is frozen the same way: the SHA-256 of its stdout followed
+by its ``region.json`` on seeded threshold laws, so every printed value, every
+R* float and the maximizer q stay bit for bit the same.
 """
 import hashlib
+import json
 import warnings
 
+import numpy as np
 import pytest
 
 from byzsw.binning import all_sequences, bin_count_for_rate, fixed_rate_header, hash_bins
@@ -70,4 +76,32 @@ def test_fixed_rate_bin_draws_digest(preset, digest):
         bins = hash_bins(seed, fixed_rate_header(i, 0), all_sequences(alphabet, scn.fr.n),
                          bin_count_for_rate(scn.fr.n, rate))
         h.update(bins.astype("<i8").tobytes())
+    assert h.hexdigest() == digest
+
+
+# (m, t, law seed, SHA-256 of stdout + region.json)
+GOLDEN_REGION = [
+    (4, 3, 4301, "5c2b42ec20d1518533c2f0a50d4c0ce65339a9f5d7c60cb765dc2975b8fa08e8"),
+    (5, 2, 5201, "24d90e4d1bae23e809d29872bfb7cc291f621ab4accbd5f8f37bca0929955bad"),
+]
+
+
+def threshold_region_doc(m: int, t: int, seed: int) -> dict:
+    """A binary threshold scenario whose law is a seeded Dirichlet draw."""
+    mass = np.random.default_rng(seed).dirichlet(np.ones(2 ** m))
+    return {"schema_version": 1, "m": m, "alphabet_sizes": [2] * m,
+            "pmf": mass.reshape((2,) * m).tolist(), "honest_collection": {"threshold_t": t},
+            "info_model": "perfect", "true_honest": list(range(m - t)),
+            "true_channel": "perfect", "seed": seed}
+
+
+@pytest.mark.parametrize("m,t,seed,digest", GOLDEN_REGION,
+                         ids=[f"m{g[0]}t{g[1]}" for g in GOLDEN_REGION])
+def test_region_output_digest(tmp_path, capsys, m, t, seed, digest):
+    path = tmp_path / "scenario.json"
+    path.write_text(json.dumps(threshold_region_doc(m, t, seed)))
+    capsys.readouterr()
+    assert main(["region", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    h = hashlib.sha256(capsys.readouterr().out.encode())
+    h.update((tmp_path / "out" / "region.json").read_bytes())
     assert h.hexdigest() == digest

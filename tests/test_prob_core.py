@@ -1,4 +1,5 @@
 """Tests for the probability and method-of-types core."""
+import itertools
 import math
 
 import numpy as np
@@ -13,6 +14,7 @@ from byzsw.prob_core import (
     conditional_entropy,
     conditional_mutual_information,
     entropy,
+    entropy_of_table,
     eta_ball_contains,
     identity_channel,
     marginal,
@@ -132,6 +134,68 @@ class TestEntropy:
         p = dsbs(0.11)
         with pytest.raises(ValueError):
             conditional_entropy(p, SubsetView.of(0), SubsetView.of(0, 1))
+
+
+def unmemoized_entropy(p: JointPMF, s: SubsetView) -> float:
+    """H(X_s) with the arithmetic entropy() used before it was memoized: the
+    full set reads the table itself, any other set its renormalized
+    marginal."""
+    if len(s) == p.m:
+        return entropy_of_table(p.mass)
+    return entropy_of_table(marginal(p, s).mass)
+
+
+class TestEntropyMemo:
+    @staticmethod
+    def nonempty_subsets(m):
+        return [SubsetView(c) for k in range(1, m + 1)
+                for c in itertools.combinations(range(m), k)]
+
+    def test_memo_is_bit_identical_to_fresh_arithmetic(self):
+        rng = np.random.default_rng(71)
+        for m in range(3, 8):
+            p = random_pmf(rng, (2,) * m)
+            assert p._entropies == {}
+            subsets = self.nonempty_subsets(m)
+            for _ in range(2):          # first fills the memo, second reads it
+                for s in subsets:
+                    assert entropy(p, s).hex() == unmemoized_entropy(p, s).hex(), (m, s)
+            assert set(p._entropies) == {s.indices for s in subsets}
+            assert entropy(p).hex() == entropy_of_table(p.mass).hex()
+
+    def test_out_of_range_set_of_full_size_rejected(self):
+        p = random_pmf(np.random.default_rng(74), (2, 2, 2))
+        with pytest.raises(ValueError, match="out of range"):
+            entropy(p, SubsetView.of(0, 1, 5))
+        assert p._entropies == {}
+
+    def test_laws_never_share_entries(self):
+        rng = np.random.default_rng(72)
+        sizes = (2, 3, 2)
+        p1, p2 = random_pmf(rng, sizes), random_pmf(rng, sizes)
+        p1_again = JointPMF(sizes, p1.mass)
+        subsets = self.nonempty_subsets(3)
+        for s in subsets:
+            entropy(p1, s)
+        assert p2._entropies == {} and p1_again._entropies == {}
+        for s in subsets:
+            assert entropy(p2, s).hex() == unmemoized_entropy(p2, s).hex()
+            assert entropy(p2, s) != entropy(p1, s)
+        assert p1._entropies is not p2._entropies
+        assert p1._entropies is not p1_again._entropies
+
+    def test_conditional_forms_read_the_memo(self):
+        rng = np.random.default_rng(73)
+        p = random_pmf(rng, (2, 2, 3, 2))
+        a, b, c = SubsetView.of(0), SubsetView.of(1, 2), SubsetView.of(3)
+        want_h = unmemoized_entropy(p, SubsetView.of(0, 1, 2)) - unmemoized_entropy(p, b)
+        assert conditional_entropy(p, a, b) == want_h
+        h = {k: unmemoized_entropy(p, SubsetView(k))
+             for k in [(3,), (0, 3), (1, 2, 3), (0, 1, 2, 3)]}
+        want_i = ((h[0, 3] - h[3,]) + (h[1, 2, 3] - h[3,])) - (h[0, 1, 2, 3] - h[3,])
+        assert conditional_mutual_information(p, a, b, given=c) == want_i
+        assert set(p._entropies) == {(3,), (1, 2), (0, 3), (1, 2, 3), (0, 1, 2),
+                                     (0, 1, 2, 3)}
 
 
 class TestMutualInformation:

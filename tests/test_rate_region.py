@@ -36,6 +36,7 @@ from oracles import (
     product_form_feasible,
     reference_candidate_collections,
     reference_pg_sup_entropy,
+    reference_r_star_perfect,
 )
 
 
@@ -296,6 +297,107 @@ class TestCandidateCollections:
             v_o, V_o, q_o = slow.per_pair_detail[h_true]
             assert (v, V) == (v_o, V_o)
             assert np.array_equal(q.mass, q_o.mass)
+
+
+def report_bits(rep):
+    """Every field of a RegionReport as exact bytes and hex floats."""
+    return (rep.r_star.hex(),
+            [(k.indices, v.hex()) for k, v in rep.per_pair.items()],
+            [s.indices for s in rep.maximizer_V],
+            rep.maximizer_q.mass.tobytes(),
+            [(k.indices, v.hex(), [s.indices for s in V], q.mass.tobytes())
+             for k, (v, V, q) in rep.per_pair_detail.items()],
+            rep.all_converged)
+
+
+def sets_of(*sets):
+    return [SubsetView.of(*s) for s in sets]
+
+
+class TestClosedFormScoring:
+    """Scoring acyclic families in closed form and running IPF only on
+    cyclic families and winners gives the IPF-everywhere report bit for
+    bit."""
+
+    # every threshold collection on up to 6 sensors that the family guard
+    # admits: (6, 4) and (6, 5) are refused
+    @pytest.mark.parametrize("m, t", [
+        (m, t) for m in range(1, 7) for t in range(m) if (m, t) not in ((6, 4), (6, 5))])
+    def test_report_matches_ipf_everywhere(self, m, t):
+        H = HonestCollection.threshold(m, t)
+        rng = np.random.default_rng([61, m, t])
+        laws = [random_pmf(rng, (2,) * m)]
+        if m <= 4:
+            laws.append(random_pmf(rng, tuple(int(a) for a in rng.integers(2, 4, size=m))))
+        for p in laws:
+            assert report_bits(r_star_perfect(p, H)) == report_bits(
+                reference_r_star_perfect(p, H)), p.alphabet_sizes
+
+    def test_report_matches_on_structured_laws(self):
+        # laws with exact independences and copies, where families tie
+        from byzsw.scenario import PRESETS, scenario_from_dict
+        laws = [(three_sensor_law(), HonestCollection.threshold(3, 1)),
+                (y_component_law(), HonestCollection.threshold(3, 1)),
+                (y_component_law(), HonestCollection.threshold(3, 2))]
+        for name in sorted(PRESETS):
+            scn = scenario_from_dict(PRESETS[name]())
+            if scn.info_model.perfect:
+                laws.append((scn.p, scn.collection))
+        for p, H in laws:
+            assert report_bits(r_star_perfect(p, H)) == report_bits(
+                reference_r_star_perfect(p, H))
+
+    @pytest.mark.parametrize("family", [
+        [(0, 1), (1, 2), (2, 3), (3, 4)],               # chain
+        [(2, 3), (0, 1), (3, 4), (1, 2)],               # the chain out of order
+        [(0, 1), (0, 2), (0, 3), (0, 4)],               # star
+        [(0, 1, 2), (1, 2, 3), (2, 4)],                 # nested separators {1,2} > {2}
+        [(2, 4), (0, 1, 2), (1, 2, 3)],
+        [(0, 1), (3, 4)],                               # disconnected
+        [(0, 1, 2), (1, 2)],                            # a set inside another
+        [(0, 2, 3)],
+    ], ids=["chain", "chain-shuffled", "star", "nested", "nested-shuffled",
+            "disjoint", "contained", "single"])
+    def test_acyclic_closed_form_equals_ipf(self, family):
+        rng = np.random.default_rng(62)
+        for sizes in [(2, 2, 2, 2, 2), (2, 3, 2, 3, 2)]:
+            p = random_pmf(rng, sizes)
+            V = sets_of(*family)
+            got = rate_region._acyclic_entropy(p, V)
+            assert got is not None
+            assert abs(got - max_entropy_with_marginals(p, V).value) <= 1e-12
+
+    @pytest.mark.parametrize("family", [
+        [(0, 1), (1, 2), (0, 2)],                       # triangle
+        [(0, 1), (1, 2), (2, 3), (0, 3)],               # 4-cycle
+        [(0, 1, 3), (1, 2, 4), (0, 2, 5)],              # triangle with private sensors
+        [(0, 1), (1, 2), (0, 2), (2, 3)],               # triangle with a pendant
+    ], ids=["triangle", "4-cycle", "triangle-private", "triangle-pendant"])
+    def test_cyclic_families_classed_cyclic(self, family):
+        p = random_pmf(np.random.default_rng(63), (2,) * 6)
+        assert rate_region._acyclic_entropy(p, sets_of(*family)) is None
+
+    def test_ipf_runs_only_on_cyclic_families_and_winners(self, monkeypatch):
+        calls = []
+        real = rate_region.max_entropy_with_marginals
+
+        def counted(p, V, **kwargs):
+            calls.append(rate_region._lex_key(V))
+            return real(p, V, **kwargs)
+
+        monkeypatch.setattr(rate_region, "max_entropy_with_marginals", counted)
+        p = random_pmf(np.random.default_rng(64), (2,) * 5)
+        H = HonestCollection.threshold(5, 2)
+        rep = r_star_perfect(p, H)
+        key = rate_region._lex_key
+        winners = {key(rep.maximizer_V)} | {
+            key(V) for _v, V, _q in rep.per_pair_detail.values()}
+        cyclic = {key(V) for pin in [None, *H.candidates]
+                  for V, _u in rate_region._candidate_collections(list(H.candidates), pin)
+                  if rate_region._acyclic_entropy(p, V) is None}
+        assert len(calls) == len(set(calls))
+        assert set(calls) <= winners | cyclic
+        assert winners <= set(calls)
 
 
 class TestClosedForms:

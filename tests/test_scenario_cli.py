@@ -224,6 +224,23 @@ class TestCli:
         bad.write_text(canonical_dumps(doc))
         assert main(["region", "--scenario", str(bad)]) == 2
 
+    def test_region_over_family_guard_exits_cleanly(self, tmp_path, capsys):
+        # threshold(6, 5) has 10127 irredundant families, past FAMILY_GUARD
+        doc = {"schema_version": 1, "m": 6, "alphabet_sizes": [2] * 6,
+               "pmf": [[[[[[1 / 64] * 2] * 2] * 2] * 2] * 2] * 2,
+               "honest_collection": {"threshold_t": 5}, "info_model": "perfect",
+               "true_honest": [0], "true_channel": "perfect", "seed": 1}
+        path = tmp_path / "big.json"
+        path.write_text(canonical_dumps(doc))
+        assert main(["region", "--scenario", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and lines[0].endswith("guard is 4096")
+        assert not (tmp_path / "out" / "region.json").exists()
+
     def test_trials_and_seed_overrides(self, tmp_path):
         scn = self._write_tiny(tmp_path)
         with warnings.catch_warnings():
