@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
@@ -124,10 +125,12 @@ def cmd_region(args) -> int:
     if not scn.info_model.perfect:
         from .rate_region import r_star_general
         res = r_star_general(p, scn.collection, scn.info_model,
-                             scn.honest_true, scn.r_true, seed=scn.seed)
+                             scn.honest_true, scn.r_true)
+        # rounded outward, so the printed interval still holds R*
+        lo, hi = math.floor(res.lower * 1e6) / 1e6, math.ceil(res.upper * 1e6) / 1e6
         print(header)
-        print(f"R*({scn.honest_true}, r) ~ {res.value:.6f} bits/symbol "
-              f"(estimate, residual {res.residual:.2e})")
+        print(f"R*({scn.honest_true}, r) in [{lo:.6f}, {hi:.6f}] bits/symbol "
+              "(certified bracket)")
         print("maximizer V:", " ".join(str(s) for s in res.maximizer_V))
         return 0
     report = scn.region()
@@ -180,6 +183,10 @@ def cmd_region(args) -> int:
 def cmd_trials(args) -> int:
     scn = _load(args)
     mode = _trial_mode(args.command, scn)
+    if mode.endswith("vr") and scn.info_model.perfect:
+        # every such trial and the summary need R*: a collection past the
+        # enumeration guard is refused here, before any trial runs
+        scn.region()
     rows = _run_trials(scn, mode, args.workers)
     summary = aggregate_rows(rows)
     if mode.endswith("vr"):

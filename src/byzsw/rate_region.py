@@ -1,6 +1,6 @@
 """Achievable-rate calculators.
 
-Three groups of operations live here:
+Four groups of operations live here:
 
 * the max-entropy value with prescribed marginals, behind the variable-rate
   minimum sum rate under perfect traitor information: a junction-tree
@@ -8,9 +8,14 @@ Three groups of operations live here:
   iterative proportional fitting (IPF) for cyclic families and for each
   search's winner, whose law q the traitors need; plus the analytic closed
   forms for 1, 2, and m-1 tolerated traitors;
-* feasibility of a joint law for a given candidate honest set and
-  side-information channel (the set the traitors can simulate), solved as a
-  linear feasibility problem by alternating projections;
+* one small linear-programming kernel, a dense two-phase simplex in numpy
+  (``LinearProgram``), behind everything that asks which joint laws the
+  traitors can simulate;
+* simulability of a joint law for a given candidate honest set and
+  side-information channel (phase 1 of that simplex), and the minimum sum
+  rate under imperfect information, bracketed per (sub-collection,
+  channel) system by Frank-Wolfe over the simplex's linear oracle: a lower
+  bound at a simulable law and an upper bound certified by LP duality;
 * membership tests for the fixed-rate regions (per-candidate Slepian-Wolf
   constraints, plus the extra deterministic-coding constraint for pairs of
   candidates whose intersection the traitors can know exactly).
@@ -48,6 +53,8 @@ from .prob_core import (
 
 FAMILY_GUARD = 4096            # max irredundant sub-collections per enumeration
 JOINT_CELL_GUARD = 256         # max joint alphabet size for the general optimizer
+FW_GAP = 1e-7                  # bracket width, bits, at which one system stops
+FW_MAX_STEPS = 2000            # LP-vertex steps per system at most
 
 
 @dataclass(frozen=True)
@@ -277,13 +284,18 @@ def _candidate_collections(candidates: Sequence[SubsetView],
         walk((pin,), 0, masks[pin], 0)
     out = []
     for members in families:
-        V = tuple(candidates[k] for k in sorted(members))
-        out.append((V, union_of(V)))
-    out.sort(key=lambda vu: (-len(vu[1].indices), _lex_key(vu[0])))
+        out.append((tuple(candidates[k] for k in sorted(members)),
+                    functools.reduce(operator.or_, (masks[k] for k in members))))
+    out.sort(key=lambda vu: (-vu[1].bit_count(), _lex_key(vu[0])))
     return out
 
 
-def _acyclic_entropy(p: JointPMF, V: Sequence[SubsetView]) -> float | None:
+def _mask_indices(mask: int) -> tuple[int, ...]:
+    return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
+
+
+def _acyclic_entropy(p: JointPMF, V: Sequence[SubsetView],
+                     separators: dict | None = None) -> float | None:
     """Max-entropy value H(X_U) with the marginals of every set in V pinned
     to p, in closed form when V is alpha-acyclic; None when it is cyclic.
 
@@ -293,8 +305,12 @@ def _acyclic_entropy(p: JointPMF, V: Sequence[SubsetView]) -> float | None:
     cyclic one. Read backwards, the removals are a running-intersection
     order, so the max-entropy law is the junction-tree product and
     H = sum H(X_E) - sum H(X_{E n rest}) over the removed ears E (Darroch,
-    Lauritzen & Speed 1980). Entropies come from the law's memo.
+    Lauritzen & Speed 1980). Entropies come from the law's memo; a caller
+    scoring many families of one law may pass ``separators``, a dict that
+    keeps the separators' entropies by bitmask across calls.
     """
+    if separators is None:
+        separators = {}
     edges = [(sum(1 << i for i in s.indices), s) for s in V]
     value = 0.0
     while len(edges) > 1:
@@ -304,8 +320,10 @@ def _acyclic_entropy(p: JointPMF, V: Sequence[SubsetView]) -> float | None:
             if any(shared & ~f == 0 for f in rest):
                 value += entropy(p, s)
                 if shared:
-                    value -= entropy(p, SubsetView(tuple(
-                        i for i in range(shared.bit_length()) if shared >> i & 1)))
+                    h = separators.get(shared)
+                    if h is None:
+                        h = separators[shared] = entropy(p, SubsetView(_mask_indices(shared)))
+                    value -= h
                 del edges[k]
                 break
         else:
@@ -330,6 +348,7 @@ def r_star_perfect(p: JointPMF, H: HonestCollection, *,
     by IPF."""
     cands = list(H.candidates)
     memo: dict = {}
+    separators: dict = {}
 
     def solve(V):
         key = _lex_key(V)
@@ -340,7 +359,7 @@ def r_star_perfect(p: JointPMF, H: HonestCollection, *,
     def best_over(must_contain):
         best = None
         for V, _u in _candidate_collections(cands, must_contain):
-            value = _acyclic_entropy(p, V)
+            value = _acyclic_entropy(p, V, separators)
             if value is None:
                 value = solve(V).value
             if best is None or value > best[0] + 1e-12:
@@ -394,27 +413,155 @@ def closed_form_t(p: JointPMF, t: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# linear programs: one dense two-phase simplex
+# ---------------------------------------------------------------------------
+
+LP_TOL = 1e-9
+
+
+class LPSolution(NamedTuple):
+    status: str           # "optimal" or "unbounded"
+    x: np.ndarray         # basic primal point
+    y: np.ndarray         # duals, one per row of A (0 on the redundant rows dropped)
+    value: float          # c @ x
+
+
+def _pivot(T: np.ndarray, rhs: np.ndarray, r: int, j: int) -> None:
+    rhs[r] /= T[r, j]
+    T[r] /= T[r, j]
+    f = T[:, j].copy()
+    f[r] = 0.0
+    T -= np.outer(f, T[r])
+    rhs -= f * rhs[r]
+
+
+def _simplex(T: np.ndarray, rhs: np.ndarray, basis: np.ndarray, cost: np.ndarray,
+             tol: float) -> str:
+    """Maximize cost @ x from the canonical tableau T = B^-1 A, rhs = B^-1 b,
+    pivoting in place. The entering column follows Bland's rule (the
+    lowest-indexed one whose reduced cost exceeds 1e-3 tol of the cost
+    scale, so the final duals are feasible to that slack). The leaving row
+    comes from Harris' two-pass ratio test: of the rows whose ratio is at
+    most the least ratio with every right side relaxed by ``tol``, the one
+    with the largest pivot, ties to the lowest-indexed basic column. On
+    these highly degenerate polytopes the plain least-ratio row is often a
+    tiny pivot that makes the basis singular."""
+    floor = 1e-3 * tol * (1.0 + float(np.abs(cost).max(initial=0.0)))
+    for _ in range(50 * sum(T.shape)):
+        enter = np.flatnonzero(cost - cost[basis] @ T > floor)
+        if not enter.size:
+            return "optimal"
+        j = enter[0]
+        col = T[:, j]
+        rows = np.flatnonzero(col > tol)
+        if not rows.size:
+            return "unbounded"
+        room = np.maximum(rhs[rows], 0.0)
+        near = rows[room / col[rows] <= ((room + tol) / col[rows]).min()]
+        best = col[near].max()
+        r = min((i for i in near if col[i] == best), key=lambda i: basis[i])
+        _pivot(T, rhs, r, j)
+        basis[r] = j
+    raise RuntimeError("simplex did not terminate")
+
+
+def _independent_rows(A: np.ndarray, tol: float) -> np.ndarray:
+    """Indices of a maximal linearly independent set of A's rows, taken
+    greedily in order: a row joins when its Gram-Schmidt residual against
+    the rows already taken (orthogonalized twice) keeps more than ``tol`` of
+    its norm."""
+    Q = np.zeros((0, A.shape[1]))
+    kept = []
+    for i, a in enumerate(A):
+        res = a - Q.T @ (Q @ a)
+        res -= Q.T @ (Q @ res)
+        size = float(np.linalg.norm(res))
+        if size > tol * float(np.linalg.norm(a)):
+            Q = np.vstack([Q, res / size])
+            kept.append(i)
+    return np.array(kept, dtype=int)
+
+
+class LinearProgram:
+    """The polytope {x >= 0 : A x = b}, put in canonical form once by phase 1
+    of a dense two-phase simplex and then maximized over for any number of
+    objectives by phase 2.
+
+    Redundant rows go first: phase 1 runs on a maximal independent set of
+    rows, and the dropped rows, each a combination of the kept ones, must
+    then hold at phase 1's point. (Reading redundancy off the artificials
+    left basic after phase 1 mistakes pivoting noise for structure on these
+    degenerate systems.) Phase 1 minimizes the sum of one artificial column
+    per row, rows with b < 0 negated first; the polytope is empty when that
+    minimum, or a dropped row's residual, exceeds ``tol`` times max(1, |b|).
+    Artificials still basic at level zero are then pivoted out (a row where
+    no column of A can replace one is dropped too). Each
+    ``maximize`` starts from the basis the previous call ended on,
+    refactored from A itself so no pivoting error carries over: a
+    Frank-Wolfe loop that only changes the objective warm starts every
+    solve.
+    """
+
+    def __init__(self, A: np.ndarray, b: np.ndarray, *, tol: float = LP_TOL):
+        A = np.asarray(A, dtype=float)
+        b = np.asarray(b, dtype=float)
+        self.tol = tol
+        self.num_rows = len(b)
+        self.rows = _independent_rows(A, tol)
+        self.A, self.b = A[self.rows], b[self.rows]
+        nrow, ncol = self.A.shape
+        sign = np.where(self.b < 0, -1.0, 1.0)
+        M = np.hstack([self.A * sign[:, None], np.eye(nrow)])
+        T, rhs = M.copy(), self.b * sign
+        basis = np.arange(ncol, ncol + nrow)
+        _simplex(T, rhs, basis, np.concatenate([np.zeros(ncol), -np.ones(nrow)]), tol)
+        x = np.zeros(ncol + nrow)
+        x[basis] = np.maximum(rhs, 0.0)
+        self.infeasibility = float(x[ncol:].sum()
+                                   + np.abs(A @ x[:ncol] - b).max(initial=0.0))
+        self.feasible = self.infeasibility <= tol * max(1.0, float(np.abs(b).max(initial=0.0)))
+        keep = np.ones(nrow, dtype=bool)
+        for r in np.flatnonzero(basis >= ncol):
+            j = int(np.argmax(np.abs(T[r, :ncol])))
+            if abs(T[r, j]) <= tol:
+                keep[r] = False           # dependent to within rounding after all
+                continue
+            _pivot(T, rhs, r, j)
+            basis[r] = j
+        self.rows, self.A, self.b = self.rows[keep], self.A[keep], self.b[keep]
+        self.basis = basis[keep]
+
+    def maximize(self, c: np.ndarray) -> LPSolution:
+        """Maximize c @ x over the polytope, which must be nonempty."""
+        if not self.feasible:
+            raise ValueError("the polytope is empty")
+        c = np.asarray(c, dtype=float)
+        B = self.A[:, self.basis]
+        T = np.linalg.solve(B, self.A)
+        rhs = np.linalg.solve(B, self.b)
+        status = _simplex(T, rhs, self.basis, c, self.tol)
+        x = np.zeros(self.A.shape[1])
+        x[self.basis] = np.maximum(rhs, 0.0)
+        y = np.zeros(self.num_rows)
+        y[self.rows] = np.linalg.solve(self.A[:, self.basis].T, c[self.basis])
+        return LPSolution(status, x, y, float(c @ x))
+
+
+def _row_sums(w: int, cells: int) -> np.ndarray:
+    """Rows summing each of the w rows of a (w, cells) table, flattened."""
+    return np.kron(np.eye(w), np.ones((1, cells)))
+
+
+# ---------------------------------------------------------------------------
 # simulability of a joint law given a candidate set and channel
 # ---------------------------------------------------------------------------
 
 class Feasibility(enum.Enum):
     FEASIBLE = "feasible"
     INFEASIBLE = "infeasible"
-    INDETERMINATE = "indeterminate"
 
     def __bool__(self) -> bool:
         return self is Feasibility.FEASIBLE
-
-
-def _project_rows_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection of each row onto the probability simplex."""
-    u = np.sort(v, axis=1)[:, ::-1]
-    css = np.cumsum(u, axis=1)
-    k = np.arange(1, v.shape[1] + 1)
-    cond = u + (1.0 - css) / k > 0
-    rho = cond.shape[1] - 1 - np.argmax(cond[:, ::-1], axis=1)
-    lam = (1.0 - css[np.arange(v.shape[0]), rho]) / (rho + 1)
-    return np.maximum(v + lam[:, None], 0.0)
 
 
 def _effective_channel(r: ConditionalPMF, p: JointPMF, S: SubsetView) -> ConditionalPMF:
@@ -427,72 +574,44 @@ def _effective_channel(r: ConditionalPMF, p: JointPMF, S: SubsetView) -> Conditi
     raise ValueError("channel input alphabet matches neither x_S nor the full source")
 
 
-def _simulability_matrix(p: JointPMF, S: SubsetView, r_tilde: ConditionalPMF):
-    """Matrix A with q.flat = A @ qbar.flat, where qbar(x_Sc | w) is the
-    traitors' simulation table, plus the axis permutation used."""
-    m = p.m
-    comp = S.complement(m)
-    sizes_s = tuple(p.alphabet_sizes[i] for i in S)
-    sizes_c = tuple(p.alphabet_sizes[i] for i in comp)
-    cells_s = int(np.prod(sizes_s)) if sizes_s else 1
-    cells_c = int(np.prod(sizes_c)) if sizes_c else 1
+def _simulability_matrix(p: JointPMF, S: SubsetView, r_tilde: ConditionalPMF) -> np.ndarray:
+    """Matrix A with q.flat = A @ qbar.flat, q in canonical axis order and
+    qbar[w, x_Sc] the traitors' simulation table (x_Sc flattened in
+    ascending sensor order):
+
+        A[(x_S, x_Sc), (w, x_Sc')] = p(x_S) r~(w | x_S) [x_Sc = x_Sc'],
+
+    which is coef kron I with coef[x_S, w] = p(x_S) r~(w | x_S), its rows
+    then moved from (S, Sc) order to canonical order."""
+    comp = S.complement(p.m)
+    cells_c = int(np.prod([p.alphabet_sizes[i] for i in comp]))
     w = r_tilde.output_alphabet_size
-    p_s = marginal(p, S).mass.reshape(cells_s) if len(S) else np.ones(1)
-    rt = r_tilde.rows.reshape(cells_s, w)
-    # A[(xs, xc), (w, xc')] = p_s[xs] * rt[xs, w] * [xc == xc']
-    A = np.zeros((cells_s * cells_c, w * cells_c))
-    coef = p_s[:, None] * rt                      # (cells_s, w)
-    for xc in range(cells_c):
-        rows = np.arange(cells_s) * cells_c + xc
-        cols = np.arange(w) * cells_c + xc
-        A[np.ix_(rows, cols)] = coef
+    p_s = marginal(p, S).mass.reshape(-1) if len(S) else np.ones(1)
+    A = np.kron(p_s[:, None] * r_tilde.rows.reshape(-1, w), np.eye(cells_c))
     perm = tuple(S.indices) + tuple(comp.indices)
-    return A, perm, w, cells_c
+    shape = tuple(p.alphabet_sizes[i] for i in perm) + (A.shape[1],)
+    order = tuple(int(k) for k in np.argsort(perm)) + (len(perm),)
+    return A.reshape(shape).transpose(order).reshape(A.shape)
 
 
 def q_set_feasible(q: JointPMF, S: SubsetView, r_prime: ConditionalPMF, p: JointPMF, *,
-                   tol: float = 1e-7, indeterminate_tol: float = 1e-5,
-                   max_iters: int = 20_000) -> Feasibility:
+                   tol: float = LP_TOL) -> Feasibility:
     """Can traitors holding side information r' simulate the joint law q when
     the honest set is S?  Feasible iff there is a table qbar(x_Sc | w) with
 
-        q(x) = p(x_S) sum_w r'~(w | x_S) qbar(x_Sc | w).
+        q(x) = p(x_S) sum_w r'~(w | x_S) qbar(x_Sc | w),
 
-    Solved by alternating projections between the affine equality set and the
-    per-w probability simplexes; feasible when the equality residual drops
-    below ``tol``, infeasible when it stalls above ``indeterminate_tol``, and
-    indeterminate in between (tri-state result).
-    """
+    each row qbar(. | w) a distribution: phase 1 of the simplex on these
+    linear constraints decides it, ``tol`` bounding the residual it may
+    leave."""
     if q.alphabet_sizes != p.alphabet_sizes:
         raise ValueError("q and p must share the joint alphabet")
     r_tilde = _effective_channel(r_prime, p, S)
-    # Necessary condition: the honest marginal is untouched by any simulation.
-    if float(np.max(np.abs(marginal(q, S).mass - marginal(p, S).mass))) > 1e-4:
-        return Feasibility.INFEASIBLE
-    A, perm, w, cells_c = _simulability_matrix(p, S, r_tilde)
-    b = np.transpose(q.mass, perm).reshape(-1)
-    pinvA = np.linalg.pinv(A)
-
-    v = np.full((w, cells_c), 1.0 / cells_c)
-    best = math.inf
-    stall = 0
-    for _ in range(max_iters):
-        flat = v.reshape(-1)
-        flat = flat - pinvA @ (A @ flat - b)
-        v = _project_rows_to_simplex(flat.reshape(w, cells_c))
-        residual = float(np.max(np.abs(A @ v.reshape(-1) - b)))
-        if residual < tol:
-            return Feasibility.FEASIBLE
-        if residual < best - 1e-14:
-            best = residual
-            stall = 0
-        else:
-            stall += 1
-            if stall > 100:
-                break
-    if best > indeterminate_tol:
-        return Feasibility.INFEASIBLE
-    return Feasibility.INDETERMINATE
+    A = _simulability_matrix(p, S, r_tilde)
+    w = r_tilde.output_alphabet_size
+    lp = LinearProgram(np.vstack([A, _row_sums(w, A.shape[1] // w)]),
+                       np.concatenate([q.mass.reshape(-1), np.ones(w)]), tol=tol)
+    return Feasibility.FEASIBLE if lp.feasible else Feasibility.INFEASIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -501,77 +620,157 @@ def q_set_feasible(q: JointPMF, S: SubsetView, r_prime: ConditionalPMF, p: Joint
 
 @dataclass(frozen=True)
 class GeneralRateResult:
-    value: float              # estimate of the supremum, bits (not a bound)
-    residual: float           # constraint mismatch at the reported point
+    value: float              # = lower
+    residual: float           # worst max_k |A_k qbar_k - q| at the maximizer
     maximizer_V: tuple[SubsetView, ...]
+    lower: float              # H_q(X_U) at a law every system simulates
+    upper: float              # certified: no (V, channel) system exceeds it
+    tables: tuple[np.ndarray, ...]          # qbar[w, x_Sc] per system of the maximizer
+    channels: tuple[ConditionalPMF, ...]    # the channel of each of those systems
 
 
-def _pg_sup_entropy(p: JointPMF, U: SubsetView, systems, rngs: Sequence[np.random.Generator],
-                    *, outer: int = 150, inner: int = 40) -> list[tuple[float, float]]:
-    """Projected-gradient ascent of H(X_U) over joint laws expressible in
-    every (S, r') system simultaneously. Variables are the stacked simulation
-    tables; projection onto the coupling constraints is by alternating
-    projections. Returns one (value, residual) per start.
+class _System:
+    """One (V, channel) combination as a polytope over x = (qbar_0, ...,
+    qbar_K, q): A_k qbar_k = q for every (set, channel) pair k, each row of
+    each table qbar_k[w, x_Sc] on its simplex, all of x nonnegative."""
 
-    Start b draws its initial tables from ``rngs[b]``, and every array
-    carries the starts on a leading axis, so one pass does the work of all
-    of them. The starts never mix: each product with A, pinv(A) or A.T is a
-    stacked matrix-vector product (one gemv per start) and the simplex
-    projection is row-wise, so each start's floats equal those of running it
-    alone."""
-    B = len(rngs)
-    # permutations and shapes carry the start axis in front
-    mats = [(A, np.linalg.pinv(A), (0,) + tuple(1 + i for i in perm),
-             (0,) + tuple(1 + i for i in np.argsort(perm)),
-             (B,) + tuple(p.alphabet_sizes[i] for i in perm), w, cells_c)
-            for A, perm, w, cells_c in systems]
-    drop = tuple(1 + i for i in range(p.m) if i not in U)
+    def __init__(self, p: JointPMF, sets: Sequence[SubsetView],
+                 channels: Sequence[ConditionalPMF]):
+        mats, ws = [], []
+        for S, chan in zip(sets, channels):
+            r_t = _effective_channel(chan, p, S)
+            mats.append(_simulability_matrix(p, S, r_t))
+            ws.append(r_t.output_alphabet_size)
+        cells = p.num_cells
+        self.cuts = np.cumsum([0] + [A.shape[1] for A in mats])
+        self.shapes = [(w,) + tuple(p.alphabet_sizes[i] for i in S.complement(p.m))
+                       for w, S in zip(ws, sets)]
+        width = int(self.cuts[-1]) + cells
+        rows = np.zeros((len(mats) * cells + sum(ws), width))
+        top = len(mats) * cells
+        for k, (A, w) in enumerate(zip(mats, ws)):
+            lo, hi = self.cuts[k], self.cuts[k + 1]
+            rows[k * cells:(k + 1) * cells, lo:hi] = A
+            rows[k * cells:(k + 1) * cells, -cells:] = -np.eye(cells)
+            rows[top:top + w, lo:hi] = _row_sums(w, A.shape[1] // w)
+            top += w
+        self.mats = mats
+        self.mass = sum(ws) + 1.0          # sum of x over the polytope
+        self.lp = LinearProgram(rows, np.concatenate([np.zeros(len(mats) * cells),
+                                                      np.ones(sum(ws))]))
 
-    def q_of(vs):
-        qs = []
-        for (A, _pinv, _perm, inv_perm, shape, w, cells_c), v in zip(mats, vs):
-            qp = (A @ v.reshape(B, -1, 1)).reshape(shape)
-            qs.append(np.transpose(qp, inv_perm))
-        return sum(qs) / len(qs), qs
+    def tables(self, x: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(x[self.cuts[k]:self.cuts[k + 1]].reshape(shape)
+                     for k, shape in enumerate(self.shapes))
 
-    def project(vs, iters):
-        for _ in range(iters):
-            qbar, _ = q_of(vs)
-            new_vs = []
-            for (A, pinvA, perm, _inv, _shape, w, cells_c), v in zip(mats, vs):
-                target = np.transpose(qbar, perm).reshape(B, -1, 1)
-                flat = v.reshape(B, -1, 1)
-                flat = flat - pinvA @ (A @ flat - target)
-                new_vs.append(_project_rows_to_simplex(flat.reshape(B * w, cells_c))
-                              .reshape(B, w, cells_c))
-            vs = new_vs
-        return vs
+    def residual(self, x: np.ndarray) -> float:
+        q = x[self.cuts[-1]:]
+        return max(float(np.max(np.abs(A @ x[self.cuts[k]:self.cuts[k + 1]] - q)))
+                   for k, A in enumerate(self.mats))
 
-    vs = [_project_rows_to_simplex(np.concatenate([rng.random((w, cells_c)) for rng in rngs])
-                                   + 1e-3).reshape(B, w, cells_c)
-          for *_, w, cells_c in mats]
-    vs = project(vs, inner)
-    step = 0.5
-    shape_full = (B,) + tuple(p.alphabet_sizes[i] if i in U else 1 for i in range(p.m))
-    for _ in range(outer):
-        qbar, qs = q_of(vs)
-        qU = qbar.sum(axis=drop) if drop else qbar
-        grad_qU = -(np.log2(np.maximum(qU, 1e-12)) + 1.0 / math.log(2.0))
-        grad_q = np.broadcast_to(grad_qU.reshape(shape_full), qbar.shape)
-        new_vs = []
-        for (A, _pinv, perm, _inv, _shape, w, cells_c), v in zip(mats, vs):
-            g = (A.T @ np.transpose(grad_q, perm).reshape(B, -1, 1)).reshape(B, w, cells_c)
-            new_vs.append(v + step * g / len(mats))
-        vs = project(new_vs, 5)
-    vs = project(vs, inner * 4)
-    qbar, qs = q_of(vs)
-    qU = qbar.sum(axis=drop) if drop else qbar
-    out = []
-    for b in range(B):
-        residual = max(float(np.max(np.abs(qk[b] - qbar[b]))) for qk in qs)
-        total = qU[b].sum()
-        out.append((0.0 if total <= 0 else entropy_of_table(qU[b] / total), residual))
-    return out
+
+def _line_search(q: np.ndarray, d: np.ndarray, top: float) -> float:
+    """argmax of the concave H(q + g d) over g in [0, top], for q > 0 with
+    H's slope positive at 0: Newton's method on the slope, kept inside a
+    bisection bracket, until the step is below 1e-12 of ``top``."""
+    end = q + top * d
+    if end.min() > 0 and -(d * np.log2(end)).sum() >= 0:
+        return top
+    lo, hi, g = 0.0, top, 0.5 * top
+    for _ in range(100):
+        r = q + g * d
+        slope = -(d * np.log2(r)).sum()
+        if slope > 0:
+            lo = g
+        else:
+            hi = g
+        nxt = g + slope * math.log(2.0) / (d * d / r).sum()
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - g) <= 1e-12 * top:
+            return nxt
+        g = nxt
+    return g
+
+
+def _frank_wolfe(system: _System, p: JointPMF, U: SubsetView, floor: float,
+                 ceiling: float):
+    """Bracket sup H_q(X_U) over one system's polytope: (lower, upper, x).
+
+    Pairwise Frank-Wolfe (Lacoste-Julien & Jaggi 2015) keeps x a convex
+    combination of LP vertices, so every iterate is feasible and H_q(X_U)
+    there is a lower bound. Concavity gives the upper bound
+    H(x) + max_P grad H(x).(y - x) (the Frank-Wolfe duality gap, Jaggi 2013),
+    read from the LP's dual objective b.y, or ``ceiling`` if that is lower.
+    It is finite when q_U > 0 on every cell some feasible law charges, so
+    the start is the mean of one vertex per such cell; cells no vertex
+    charges are zero on the whole polytope and drop out of H. Each step
+    moves weight from the active vertex worst for the gradient to the LP's
+    vertex, by exact line search. Stops when upper - lower <= FW_GAP, when
+    upper <= floor (the system cannot beat the best found so far), or after
+    FW_MAX_STEPS steps."""
+    lp = system.lp
+    cells = p.num_cells
+    drop = tuple(i for i in range(p.m) if i not in U)
+    shape_u = tuple(p.alphabet_sizes[i] if i in U else 1 for i in range(p.m))
+    cells_u = int(np.prod(shape_u))
+
+    def objective(g_u):
+        c = np.zeros(lp.A.shape[1])
+        c[-cells:] = np.broadcast_to(g_u.reshape(shape_u), p.alphabet_sizes).reshape(-1)
+        return c
+
+    def q_u(x):
+        q = x[-cells:].reshape(p.alphabet_sizes)
+        return (q.sum(axis=drop) if drop else q).reshape(-1)
+
+    # active set: vertex bytes, vertices, their q_U, weights
+    keys, verts, vert_u = [], [], []
+    for u in range(cells_u):
+        if not any(vu[u] > 0 for vu in vert_u):
+            sol = lp.maximize(objective(np.eye(cells_u)[u]))
+            if sol.value > 0.0:
+                keys.append(sol.x.tobytes())
+                verts.append(sol.x)
+                vert_u.append(q_u(sol.x))
+    support = np.any(np.array(vert_u) > 0, axis=0)
+    weights = [1.0 / len(verts)] * len(verts)
+    for it in range(FW_MAX_STEPS + 1):
+        x = np.array(weights) @ np.array(verts)
+        qu = (np.array(weights) @ np.array(vert_u))[support]
+        lower = entropy_of_table(qu)
+        g_u = np.zeros(cells_u)
+        g_u[support] = -np.log2(qu) - 1.0 / math.log(2.0)
+        c = objective(g_u)
+        sol = lp.maximize(c)
+        # b.y bounds c.x over the polytope up to the duals' rounding slack
+        # max(c - A^T y), times the polytope's total mass
+        y = sol.y[lp.rows]
+        slack = max(0.0, float(np.max(c - lp.A.T @ y)))
+        upper = min(ceiling, lower + float(lp.b @ y) + slack * system.mass - float(c @ x))
+        if upper - lower <= FW_GAP or upper <= floor or it == FW_MAX_STEPS:
+            return lower, max(upper, lower), x
+        key = sol.x.tobytes()
+        if key not in keys:
+            keys.append(key)
+            verts.append(sol.x)
+            vert_u.append(q_u(sol.x))
+            weights.append(0.0)
+        # pairwise steps inside the active set, which need no LP, until its
+        # own gap is a small part of the gap the LP vertex showed
+        for _ in range(50):
+            scores = np.array(vert_u) @ g_u
+            toward, away = int(np.argmax(scores)), int(np.argmin(scores))
+            if scores[toward] - scores[away] <= 0.1 * (upper - lower):
+                break
+            step = _line_search(qu, (vert_u[toward] - vert_u[away])[support], weights[away])
+            weights[toward] += step
+            weights[away] -= step
+            if weights[away] <= 0.0:
+                for lst in (keys, verts, vert_u, weights):
+                    del lst[away]
+            qu = (np.array(weights) @ np.array(vert_u))[support]
+            g_u[support] = -np.log2(qu) - 1.0 / math.log(2.0)
 
 
 def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
@@ -581,17 +780,17 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
     the supremum of H_q(X_U(V)) over sub-collections V and joint laws q
     simultaneously simulable for (H_true, r) and for every set in V.
 
-    Perfect information falls back to the exact IPF path; otherwise a
-    multi-start projected-gradient ascent over the stacked simulation tables
-    reports an estimate with its constraint residual attached. The estimate
-    is taken at a point whose residual is below 1e-4, not at an exactly
-    feasible one, so it may overshoot the supremum: it is not a bound.
-
-    Each (V, channel) system is solved once for all ``starts`` starts, start
-    k seeded by ``rng_for(seed, "rstar-general", V, k)``; every start's
-    floats equal those of running it on its own, and the results are taken
-    in k order, so value, residual and maximizer do not depend on the
-    stacking. ``starts`` must be at least 1.
+    Perfect information falls back to the exact IPF path. Otherwise each
+    (V, channel) combination is a concave maximization over a polytope,
+    bracketed by ``_frank_wolfe`` to within FW_GAP bits: the result's
+    ``lower`` is H_q(X_U) at a law every system of the maximizer simulates
+    (``tables`` are those systems' simulation tables, H_true's first), and
+    ``upper`` bounds every combination. A combination whose phase 1 finds
+    no simulable law is dropped; one whose bound sum_{i in U} H(X_i) (each
+    honest marginal is pinned to p) cannot beat the best lower bound so far
+    is skipped unsolved. ``seed`` and ``starts`` are accepted for callers of
+    the earlier multi-start optimizer and do not change the result;
+    ``starts`` must still be at least 1.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
@@ -602,30 +801,34 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
         raise ValueError(f"true honest set {H_true} not in the collection")
     if R.perfect:
         report = r_star_perfect(p, H)
-        return GeneralRateResult(report.per_pair[H_true], 0.0, report.maximizer_V)
+        value = report.per_pair[H_true]
+        return GeneralRateResult(value, 0.0, report.maximizer_V, value, value, (), ())
     if r is None:
         raise ValueError("imperfect information requires the true channel r")
 
-    from .source_model import rng_for
-    best_value = -math.inf
-    best_res = math.inf
-    best_V: tuple[SubsetView, ...] = (H_true,)
-    for V, U in _candidate_collections(list(H.candidates), None):
+    best = None
+    upper = -math.inf
+    for V, umask in _candidate_collections(list(H.candidates), None):
+        U = SubsetView(_mask_indices(umask))
         members = list(V)
-        channel_lists = [[r]] + [list(R.channels_for(S)) for S in members]
         sets = [H_true] + members
-        for combo in itertools.product(*channel_lists):
-            systems = []
-            for S, chan in zip(sets, combo):
-                r_t = _effective_channel(chan, p, S)
-                systems.append(_simulability_matrix(p, S, r_t))
-            rngs = [rng_for(seed, "rstar-general", _lex_key(V), k) for k in range(starts)]
-            for value, residual in _pg_sup_entropy(p, U, systems, rngs):
-                if residual < 1e-4 and value > best_value + 1e-9:
-                    best_value, best_res, best_V = value, residual, tuple(V)
-    if best_value == -math.inf:
-        return GeneralRateResult(0.0, math.inf, (H_true,))
-    return GeneralRateResult(best_value, best_res, best_V)
+        bound = sum(entropy(p, SubsetView.of(i)) for i in U)
+        for combo in itertools.product([r], *(R.channels_for(S) for S in members)):
+            floor = -math.inf if best is None else best[0]
+            if bound <= floor:
+                continue
+            system = _System(p, sets, combo)
+            if not system.lp.feasible:
+                continue
+            lo, hi, x = _frank_wolfe(system, p, U, floor, bound)
+            upper = max(upper, hi)
+            if best is None or lo > best[0] + 1e-12:
+                best = (lo, tuple(V), system, x, combo)
+    if best is None:
+        raise ValueError(f"no law is simulable for true honest set {H_true}")
+    lower, V, system, x, combo = best
+    return GeneralRateResult(lower, system.residual(x), V, lower, max(upper, lower),
+                             system.tables(x), tuple(combo))
 
 
 # ---------------------------------------------------------------------------

@@ -50,8 +50,9 @@ from .prob_core import (
 from .rate_region import (
     HonestCollection,
     InfoModel,
+    LinearProgram,
     _effective_channel,
-    _project_rows_to_simplex,
+    _row_sums,
     _simulability_matrix,
 )
 from .source_model import SourceBlock, derive_seed, rng_for, sample_block, sample_side_info
@@ -269,35 +270,29 @@ def _ball_marginal_feasible_perfect(t_u: np.ndarray, sizes_u: Sequence[int],
 
 def _ball_membership_general(t_u: np.ndarray, U: SubsetView, S: SubsetView,
                              r_tilde: ConditionalPMF, p: JointPMF, tau_u: float,
-                             *, iters: int = 4000, tol: float = 1e-7) -> bool:
+                             *, tol: float = 1e-7) -> bool:
     """Imperfect-information membership: does some simulable law sit within
-    the tau_u-ball of the type? Projected-gradient descent of the squared
-    distance between the parameterized law and the box around the type, over
-    the per-w simplexes of the simulation table."""
+    the tau_u-ball (widened by ``tol``) of the type? An LP feasibility
+    question, decided by phase 1 of the simplex: y = A qbar with each row
+    of qbar on its simplex and lo <= y <= hi, the box held by slack columns
+    as A qbar - s = max(lo, 0) and A qbar + s' = hi."""
     p_u = marginal(p, U)
     inner = SubsetView(tuple(i for i in U if i not in S))
     if len(inner) == 0:
-        sizes_s = tuple(p.alphabet_sizes[i] for i in S)
         p_s = marginal(p, S).mass
         return bool(np.max(np.abs(t_u.reshape(p_s.shape) - p_s)) <= tau_u + 1e-12)
     # Re-index the problem to live on the U coordinates only.
     pos = {i: k for k, i in enumerate(U)}
-    S_in_u = SubsetView(tuple(pos[i] for i in S))
-    A, perm, w, cells_c = _simulability_matrix(p_u, S_in_u, r_tilde)
-    target = np.transpose(t_u, perm).reshape(-1)
-    lo, hi = target - tau_u, target + tau_u
-    L = float(np.linalg.norm(A, 2)) ** 2
-    step = 1.0 / max(L, 1e-12)
-    v = np.full((w, cells_c), 1.0 / cells_c)
-    for _ in range(iters):
-        y = A @ v.reshape(-1)
-        resid = y - np.clip(y, lo, hi)
-        if float(np.max(np.abs(resid))) <= tol:
-            return True
-        g = (A.T @ resid).reshape(w, cells_c)
-        v = _project_rows_to_simplex(v - step * g)
-    y = A @ v.reshape(-1)
-    return float(np.max(np.abs(y - np.clip(y, lo, hi)))) <= tol
+    A = _simulability_matrix(p_u, SubsetView(tuple(pos[i] for i in S)), r_tilde)
+    w = r_tilde.output_alphabet_size
+    target = t_u.reshape(-1)
+    eye = np.eye(target.size)
+    zero = np.zeros_like(eye)
+    rows = np.block([[A, -eye, zero], [A, zero, eye],
+                     [_row_sums(w, A.shape[1] // w), np.zeros((w, 2 * target.size))]])
+    rhs = np.concatenate([np.maximum(target - tau_u - tol, 0.0), target + tau_u + tol,
+                          np.ones(w)])
+    return LinearProgram(rows, rhs).feasible
 
 
 def update_V(V: Sequence[SubsetView], estimates: dict, U_prev: SubsetView,

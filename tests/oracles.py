@@ -6,9 +6,9 @@ by projected-gradient ascent with Dykstra projection, simulability by grid
 search over the simulation table, bins by integer arithmetic one sequence
 at a time, conditional type entropies by explicit type counts, the phase
 search by the lazy candidate-by-candidate loop, the irredundant
-sub-collections by a scan over every subset mask, the multi-start
-projected-gradient ascent by running one start at a time, and the region
-report by running IPF on every family.
+sub-collections by a scan over every subset mask, linear programs by
+scipy's HiGHS solver, the simulation constraints and simulated laws by
+per-cell loops, and the region report by running IPF on every family.
 """
 from __future__ import annotations
 
@@ -20,13 +20,12 @@ from hashlib import blake2b
 import numpy as np
 
 from byzsw.binning import all_sequences
-from byzsw.prob_core import JointPMF, SubsetView, entropy_of_table, marginal, union_of
+from byzsw.prob_core import JointPMF, SubsetView, marginal, union_of
 from byzsw.rate_region import (
     HonestCollection,
     RegionReport,
     _candidate_collections,
     _lex_key,
-    _project_rows_to_simplex,
     max_entropy_with_marginals,
 )
 
@@ -219,7 +218,8 @@ def reference_candidate_collections(candidates, must_contain):
     """Nonempty sub-collections, skipping any whose union and constraint set
     are both dominated by a smaller one already enumerated (dropping one set
     leaves the union unchanged). ``must_contain`` pins one set that may not
-    be dropped, for per-true-honest-set evaluations."""
+    be dropped, for per-true-honest-set evaluations. Returns (V, union
+    bitmask) pairs, the shape ``_candidate_collections`` returns."""
     out = []
     n = len(candidates)
     for mask in range(1, 1 << n):
@@ -236,68 +236,74 @@ def reference_candidate_collections(candidates, must_contain):
                 dominated = True
                 break
         if not dominated:
-            out.append((tuple(V), u))
-    out.sort(key=lambda vu: (-len(vu[1].indices), _lex_key(vu[0])))
+            out.append((tuple(V), sum(1 << i for i in u.indices)))
+    out.sort(key=lambda vu: (-bin(vu[1]).count("1"), _lex_key(vu[0])))
     return out
 
 
-def reference_pg_sup_entropy(p: JointPMF, U: SubsetView, systems, rng: np.random.Generator,
-                    *, outer: int = 150, inner: int = 40) -> tuple[float, float]:
-    """Projected-gradient ascent of H(X_U) over joint laws expressible in
-    every (S, r') system simultaneously. Variables are the stacked simulation
-    tables; projection onto the coupling constraints is by alternating
-    projections. Returns (value, residual).
+def reference_linprog(A, b, c):
+    """max c @ x subject to A x = b, x >= 0, by scipy's HiGHS solver:
+    (status, value) with status "optimal", "infeasible" or "unbounded"."""
+    from scipy.optimize import linprog
 
-    The one-start-at-a-time ascent, kept verbatim from before the starts were
-    stacked on a leading axis: the stacked optimizer must give every start
-    these floats bit for bit."""
-    mats = [(A, np.linalg.pinv(A), perm, np.argsort(perm), w, cells_c)
-            for A, perm, w, cells_c in systems]
-    cells = int(np.prod(p.alphabet_sizes))
-    drop = tuple(i for i in range(p.m) if i not in U)
+    res = linprog(-np.asarray(c, dtype=float), A_eq=A, b_eq=b, bounds=(0, None),
+                  method="highs")
+    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}[res.status]
+    return status, (-res.fun if res.status == 0 else None)
 
-    def q_of(vs):
-        qs = []
-        for (A, _pinv, perm, inv_perm, w, cells_c), v in zip(mats, vs):
-            qp = (A @ v.reshape(-1)).reshape([p.alphabet_sizes[i] for i in perm])
-            qs.append(np.transpose(qp, inv_perm))
-        return sum(qs) / len(qs), qs
 
-    def project(vs, iters):
-        for _ in range(iters):
-            qbar, _ = q_of(vs)
-            new_vs = []
-            for (A, pinvA, perm, _inv, w, cells_c), v in zip(mats, vs):
-                target = np.transpose(qbar, perm).reshape(-1)
-                flat = v.reshape(-1)
-                flat = flat - pinvA @ (A @ flat - target)
-                new_vs.append(_project_rows_to_simplex(flat.reshape(w, cells_c)))
-            vs = new_vs
-        return vs
+def reference_simulated_law(p: JointPMF, S: SubsetView, chan, table) -> np.ndarray:
+    """q(x) = p(x_S) sum_w r(w | x_S) qbar[w, x_Sc], one cell at a time;
+    ``chan`` is given on x_S and ``table`` has shape (w,) + sizes of Sc in
+    ascending sensor order."""
+    sizes = p.alphabet_sizes
+    comp = [i for i in range(len(sizes)) if i not in S]
+    p_s = brute_marginal(p.mass, tuple(S.indices))
+    q = np.zeros(sizes)
+    for x in itertools.product(*(range(a) for a in sizes)):
+        xs = tuple(x[i] for i in S)
+        xc = tuple(x[i] for i in comp)
+        q[x] = p_s[xs] * sum(chan.rows[xs + (w,)] * table[(w,) + xc]
+                             for w in range(chan.output_alphabet_size))
+    return q
 
-    vs = [_project_rows_to_simplex(rng.random((w, cells_c)) + 1e-3)
-          for *_, w, cells_c in mats]
-    vs = project(vs, inner)
-    step = 0.5
-    for _ in range(outer):
-        qbar, qs = q_of(vs)
-        qU = qbar.sum(axis=drop) if drop else qbar
-        grad_qU = -(np.log2(np.maximum(qU, 1e-12)) + 1.0 / math.log(2.0))
-        shape_full = tuple(p.alphabet_sizes[i] if i in U else 1 for i in range(p.m))
-        grad_q = np.broadcast_to(grad_qU.reshape(shape_full), p.alphabet_sizes)
-        new_vs = []
-        for (A, _pinv, perm, _inv, w, cells_c), v in zip(mats, vs):
-            g = (A.T @ np.transpose(grad_q, perm).reshape(-1)).reshape(w, cells_c)
-            new_vs.append(v + step * g / len(mats))
-        vs = project(new_vs, 5)
-    vs = project(vs, inner * 4)
-    qbar, qs = q_of(vs)
-    residual = max(float(np.max(np.abs(qk - qbar))) for qk in qs)
-    qU = qbar.sum(axis=drop) if drop else qbar
-    total = qU.sum()
-    if total <= 0:
-        return 0.0, residual
-    return entropy_of_table(qU / total), residual
+
+def reference_simulation_lp(p: JointPMF, sets, channels):
+    """Rows (A, b) of the polytope over x = (qbar_0, ..., qbar_K, q), built
+    cell by cell: for each (set, channel) pair k, q(x) - p(x_S) sum_w
+    r(w | x_S) qbar_k[w, x_Sc] = 0 for every cell x, and sum_{x_Sc}
+    qbar_k[w, x_Sc] = 1 for every w. Channels are given on x_S; each table
+    is flattened from shape (w,) + sizes of Sc, q in canonical order."""
+    sizes = p.alphabet_sizes
+    cells = int(np.prod(sizes))
+    blocks = []
+    for S, chan in zip(sets, channels):
+        comp = [i for i in range(len(sizes)) if i not in S]
+        shape = (chan.output_alphabet_size,) + tuple(sizes[i] for i in comp)
+        blocks.append((S, comp, chan, shape, int(np.prod(shape))))
+    width = sum(blk[-1] for blk in blocks) + cells
+    rows, rhs = [], []
+    offset = 0
+    for S, comp, chan, shape, size in blocks:
+        p_s = brute_marginal(p.mass, tuple(S.indices))
+        for flat, x in enumerate(itertools.product(*(range(a) for a in sizes))):
+            row = np.zeros(width)
+            row[width - cells + flat] = 1.0
+            xs = tuple(x[i] for i in S)
+            xc = tuple(x[i] for i in comp)
+            for w in range(shape[0]):
+                row[offset + np.ravel_multi_index((w,) + xc, shape)] -= \
+                    p_s[xs] * chan.rows[xs + (w,)]
+            rows.append(row)
+            rhs.append(0.0)
+        for w in range(shape[0]):
+            row = np.zeros(width)
+            for xc in itertools.product(*(range(a) for a in shape[1:])):
+                row[offset + np.ravel_multi_index((w,) + xc, shape)] = 1.0
+            rows.append(row)
+            rhs.append(1.0)
+        offset += size
+    return np.array(rows), np.array(rhs)
 
 
 def reference_r_star_perfect(p: JointPMF, H: HonestCollection, *,

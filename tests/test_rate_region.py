@@ -1,6 +1,7 @@
 """Tests for the rate-region calculators."""
 import functools
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -29,14 +30,17 @@ from byzsw.rate_region import (
 )
 from byzsw import rate_region
 from byzsw.binning import EnumerationGuardError
-from byzsw.source_model import rng_for
 
 from oracles import (
+    brute_entropy,
+    brute_marginal,
     pg_maxent_oracle,
     product_form_feasible,
     reference_candidate_collections,
-    reference_pg_sup_entropy,
+    reference_linprog,
     reference_r_star_perfect,
+    reference_simulated_law,
+    reference_simulation_lp,
 )
 
 
@@ -253,7 +257,7 @@ def oracle_families(cands: tuple, pin):
 
 
 def family_keys(families):
-    return [(tuple(s.indices for s in V), u.indices) for V, u in families]
+    return [(tuple(s.indices for s in V), u) for V, u in families]
 
 
 class TestCandidateCollections:
@@ -472,45 +476,49 @@ class TestQSetFeasible:
         S = SubsetView.of(0)
         # q = p itself is correlated beyond independence: infeasible
         assert not product_form_feasible(p, p, S)
-        assert q_set_feasible(p, S, r, p) in (Feasibility.INFEASIBLE,
-                                              Feasibility.INDETERMINATE)
+        assert q_set_feasible(p, S, r, p) is Feasibility.INFEASIBLE
         # the independent coupling with matching x0 marginal is feasible
         q_ind = JointPMF((2, 2), np.outer([0.5, 0.5], [0.5, 0.5]))
         assert product_form_feasible(q_ind, p, S)
         assert q_set_feasible(q_ind, S, r, p) is Feasibility.FEASIBLE
 
-    def test_indeterminate_band_reachable(self):
-        # perturb a feasible product-form law inside a fiber by ~3e-6: the
-        # honest marginal is intact, the best residual sits between the
-        # feasible and infeasible thresholds
+    def test_perturbed_product_law_infeasible(self):
+        # perturb a feasible product-form law inside a fiber by 3e-6: the
+        # honest marginal is intact and the law is no longer a product, so
+        # the verdict is exact, however close the law is to a feasible one
         p = JointPMF((2, 2), np.array([[0.445, 0.055], [0.055, 0.445]]))
         rows = np.ones((2, 2, 1))
         r = ConditionalPMF((2, 2), 1, rows)
         base = np.outer([0.5, 0.5], [0.6, 0.4])
         bump = 3e-6
         q = JointPMF((2, 2), base + np.array([[bump, -bump], [-bump, bump]]))
-        verdict = q_set_feasible(q, SubsetView.of(0), r, p, max_iters=500)
-        assert verdict is Feasibility.INDETERMINATE
+        assert not product_form_feasible(q, p, SubsetView.of(0))
+        assert q_set_feasible(q, SubsetView.of(0), r, p) is Feasibility.INFEASIBLE
+        assert q_set_feasible(JointPMF((2, 2), base), SubsetView.of(0), r, p) \
+            is Feasibility.FEASIBLE
 
     def test_oracle_agreement_on_random_instances(self):
+        # every other law is a product p(x0) g(x1) with g on the oracle's
+        # grid (feasible), the rest random with the honest marginal aligned
+        # (infeasible unless a product by chance); every verdict must match
         rng = np.random.default_rng(16)
         rows = np.ones((2, 2, 1))
         r = ConditionalPMF((2, 2), 1, rows)
         S = SubsetView.of(0)
-        checked = 0
-        for _ in range(40):
+        verdicts = []
+        for k in range(40):
             p = random_pmf(rng, (2, 2))
-            q = random_pmf(rng, (2, 2))
-            # align the honest marginal so the necessary condition holds
-            scale = p.mass.sum(axis=1) / q.mass.sum(axis=1)
-            q = JointPMF((2, 2), q.mass * scale[:, None])
+            if k % 2:
+                g = int(rng.integers(0, 401)) / 400
+                q = JointPMF((2, 2), np.outer(p.mass.sum(axis=1), [g, 1 - g]))
+            else:
+                q = random_pmf(rng, (2, 2))
+                scale = p.mass.sum(axis=1) / q.mass.sum(axis=1)
+                q = JointPMF((2, 2), q.mass * scale[:, None])
             verdict = q_set_feasible(q, S, r, p)
-            want = product_form_feasible(q, p, S)
-            if verdict is Feasibility.INDETERMINATE:
-                continue
-            assert bool(verdict) == want
-            checked += 1
-        assert checked >= 30
+            assert bool(verdict) == product_form_feasible(q, p, S)
+            verdicts.append(bool(verdict))
+        assert verdicts.count(True) == 20
 
 
 def constant_w_toy():
@@ -547,10 +555,15 @@ class TestRStarGeneral:
         assert res.residual < 1e-4
 
     def test_constant_w_two_sensor_value_frozen(self):
-        # frozen float: a change to the projection's arithmetic shows here
+        # W carries nothing, so every simulable law is the product of the
+        # marginals: R* = H(0.6, 0.4) + H(0.5, 0.5), and the bracket holds it
+        # (to rounding) with no width
         p, H, R, r = constant_w_toy()
         res = r_star_general(p, H, R, SubsetView.of(0), r, seed=0, starts=2)
-        assert res.value.hex() == "0x1.f89037d936ed7p+0"
+        want = -(0.6 * math.log2(0.6) + 0.4 * math.log2(0.4)) + 1.0
+        assert res.lower - 1e-12 <= want <= res.upper + 1e-12
+        assert res.upper - res.lower <= 1e-12
+        assert res.value == res.lower
 
     @pytest.mark.parametrize("starts", [0, -1])
     def test_starts_below_one_rejected(self, starts):
@@ -564,44 +577,180 @@ def random_channel(rng, input_sizes, w) -> ConditionalPMF:
     return ConditionalPMF(tuple(input_sizes), w, rows.reshape(tuple(input_sizes) + (w,)))
 
 
-class TestPgSupEntropyOracle:
-    """All starts stacked in one pass give each start the floats of the
-    one-start-at-a-time ascent, bit for bit: after the full ascent, and
-    after a short one, where the starts have not yet reached a common point
-    and a start fed another start's draws would show."""
+def defect_law(seed=1, w=3):
+    """Seeded law on three binary sensors, threshold(3, 2) (every nonempty
+    set a candidate), one random channel with w outputs per candidate, in
+    candidate order, and H_true = {0} with its own channel."""
+    rng = np.random.default_rng(seed)
+    p = random_pmf(rng, (2, 2, 2))
+    H = HonestCollection.threshold(3, 2)
+    chans = {S: [random_channel(rng, tuple(p.alphabet_sizes[i] for i in S), w)]
+             for S in H.candidates}
+    R = InfoModel.from_channels(chans, p.alphabet_sizes)
+    h_true = SubsetView.of(0)
+    return p, H, R, h_true, chans[h_true][0]
 
+
+class TestRStarGeneralBracket:
     @staticmethod
-    def assert_matches_oracle(p, U, sets, channels, starts):
-        systems = [rate_region._simulability_matrix(
-                       p, S, rate_region._effective_channel(chan, p, S))
-                   for S, chan in zip(sets, channels)]
-        key = rate_region._lex_key(sets[1:])
-        for iters in ({}, {"outer": 2, "inner": 1}):
-            got = rate_region._pg_sup_entropy(
-                p, U, systems, [rng_for(0, "rstar-general", key, k) for k in range(starts)],
-                **iters)
-            want = [reference_pg_sup_entropy(p, U, systems, rng_for(0, "rstar-general", key, k),
-                                             **iters)
-                    for k in range(starts)]
-            got_hex = [(float(v).hex(), float(r).hex()) for v, r in got]
-            assert got_hex == [(float(v).hex(), float(r).hex()) for v, r in want]
-        assert len(set(got_hex)) > 1
+    def simulated_laws(p, h_true, res):
+        sets = (h_true,) + res.maximizer_V
+        assert len(res.tables) == len(res.channels) == len(sets)
+        return sets, [reference_simulated_law(p, S, chan, table)
+                      for S, chan, table in zip(sets, res.channels, res.tables)]
 
-    def test_constant_w_toy_sixteen_starts(self):
-        p, H, R, r = constant_w_toy()
-        sets = [SubsetView.of(0), SubsetView.of(0), SubsetView.of(1)]
-        self.assert_matches_oracle(p, SubsetView.of(0, 1), sets, [r, r, r], starts=16)
+    def test_defect_law_bracket(self):
+        # the projected-gradient ascent this replaced returned 1.7655 here,
+        # 0.90 bits low: it dropped V = {0},{1},{2}, whose systems it could
+        # not get below its residual threshold
+        p, H, R, h_true, r = defect_law()
+        res = r_star_general(p, H, R, h_true, r)
+        assert res.lower >= 2.6665
+        assert res.upper - res.lower <= 1e-3
+        assert res.value == res.lower
+        _sets, laws = self.simulated_laws(p, h_true, res)
+        for q in laws[1:]:
+            assert np.max(np.abs(q - laws[0])) <= 1e-9
+        U = tuple(sorted({i for S in res.maximizer_V for i in S}))
+        assert brute_entropy(brute_marginal(laws[0], U)) == pytest.approx(res.lower, abs=1e-9)
+        assert res.residual <= 1e-9
 
-    @pytest.mark.parametrize("U", [(0, 1, 2), (0,)])
-    def test_three_sensor_systems_of_different_shapes(self, U):
-        # channels with w = 2, 3, 1 on sets of sizes 2, 2, 1: the simulation
-        # tables are 2x2, 3x2 and 1x4; U = {0} sums out two axes
-        rng = np.random.default_rng(5)
-        p = random_pmf(rng, (2, 2, 2))
-        sets = [SubsetView.of(0, 1), SubsetView.of(0, 2), SubsetView.of(1)]
-        channels = [random_channel(rng, (2, 2), 2), random_channel(rng, (2, 2), 3),
-                    random_channel(rng, (2,), 1)]
-        self.assert_matches_oracle(p, SubsetView.of(*U), sets, channels, starts=6)
+    @pytest.mark.parametrize("m, t", [(3, 1), (3, 2)])
+    def test_identity_channels_reproduce_perfect_information(self, m, t):
+        # W = X for every candidate is perfect information written as a
+        # channel list, so the bracket must hold the IPF value
+        p = random_pmf(np.random.default_rng(70 + t), (2,) * m)
+        H = HonestCollection.threshold(m, t)
+        ident = identity_channel(p.alphabet_sizes)
+        R = InfoModel.from_channels({S: [ident] for S in H.candidates}, p.alphabet_sizes)
+        rep = r_star_perfect(p, H)
+        for h_true in H.candidates[:2]:
+            res = r_star_general(p, H, R, h_true, ident)
+            want = rep.per_pair[h_true]
+            assert res.lower - 1e-9 <= want <= res.upper + 1e-9, h_true
+            assert res.upper - res.lower <= 1e-6
+
+    def test_upper_bound_from_dual_certificate(self):
+        # rebuild the maximizer's LP cell by cell, take the gradient of
+        # H(q_U) at the returned point as the objective, and check the duals
+        # by hand: A^T y >= c makes b.y an upper bound on c.x over the
+        # polytope, so H(x) + b.y - c.x bounds the system by concavity
+        p = random_pmf(np.random.default_rng(73), (2, 2, 2))
+        H = HonestCollection.threshold(3, 1)
+        ident = identity_channel(p.alphabet_sizes)
+        R = InfoModel.from_channels({S: [ident] for S in H.candidates}, p.alphabet_sizes)
+        h_true = SubsetView.of(0, 1)
+        res = r_star_general(p, H, R, h_true, ident)
+        sets = (h_true,) + res.maximizer_V
+        chans = [rate_region._effective_channel(c, p, S) for S, c in zip(sets, res.channels)]
+        A, b = reference_simulation_lp(p, sets, chans)
+        q = reference_simulated_law(p, sets[0], chans[0], res.tables[0])
+        x = np.concatenate([t.reshape(-1) for t in res.tables] + [q.reshape(-1)])
+        assert np.max(np.abs(A @ x - b)) <= 1e-9
+        U = tuple(sorted({i for S in res.maximizer_V for i in S}))
+        drop = tuple(i for i in range(3) if i not in U)
+        q_u = q.sum(axis=drop) if drop else q
+        grad_u = -(np.log2(q_u) + 1.0 / math.log(2.0))
+        c = np.zeros(A.shape[1])
+        c[-q.size:] = np.broadcast_to(
+            grad_u.reshape(tuple(2 if i in U else 1 for i in range(3))), q.shape).reshape(-1)
+        y = rate_region.LinearProgram(A, b).maximize(c).y
+        # A^T y >= c - slack, and x sums to (table rows + 1) on the polytope
+        slack = max(0.0, float(np.max(c - A.T @ y)))
+        assert slack <= 1e-9 * (1.0 + np.max(np.abs(c)))
+        mass = sum(t.shape[0] for t in res.tables) + 1
+        certified = brute_entropy(q_u) + float(b @ y) + slack * mass - float(c @ x)
+        want = r_star_perfect(p, H).per_pair[h_true]
+        assert want <= certified + 1e-9
+        assert certified <= res.upper + 1e-9
+        assert res.lower <= want + 1e-9
+
+    def test_infeasible_systems_dropped(self):
+        # W constant for H_true = {0,1} and for the pairs: a law simulable
+        # from nothing is a product p(x_S) g(x_Sc), and no such product
+        # for {0,1} keeps the pair marginal of {0,2} or {1,2} of a
+        # correlated law, so only V = {0,1} survives, with R* = H(X0, X1)
+        p = random_pmf(np.random.default_rng(74), (2, 2, 2))
+        H = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])
+        chans = {S: [ConditionalPMF((2, 2), 1, np.ones((2, 2, 1)))] for S in H.candidates}
+        R = InfoModel.from_channels(chans, p.alphabet_sizes)
+        h_true = SubsetView.of(0, 1)
+        res = r_star_general(p, H, R, h_true, chans[h_true][0])
+        assert res.maximizer_V == (h_true,)
+        assert res.lower == pytest.approx(entropy(p, h_true), abs=1e-9)
+        assert res.upper - res.lower <= 1e-9
+
+
+def random_lp(rng, kind):
+    """A small LP, bounded by a sum row: A x = b with b = A x0 for a sparse
+    x0 >= 0, so degenerate vertices abound. "redundant" appends a
+    combination of the rows; "inconsistent" appends one with its right side
+    moved; "negative" appends a nonnegative row with a negative right side;
+    "zero" appends an all-zero row."""
+    m = int(rng.integers(1, 6))
+    n = int(rng.integers(m + 1, 10))
+    A = rng.integers(-3, 4, size=(m, n)).astype(float)
+    x0 = rng.random(n) * (rng.random(n) < 0.6)
+    A = np.vstack([A, np.ones(n)])
+    b = A @ x0
+    if kind in ("redundant", "inconsistent"):
+        lam = rng.integers(1, 3, size=len(b)).astype(float)
+        A = np.vstack([A, lam @ A])
+        b = np.append(b, lam @ b + (0.5 if kind == "inconsistent" else 0.0))
+    elif kind == "negative":
+        A = np.vstack([A, np.abs(A[0]) + 1.0])
+        b = np.append(b, -1.0)
+    elif kind == "zero":
+        A = np.vstack([A, np.zeros(n)])
+        b = np.append(b, 0.0)
+    return A, b, rng.integers(-5, 6, size=n).astype(float)
+
+
+class TestLinearProgram:
+    KINDS = ("plain", "redundant", "inconsistent", "negative", "zero")
+
+    def test_matches_highs_on_seeded_lps(self):
+        verdicts = {"optimal": 0, "infeasible": 0}
+        for seed in range(120):
+            rng = np.random.default_rng([81, seed])
+            A, b, c = random_lp(rng, self.KINDS[seed % len(self.KINDS)])
+            status, value = reference_linprog(A, b, c)
+            lp = rate_region.LinearProgram(A, b)
+            assert lp.feasible == (status == "optimal"), seed
+            verdicts[status] += 1
+            if not lp.feasible:
+                continue
+            sol = lp.maximize(c)
+            assert sol.status == "optimal"
+            assert sol.value == pytest.approx(value, abs=1e-9), seed
+            assert np.min(sol.x) >= 0.0
+            assert np.max(np.abs(A @ sol.x - b)) <= 1e-9
+            # dual certificate, checked without the solver
+            assert np.min(A.T @ sol.y - c) >= -1e-9
+            assert float(b @ sol.y) == pytest.approx(value, abs=1e-9)
+        assert verdicts["optimal"] >= 50 and verdicts["infeasible"] >= 40
+
+    def test_warm_started_objectives(self):
+        # one phase 1, many objectives: each solve starts from the last basis
+        rng = np.random.default_rng(82)
+        A, b, _c = random_lp(rng, "redundant")
+        lp = rate_region.LinearProgram(A, b)
+        for _ in range(20):
+            c = rng.normal(size=A.shape[1])
+            _status, value = reference_linprog(A, b, c)
+            assert lp.maximize(c).value == pytest.approx(value, abs=1e-9)
+
+    def test_unbounded_reported(self):
+        A = np.array([[1.0, -1.0]])
+        lp = rate_region.LinearProgram(A, np.array([1.0]))
+        assert lp.maximize(np.array([0.0, 1.0])).status == "unbounded"
+        assert reference_linprog(A, np.array([1.0]), [0.0, 1.0])[0] == "unbounded"
+
+    def test_empty_polytope_refuses_to_maximize(self):
+        lp = rate_region.LinearProgram(np.array([[1.0, 1.0]]), np.array([-1.0]))
+        assert not lp.feasible
+        with pytest.raises(ValueError, match="empty"):
+            lp.maximize(np.array([1.0, 0.0]))
 
 
 class TestFixedRateRegions:

@@ -1,11 +1,15 @@
 """Tests for scenario files, presets, and the CLI harness."""
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import pytest
 
+import byzsw.cli
 import byzsw.scenario
 from byzsw.cli import main
 from byzsw.scenario import (
@@ -24,6 +28,20 @@ def tiny_vr_doc() -> dict:
     doc = PRESETS["two_sensor_baseline"]()
     doc["variable_rate"].update({"n": 8, "rounds": 5, "c_subcodebooks": 8})
     doc["trials"] = 3
+    return doc
+
+
+def imperfect_toy_doc() -> dict:
+    """Two sensors, collection {0}, {1}, and a side-information channel W
+    that is constant (carries nothing) for every candidate."""
+    doc = tiny_vr_doc()
+    doc["pmf"] = [[0.4, 0.2], [0.1, 0.3]]
+    doc["honest_collection"] = {"sets": [[0], [1]]}
+    doc["true_honest"] = [0]
+    rows = [[[1.0], [1.0]], [[1.0], [1.0]]]
+    doc["info_model"] = {"channels": {"0": [rows], "1": [rows]}}
+    doc["true_channel"] = rows
+    doc["strategy"] = None
     return doc
 
 
@@ -145,21 +163,14 @@ class TestCli:
 
     def test_region_command_imperfect_info(self, tmp_path, capsys):
         # two sensors whose W carries nothing: the bound is H(X0) + H(X1)
-        doc = tiny_vr_doc()
-        doc["pmf"] = [[0.4, 0.2], [0.1, 0.3]]
-        doc["honest_collection"] = {"sets": [[0], [1]]}
-        doc["true_honest"] = [0]
-        rows = [[[1.0], [1.0]], [[1.0], [1.0]]]
-        doc["info_model"] = {"channels": {"0": [rows], "1": [rows]}}
-        doc["true_channel"] = rows
-        doc["strategy"] = None
         path = tmp_path / "imperfect.json"
-        path.write_text(canonical_dumps(doc))
+        path.write_text(canonical_dumps(imperfect_toy_doc()))
         assert main(["region", "--scenario", str(path)]) == 0
         out = capsys.readouterr().out
-        assert "(estimate, residual" in out
-        value = float(out.split(" ~ ")[1].split("bits")[0])
-        assert abs(value - 1.9709505944546686) < 5e-3
+        assert "(certified bracket)" in out
+        lo, hi = map(float, out.split(" in [")[1].split("]")[0].split(","))
+        assert lo <= 1.9709505944546686 <= hi
+        assert hi - lo <= 2e-6
 
     def test_simulate_vr_csv_deterministic(self, tmp_path, capsys):
         scn = self._write_tiny(tmp_path)
@@ -240,6 +251,36 @@ class TestCli:
         assert len(lines) == 1
         assert lines[0].startswith("error: ") and lines[0].endswith("guard is 4096")
         assert not (tmp_path / "out" / "region.json").exists()
+
+    @pytest.mark.parametrize("command, strategy", [
+        ("simulate-vr", None),
+        ("attack-demo", {"kind": "fake_distribution", "q_bar": "optimal",
+                         "target_set": None})])
+    def test_trials_over_family_guard_refused_before_any_trial(
+            self, tmp_path, capsys, monkeypatch, command, strategy):
+        # every trial and the summary's r_star need R* of threshold(6, 5),
+        # past FAMILY_GUARD: refused once, up front, with nothing written
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(byzsw.cli, "_run_trials", no_trials)
+        doc = {"schema_version": 1, "m": 6, "alphabet_sizes": [2] * 6,
+               "pmf": [[[[[[1 / 64] * 2] * 2] * 2] * 2] * 2] * 2,
+               "honest_collection": {"threshold_t": 5}, "info_model": "perfect",
+               "true_honest": [0], "true_channel": "perfect", "strategy": strategy,
+               "variable_rate": {"n": 2, "rounds": 1, "eps": 0.35, "nu": 1.925,
+                                 "eta": None, "c_subcodebooks": 2, "alpha": 0.05},
+               "trials": 2, "seed": 1}
+        path = tmp_path / "big.json"
+        path.write_text(canonical_dumps(doc))
+        out_dir = tmp_path / "out"
+        assert main([command, "--scenario", str(path), "--out", str(out_dir)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: ") and lines[0].endswith("guard is 4096")
+        assert not out_dir.exists()
 
     def test_trials_and_seed_overrides(self, tmp_path):
         scn = self._write_tiny(tmp_path)
@@ -372,3 +413,33 @@ class TestSummaryCounts:
         assert agg["total_decode_forced"] == 2
         assert agg["total_v_empty_restores"] == 5
         assert "total_decode_forced" not in aggregate_rows([{"honest_error": 0, "error": ""}])
+
+
+# Run in a fresh interpreter: the imperfect-information solver and the
+# region command must not load scipy (it doubles a process's peak RSS) or
+# numpy.ma.
+IMPORT_PROBE = """
+import contextlib, io, json, sys
+from byzsw.cli import main
+from byzsw.rate_region import r_star_general
+from byzsw.scenario import load_scenario
+
+scn = load_scenario(sys.argv[1])
+r_star_general(scn.p, scn.collection, scn.info_model, scn.honest_true, scn.r_true,
+               seed=scn.seed, starts=16)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["region", "--scenario", sys.argv[1]]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] == "scipy" or m.split(".")[:2] == ["numpy", "ma"])))
+"""
+
+
+def test_imperfect_region_loads_no_scipy(tmp_path):
+    path = tmp_path / "imperfect.json"
+    path.write_text(canonical_dumps(imperfect_toy_doc()))
+    src = str(Path(byzsw.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(path)], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == []
