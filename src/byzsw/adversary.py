@@ -15,6 +15,13 @@ Strategies:
   once per round, then run the honest encoding logic on it verbatim;
 * fixed_rate_ambiguity - the deterministic fixed-rate converse construction:
   search for a confusable sequence in the same bins as the truth.
+
+The ambiguity search enumerates no joint space. Its candidates are the
+product of each intersection sensor's members of the truth's bin, found by
+one kernel call over that sensor's own sequences. Its companion is built
+from counts: the S1 typicality test is a max over cells, so it splits into
+one composition per intersection symbol. The greedy lexicographically least
+companion is exactly the first hit of a scan over every companion.
 """
 from __future__ import annotations
 
@@ -29,9 +36,8 @@ from .binning import (
     EnumerationGuardError,
     all_sequences,
     bin_count_for_rate,
+    bin_members,
     fixed_rate_encode,
-    fixed_rate_header,
-    hash_bins,
 )
 from .prob_core import (
     ConditionalPMF,
@@ -246,22 +252,55 @@ class AmbiguityOutcome:
     fake_companion: np.ndarray | None
 
 
-def _joint_flat_space(sizes: tuple[int, ...], n: int) -> np.ndarray:
-    """All joint sequences over a coordinate set, as (count, n) per-slot flat
-    joint symbols in lexicographic order."""
-    cells = int(np.prod(sizes))
+def _check_joint_space(cells: int, n: int) -> None:
+    """Refuse a joint space of cells^n sequences past the per-stage 2^22
+    desk-scale guard: the attack refuses the sizes a scan of the space would
+    refuse, whatever the bins hold."""
     if n * math.log2(cells) > 22 + 1e-9:
         raise EnumerationGuardError(
             f"joint space {cells}^{n} exceeds the per-stage 2^22 guard")
-    return all_sequences(cells, n)
 
 
-def _ball_distances(flat_seqs: np.ndarray, cells: int, p_flat: np.ndarray) -> np.ndarray:
-    """max_cell |type - p| for every sequence of per-slot flat symbols."""
-    k, n = flat_seqs.shape
+def _cell_counts(flat_seqs: np.ndarray, cells: int) -> np.ndarray:
+    """(k, cells) symbol counts of every sequence of per-slot flat symbols."""
+    k = flat_seqs.shape[0]
     flat = (np.arange(k)[:, None] * cells + flat_seqs.astype(np.int64)).reshape(-1)
-    counts = np.bincount(flat, minlength=k * cells).reshape(k, cells)
-    return np.max(np.abs(counts / n - p_flat[None, :]), axis=1)
+    return np.bincount(flat, minlength=k * cells).reshape(k, cells)
+
+
+def _flat_cells(S: SubsetView, part: SubsetView, sizes) -> np.ndarray:
+    """Offset of each flat joint symbol of ``part`` in the flat cells of S,
+    whose last (highest-index) sensor varies fastest."""
+    part_sizes = tuple(sizes[i] for i in part)
+    syms = np.unravel_index(np.arange(int(np.prod(part_sizes))), part_sizes)
+    stride = {i: int(np.prod([sizes[j] for j in S if j > i], dtype=np.int64))
+              for i in S}
+    return sum(stride[i] * x for i, x in zip(part, syms))
+
+
+def _lex_least_companion(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The lexicographically least outer sequence y such that, for every
+    intersection symbol a and outer symbol b, #{t : x_t = a, y_t = b} lies in
+    [lo[a, b], hi[a, b]]; the caller has checked that one exists.
+
+    Slot by slot, y_t is the least b that leaves the row a = x_t completable:
+    the row's remaining slots can reach counts c >= used with every c in its
+    interval and sum(c) = #{t : x_t = a} iff max(lo, used) <= hi and
+    sum(max(lo, used)) <= #{t : x_t = a} (sum(hi) is already large enough)."""
+    slots = np.bincount(x, minlength=lo.shape[0]).tolist()
+    lo, hi = lo.tolist(), hi.tolist()
+    used = [[0] * len(row) for row in lo]
+    y = []
+    for a in x.tolist():
+        row_lo, row_hi, row_used = lo[a], hi[a], used[a]
+        for b in range(len(row_lo)):
+            row_used[b] += 1
+            if (row_used[b] <= row_hi[b]
+                    and sum(map(max, row_lo, row_used)) <= slots[a]):
+                y.append(b)
+                break
+            row_used[b] -= 1
+    return np.array(y, dtype=np.int64)
 
 
 def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
@@ -271,9 +310,29 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     """Search for a confusable substitute for X_{S1 n H}: same bins as the
     truth, strongly typical, different from the truth, and admitting a
     companion for S1 - H jointly typical with it. Candidates are tried most
-    typical first (up to ``max_attempts``). Returns not-found when the search
-    fails, which is the likely outcome whenever the rates lie inside
-    SW(X_{S1 n H}).
+    typical first (up to ``max_attempts``), ties in lexicographic order, and
+    the companion is the lexicographically least one. Returns not-found when
+    the search fails, which is the likely outcome whenever the rates lie
+    inside SW(X_{S1 n H}).
+
+    Nothing is enumerated beyond each intersection sensor's own sequence
+    space, which one kernel call bins to find the members of the truth's bin.
+
+    * **Candidates.** The product of those members, as per-slot flat joint
+      symbols in lexicographic order, minus the truth; ball distances are
+      computed for these rows only and stably sorted.
+    * **Companion.** The S1 ball distance is a max over cells (a, b) of
+      intersection symbol a and outer symbol b, so it is met iff every count
+      #{t : x_t = a, y_t = b} is one the cell admits. |k/n - p| is monotone
+      on each side of p, also in floating point, so the admitted counts of a
+      cell form an interval of 0..n, computed once with the arithmetic of
+      the distance itself. Rows are independent: a candidate has a companion
+      iff every row a, with n_a = #{t : x_t = a} slots, has a composition of
+      n_a inside its intervals (an absent row needs 0 admitted everywhere),
+      and the least companion is built greedily slot by slot.
+
+    Both joint spaces stay behind the per-stage 2^22 guard, and the outcome
+    is the one a scan of every candidate and every companion would give.
     """
     if code.kind != "deterministic":
         raise ValueError("the ambiguity attack applies to deterministic coding")
@@ -284,71 +343,55 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     if not outer.is_subset_of(ctx.traitors):
         raise ValueError("attack coordinates must be traitors")
     n = code.n
-    sizes_inter = tuple(p.alphabet_sizes[i] for i in inter)
+    sizes = p.alphabet_sizes
+    sizes_inter = tuple(sizes[i] for i in inter)
+    sizes_outer = tuple(sizes[i] for i in outer)
     cells_inter = int(np.prod(sizes_inter))
-    truth_inter = true_block.subset(inter.indices)
-    p_inter = marginal(p, inter)
-    tol_inter = code.eps_decode / cells_inter
+    _check_joint_space(cells_inter, n)
+    _check_joint_space(int(np.prod(sizes_outer)), n)
 
-    cands = _joint_flat_space(sizes_inter, n)
-    dist = _ball_distances(cands, cells_inter, p_inter.mass.reshape(-1))
-    keep = np.nonzero(dist <= tol_inter + 1e-12)[0]
-    keep = keep[np.argsort(dist[keep], kind="stable")]
-
-    # companion space, shared across attempts
-    sizes_outer = tuple(p.alphabet_sizes[i] for i in outer)
-    cells_outer = int(np.prod(sizes_outer))
-    comp = _joint_flat_space(sizes_outer, n)
-    p_s1 = marginal(p, S1)
-    cells_s1 = int(np.prod(p_s1.alphabet_sizes))
-    tol_s1 = code.eps_decode / cells_s1
-    # per-slot stride map from (inter coords, outer coords) to sorted-S1 cells
-    strides = {}
-    acc = 1
-    for i in reversed(S1.indices):
-        strides[i] = acc
-        acc *= p.alphabet_sizes[i]
-    inter_mult = np.array([strides[i] for i in inter])
-    outer_mult = np.array([strides[i] for i in outer])
-
-    comp_syms_all = np.stack(np.unravel_index(
-        comp.reshape(-1).astype(np.int64),
-        sizes_outer)).reshape(len(sizes_outer), comp.shape[0], n)
-    # bin prefilter over every kept candidate at once, one kernel call per
-    # intersection sensor; per-sensor symbols stay uint8 so the temporaries
-    # stay small next to the 2^n-row candidate tables
-    flat = cands[keep]
-    truth_flat = np.ravel_multi_index(tuple(truth_inter), sizes_inter)
-    match = np.any(flat != truth_flat[None, :], axis=1)
+    # candidates: each sensor's members of the truth's bin, joined per slot
+    cands = np.zeros((1, n), dtype=np.int64)
     stride = cells_inter
     for size, i in zip(sizes_inter, inter):
         stride //= size
-        syms = flat // stride % size
         truth_bin = fixed_rate_encode(code.seed, i, true_block.sensor(i), code.rates[i], 0)
-        match &= hash_bins(code.seed, fixed_rate_header(i, 0), syms,
-                           bin_count_for_rate(n, code.rates[i])) == truth_bin
+        members = all_sequences(size, n)[bin_members(code.seed, i, truth_bin, size, n,
+                                                     code.rates[i])]
+        cands = (cands[:, None, :]
+                 + stride * members[None, :, :].astype(np.int64)).reshape(-1, n)
+    cands = cands[np.lexsort(cands.T[::-1])]
+    truth_flat = np.ravel_multi_index(tuple(true_block.subset(inter.indices)), sizes_inter)
+    cands = cands[np.any(cands != truth_flat[None, :], axis=1)]
+    counts = _cell_counts(cands, cells_inter)
+    dist = np.max(np.abs(counts / n - marginal(p, inter).mass.reshape(1, -1)), axis=1)
+    keep = np.nonzero(dist <= code.eps_decode / cells_inter + 1e-12)[0]
+    keep = keep[np.argsort(dist[keep], kind="stable")][:max_attempts]
 
-    for k in keep[match][:max_attempts]:
-        cand_syms = np.stack(np.unravel_index(cands[k].astype(np.int64),
-                                              sizes_inter))
-        base = (cand_syms * inter_mult[:, None]).sum(axis=0)      # (n,)
-        joint_codes = base[None, :] + np.tensordot(outer_mult,
-                                                   comp_syms_all, axes=(0, 0))
-        dist_s1 = _ball_distances(joint_codes, cells_s1, p_s1.mass.reshape(-1))
-        hits = np.nonzero(dist_s1 <= tol_s1 + 1e-12)[0]
-        if hits.size == 0:
-            continue
-        fake_outer = comp_syms_all[:, hits[0], :]
-        messages = {}
-        for row, i in enumerate(outer):
-            messages[i] = (0, fixed_rate_encode(code.seed, i, fake_outer[row],
-                                                code.rates[i], 0))
-        for i in ctx.traitors.difference(outer):
-            rng = rng_for(ctx.seed, "ambiguity-garbage", i)
-            messages[i] = (0, int(rng.integers(bin_count_for_rate(n, code.rates[i]))))
-        return AmbiguityOutcome(True, messages, inter.indices, cand_syms,
-                                fake_outer)
-    return AmbiguityOutcome(False, None, inter.indices, None, None)
+    # admitted counts [lo, hi] of each S1 cell (a, b); lo > hi when none
+    p_s1 = marginal(p, S1).mass.reshape(-1)
+    p_cells = p_s1[_flat_cells(S1, inter, sizes)[:, None]
+                   + _flat_cells(S1, outer, sizes)[None, :]]
+    admitted = (np.abs(np.arange(n + 1) / n - p_cells[..., None])
+                <= code.eps_decode / p_s1.size + 1e-12)
+    lo = np.where(admitted.any(axis=-1), admitted.argmax(axis=-1), n + 1)
+    hi = n - admitted[..., ::-1].argmax(axis=-1)
+    feasible = np.all(lo <= hi) & np.all((lo.sum(axis=1) <= counts[keep])
+                                         & (counts[keep] <= hi.sum(axis=1)), axis=1)
+    if not feasible.any():
+        return AmbiguityOutcome(False, None, inter.indices, None, None)
+
+    x = cands[keep[np.argmax(feasible)]]
+    cand_syms = np.stack(np.unravel_index(x, sizes_inter))
+    fake_outer = np.stack(np.unravel_index(_lex_least_companion(x, lo, hi), sizes_outer))
+    messages = {}
+    for row, i in enumerate(outer):
+        messages[i] = (0, fixed_rate_encode(code.seed, i, fake_outer[row],
+                                            code.rates[i], 0))
+    for i in ctx.traitors.difference(outer):
+        rng = rng_for(ctx.seed, "ambiguity-garbage", i)
+        messages[i] = (0, int(rng.integers(bin_count_for_rate(n, code.rates[i]))))
+    return AmbiguityOutcome(True, messages, inter.indices, cand_syms, fake_outer)
 
 
 class FixedRateAmbiguity(TraitorStrategy):

@@ -241,3 +241,13 @@ def fixed_rate_encode(seed: int, sensor_id: int, x, rate: float, c: int = 0) -> 
     x = np.asarray(x)
     bins = bin_count_for_rate(x.size, rate)
     return int(hash_bins(seed, fixed_rate_header(sensor_id, c), x[None], bins)[0])
+
+
+def bin_members(seed: int, sensor_id: int, b: int, alphabet: int, n: int,
+                rate: float, c: int = 0) -> np.ndarray:
+    """Indices, into ``all_sequences(alphabet, n)``, of the sequences in bin
+    b of the one-shot fixed-rate encoder of (seed, sensor, c): one kernel
+    call over the whole sequence space."""
+    bins = hash_bins(seed, fixed_rate_header(sensor_id, c),
+                     all_sequences(alphabet, n), bin_count_for_rate(n, rate))
+    return np.nonzero(bins == b)[0]

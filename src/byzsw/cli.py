@@ -33,6 +33,7 @@ from .scenario import (
     run_trial,
     scenario_from_dict,
     scenario_to_dict,
+    trial_row,
 )
 
 # trial command -> (output stem, CSV columns)
@@ -105,11 +106,13 @@ def _trial_mode(command: str, scn: Scenario) -> str:
 
 
 def _run_trials(scn: Scenario, mode: str, workers: int) -> list[dict]:
-    """Rows of every trial in trial order (``map`` keeps its input order)."""
-    doc_json = canonical_dumps(scenario_to_dict(scn))
+    """Rows of every trial in trial order (``map`` keeps its input order).
+    In-process trials share ``scn``, so a region it has solved is not solved
+    again; each worker process rebuilds the scenario once."""
     trials = range(scn.trials)
     if workers <= 1:
-        return [run_trial(doc_json, t, mode) for t in trials]
+        return [trial_row(scn, t, mode) for t in trials]
+    doc_json = canonical_dumps(scenario_to_dict(scn))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run_trial, [doc_json] * scn.trials, trials,
                              [mode] * scn.trials))

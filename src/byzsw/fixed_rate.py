@@ -22,10 +22,8 @@ from .adversary import AmbiguityOutcome, FixedRateAmbiguity, TraitorContext, Tra
 from .binning import (
     EnumerationGuardError,
     all_sequences,
-    bin_count_for_rate,
+    bin_members,
     fixed_rate_encode,
-    fixed_rate_header,
-    hash_bins,
 )
 from .prob_core import JointPMF, SubsetView, eta_ball_contains, marginal, type_of
 from .rate_region import HonestCollection
@@ -108,23 +106,13 @@ def encode_all(code: FixedRateCode, block: SourceBlock,
     return messages
 
 
-def _bin_matches(code: FixedRateCode, sensor: int, alphabet: int,
-                 message: tuple[int, int]) -> np.ndarray:
-    """Indices (into the lexicographic enumeration) of all sequences that land
-    in the received bin."""
-    c, idx = message
-    bins = bin_count_for_rate(code.n, code.rates[sensor])
-    seq_bins = hash_bins(code.seed, fixed_rate_header(sensor, c),
-                         all_sequences(alphabet, code.n), bins)
-    return np.nonzero(seq_bins == idx)[0]
-
-
 def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
                p: JointPMF, H: HonestCollection, *,
                plurality: bool = False) -> EstimateTable:
     """Per-candidate-set typical-search decoding plus final reconciliation."""
     sizes = p.alphabet_sizes
-    match_lists = {i: _bin_matches(code, i, sizes[i], messages[i])
+    match_lists = {i: bin_members(code.seed, i, messages[i][1], sizes[i], code.n,
+                                  code.rates[i], messages[i][0])
                    for i in range(code.m)}
     seq_tables = {i: all_sequences(sizes[i], code.n) for i in range(code.m)}
 

@@ -800,9 +800,8 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
     if H_true not in H:
         raise ValueError(f"true honest set {H_true} not in the collection")
     if R.perfect:
-        report = r_star_perfect(p, H)
-        value = report.per_pair[H_true]
-        return GeneralRateResult(value, 0.0, report.maximizer_V, value, value, (), ())
+        value, V, _q = r_star_perfect(p, H).per_pair_detail[H_true]
+        return GeneralRateResult(value, 0.0, V, value, value, (), ())
     if r is None:
         raise ValueError("imperfect information requires the true channel r")
 

@@ -547,13 +547,18 @@ TRIAL_MODES = {
 
 
 def run_trial(doc_json: str, trial: int, mode: str) -> dict:
+    """``trial_row`` on the scenario a canonical JSON document describes,
+    built once per process: the picklable entry point of worker processes."""
+    return trial_row(_scenario_from_json(doc_json), trial, mode)
+
+
+def trial_row(scn: Scenario, trial: int, mode: str) -> dict:
     """One Monte Carlo trial of ``mode`` (a key of ``TRIAL_MODES``) as a row.
 
     A trial that raises becomes a row with the message in ``error`` and the
-    exception class in ``error_type``; ``wall_time_s`` times the trial from
-    its scenario lookup on."""
+    exception class in ``error_type``; ``wall_time_s`` times the trial
+    itself, without the scenario's construction."""
     trial_fields = TRIAL_MODES[mode]
-    scn = _scenario_from_json(doc_json)
     t0 = time.perf_counter()
     session_seed = derive_seed(scn.seed, "trial", trial)
     row: dict[str, Any] = {"schema_version": SCHEMA_VERSION, "mode": mode, "trial": trial}

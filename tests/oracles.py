@@ -8,7 +8,8 @@ at a time, conditional type entropies by explicit type counts, the phase
 search by the lazy candidate-by-candidate loop, the irredundant
 sub-collections by a scan over every subset mask, linear programs by
 scipy's HiGHS solver, the simulation constraints and simulated laws by
-per-cell loops, and the region report by running IPF on every family.
+per-cell loops, the region report by running IPF on every family, and the
+ambiguity attack by enumerating both joint sequence spaces.
 """
 from __future__ import annotations
 
@@ -19,7 +20,15 @@ from hashlib import blake2b
 
 import numpy as np
 
-from byzsw.binning import all_sequences
+from byzsw.adversary import AmbiguityOutcome, TraitorContext
+from byzsw.binning import (
+    EnumerationGuardError,
+    all_sequences,
+    bin_count_for_rate,
+    fixed_rate_encode,
+    fixed_rate_header,
+    hash_bins,
+)
 from byzsw.prob_core import JointPMF, SubsetView, marginal, union_of
 from byzsw.rate_region import (
     HonestCollection,
@@ -28,6 +37,7 @@ from byzsw.rate_region import (
     _lex_key,
     max_entropy_with_marginals,
 )
+from byzsw.source_model import SourceBlock, rng_for
 
 
 def brute_entropy(table) -> float:
@@ -342,3 +352,113 @@ def reference_r_star_perfect(p: JointPMF, H: HonestCollection, *,
         per_pair_detail[h_true] = (v, V, res.q)
         all_conv = all_conv and res.converged
     return RegionReport(value, per_pair, maxV, maxres.q, per_pair_detail, all_conv)
+
+
+def _joint_flat_space(sizes: tuple[int, ...], n: int) -> np.ndarray:
+    """All joint sequences over a coordinate set, as (count, n) per-slot flat
+    joint symbols in lexicographic order."""
+    cells = int(np.prod(sizes))
+    if n * math.log2(cells) > 22 + 1e-9:
+        raise EnumerationGuardError(
+            f"joint space {cells}^{n} exceeds the per-stage 2^22 guard")
+    return all_sequences(cells, n)
+
+
+def _ball_distances(flat_seqs: np.ndarray, cells: int, p_flat: np.ndarray) -> np.ndarray:
+    """max_cell |type - p| for every sequence of per-slot flat symbols."""
+    k, n = flat_seqs.shape
+    flat = (np.arange(k)[:, None] * cells + flat_seqs.astype(np.int64)).reshape(-1)
+    counts = np.bincount(flat, minlength=k * cells).reshape(k, cells)
+    return np.max(np.abs(counts / n - p_flat[None, :]), axis=1)
+
+
+def reference_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
+                               honest_true: SubsetView, code, p: JointPMF,
+                               true_block: SourceBlock, *,
+                               max_attempts: int = 64) -> AmbiguityOutcome:
+    """Search for a confusable substitute for X_{S1 n H}: same bins as the
+    truth, strongly typical, different from the truth, and admitting a
+    companion for S1 - H jointly typical with it. Candidates are tried most
+    typical first (up to ``max_attempts``). Returns not-found when the search
+    fails, which is the likely outcome whenever the rates lie inside
+    SW(X_{S1 n H}).
+
+    Kept verbatim from before the attack stopped enumerating: it scores
+    every joint sequence of the intersection and, per candidate, every
+    companion sequence. The counting construction must give this outcome
+    field for field.
+    """
+    if code.kind != "deterministic":
+        raise ValueError("the ambiguity attack applies to deterministic coding")
+    inter = S1.intersection(honest_true)
+    outer = S1.difference(honest_true)
+    if len(inter) == 0 or len(outer) == 0:
+        raise ValueError("need a candidate set straddling the honest set")
+    if not outer.is_subset_of(ctx.traitors):
+        raise ValueError("attack coordinates must be traitors")
+    n = code.n
+    sizes_inter = tuple(p.alphabet_sizes[i] for i in inter)
+    cells_inter = int(np.prod(sizes_inter))
+    truth_inter = true_block.subset(inter.indices)
+    p_inter = marginal(p, inter)
+    tol_inter = code.eps_decode / cells_inter
+
+    cands = _joint_flat_space(sizes_inter, n)
+    dist = _ball_distances(cands, cells_inter, p_inter.mass.reshape(-1))
+    keep = np.nonzero(dist <= tol_inter + 1e-12)[0]
+    keep = keep[np.argsort(dist[keep], kind="stable")]
+
+    # companion space, shared across attempts
+    sizes_outer = tuple(p.alphabet_sizes[i] for i in outer)
+    cells_outer = int(np.prod(sizes_outer))
+    comp = _joint_flat_space(sizes_outer, n)
+    p_s1 = marginal(p, S1)
+    cells_s1 = int(np.prod(p_s1.alphabet_sizes))
+    tol_s1 = code.eps_decode / cells_s1
+    # per-slot stride map from (inter coords, outer coords) to sorted-S1 cells
+    strides = {}
+    acc = 1
+    for i in reversed(S1.indices):
+        strides[i] = acc
+        acc *= p.alphabet_sizes[i]
+    inter_mult = np.array([strides[i] for i in inter])
+    outer_mult = np.array([strides[i] for i in outer])
+
+    comp_syms_all = np.stack(np.unravel_index(
+        comp.reshape(-1).astype(np.int64),
+        sizes_outer)).reshape(len(sizes_outer), comp.shape[0], n)
+    # bin prefilter over every kept candidate at once, one kernel call per
+    # intersection sensor; per-sensor symbols stay uint8 so the temporaries
+    # stay small next to the 2^n-row candidate tables
+    flat = cands[keep]
+    truth_flat = np.ravel_multi_index(tuple(truth_inter), sizes_inter)
+    match = np.any(flat != truth_flat[None, :], axis=1)
+    stride = cells_inter
+    for size, i in zip(sizes_inter, inter):
+        stride //= size
+        syms = flat // stride % size
+        truth_bin = fixed_rate_encode(code.seed, i, true_block.sensor(i), code.rates[i], 0)
+        match &= hash_bins(code.seed, fixed_rate_header(i, 0), syms,
+                           bin_count_for_rate(n, code.rates[i])) == truth_bin
+
+    for k in keep[match][:max_attempts]:
+        cand_syms = np.stack(np.unravel_index(cands[k].astype(np.int64),
+                                              sizes_inter))
+        base = (cand_syms * inter_mult[:, None]).sum(axis=0)      # (n,)
+        joint_codes = base[None, :] + np.tensordot(outer_mult,
+                                                   comp_syms_all, axes=(0, 0))
+        dist_s1 = _ball_distances(joint_codes, cells_s1, p_s1.mass.reshape(-1))
+        hits = np.nonzero(dist_s1 <= tol_s1 + 1e-12)[0]
+        if hits.size == 0:
+            continue
+        fake_outer = comp_syms_all[:, hits[0], :]
+        messages = {}
+        for row, i in enumerate(outer):
+            messages[i] = (0, fixed_rate_encode(code.seed, i, fake_outer[row],
+                                                code.rates[i], 0))
+        for i in ctx.traitors.difference(outer):
+            rng = rng_for(ctx.seed, "ambiguity-garbage", i)
+            messages[i] = (0, int(rng.integers(bin_count_for_rate(n, code.rates[i]))))
+        return AmbiguityOutcome(True, messages, inter.indices, cand_syms,
+                                fake_outer)
+    return AmbiguityOutcome(False, None, inter.indices, None, None)

@@ -14,7 +14,7 @@ from byzsw.adversary import (
     make_strategy,
     optimal_fake_conditional,
 )
-from byzsw.binning import BinningCodebook
+from byzsw.binning import BinningCodebook, EnumerationGuardError
 from byzsw.fixed_rate import FixedRateCode
 from byzsw.prob_core import (
     ConditionalPMF,
@@ -32,6 +32,7 @@ from byzsw.source_model import (
     sample_side_info,
 )
 from byzsw.variable_rate import ProtocolParams, run_session
+from oracles import reference_ambiguity_attack
 
 
 def three_sensor_law() -> JointPMF:
@@ -301,6 +302,84 @@ class TestAmbiguityAttack:
         with pytest.raises(ValueError):
             fixed_rate_ambiguity_attack(ctx, SubsetView.of(0, 1), honest, code,
                                         p, block)
+
+
+# (alphabet sizes, true honest set, S1, n): every joint space at most 2^14
+ORACLE_CONFIGS = [
+    ((2, 2, 2), (1, 2), (0, 1), 14),            # 3 sensors, S1 = {0,1}
+    ((2, 2, 2, 2), (1, 2, 3), (0, 1, 2), 7),    # two intersection sensors
+    ((2, 2, 2, 2), (2, 3), (0, 1, 2), 7),       # two outer sensors
+    ((3, 3, 3), (1, 2), (0, 1), 8),             # ternary
+    ((2, 3, 2), (1, 2), (0, 1), 8),             # ternary intersection
+    ((3, 2, 3), (1, 2), (0, 1), 8),             # ternary companion
+    ((2, 2, 2, 2), (2, 3), (0, 2), 12),         # a traitor outside S1
+]
+
+
+def oracle_instance(k):
+    """Seeded attack instance k: a Dirichlet law, rates for the intersection
+    sensors from 0 (one bin) up, and a typicality width and attempt budget
+    that leave a share of instances without a candidate or a companion."""
+    rng = np.random.default_rng([10, k])
+    sizes, honest, S1, n = ORACLE_CONFIGS[k % len(ORACLE_CONFIGS)]
+    p = JointPMF(sizes, rng.dirichlet(np.full(int(np.prod(sizes)), 0.6)).reshape(sizes))
+    honest, S1 = SubsetView(honest), SubsetView(S1)
+    inter = S1.intersection(honest)
+    rates = tuple((0.0 if k % 5 == 0 else float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])))
+                  if i in inter else float(rng.uniform(0.5, 1.5))
+                  for i in range(len(sizes)))
+    code = FixedRateCode(rates=rates, n=n, kind="deterministic", C=1,
+                         seed=derive_seed(k, "code"),
+                         eps_decode=float(rng.choice([0.3, 0.6, 1.0, 1.4])))
+    block = sample_block(p, n, derive_seed(k, "block"))
+    traitors = honest.complement(len(sizes))
+    ctx = TraitorContext(traitors=traitors, seed=derive_seed(k, "traitor"),
+                         own_block=SourceBlock(n, block.subset(traitors.indices)))
+    return (ctx, S1, honest, code, p, block), int(rng.choice([1, 4, 64, 64]))
+
+
+class TestAmbiguityOracle:
+    """The counting construction against the enumerating search it replaced."""
+
+    def test_matches_enumeration(self):
+        tally = {}
+        for k in range(168):
+            args, attempts = oracle_instance(k)
+            got = fixed_rate_ambiguity_attack(*args, max_attempts=attempts)
+            want = reference_ambiguity_attack(*args, max_attempts=attempts)
+            assert got.found == want.found, k
+            assert got.messages == want.messages, k
+            assert got.confused_sensors == want.confused_sensors, k
+            for name in ("fake_intersection", "fake_companion"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert (a is None) == (b is None), (k, name)
+                if a is not None:
+                    assert a.dtype == b.dtype and np.array_equal(a, b), (k, name)
+            key = (k % len(ORACLE_CONFIGS), got.found)
+            tally[key] = tally.get(key, 0) + 1
+        # every configuration has both outcomes
+        assert len(tally) == 2 * len(ORACLE_CONFIGS)
+
+    @pytest.mark.parametrize("sizes,honest,S1,n", [
+        ((2, 2, 2), (1, 2), (0, 1), 23),           # intersection 2^23
+        ((3, 3, 3), (1, 2), (0, 1), 14),           # intersection 3^14
+        ((2, 2, 2, 2), (2, 3), (0, 1, 2), 12),     # companions 4^12
+    ])
+    def test_same_guard_refusal(self, sizes, honest, S1, n):
+        p = JointPMF(sizes, np.full(sizes, 1.0 / np.prod(sizes)))
+        honest, S1 = SubsetView(honest), SubsetView(S1)
+        code = FixedRateCode(rates=(0.5,) * len(sizes), n=n, kind="deterministic",
+                             C=1, seed=1)
+        block = sample_block(p, n, 3)
+        traitors = honest.complement(len(sizes))
+        ctx = TraitorContext(traitors=traitors, seed=2,
+                             own_block=SourceBlock(n, block.subset(traitors.indices)))
+        with pytest.raises(EnumerationGuardError) as got:
+            fixed_rate_ambiguity_attack(ctx, S1, honest, code, p, block)
+        with pytest.raises(EnumerationGuardError) as want:
+            reference_ambiguity_attack(ctx, S1, honest, code, p, block)
+        assert str(got.value) == str(want.value)
+        assert "per-stage 2^22 guard" in str(got.value)
 
 
 class TestStrategyFactory:

@@ -542,6 +542,19 @@ class TestRStarGeneral:
         assert res.value == pytest.approx(rep.per_pair[h_true], abs=1e-9)
         assert res.residual == 0.0
 
+    def test_perfect_info_maximizer_is_the_true_sets_family(self):
+        # the overall maximizer {0,2},{1,2} omits H_true = {0,1}; the value
+        # returned is that of {0,1},{1,2}, and the family must come with it
+        p = random_pmf(np.random.default_rng(3), (2, 2, 2))
+        H = HonestCollection.threshold(3, 1)
+        h_true = SubsetView.of(0, 1)
+        rep = r_star_perfect(p, H)
+        assert h_true not in rep.maximizer_V
+        res = r_star_general(p, H, InfoModel.perfect_info((2, 2, 2)), h_true, None)
+        value, V, _q = rep.per_pair_detail[h_true]
+        assert res.maximizer_V == V == (SubsetView.of(0, 1), SubsetView.of(1, 2))
+        assert res.value == res.lower == res.upper == value
+
     def test_constant_w_two_sensor_oracle(self):
         # W carries nothing: each candidate singleton pins its own marginal
         # and leaves the other coordinate free; the max-entropy coupling is

@@ -282,6 +282,23 @@ class TestCli:
         assert lines[0].startswith("error: ") and lines[0].endswith("guard is 4096")
         assert not out_dir.exists()
 
+    def test_in_process_trials_solve_the_region_once(self, capsys, monkeypatch):
+        # the up-front refusal check, every trial's optimal qbar and budget
+        # all read the one Scenario's region
+        calls = []
+        solve = byzsw.scenario.r_star_perfect
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return solve(*args, **kwargs)
+
+        monkeypatch.setattr(byzsw.scenario, "r_star_perfect", counted)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")       # the subcodebook cap
+            assert main(["attack-demo", "--preset", "three_sensor", "--trials", "3"]) == 0
+        assert "trials: 3" in capsys.readouterr().out
+        assert len(calls) == 1
+
     def test_trials_and_seed_overrides(self, tmp_path):
         scn = self._write_tiny(tmp_path)
         with warnings.catch_warnings():
