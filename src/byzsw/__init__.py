@@ -29,7 +29,6 @@ from .source_model import (
     sample_side_info,
 )
 from .binning import (
-    BinIndexChain,
     BinningCodebook,
     EnumerationGuardError,
     fixed_rate_encode,

@@ -23,8 +23,10 @@ bit for bit.
 
 A variable-rate codebook for sensor i consists of C subcodebooks, each a chain
 of J_i block encoders: the first block carries n*(eps+nu) bits, later blocks
-n*eps bits each. Composite encodings are prefixes of one another by
-construction. The same kernel realizes one-shot fixed-rate encoders.
+n*eps bits each. The indices a sender has sent after block j are the first
+j+1 entries of its chain, so they are prefixes of one another by
+construction; a decoder keeps the candidates whose ``encode_blocks`` rows
+match them. The same kernel realizes one-shot fixed-rate encoders.
 """
 from __future__ import annotations
 
@@ -131,21 +133,6 @@ def bin_count_for_rate(n: int, rate: float) -> int:
 
 
 @dataclass(frozen=True)
-class BinIndexChain:
-    """Composite bin index: the chosen subcodebook and one index per block."""
-
-    c: int
-    indices: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", tuple(int(i) for i in self.indices))
-
-    @property
-    def blocks(self) -> int:
-        return len(self.indices)
-
-
-@dataclass(frozen=True)
 class BinningCodebook:
     """Incremental-rate subcodebook family for one sensor.
 
@@ -213,22 +200,6 @@ class BinningCodebook:
         """Bin indices of sequence x in every block 0..J-1 of subcodebook c,
         from one kernel call."""
         return self.encode_blocks(np.asarray(x)[None], c, range(self.J))[:, 0]
-
-    def composite_encode(self, x, c: int, j: int) -> BinIndexChain:
-        """Chain of block indices for blocks 0..j (inclusive)."""
-        self._check_block(j, c)
-        return BinIndexChain(c, tuple(self.encode_chain(x, c)[:j + 1]))
-
-    def search_bin(self, chain: BinIndexChain, candidates) -> list[np.ndarray]:
-        """All candidate sequences whose composite encoding equals ``chain``,
-        in lexicographic order. Candidate set must be desk-scale."""
-        rows = [np.asarray(cand) for cand in candidates]
-        if not rows:
-            return []
-        cands = np.stack(rows)
-        cands = cands[np.lexsort(cands.T[::-1])]
-        bins = self.encode_blocks(cands, chain.c, range(chain.blocks))
-        return list(cands[(bins == np.array(chain.indices)[:, None]).all(axis=0)])
 
 
 def fixed_rate_header(sensor_id: int, c: int) -> bytes:

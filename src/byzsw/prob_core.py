@@ -11,11 +11,14 @@ Conventions:
 * probabilities are 64-bit floats; tables must sum to 1 within 1e-12,
 * all types are immutable after construction and safe to share across
   concurrent workers; every operation is a pure function. A JointPMF
-  memoizes its marginal entropies (``entropy``); the memo only ever gains
-  the value a fresh computation would give, so sharing stays safe.
+  memoizes its subset entropies in one list indexed by the subset's bitmask
+  (``subset_entropy``); the memo only ever gains the value a fresh
+  computation would give, so sharing stays safe.
 """
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
@@ -57,6 +60,11 @@ class SubsetView:
 
     def __contains__(self, i: int) -> bool:
         return i in self.indices
+
+    @functools.cached_property
+    def mask(self) -> int:
+        """The set as a bitmask: bit i is sensor i."""
+        return sum(1 << i for i in self.indices)
 
     def union(self, other: "SubsetView") -> "SubsetView":
         return SubsetView.of(*self.indices, *other.indices)
@@ -105,9 +113,9 @@ class JointPMF:
             raise ValueError(f"mass sums to {total!r}, not 1")
         object.__setattr__(self, "alphabet_sizes", sizes)
         object.__setattr__(self, "mass", _frozen(arr))
-        # H(X_s) by s.indices, filled lazily by entropy(); not a field, so it
-        # takes no part in equality or repr
-        object.__setattr__(self, "_entropies", {})
+        # H(X_A) by the bitmask of A, allocated and filled lazily by
+        # subset_entropy(); not a field, so it takes no part in equality or repr
+        object.__setattr__(self, "_entropies", [])
 
     @classmethod
     def from_table(cls, table, alphabet_sizes=None) -> "JointPMF":
@@ -214,37 +222,53 @@ def marginal(pmf: JointPMF, s: SubsetView) -> JointPMF:
     if len(s) == 0:
         raise ValueError("marginal over the empty subset is undefined")
     _validate_subset(pmf, s)
-    drop = tuple(i for i in range(pmf.m) if i not in s)
+    return JointPMF(tuple(pmf.alphabet_sizes[i] for i in s), marginal_table(pmf, s.mask))
+
+
+def marginal_table(pmf: JointPMF, mask: int) -> np.ndarray:
+    """The array ``marginal`` wraps, for a nonempty bitmask and with no
+    checks: p(x_A) summed over the other axes and renormalized to sum 1."""
+    drop = tuple(i for i in range(pmf.m) if not mask >> i & 1)
     table = pmf.mass.sum(axis=drop) if drop else np.array(pmf.mass)
-    table = table / table.sum()
-    return JointPMF(tuple(pmf.alphabet_sizes[i] for i in s), table)
+    return table / table.sum()
+
+
+def subset_entropy(pmf: JointPMF, mask: int) -> float:
+    """H(X_A) in bits, A given as a bitmask (bit i is sensor i, 0 <= mask <
+    2^m); the empty set has entropy 0.0.
+
+    Every subset entropy of a law is read from one list indexed by the mask,
+    each entry computed once on first read: the full set from the table
+    itself, any other set from its renormalized marginal
+    (``marginal_table``). So an entry is bit for bit the value a fresh
+    computation gives."""
+    memo = pmf._entropies
+    if not memo:
+        memo = [None] * (1 << pmf.m)
+        memo[0] = 0.0
+        object.__setattr__(pmf, "_entropies", memo)
+    h = memo[mask]
+    if h is None:
+        full = mask == len(memo) - 1
+        h = memo[mask] = entropy_of_table(pmf.mass if full else marginal_table(pmf, mask))
+    return h
 
 
 def entropy(pmf: JointPMF, s: SubsetView | None = None) -> float:
-    """H(X_s) in bits; s=None means the full joint entropy.
-
-    Memoized per law on ``s.indices``: every marginal entropy of a law is
-    computed once, with the same arithmetic each time, so a cached value is
-    bit for bit the one a fresh computation gives."""
-    full = tuple(range(pmf.m))
-    key = full if s is None else s.indices
-    h = pmf._entropies.get(key)
-    if h is None:
-        if key == full:
-            h = entropy_of_table(pmf.mass)
-        else:
-            h = entropy_of_table(marginal(pmf, s).mass)
-        pmf._entropies[key] = h
-    return h
+    """H(X_s) in bits; s=None means the full joint entropy (``subset_entropy``)."""
+    if s is None:
+        return subset_entropy(pmf, (1 << pmf.m) - 1)
+    _validate_subset(pmf, s)
+    return subset_entropy(pmf, s.mask)
 
 
 def conditional_entropy(pmf: JointPMF, target: SubsetView, given: SubsetView) -> float:
     """H(X_target | X_given) = H(target u given) - H(given), in bits."""
     if any(i in given for i in target):
         raise ValueError(f"target {target} and given {given} must be disjoint")
-    if len(given) == 0:
-        return entropy(pmf, target)
-    return entropy(pmf, target.union(given)) - entropy(pmf, given)
+    _validate_subset(pmf, target)
+    _validate_subset(pmf, given)
+    return subset_entropy(pmf, target.mask | given.mask) - subset_entropy(pmf, given.mask)
 
 
 def conditional_mutual_information(pmf: JointPMF, *parts: SubsetView,
@@ -259,8 +283,18 @@ def conditional_mutual_information(pmf: JointPMF, *parts: SubsetView,
         if seen.intersection(p.indices):
             raise ValueError("subsets must be pairwise disjoint")
         seen.update(p.indices)
-    total = sum(conditional_entropy(pmf, p, given) for p in parts)
-    return total - conditional_entropy(pmf, union_of(parts), given)
+    if any(i >= pmf.m for i in seen):
+        raise ValueError(f"subsets out of range for m={pmf.m}")
+    return mutual_information_of_masks(pmf, [p.mask for p in parts], given.mask)
+
+
+def mutual_information_of_masks(pmf: JointPMF, parts: Sequence[int], given: int = 0) -> float:
+    """``conditional_mutual_information`` on disjoint bitmasks: the sum of
+    H(X_a | X_given) over the parts minus H(X_union | X_given)."""
+    h_given = subset_entropy(pmf, given)
+    total = sum(subset_entropy(pmf, a | given) - h_given for a in parts)
+    return total - (subset_entropy(pmf, functools.reduce(operator.or_, parts) | given)
+                    - h_given)
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Four groups of operations live here:
 
 * the max-entropy value with prescribed marginals, behind the variable-rate
   minimum sum rate under perfect traitor information: a junction-tree
-  closed form over memoized marginal entropies for alpha-acyclic families,
-  iterative proportional fitting (IPF) for cyclic families and for each
-  search's winner, whose law q the traitors need; plus the analytic closed
-  forms for 1, 2, and m-1 tolerated traitors;
+  closed form for alpha-acyclic families, iterative proportional fitting
+  (IPF) for cyclic families and for each search's winner, whose law q the
+  traitors need; plus the analytic closed forms for 1, 2, and m-1 tolerated
+  traitors;
 * one small linear-programming kernel, a dense two-phase simplex in numpy
   (``LinearProgram``), behind everything that asks which joint laws the
   traitors can simulate;
@@ -20,8 +20,13 @@ Four groups of operations live here:
   constraints, plus the extra deterministic-coding constraint for pairs of
   candidates whose intersection the traitors can know exactly).
 
-Everything is pure computation on in-memory tables; desk-scale guards refuse
-instances that would require exponential work beyond ~2^20 cells.
+Sensor sets are int bitmasks wherever enumeration is hot (bit i is sensor
+i), and every subset entropy is read from the law's one table indexed by
+mask (``prob_core.subset_entropy``): the closed forms, the family scores and
+the Slepian-Wolf facets H(X_S' | X_{S - S'}) = H[S] - H[S - S'] build no
+subset object in their loops. Everything is pure computation on in-memory
+tables; desk-scale guards refuse instances that would require exponential
+work beyond ~2^20 cells.
 """
 from __future__ import annotations
 
@@ -41,13 +46,13 @@ from .prob_core import (
     JointPMF,
     SubsetView,
     channel_conditional_entropy,
-    conditional_entropy,
-    conditional_mutual_information,
-    entropy,
     entropy_of_table,
     identity_channel,
     marginal,
+    marginal_table,
     marginalize_info_channel,
+    mutual_information_of_masks,
+    subset_entropy,
     union_of,
 )
 
@@ -180,7 +185,7 @@ def max_entropy_with_marginals(p: JointPMF, V: Sequence[SubsetView], *,
 
     constraints = []
     for S in V:
-        target = marginal(p, S).mass
+        target = marginal_table(p, S.mask)
         axes_keep = tuple(pos_in_u[i] for i in S)
         axes_drop = tuple(k for k in range(len(U.indices)) if k not in axes_keep)
         shape = tuple(sizes_u[k] if k in axes_keep else 1 for k in range(len(U.indices)))
@@ -249,11 +254,15 @@ def _candidate_collections(candidates: Sequence[SubsetView],
     joins only if it brings a new sensor, and a branch is cut as soon as an
     unpinned member loses its last private sensor: private sensors only
     shrink as sets join, so no family below the cut qualifies. Returns
-    (V, union) pairs sorted by (-|union|, _lex_key(V)); raises
+    (V, union) pairs sorted by (-|union|, _lex_key(V)), the second key read
+    as the members' sorted ranks in index-tuple order; raises
     EnumerationGuardError past FAMILY_GUARD families.
     """
-    masks = [sum(1 << i for i in s.indices) for s in candidates]
+    masks = [s.mask for s in candidates]
     n = len(candidates)
+    rank = [0] * n
+    for r, k in enumerate(sorted(range(n), key=lambda k: candidates[k].indices)):
+        rank[k] = r
     pin = None
     if must_contain is not None:
         pin = next((k for k, s in enumerate(candidates)
@@ -263,7 +272,7 @@ def _candidate_collections(candidates: Sequence[SubsetView],
     families = []
 
     def walk(members, start, once, more):
-        families.append(members)
+        families.append((members, once | more))
         if len(families) > FAMILY_GUARD:
             raise EnumerationGuardError(
                 f"more than {FAMILY_GUARD} irredundant sub-collections of "
@@ -282,20 +291,16 @@ def _candidate_collections(candidates: Sequence[SubsetView],
             walk((k,), k + 1, masks[k], 0)
     else:
         walk((pin,), 0, masks[pin], 0)
-    out = []
-    for members in families:
-        out.append((tuple(candidates[k] for k in sorted(members)),
-                    functools.reduce(operator.or_, (masks[k] for k in members))))
-    out.sort(key=lambda vu: (-vu[1].bit_count(), _lex_key(vu[0])))
-    return out
+    families.sort(key=lambda mu: (-mu[1].bit_count(), sorted(map(rank.__getitem__, mu[0]))))
+    return [(tuple(map(candidates.__getitem__, sorted(members))), union)
+            for members, union in families]
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:
     return tuple(i for i in range(mask.bit_length()) if mask >> i & 1)
 
 
-def _acyclic_entropy(p: JointPMF, V: Sequence[SubsetView],
-                     separators: dict | None = None) -> float | None:
+def _acyclic_entropy(p: JointPMF, V: Sequence[SubsetView]) -> float | None:
     """Max-entropy value H(X_U) with the marginals of every set in V pinned
     to p, in closed form when V is alpha-acyclic; None when it is cyclic.
 
@@ -305,30 +310,22 @@ def _acyclic_entropy(p: JointPMF, V: Sequence[SubsetView],
     cyclic one. Read backwards, the removals are a running-intersection
     order, so the max-entropy law is the junction-tree product and
     H = sum H(X_E) - sum H(X_{E n rest}) over the removed ears E (Darroch,
-    Lauritzen & Speed 1980). Entropies come from the law's memo; a caller
-    scoring many families of one law may pass ``separators``, a dict that
-    keeps the separators' entropies by bitmask across calls.
+    Lauritzen & Speed 1980). Edges and separators are bitmasks, and every
+    entropy is read from the law's table (``subset_entropy``).
     """
-    if separators is None:
-        separators = {}
-    edges = [(sum(1 << i for i in s.indices), s) for s in V]
+    edges = [s.mask for s in V]
     value = 0.0
     while len(edges) > 1:
-        for k, (e, s) in enumerate(edges):
-            rest = [f for j, (f, _) in enumerate(edges) if j != k]
+        for k, e in enumerate(edges):
+            rest = edges[:k] + edges[k + 1:]
             shared = e & functools.reduce(operator.or_, rest)
             if any(shared & ~f == 0 for f in rest):
-                value += entropy(p, s)
-                if shared:
-                    h = separators.get(shared)
-                    if h is None:
-                        h = separators[shared] = entropy(p, SubsetView(_mask_indices(shared)))
-                    value -= h
+                value = value + subset_entropy(p, e) - subset_entropy(p, shared)
                 del edges[k]
                 break
         else:
             return None
-    return value + entropy(p, edges[0][1])
+    return value + subset_entropy(p, edges[0])
 
 
 def r_star_perfect(p: JointPMF, H: HonestCollection, *,
@@ -338,7 +335,8 @@ def r_star_perfect(p: JointPMF, H: HonestCollection, *,
     with the marginals of every set in V pinned to p.
 
     Each family is scored in closed form when it is alpha-acyclic
-    (``_acyclic_entropy``) and by IPF when it is cyclic. The winner of each
+    (``_acyclic_entropy``) and by IPF when it is cyclic, once per law: a
+    family met again in a later search reads its score. The winner of each
     search, overall and per true honest set, is then solved by IPF for its
     law q and convergence flag, and its IPF value is the one reported. On an
     acyclic family the closed form and IPF agree to a few ulps, far inside
@@ -348,20 +346,22 @@ def r_star_perfect(p: JointPMF, H: HonestCollection, *,
     by IPF."""
     cands = list(H.candidates)
     memo: dict = {}
-    separators: dict = {}
+    scores: dict = {}
 
     def solve(V):
-        key = _lex_key(V)
-        if key not in memo:
-            memo[key] = max_entropy_with_marginals(p, V, tol=tol, max_sweeps=max_sweeps)
-        return memo[key]
+        if V not in memo:
+            memo[V] = max_entropy_with_marginals(p, V, tol=tol, max_sweeps=max_sweeps)
+        return memo[V]
 
     def best_over(must_contain):
         best = None
         for V, _u in _candidate_collections(cands, must_contain):
-            value = _acyclic_entropy(p, V, separators)
+            value = scores.get(V)
             if value is None:
-                value = solve(V).value
+                value = _acyclic_entropy(p, V)
+                if value is None:
+                    value = solve(V).value
+                scores[V] = value
             if best is None or value > best[0] + 1e-12:
                 best = (value, V)
         res = solve(best[1])
@@ -382,18 +382,17 @@ def r_star_perfect(p: JointPMF, H: HonestCollection, *,
 def closed_form_t(p: JointPMF, t: int) -> float:
     """Analytic minimum sum rate for threshold collections with t in
     {1, 2, m-1}: joint entropy plus the worst conditional (multi-)information
-    penalty."""
+    penalty. Sets are bitmasks read from the law's entropy table."""
     m = p.m
-    full = SubsetView(tuple(range(m)))
+    full = (1 << m) - 1
     if t == m - 1:
-        return sum(entropy(p, SubsetView.of(i)) for i in range(m))
-    h_all = entropy(p, full)
+        return sum(subset_entropy(p, 1 << i) for i in range(m))
+    h_all = subset_entropy(p, full)
     if t == 1:
         best = 0.0
         for i, j in itertools.combinations(range(m), 2):
-            rest = SubsetView(tuple(k for k in range(m) if k not in (i, j)))
-            best = max(best, conditional_mutual_information(
-                p, SubsetView.of(i), SubsetView.of(j), given=rest))
+            parts = (1 << i, 1 << j)
+            best = max(best, mutual_information_of_masks(p, parts, full & ~sum(parts)))
         return h_all + best
     if t == 2:
         best = 0.0
@@ -401,13 +400,11 @@ def closed_form_t(p: JointPMF, t: int) -> float:
             for c, d in itertools.combinations(range(m), 2):
                 if {a, b} & {c, d} or (c, d) <= (a, b):
                     continue
-                rest = SubsetView(tuple(k for k in range(m) if k not in (a, b, c, d)))
-                best = max(best, conditional_mutual_information(
-                    p, SubsetView.of(a, b), SubsetView.of(c, d), given=rest))
+                parts = ((1 << a) | (1 << b), (1 << c) | (1 << d))
+                best = max(best, mutual_information_of_masks(p, parts, full & ~sum(parts)))
         for i, j, k in itertools.combinations(range(m), 3):
-            rest = SubsetView(tuple(x for x in range(m) if x not in (i, j, k)))
-            best = max(best, conditional_mutual_information(
-                p, SubsetView.of(i), SubsetView.of(j), SubsetView.of(k), given=rest))
+            parts = (1 << i, 1 << j, 1 << k)
+            best = max(best, mutual_information_of_masks(p, parts, full & ~sum(parts)))
         return h_all + best
     raise ValueError(f"no closed form implemented for t={t} (supported: 1, 2, m-1)")
 
@@ -811,7 +808,7 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
         U = SubsetView(_mask_indices(umask))
         members = list(V)
         sets = [H_true] + members
-        bound = sum(entropy(p, SubsetView.of(i)) for i in U)
+        bound = sum(subset_entropy(p, 1 << i) for i in U)
         for combo in itertools.product([r], *(R.channels_for(S) for S in members)):
             floor = -math.inf if best is None else best[0]
             if bound <= floor:
@@ -834,17 +831,16 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
 # fixed-rate regions
 # ---------------------------------------------------------------------------
 
-def sw_facets(p: JointPMF, S: SubsetView) -> list[tuple[SubsetView, float]]:
+def sw_facets(p: JointPMF, S: SubsetView) -> list[tuple[tuple[int, ...], float]]:
     """All facets of the Slepian-Wolf region on X_S:
-    (S', H(X_S' | X_{S - S'})) for every nonempty S' subset of S."""
-    facets = []
-    idx = list(S.indices)
-    for k in range(1, len(idx) + 1):
-        for combo in itertools.combinations(idx, k):
-            sub = SubsetView(combo)
-            rest = S.difference(sub)
-            facets.append((sub, conditional_entropy(p, sub, rest)))
-    return facets
+    (S', H(X_S' | X_{S - S'})) for every nonempty S' subset of S, S' as its
+    ascending index tuple, by size and then lexicographically. The bound is
+    H[S] - H[S - S'] from the law's entropy table."""
+    full = S.mask
+    h_s = subset_entropy(p, full)
+    return [(combo, h_s - subset_entropy(p, full & ~sum(1 << i for i in combo)))
+            for k in range(1, len(S) + 1)
+            for combo in itertools.combinations(S.indices, k)]
 
 
 def sw_region_contains(rates: Sequence[float], p: JointPMF, S: SubsetView,
@@ -862,19 +858,25 @@ def deterministic_extra_constraints(p: JointPMF, H: HonestCollection, R: InfoMod
                                     *, zero_tol: float = 1e-9) -> list[SubsetView]:
     """Intersections S1 n S2 of candidate pairs for which some channel in
     R(S2) lets the traitors know X_{S1 n S2} exactly; deterministic fixed-rate
-    coding must put these intersections in their own SW regions."""
+    coding must put these intersections in their own SW regions. Each
+    distinct one is listed once, in the order of its first pair (S1 outer,
+    S2 inner, candidate order). Under perfect information the traitors know
+    X_{S2}, so H(X_{S1 n S2} | W) = 0 and every nonempty intersection is
+    listed without a channel test."""
+    cands = H.candidates
+    masks = [s.mask for s in cands]
     extra = []
     seen = set()
-    for s1 in H.candidates:
-        for s2 in H.candidates:
-            inter = s1.intersection(s2)
-            if len(inter) == 0 or inter.indices in seen:
+    for m1 in masks:
+        for s2, m2 in zip(cands, masks):
+            inter = m1 & m2
+            if not inter or inter in seen:
                 continue
-            for chan in R.channels_for(s2):
-                if channel_conditional_entropy(p, chan, inter) < zero_tol:
-                    extra.append(inter)
-                    seen.add(inter.indices)
-                    break
+            view = SubsetView(_mask_indices(inter))
+            if R.perfect or any(channel_conditional_entropy(p, chan, view) < zero_tol
+                                for chan in R.channels_for(s2)):
+                extra.append(view)
+                seen.add(inter)
     return extra
 
 

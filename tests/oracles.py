@@ -8,8 +8,9 @@ at a time, conditional type entropies by explicit type counts, the phase
 search by the lazy candidate-by-candidate loop, the irredundant
 sub-collections by a scan over every subset mask, linear programs by
 scipy's HiGHS solver, the simulation constraints and simulated laws by
-per-cell loops, the region report by running IPF on every family, and the
-ambiguity attack by enumerating both joint sequence spaces.
+per-cell loops, the region report by running IPF on every family, the
+deterministic-coding extra constraints by a channel test on every candidate
+pair, and the ambiguity attack by enumerating both joint sequence spaces.
 """
 from __future__ import annotations
 
@@ -29,9 +30,16 @@ from byzsw.binning import (
     fixed_rate_header,
     hash_bins,
 )
-from byzsw.prob_core import JointPMF, SubsetView, marginal, union_of
+from byzsw.prob_core import (
+    JointPMF,
+    SubsetView,
+    channel_conditional_entropy,
+    marginal,
+    union_of,
+)
 from byzsw.rate_region import (
     HonestCollection,
+    InfoModel,
     RegionReport,
     _candidate_collections,
     _lex_key,
@@ -352,6 +360,28 @@ def reference_r_star_perfect(p: JointPMF, H: HonestCollection, *,
         per_pair_detail[h_true] = (v, V, res.q)
         all_conv = all_conv and res.converged
     return RegionReport(value, per_pair, maxV, maxres.q, per_pair_detail, all_conv)
+
+
+def reference_deterministic_extra_constraints(p: JointPMF, H: HonestCollection, R: InfoModel,
+                                              *, zero_tol: float = 1e-9) -> list[SubsetView]:
+    """Intersections S1 n S2 of candidate pairs for which some channel in
+    R(S2) lets the traitors know X_{S1 n S2} exactly, each listed once.
+
+    Kept verbatim from before perfect information skipped the channel test:
+    every pair is tested on its channels, the identity channel included."""
+    extra = []
+    seen = set()
+    for s1 in H.candidates:
+        for s2 in H.candidates:
+            inter = s1.intersection(s2)
+            if len(inter) == 0 or inter.indices in seen:
+                continue
+            for chan in R.channels_for(s2):
+                if channel_conditional_entropy(p, chan, inter) < zero_tol:
+                    extra.append(inter)
+                    seen.add(inter.indices)
+                    break
+    return extra
 
 
 def _joint_flat_space(sizes: tuple[int, ...], n: int) -> np.ndarray:

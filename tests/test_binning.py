@@ -7,7 +7,6 @@ import pytest
 from scipy import stats
 
 from byzsw.binning import (
-    BinIndexChain,
     BinningCodebook,
     EnumerationGuardError,
     all_sequences,
@@ -175,13 +174,22 @@ class TestEncodeBlock:
         assert cb.J == max(1, math.ceil(1 / 0.1))
 
 
+def matching_rows(cb: BinningCodebook, seqs, c: int, sent) -> np.ndarray:
+    """The rows of ``seqs`` whose bins under subcodebook c in blocks
+    0..len(sent)-1 equal ``sent``, in row order: what a decoder keeps after
+    those blocks."""
+    seqs = np.asarray(seqs)
+    bins = cb.encode_blocks(seqs, c, range(len(sent)))
+    return seqs[(bins == np.asarray(sent)[:, None]).all(axis=0)]
+
+
 class TestComposite:
     def test_single_block_chain(self):
         cb = small_codebook()
         x = np.array([1] * 12)
-        chain = cb.composite_encode(x, 2, 0)
-        assert chain.blocks == 1
-        assert chain.indices[0] == cb.encode_block(x, 2, 0)
+        chain = cb.encode_chain(x, 2)
+        assert chain.shape == (cb.J,)
+        assert chain[0] == cb.encode_block(x, 2, 0)
 
     def test_prefix_property(self):
         cb = small_codebook()
@@ -190,9 +198,10 @@ class TestComposite:
             x = rng.integers(0, 2, size=12)
             c = int(rng.integers(0, cb.C))
             j = int(rng.integers(0, cb.J - 1))
-            a = cb.composite_encode(x, c, j)
-            b = cb.composite_encode(x, c, j + 1)
-            assert b.indices[:j + 1] == a.indices
+            a = cb.encode_blocks(x[None], c, range(j + 1))[:, 0]
+            b = cb.encode_blocks(x[None], c, range(j + 2))[:, 0]
+            assert list(b[:j + 1]) == list(a)
+            assert list(b) == list(cb.encode_chain(x, c)[:j + 2])
 
     def test_collision_rate_matches_bin_counts(self):
         cb = small_codebook(seed=3)
@@ -215,46 +224,51 @@ class TestComposite:
 
     def test_subcodebook_change_rerandomizes(self):
         # among pairs colliding at c=0, collisions at c=1 occur at the
-        # nominal rate
+        # nominal rate; the first 3000 distinct colliding pairs of the stream
+        # that draws x then y, pair by pair, hashed in batches
         cb = small_codebook(seed=4)
         rng = np.random.default_rng(3)
         j = 0
         nominal = 1.0 / cb.bin_count(0)
-        colliding = []
-        while len(colliding) < 3000:
-            x = rng.integers(0, 2, size=12)
-            y = rng.integers(0, 2, size=12)
-            if np.array_equal(x, y):
-                continue
-            if cb.encode_block(x, 0, j) == cb.encode_block(y, 0, j):
-                colliding.append((x, y))
-        hits = sum(cb.encode_block(x, 1, j) == cb.encode_block(y, 1, j)
-                   for x, y in colliding)
+        batches, found = [], 0
+        while found < 3000:
+            pairs = rng.integers(0, 2, size=(8192, 2, 12))
+            x, y = pairs[:, 0], pairs[:, 1]
+            keep = np.any(x != y, axis=1) & (
+                cb.encode_blocks(x, 0, [j])[0] == cb.encode_blocks(y, 0, [j])[0])
+            batches.append(pairs[keep])
+            found += int(keep.sum())
+        colliding = np.concatenate(batches)[:3000]
+        hits = int((cb.encode_blocks(colliding[:, 0], 1, [j])[0]
+                    == cb.encode_blocks(colliding[:, 1], 1, [j])[0]).sum())
         freq = hits / len(colliding)
         sigma = math.sqrt(nominal * (1 - nominal) / len(colliding))
         assert abs(freq - nominal) < 3.5 * sigma
 
 
 class TestSearchBin:
+    """A bin search is ``encode_blocks`` over the candidates, compared with
+    the first entries of the sender's ``encode_chain``."""
+
     def test_true_sequence_found_iff_chain_matches(self):
         cb = small_codebook()
         x = np.array([0, 1, 1, 0] * 3)
-        chain = cb.composite_encode(x, 0, 1)
-        assert [tuple(s) for s in cb.search_bin(chain, [x])] == [tuple(x)]
-        wrong = BinIndexChain(0, ((chain.indices[0] + 1) % cb.bin_count(0),
-                                  chain.indices[1]))
-        assert cb.search_bin(wrong, [x]) == []
+        chain = cb.encode_chain(x, 0)[:2]
+        assert [tuple(s) for s in matching_rows(cb, [x], 0, chain)] == [tuple(x)]
+        wrong = [(chain[0] + 1) % cb.bin_count(0), chain[1]]
+        assert len(matching_rows(cb, [x], 0, wrong)) == 0
 
     def test_empty_candidates(self):
         cb = small_codebook()
-        chain = BinIndexChain(0, (0,))
-        assert cb.search_bin(chain, []) == []
+        none = np.zeros((0, 12), dtype=np.uint8)
+        assert cb.encode_blocks(none, 0, [0]).shape == (1, 0)
+        assert len(matching_rows(cb, none, 0, [0])) == 0
 
     def test_results_lexicographic(self):
         cb = small_codebook(eps=0.05, nu=0.05001, n=8)
-        seqs = list(all_sequences(2, 8))
-        chain = cb.composite_encode(seqs[37], 0, 0)
-        found = cb.search_bin(chain, seqs)
+        seqs = all_sequences(2, 8)
+        chain = cb.encode_chain(seqs[37], 0)[:1]
+        found = matching_rows(cb, seqs, 0, chain)
         keys = [tuple(int(v) for v in s) for s in found]
         assert keys == sorted(keys)
         assert tuple(seqs[37]) in keys
@@ -268,8 +282,8 @@ class TestSearchBin:
             cb = BinningCodebook(0, 12, 2, eps=0.35, nu=0.8, C=2, master_seed=seed)
             truth = rng.integers(0, 2, size=12)
             cands = [truth] + [rng.integers(0, 2, size=12) for _ in range(200)]
-            chain = cb.composite_encode(truth, 0, 1)   # rate 2*0.35+0.8 = 1.5b/sym
-            found = cb.search_bin(chain, cands)
+            chain = cb.encode_chain(truth, 0)[:2]   # rate 2*0.35+0.8 = 1.5b/sym
+            found = matching_rows(cb, cands, 0, chain)
             wins += (len(found) == 1
                      and np.array_equal(found[0], truth))
         assert wins >= 190
@@ -278,16 +292,16 @@ class TestSearchBin:
         # every sequence maps to exactly one chain; searching all chains of a
         # fixed (c, j) recovers the candidate set exactly once
         cb = small_codebook(eps=0.2, nu=0.21, n=8)
-        seqs = list(all_sequences(2, 8))
+        seqs = all_sequences(2, 8)
         seen = {}
         for s in seqs:
-            chain = cb.composite_encode(s, 1, 1)
-            seen.setdefault(chain.indices, []).append(tuple(int(v) for v in s))
+            chain = cb.encode_chain(s, 1)[:2]
+            seen.setdefault(tuple(chain), []).append(tuple(int(v) for v in s))
         total = sum(len(v) for v in seen.values())
         assert total == len(seqs)
         recovered = sorted(t for chain, members in seen.items()
                            for t in (tuple(int(v) for v in s)
-                                     for s in cb.search_bin(BinIndexChain(1, chain), seqs)))
+                                     for s in matching_rows(cb, seqs, 1, chain)))
         assert recovered == sorted(tuple(int(v) for v in s) for s in seqs)
 
 

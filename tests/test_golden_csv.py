@@ -83,6 +83,21 @@ def test_fixed_rate_bin_draws_digest(preset, digest):
 GOLDEN_REGION = [
     (4, 3, 4301, "5c2b42ec20d1518533c2f0a50d4c0ce65339a9f5d7c60cb765dc2975b8fa08e8"),
     (5, 2, 5201, "24d90e4d1bae23e809d29872bfb7cc291f621ab4accbd5f8f37bca0929955bad"),
+    (3, 1, 3101, "007da9afaef60ae59a8295a72b2f8eef9ab73e5a94447292c4cbfb272311fd28"),
+    (3, 2, 3201, "bb168773a828652e111759b7e4e1e34e8f213112cd8b95515029efa4b6fbda70"),
+    (4, 1, 4101, "5ed64a0a0dd6a88112060d1a58821a6f5d3c0d0c134f33e6e35109570017c1e3"),
+    (4, 2, 4201, "304092142c1448b74ebf8a282a3ac5160fe7436ee8f3a8d3a73de1a953b92d32"),
+    (5, 1, 5101, "435d3faba9df061dfbb12c9fcf834b09e76734d91483c886cde61c1e77094beb"),
+]
+
+# preset, SHA-256 of stdout + region.json of ``byzsw region --preset``; the
+# m = 3 preset also prints the conditional mutual informations and H(X_M)
+GOLDEN_REGION_PRESET = [
+    ("three_sensor", "c5bc4141b1fae90ff24542c5cb532d28e81eb51d67ee1b32061eeba085ba26ff"),
+    ("two_sensor_baseline", "530d91fc8247e4249747e1847af7b116a542dbbc061ad22f1a821e0f54ce3c28"),
+    ("independent_coding", "affd295287675d70f56acd85a86890bf53d6a5e6a801fae3cb727d3831664b3f"),
+    ("four_sensor_plurality", "f44a6d1693051ddde0801710b9afedfbd9cbf7e3f467f6bbde14e0be8108a138"),
+    ("fixed_rate_demo", "193d8fedf3e0a61c1fabcbd630700b20e37813c58a227fbd5cbaa71e0b3cdfd9"),
 ]
 
 
@@ -100,8 +115,18 @@ def threshold_region_doc(m: int, t: int, seed: int) -> dict:
 def test_region_output_digest(tmp_path, capsys, m, t, seed, digest):
     path = tmp_path / "scenario.json"
     path.write_text(json.dumps(threshold_region_doc(m, t, seed)))
+    assert region_digest(tmp_path, capsys, ["--scenario", str(path)]) == digest
+
+
+@pytest.mark.parametrize("preset,digest", GOLDEN_REGION_PRESET,
+                         ids=[g[0] for g in GOLDEN_REGION_PRESET])
+def test_region_preset_output_digest(tmp_path, capsys, preset, digest):
+    assert region_digest(tmp_path, capsys, ["--preset", preset]) == digest
+
+
+def region_digest(tmp_path, capsys, source: list[str]) -> str:
     capsys.readouterr()
-    assert main(["region", "--scenario", str(path), "--out", str(tmp_path / "out")]) == 0
+    assert main(["region", *source, "--out", str(tmp_path / "out")]) == 0
     h = hashlib.sha256(capsys.readouterr().out.encode())
     h.update((tmp_path / "out" / "region.json").read_bytes())
-    assert h.hexdigest() == digest
+    return h.hexdigest()

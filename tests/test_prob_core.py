@@ -20,6 +20,7 @@ from byzsw.prob_core import (
     marginal,
     marginalize_info_channel,
     strongly_typical,
+    subset_entropy,
     type_of,
 )
 from byzsw.source_model import sample_block
@@ -145,6 +146,11 @@ def unmemoized_entropy(p: JointPMF, s: SubsetView) -> float:
     return entropy_of_table(marginal(p, s).mass)
 
 
+def filled_masks(p: JointPMF) -> set[int]:
+    """Masks whose entry the law's entropy table holds (0 is set with it)."""
+    return {mask for mask, h in enumerate(p._entropies) if h is not None}
+
+
 class TestEntropyMemo:
     @staticmethod
     def nonempty_subsets(m):
@@ -155,19 +161,40 @@ class TestEntropyMemo:
         rng = np.random.default_rng(71)
         for m in range(3, 8):
             p = random_pmf(rng, (2,) * m)
-            assert p._entropies == {}
+            assert p._entropies == []
             subsets = self.nonempty_subsets(m)
             for _ in range(2):          # first fills the memo, second reads it
                 for s in subsets:
                     assert entropy(p, s).hex() == unmemoized_entropy(p, s).hex(), (m, s)
-            assert set(p._entropies) == {s.indices for s in subsets}
+            assert filled_masks(p) == set(range(1 << m))
             assert entropy(p).hex() == entropy_of_table(p.mass).hex()
+
+    @pytest.mark.parametrize("sizes", [(3,), (2, 3), (3, 2, 2), (2, 3, 2, 3), (3, 2, 2, 2, 3),
+                                       (2, 2, 3, 2, 2, 2), (2,) * 6])
+    def test_table_entry_equals_marginal_entropy_for_every_mask(self, sizes):
+        # fresh laws per read order: ascending masks, then descending
+        rng = np.random.default_rng([75, *sizes])
+        m = len(sizes)
+        full = (1 << m) - 1
+        for order in (range(1 << m), reversed(range(1 << m))):
+            p = random_pmf(rng, sizes)
+            for mask in order:
+                s = SubsetView(tuple(i for i in range(m) if mask >> i & 1))
+                if mask == 0:
+                    want = 0.0
+                elif mask == full:
+                    want = entropy_of_table(p.mass)       # the unnormalized table
+                else:
+                    want = entropy_of_table(marginal(p, s).mass)
+                assert subset_entropy(p, mask).hex() == want.hex(), (sizes, mask)
+                assert entropy(p, s).hex() == want.hex(), (sizes, mask)
+            assert len(p._entropies) == 1 << m
 
     def test_out_of_range_set_of_full_size_rejected(self):
         p = random_pmf(np.random.default_rng(74), (2, 2, 2))
         with pytest.raises(ValueError, match="out of range"):
             entropy(p, SubsetView.of(0, 1, 5))
-        assert p._entropies == {}
+        assert p._entropies == []
 
     def test_laws_never_share_entries(self):
         rng = np.random.default_rng(72)
@@ -177,7 +204,7 @@ class TestEntropyMemo:
         subsets = self.nonempty_subsets(3)
         for s in subsets:
             entropy(p1, s)
-        assert p2._entropies == {} and p1_again._entropies == {}
+        assert p2._entropies == [] and p1_again._entropies == []
         for s in subsets:
             assert entropy(p2, s).hex() == unmemoized_entropy(p2, s).hex()
             assert entropy(p2, s) != entropy(p1, s)
@@ -194,8 +221,8 @@ class TestEntropyMemo:
              for k in [(3,), (0, 3), (1, 2, 3), (0, 1, 2, 3)]}
         want_i = ((h[0, 3] - h[3,]) + (h[1, 2, 3] - h[3,])) - (h[0, 1, 2, 3] - h[3,])
         assert conditional_mutual_information(p, a, b, given=c) == want_i
-        assert set(p._entropies) == {(3,), (1, 2), (0, 3), (1, 2, 3), (0, 1, 2),
-                                     (0, 1, 2, 3)}
+        assert filled_masks(p) == {SubsetView(k).mask for k in [
+            (), (3,), (1, 2), (0, 3), (1, 2, 3), (0, 1, 2), (0, 1, 2, 3)]}
 
 
 class TestMutualInformation:

@@ -37,6 +37,7 @@ from oracles import (
     pg_maxent_oracle,
     product_form_feasible,
     reference_candidate_collections,
+    reference_deterministic_extra_constraints,
     reference_linprog,
     reference_r_star_perfect,
     reference_simulated_law,
@@ -812,3 +813,34 @@ class TestFixedRateRegions:
         p = three_sensor_law()
         with pytest.raises(ValueError):
             sw_region_contains([-0.1, 1.0], p, SubsetView.of(0, 1))
+
+    @staticmethod
+    def assert_extras_match_channel_test(p, H):
+        R = InfoModel.perfect_info(p.alphabet_sizes)
+        got = deterministic_extra_constraints(p, H, R)
+        want = reference_deterministic_extra_constraints(p, H, R)
+        assert [s.indices for s in got] == [s.indices for s in want]
+
+    @pytest.mark.parametrize("m, t", [(m, t) for m in range(1, 6) for t in range(m)])
+    def test_perfect_info_extras_match_channel_test_threshold(self, m, t):
+        rng = np.random.default_rng([77, m, t])
+        H = HonestCollection.threshold(m, t)
+        self.assert_extras_match_channel_test(random_pmf(rng, (2,) * m), H)
+        if m <= 3:
+            self.assert_extras_match_channel_test(random_pmf(rng, (3,) + (2,) * (m - 1)), H)
+
+    def test_perfect_info_extras_match_channel_test_presets(self):
+        from byzsw.scenario import PRESETS, scenario_from_dict
+        for name in sorted(PRESETS):
+            scn = scenario_from_dict(PRESETS[name]())
+            self.assert_extras_match_channel_test(scn.p, scn.collection)
+
+    def test_sw_facets_read_the_entropy_table(self):
+        p = random_pmf(np.random.default_rng(78), (2, 3, 2, 2))
+        S = SubsetView.of(0, 2, 3)
+        got = rate_region.sw_facets(p, S)
+        subs = [c for k in (1, 2, 3) for c in itertools.combinations(S.indices, k)]
+        assert [sub for sub, _ in got] == subs
+        for sub, bound in got:
+            rest = S.difference(SubsetView(sub))
+            assert bound.hex() == conditional_entropy(p, SubsetView(sub), rest).hex()
