@@ -21,6 +21,15 @@ the rows. A sender encodes all J blocks of its chain with one such call
 sequence of blocks the same way. Each row equals the single-header call
 bit for bit.
 
+One mixing core does the absorbing for two entries. ``hash_bins`` pads the
+rows it is given into native 64-bit words on every call. ``space_bins``
+bins the whole ``all_sequences(alphabet, n)`` space from a cached,
+read-only table of its native words, built once per (alphabet, n) beside
+the sequence table (64 KB for binary n = 12). The two entries give the same
+bins bit for bit. The phase search bins the whole space on block 0 with it
+(``BinningCodebook.encode_space``), and ``bin_members`` reads a fixed-rate
+bin from it.
+
 A variable-rate codebook for sensor i consists of C subcodebooks, each a chain
 of J_i block encoders: the first block carries n*(eps+nu) bits, later blocks
 n*eps bits each. The indices a sender has sent after block j are the first
@@ -75,6 +84,56 @@ def _splitmix64(z: np.ndarray) -> None:
     z ^= z >> _S31
 
 
+def _keys_and_counts(seed: int, header: bytes | Sequence[bytes],
+                     bins: int | Sequence[int]) -> tuple[bool, np.ndarray, np.ndarray]:
+    """(single-header flag, uint64 keys, uint64 bin counts) of a call to the
+    kernel, with the bin counts checked against [1, 2^32]."""
+    single = isinstance(header, bytes)
+    headers = (header,) if single else tuple(header)
+    counts = (bins,) if single else tuple(bins)
+    if len(counts) != len(headers):
+        raise ValueError(f"{len(headers)} headers but {len(counts)} bin counts")
+    for b in counts:
+        if not 1 <= b <= _MAX_BINS:
+            raise ValueError(f"bin count {b} outside [1, 2^32]")
+    seed_key = (seed & _SEED_MASK).to_bytes(8, "big")
+    keys = np.array([int.from_bytes(blake2b(hd, key=seed_key, digest_size=8).digest(), "big")
+                     for hd in headers], dtype=np.uint64)
+    return single, keys, np.array(counts, dtype=np.uint64)
+
+
+def _mix(keys: np.ndarray, words: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """The mixing core: for every key and every column of a native (words, k)
+    uint64 array, start from ``h = key``, absorb each word as
+    ``h = splitmix64(h ^ word)`` and reduce ``h mod`` the key's bin count.
+    Returns an (h, k) int64 array."""
+    h = np.empty((len(keys), words.shape[1]), dtype=np.uint64)
+    h[:] = keys[:, None]
+    for word in words:
+        h ^= word
+        _splitmix64(h)
+    h %= counts[:, None]
+    return h.view(np.int64)    # every bin is below 2^32
+
+
+def _native_words(rows: np.ndarray) -> np.ndarray:
+    """A (k, n) uint8 array as the (words, k) native uint64 array the mixing
+    core reads: each row zero-padded to a multiple of 8 bytes, every 8 bytes
+    read as one big-endian word."""
+    k, n = rows.shape
+    padded = np.zeros((k, -(-n // 8) * 8), dtype=np.uint8)
+    padded[:, :n] = rows
+    return np.ascontiguousarray(padded.view(">u8").T, dtype=np.uint64)
+
+
+@lru_cache(maxsize=None)
+def _space_words(alphabet: int, n: int) -> np.ndarray:
+    """``_native_words(all_sequences(alphabet, n))``, cached and read-only."""
+    words = _native_words(all_sequences(alphabet, n))
+    words.setflags(write=False)
+    return words
+
+
 def hash_bins(seed: int, header: bytes | Sequence[bytes], seqs: np.ndarray,
               bins: int | Sequence[int]) -> np.ndarray:
     """Bin index of every row of a (k, n) symbol array under a keyed 64-bit
@@ -93,14 +152,7 @@ def hash_bins(seed: int, header: bytes | Sequence[bytes], seqs: np.ndarray,
     an (h, k) array whose row r equals the single-header call on header r.
     Either way the mixing runs once, over an (h, k) array of states.
     """
-    single = isinstance(header, bytes)
-    headers = (header,) if single else tuple(header)
-    counts = (bins,) if single else tuple(bins)
-    if len(counts) != len(headers):
-        raise ValueError(f"{len(headers)} headers but {len(counts)} bin counts")
-    for b in counts:
-        if not 1 <= b <= _MAX_BINS:
-            raise ValueError(f"bin count {b} outside [1, 2^32]")
+    single, keys, counts = _keys_and_counts(seed, header, bins)
     rows = np.asarray(seqs)
     if rows.ndim != 2:
         raise ValueError("expected a (k, n) array of sequences")
@@ -108,20 +160,17 @@ def hash_bins(seed: int, header: bytes | Sequence[bytes], seqs: np.ndarray,
         if rows.size and (rows.min() < 0 or rows.max() > 255):
             raise ValueError("symbols must fit in one byte")
         rows = rows.astype(np.uint8)
-    k, n = rows.shape
-    seed_key = (seed & _SEED_MASK).to_bytes(8, "big")
-    keys = np.array([int.from_bytes(blake2b(hd, key=seed_key, digest_size=8).digest(), "big")
-                     for hd in headers], dtype=np.uint64)
-    padded = np.zeros((k, -(-n // 8) * 8), dtype=np.uint8)
-    padded[:, :n] = rows
-    words = padded.view(">u8")
-    h = np.empty((len(keys), k), dtype=np.uint64)
-    h[:] = keys[:, None]
-    for w in range(words.shape[1]):
-        h ^= words[:, w]
-        _splitmix64(h)
-    h %= np.array(counts, dtype=np.uint64)[:, None]
-    out = h.view(np.int64)    # every bin is below 2^32
+    out = _mix(keys, _native_words(rows), counts)
+    return out[0] if single else out
+
+
+def space_bins(seed: int, header: bytes | Sequence[bytes], alphabet: int, n: int,
+               bins: int | Sequence[int]) -> np.ndarray:
+    """``hash_bins(seed, header, all_sequences(alphabet, n), bins)``, bit for
+    bit, from the cached native words of the whole sequence space: the rows
+    are padded and converted once per (alphabet, n), not once per call."""
+    single, keys, counts = _keys_and_counts(seed, header, bins)
+    out = _mix(keys, _space_words(alphabet, n), counts)
     return out[0] if single else out
 
 
@@ -188,9 +237,18 @@ class BinningCodebook:
         rows = np.asarray(seqs)
         if rows.ndim != 2 or rows.shape[1] != self.n:
             raise ValueError(f"expected sequences of length n={self.n}, got shape {rows.shape}")
-        return hash_bins(self.master_seed,
-                         [struct.pack(">BIII", 0x01, self.sensor_id, c, j) for j in blocks],
+        return hash_bins(self.master_seed, [self._header(c, j) for j in blocks],
                          rows, [self._bin_counts[j] for j in blocks])
+
+    def encode_space(self, c: int, j: int) -> np.ndarray:
+        """Bin index of every sequence of ``all_sequences(alphabet_size, n)``
+        under subcodebook c, block j, from the cached whole-space words."""
+        self._check_block(j, c)
+        return space_bins(self.master_seed, self._header(c, j), self.alphabet_size, self.n,
+                          self._bin_counts[j])
+
+    def _header(self, c: int, j: int) -> bytes:
+        return struct.pack(">BIII", 0x01, self.sensor_id, c, j)
 
     def encode_block(self, x, c: int, j: int) -> int:
         """Bin index of sequence x under subcodebook c, block j."""
@@ -218,7 +276,7 @@ def bin_members(seed: int, sensor_id: int, b: int, alphabet: int, n: int,
                 rate: float, c: int = 0) -> np.ndarray:
     """Indices, into ``all_sequences(alphabet, n)``, of the sequences in bin
     b of the one-shot fixed-rate encoder of (seed, sensor, c): one kernel
-    call over the whole sequence space."""
-    bins = hash_bins(seed, fixed_rate_header(sensor_id, c),
-                     all_sequences(alphabet, n), bin_count_for_rate(n, rate))
+    call over the cached words of the whole sequence space."""
+    bins = space_bins(seed, fixed_rate_header(sensor_id, c), alphabet, n,
+                      bin_count_for_rate(n, rate))
     return np.nonzero(bins == b)[0]

@@ -10,14 +10,17 @@ indices; after j transactions the decoder searches the set
 for sequences matching the received composite bin, stops at the first
 non-empty intersection, and takes the lexicographically least member.
 
-The search scores all alphabet^n candidates at once. The empirical
-conditional entropy splits over the cells of the prior sensors' decoded
-symbols, so it is a sum of small cached per-cell tables broadcast onto an
-(alphabet,)*n array; without a prior it is one cached read-only array.
-Since the search stops at the first non-empty T_j, only the members new to
-T_j are tested after transaction j: first on block 0, which has the most
-bins, then the few survivors on blocks 1..j in one kernel call. An honest
-sender encodes its whole block chain for the phase in one kernel call.
+Every candidate must match block 0, the block with the most bins, so the
+search bins the whole alphabet^n space on block 0 once, from cached
+words, as soon as the first index arrives; about one sequence shares the
+received bin. Only those members are scored. The empirical conditional
+entropy splits over the cells of the prior sensors' decoded symbols, so a
+member's score is a sum of reads from small cached per-cell tables. If
+the phase goes on, the members are binned on blocks 1..J-1 in one more
+kernel call, and each later transaction is a comparison on these few
+rows: at most two kernel calls per phase, however many transactions it
+takes. An honest sender encodes its whole block chain for the phase in
+one kernel call.
 At the end of a round the decoder prunes the collection V of candidate
 honest sets by testing the empirical type of the decoded block against the
 eta-blurred simulable-law sets of each candidate.
@@ -44,7 +47,6 @@ from .prob_core import (
     JointPMF,
     SubsetView,
     marginal,
-    type_of,
     union_of,
 )
 from .rate_region import (
@@ -167,35 +169,39 @@ class SessionReport:
 @lru_cache(maxsize=None)
 def _cell_entropies(alphabet: int, s: int, n: int) -> np.ndarray:
     """G(y) = [f(s) - sum_a f(#a in y)] / n for every y in alphabet^s, as a
-    read-only (alphabet,)*s array, with f(c) = c log2 c: one prior cell's
-    share of an empirical conditional entropy at block length n."""
+    read-only array in ``all_sequences`` order, with f(c) = c log2 c: one
+    prior cell's share of an empirical conditional entropy at block length
+    n."""
     f = np.arange(n + 1) * np.log2(np.maximum(np.arange(n + 1), 1))
     seqs = all_sequences(alphabet, s)
     fsum = sum(f[(seqs == a).sum(axis=1)] for a in range(alphabet))
-    g = ((f[s] - fsum) / n).reshape((alphabet,) * s)
+    g = (f[s] - fsum) / n
     g.setflags(write=False)
     return g
 
 
-def _conditional_type_entropies(n: int, alphabet: int,
+def _conditional_type_entropies(rows: np.ndarray, alphabet: int,
                                 prior_flat: np.ndarray | None) -> np.ndarray:
-    """H_type(X_i | X_prior) in bits for every length-n candidate, in
-    ``all_sequences`` order.
+    """H_type(X_i | X_prior) in bits for every row of a (k, n) candidate
+    array.
 
     The entropy splits over prior cells: with S_p the slots whose prior
-    symbol is p, H(x) = sum_p G_p(x restricted to S_p) (``_cell_entropies``).
-    Each G_p is broadcast onto the S_p axes of an (alphabet,)*n array, whose
-    C-order ravel is the lexicographic candidate order. Without a prior the
-    one cell holds every slot, and the cached read-only array is returned.
+    symbol is p, H(x) = sum_p G_p(x restricted to S_p) (``_cell_entropies``),
+    each G_p read at the index of x's S_p symbols in ``all_sequences``
+    order. Cells are added in increasing p, starting from zero, so a row's
+    value does not depend on which other rows are scored. Without a prior
+    the one cell holds every slot.
     """
-    if prior_flat is None:
-        return _cell_entropies(alphabet, n, n).reshape(-1)
-    h = np.zeros((alphabet,) * n)
-    slot_counts = np.bincount(prior_flat)
+    rows = np.asarray(rows)
+    n = rows.shape[1]
+    cells = np.zeros(n, dtype=np.int64) if prior_flat is None else prior_flat
+    slot_counts = np.bincount(cells)
+    h = np.zeros(len(rows))
     for p in np.flatnonzero(slot_counts):
-        h += _cell_entropies(alphabet, int(slot_counts[p]), n).reshape(
-            np.where(prior_flat == p, alphabet, 1))
-    return h.reshape(-1)
+        s = int(slot_counts[p])
+        h += _cell_entropies(alphabet, s, n)[
+            np.ravel_multi_index(rows[:, cells == p].T, (alphabet,) * s)]
+    return h
 
 
 def _decode_phase(cb: BinningCodebook, prior: list[tuple[int, np.ndarray]],
@@ -207,35 +213,33 @@ def _decode_phase(cb: BinningCodebook, prior: list[tuple[int, np.ndarray]],
     ``next_message(j)`` polls the sensor for block j's bin index.
     """
     n = cb.n
-    alphabet = cb.alphabet_size
-    cands = all_sequences(alphabet, n)
+    received = [int(next_message(0))]
+    # block 0 has the most bins: of the whole space, about one sequence
+    # shares the received bin, and only those can match any later block
+    members = np.nonzero(cb.encode_space(c, 0) == received[0])[0]
+    rows = all_sequences(cb.alphabet_size, n)[members]
     prior_flat = None
     if prior:
         prior_flat = np.ravel_multi_index(tuple(np.stack([seq for _s, seq in prior])),
                                           [sizes[s] for s, _seq in prior])
-    cond_h = _conditional_type_entropies(n, alphabet, prior_flat)
-
-    received: list[int] = []
-    below = -np.inf    # T_{j-1} = {cond_h <= below}; its members all failed
+    cond_h = _conditional_type_entropies(rows, cb.alphabet_size, prior_flat)
+    matched = np.ones(len(rows), dtype=bool)    # rows matching every received index
+    later = None                                # rows' bins on blocks 1..J-1
     for j in range(cb.J):
-        received.append(int(next_message(j)))
-        bound = (j + 1) * eps + 1e-12
-        # the members new to T_j, in index order, tested on block 0 (the one
-        # with the most bins, so few survive it), then on blocks 1..j at once
-        rows = np.nonzero((cond_h > below) & (cond_h <= bound))[0]
-        if rows.size:
-            rows = rows[cb.encode_blocks(cands[rows], c, [0])[0] == received[0]]
-        if j and rows.size:
-            bins = cb.encode_blocks(cands[rows], c, range(1, j + 1))
-            rows = rows[(bins == np.array(received[1:])[:, None]).all(axis=0)]
-        if rows.size:
-            return np.array(cands[rows[0]], dtype=np.int64), j + 1, received, False
-        below = bound
+        if j:
+            received.append(int(next_message(j)))
+            if matched.any():
+                if later is None:
+                    later = cb.encode_blocks(rows, c, range(1, cb.J))
+                matched &= later[j - 1] == received[j]
+        hit = np.nonzero(matched & (cond_h <= (j + 1) * eps + 1e-12))[0]
+        if hit.size:
+            return np.array(rows[hit[0]], dtype=np.int64), j + 1, received, False
     # Exhausted all blocks with no candidate matching the full chain; this is
     # only reachable when the sender's messages are inconsistent with every
     # sequence (a garbage-spewing traitor). Take the lexicographically least
     # sequence as the forced estimate; the V update will handle elimination.
-    return np.array(cands[0], dtype=np.int64), cb.J, received, True
+    return np.zeros(n, dtype=np.int64), cb.J, received, True
 
 
 # ---------------------------------------------------------------------------
@@ -304,12 +308,13 @@ def update_V(V: Sequence[SubsetView], estimates: dict, U_prev: SubsetView,
     restores the previous V (vanishing-probability event at proper
     parameters) and logs it.
 
-    ``marginals`` maps each candidate S to ``marginal(p, S).mass``, which
-    the perfect-information test reads; a session computes them once, since
-    p is fixed."""
+    The type is the count of each X_U cell over the n decoded slots,
+    divided by n. ``marginals`` maps each candidate S to
+    ``marginal(p, S).mass``, which the perfect-information test reads; a
+    session computes them once, since p is fixed."""
     sizes_u = tuple(p.alphabet_sizes[i] for i in U_prev)
-    syms = np.stack([estimates[i] for i in U_prev])
-    t_u = type_of(syms, sizes_u).normalized().mass
+    flat = np.ravel_multi_index(tuple(estimates[i] for i in U_prev), sizes_u)
+    t_u = (np.bincount(flat, minlength=math.prod(sizes_u)) / n).reshape(sizes_u)
     tau_u = eta / int(np.prod(sizes_u))
     pos_in_u = {i: k for k, i in enumerate(U_prev)}
 

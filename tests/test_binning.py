@@ -9,11 +9,14 @@ from scipy import stats
 from byzsw.binning import (
     BinningCodebook,
     EnumerationGuardError,
+    _space_words,
     all_sequences,
     bin_count_for_rate,
+    bin_members,
     fixed_rate_encode,
     fixed_rate_header,
     hash_bins,
+    space_bins,
 )
 from oracles import reference_bin
 
@@ -126,6 +129,68 @@ class TestHeaderAxis:
             cb.encode_chain(np.zeros(12, dtype=int), cb.C)
         with pytest.raises(ValueError):
             cb.encode_chain(np.zeros(5, dtype=int), 0)
+
+
+class TestSpaceBins:
+    """The whole-space entry, fed from the cached native words, equals
+    ``hash_bins`` over ``all_sequences`` bit for bit."""
+
+    BINS = [1, 2, 7, 1000003, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32]
+
+    @pytest.mark.parametrize("alphabet,n", [(2, 1), (2, 7), (2, 8), (2, 9), (2, 16), (2, 17),
+                                            (3, 1), (3, 7), (3, 8), (3, 9)])
+    def test_matches_hash_bins_over_all_sequences(self, alphabet, n):
+        seqs = all_sequences(alphabet, n)
+        headers = [struct.pack(">BIII", 0x01, 4, c, j) for c, j in zip(range(7), (0, 1) * 4)]
+        seed = (1 << 64) + 7 * n + alphabet
+        got = space_bins(seed, headers, alphabet, n, self.BINS)
+        assert got.dtype == np.int64 and got.shape == (len(headers), len(seqs))
+        assert np.array_equal(got, hash_bins(seed, headers, seqs, self.BINS))
+        for hd, b in zip(headers, self.BINS):
+            assert np.array_equal(space_bins(seed, hd, alphabet, n, b),
+                                  hash_bins(seed, hd, seqs, b))
+
+    @pytest.mark.parametrize("alphabet,n", [(3, 16), (3, 17)])
+    def test_guard_as_for_all_sequences(self, alphabet, n):
+        with pytest.raises(EnumerationGuardError):
+            all_sequences(alphabet, n)
+        with pytest.raises(EnumerationGuardError):
+            space_bins(0, b"", alphabet, n, 4)
+
+    def test_word_table_cached_read_only_and_untouched(self):
+        words = _space_words(2, 12)
+        before = words.copy()
+        space_bins(5, b"x", 2, 12, 1000)
+        assert _space_words(2, 12) is words
+        assert not words.flags.writeable
+        with pytest.raises(ValueError):
+            words[0, 0] = 1
+        assert np.array_equal(words, before)
+        assert words.shape == (2, 2 ** 12) and words.dtype == np.uint64
+
+    def test_bin_count_outside_range_rejected_like_hash_bins(self):
+        seqs = all_sequences(2, 4)
+        for bins in (0, 2 ** 32 + 1, 2 ** 63):
+            with pytest.raises(ValueError) as want:
+                hash_bins(0, b"", seqs, bins)
+            with pytest.raises(ValueError) as got:
+                space_bins(0, b"", 2, 4, bins)
+            assert str(got.value) == str(want.value)
+            with pytest.raises(ValueError):
+                space_bins(0, [b"a", b"b"], 2, 4, [4, bins])
+
+    def test_codebook_and_fixed_rate_entries(self):
+        cb = small_codebook(seed=21)
+        seqs = all_sequences(2, 12)
+        for c, j in ((0, 0), (3, 1), (1, cb.J - 1)):
+            assert np.array_equal(cb.encode_space(c, j), cb.encode_blocks(seqs, c, [j])[0])
+        with pytest.raises(ValueError):
+            cb.encode_space(cb.C, 0)
+        with pytest.raises(ValueError):
+            cb.encode_space(0, cb.J)
+        bins = hash_bins(8, fixed_rate_header(2, 3), seqs, bin_count_for_rate(12, 0.5))
+        for b in (0, int(bins[77]), 63):
+            assert np.array_equal(bin_members(8, 2, b, 2, 12, 0.5, 3), np.nonzero(bins == b)[0])
 
 
 class TestEncodeBlock:

@@ -15,6 +15,7 @@ from byzsw.variable_rate import (
     ProtocolParams,
     run_round,
     run_session,
+    _cell_entropies,
     _conditional_type_entropies,
     _decode_phase,
     transcript_lines,
@@ -110,7 +111,7 @@ class TestConditionalTypeEntropies:
         prior_flat = None
         if prior_seqs:
             prior_flat = np.ravel_multi_index(tuple(np.stack(prior_seqs)), prior_sizes)
-        got = _conditional_type_entropies(n, alphabet, prior_flat)
+        got = _conditional_type_entropies(all_sequences(alphabet, n), alphabet, prior_flat)
         want = [brute_conditional_type_entropy(x, prior_seqs)
                 for x in all_sequences(alphabet, n)]
         assert got.shape == (alphabet ** n,)
@@ -145,11 +146,11 @@ class TestConditionalTypeEntropies:
         n = 6
         prior_sizes = [6]
         self._check(n, 3, prior_sizes, [np.arange(n)])
-        assert not _conditional_type_entropies(n, 3, np.arange(n)).any()
+        assert not _conditional_type_entropies(all_sequences(3, n), 3, np.arange(n)).any()
 
     def test_prior_free_array_cached_read_only(self):
-        a = _conditional_type_entropies(12, 2, None)
-        b = _conditional_type_entropies(12, 2, None)
+        a = _cell_entropies(2, 12, 12)
+        b = _cell_entropies(2, 12, 12)
         assert not a.flags.writeable
         assert np.shares_memory(a, b)
         with pytest.raises(ValueError):
@@ -188,6 +189,45 @@ class TestDecodePhaseOracle:
                 assert got[1:] == want[1:], name
                 if name == "no_match":
                     assert got[3] and got[1] == cb.J
+
+
+class TestDecodePhaseBudget:
+    """The phase search makes at most two calls into the mixing core,
+    whatever the number of transactions, and polls the sender block by block
+    for exactly the transactions it uses."""
+
+    @pytest.mark.parametrize("eps,nu", [(0.35, 1.925), (0.1, 0.15)])
+    def test_at_most_two_core_calls_and_polls_in_order(self, eps, nu, monkeypatch):
+        import byzsw.binning as binning
+        rng = np.random.default_rng(int(eps * 100))
+        n, sizes = 12, [2, 3, 2]
+        calls = []
+        core = binning._mix
+        monkeypatch.setattr(binning, "_mix", lambda *a: calls.append(1) or core(*a))
+        j_seen = set()
+        for trial in range(12):
+            cb = BinningCodebook(2, n, 2, eps, nu, C=4, master_seed=int(rng.integers(1 << 62)))
+            prior = [(0, rng.integers(0, 2, n)), (1, rng.integers(0, 3, n))][:trial % 3]
+            c = int(rng.integers(cb.C))
+            truth = rng.integers(0, 2, n)
+            taken = set(cb.encode_space(c, 0).tolist())
+            unused = min(set(range(len(taken) + 1)) - taken)
+            chain = cb.encode_chain(truth, c).tolist()
+            for forced, first in ((False, chain[0]), (True, unused)):
+                polled = []
+                sender = lambda j: polled.append(j) or (first if j == 0 else chain[j])
+                calls.clear()
+                est, j_used, received, got_forced = _decode_phase(cb, prior, sizes, c, eps,
+                                                                  sender)
+                assert len(calls) <= 2
+                assert got_forced == forced
+                assert polled == list(range(j_used))
+                assert received == [first] + chain[1:j_used]
+                if forced:
+                    assert j_used == cb.J and not calls[1:]
+                else:
+                    j_seen.add(j_used)
+        assert max(j_seen) >= 3     # the budget held over multi-transaction phases
 
 
 class TestRunRound:
