@@ -72,8 +72,8 @@ from .fixed_rate import (
     EstimateTable,
     FixedRateCode,
     decode_all,
-    demonstrate_converse,
     encode_all,
+    run_fixed_rate_trial,
 )
 from .scenario import (
     PRESETS,

@@ -55,6 +55,7 @@ class TraitorContext:
 
     traitors: SubsetView
     seed: int
+    alphabet_sizes: tuple[int, ...] | None = None   # the law's, as public as p
     w_block: SideInfoBlock | None = None
     own_block: SourceBlock | None = None          # the traitors' own rows
     codebooks: Mapping[int, BinningCodebook] | None = None
@@ -70,8 +71,12 @@ def fabricate_block(ctx: TraitorContext, q_bar: ConditionalPMF, seed: int) -> np
     Returns a (|T|, n) table aligned with ctx.traitors; the fake block is then
     used verbatim by honest encoding logic for the rest of the round.
     """
-    if ctx.w_block is None:
-        raise ValueError("fabrication requires side information")
+    if ctx.w_block is None or ctx.alphabet_sizes is None:
+        raise ValueError("fabrication requires side information and the alphabet sizes")
+    sizes_t = tuple(ctx.alphabet_sizes[i] for i in ctx.traitors)
+    if int(np.prod(sizes_t)) != q_bar.output_alphabet_size:
+        raise ValueError(f"qbar's output alphabet {q_bar.output_alphabet_size} is not "
+                         f"the traitors' joint alphabet {sizes_t}")
     w = ctx.w_block.w_symbols
     n = w.shape[0]
     rng = rng_for(seed, "fabricate")
@@ -82,23 +87,7 @@ def fabricate_block(ctx: TraitorContext, q_bar: ConditionalPMF, seed: int) -> np
     u = rng.random(n)
     flat = (cs < u[:, None]).sum(axis=1)
     flat = np.minimum(flat, q_bar.output_alphabet_size - 1)
-    sizes_t = _traitor_sizes(ctx, q_bar)
     return np.stack(np.unravel_index(flat, sizes_t)).astype(np.int64)
-
-
-def _traitor_sizes(ctx: TraitorContext, q_bar: ConditionalPMF) -> tuple[int, ...]:
-    k = len(ctx.traitors)
-    out = int(q_bar.output_alphabet_size)
-    # qbar's output alphabet is the joint fake alphabet; recover per-sensor
-    # sizes from the codebooks when available, else assume a uniform split.
-    if ctx.codebooks:
-        sizes = tuple(ctx.codebooks[i].alphabet_size for i in ctx.traitors)
-        if int(np.prod(sizes)) == out:
-            return sizes
-    root = round(out ** (1.0 / k))
-    if root ** k != out:
-        raise ValueError(f"cannot factor fake alphabet {out} across {k} traitors")
-    return (root,) * k
 
 
 def optimal_fake_conditional(q_star: JointPMF, honest: SubsetView,

@@ -9,6 +9,11 @@ are reconciled across candidate sets by a deterministic preference order
 (largest candidate set first, then optional plurality voting, then
 lexicographic set order); disagreements between non-null estimates are
 reported as diagnostics.
+
+``run_fixed_rate_trial`` plays one block end to end, the fixed-rate
+counterpart of ``variable_rate.run_session``: the schemes' trials and the
+deterministic-coding converse (traitors running the ambiguity attack) are
+the same call with different strategies.
 """
 from __future__ import annotations
 
@@ -18,16 +23,24 @@ from typing import Mapping
 
 import numpy as np
 
-from .adversary import AmbiguityOutcome, FixedRateAmbiguity, TraitorContext, TraitorStrategy
+from .adversary import TraitorContext, TraitorStrategy
 from .binning import (
     EnumerationGuardError,
     all_sequences,
     bin_members,
     fixed_rate_encode,
 )
-from .prob_core import JointPMF, SubsetView, eta_ball_contains, marginal, type_of
+from .prob_core import (
+    ConditionalPMF,
+    JointPMF,
+    SubsetView,
+    eta_ball_contains,
+    identity_channel,
+    marginal,
+    type_of,
+)
 from .rate_region import HonestCollection
-from .source_model import SourceBlock, rng_for
+from .source_model import SourceBlock, derive_seed, rng_for, sample_block, sample_side_info
 
 COMBO_GUARD = 1 << 22
 
@@ -74,12 +87,6 @@ class EstimateTable:
     per_set: dict          # SubsetView -> tuple of sequences (aligned) or None
     final: dict            # sensor -> sequence or None
     disagreements: list    # (sensor, set_a, set_b) where both non-null differ
-
-    def estimate(self, sensor: int, S: SubsetView):
-        tup = self.per_set.get(S.indices)
-        if tup is None:
-            return None
-        return tup[list(S.indices).index(sensor)]
 
 
 def encode_all(code: FixedRateCode, block: SourceBlock,
@@ -173,32 +180,29 @@ def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
     return EstimateTable(per_set, final, disagreements)
 
 
-@dataclass(frozen=True)
-class ConverseOutcome:
-    """Result of one deterministic-coding converse demonstration."""
-
-    attack_found: bool
-    honest_error: bool
-    wrong_sensors: tuple[int, ...]
-    outcome: AmbiguityOutcome | None
-
-
-def demonstrate_converse(code: FixedRateCode, p: JointPMF, H: HonestCollection,
-                         honest_true: SubsetView, target_set: SubsetView,
-                         seed: int, *, plurality: bool = False) -> ConverseOutcome:
-    """Run the ambiguity attack end to end for one block and report whether
-    an honest sensor was mis-decoded."""
-    from .source_model import derive_seed, sample_block
-
+def run_fixed_rate_trial(code: FixedRateCode, p: JointPMF, H: HonestCollection,
+                         honest_true: SubsetView, strategy: TraitorStrategy | None,
+                         seed: int, *, r_true: ConditionalPMF | None = None,
+                         plurality: bool = False
+                         ) -> tuple[SourceBlock, EstimateTable, tuple[int, ...]]:
+    """One fixed-rate block end to end: sample it, let the traitors answer
+    through ``strategy`` from their side information (W drawn through
+    ``r_true``, the identity channel when None) and own rows, encode every
+    sensor and decode. Returns the block, the estimate table and the true
+    honest sensors decoded wrongly or not at all."""
     block = sample_block(p, code.n, derive_seed(seed, "fr-block"))
     traitors = honest_true.complement(code.m)
-    strategy = FixedRateAmbiguity(target_set)
-    ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"),
-                         own_block=SourceBlock(code.n, block.subset(traitors.indices)))
+    ctx = None
+    if len(traitors) > 0:
+        r = r_true if r_true is not None else identity_channel(p.alphabet_sizes)
+        ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"),
+                             alphabet_sizes=p.alphabet_sizes,
+                             w_block=sample_side_info(r, block,
+                                                      derive_seed(seed, "fr-sideinfo")),
+                             own_block=SourceBlock(code.n, block.subset(traitors.indices)))
     messages = encode_all(code, block, strategy, ctx, p, derive_seed(seed, "fr-honest"))
     table = decode_all(code, messages, p, H, plurality=plurality)
     wrong = tuple(i for i in honest_true
                   if table.final[i] is None
                   or not np.array_equal(table.final[i], block.sensor(i)))
-    found = strategy.last_outcome.found if strategy.last_outcome else False
-    return ConverseOutcome(found, bool(wrong), wrong, strategy.last_outcome)
+    return block, table, wrong

@@ -131,9 +131,6 @@ class JointPMF:
     def num_cells(self) -> int:
         return int(np.prod(self.alphabet_sizes))
 
-    def cell(self, symbol: Sequence[int]) -> float:
-        return float(self.mass[tuple(symbol)])
-
 
 @dataclass(frozen=True)
 class ConditionalPMF:
@@ -339,8 +336,10 @@ def strongly_typical(symbols: np.ndarray, p: JointPMF, eps: float) -> bool:
 # side-information channels
 # ---------------------------------------------------------------------------
 
-def identity_channel(alphabet_sizes: Sequence[int]) -> ConditionalPMF:
-    """The perfect-information channel W = (X_1, ..., X_m)."""
+@functools.lru_cache(maxsize=None)
+def identity_channel(alphabet_sizes: tuple[int, ...]) -> ConditionalPMF:
+    """The perfect-information channel W = (X_1, ..., X_m), one shared
+    read-only instance per size tuple."""
     sizes = tuple(int(a) for a in alphabet_sizes)
     cells = int(np.prod(sizes))
     rows = np.eye(cells).reshape(sizes + (cells,))

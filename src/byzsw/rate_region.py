@@ -189,20 +189,20 @@ def max_entropy_with_marginals(p: JointPMF, V: Sequence[SubsetView], *,
         axes_keep = tuple(pos_in_u[i] for i in S)
         axes_drop = tuple(k for k in range(len(U.indices)) if k not in axes_keep)
         shape = tuple(sizes_u[k] if k in axes_keep else 1 for k in range(len(U.indices)))
-        constraints.append((target.reshape(shape), axes_drop, target, axes_keep))
+        constraints.append((target.reshape(shape), axes_drop, target))
 
     q = np.full(sizes_u, 1.0 / int(np.prod(sizes_u)))
     residual = math.inf
     sweeps = 0
     converged = False
     for sweeps in range(1, max_sweeps + 1):
-        for target_keepdims, axes_drop, _, _ in constraints:
+        for target_keepdims, axes_drop, _ in constraints:
             cur = q.sum(axis=axes_drop, keepdims=True) if axes_drop else q
             ratio = np.divide(target_keepdims, cur, out=np.zeros_like(cur),
                               where=cur > 0)
             q = q * ratio
         residual = 0.0
-        for target_keepdims, axes_drop, target, _ in constraints:
+        for _, axes_drop, target in constraints:
             cur = q.sum(axis=axes_drop) if axes_drop else q
             residual = max(residual, float(np.max(np.abs(cur - target.reshape(cur.shape)))))
         if residual <= tol:

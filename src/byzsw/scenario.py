@@ -4,6 +4,9 @@ A scenario file is canonical JSON (sorted keys, two-space indent, trailing
 newline) with explicit probability tables and 0-based sensor indices, so that
 serialize -> parse -> serialize is byte-identical. The same structures back
 the CLI commands and the acceptance suite.
+
+Every trial mode reads its row from one library call: ``run_session`` for
+the variable-rate modes, ``run_fixed_rate_trial`` for the fixed-rate ones.
 """
 from __future__ import annotations
 
@@ -16,26 +19,16 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .adversary import (
-    TraitorContext,
-    TraitorStrategy,
-    make_strategy,
-    optimal_fake_conditional,
-)
-from .fixed_rate import FixedRateCode, decode_all, demonstrate_converse, encode_all
-from .prob_core import (
-    ConditionalPMF,
-    JointPMF,
-    SubsetView,
-    identity_channel,
-)
+from .adversary import TraitorStrategy, make_strategy, optimal_fake_conditional
+from .fixed_rate import FixedRateCode, run_fixed_rate_trial
+from .prob_core import ConditionalPMF, JointPMF, SubsetView
 from .rate_region import (
     HonestCollection,
     InfoModel,
     RegionReport,
     r_star_perfect,
 )
-from .source_model import SourceBlock, derive_seed, sample_block, sample_side_info
+from .source_model import derive_seed
 from .variable_rate import ProtocolParams, run_session
 
 SCHEMA_VERSION = 1
@@ -99,8 +92,6 @@ class Scenario:
         return make_strategy(self.strategy_kind)
 
     def q_bar(self) -> ConditionalPMF:
-        if isinstance(self.q_bar_spec, ConditionalPMF):
-            return self.q_bar_spec
         traitors = self.traitors()
         sizes_t = tuple(self.alphabet_sizes[i] for i in traitors)
         cells_t = int(np.prod(sizes_t))
@@ -501,28 +492,16 @@ def _attack_session_fields(scn: Scenario, session_seed: int) -> dict:
     return fields
 
 
-def _fixed_rate_fields(scn: Scenario, session_seed: int) -> dict:
+def _fixed_rate_trial(scn: Scenario, strategy: TraitorStrategy | None,
+                      session_seed: int) -> tuple:
     code = replace(scn.fr, seed=derive_seed(session_seed, "fr-code"))
-    block = sample_block(scn.p, code.n, derive_seed(session_seed, "fr-block"))
-    traitors = scn.traitors()
-    strategy = scn.build_strategy()
-    ctx = None
-    if len(traitors) > 0:
-        r = scn.r_true if scn.r_true is not None else identity_channel(scn.alphabet_sizes)
-        w_block = sample_side_info(block=block, r=r,
-                                   seed=derive_seed(session_seed, "fr-sideinfo"))
-        ctx = TraitorContext(traitors=traitors,
-                             seed=derive_seed(session_seed, "traitor"),
-                             w_block=w_block,
-                             own_block=SourceBlock(code.n, block.subset(traitors.indices)),
-                             codebooks=None)
-    messages = encode_all(code, block, strategy, ctx, scn.p,
-                          derive_seed(session_seed, "fr-honest"))
-    table = decode_all(code, messages, scn.p, scn.collection,
-                       plurality=scn.fr_plurality)
-    wrong = [i for i in scn.honest_true
-             if table.final[i] is None
-             or not np.array_equal(table.final[i], block.sensor(i))]
+    return run_fixed_rate_trial(code, scn.p, scn.collection, scn.honest_true, strategy,
+                                session_seed, r_true=scn.r_true,
+                                plurality=scn.fr_plurality)
+
+
+def _fixed_rate_fields(scn: Scenario, session_seed: int) -> dict:
+    _block, table, wrong = _fixed_rate_trial(scn, scn.build_strategy(), session_seed)
     return {
         "honest_error": int(bool(wrong)),
         "num_null_finals": sum(1 for i in range(scn.m) if table.final[i] is None),
@@ -531,10 +510,11 @@ def _fixed_rate_fields(scn: Scenario, session_seed: int) -> dict:
 
 
 def _converse_fields(scn: Scenario, session_seed: int) -> dict:
-    code = replace(scn.fr, seed=derive_seed(session_seed, "fr-code"))
-    out = demonstrate_converse(code, scn.p, scn.collection, scn.honest_true,
-                               scn.target_set, session_seed, plurality=scn.fr_plurality)
-    return {"attack_found": int(out.attack_found), "honest_error": int(out.honest_error)}
+    strategy = make_strategy("fixed_rate_ambiguity", target_set=scn.target_set)
+    _block, _table, wrong = _fixed_rate_trial(scn, strategy, session_seed)
+    outcome = strategy.last_outcome      # None when there are no traitors
+    return {"attack_found": int(outcome is not None and outcome.found),
+            "honest_error": int(bool(wrong))}
 
 
 # row mode -> the trial's fields, as a function of (scenario, session seed)

@@ -263,7 +263,6 @@ def _ball_marginal_feasible_perfect(t_u: np.ndarray, sizes_u: Sequence[int],
     collapsed cells.
     """
     axes_keep = tuple(pos_in_u[i] for i in S)
-    axes_drop = tuple(k for k in range(len(sizes_u)) if k not in axes_keep)
     move = np.moveaxis(t_u, axes_keep, range(len(axes_keep)))
     flat = move.reshape(int(np.prod([sizes_u[k] for k in axes_keep])), -1)
     lower = np.maximum(flat - tau_u, 0.0).sum(axis=1)
@@ -425,7 +424,7 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         for i in range(m)
     }
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"),
-                         codebooks=codebooks)
+                         alphabet_sizes=sizes, codebooks=codebooks)
 
     state = DecoderState(V=tuple(H.candidates))
     marginals = {S: marginal(p, S).mass for S in H.candidates}

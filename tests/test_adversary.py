@@ -62,7 +62,7 @@ def perfect_ctx(p, honest, n, seed):
     w = sample_side_info(identity_channel(p.alphabet_sizes), block,
                          derive_seed(seed, "w"))
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"),
-                         w_block=w,
+                         alphabet_sizes=p.alphabet_sizes, w_block=w,
                          own_block=SourceBlock(n, block.subset(traitors.indices)))
     return ctx, block
 
@@ -70,8 +70,8 @@ def perfect_ctx(p, honest, n, seed):
 class TestCapabilitySurface:
     def test_context_exposes_no_honest_secrets(self):
         fields = {f.name for f in dataclasses.fields(TraitorContext)}
-        assert fields == {"traitors", "seed", "w_block", "own_block",
-                          "codebooks", "polling_history"}
+        assert fields == {"traitors", "seed", "alphabet_sizes", "w_block",
+                          "own_block", "codebooks", "polling_history"}
         # nothing resembling honest randomness or honest message contents
         assert not any("honest" in f or "rho" in f or "message" in f
                        for f in fields)
@@ -221,9 +221,8 @@ class TestVariableRateResponses:
                 w = sample_side_info(identity_channel((2, 2, 2)), block,
                                      derive_seed(seed, "sideinfo", I))
                 replay_ctx = TraitorContext(traitors=SubsetView.of(2),
-                                            seed=traitor_seed, w_block=w)
-                replay_ctx.codebooks = {2: BinningCodebook(2, 12, 2, 0.35,
-                                                           1.925, 64, 0)}
+                                            seed=traitor_seed,
+                                            alphabet_sizes=(2, 2, 2), w_block=w)
                 fake = fabricate_block(replay_ctx, q_bar,
                                        derive_seed(traitor_seed,
                                                    "fabricate-round", I))

@@ -4,6 +4,7 @@ import numpy as np
 from byzsw.adversary import (
     BlackHole,
     FakeDistribution,
+    FixedRateAmbiguity,
     HonestPassthrough,
     TraitorContext,
     optimal_fake_conditional,
@@ -12,8 +13,8 @@ from byzsw.binning import bin_count_for_rate
 from byzsw.fixed_rate import (
     FixedRateCode,
     decode_all,
-    demonstrate_converse,
     encode_all,
+    run_fixed_rate_trial,
 )
 from byzsw.prob_core import JointPMF, SubsetView, identity_channel
 from byzsw.rate_region import HonestCollection
@@ -53,7 +54,7 @@ def make_ctx(p, honest, n, seed):
     w = sample_side_info(identity_channel(p.alphabet_sizes), block,
                          derive_seed(seed, "w"))
     return TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"),
-                          w_block=w,
+                          alphabet_sizes=p.alphabet_sizes, w_block=w,
                           own_block=SourceBlock(n, block.subset(traitors.indices))), block
 
 
@@ -226,6 +227,15 @@ class TestPlurality:
                     assert np.array_equal(t_plur.final[i], block.sensor(i))
 
 
+def converse(code, p, H, honest_true, seed):
+    """(attack found, honest error) of one trial against the ambiguity
+    attack on the candidate set {0, 1}."""
+    strategy = FixedRateAmbiguity(SubsetView.of(0, 1))
+    _block, _table, wrong = run_fixed_rate_trial(code, p, H, honest_true, strategy, seed)
+    outcome = strategy.last_outcome
+    return outcome is not None and outcome.found, bool(wrong)
+
+
 class TestConverseDemo:
     def test_below_region_error_frequency(self):
         p = chain_law()
@@ -236,10 +246,10 @@ class TestConverseDemo:
             code = FixedRateCode(rates=(0.92, 0.75, 0.95), n=14,
                                  kind="deterministic",
                                  seed=derive_seed(seed, "code"), eps_decode=1.4)
-            out = demonstrate_converse(code, p, H3, h_true, SubsetView.of(0, 1),
-                                       derive_seed(seed, "demo"))
-            found += out.attack_found
-            errors += out.honest_error
+            attack_found, honest_error = converse(code, p, H3, h_true,
+                                                  derive_seed(seed, "demo"))
+            found += attack_found
+            errors += honest_error
         assert found >= 35
         assert errors >= 0.2 * 40
 
@@ -251,9 +261,9 @@ class TestConverseDemo:
             code = FixedRateCode(rates=(1.5, 1.5, 1.5), n=14,
                                  kind="deterministic",
                                  seed=derive_seed(seed, "code"), eps_decode=1.4)
-            out = demonstrate_converse(code, p, H3, h_true, SubsetView.of(0, 1),
-                                       derive_seed(seed, "demo"))
-            errors += out.honest_error
+            _found, honest_error = converse(code, p, H3, h_true,
+                                            derive_seed(seed, "demo"))
+            errors += honest_error
         assert errors <= 2
 
     def test_no_traitors_attack_inapplicable(self):
@@ -266,10 +276,7 @@ class TestConverseDemo:
         code = FixedRateCode(rates=(1.6, 1.6, 1.6), n=12, kind="deterministic",
                              seed=2, eps_decode=3.0)
         for seed in range(10):
-            out = demonstrate_converse(code, p, coll, SubsetView.of(0, 1, 2),
-                                       SubsetView.of(0, 1), seed)
-            assert not out.attack_found
-            assert not out.honest_error
+            assert converse(code, p, coll, SubsetView.of(0, 1, 2), seed) == (False, False)
 
 
 class TestEstimateTableInvariants:

@@ -7,8 +7,10 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import byzsw.adversary
 import byzsw.cli
 import byzsw.scenario
 from byzsw.cli import main
@@ -20,6 +22,7 @@ from byzsw.scenario import (
     run_trial,
     scenario_from_dict,
     scenario_to_dict,
+    trial_row,
     wilson_interval,
 )
 
@@ -126,6 +129,31 @@ class TestRunners:
         row = run_trial(canonical_dumps(doc), 1, "fr")
         assert row["mode"] == "fr"
         assert row["honest_error"] in (0, 1)
+
+    def test_fr_fake_traitors_with_unequal_alphabets(self, monkeypatch):
+        # traitors 1 and 2 fabricate over 3 x 2 symbols: the sizes come from
+        # the law, not from splitting the joint fake alphabet 6 evenly
+        doc = PRESETS["fixed_rate_randomized"]()
+        doc.update({"alphabet_sizes": [2, 3, 2],
+                    "pmf": np.random.default_rng(3).dirichlet(np.ones(12))
+                    .reshape(2, 3, 2).tolist(),
+                    "honest_collection": {"sets": [[0, 1], [0, 2], [1, 2], [0]]},
+                    "true_honest": [0]})
+        doc["fixed_rate"].update({"rates": [1.5, 2.0, 1.5], "n": 8, "kind": "randomized",
+                                  "c_subcodebooks": 4, "eps_decode": 3.0})
+        fakes = []
+        fabricate = byzsw.adversary.fabricate_block
+
+        def recorded(*args):
+            fakes.append(fabricate(*args))
+            return fakes[-1]
+
+        monkeypatch.setattr(byzsw.adversary, "fabricate_block", recorded)
+        row = trial_row(scenario_from_dict(doc), 0, "fr")
+        assert row["error"] == ""
+        assert len(fakes) == 1 and fakes[0].shape == (2, 8)
+        for symbols, size in zip(fakes[0], (3, 2)):
+            assert 0 <= symbols.min() and symbols.max() < size
 
     def test_wilson_interval(self):
         lo, hi = wilson_interval(0, 100)
@@ -325,7 +353,7 @@ class TestTrialChecks:
 
     @pytest.mark.parametrize("command,target,stem", [
         ("simulate-vr", "run_session", "vr_trials"),
-        ("simulate-fr", "decode_all", "fr_trials"),
+        ("simulate-fr", "run_fixed_rate_trial", "fr_trials"),
     ])
     def test_failing_trial_becomes_error_row(self, tmp_path, monkeypatch, command,
                                              target, stem):
