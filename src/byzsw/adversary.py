@@ -36,7 +36,6 @@ from .binning import (
     EnumerationGuardError,
     all_sequences,
     bin_count_for_rate,
-    bin_members,
     fixed_rate_encode,
 )
 from .prob_core import (
@@ -44,6 +43,7 @@ from .prob_core import (
     JointPMF,
     SubsetView,
     marginal,
+    type_counts,
 )
 from .source_model import SideInfoBlock, SourceBlock, rng_for
 
@@ -250,20 +250,12 @@ def _check_joint_space(cells: int, n: int) -> None:
             f"joint space {cells}^{n} exceeds the per-stage 2^22 guard")
 
 
-def _cell_counts(flat_seqs: np.ndarray, cells: int) -> np.ndarray:
-    """(k, cells) symbol counts of every sequence of per-slot flat symbols."""
-    k = flat_seqs.shape[0]
-    flat = (np.arange(k)[:, None] * cells + flat_seqs.astype(np.int64)).reshape(-1)
-    return np.bincount(flat, minlength=k * cells).reshape(k, cells)
-
-
 def _flat_cells(S: SubsetView, part: SubsetView, sizes) -> np.ndarray:
     """Offset of each flat joint symbol of ``part`` in the flat cells of S,
     whose last (highest-index) sensor varies fastest."""
     part_sizes = tuple(sizes[i] for i in part)
-    syms = np.unravel_index(np.arange(int(np.prod(part_sizes))), part_sizes)
-    stride = {i: int(np.prod([sizes[j] for j in S if j > i], dtype=np.int64))
-              for i in S}
+    syms = np.unravel_index(np.arange(math.prod(part_sizes)), part_sizes)
+    stride = {i: math.prod(sizes[j] for j in S if j > i) for i in S}
     return sum(stride[i] * x for i, x in zip(part, syms))
 
 
@@ -305,7 +297,8 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     inside SW(X_{S1 n H}).
 
     Nothing is enumerated beyond each intersection sensor's own sequence
-    space, which one kernel call bins to find the members of the truth's bin.
+    space, whose bins (``code.space_bins``, hashed once per code and shared
+    with the decoder) give the truth's bin and its members.
 
     * **Candidates.** The product of those members, as per-slot flat joint
       symbols in lexicographic order, minus the truth; ball distances are
@@ -335,24 +328,24 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     sizes = p.alphabet_sizes
     sizes_inter = tuple(sizes[i] for i in inter)
     sizes_outer = tuple(sizes[i] for i in outer)
-    cells_inter = int(np.prod(sizes_inter))
+    cells_inter = math.prod(sizes_inter)
     _check_joint_space(cells_inter, n)
-    _check_joint_space(int(np.prod(sizes_outer)), n)
+    _check_joint_space(math.prod(sizes_outer), n)
 
     # candidates: each sensor's members of the truth's bin, joined per slot
     cands = np.zeros((1, n), dtype=np.int64)
     stride = cells_inter
     for size, i in zip(sizes_inter, inter):
         stride //= size
-        truth_bin = fixed_rate_encode(code.seed, i, true_block.sensor(i), code.rates[i], 0)
-        members = all_sequences(size, n)[bin_members(code.seed, i, truth_bin, size, n,
-                                                     code.rates[i])]
+        bins = code.space_bins(i, size)
+        truth_bin = bins[np.ravel_multi_index(tuple(true_block.sensor(i)), (size,) * n)]
+        members = all_sequences(size, n)[np.flatnonzero(bins == truth_bin)]
         cands = (cands[:, None, :]
                  + stride * members[None, :, :].astype(np.int64)).reshape(-1, n)
     cands = cands[np.lexsort(cands.T[::-1])]
     truth_flat = np.ravel_multi_index(tuple(true_block.subset(inter.indices)), sizes_inter)
     cands = cands[np.any(cands != truth_flat[None, :], axis=1)]
-    counts = _cell_counts(cands, cells_inter)
+    counts = type_counts(cands, cells_inter)
     dist = np.max(np.abs(counts / n - marginal(p, inter).mass.reshape(1, -1)), axis=1)
     keep = np.nonzero(dist <= code.eps_decode / cells_inter + 1e-12)[0]
     keep = keep[np.argsort(dist[keep], kind="stable")][:max_attempts]
@@ -375,8 +368,8 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     fake_outer = np.stack(np.unravel_index(_lex_least_companion(x, lo, hi), sizes_outer))
     messages = {}
     for row, i in enumerate(outer):
-        messages[i] = (0, fixed_rate_encode(code.seed, i, fake_outer[row],
-                                            code.rates[i], 0))
+        index = np.ravel_multi_index(tuple(fake_outer[row]), (sizes[i],) * n)
+        messages[i] = (0, int(code.space_bins(i, sizes[i])[index]))
     for i in ctx.traitors.difference(outer):
         rng = rng_for(ctx.seed, "ambiguity-garbage", i)
         messages[i] = (0, int(rng.integers(bin_count_for_rate(n, code.rates[i]))))

@@ -21,14 +21,20 @@ the rows. A sender encodes all J blocks of its chain with one such call
 sequence of blocks the same way. Each row equals the single-header call
 bit for bit.
 
-One mixing core does the absorbing for two entries. ``hash_bins`` pads the
-rows it is given into native 64-bit words on every call. ``space_bins``
-bins the whole ``all_sequences(alphabet, n)`` space from a cached,
-read-only table of its native words, built once per (alphabet, n) beside
-the sequence table (64 KB for binary n = 12). The two entries give the same
-bins bit for bit. The phase search bins the whole space on block 0 with it
-(``BinningCodebook.encode_space``), and ``bin_members`` reads a fixed-rate
-bin from it.
+One mixing core, ``_mix``, absorbs and reduces for both entries.
+``hash_bins`` pads the rows it is given into native 64-bit words on every
+call. ``space_bins`` bins the whole ``all_sequences(alphabet, n)`` space
+without the sequence table: the chain state after a word depends only on
+the symbols absorbed so far, so the core starts from the key and fans each
+state out over the cached native words of one 8-symbol chunk (256 words for
+binary), one mix per distinct prefix rather than one per sequence and word.
+The two entries give the same bins bit for bit. On long rows the reduction
+divides by a scalar, which numpy does about twice as fast as ``%``, and
+wide arrays are mixed and reduced a cache-sized block of columns at a time.
+The phase search bins the whole space on block 0 with ``space_bins``
+(``BinningCodebook.encode_space``), and a fixed-rate code keeps the bins of
+each of its keys for its decoder and the ambiguity attack
+(``FixedRateCode.space_bins``).
 
 A variable-rate codebook for sensor i consists of C subcodebooks, each a chain
 of J_i block encoders: the first block carries n*(eps+nu) bits, later blocks
@@ -50,21 +56,31 @@ import numpy as np
 
 _SEED_MASK = (1 << 64) - 1
 _MAX_BINS = 1 << 32
+_BLOCK = 1 << 14    # states per pass: the temporaries of a block stay in cache
+_SHORT_ROW = 1 << 10    # rows shorter than this are reduced by one % (see _reduce)
 
 
 class EnumerationGuardError(RuntimeError):
     """Raised when a requested exhaustive search exceeds the desk-scale guard."""
 
 
-@lru_cache(maxsize=None)
-def all_sequences(alphabet: int, n: int) -> np.ndarray:
-    """All length-n sequences over {0..alphabet-1} in lexicographic order."""
+def _check_space(alphabet: int, n: int) -> None:
+    """Refuse an alphabet^n sequence space past the 2^22 desk-scale guard."""
     if n * math.log2(alphabet) > 22 + 1e-9:
         raise EnumerationGuardError(
             f"sequence space {alphabet}^{n} exceeds the 2^22 enumeration guard")
-    total = alphabet ** n
-    rows = np.stack(np.unravel_index(np.arange(total), (alphabet,) * n), axis=1)
-    rows = np.ascontiguousarray(rows.astype(np.uint8))
+
+
+@lru_cache(maxsize=None)
+def all_sequences(alphabet: int, n: int) -> np.ndarray:
+    """All length-n sequences over {0..alphabet-1} in lexicographic order, a
+    read-only (alphabet^n, n) uint8 array built column by column: column k
+    repeats each symbol alphabet^(n-1-k) times, alphabet^k times over."""
+    _check_space(alphabet, n)
+    rows = np.empty((alphabet ** n, n), dtype=np.uint8)
+    symbols = np.arange(alphabet, dtype=np.uint8)
+    for k in range(n):
+        rows[:, k] = np.tile(np.repeat(symbols, alphabet ** (n - 1 - k)), alphabet ** k)
     rows.setflags(write=False)
     return rows
 
@@ -75,8 +91,13 @@ _MIX1, _MIX2, _S27, _S30, _S31 = (np.array(v, dtype=np.uint64) for v in (
 
 
 def _splitmix64(z: np.ndarray) -> None:
-    """SplitMix64 finalizer (Steele, Lea & Flood 2014), in place on a uint64
-    array with wrap-around arithmetic."""
+    """SplitMix64 finalizer (Steele, Lea & Flood 2014), in place on a 2-D
+    uint64 array with wrap-around arithmetic; a wide array goes a
+    cache-sized block of columns at a time."""
+    if z.shape[1] > _BLOCK:
+        for start in range(0, z.shape[1], _BLOCK):
+            _splitmix64(z[:, start:start + _BLOCK])
+        return
     z ^= z >> _S30
     z *= _MIX1
     z ^= z >> _S27
@@ -85,9 +106,9 @@ def _splitmix64(z: np.ndarray) -> None:
 
 
 def _keys_and_counts(seed: int, header: bytes | Sequence[bytes],
-                     bins: int | Sequence[int]) -> tuple[bool, np.ndarray, np.ndarray]:
-    """(single-header flag, uint64 keys, uint64 bin counts) of a call to the
-    kernel, with the bin counts checked against [1, 2^32]."""
+                     bins: int | Sequence[int]) -> tuple[bool, np.ndarray, tuple[int, ...]]:
+    """(single-header flag, uint64 keys, bin counts) of a call to the kernel,
+    with the bin counts checked against [1, 2^32]."""
     single = isinstance(header, bytes)
     headers = (header,) if single else tuple(header)
     counts = (bins,) if single else tuple(bins)
@@ -99,21 +120,49 @@ def _keys_and_counts(seed: int, header: bytes | Sequence[bytes],
     seed_key = (seed & _SEED_MASK).to_bytes(8, "big")
     keys = np.array([int.from_bytes(blake2b(hd, key=seed_key, digest_size=8).digest(), "big")
                      for hd in headers], dtype=np.uint64)
-    return single, keys, np.array(counts, dtype=np.uint64)
+    return single, keys, tuple(map(int, counts))
 
 
-def _mix(keys: np.ndarray, words: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """The mixing core: for every key and every column of a native (words, k)
-    uint64 array, start from ``h = key``, absorb each word as
-    ``h = splitmix64(h ^ word)`` and reduce ``h mod`` the key's bin count.
-    Returns an (h, k) int64 array."""
-    h = np.empty((len(keys), words.shape[1]), dtype=np.uint64)
-    h[:] = keys[:, None]
+def _mix(keys: np.ndarray, words, counts: tuple[int, ...],
+         fan_out: bool = False) -> np.ndarray:
+    """The mixing core: start every state from ``h = key``, absorb each word
+    as ``h = splitmix64(h ^ word)`` and reduce ``h mod`` the key's bin count.
+    Returns an (h, k) int64 array, one row per key.
+
+    ``words`` is either a native (words, k) uint64 array, absorbed column by
+    column, one state per key and column; or, with ``fan_out``, a sequence of
+    1-D word tables, each fanning every state out over every word of the
+    table, so the k = product of the table lengths columns run over the
+    product of the tables in lexicographic order (first table slowest).
+    """
+    if fan_out:
+        h = keys[:, None]
+    else:
+        h = np.empty((len(keys), words.shape[1]), dtype=np.uint64)
+        h[:] = keys[:, None]
     for word in words:
-        h ^= word
+        if fan_out:
+            h = (h[:, :, None] ^ word).reshape(len(keys), -1)
+        else:
+            h ^= word
         _splitmix64(h)
-    h %= counts[:, None]
+    _reduce(h, counts)
     return h.view(np.int64)    # every bin is below 2^32
+
+
+def _reduce(h: np.ndarray, counts: tuple[int, ...]) -> None:
+    """Row r of a 2-D uint64 array mod ``counts[r]``, in place. Long rows
+    take h - (h // count) * count, a block of columns at a time: numpy
+    divides by a scalar about twice as fast as it takes ``%``, and the block's
+    temporaries stay in cache. Below ~1000 columns the three passes per row
+    cost more than one ``%`` by the column of counts, which takes over."""
+    if h.shape[1] < _SHORT_ROW:
+        h %= np.array(counts, dtype=np.uint64)[:, None]
+        return
+    for row, count in zip(h, counts):
+        for start in range(0, len(row), _BLOCK):
+            b = row[start:start + _BLOCK]
+            b -= b // count * count
 
 
 def _native_words(rows: np.ndarray) -> np.ndarray:
@@ -127,9 +176,11 @@ def _native_words(rows: np.ndarray) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _space_words(alphabet: int, n: int) -> np.ndarray:
-    """``_native_words(all_sequences(alphabet, n))``, cached and read-only."""
-    words = _native_words(all_sequences(alphabet, n))
+def _chunk_words(alphabet: int, length: int) -> np.ndarray:
+    """The native words of ``all_sequences(alphabet, length)`` for one word's
+    worth of symbols (length <= 8), in lexicographic order: cached and
+    read-only, 256 entries for a binary alphabet."""
+    words = _native_words(all_sequences(alphabet, length))[0]
     words.setflags(write=False)
     return words
 
@@ -167,10 +218,15 @@ def hash_bins(seed: int, header: bytes | Sequence[bytes], seqs: np.ndarray,
 def space_bins(seed: int, header: bytes | Sequence[bytes], alphabet: int, n: int,
                bins: int | Sequence[int]) -> np.ndarray:
     """``hash_bins(seed, header, all_sequences(alphabet, n), bins)``, bit for
-    bit, from the cached native words of the whole sequence space: the rows
-    are padded and converted once per (alphabet, n), not once per call."""
+    bit, without the sequence table: the chain state after a word depends
+    only on the symbols absorbed so far, so each 8-symbol chunk fans the
+    states of the distinct prefixes out over that chunk's cached words
+    (``_chunk_words``), one mix per distinct prefix. It refuses the spaces
+    ``all_sequences`` refuses."""
+    _check_space(alphabet, n)
     single, keys, counts = _keys_and_counts(seed, header, bins)
-    out = _mix(keys, _space_words(alphabet, n), counts)
+    tables = [_chunk_words(alphabet, min(8, n - start)) for start in range(0, n, 8)]
+    out = _mix(keys, tables, counts, True)    # fan_out
     return out[0] if single else out
 
 
@@ -270,13 +326,3 @@ def fixed_rate_encode(seed: int, sensor_id: int, x, rate: float, c: int = 0) -> 
     x = np.asarray(x)
     bins = bin_count_for_rate(x.size, rate)
     return int(hash_bins(seed, fixed_rate_header(sensor_id, c), x[None], bins)[0])
-
-
-def bin_members(seed: int, sensor_id: int, b: int, alphabet: int, n: int,
-                rate: float, c: int = 0) -> np.ndarray:
-    """Indices, into ``all_sequences(alphabet, n)``, of the sequences in bin
-    b of the one-shot fixed-rate encoder of (seed, sensor, c): one kernel
-    call over the cached words of the whole sequence space."""
-    bins = space_bins(seed, fixed_rate_header(sensor_id, c), alphabet, n,
-                      bin_count_for_rate(n, rate))
-    return np.nonzero(bins == b)[0]

@@ -4,7 +4,12 @@ Every sensor sends a single bin index at its fixed rate (randomized coding
 prepends a uniformly chosen subcodebook index). The decoder runs one
 Slepian-Wolf style search per candidate honest set S: it enumerates the
 sequences matching each received bin and keeps the lexicographically least
-jointly typical tuple, or null when none exists. Per-sensor final estimates
+jointly typical tuple, or null when none exists. The bins of each sensor's
+whole sequence space are hashed once per code (``FixedRateCode.space_bins``)
+and shared with the ambiguity attack; the search types a block of candidate
+tuples with one ``bincount`` and checks its winner with
+``eta_ball_contains``, and one kernel call rechecks that every estimate lies
+in the bin received. Per-sensor final estimates
 are reconciled across candidate sets by a deterministic preference order
 (largest candidate set first, then optional plurality voting, then
 lexicographic set order); disagreements between non-null estimates are
@@ -18,6 +23,7 @@ the same call with different strategies.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -27,8 +33,11 @@ from .adversary import TraitorContext, TraitorStrategy
 from .binning import (
     EnumerationGuardError,
     all_sequences,
-    bin_members,
+    bin_count_for_rate,
     fixed_rate_encode,
+    fixed_rate_header,
+    hash_bins,
+    space_bins,
 )
 from .prob_core import (
     ConditionalPMF,
@@ -37,12 +46,14 @@ from .prob_core import (
     eta_ball_contains,
     identity_channel,
     marginal,
+    type_counts,
     type_of,
 )
 from .rate_region import HonestCollection
 from .source_model import SourceBlock, derive_seed, rng_for, sample_block, sample_side_info
 
 COMBO_GUARD = 1 << 22
+_TUPLE_BLOCK = 1 << 12    # candidate tuples typed per bincount
 
 
 @dataclass(frozen=True)
@@ -63,6 +74,9 @@ class FixedRateCode:
     eps_decode: float = 1.4
 
     def __post_init__(self):
+        # the whole-space bins of each (sensor, alphabet, c) key, filled by
+        # space_bins(); not a field, so it takes no part in equality or repr
+        object.__setattr__(self, "_space", {})
         if any(r < 0 for r in self.rates):
             raise ValueError("rates must be nonnegative")
         if self.kind not in ("deterministic", "randomized"):
@@ -78,6 +92,21 @@ class FixedRateCode:
     @property
     def m(self) -> int:
         return len(self.rates)
+
+    def space_bins(self, i: int, alphabet: int, c: int = 0) -> np.ndarray:
+        """Bin of every sequence of ``all_sequences(alphabet, n)`` under the
+        one-shot encoder of (sensor i, subcodebook c): one whole-space kernel
+        call per key, kept read-only for as long as the code lives. A trial
+        makes its own code (its seed is drawn per trial), so the decoder and
+        the ambiguity attack share each pass and no bins outlive the trial."""
+        key = (i, alphabet, c)
+        bins = self._space.get(key)
+        if bins is None:
+            bins = space_bins(self.seed, fixed_rate_header(i, c), alphabet, self.n,
+                              bin_count_for_rate(self.n, self.rates[i]))
+            bins.setflags(write=False)
+            self._space[key] = bins
+        return bins
 
 
 @dataclass
@@ -113,41 +142,61 @@ def encode_all(code: FixedRateCode, block: SourceBlock,
     return messages
 
 
+def _first_typical(p_s: JointPMF, rows: list[np.ndarray],
+                   eps: float) -> tuple[np.ndarray, ...] | None:
+    """The first tuple, in ``itertools.product`` order over each sensor's
+    candidate rows, whose joint type lies in the eps ball around p_s, or
+    None. Tuples are tested a block at a time: one ``bincount`` counts the
+    types of a block, and max|p_s - counts/n| <= eps/cells is computed as
+    ``eta_ball_contains`` computes it, which checks the winner once more."""
+    shape = tuple(len(r) for r in rows)
+    guarded = math.prod(max(1, k) for k in shape)
+    if guarded > COMBO_GUARD:
+        raise EnumerationGuardError(
+            f"candidate tuple space {guarded} exceeds guard {COMBO_GUARD}")
+    sizes, cells = p_s.alphabet_sizes, p_s.num_cells
+    n = rows[0].shape[1]
+    flat_rows = [math.prod(sizes[k + 1:]) * r.astype(np.int64) for k, r in enumerate(rows)]
+    q = p_s.mass.reshape(1, -1)
+    tol = eps / cells
+    total = math.prod(shape)
+    for start in range(0, total, _TUPLE_BLOCK):
+        picks = np.unravel_index(np.arange(start, min(total, start + _TUPLE_BLOCK)), shape)
+        counts = type_counts(sum(fr[k] for fr, k in zip(flat_rows, picks)), cells)
+        typical = np.max(np.abs(q - counts / n), axis=1) <= tol
+        if typical.any():
+            r = int(typical.argmax())
+            found = tuple(np.array(rw[k[r]], dtype=np.int64) for rw, k in zip(rows, picks))
+            assert eta_ball_contains(p_s, type_of(np.stack(found), sizes), eps)
+            return found
+    return None
+
+
 def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
                p: JointPMF, H: HonestCollection, *,
                plurality: bool = False) -> EstimateTable:
     """Per-candidate-set typical-search decoding plus final reconciliation."""
     sizes = p.alphabet_sizes
-    match_lists = {i: bin_members(code.seed, i, messages[i][1], sizes[i], code.n,
-                                  code.rates[i], messages[i][0])
-                   for i in range(code.m)}
-    seq_tables = {i: all_sequences(sizes[i], code.n) for i in range(code.m)}
-
-    per_set = {}
-    for S in H.candidates:
-        idx_lists = [match_lists[i] for i in S]
-        total = 1
-        for lst in idx_lists:
-            total *= max(1, len(lst))
-        if total > COMBO_GUARD:
-            raise EnumerationGuardError(
-                f"candidate tuple space {total} exceeds guard {COMBO_GUARD}")
-        p_s = marginal(p, S)
-        found = None
-        for combo in itertools.product(*idx_lists):
-            tup = np.stack([seq_tables[i][k] for i, k in zip(S, combo)])
-            if eta_ball_contains(p_s, type_of(tup, p_s.alphabet_sizes),
-                                 code.eps_decode):
-                found = tuple(np.array(seq_tables[i][k], dtype=np.int64)
-                              for i, k in zip(S, combo))
-                break
-        if found is not None:
-            # bin-membership recheck: never emit an estimate inconsistent
-            # with what was actually received
-            for i, seq in zip(S, found):
-                c, idx = messages[i]
-                assert fixed_rate_encode(code.seed, i, seq, code.rates[i], c) == idx
-        per_set[S.indices] = found
+    members = {}
+    for i in range(code.m):
+        c, idx = messages[i]
+        in_bin = np.flatnonzero(code.space_bins(i, sizes[i], c) == idx)
+        members[i] = all_sequences(sizes[i], code.n)[in_bin]
+    per_set = {S.indices: _first_typical(marginal(p, S), [members[i] for i in S],
+                                         code.eps_decode)
+               for S in H.candidates}
+    # bin-membership recheck: never emit an estimate inconsistent with what
+    # was actually received. One kernel call bins every decoded row under
+    # every sender's key; row r is read under its own sensor's key.
+    decoded = [(i, seq) for S, tup in per_set.items() if tup is not None
+               for i, seq in zip(S, tup)]
+    if decoded:
+        senders = sorted({i for i, _ in decoded})
+        bins = hash_bins(code.seed, [fixed_rate_header(i, messages[i][0]) for i in senders],
+                         np.stack([seq for _, seq in decoded]),
+                         [bin_count_for_rate(code.n, code.rates[i]) for i in senders])
+        got = bins[[senders.index(i) for i, _ in decoded], np.arange(len(decoded))]
+        assert got.tolist() == [messages[i][1] for i, _ in decoded]
 
     final = {}
     disagreements = []

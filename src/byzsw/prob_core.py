@@ -18,6 +18,7 @@ Conventions:
 from __future__ import annotations
 
 import functools
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
@@ -114,8 +115,10 @@ class JointPMF:
         object.__setattr__(self, "alphabet_sizes", sizes)
         object.__setattr__(self, "mass", _frozen(arr))
         # H(X_A) by the bitmask of A, allocated and filled lazily by
-        # subset_entropy(); not a field, so it takes no part in equality or repr
+        # subset_entropy(), and the marginal laws by bitmask, filled by
+        # marginal(); not fields, so they take no part in equality or repr
         object.__setattr__(self, "_entropies", [])
+        object.__setattr__(self, "_marginals", {})
 
     @classmethod
     def from_table(cls, table, alphabet_sizes=None) -> "JointPMF":
@@ -129,7 +132,7 @@ class JointPMF:
 
     @property
     def num_cells(self) -> int:
-        return int(np.prod(self.alphabet_sizes))
+        return math.prod(self.alphabet_sizes)
 
 
 @dataclass(frozen=True)
@@ -215,11 +218,18 @@ def _validate_subset(pmf: JointPMF, s: SubsetView) -> None:
 
 
 def marginal(pmf: JointPMF, s: SubsetView) -> JointPMF:
-    """Marginal table p(x_s), coordinates kept in ascending index order."""
+    """Marginal table p(x_s), coordinates kept in ascending index order.
+
+    Each law builds a subset's marginal once and keeps it by bitmask; the
+    kept law is immutable, so every caller may share it."""
     if len(s) == 0:
         raise ValueError("marginal over the empty subset is undefined")
-    _validate_subset(pmf, s)
-    return JointPMF(tuple(pmf.alphabet_sizes[i] for i in s), marginal_table(pmf, s.mask))
+    out = pmf._marginals.get(s.mask)
+    if out is None:
+        _validate_subset(pmf, s)
+        out = pmf._marginals[s.mask] = JointPMF(tuple(pmf.alphabet_sizes[i] for i in s),
+                                                marginal_table(pmf, s.mask))
+    return out
 
 
 def marginal_table(pmf: JointPMF, mask: int) -> np.ndarray:
@@ -312,8 +322,16 @@ def type_of(symbols: np.ndarray, alphabet_sizes: Sequence[int]) -> EmpiricalType
     if np.any(arr < 0) or any(arr[k].max() >= sizes[k] for k in range(len(sizes))):
         raise ValueError("symbol out of alphabet range")
     flat = np.ravel_multi_index(tuple(arr), sizes)
-    counts = np.bincount(flat, minlength=int(np.prod(sizes))).reshape(sizes)
+    counts = np.bincount(flat, minlength=math.prod(sizes)).reshape(sizes)
     return EmpiricalType(sizes, counts, n)
+
+
+def type_counts(flat_seqs: np.ndarray, cells: int) -> np.ndarray:
+    """(k, cells) symbol counts of each row of a (k, n) array of flat joint
+    symbols (each below ``cells``), from one ``bincount``."""
+    k = flat_seqs.shape[0]
+    flat = (np.arange(k)[:, None] * cells + flat_seqs.astype(np.int64)).reshape(-1)
+    return np.bincount(flat, minlength=k * cells).reshape(k, cells)
 
 
 def eta_ball_contains(q: JointPMF, t: Union[EmpiricalType, JointPMF], eta: float) -> bool:

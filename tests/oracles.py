@@ -5,7 +5,8 @@ explicit per-cell loops, marginals by nested summation, the max-entropy value
 by projected-gradient ascent with Dykstra projection, simulability by grid
 search over the simulation table, bins by integer arithmetic one sequence
 at a time, conditional type entropies by explicit type counts, the phase
-search by the lazy candidate-by-candidate loop, the irredundant
+search by the lazy candidate-by-candidate loop, the fixed-rate per-set
+search by the tuple-by-tuple typicality loop, the irredundant
 sub-collections by a scan over every subset mask, linear programs by
 scipy's HiGHS solver, the simulation constraints and simulated laws by
 per-cell loops, the region report by running IPF on every family, the
@@ -34,7 +35,9 @@ from byzsw.prob_core import (
     JointPMF,
     SubsetView,
     channel_conditional_entropy,
+    eta_ball_contains,
     marginal,
+    type_of,
     union_of,
 )
 from byzsw.rate_region import (
@@ -230,6 +233,18 @@ def reference_decode_phase(cb, prior, sizes, c: int, eps: float, next_message):
             if ok:
                 return np.array(cands[idx], dtype=np.int64), j + 1, received, False
     return np.array(cands[0], dtype=np.int64), cb.J, received, True
+
+
+def reference_first_typical(p_s: JointPMF, rows, eps: float):
+    """The fixed-rate decoder's per-set search one tuple at a time: walk
+    ``itertools.product`` over each sensor's candidate rows and return the
+    first tuple (as int64 sequences) whose type passes
+    ``eta_ball_contains``, or None."""
+    for combo in itertools.product(*[range(len(r)) for r in rows]):
+        tup = np.stack([r[k] for r, k in zip(rows, combo)])
+        if eta_ball_contains(p_s, type_of(tup, p_s.alphabet_sizes), eps):
+            return tuple(np.array(r[k], dtype=np.int64) for r, k in zip(rows, combo))
+    return None
 
 
 def reference_candidate_collections(candidates, must_contain):

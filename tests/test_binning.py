@@ -9,15 +9,16 @@ from scipy import stats
 from byzsw.binning import (
     BinningCodebook,
     EnumerationGuardError,
-    _space_words,
+    _chunk_words,
+    _reduce,
     all_sequences,
     bin_count_for_rate,
-    bin_members,
     fixed_rate_encode,
     fixed_rate_header,
     hash_bins,
     space_bins,
 )
+from byzsw.fixed_rate import FixedRateCode
 from oracles import reference_bin
 
 
@@ -158,15 +159,25 @@ class TestSpaceBins:
             space_bins(0, b"", alphabet, n, 4)
 
     def test_word_table_cached_read_only_and_untouched(self):
-        words = _space_words(2, 12)
+        words = _chunk_words(2, 8)
         before = words.copy()
         space_bins(5, b"x", 2, 12, 1000)
-        assert _space_words(2, 12) is words
+        assert _chunk_words(2, 8) is words
         assert not words.flags.writeable
         with pytest.raises(ValueError):
-            words[0, 0] = 1
+            words[0] = 1
         assert np.array_equal(words, before)
-        assert words.shape == (2, 2 ** 12) and words.dtype == np.uint64
+        assert words.shape == (2 ** 8,) and words.dtype == np.uint64
+
+    @pytest.mark.parametrize("alphabet,n", [(3, 13), (2, 20)])
+    def test_matches_hash_bins_at_large_spaces(self, alphabet, n):
+        # three word chunks at binary n = 20; a short last chunk at ternary
+        # n = 13. The rows are built uncached, so the test keeps no 2^20 table.
+        seqs = all_sequences.__wrapped__(alphabet, n)
+        headers = [fixed_rate_header(1, 0), fixed_rate_header(2, 5)]
+        bins = [2 ** 32, 1000003]
+        assert np.array_equal(space_bins(3 * n, headers, alphabet, n, bins),
+                              hash_bins(3 * n, headers, seqs, bins))
 
     def test_bin_count_outside_range_rejected_like_hash_bins(self):
         seqs = all_sequences(2, 4)
@@ -189,8 +200,42 @@ class TestSpaceBins:
         with pytest.raises(ValueError):
             cb.encode_space(0, cb.J)
         bins = hash_bins(8, fixed_rate_header(2, 3), seqs, bin_count_for_rate(12, 0.5))
-        for b in (0, int(bins[77]), 63):
-            assert np.array_equal(bin_members(8, 2, b, 2, 12, 0.5, 3), np.nonzero(bins == b)[0])
+        code = FixedRateCode(rates=(1.0, 1.0, 0.5), n=12, kind="randomized", C=4, seed=8)
+        got = code.space_bins(2, 2, 3)
+        assert np.array_equal(got, bins)
+        assert code.space_bins(2, 2, 3) is got and not got.flags.writeable
+
+
+class TestReduction:
+    """The reduction of the mixing core equals ``%``, on short rows and on
+    long ones (floor division, a block of columns at a time)."""
+
+    @pytest.mark.parametrize("width", [5, 2 ** 14 + 7])
+    @pytest.mark.parametrize("bins", [1, 2, 2 ** 32 - 1, 2 ** 32])
+    def test_matches_mod(self, bins, width):
+        rng = np.random.default_rng(bins)
+        h = rng.integers(0, 2 ** 64, size=(2, width), dtype=np.uint64)
+        h[0, :4] = [0, 2 ** 64 - 1, bins, 2 ** 64 - bins]
+        want = h % np.array([[bins], [7]], dtype=np.uint64)
+        _reduce(h, (bins, 7))
+        assert np.array_equal(h, want)
+
+
+class TestAllSequences:
+    @staticmethod
+    def by_unravel(alphabet, n):
+        """The former construction: every index unravelled to its digits."""
+        rows = np.stack(np.unravel_index(np.arange(alphabet ** n), (alphabet,) * n), axis=1)
+        return np.ascontiguousarray(rows.astype(np.uint8))
+
+    @pytest.mark.parametrize("alphabet,n", [(2, 1), (2, 8), (2, 9), (2, 14), (3, 1), (3, 9)])
+    def test_same_bytes_as_unravel(self, alphabet, n):
+        got = all_sequences(alphabet, n)
+        want = self.by_unravel(alphabet, n)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.flags.c_contiguous and got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+        assert all_sequences(alphabet, n) is got
 
 
 class TestEncodeBlock:

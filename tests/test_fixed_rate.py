@@ -1,5 +1,8 @@
 """Tests for the one-shot fixed-rate protocol."""
+import math
+
 import numpy as np
+import pytest
 
 from byzsw.adversary import (
     BlackHole,
@@ -9,14 +12,22 @@ from byzsw.adversary import (
     TraitorContext,
     optimal_fake_conditional,
 )
-from byzsw.binning import bin_count_for_rate
+from byzsw.binning import (
+    EnumerationGuardError,
+    all_sequences,
+    bin_count_for_rate,
+    fixed_rate_header,
+    hash_bins,
+)
 from byzsw.fixed_rate import (
+    COMBO_GUARD,
     FixedRateCode,
+    _first_typical,
     decode_all,
     encode_all,
     run_fixed_rate_trial,
 )
-from byzsw.prob_core import JointPMF, SubsetView, identity_channel
+from byzsw.prob_core import JointPMF, SubsetView, identity_channel, marginal
 from byzsw.rate_region import HonestCollection
 from byzsw.source_model import (
     SourceBlock,
@@ -24,6 +35,7 @@ from byzsw.source_model import (
     sample_block,
     sample_side_info,
 )
+from oracles import reference_first_typical
 
 
 def chain_law(cross=0.15) -> JointPMF:
@@ -195,6 +207,117 @@ class TestDecode:
         msgs_honest = encode_all(code, block, None, None, p, seed=41)
         msgs_pass = encode_all(code, block, HonestPassthrough(), ctx, p, seed=41)
         assert msgs_honest == msgs_pass
+
+
+def assert_same_tuple(got, want):
+    if want is None:
+        assert got is None
+    else:
+        assert got is not None and len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype == np.int64 and np.array_equal(a, b)
+
+
+class TestFirstTypicalOracle:
+    """The per-set search, a block of candidate tuples per ``bincount``,
+    against the tuple-by-tuple loop it replaced
+    (``oracles.reference_first_typical``)."""
+
+    @pytest.mark.parametrize("sizes", [(2,), (3,), (2, 2), (2, 3), (3, 3), (2, 2, 2),
+                                       (3, 2, 3)])
+    def test_seeded_instances(self, sizes):
+        rng = np.random.default_rng([15, *sizes])
+        outcomes = set()
+        for _ in range(40):
+            p_s = JointPMF(sizes, rng.dirichlet(np.ones(math.prod(sizes))).reshape(sizes))
+            n = int(rng.integers(4, 11))
+            rows = [rng.integers(0, a, (int(rng.integers(0, 7)), n)).astype(np.uint8)
+                    for a in sizes]
+            eps = float(rng.uniform(0.2, 2.5)) * len(sizes)
+            want = reference_first_typical(p_s, rows, eps)
+            assert_same_tuple(_first_typical(p_s, rows, eps), want)
+            outcomes.add(want is None)
+        assert outcomes == {True, False}
+
+    def test_empty_bin_gives_none(self):
+        p_s = JointPMF((2, 2), np.full((2, 2), 0.25))
+        rows = [np.zeros((3, 6), dtype=np.uint8), np.zeros((0, 6), dtype=np.uint8)]
+        assert _first_typical(p_s, rows, 100.0) is None
+        assert reference_first_typical(p_s, rows, 100.0) is None
+
+    def test_first_in_product_order_wins_on_the_ball_edge(self):
+        # uniform over four cells at n = 4 with eps = 1: the tolerance is
+        # 1/4, so counts of 0 and 2 sit exactly on the edge and are typical
+        p_s = JointPMF((2, 2), np.full((2, 2), 0.25))
+        first = np.array([[0, 0, 0, 0], [0, 0, 1, 1]], dtype=np.uint8)
+        second = np.array([[0, 0, 0, 0], [0, 1, 0, 1]], dtype=np.uint8)
+        # product order: (0,0) atypical (count 4), then (0,1), (1,0), (1,1)
+        got = _first_typical(p_s, [first, second], 1.0)
+        assert_same_tuple(got, (first[0].astype(np.int64), second[1].astype(np.int64)))
+        assert_same_tuple(got, reference_first_typical(p_s, [first, second], 1.0))
+        # just inside the edge only the balanced tuple (1,1) is left
+        got = _first_typical(p_s, [first, second], 0.999)
+        assert_same_tuple(got, (first[1].astype(np.int64), second[1].astype(np.int64)))
+
+    @pytest.mark.parametrize("sizes", [(2,), (2, 3), (3, 2, 2)])
+    def test_tolerance_on_a_tuple_distance(self, sizes):
+        # eps set from one tuple's own distance, so eps/cells lands on (or
+        # within rounding of) a count the search must classify
+        rng = np.random.default_rng([16, *sizes])
+        cells = math.prod(sizes)
+        for _ in range(30):
+            p_s = JointPMF(sizes, rng.dirichlet(np.ones(cells)).reshape(sizes))
+            n = int(rng.integers(3, 9))
+            rows = [rng.integers(0, a, (int(rng.integers(1, 5)), n)).astype(np.uint8)
+                    for a in sizes]
+            tup = np.stack([r[int(rng.integers(len(r)))] for r in rows]).astype(np.int64)
+            flat = np.ravel_multi_index(tuple(tup), sizes)
+            counts = np.bincount(flat, minlength=cells)
+            eps = float(np.max(np.abs(p_s.mass.reshape(-1) - counts / n))) * cells
+            assert_same_tuple(_first_typical(p_s, rows, eps),
+                              reference_first_typical(p_s, rows, eps))
+
+    def test_winner_past_the_first_block(self):
+        # 90 x 90 tuples; only (80, 50) is typical, past the first block
+        p_s = JointPMF((2, 2), np.full((2, 2), 0.25))
+        first = np.zeros((90, 4), dtype=np.uint8)
+        second = np.zeros((90, 4), dtype=np.uint8)
+        first[80] = [0, 0, 1, 1]
+        second[50] = [0, 1, 0, 1]
+        got = _first_typical(p_s, [first, second], 0.999)
+        assert_same_tuple(got, (first[80].astype(np.int64), second[50].astype(np.int64)))
+        assert_same_tuple(got, reference_first_typical(p_s, [first, second], 0.999))
+
+    def test_guard(self):
+        p_s = JointPMF((2, 2), np.full((2, 2), 0.25))
+        k = math.isqrt(COMBO_GUARD) + 1
+        rows = [np.zeros((k, 4), dtype=np.uint8)] * 2
+        with pytest.raises(EnumerationGuardError):
+            _first_typical(p_s, rows, 1.0)
+
+    @pytest.mark.parametrize("kind", ["ambiguity", "garbage"])
+    def test_decode_all_per_set_against_the_loop(self, kind):
+        # whole trials, members from hash_bins over the whole space
+        p = chain_law()
+        h_true = SubsetView.of(1, 2)
+        for seed in range(15):
+            code = FixedRateCode(rates=(0.92, 0.75, 0.95), n=14, kind="deterministic",
+                                 seed=derive_seed(seed, "code"), eps_decode=1.4)
+            strategy = (FixedRateAmbiguity(SubsetView.of(0, 1)) if kind == "ambiguity"
+                        else BlackHole())
+            ctx, block = make_ctx(p, h_true, 14, seed)
+            msgs = encode_all(code, block, strategy, ctx, p, seed=derive_seed(seed, "h"))
+            table = decode_all(code, msgs, p, H3)
+            seqs = all_sequences(2, 14)
+            members = {}
+            for i, (c, idx) in msgs.items():
+                bins = hash_bins(code.seed, fixed_rate_header(i, c), seqs,
+                                 bin_count_for_rate(14, code.rates[i]))
+                members[i] = seqs[np.flatnonzero(bins == idx)]
+            for S in H3.candidates:
+                assert_same_tuple(table.per_set[S.indices],
+                                  reference_first_typical(marginal(p, S),
+                                                          [members[i] for i in S], 1.4))
 
 
 class TestPlurality:
