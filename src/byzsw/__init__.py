@@ -60,7 +60,6 @@ from .adversary import (
     optimal_fake_conditional,
 )
 from .variable_rate import (
-    DecoderState,
     ProtocolParams,
     SessionReport,
     run_round,

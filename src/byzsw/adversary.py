@@ -51,7 +51,12 @@ from .source_model import SideInfoBlock, SourceBlock, rng_for
 @dataclass
 class TraitorContext:
     """Capability surface handed to a strategy. Contains everything the
-    traitors may legitimately use and nothing else."""
+    traitors may legitimately use and nothing else.
+
+    A variable-rate session fills ``polling_history`` with (round, sensor,
+    block) for each of its transactions only after each pass of rounds, so
+    during a pass a strategy sees it a pass behind; at the end of the
+    session it holds every transaction in order."""
 
     traitors: SubsetView
     seed: int
@@ -127,16 +132,28 @@ def optimal_fake_conditional(q_star: JointPMF, honest: SubsetView,
 # ---------------------------------------------------------------------------
 
 class TraitorStrategy:
-    """Base class: by default behave honestly with the true block."""
+    """Base class: by default behave honestly with the true block.
+
+    A variable-rate session calls ``begin_round`` for a round, with the
+    round's side information and own block in the context, and then reads
+    ``reported_block`` for each traitor, keeping the rows it returns, before
+    the next round begins. A traitor that reports a block is encoded by the
+    session like an honest sensor; one that reports None is polled through
+    ``respond``, block by block, for the transactions its phase uses. The
+    round index is passed to every call that depends on it.
+
+    The session draws every round's blocks before it plays any, and plays
+    the rounds in passes, so a strategy must depend only on the round index
+    and the context's round data, not on ``polling_history`` or on how
+    earlier rounds went: ``begin_round`` runs for every round before the
+    first is played, and ``respond`` may be called again for a round whose
+    pass is discarded and replayed after V changes."""
 
     kind = "honest_passthrough"
-    _round = 0
-    _phase: tuple | None = None     # (round, sensor, c) whose chain ``_chain`` holds
-    _chain: np.ndarray | None = None
 
     def begin_round(self, ctx: TraitorContext, round_index: int) -> None:
-        self._round = round_index
-        self._phase = None      # a new session may reuse round indices
+        """Prepare the round's reported blocks; the base strategy has none
+        to prepare."""
 
     def reported_block(self, ctx: TraitorContext, sensor: int) -> np.ndarray | None:
         """The sequence this traitor pretends is its observation, or None if
@@ -146,20 +163,18 @@ class TraitorStrategy:
         row = list(ctx.traitors).index(sensor)
         return ctx.own_block.symbols[row]
 
-    def choose_subcodebook(self, ctx: TraitorContext, sensor: int, C: int) -> int:
-        return int(rng_for(ctx.seed, "traitor-c", self.kind, self._round, sensor)
+    def choose_subcodebook(self, ctx: TraitorContext, round_index: int, sensor: int,
+                           C: int) -> int:
+        return int(rng_for(ctx.seed, "traitor-c", self.kind, round_index, sensor)
                    .integers(C))
 
-    def respond(self, ctx: TraitorContext, sensor: int, c: int, j: int) -> int:
-        """Block j's index of the reported block under subcodebook c. The
-        whole chain is encoded in one call at the phase's first poll and
-        kept until the round, the sensor or c changes."""
-        phase = (self._round, sensor, c)
-        if self._phase != phase:
-            block = self.reported_block(ctx, sensor)
-            self._chain = ctx.codebooks[sensor].encode_chain(block, c)
-            self._phase = phase
-        return int(self._chain[j])
+    def respond(self, ctx: TraitorContext, round_index: int, sensor: int, c: int,
+                j: int) -> int:
+        """Block j's bin index sent by a traitor that reports no block. The
+        session encodes a reported block itself, so only a strategy whose
+        ``reported_block`` returns None is polled, and it must answer."""
+        raise NotImplementedError(f"{type(self).__name__} reports no block for sensor "
+                                  f"{sensor} but does not answer polls")
 
     def fixed_rate_messages(self, ctx: TraitorContext, code, block: SourceBlock,
                             p: JointPMF) -> dict[int, tuple[int, int]]:
@@ -167,7 +182,7 @@ class TraitorStrategy:
         for sensor in ctx.traitors:
             c = 0
             if code.kind == "randomized":
-                c = self.choose_subcodebook(ctx, sensor, code.C)
+                c = self.choose_subcodebook(ctx, 0, sensor, code.C)
             rep = self.reported_block(ctx, sensor)
             idx = fixed_rate_encode(code.seed, sensor, rep, code.rates[sensor], c)
             out[sensor] = (c, idx)
@@ -186,9 +201,10 @@ class BlackHole(TraitorStrategy):
     def reported_block(self, ctx, sensor):
         return None
 
-    def respond(self, ctx: TraitorContext, sensor: int, c: int, j: int) -> int:
+    def respond(self, ctx: TraitorContext, round_index: int, sensor: int, c: int,
+                j: int) -> int:
         bins = ctx.codebooks[sensor].bin_count(j)
-        return int(rng_for(ctx.seed, "black-hole", self._round, sensor, j).integers(bins))
+        return int(rng_for(ctx.seed, "black-hole", round_index, sensor, j).integers(bins))
 
     def fixed_rate_messages(self, ctx, code, block, p):
         out = {}
@@ -394,6 +410,10 @@ class FixedRateAmbiguity(TraitorStrategy):
             return dict(self.last_outcome.messages)
         # no confusable sequence this trial: fall back to honest behavior
         return super().fixed_rate_messages(ctx, code, block, p)
+
+
+STRATEGY_KINDS = ("honest_passthrough", "black_hole", "fake_distribution",
+                  "fixed_rate_ambiguity")
 
 
 def make_strategy(kind: str, *, q_bar: ConditionalPMF | None = None,

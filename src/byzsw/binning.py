@@ -16,25 +16,27 @@ accounting elsewhere uses log2(actual bin count) so it stays exact.
 
 The kernel also takes a header axis: a sequence of headers with one bin
 count each gives one row of bins per header, from the same single pass over
-the rows. A sender encodes all J blocks of its chain with one such call
-(``encode_chain``), and ``encode_blocks`` bins a set of rows under a
-sequence of blocks the same way. Each row equals the single-header call
-bit for bit.
+the rows. ``encode_blocks`` bins a set of rows under a sequence of blocks
+this way. Each row equals the single-header call bit for bit. ``hash_rows``
+keys each row by its own header instead, so a variable-rate pass encodes
+every round's chain, each under its round's subcodebook, in one call
+(``encode_rows``).
 
-One mixing core, ``_mix``, absorbs and reduces for both entries.
-``hash_bins`` pads the rows it is given into native 64-bit words on every
-call. ``space_bins`` bins the whole ``all_sequences(alphabet, n)`` space
-without the sequence table: the chain state after a word depends only on
-the symbols absorbed so far, so the core starts from the key and fans each
-state out over the cached native words of one 8-symbol chunk (256 words for
-binary), one mix per distinct prefix rather than one per sequence and word.
-The two entries give the same bins bit for bit. On long rows the reduction
+One mixing core, ``_mix``, absorbs and reduces for every entry.
+``hash_bins`` and ``hash_rows`` pad the rows they are given into native
+64-bit words on every call. ``space_bins`` bins the whole
+``all_sequences(alphabet, n)`` space without the sequence table: the chain
+state after a word depends only on the symbols absorbed so far, so the core
+starts from the key and fans each state out over the cached native words of
+one 8-symbol chunk (256 words for binary), one mix per distinct prefix
+rather than one per sequence and word. It gives the bins of ``hash_bins``
+over that table bit for bit. On long rows the reduction
 divides by a scalar, which numpy does about twice as fast as ``%``, and
 wide arrays are mixed and reduced a cache-sized block of columns at a time.
 The phase search bins the whole space on block 0 with ``space_bins``
-(``BinningCodebook.encode_space``), and a fixed-rate code keeps the bins of
-each of its keys for its decoder and the ambiguity attack
-(``FixedRateCode.space_bins``).
+(``BinningCodebook.encode_space``, several subcodebooks per call), and a
+fixed-rate code keeps the bins of each of its keys for its decoder and the
+ambiguity attack (``FixedRateCode.space_bins``).
 
 A variable-rate codebook for sensor i consists of C subcodebooks, each a chain
 of J_i block encoders: the first block carries n*(eps+nu) bits, later blocks
@@ -105,22 +107,33 @@ def _splitmix64(z: np.ndarray) -> None:
     z ^= z >> _S31
 
 
+def _keys(seed: int, headers: Sequence[bytes]) -> list[int]:
+    """The 64-bit key of each header: its 8-byte blake2b digest keyed by the
+    seed."""
+    seed_key = (seed & _SEED_MASK).to_bytes(8, "big")
+    return [int.from_bytes(blake2b(hd, key=seed_key, digest_size=8).digest(), "big")
+            for hd in headers]
+
+
+def _check_counts(counts: Sequence[int], rows: int) -> tuple[int, ...]:
+    """Bin counts as ints, one per header row, each checked against
+    [1, 2^32]."""
+    if len(counts) != rows:
+        raise ValueError(f"{rows} header rows but {len(counts)} bin counts")
+    for b in counts:
+        if not 1 <= b <= _MAX_BINS:
+            raise ValueError(f"bin count {b} outside [1, 2^32]")
+    return tuple(map(int, counts))
+
+
 def _keys_and_counts(seed: int, header: bytes | Sequence[bytes],
                      bins: int | Sequence[int]) -> tuple[bool, np.ndarray, tuple[int, ...]]:
     """(single-header flag, uint64 keys, bin counts) of a call to the kernel,
     with the bin counts checked against [1, 2^32]."""
     single = isinstance(header, bytes)
     headers = (header,) if single else tuple(header)
-    counts = (bins,) if single else tuple(bins)
-    if len(counts) != len(headers):
-        raise ValueError(f"{len(headers)} headers but {len(counts)} bin counts")
-    for b in counts:
-        if not 1 <= b <= _MAX_BINS:
-            raise ValueError(f"bin count {b} outside [1, 2^32]")
-    seed_key = (seed & _SEED_MASK).to_bytes(8, "big")
-    keys = np.array([int.from_bytes(blake2b(hd, key=seed_key, digest_size=8).digest(), "big")
-                     for hd in headers], dtype=np.uint64)
-    return single, keys, tuple(map(int, counts))
+    counts = _check_counts((bins,) if single else tuple(bins), len(headers))
+    return single, np.array(_keys(seed, headers), dtype=np.uint64), counts
 
 
 def _mix(keys: np.ndarray, words, counts: tuple[int, ...],
@@ -134,12 +147,14 @@ def _mix(keys: np.ndarray, words, counts: tuple[int, ...],
     1-D word tables, each fanning every state out over every word of the
     table, so the k = product of the table lengths columns run over the
     product of the tables in lexicographic order (first table slowest).
+    Without ``fan_out`` the keys may also be an (h, k) array, one key per
+    row of output and column, reduced by ``counts`` row by row.
     """
     if fan_out:
         h = keys[:, None]
     else:
         h = np.empty((len(keys), words.shape[1]), dtype=np.uint64)
-        h[:] = keys[:, None]
+        h[:] = keys if keys.ndim == 2 else keys[:, None]
     for word in words:
         if fan_out:
             h = (h[:, :, None] ^ word).reshape(len(keys), -1)
@@ -204,6 +219,12 @@ def hash_bins(seed: int, header: bytes | Sequence[bytes], seqs: np.ndarray,
     Either way the mixing runs once, over an (h, k) array of states.
     """
     single, keys, counts = _keys_and_counts(seed, header, bins)
+    out = _mix(keys, _native_words(_byte_rows(seqs)), counts)
+    return out[0] if single else out
+
+
+def _byte_rows(seqs) -> np.ndarray:
+    """A (k, n) symbol array as uint8, refusing symbols outside one byte."""
     rows = np.asarray(seqs)
     if rows.ndim != 2:
         raise ValueError("expected a (k, n) array of sequences")
@@ -211,8 +232,22 @@ def hash_bins(seed: int, header: bytes | Sequence[bytes], seqs: np.ndarray,
         if rows.size and (rows.min() < 0 or rows.max() > 255):
             raise ValueError("symbols must fit in one byte")
         rows = rows.astype(np.uint8)
-    out = _mix(keys, _native_words(rows), counts)
-    return out[0] if single else out
+    return rows
+
+
+def hash_rows(seed: int, headers: Sequence[Sequence[bytes]], seqs: np.ndarray,
+              bins: Sequence[int]) -> np.ndarray:
+    """``hash_bins`` with one header per row: ``headers`` holds h sequences
+    of k headers, header ``headers[b][r]`` keying row r of the (k, n) array
+    ``seqs`` under bin count ``bins[b]``. Returns the (h, k) array whose entry
+    (b, r) equals ``hash_bins(seed, headers[b][r], seqs[r:r + 1],
+    bins[b])[0]``, from one pass of the mixing core."""
+    counts = _check_counts(tuple(bins), len(headers))
+    rows = _byte_rows(seqs)
+    if any(len(row) != len(rows) for row in headers):
+        raise ValueError(f"expected {len(rows)} headers per row")
+    keys = np.array([_keys(seed, row) for row in headers], dtype=np.uint64)
+    return _mix(keys.reshape(len(headers), len(rows)), _native_words(rows), counts)
 
 
 def space_bins(seed: int, header: bytes | Sequence[bytes], alphabet: int, n: int,
@@ -296,12 +331,30 @@ class BinningCodebook:
         return hash_bins(self.master_seed, [self._header(c, j) for j in blocks],
                          rows, [self._bin_counts[j] for j in blocks])
 
-    def encode_space(self, c: int, j: int) -> np.ndarray:
+    def encode_rows(self, seqs, cs: Sequence[int], blocks: Sequence[int]) -> np.ndarray:
+        """Bin indices of row k of ``seqs`` under its own subcodebook
+        ``cs[k]``, one row per block in ``blocks``: a (len(blocks), k) array
+        from one kernel call."""
+        blocks = tuple(blocks)
+        for j in blocks:
+            self._check_block(j)
+        for c in cs:
+            self._check_block(0, c)
+        rows = np.asarray(seqs)
+        if rows.ndim != 2 or rows.shape[1] != self.n or len(rows) != len(cs):
+            raise ValueError(f"expected {len(cs)} sequences of length n={self.n}, "
+                             f"got shape {rows.shape}")
+        return hash_rows(self.master_seed, [[self._header(c, j) for c in cs] for j in blocks],
+                         rows, [self._bin_counts[j] for j in blocks])
+
+    def encode_space(self, cs: Sequence[int], j: int) -> np.ndarray:
         """Bin index of every sequence of ``all_sequences(alphabet_size, n)``
-        under subcodebook c, block j, from the cached whole-space words."""
-        self._check_block(j, c)
-        return space_bins(self.master_seed, self._header(c, j), self.alphabet_size, self.n,
-                          self._bin_counts[j])
+        under block j of each subcodebook in ``cs``, without the sequence
+        table: a (len(cs), alphabet_size**n) array from one kernel call."""
+        for c in cs:
+            self._check_block(j, c)
+        return space_bins(self.master_seed, [self._header(c, j) for c in cs],
+                          self.alphabet_size, self.n, [self._bin_counts[j]] * len(cs))
 
     def _header(self, c: int, j: int) -> bytes:
         return struct.pack(">BIII", 0x01, self.sensor_id, c, j)
@@ -309,11 +362,6 @@ class BinningCodebook:
     def encode_block(self, x, c: int, j: int) -> int:
         """Bin index of sequence x under subcodebook c, block j."""
         return int(self.encode_blocks(np.asarray(x)[None], c, [j])[0, 0])
-
-    def encode_chain(self, x, c: int) -> np.ndarray:
-        """Bin indices of sequence x in every block 0..J-1 of subcodebook c,
-        from one kernel call."""
-        return self.encode_blocks(np.asarray(x)[None], c, range(self.J))[:, 0]
 
 
 def fixed_rate_header(sensor_id: int, c: int) -> bytes:

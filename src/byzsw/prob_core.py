@@ -26,7 +26,6 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 PROB_ATOL = 1e-12    # normalization slack for probability tables
-CHECK_ATOL = 1e-9    # generic invariant slack
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -119,12 +118,6 @@ class JointPMF:
         # marginal(); not fields, so they take no part in equality or repr
         object.__setattr__(self, "_entropies", [])
         object.__setattr__(self, "_marginals", {})
-
-    @classmethod
-    def from_table(cls, table, alphabet_sizes=None) -> "JointPMF":
-        arr = np.asarray(table, dtype=float)
-        sizes = tuple(arr.shape) if alphabet_sizes is None else tuple(alphabet_sizes)
-        return cls(sizes, arr.reshape(sizes))
 
     @property
     def m(self) -> int:

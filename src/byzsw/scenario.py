@@ -19,7 +19,7 @@ from typing import Any, Sequence
 
 import numpy as np
 
-from .adversary import TraitorStrategy, make_strategy, optimal_fake_conditional
+from .adversary import STRATEGY_KINDS, TraitorStrategy, make_strategy, optimal_fake_conditional
 from .fixed_rate import FixedRateCode, run_fixed_rate_trial
 from .prob_core import ConditionalPMF, JointPMF, SubsetView
 from .rate_region import (
@@ -212,6 +212,8 @@ def scenario_from_dict(doc: dict) -> Scenario:
     target_set = None
     if strat_doc is not None:
         strategy_kind = strat_doc["kind"]
+        if strategy_kind not in STRATEGY_KINDS:
+            raise ValueError(f"unknown strategy kind {strategy_kind!r}; have {STRATEGY_KINDS}")
         q_bar_spec = strat_doc.get("q_bar")
         ts = strat_doc.get("target_set")
         target_set = SubsetView(tuple(int(i) for i in ts)) if ts else None
@@ -241,6 +243,10 @@ def scenario_from_dict(doc: dict) -> Scenario:
         fr_plurality = bool(fr_doc.get("plurality", False))
         if len(fr.rates) != m:
             raise ValueError("fixed_rate.rates length != m")
+        if strategy_kind is None and len(honest_true.complement(m)):
+            # a variable-rate session lets such traitors behave honestly; a
+            # fixed-rate trial needs their strategy
+            raise ValueError("fixed_rate with traitors needs a strategy")
 
     if doc.get("eavesdropping", False):
         raise ValueError("eavesdropping traitors are not modeled")

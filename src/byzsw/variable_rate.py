@@ -9,21 +9,40 @@ indices; after j transactions the decoder searches the set
 
 for sequences matching the received composite bin, stops at the first
 non-empty intersection, and takes the lexicographically least member.
-
-Every candidate must match block 0, the block with the most bins, so the
-search bins the whole alphabet^n space on block 0 once, from cached
-words, as soon as the first index arrives; about one sequence shares the
-received bin. Only those members are scored. The empirical conditional
-entropy splits over the cells of the prior sensors' decoded symbols, so a
-member's score is a sum of reads from small cached per-cell tables. If
-the phase goes on, the members are binned on blocks 1..J-1 in one more
-kernel call, and each later transaction is a comparison on these few
-rows: at most two kernel calls per phase, however many transactions it
-takes. An honest sender encodes its whole block chain for the phase in
-one kernel call.
 At the end of a round the decoder prunes the collection V of candidate
 honest sets by testing the empirical type of the decoded block against the
 eta-blurred simulable-law sets of each candidate.
+
+Rounds depend on each other only through U(V), the union of the candidate
+sets still in V, which decides the sensors that get a phase; every random
+draw is keyed by (seed, label, round). So the session plays its rounds in
+passes, in lockstep: a pass plays every remaining round under the current
+U(V), one sensor at a time over all of the pass's rounds, and then prunes V
+round by round. If a round's prune changes U(V), the pass's later rounds
+are discarded and the next pass starts after that round. Each round is
+thus played under the U(V) its predecessors left, and the report is the
+one a round-by-round session gives, field for field.
+
+Within a pass, each sensor's phases for all rounds run at once:
+
+* the senders that report a block have the chains of every round encoded
+  in one kernel call, one key per (round's subcodebook, block);
+* every candidate must match block 0, the block with the most bins, so the
+  whole alphabet^n space is binned on block 0 under each round's
+  subcodebook, as many keys per kernel call as fit in 2^14 states (4 at
+  binary n = 12, one from binary n = 14 on); about one sequence per round
+  shares the received bin, and only those members are scored;
+* the empirical conditional entropy splits over the cells of the prior
+  sensors' decoded symbols, so all members are scored, each under its own
+  round's prior, from one count of (member, cell, symbol);
+* the j-loop then runs over the still-undecided rounds together: the
+  members are binned on blocks 1..J-1 in one more kernel call, and each
+  later transaction is a comparison on these few rows. A traitor that
+  reports no block is polled for exactly the blocks its phases use.
+
+The prune tests every round's type against each candidate set in one array
+expression under perfect information, and one LP per round and candidate
+under imperfect information.
 
 Rate accounting is exact: the reported sum rate is the sum of
 log2(actual bin count) over all transactions divided by n*N. The subcodebook
@@ -34,7 +53,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -125,18 +144,6 @@ class TranscriptRecord:
     bits: float
 
 
-@dataclass
-class DecoderState:
-    """Everything the decoder carries across a session."""
-
-    V: tuple[SubsetView, ...]
-    estimates: dict = field(default_factory=dict)   # sensor -> sequence or None
-    transcript: list = field(default_factory=list)
-
-    def U(self) -> SubsetView:
-        return union_of(self.V)
-
-
 @dataclass(frozen=True)
 class SessionReport:
     """Per-session outcome summary."""
@@ -166,91 +173,119 @@ class SessionReport:
 # phase decoding
 # ---------------------------------------------------------------------------
 
+# Whole-space states per block-0 kernel call: as many keys as fit, 4 at
+# binary n = 12 and one from binary n = 14 on. Measured on three_sensor
+# trials, 4 keys per call beat 2 and 8 on time, and peak memory grows with
+# the keys: the (keys, space) arrays are the pass's largest.
+_SPACE_STATES = 1 << 14
+
+
 @lru_cache(maxsize=None)
-def _cell_entropies(alphabet: int, s: int, n: int) -> np.ndarray:
-    """G(y) = [f(s) - sum_a f(#a in y)] / n for every y in alphabet^s, as a
-    read-only array in ``all_sequences`` order, with f(c) = c log2 c: one
-    prior cell's share of an empirical conditional entropy at block length
-    n."""
+def _xlogx(n: int) -> np.ndarray:
+    """f(c) = c log2 c for c = 0..n, cached and read-only."""
     f = np.arange(n + 1) * np.log2(np.maximum(np.arange(n + 1), 1))
-    seqs = all_sequences(alphabet, s)
-    fsum = sum(f[(seqs == a).sum(axis=1)] for a in range(alphabet))
-    g = (f[s] - fsum) / n
-    g.setflags(write=False)
-    return g
+    f.setflags(write=False)
+    return f
 
 
 def _conditional_type_entropies(rows: np.ndarray, alphabet: int,
-                                prior_flat: np.ndarray | None) -> np.ndarray:
+                                cells: np.ndarray | None) -> np.ndarray:
     """H_type(X_i | X_prior) in bits for every row of a (k, n) candidate
-    array.
+    array, row r under the prior cells ``cells[r]`` (a (k, n) array of flat
+    prior symbols per slot, an (n,) array shared by every row, or None
+    without a prior).
 
-    The entropy splits over prior cells: with S_p the slots whose prior
-    symbol is p, H(x) = sum_p G_p(x restricted to S_p) (``_cell_entropies``),
-    each G_p read at the index of x's S_p symbols in ``all_sequences``
-    order. Cells are added in increasing p, starting from zero, so a row's
-    value does not depend on which other rows are scored. Without a prior
-    the one cell holds every slot.
+    The entropy splits over prior cells: with S_p the s_p slots whose prior
+    symbol is p, H(x) = sum_p [f(s_p) - sum_a f(#a in x restricted to S_p)]
+    / n, f(c) = c log2 c. One ``bincount`` counts every (row, cell, symbol);
+    the symbols' terms are added in increasing a and the cells in increasing
+    p, starting from zero, so a row's value does not depend on which other
+    rows are scored.
     """
     rows = np.asarray(rows)
-    n = rows.shape[1]
-    cells = np.zeros(n, dtype=np.int64) if prior_flat is None else prior_flat
-    slot_counts = np.bincount(cells)
-    h = np.zeros(len(rows))
-    for p in np.flatnonzero(slot_counts):
-        s = int(slot_counts[p])
-        h += _cell_entropies(alphabet, s, n)[
-            np.ravel_multi_index(rows[:, cells == p].T, (alphabet,) * s)]
-    return h
+    k, n = rows.shape
+    cells = np.zeros((k, n), dtype=np.int64) if cells is None else np.broadcast_to(cells, (k, n))
+    num_cells = int(cells.max()) + 1 if k else 1
+    code = (np.arange(k)[:, None] * num_cells + cells) * alphabet + rows
+    counts = np.bincount(code.ravel(), minlength=k * num_cells * alphabet).reshape(
+        k, num_cells, alphabet)
+    f = _xlogx(n)
+    fsum = f[counts[..., 0]]
+    for a in range(1, alphabet):
+        fsum = fsum + f[counts[..., a]]
+    g = (f[counts.sum(axis=2)] - fsum) / n
+    return np.cumsum(g, axis=1)[:, -1]
 
 
-def _decode_phase(cb: BinningCodebook, prior: list[tuple[int, np.ndarray]],
-                  sizes: Sequence[int], c: int, eps: float,
-                  next_message: Callable[[int], int]):
-    """Run transactions with one sensor until the T_j search succeeds.
+def _decode_phases(cb: BinningCodebook, cs: Sequence[int], cells: np.ndarray | None,
+                   eps: float, message: Callable[[int, np.ndarray], np.ndarray]):
+    """Run one sensor's phases of a pass at once, one per subcodebook in
+    ``cs``, each until its T_j search succeeds.
 
-    Returns (estimate, j_used (1-based count), received indices, forced flag).
-    ``next_message(j)`` polls the sensor for block j's bin index.
+    ``cells`` gives each phase's prior cells per slot (an (R, n) array, or
+    None without a prior), and ``message(j, ks)`` polls the phases ``ks`` (an
+    index array) for block j's bin index; phase k is polled for block j only
+    while it is undecided. Returns the estimates as an (R, n) int64 array,
+    the transactions each phase used, the received indices as a (J, R)
+    array (-1 where a phase was not polled) and the forced-decode flags.
     """
-    n = cb.n
-    received = [int(next_message(0))]
-    # block 0 has the most bins: of the whole space, about one sequence
-    # shares the received bin, and only those can match any later block
-    members = np.nonzero(cb.encode_space(c, 0) == received[0])[0]
+    R, n, J = len(cs), cb.n, cb.J
+    received = np.full((J, R), -1, dtype=np.int64)
+    received[0] = message(0, np.arange(R))
+    # block 0 has the most bins: of the whole space, about one sequence per
+    # phase shares its received bin, and only those can match a later block
+    space = cb.alphabet_size ** n
+    keys = max(1, _SPACE_STATES // space)
+    found = [np.flatnonzero(cb.encode_space(cs[lo:lo + keys], 0)
+                            == received[0, lo:lo + keys, None]) + lo * space
+             for lo in range(0, R, keys)]
+    phase, members = np.divmod(np.concatenate(found), space)    # by phase, then index
     rows = all_sequences(cb.alphabet_size, n)[members]
-    prior_flat = None
-    if prior:
-        prior_flat = np.ravel_multi_index(tuple(np.stack([seq for _s, seq in prior])),
-                                          [sizes[s] for s, _seq in prior])
-    cond_h = _conditional_type_entropies(rows, cb.alphabet_size, prior_flat)
-    matched = np.ones(len(rows), dtype=bool)    # rows matching every received index
-    later = None                                # rows' bins on blocks 1..J-1
-    for j in range(cb.J):
+    cond_h = _conditional_type_entropies(rows, cb.alphabet_size,
+                                         None if cells is None else cells[phase])
+
+    estimates = np.zeros((R, n), dtype=np.int64)
+    j_used = np.full(R, J)
+    forced = np.ones(R, dtype=bool)
+    open_ = np.ones(R, dtype=bool)              # phases still searching
+    matched = np.ones(len(rows), dtype=bool)    # members matching every received index
+    later = None                                # members' bins on blocks 1..J-1
+    for j in range(J):
         if j:
-            received.append(int(next_message(j)))
-            if matched.any():
+            received[j, open_] = message(j, np.flatnonzero(open_))
+            live = matched & open_[phase]
+            if live.any():
                 if later is None:
-                    later = cb.encode_blocks(rows, c, range(1, cb.J))
-                matched &= later[j - 1] == received[j]
-        hit = np.nonzero(matched & (cond_h <= (j + 1) * eps + 1e-12))[0]
-        if hit.size:
-            return np.array(rows[hit[0]], dtype=np.int64), j + 1, received, False
-    # Exhausted all blocks with no candidate matching the full chain; this is
-    # only reachable when the sender's messages are inconsistent with every
-    # sequence (a garbage-spewing traitor). Take the lexicographically least
-    # sequence as the forced estimate; the V update will handle elimination.
-    return np.zeros(n, dtype=np.int64), cb.J, received, True
+                    later = np.full((J - 1, len(rows)), -1, dtype=np.int64)
+                    pick = open_[phase]
+                    later[:, pick] = cb.encode_rows(rows[pick], [cs[k] for k in phase[pick]],
+                                                    range(1, J))
+                matched &= later[j - 1] == received[j, phase]
+        hits = np.flatnonzero(matched & open_[phase] & (cond_h <= (j + 1) * eps + 1e-12))
+        ks, first = np.unique(phase[hits], return_index=True)   # least member per phase
+        estimates[ks] = rows[hits[first]]
+        j_used[ks] = j + 1
+        forced[ks] = False
+        open_[ks] = False
+        if not open_.any():
+            break
+    # A phase still open has exhausted all blocks with no member matching the
+    # full chain; this is only reachable when the sender's messages fit no
+    # sequence (a garbage-spewing traitor). Its forced estimate is the
+    # lexicographically least sequence; the V update handles elimination.
+    return estimates, j_used, received, forced
 
 
 # ---------------------------------------------------------------------------
 # V update
 # ---------------------------------------------------------------------------
 
-def _ball_marginal_feasible_perfect(t_u: np.ndarray, sizes_u: Sequence[int],
-                                    pos_in_u: dict, S: SubsetView,
-                                    p_s: np.ndarray, tau_u: float) -> bool:
-    """Exact perfect-information membership test of a type in the eta-blurred
-    simulable set of candidate S, restricted to the decoded coordinates U.
+def _ball_marginal_feasible_perfect(t_u: np.ndarray, U: SubsetView, S: SubsetView,
+                                    p_s: np.ndarray, tau_u: float) -> np.ndarray:
+    """Exact perfect-information membership test of each round's type in the
+    eta-blurred simulable set of candidate S, restricted to the decoded
+    coordinates U: ``t_u`` is an (R, *sizes_U) array of types, and the
+    result has one flag per round.
 
     A law q over X_U with q(x_S) = p(x_S) exists within the tau_u-ball of the
     type iff, for every x_S fiber,
@@ -262,13 +297,13 @@ def _ball_marginal_feasible_perfect(t_u: np.ndarray, sizes_u: Sequence[int],
     a per-cell ball multiplies the per-cell tolerance by the number of
     collapsed cells.
     """
-    axes_keep = tuple(pos_in_u[i] for i in S)
-    move = np.moveaxis(t_u, axes_keep, range(len(axes_keep)))
-    flat = move.reshape(int(np.prod([sizes_u[k] for k in axes_keep])), -1)
-    lower = np.maximum(flat - tau_u, 0.0).sum(axis=1)
-    upper = (flat + tau_u).sum(axis=1)
+    axes_keep = [1 + U.indices.index(i) for i in S]
+    move = np.moveaxis(t_u, axes_keep, range(1, 1 + len(axes_keep)))
+    flat = move.reshape(len(t_u), p_s.size, -1)       # (rounds, |X_S|, fiber)
+    lower = np.maximum(flat - tau_u, 0.0).sum(axis=2)
+    upper = (flat + tau_u).sum(axis=2)
     ps = p_s.reshape(-1)
-    return bool(np.all(lower - 1e-12 <= ps) and np.all(ps <= upper + 1e-12))
+    return np.all(lower - 1e-12 <= ps, axis=1) & np.all(ps <= upper + 1e-12, axis=1)
 
 
 def _ball_membership_general(t_u: np.ndarray, U: SubsetView, S: SubsetView,
@@ -298,98 +333,152 @@ def _ball_membership_general(t_u: np.ndarray, U: SubsetView, S: SubsetView,
     return LinearProgram(rows, rhs).feasible
 
 
-def update_V(V: Sequence[SubsetView], estimates: dict, U_prev: SubsetView,
+def update_V(V: Sequence[SubsetView], round_estimates: Sequence[dict], U: SubsetView,
              p: JointPMF, info_model: InfoModel, eta: float, n: int,
-             marginals: dict):
-    """One end-of-round prune of the candidate collection: keep S iff the
-    empirical type of the decoded block is consistent with some channel the
-    code accepts for S. Returns (new V, emptied flag); on emptying, the caller
-    restores the previous V (vanishing-probability event at proper
-    parameters) and logs it.
+             marginals: dict) -> tuple[list, list]:
+    """The end-of-round prunes of the candidate collection over a pass, round
+    by round: keep S iff the empirical type of the round's decoded block is
+    consistent with some channel the code accepts for S. If a prune empties
+    V, the previous V is restored (a vanishing-probability event at proper
+    parameters) and the round is flagged.
+
+    ``round_estimates`` holds one dict per round of the pass, mapping each
+    sensor of U = U(V) to its decoded block. Returns (the V after each
+    round's prune, the emptied flags), stopping after the first round whose
+    prune changes U(V): the later rounds were played under a U that no
+    longer holds.
 
     The type is the count of each X_U cell over the n decoded slots,
-    divided by n. ``marginals`` maps each candidate S to
-    ``marginal(p, S).mass``, which the perfect-information test reads; a
-    session computes them once, since p is fixed."""
-    sizes_u = tuple(p.alphabet_sizes[i] for i in U_prev)
-    flat = np.ravel_multi_index(tuple(estimates[i] for i in U_prev), sizes_u)
-    t_u = (np.bincount(flat, minlength=math.prod(sizes_u)) / n).reshape(sizes_u)
-    tau_u = eta / int(np.prod(sizes_u))
-    pos_in_u = {i: k for k, i in enumerate(U_prev)}
+    divided by n. Under perfect information every candidate is tested on
+    every round's type at once; ``marginals`` maps each candidate S to
+    ``marginal(p, S).mass``, which that test reads. Under imperfect
+    information each round's remaining candidates are tested one LP at a
+    time."""
+    sizes_u = tuple(p.alphabet_sizes[i] for i in U)
+    cells_u = math.prod(sizes_u)
+    flat = np.ravel_multi_index(
+        tuple(np.array([[est[i] for est in round_estimates] for i in U])), sizes_u)
+    rounds = len(round_estimates)
+    counts = np.bincount((np.arange(rounds)[:, None] * cells_u + flat).ravel(),
+                         minlength=rounds * cells_u)
+    t_u = (counts / n).reshape((rounds,) + sizes_u)
+    tau_u = eta / cells_u
+    if info_model.perfect:
+        passed = {S: _ball_marginal_feasible_perfect(t_u, U, S, marginals[S], tau_u)
+                  for S in V}
 
-    kept = []
-    for S in V:
-        if not S.is_subset_of(U_prev):
-            continue
+    V = tuple(V)
+    trajectory, emptied = [], []
+    for r in range(rounds):
         if info_model.perfect:
-            ok = _ball_marginal_feasible_perfect(t_u, sizes_u, pos_in_u, S,
-                                                 marginals[S], tau_u)
+            kept = tuple(S for S in V if passed[S][r])
         else:
-            ok = False
-            for chan in info_model.channels_for(S):
-                r_t = _effective_channel(chan, p, S)
-                if _ball_membership_general(t_u, U_prev, S, r_t, p, tau_u):
-                    ok = True
-                    break
-        if ok:
-            kept.append(S)
-    if not kept:
-        return tuple(V), True
-    return tuple(kept), False
+            kept = tuple(S for S in V if any(
+                _ball_membership_general(t_u[r], U, S, _effective_channel(chan, p, S), p,
+                                         tau_u)
+                for chan in info_model.channels_for(S)))
+        emptied.append(not kept)
+        V = kept or V
+        trajectory.append(V)
+        if union_of(V).indices != U.indices:
+            break
+    return trajectory, emptied
 
 
 # ---------------------------------------------------------------------------
 # sessions
 # ---------------------------------------------------------------------------
 
-def run_round(state: DecoderState, block: SourceBlock, w_block,
-              codebooks: dict, strategy: TraitorStrategy | None,
-              ctx: TraitorContext, params: ProtocolParams, seed: int,
-              round_index: int):
-    """Play one round on a fresh block: one phase per sensor in U(V), in
-    ascending order, updating the decoder state in place.
+@dataclass
+class RoundDraws:
+    """One round's draws: its source block, and each traitor's reported
+    block (None for a traitor that is polled instead)."""
 
-    Returns (round bin bits, per-sensor transaction counts, forced-phase
-    count). The candidate-collection prune happens after the round, in the
-    caller, so U(V) stays fixed for the whole round.
-    """
-    m = len(codebooks)
-    sizes = [codebooks[i].alphabet_size for i in range(m)]
+    block: SourceBlock
+    reported: dict
+
+
+@dataclass
+class RoundResult:
+    """One played round: the decoded blocks and transaction counts per
+    sensor of U (ascending), its transcript records, its bin bits (summed
+    in transcript order) and its forced phases."""
+
+    estimates: dict
+    tx_counts: dict
+    records: list
+    bits: float
+    forced: int
+
+
+def _draw_round(p: JointPMF, r_true: ConditionalPMF, strategy: TraitorStrategy | None,
+                ctx: TraitorContext, n: int, seed: int, round_index: int) -> RoundDraws:
+    """The round's block and side information from their keyed streams,
+    then the traitors' reported blocks for the round."""
+    block = sample_block(p, n, derive_seed(seed, "block", round_index))
+    ctx.w_block = sample_side_info(r_true, block, derive_seed(seed, "sideinfo", round_index))
     traitors = ctx.traitors
-    C = codebooks[0].C
-    ctx.w_block = w_block
-    ctx.own_block = (SourceBlock(params.n, block.subset(traitors.indices))
+    ctx.own_block = (SourceBlock(n, block.subset(traitors.indices))
                      if len(traitors) else None)
-    if strategy is not None:
-        strategy.begin_round(ctx, round_index)
+    if strategy is None:
+        return RoundDraws(block, {})
+    strategy.begin_round(ctx, round_index)
+    return RoundDraws(block, {i: strategy.reported_block(ctx, i) for i in traitors})
 
-    state.estimates = {i: None for i in range(m)}
-    round_bits = 0.0
-    tx_counts = {}
-    forced_count = 0
-    prior: list[tuple[int, np.ndarray]] = []
-    for i in sorted(state.U().indices):
+
+def run_round(U: SubsetView, rounds: Sequence[RoundDraws], first: int, codebooks: dict,
+              strategy: TraitorStrategy | None, ctx: TraitorContext,
+              params: ProtocolParams, seed: int) -> list[RoundResult]:
+    """Play the phases of one pass: rounds first, first+1, ... (one per
+    entry of ``rounds``), all under the same U(V), one phase per sensor of U
+    in ascending order. Each sensor's phases for every round of the pass run
+    at once, with the estimates of the sensors before it as their priors.
+
+    A sender that reports a block (an honest sensor, or a traitor whose
+    strategy reports one) has the chains of all its rounds encoded in one
+    kernel call; a traitor that reports None is polled through ``respond``.
+    The candidate-collection prune happens after the pass, in the caller.
+    Returns one result per round.
+    """
+    R = len(rounds)
+    C = codebooks[0].C
+    results = [RoundResult({}, {}, [], 0.0, 0) for _ in range(R)]
+    prior, prior_sizes = [], []
+    for i in sorted(U.indices):
         cb = codebooks[i]
-        if i in traitors and strategy is not None:
-            c = strategy.choose_subcodebook(ctx, i, C)
-            sender = lambda j, _i=i, _c=c: strategy.respond(ctx, _i, _c, j)
+        if strategy is not None and i in ctx.traitors:
+            cs = [strategy.choose_subcodebook(ctx, first + k, i, C) for k in range(R)]
+            sent = [rd.reported[i] for rd in rounds]
         else:
-            c = int(rng_for(seed, "subcode", round_index, i).integers(C))
-            sender = cb.encode_chain(block.sensor(i), c).__getitem__
-        est, j_used, received, forced = _decode_phase(
-            cb, prior, sizes, c, params.eps, sender)
-        assert j_used <= cb.J
-        forced_count += forced
-        state.estimates[i] = est
-        prior.append((i, est))
-        tx_counts[i] = j_used
-        for j in range(j_used):
-            bits = cb.block_bits(j)
-            round_bits += bits
-            state.transcript.append(
-                TranscriptRecord(round_index, i, c, j, received[j], bits))
-            ctx.note_poll((round_index, i, j))
-    return round_bits, tx_counts, forced_count
+            cs = [int(rng_for(seed, "subcode", first + k, i).integers(C)) for k in range(R)]
+            sent = [rd.block.sensor(i) for rd in rounds]
+        polled = np.array([row is None for row in sent])
+        chains = np.full((cb.J, R), -1, dtype=np.int64)
+        if not polled.all():
+            ks = np.flatnonzero(~polled)
+            chains[:, ks] = cb.encode_rows(np.stack([sent[k] for k in ks]),
+                                           [cs[k] for k in ks], range(cb.J))
+
+        def message(j, ks):     # called only while this sensor's phases run
+            for k in ks[polled[ks]].tolist():
+                chains[j, k] = strategy.respond(ctx, first + k, i, cs[k], j)
+            return chains[j, ks]
+
+        cells = np.ravel_multi_index(tuple(prior), prior_sizes) if prior else None
+        est, j_used, received, forced = _decode_phases(cb, cs, cells, params.eps, message)
+        prior.append(est)
+        prior_sizes.append(cb.alphabet_size)
+        bits = [cb.block_bits(j) for j in range(cb.J)]
+        for k, res in enumerate(results):
+            res.estimates[i] = est[k]
+            used = int(j_used[k])
+            res.tx_counts[i] = used
+            res.forced += bool(forced[k])
+            for j in range(used):
+                res.bits += bits[j]
+                res.records.append(TranscriptRecord(first + k, i, cs[k], j,
+                                                    int(received[j, k]), bits[j]))
+    return results
 
 
 def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
@@ -400,6 +489,11 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
 
     ``r_true`` may be None under perfect information (the identity channel is
     implied). ``strategy`` may be None when there are no traitors.
+
+    Every round is drawn first. Then each pass plays the remaining rounds
+    under the current U(V) (``run_round``) and prunes V over them in order
+    (``update_V``), keeping the rounds up to the first whose prune changes
+    U(V); the next pass starts after it.
     """
     m = p.m
     sizes = p.alphabet_sizes
@@ -425,12 +519,14 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
     }
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"),
                          alphabet_sizes=sizes, codebooks=codebooks)
+    draws = [_draw_round(p, r_true, strategy, ctx, n, seed, r) for r in range(params.rounds)]
 
-    state = DecoderState(V=tuple(H.candidates))
+    V = tuple(H.candidates)
     marginals = {S: marginal(p, S).mass for S in H.candidates}
+    transcript = []
     honest_errors = []
     round_rates = []
-    v_traj = [state.V]
+    v_traj = [V]
     phase_tx = []
     round_estimates = []
     subcode_bits = 0.0
@@ -442,38 +538,32 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
                          for j in range(cb.J))
     feedback_ratio = math.log2(C * j_max) / min_block_bits if min_block_bits > 0 else math.inf
 
-    for I in range(params.rounds):
-        block = sample_block(p, n, derive_seed(seed, "block", I))
-        w_block = sample_side_info(r_true, block, derive_seed(seed, "sideinfo", I))
-        round_bits, tx_counts, forced = run_round(
-            state, block, w_block, codebooks, strategy, ctx, params, seed, I)
-        forced_count += forced
-
-        newV, emptied = update_V(state.V, state.estimates, state.U(), p,
-                                 info_model, params.eta_value, n, marginals)
-        if emptied:
-            restores += 1
-        else:
-            assert all(any(s.indices == v.indices for v in state.V) for s in newV)
-            state.V = newV
-        v_traj.append(state.V)
-
-        err = False
-        for i in honest_true:
-            est = state.estimates.get(i)
-            if est is None or not np.array_equal(est, block.sensor(i)):
-                err = True
-                break
-        honest_errors.append(err)
-        round_rates.append(round_bits / n)
-        phase_tx.append(tx_counts)
-        round_estimates.append({i: e for i, e in state.estimates.items()
-                                if e is not None})
-        subcode_bits += len(tx_counts) * math.log2(C)
+    first = 0
+    while first < params.rounds:
+        U = union_of(V)
+        results = run_round(U, draws[first:], first, codebooks, strategy, ctx, params, seed)
+        trajectory, emptied = update_V(V, [res.estimates for res in results], U, p,
+                                       info_model, params.eta_value, n, marginals)
+        for res, V_after, was_emptied, rd in zip(results, trajectory, emptied, draws[first:]):
+            restores += was_emptied
+            v_traj.append(V_after)
+            transcript.extend(res.records)
+            for rec in res.records:
+                ctx.note_poll((rec.round, rec.sensor, rec.j))
+            forced_count += res.forced
+            honest_errors.append(any(
+                i not in res.estimates or not np.array_equal(res.estimates[i], rd.block.sensor(i))
+                for i in honest_true))
+            round_rates.append(res.bits / n)
+            phase_tx.append(res.tx_counts)
+            round_estimates.append(res.estimates)
+            subcode_bits += len(res.tx_counts) * math.log2(C)
+        first += len(trajectory)
+        V = trajectory[-1]
 
     # canonical accounting: one left-to-right sum over the transcript, so the
     # reported rate equals sum(log2 bin count) / (n N) bit-exactly
-    total_rate = sum(rec.bits for rec in state.transcript) / (n * params.rounds)
+    total_rate = sum(rec.bits for rec in transcript) / (n * params.rounds)
     return SessionReport(
         honest_error_rounds=tuple(honest_errors),
         round_rates=tuple(round_rates),
@@ -484,7 +574,7 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         decode_forced=forced_count,
         v_empty_restores=restores,
         feedback_ratio=feedback_ratio,
-        transcript=tuple(state.transcript),
+        transcript=tuple(transcript),
         round_estimates=tuple(round_estimates),
     )
 

@@ -5,7 +5,8 @@ explicit per-cell loops, marginals by nested summation, the max-entropy value
 by projected-gradient ascent with Dykstra projection, simulability by grid
 search over the simulation table, bins by integer arithmetic one sequence
 at a time, conditional type entropies by explicit type counts, the phase
-search by the lazy candidate-by-candidate loop, the fixed-rate per-set
+search by the lazy candidate-by-candidate loop, the variable-rate session
+by the round-by-round loop (one phase, then one prune, per round), the fixed-rate per-set
 search by the tuple-by-tuple typicality loop, the irredundant
 sub-collections by a scan over every subset mask, linear programs by
 scipy's HiGHS solver, the simulation constraints and simulated laws by
@@ -507,3 +508,203 @@ def reference_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
         return AmbiguityOutcome(True, messages, inter.indices, cand_syms,
                                 fake_outer)
     return AmbiguityOutcome(False, None, inter.indices, None, None)
+
+
+# ---------------------------------------------------------------------------
+# the per-round variable-rate session
+# ---------------------------------------------------------------------------
+
+def _sequential_cell_entropies(alphabet: int, s: int, n: int) -> np.ndarray:
+    """G(y) = [f(s) - sum_a f(#a in y)] / n over alphabet^s, f(c) = c log2 c."""
+    f = np.arange(n + 1) * np.log2(np.maximum(np.arange(n + 1), 1))
+    seqs = all_sequences(alphabet, s)
+    fsum = sum(f[(seqs == a).sum(axis=1)] for a in range(alphabet))
+    return (f[s] - fsum) / n
+
+
+def _sequential_type_entropies(rows, alphabet: int, prior_flat) -> np.ndarray:
+    """H_type(X_i | X_prior) of every row under one prior: the per-cell
+    tables summed in increasing cell order."""
+    n = rows.shape[1]
+    cells = np.zeros(n, dtype=np.int64) if prior_flat is None else prior_flat
+    slot_counts = np.bincount(cells)
+    h = np.zeros(len(rows))
+    for p in np.flatnonzero(slot_counts):
+        s = int(slot_counts[p])
+        h += _sequential_cell_entropies(alphabet, s, n)[
+            np.ravel_multi_index(rows[:, cells == p].T, (alphabet,) * s)]
+    return h
+
+
+def sequential_decode_phase(cb, prior, sizes, c: int, eps: float, next_message):
+    """One phase: bin the whole space on block 0, score the members of the
+    received bin, then walk j, binning the members on blocks 1..J-1 once.
+    Returns (estimate, j_used, received indices, forced flag)."""
+    n = cb.n
+    received = [int(next_message(0))]
+    members = np.nonzero(cb.encode_space([c], 0)[0] == received[0])[0]
+    rows = all_sequences(cb.alphabet_size, n)[members]
+    prior_flat = None
+    if prior:
+        prior_flat = np.ravel_multi_index(tuple(np.stack([seq for _s, seq in prior])),
+                                          [sizes[s] for s, _seq in prior])
+    cond_h = _sequential_type_entropies(rows, cb.alphabet_size, prior_flat)
+    matched = np.ones(len(rows), dtype=bool)
+    later = None
+    for j in range(cb.J):
+        if j:
+            received.append(int(next_message(j)))
+            if matched.any():
+                if later is None:
+                    later = cb.encode_blocks(rows, c, range(1, cb.J))
+                matched &= later[j - 1] == received[j]
+        hit = np.nonzero(matched & (cond_h <= (j + 1) * eps + 1e-12))[0]
+        if hit.size:
+            return np.array(rows[hit[0]], dtype=np.int64), j + 1, received, False
+    return np.zeros(n, dtype=np.int64), cb.J, received, True
+
+
+def sequential_update_V(V, estimates: dict, U: SubsetView, p: JointPMF, info_model,
+                        eta: float, n: int):
+    """One end-of-round prune on one round's decoded block: (new V, emptied)."""
+    from byzsw.rate_region import _effective_channel
+    from byzsw.variable_rate import _ball_membership_general
+
+    sizes_u = tuple(p.alphabet_sizes[i] for i in U)
+    flat = np.ravel_multi_index(tuple(estimates[i] for i in U), sizes_u)
+    t_u = (np.bincount(flat, minlength=math.prod(sizes_u)) / n).reshape(sizes_u)
+    tau_u = eta / int(np.prod(sizes_u))
+    kept = []
+    for S in V:
+        if info_model.perfect:
+            axes_keep = tuple(U.indices.index(i) for i in S)
+            move = np.moveaxis(t_u, axes_keep, range(len(axes_keep)))
+            flat_s = move.reshape(int(np.prod([sizes_u[k] for k in axes_keep])), -1)
+            lower = np.maximum(flat_s - tau_u, 0.0).sum(axis=1)
+            upper = (flat_s + tau_u).sum(axis=1)
+            ps = marginal(p, S).mass.reshape(-1)
+            ok = bool(np.all(lower - 1e-12 <= ps) and np.all(ps <= upper + 1e-12))
+        else:
+            ok = any(_ball_membership_general(t_u, U, S, _effective_channel(chan, p, S),
+                                              p, tau_u)
+                     for chan in info_model.channels_for(S))
+        if ok:
+            kept.append(S)
+    if not kept:
+        return tuple(V), True
+    return tuple(kept), False
+
+
+def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
+                           honest_true: SubsetView, r_true, strategy, params,
+                           seed: int):
+    """``variable_rate.run_session`` one round at a time: draw the round,
+    run one phase per sensor of U(V) in ascending order, prune V, repeat.
+    Same draws, same report; a traitor whose strategy reports no block is
+    polled block by block through ``respond``."""
+    from byzsw.binning import BinningCodebook
+    from byzsw.prob_core import identity_channel
+    from byzsw.source_model import derive_seed, sample_block, sample_side_info
+    from byzsw.variable_rate import SessionReport, TranscriptRecord
+
+    m, sizes, n = p.m, p.alphabet_sizes, params.n
+    traitors = honest_true.complement(m)
+    if len(traitors) == 0:
+        strategy = None
+    C = params.subcodebook_count(m, sizes)
+    if r_true is None:
+        r_true = identity_channel(sizes)
+    codebooks = {i: BinningCodebook(i, n, sizes[i], params.eps, params.nu_value, C,
+                                    derive_seed(seed, "codebook", i))
+                 for i in range(m)}
+    ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"),
+                         alphabet_sizes=sizes, codebooks=codebooks)
+    V = tuple(H.candidates)
+    transcript, honest_errors, round_rates, phase_tx, round_estimates = [], [], [], [], []
+    v_traj = [V]
+    subcode_bits = 0.0
+    forced_count = restores = 0
+    j_max = max(cb.J for cb in codebooks.values())
+    min_block_bits = min(cb.block_bits(j) for cb in codebooks.values() for j in range(cb.J))
+    feedback_ratio = math.log2(C * j_max) / min_block_bits if min_block_bits > 0 else math.inf
+
+    for I in range(params.rounds):
+        block = sample_block(p, n, derive_seed(seed, "block", I))
+        ctx.w_block = sample_side_info(r_true, block, derive_seed(seed, "sideinfo", I))
+        ctx.own_block = (SourceBlock(n, block.subset(traitors.indices))
+                         if len(traitors) else None)
+        if strategy is not None:
+            strategy.begin_round(ctx, I)
+        U = union_of(V)
+        estimates, tx_counts, prior = {}, {}, []
+        round_bits = 0.0
+        for i in sorted(U.indices):
+            cb = codebooks[i]
+            if i in traitors and strategy is not None:
+                c = strategy.choose_subcodebook(ctx, I, i, C)
+                sent = strategy.reported_block(ctx, i)
+            else:
+                c = int(rng_for(seed, "subcode", I, i).integers(C))
+                sent = block.sensor(i)
+            if sent is None:
+                sender = lambda j, _i=i, _c=c: strategy.respond(ctx, I, _i, _c, j)
+            else:
+                chain = cb.encode_blocks(np.asarray(sent)[None], c, range(cb.J))[:, 0]
+                sender = chain.__getitem__
+            est, j_used, received, forced = sequential_decode_phase(
+                cb, prior, sizes, c, params.eps, sender)
+            forced_count += forced
+            estimates[i] = est
+            prior.append((i, est))
+            tx_counts[i] = j_used
+            for j in range(j_used):
+                bits = cb.block_bits(j)
+                round_bits += bits
+                transcript.append(TranscriptRecord(I, i, c, j, received[j], bits))
+                ctx.note_poll((I, i, j))
+        newV, emptied = sequential_update_V(V, estimates, U, p, info_model,
+                                            params.eta_value, n)
+        restores += emptied
+        V = newV
+        v_traj.append(V)
+        honest_errors.append(any(i not in estimates
+                                 or not np.array_equal(estimates[i], block.sensor(i))
+                                 for i in honest_true))
+        round_rates.append(round_bits / n)
+        phase_tx.append(tx_counts)
+        round_estimates.append(estimates)
+        subcode_bits += len(tx_counts) * math.log2(C)
+
+    return SessionReport(
+        honest_error_rounds=tuple(honest_errors),
+        round_rates=tuple(round_rates),
+        sum_rate=sum(rec.bits for rec in transcript) / (n * params.rounds),
+        v_trajectory=tuple(v_traj),
+        phase_transactions=tuple(phase_tx),
+        subcode_bits_total=subcode_bits,
+        decode_forced=forced_count,
+        v_empty_restores=restores,
+        feedback_ratio=feedback_ratio,
+        transcript=tuple(transcript),
+        round_estimates=tuple(round_estimates),
+    )
+
+
+def report_differences(a, b) -> list[str]:
+    """Names of the ``SessionReport`` fields on which two reports differ;
+    decoded blocks are compared as arrays, with their dtypes."""
+    out = []
+    for name in a.__dataclass_fields__:
+        x, y = getattr(a, name), getattr(b, name)
+        if name == "round_estimates":
+            same = len(x) == len(y) and all(
+                list(ex) == list(ey) and all(np.array_equal(ex[i], ey[i])
+                                             and ex[i].dtype == ey[i].dtype for i in ex)
+                for ex, ey in zip(x, y))
+        elif name == "phase_transactions":
+            same = [list(d.items()) for d in x] == [list(d.items()) for d in y]
+        else:
+            same = x == y and type(x) is type(y)
+        if not same:
+            out.append(name)
+    return out

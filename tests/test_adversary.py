@@ -147,43 +147,48 @@ class TestVariableRateResponses:
         strat.begin_round(ctx, 0)
         for j in range(cb.J):
             for rep in range(50):
-                strat._round = rep
-                assert 0 <= strat.respond(ctx, 2, 0, j) < cb.bin_count(j)
+                assert 0 <= strat.respond(ctx, rep, 2, 0, j) < cb.bin_count(j)
 
-    def test_respond_follows_the_reported_block_per_round(self):
-        # the chain is encoded once per phase; a new round or a new (sensor,
-        # c) pair must encode afresh, block by block equal to encode_block
+    def test_base_respond_refuses_to_answer(self):
+        # the session encodes a reported block itself; a strategy that
+        # reports none must answer the polls
+        class Silent(HonestPassthrough):
+            def reported_block(self, ctx, sensor):
+                return None
+
         p = three_sensor_law()
-        cb = BinningCodebook(2, 12, 2, 0.35, 1.925, 8, 5)
-        strat = HonestPassthrough()
-        for seed in (17, 18):
-            ctx, _ = perfect_ctx(p, SubsetView.of(0, 1), 12, seed)
-            ctx.codebooks = {2: cb}
-            strat.begin_round(ctx, seed)
-            for c in (0, 3, 0):
-                block = strat.reported_block(ctx, 2)
-                assert [strat.respond(ctx, 2, c, j) for j in range(cb.J)] == \
-                    [cb.encode_block(block, c, j) for j in range(cb.J)]
+        ctx, _ = perfect_ctx(p, SubsetView.of(0, 1), 12, 17)
+        ctx.codebooks = {2: BinningCodebook(2, 12, 2, 0.35, 1.925, 8, 5)}
+        for strat in (HonestPassthrough(), Silent()):
+            with pytest.raises(NotImplementedError):
+                strat.respond(ctx, 0, 2, 0, 0)
+        H = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])
+        params = ProtocolParams(n=10, rounds=2, eps=0.35, eta=4.0, C=8)
+        with pytest.raises(NotImplementedError, match="Silent"):
+            run_session(p, H, InfoModel.perfect_info((2, 2, 2)), SubsetView.of(0, 1), None,
+                        Silent(), params, seed=21)
 
-    def test_kept_chain_is_keyed_on_the_round(self):
-        # a subclass whose begin_round skips super() still gets a fresh chain
-        # once the round changes
+    def test_session_sends_each_rounds_reported_block(self):
+        # a subclass whose begin_round skips super() is encoded from the
+        # block it reports for each round
         class PerRound(HonestPassthrough):
             def begin_round(self, ctx, round_index):
                 self._round = round_index
 
             def reported_block(self, ctx, sensor):
-                return np.full(12, self._round % 2)
+                return np.full(10, self._round % 2)
 
         p = three_sensor_law()
-        cb = BinningCodebook(2, 12, 2, 0.35, 1.925, 8, 5)
-        ctx, _ = perfect_ctx(p, SubsetView.of(0, 1), 12, 17)
-        ctx.codebooks = {2: cb}
-        strat = PerRound()
-        for r in (0, 1, 0):
-            strat.begin_round(ctx, r)
-            assert [strat.respond(ctx, 2, 0, j) for j in range(cb.J)] == \
-                [cb.encode_block(np.full(12, r), 0, j) for j in range(cb.J)]
+        H = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])
+        params = ProtocolParams(n=10, rounds=4, eps=0.35, eta=4.0, C=8)
+        report = run_session(p, H, InfoModel.perfect_info((2, 2, 2)), SubsetView.of(0, 1),
+                             None, PerRound(), params, seed=21)
+        C = params.subcodebook_count(3, (2, 2, 2))
+        cb = BinningCodebook(2, 10, 2, 0.35, params.nu_value, C, derive_seed(21, "codebook", 2))
+        sent = [rec for rec in report.transcript if rec.sensor == 2]
+        assert {rec.round for rec in sent} == set(range(4))
+        for rec in sent:
+            assert rec.bin_index == cb.encode_block(np.full(10, rec.round % 2), rec.c, rec.j)
 
     def test_honest_passthrough_matches_all_honest_session(self):
         p = three_sensor_law()

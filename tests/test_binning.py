@@ -16,6 +16,7 @@ from byzsw.binning import (
     fixed_rate_encode,
     fixed_rate_header,
     hash_bins,
+    hash_rows,
     space_bins,
 )
 from byzsw.fixed_rate import FixedRateCode
@@ -120,16 +121,58 @@ class TestHeaderAxis:
         rng = np.random.default_rng(n)
         for c in range(cb.C):
             x = rng.integers(0, 2, n)
-            chain = cb.encode_chain(x, c)
-            assert chain.shape == (cb.J,)
-            assert chain.tolist() == [cb.encode_block(x, c, j) for j in range(cb.J)]
+            chain = cb.encode_blocks(x[None], c, range(cb.J))
+            assert chain.shape == (cb.J, 1)
+            assert chain[:, 0].tolist() == [cb.encode_block(x, c, j) for j in range(cb.J)]
 
     def test_chain_checks_subcodebook_and_length(self):
         cb = small_codebook()
         with pytest.raises(ValueError):
-            cb.encode_chain(np.zeros(12, dtype=int), cb.C)
+            cb.encode_blocks(np.zeros((1, 12), dtype=int), cb.C, range(cb.J))
         with pytest.raises(ValueError):
-            cb.encode_chain(np.zeros(5, dtype=int), 0)
+            cb.encode_blocks(np.zeros((1, 5), dtype=int), 0, range(cb.J))
+
+
+class TestPerRowHeaders:
+    """A call with one header per row is the one-row calls side by side, bit
+    for bit."""
+
+    @pytest.mark.parametrize("n", [5, 8, 12, 17])
+    def test_matches_one_row_calls(self, n):
+        rng = np.random.default_rng(n)
+        seqs = rng.integers(0, 3, size=(30, n), dtype=np.uint8)
+        headers = [[struct.pack(">BIII", 0x01, 2, int(c), j) for c in rng.integers(0, 9, 30)]
+                   for j in range(3)]
+        bins = [2 ** 32, 7, 1000003]
+        seed = (1 << 64) + 3 * n
+        got = hash_rows(seed, headers, seqs, bins)
+        assert got.dtype == np.int64 and got.shape == (3, 30)
+        assert got.tolist() == [[reference_bin(seed, hd, x, b) for hd, x in zip(row, seqs)]
+                                for row, b in zip(headers, bins)]
+
+    def test_checks(self):
+        seqs = all_sequences(2, 3)
+        with pytest.raises(ValueError):
+            hash_rows(0, [[b"a"] * 8], seqs, [2 ** 32 + 1])
+        with pytest.raises(ValueError):
+            hash_rows(0, [[b"a"] * 7], seqs, [4])
+        with pytest.raises(ValueError):
+            hash_rows(0, [[b"a"] * 8], seqs, [4, 4])
+        with pytest.raises(ValueError):
+            hash_rows(0, [[b"a"]], np.array([[0, 256]]), [4])
+
+    def test_codebook_rows_match_chains(self):
+        cb = small_codebook(seed=17, eps=0.35, nu=1.0)
+        rng = np.random.default_rng(17)
+        seqs = rng.integers(0, 2, (10, 12))
+        cs = [int(c) for c in rng.integers(0, cb.C, 10)]
+        got = cb.encode_rows(seqs, cs, range(cb.J))
+        assert np.array_equal(got, np.stack([cb.encode_blocks(x[None], c, range(cb.J))[:, 0]
+                                             for x, c in zip(seqs, cs)], axis=1))
+        assert np.array_equal(cb.encode_rows(seqs, cs, [2, 0]), got[[2, 0]])
+        for bad_cs, blocks in ((cs[:-1] + [cb.C], [0]), (cs, [cb.J]), (cs[:-1], [0])):
+            with pytest.raises(ValueError):
+                cb.encode_rows(seqs, bad_cs, blocks)
 
 
 class TestSpaceBins:
@@ -194,11 +237,16 @@ class TestSpaceBins:
         cb = small_codebook(seed=21)
         seqs = all_sequences(2, 12)
         for c, j in ((0, 0), (3, 1), (1, cb.J - 1)):
-            assert np.array_equal(cb.encode_space(c, j), cb.encode_blocks(seqs, c, [j])[0])
+            assert np.array_equal(cb.encode_space([c], j), cb.encode_blocks(seqs, c, [j]))
         with pytest.raises(ValueError):
-            cb.encode_space(cb.C, 0)
+            cb.encode_space([cb.C], 0)
         with pytest.raises(ValueError):
-            cb.encode_space(0, cb.J)
+            cb.encode_space([0], cb.J)
+        # several subcodebooks: one row each, from one call
+        assert np.array_equal(cb.encode_space([2, 0, 2], 1),
+                              np.stack([cb.encode_space([c], 1)[0] for c in (2, 0, 2)]))
+        with pytest.raises(ValueError):
+            cb.encode_space([0, cb.C], 0)
         bins = hash_bins(8, fixed_rate_header(2, 3), seqs, bin_count_for_rate(12, 0.5))
         code = FixedRateCode(rates=(1.0, 1.0, 0.5), n=12, kind="randomized", C=4, seed=8)
         got = code.space_bins(2, 2, 3)
@@ -297,7 +345,7 @@ class TestComposite:
     def test_single_block_chain(self):
         cb = small_codebook()
         x = np.array([1] * 12)
-        chain = cb.encode_chain(x, 2)
+        chain = cb.encode_blocks(x[None], 2, range(cb.J))[:, 0]
         assert chain.shape == (cb.J,)
         assert chain[0] == cb.encode_block(x, 2, 0)
 
@@ -311,7 +359,7 @@ class TestComposite:
             a = cb.encode_blocks(x[None], c, range(j + 1))[:, 0]
             b = cb.encode_blocks(x[None], c, range(j + 2))[:, 0]
             assert list(b[:j + 1]) == list(a)
-            assert list(b) == list(cb.encode_chain(x, c)[:j + 2])
+            assert list(b) == [cb.encode_block(x, c, k) for k in range(j + 2)]
 
     def test_collision_rate_matches_bin_counts(self):
         cb = small_codebook(seed=3)
@@ -358,12 +406,12 @@ class TestComposite:
 
 class TestSearchBin:
     """A bin search is ``encode_blocks`` over the candidates, compared with
-    the first entries of the sender's ``encode_chain``."""
+    the first entries of the sender's chain."""
 
     def test_true_sequence_found_iff_chain_matches(self):
         cb = small_codebook()
         x = np.array([0, 1, 1, 0] * 3)
-        chain = cb.encode_chain(x, 0)[:2]
+        chain = cb.encode_blocks(x[None], 0, range(2))[:, 0]
         assert [tuple(s) for s in matching_rows(cb, [x], 0, chain)] == [tuple(x)]
         wrong = [(chain[0] + 1) % cb.bin_count(0), chain[1]]
         assert len(matching_rows(cb, [x], 0, wrong)) == 0
@@ -377,7 +425,7 @@ class TestSearchBin:
     def test_results_lexicographic(self):
         cb = small_codebook(eps=0.05, nu=0.05001, n=8)
         seqs = all_sequences(2, 8)
-        chain = cb.encode_chain(seqs[37], 0)[:1]
+        chain = cb.encode_blocks(seqs[37:38], 0, [0])[:, 0]
         found = matching_rows(cb, seqs, 0, chain)
         keys = [tuple(int(v) for v in s) for s in found]
         assert keys == sorted(keys)
@@ -392,7 +440,7 @@ class TestSearchBin:
             cb = BinningCodebook(0, 12, 2, eps=0.35, nu=0.8, C=2, master_seed=seed)
             truth = rng.integers(0, 2, size=12)
             cands = [truth] + [rng.integers(0, 2, size=12) for _ in range(200)]
-            chain = cb.encode_chain(truth, 0)[:2]   # rate 2*0.35+0.8 = 1.5b/sym
+            chain = cb.encode_blocks(truth[None], 0, range(2))[:, 0]  # rate 2*0.35+0.8 = 1.5b/sym
             found = matching_rows(cb, cands, 0, chain)
             wins += (len(found) == 1
                      and np.array_equal(found[0], truth))
@@ -405,7 +453,7 @@ class TestSearchBin:
         seqs = all_sequences(2, 8)
         seen = {}
         for s in seqs:
-            chain = cb.encode_chain(s, 1)[:2]
+            chain = cb.encode_blocks(s[None], 1, range(2))[:, 0]
             seen.setdefault(tuple(chain), []).append(tuple(int(v) for v in s))
         total = sum(len(v) for v in seen.values())
         assert total == len(seqs)

@@ -414,6 +414,35 @@ class TestTrialChecks:
         assert "target_set" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_unknown_strategy_kind_refused_at_load(self, tmp_path, capsys):
+        # "honest" is not a kind: every trial would otherwise be an error row
+        doc = PRESETS["three_sensor"]()
+        doc["strategy"]["kind"] = "honest"
+        with pytest.raises(ValueError, match="unknown strategy kind 'honest'"):
+            scenario_from_dict(doc)
+        path = tmp_path / "scenario_in.json"
+        path.write_text(canonical_dumps(doc))
+        out = tmp_path / "out"
+        assert main(["attack-demo", "--scenario", str(path), "--trials", "2",
+                     "--out", str(out)]) == 2
+        assert "honest" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_fixed_rate_traitors_without_strategy_refused_at_load(self):
+        # every fixed-rate trial would fail with "no strategy supplied"
+        doc = PRESETS["fixed_rate_randomized"]()
+        doc["strategy"] = None
+        with pytest.raises(ValueError, match="needs a strategy"):
+            scenario_from_dict(doc)
+        doc["true_honest"] = [0, 1, 2]
+        doc["honest_collection"] = {"sets": [[0, 1, 2]]}
+        assert scenario_from_dict(doc).strategy_kind is None     # no traitors: loads
+
+    def test_variable_rate_traitors_without_strategy_load(self):
+        # a variable-rate session lets strategy-less traitors behave honestly
+        scn = scenario_from_dict(imperfect_toy_doc())
+        assert scn.strategy_kind is None and len(scn.traitors()) == 1
+
 
 class TestSummaryCounts:
     def test_restore_and_forced_totals_match_rows(self, tmp_path):

@@ -11,17 +11,22 @@ from byzsw.prob_core import JointPMF, SubsetView, entropy, marginal
 from byzsw.rate_region import HonestCollection, InfoModel, r_star_perfect
 from byzsw.source_model import sample_block
 from byzsw.variable_rate import (
-    DecoderState,
     ProtocolParams,
+    RoundDraws,
     run_round,
     run_session,
-    _cell_entropies,
     _conditional_type_entropies,
-    _decode_phase,
+    _decode_phases,
+    _xlogx,
     transcript_lines,
     update_V,
 )
-from oracles import brute_conditional_type_entropy, reference_decode_phase
+from oracles import (
+    brute_conditional_type_entropy,
+    reference_decode_phase,
+    report_differences,
+    sequential_run_session,
+)
 
 
 def dsbs(cross=0.11) -> JointPMF:
@@ -149,84 +154,133 @@ class TestConditionalTypeEntropies:
         assert not _conditional_type_entropies(all_sequences(3, n), 3, np.arange(n)).any()
 
     def test_prior_free_array_cached_read_only(self):
-        a = _cell_entropies(2, 12, 12)
-        b = _cell_entropies(2, 12, 12)
+        a = _xlogx(12)
+        b = _xlogx(12)
         assert not a.flags.writeable
         assert np.shares_memory(a, b)
         with pytest.raises(ValueError):
             a[0] = 1.0
         self._check(12, 2, [], [])
 
+    def test_per_row_priors_match_one_prior_at_a_time(self):
+        # each row scored under its own prior cells equals the row scored
+        # alone under that prior, bit for bit
+        rng = np.random.default_rng(5)
+        n = 10
+        rows = rng.integers(0, 3, (40, n))
+        cells = rng.integers(0, 6, (40, n))
+        got = _conditional_type_entropies(rows, 3, cells)
+        for r in range(len(rows)):
+            assert got[r] == _conditional_type_entropies(rows[r:r + 1], 3, cells[r])[0]
+
+
+def prior_cells(prior, sizes):
+    """The flat prior cell of every slot of every phase: prior is a list of
+    (sensor, (R, n) decoded blocks) pairs."""
+    if not prior:
+        return None
+    return np.ravel_multi_index(tuple(seqs for _s, seqs in prior), [sizes[s] for s, _ in prior])
+
+
+def least_free_bin(bins) -> int:
+    """The least bin index that no entry of ``bins`` occupies."""
+    taken = np.unique(bins)
+    gaps = np.flatnonzero(taken != np.arange(len(taken)))
+    return int(gaps[0]) if gaps.size else len(taken)
+
 
 class TestDecodePhaseOracle:
-    """The array-mask phase search returns exactly what the lazy
-    candidate-by-candidate loop returns."""
+    """The batched phase search returns, phase by phase, exactly what the
+    lazy candidate-by-candidate loop returns for that phase alone."""
 
     @pytest.mark.parametrize("eps,nu", [(0.35, 1.925), (0.2, 0.25), (0.1, 0.15)])
     def test_matches_lazy_reference(self, eps, nu):
         rng = np.random.default_rng(int(eps * 1000))
-        n, sizes = 10, [2, 3, 2]
-        for trial in range(6):
+        n, sizes, R = 10, [2, 3, 2], 11
+        for trial in range(3):
             cb = BinningCodebook(2, n, 2, eps, nu, C=4,
                                  master_seed=int(rng.integers(1 << 62)))
-            prior = [(0, rng.integers(0, 2, n)),
-                     (1, rng.integers(0, 3, n))][:trial % 3]
-            c = int(rng.integers(cb.C))
-            truth, other = rng.integers(0, 2, (2, n))
-            taken = set(cb.encode_blocks(all_sequences(2, n), c, [0])[0].tolist())
-            unused = min(set(range(len(taken) + 1)) - taken)
-            senders = {
-                "honest": lambda j: cb.encode_block(truth, c, j),
-                "replay": lambda j: cb.encode_block(other, c, j),
-                # block 0 lands in a bin no sequence occupies: forced decode
-                "no_match": lambda j: unused if j == 0 else cb.encode_block(truth, c, j),
-            }
-            for name, sender in senders.items():
-                got = _decode_phase(cb, prior, sizes, c, eps, sender)
-                want = reference_decode_phase(cb, prior, sizes, c, eps, sender)
-                assert np.array_equal(got[0], want[0]), name
-                assert got[0].dtype == want[0].dtype
-                assert got[1:] == want[1:], name
-                if name == "no_match":
-                    assert got[3] and got[1] == cb.J
+            prior = [(0, rng.integers(0, 2, (R, n))),
+                     (1, rng.integers(0, 3, (R, n)))][:trial % 3]
+            cs = [int(c) for c in rng.integers(cb.C, size=R)]
+            truth, other = rng.integers(0, 2, (2, R, n))
+            unused = [least_free_bin(row) for row in cb.encode_space(cs, 0)]
+            # phase k's sender: honest, a replay of another sequence, or a
+            # block-0 index in a bin no sequence occupies (a forced decode)
+            kinds = ["honest", "replay", "no_match"] * 4
+
+            def sender(k):
+                x = other[k] if kinds[k] == "replay" else truth[k]
+                return lambda j: (unused[k] if kinds[k] == "no_match" and j == 0
+                                  else cb.encode_block(x, cs[k], j))
+
+            senders = [sender(k) for k in range(R)]
+            est, j_used, received, forced = _decode_phases(
+                cb, cs, prior_cells(prior, sizes), eps,
+                lambda j, ks: np.array([senders[k](j) for k in ks], dtype=np.int64))
+            assert est.dtype == np.int64
+            for k in range(R):
+                want = reference_decode_phase(cb, [(s, seqs[k]) for s, seqs in prior],
+                                              sizes, cs[k], eps, senders[k])
+                assert np.array_equal(est[k], want[0]), kinds[k]
+                assert (j_used[k], received[:j_used[k], k].tolist(), forced[k]) == want[1:]
+                assert (received[j_used[k]:, k] == -1).all()
+                if kinds[k] == "no_match":
+                    assert forced[k] and j_used[k] == cb.J
 
 
 class TestDecodePhaseBudget:
-    """The phase search makes at most two calls into the mixing core,
-    whatever the number of transactions, and polls the sender block by block
-    for exactly the transactions it uses."""
+    """A sensor's phases over a pass at binary n = 12 make at most
+    ceil(R / 4) + 2 calls into the mixing core (one for the senders' chains,
+    one per 4 block-0 keys, one for the members' later blocks), whatever
+    the number of transactions, and poll each phase block by block for
+    exactly the transactions it uses. A pass whose phases are all forced
+    (no sequence in any received block-0 bin) makes no later-block call.
+    From binary n = 14 on a block-0 call takes one key."""
 
-    @pytest.mark.parametrize("eps,nu", [(0.35, 1.925), (0.1, 0.15)])
-    def test_at_most_two_core_calls_and_polls_in_order(self, eps, nu, monkeypatch):
+    @pytest.mark.parametrize("n,eps,nu,per_call", [(12, 0.35, 1.925, 4), (12, 0.1, 0.15, 4),
+                                                   (14, 0.35, 1.0, 1)])
+    @pytest.mark.parametrize("R", [1, 8, 21])
+    def test_core_calls_per_pass_and_polls_in_order(self, n, eps, nu, per_call, R,
+                                                    monkeypatch):
         import byzsw.binning as binning
-        rng = np.random.default_rng(int(eps * 100))
-        n, sizes = 12, [2, 3, 2]
+        rng = np.random.default_rng(int(eps * 100) + R)
+        sizes = [2, 3, 2]
         calls = []
         core = binning._mix
         monkeypatch.setattr(binning, "_mix", lambda *a: calls.append(1) or core(*a))
         j_seen = set()
         for trial in range(12):
             cb = BinningCodebook(2, n, 2, eps, nu, C=4, master_seed=int(rng.integers(1 << 62)))
-            prior = [(0, rng.integers(0, 2, n)), (1, rng.integers(0, 3, n))][:trial % 3]
-            c = int(rng.integers(cb.C))
-            truth = rng.integers(0, 2, n)
-            taken = set(cb.encode_space(c, 0).tolist())
-            unused = min(set(range(len(taken) + 1)) - taken)
-            chain = cb.encode_chain(truth, c).tolist()
-            for forced, first in ((False, chain[0]), (True, unused)):
-                polled = []
-                sender = lambda j: polled.append(j) or (first if j == 0 else chain[j])
-                calls.clear()
-                est, j_used, received, got_forced = _decode_phase(cb, prior, sizes, c, eps,
-                                                                  sender)
-                assert len(calls) <= 2
-                assert got_forced == forced
-                assert polled == list(range(j_used))
-                assert received == [first] + chain[1:j_used]
-                if forced:
-                    assert j_used == cb.J and not calls[1:]
+            prior = [(0, rng.integers(0, 2, (R, n))), (1, rng.integers(0, 3, (R, n)))][:trial % 3]
+            cs = [int(c) for c in rng.integers(cb.C, size=R)]
+            truth = rng.integers(0, 2, (R, n))
+            forced_k = (set(range(R)) if trial % 4 == 3
+                        else {k for k in range(R) if (k + trial) % 3 == 0})
+            first = [least_free_bin(row) for row in cb.encode_space(cs, 0)]
+            calls.clear()
+            chains = cb.encode_rows(truth, cs, range(cb.J))
+            for k in forced_k:
+                chains[0, k] = first[k]
+            polled = []
+
+            def message(j, ks):
+                polled.extend((int(k), j) for k in ks)
+                return chains[j, ks]
+
+            est, j_used, received, forced = _decode_phases(cb, cs, prior_cells(prior, sizes),
+                                                           eps, message)
+            assert len(calls) <= math.ceil(R / per_call) + 2
+            if len(forced_k) == R:      # the chain call and the block-0 calls only
+                assert len(calls) == math.ceil(R / per_call) + 1
+            for k in range(R):
+                assert forced[k] == (k in forced_k)
+                assert [j for kk, j in polled if kk == k] == list(range(j_used[k]))
+                assert received[:j_used[k], k].tolist() == chains[:j_used[k], k].tolist()
+                if forced[k]:
+                    assert j_used[k] == cb.J
                 else:
-                    j_seen.add(j_used)
+                    j_seen.add(int(j_used[k]))
         assert max(j_seen) >= 3     # the budget held over multi-transaction phases
 
 
@@ -235,25 +289,38 @@ class TestRunRound:
         from byzsw.adversary import TraitorContext
         from byzsw.binning import BinningCodebook
         from byzsw.prob_core import SubsetView as SV
-        from byzsw.source_model import sample_block, sample_side_info
-        from byzsw.prob_core import identity_channel
 
         p = dsbs()
         params = ProtocolParams(n=12, rounds=1, eps=0.35, nu=1.925, C=8)
         codebooks = {i: BinningCodebook(i, 12, 2, 0.35, 1.925, 8, seed)
                      for i, seed in ((0, 11), (1, 12))}
-        state = DecoderState(V=tuple(PAIR.candidates))
         block = sample_block(p, 12, 44)
-        w = sample_side_info(identity_channel((2, 2)), block, 45)
         ctx = TraitorContext(traitors=SV(()), seed=46, codebooks=codebooks)
-        bits, tx, forced = run_round(state, block, w, codebooks, None, ctx,
-                                     params, seed=47, round_index=0)
-        assert forced == 0
-        assert set(tx) == {0, 1}
-        assert np.array_equal(state.estimates[0], block.sensor(0))
-        assert np.array_equal(state.estimates[1], block.sensor(1))
-        assert bits == sum(r.bits for r in state.transcript)
-        assert all(r.round == 0 for r in state.transcript)
+        [res] = run_round(SV.of(0, 1), [RoundDraws(block, {})], 0, codebooks, None, ctx,
+                          params, seed=47)
+        assert res.forced == 0
+        assert set(res.tx_counts) == {0, 1}
+        assert np.array_equal(res.estimates[0], block.sensor(0))
+        assert np.array_equal(res.estimates[1], block.sensor(1))
+        assert res.bits == sum(r.bits for r in res.records)
+        assert all(r.round == 0 for r in res.records)
+
+    def test_pass_equals_rounds_played_one_at_a_time(self):
+        from byzsw.adversary import TraitorContext
+        from byzsw.prob_core import SubsetView as SV
+
+        p = three_sensor_law()
+        params = ProtocolParams(n=10, rounds=6, eps=0.35, nu=1.0, C=16)
+        codebooks = {i: BinningCodebook(i, 10, 2, 0.35, 1.0, 16, 30 + i) for i in range(3)}
+        ctx = TraitorContext(traitors=SV.of(2), seed=46, codebooks=codebooks)
+        draws = [RoundDraws(sample_block(p, 10, 50 + r), {2: None}) for r in range(6)]
+        together = run_round(SV.of(0, 1, 2), draws, 3, codebooks, BlackHole(), ctx, params, 47)
+        for k, res in enumerate(together):
+            [alone] = run_round(SV.of(0, 1, 2), draws[k:k + 1], 3 + k, codebooks, BlackHole(),
+                                ctx, params, 47)
+            assert res.records == alone.records
+            assert res.bits == alone.bits and res.tx_counts == alone.tx_counts
+            assert all(np.array_equal(res.estimates[i], alone.estimates[i]) for i in range(3))
 
 
 def candidate_marginals(p, coll):
@@ -269,9 +336,9 @@ class TestUpdateV:
         for seed in range(20):
             blk = sample_block(p, 4096, seed)
             est = {i: blk.sensor(i) for i in range(3)}
-            newV, emptied = update_V(tuple(coll.candidates), est,
-                                     SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
-                                     candidate_marginals(p, coll))
+            [newV], [emptied] = update_V(tuple(coll.candidates), [est],
+                                         SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
+                                         candidate_marginals(p, coll))
             keep += (not emptied) and len(newV) == 3
         assert keep >= 19
 
@@ -287,9 +354,9 @@ class TestUpdateV:
         for seed in range(20):
             blk = sample_block(q_star, 4096, seed)
             est = {i: blk.sensor(i) for i in range(3)}
-            newV, emptied = update_V(tuple(coll.candidates), est,
-                                     SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
-                                     candidate_marginals(p, coll))
+            [newV], [emptied] = update_V(tuple(coll.candidates), [est],
+                                         SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
+                                         candidate_marginals(p, coll))
             assert not emptied
             kept = {v.indices for v in newV}
             drops += kept == {(0, 1), (1, 2)}
@@ -326,11 +393,31 @@ class TestUpdateV:
         coll = HonestCollection.explicit([[0, 1], [0], [1]])
         blk = sample_block(p, 2048, 9)
         est = {i: blk.sensor(i) for i in range(2)}
-        newV, emptied = update_V(tuple(coll.candidates), est,
-                                 SubsetView.of(0, 1), p, im, 0.5, 2048,
-                                 candidate_marginals(p, coll))
+        [newV], [emptied] = update_V(tuple(coll.candidates), [est],
+                                     SubsetView.of(0, 1), p, im, 0.5, 2048,
+                                     candidate_marginals(p, coll))
         assert not emptied
         assert {v.indices for v in newV} == {(0,), (1,), (0, 1)}
+
+
+    def test_pass_stops_after_the_round_that_changes_U(self):
+        # round 0 keeps every set, round 1 is the fake law's type (drops
+        # {0,2}: U unchanged), round 2 has a uniform garbage x2 (drops every
+        # set but {0,1}: U shrinks), so round 3 is never pruned
+        p = three_sensor_law()
+        coll = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])
+        im = InfoModel.perfect_info((2, 2, 2))
+        q_star = r_star_perfect(p, coll).maximizer_q
+        blocks = [sample_block(p, 4096, 1), sample_block(q_star, 4096, 2)]
+        garbage = {0: blocks[0].sensor(0), 1: blocks[0].sensor(1),
+                   2: np.random.default_rng(3).integers(0, 2, 4096)}
+        ests = [{i: b.sensor(i) for i in range(3)} for b in blocks] + [garbage, garbage]
+        trajectory, emptied = update_V(tuple(coll.candidates), ests, SubsetView.of(0, 1, 2),
+                                       p, im, 0.35, 4096, candidate_marginals(p, coll))
+        keys = [{S.indices for S in V} for V in trajectory]
+        assert keys[:2] == [{(0, 1), (0, 2), (1, 2)}, {(0, 1), (1, 2)}]
+        assert len(trajectory) == 3 and emptied == [False, False, False]
+        assert keys[2] == {(0, 1)}
 
 
 class TestSessionInvariants:
@@ -410,3 +497,82 @@ class TestAttackSession:
             over = sum(1 for r in rep.round_rates if r > budget)
             assert over <= 3
             assert rep.sum_rate <= budget + 0.2
+
+
+@pytest.mark.filterwarnings("ignore:subcodebook count")
+class TestSequentialOracle:
+    """``run_session`` plays the rounds in passes; the per-round session in
+    ``tests/oracles.py`` plays them one at a time. Every report field and
+    the traitors' polling history agree."""
+
+    @staticmethod
+    def _both(p, coll, im, h_true, r_true, make_strategy, params, seeds):
+        import byzsw.adversary as adversary
+        for seed in seeds:
+            polls = []
+            for session in (run_session, sequential_run_session):
+                history = []
+                note = adversary.TraitorContext.note_poll
+                adversary.TraitorContext.note_poll = (
+                    lambda self, rec, _h=history, _n=note: (_h.append(rec), _n(self, rec)))
+                try:
+                    rep = session(p, coll, im, h_true, r_true, make_strategy(), params,
+                                  seed=seed)
+                finally:
+                    adversary.TraitorContext.note_poll = note
+                polls.append((rep, history))
+            (got, got_polls), (want, want_polls) = polls
+            assert report_differences(got, want) == [], seed
+            assert got_polls == want_polls, seed
+            yield got
+
+    def _three_sensor(self, strategy_kind, seeds, rounds=50):
+        from byzsw.scenario import preset_scenario
+        from dataclasses import replace
+        from byzsw.source_model import derive_seed
+        scn = preset_scenario("three_sensor")
+        scn = replace(scn, strategy_kind=strategy_kind,
+                      vr=replace(scn.vr, rounds=rounds))
+        return list(self._both(
+            scn.p, scn.collection, scn.info_model, scn.honest_true, None,
+            scn.build_strategy, scn.vr,
+            [derive_seed(scn.seed, "trial", t) for t in seeds]))
+
+    def test_no_traitors(self):
+        p = three_sensor_law()
+        coll = HonestCollection.explicit([[0, 1], [0, 2], [1, 2], [0, 1, 2]])
+        params = ProtocolParams(n=10, rounds=30, eps=0.35, nu=1.0, eta=0.5, C=8)
+        reps = list(self._both(p, coll, InfoModel.perfect_info((2, 2, 2)),
+                               SubsetView.of(0, 1, 2), None, lambda: None, params, range(4)))
+        assert any(len(rep.final_V) < 4 for rep in reps)     # V shrank
+
+    def test_honest_passthrough(self):
+        self._three_sensor("honest_passthrough", range(3), rounds=20)
+
+    def test_black_hole_with_U_shrinking_mid_session(self):
+        reps = self._three_sensor("black_hole", range(3))
+        # U(V) loses a sensor before the last round in trials 0 and 1
+        shrunk = [next((r for r, V in enumerate(rep.v_trajectory[1:-1])
+                        if len({i for S in V for i in S}) < 3), None) for rep in reps]
+        assert shrunk[0] is not None and shrunk[1] is not None
+
+    def test_fake_distribution(self):
+        self._three_sensor("fake_distribution", range(3))
+
+    def test_imperfect_toy(self):
+        from byzsw.prob_core import ConditionalPMF
+        p = JointPMF((2, 2), np.array([[0.4, 0.2], [0.1, 0.3]]))
+        const = ConditionalPMF((2, 2), 1, np.ones((2, 2, 1)))
+        im = InfoModel.from_channels({SubsetView.of(0): [const], SubsetView.of(1): [const]},
+                                     (2, 2))
+        params = ProtocolParams(n=8, rounds=5, eps=0.35, nu=1.925, C=8)
+        reps = list(self._both(p, HonestCollection.explicit([[0], [1]]), im,
+                               SubsetView.of(0), const, lambda: None, params, range(6)))
+        assert any(len(rep.final_V) == 1 for rep in reps)     # a pass restarted
+
+    def test_v_restores(self):
+        p = dsbs(0.3)
+        params = ProtocolParams(n=8, rounds=20, eps=0.35, nu=1.0, eta=0.36, C=8)
+        reps = list(self._both(p, PAIR, IM2, SubsetView.of(0, 1), None, lambda: None,
+                               params, range(3)))
+        assert all(rep.v_empty_restores > 0 for rep in reps)
