@@ -1,10 +1,11 @@
-"""Pluggable traitor strategies.
+"""Pluggable traitor strategies: one protocol for both schemes.
 
-A strategy sees only what the model grants the traitors: their side
-information W^n, their own observations, the public codebooks, the polling
-history, and shared randomness derived from the scenario seed. The context
-object deliberately has no field for honest sensors' private randomness or
-honest message contents, so no strategy can read them.
+A strategy sees only what the model grants the traitors: the source law,
+their side information W^n, their own observations, the public codes, the
+polling history, and shared randomness derived from the scenario seed. The
+context object deliberately has no field for honest sensors' private
+randomness or honest message contents, so no strategy can read them. A
+strategy only decides blocks, subcodebooks and garbage; the scheme encodes.
 
 Strategies:
 
@@ -27,17 +28,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .binning import (
-    BinningCodebook,
-    EnumerationGuardError,
-    all_sequences,
-    bin_count_for_rate,
-    fixed_rate_encode,
-)
+from .binning import EnumerationGuardError, all_sequences, bin_count_for_rate
 from .prob_core import (
     ConditionalPMF,
     JointPMF,
@@ -45,13 +40,16 @@ from .prob_core import (
     marginal,
     type_counts,
 )
-from .source_model import SideInfoBlock, SourceBlock, rng_for
+from .source_model import SideInfoBlock, SourceBlock, derive_seed, rng_for
+
+if TYPE_CHECKING:
+    from .fixed_rate import FixedRateCode
 
 
 @dataclass
 class TraitorContext:
-    """Capability surface handed to a strategy. Contains everything the
-    traitors may legitimately use and nothing else.
+    """Capability surface handed to a strategy by either scheme. Contains
+    everything the traitors may legitimately use and nothing else.
 
     A variable-rate session fills ``polling_history`` with (round, sensor,
     block) for each of its transactions only after each pass of rounds, so
@@ -60,10 +58,10 @@ class TraitorContext:
 
     traitors: SubsetView
     seed: int
-    alphabet_sizes: tuple[int, ...] | None = None   # the law's, as public as p
+    law: JointPMF | None = None                   # the source law, as public as its alphabets
     w_block: SideInfoBlock | None = None
     own_block: SourceBlock | None = None          # the traitors' own rows
-    codebooks: Mapping[int, BinningCodebook] | None = None
+    code: FixedRateCode | None = None             # fixed-rate only, set by encode_all
     polling_history: list = field(default_factory=list)
 
     def note_poll(self, record) -> None:
@@ -76,9 +74,9 @@ def fabricate_block(ctx: TraitorContext, q_bar: ConditionalPMF, seed: int) -> np
     Returns a (|T|, n) table aligned with ctx.traitors; the fake block is then
     used verbatim by honest encoding logic for the rest of the round.
     """
-    if ctx.w_block is None or ctx.alphabet_sizes is None:
-        raise ValueError("fabrication requires side information and the alphabet sizes")
-    sizes_t = tuple(ctx.alphabet_sizes[i] for i in ctx.traitors)
+    if ctx.w_block is None or ctx.law is None:
+        raise ValueError("fabrication requires side information and the source law")
+    sizes_t = tuple(ctx.law.alphabet_sizes[i] for i in ctx.traitors)
     if int(np.prod(sizes_t)) != q_bar.output_alphabet_size:
         raise ValueError(f"qbar's output alphabet {q_bar.output_alphabet_size} is not "
                          f"the traitors' joint alphabet {sizes_t}")
@@ -134,13 +132,14 @@ def optimal_fake_conditional(q_star: JointPMF, honest: SubsetView,
 class TraitorStrategy:
     """Base class: by default behave honestly with the true block.
 
-    A variable-rate session calls ``begin_round`` for a round, with the
-    round's side information and own block in the context, and then reads
-    ``reported_block`` for each traitor, keeping the rows it returns, before
-    the next round begins. A traitor that reports a block is encoded by the
-    session like an honest sensor; one that reports None is polled through
-    ``respond``, block by block, for the transactions its phase uses. The
-    round index is passed to every call that depends on it.
+    One protocol for both schemes. A round calls ``begin_round``, with the
+    round's side information and own block in the context, then reads
+    ``reported_block`` for each traitor and encodes the rows it returns
+    like an honest sensor's, under ``choose_subcodebook``. A traitor that
+    reports None is polled through ``respond`` for each block j it sends,
+    with that block's bin count. A fixed-rate trial is round 0 with one
+    block (``fixed_rate.encode_all``). The round index is passed to every
+    call that depends on it.
 
     The session draws every round's blocks before it plays any, and plays
     the rounds in passes, so a strategy must depend only on the round index
@@ -168,25 +167,13 @@ class TraitorStrategy:
         return int(rng_for(ctx.seed, "traitor-c", self.kind, round_index, sensor)
                    .integers(C))
 
-    def respond(self, ctx: TraitorContext, round_index: int, sensor: int, c: int,
-                j: int) -> int:
-        """Block j's bin index sent by a traitor that reports no block. The
-        session encodes a reported block itself, so only a strategy whose
-        ``reported_block`` returns None is polled, and it must answer."""
+    def respond(self, ctx: TraitorContext, round_index: int, sensor: int, j: int,
+                bins: int) -> int:
+        """Block j's bin index, in range(bins), sent by a traitor that
+        reports no block; only such a strategy is polled, and it must
+        answer."""
         raise NotImplementedError(f"{type(self).__name__} reports no block for sensor "
                                   f"{sensor} but does not answer polls")
-
-    def fixed_rate_messages(self, ctx: TraitorContext, code, block: SourceBlock,
-                            p: JointPMF) -> dict[int, tuple[int, int]]:
-        out = {}
-        for sensor in ctx.traitors:
-            c = 0
-            if code.kind == "randomized":
-                c = self.choose_subcodebook(ctx, 0, sensor, code.C)
-            rep = self.reported_block(ctx, sensor)
-            idx = fixed_rate_encode(code.seed, sensor, rep, code.rates[sensor], c)
-            out[sensor] = (c, idx)
-        return out
 
 
 class HonestPassthrough(TraitorStrategy):
@@ -201,19 +188,9 @@ class BlackHole(TraitorStrategy):
     def reported_block(self, ctx, sensor):
         return None
 
-    def respond(self, ctx: TraitorContext, round_index: int, sensor: int, c: int,
-                j: int) -> int:
-        bins = ctx.codebooks[sensor].bin_count(j)
+    def respond(self, ctx: TraitorContext, round_index: int, sensor: int, j: int,
+                bins: int) -> int:
         return int(rng_for(ctx.seed, "black-hole", round_index, sensor, j).integers(bins))
-
-    def fixed_rate_messages(self, ctx, code, block, p):
-        out = {}
-        for sensor in ctx.traitors:
-            rng = rng_for(ctx.seed, "black-hole-fr", sensor)
-            c = int(rng.integers(code.C)) if code.kind == "randomized" else 0
-            bins = bin_count_for_rate(code.n, code.rates[sensor])
-            out[sensor] = (c, int(rng.integers(bins)))
-        return out
 
 
 class FakeDistribution(TraitorStrategy):
@@ -228,20 +205,11 @@ class FakeDistribution(TraitorStrategy):
     def begin_round(self, ctx: TraitorContext, round_index: int) -> None:
         super().begin_round(ctx, round_index)
         self._fake = fabricate_block(ctx, self.q_bar,
-                                     _fab_seed(ctx.seed, round_index))
+                                     derive_seed(ctx.seed, "fabricate-round", round_index))
 
     def reported_block(self, ctx, sensor):
         row = list(ctx.traitors).index(sensor)
         return self._fake[row]
-
-    def fixed_rate_messages(self, ctx, code, block, p):
-        self.begin_round(ctx, 0)
-        return super().fixed_rate_messages(ctx, code, block, p)
-
-
-def _fab_seed(seed: int, round_index: int) -> int:
-    from .source_model import derive_seed
-    return derive_seed(seed, "fabricate-round", round_index)
 
 
 # ---------------------------------------------------------------------------
@@ -353,9 +321,8 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     stride = cells_inter
     for size, i in zip(sizes_inter, inter):
         stride //= size
-        bins = code.space_bins(i, size)
-        truth_bin = bins[np.ravel_multi_index(tuple(true_block.sensor(i)), (size,) * n)]
-        members = all_sequences(size, n)[np.flatnonzero(bins == truth_bin)]
+        truth_bin = code.encode(i, size, true_block.sensor(i))
+        members = all_sequences(size, n)[np.flatnonzero(code.space_bins(i, size) == truth_bin)]
         cands = (cands[:, None, :]
                  + stride * members[None, :, :].astype(np.int64)).reshape(-1, n)
     cands = cands[np.lexsort(cands.T[::-1])]
@@ -384,8 +351,7 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     fake_outer = np.stack(np.unravel_index(_lex_least_companion(x, lo, hi), sizes_outer))
     messages = {}
     for row, i in enumerate(outer):
-        index = np.ravel_multi_index(tuple(fake_outer[row]), (sizes[i],) * n)
-        messages[i] = (0, int(code.space_bins(i, sizes[i])[index]))
+        messages[i] = (0, code.encode(i, sizes[i], fake_outer[row]))
     for i in ctx.traitors.difference(outer):
         rng = rng_for(ctx.seed, "ambiguity-garbage", i)
         messages[i] = (0, int(rng.integers(bin_count_for_rate(n, code.rates[i]))))
@@ -393,8 +359,10 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
 
 
 class FixedRateAmbiguity(TraitorStrategy):
-    """Strategy wrapper around the converse construction; requires perfect
-    information so the traitors actually know X_{S1 n H}."""
+    """The converse construction on ``ctx.code``. Under perfect information
+    W is the flat joint symbol, so the traitors know X_{S1 n H}. When the
+    attack finds a confusable sequence every traitor answers the poll with
+    its message; otherwise they behave honestly."""
 
     kind = "fixed_rate_ambiguity"
 
@@ -402,14 +370,22 @@ class FixedRateAmbiguity(TraitorStrategy):
         self.target_set = target_set
         self.last_outcome: AmbiguityOutcome | None = None
 
-    def fixed_rate_messages(self, ctx, code, block, p):
-        honest_true = ctx.traitors.complement(len(code.rates))
+    def begin_round(self, ctx: TraitorContext, round_index: int) -> None:
+        if ctx.code is None:
+            raise ValueError("the ambiguity attack needs a fixed-rate code")
+        sizes = ctx.law.alphabet_sizes
+        seen = SourceBlock(ctx.w_block.n,
+                           np.stack(np.unravel_index(ctx.w_block.w_symbols, sizes)))
         self.last_outcome = fixed_rate_ambiguity_attack(
-            ctx, self.target_set, honest_true, code, p, block)
-        if self.last_outcome.found:
-            return dict(self.last_outcome.messages)
-        # no confusable sequence this trial: fall back to honest behavior
-        return super().fixed_rate_messages(ctx, code, block, p)
+            ctx, self.target_set, ctx.traitors.complement(len(sizes)), ctx.code,
+            ctx.law, seen)
+
+    def reported_block(self, ctx, sensor):
+        return None if self.last_outcome.found else super().reported_block(ctx, sensor)
+
+    def respond(self, ctx: TraitorContext, round_index: int, sensor: int, j: int,
+                bins: int) -> int:
+        return self.last_outcome.messages[sensor][1]
 
 
 STRATEGY_KINDS = ("honest_passthrough", "black_hole", "fake_distribution",

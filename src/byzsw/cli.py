@@ -91,7 +91,8 @@ def _write_outputs(out_dir: str | None, command: str, rows: list[dict],
 
 def _trial_mode(command: str, scn: Scenario) -> str:
     """Row mode that a trial command runs on ``scn``; refuses, before any
-    trial runs, a scenario that lacks the strategy or section it needs."""
+    trial runs, a scenario that lacks the strategy or section it needs or
+    whose strategy the mode cannot play."""
     if command == "attack-demo":
         if scn.strategy_kind is None:
             raise ValueError("attack-demo needs a scenario with a strategy")
@@ -102,6 +103,9 @@ def _trial_mode(command: str, scn: Scenario) -> str:
         raise ValueError(f"{command} ({mode}) needs a fixed_rate section")
     if mode.endswith("vr") and scn.vr is None:
         raise ValueError(f"{command} ({mode}) needs a variable_rate section")
+    if mode == "vr" and scn.strategy_kind == "fixed_rate_ambiguity":
+        raise ValueError(f"{command} ({mode}): the fixed_rate_ambiguity strategy "
+                         "attacks fixed-rate codes only")
     return mode
 
 

@@ -1,16 +1,17 @@
 """One-shot fixed-rate coding: deterministic and randomized variants.
 
 Every sensor sends a single bin index at its fixed rate (randomized coding
-prepends a uniformly chosen subcodebook index). The decoder runs one
-Slepian-Wolf style search per candidate honest set S: it enumerates the
-sequences matching each received bin and keeps the lexicographically least
-jointly typical tuple, or null when none exists. The bins of each sensor's
-whole sequence space are hashed once per code (``FixedRateCode.space_bins``)
-and shared with the ambiguity attack; the search types a block of candidate
-tuples with one ``bincount`` and checks its winner with
-``eta_ball_contains``, and one kernel call rechecks that every estimate lies
-in the bin received. Per-sensor final estimates
-are reconciled across candidate sets by a deterministic preference order
+prepends a uniformly chosen subcodebook index), read from the bins of its
+whole sequence space, hashed once per code (``FixedRateCode.space_bins``)
+and shared by the encoder, the decoder and the ambiguity attack. Traitors
+play round 0 of the variable-rate session's protocol (``encode_all``).
+The decoder runs one Slepian-Wolf style search per candidate honest set S:
+it enumerates the sequences matching each received bin and keeps the
+lexicographically least jointly typical tuple, or null when none exists. The
+search types a block of candidate tuples with one ``bincount`` and checks
+its winner with ``eta_ball_contains``, and one kernel call rechecks that
+every estimate lies in the bin received. Per-sensor final estimates are
+reconciled across candidate sets by a deterministic preference order
 (largest candidate set first, then optional plurality voting, then
 lexicographic set order); disagreements between non-null estimates are
 reported as diagnostics.
@@ -34,7 +35,6 @@ from .binning import (
     EnumerationGuardError,
     all_sequences,
     bin_count_for_rate,
-    fixed_rate_encode,
     fixed_rate_header,
     hash_bins,
     space_bins,
@@ -108,6 +108,12 @@ class FixedRateCode:
             self._space[key] = bins
         return bins
 
+    def encode(self, i: int, alphabet: int, row, c: int = 0) -> int:
+        """Bin of sequence ``row`` under the one-shot encoder of (sensor i,
+        subcodebook c): one lookup in ``space_bins``."""
+        index = np.ravel_multi_index(tuple(row), (alphabet,) * self.n)
+        return int(self.space_bins(i, alphabet, c)[index])
+
 
 @dataclass
 class EstimateTable:
@@ -121,24 +127,29 @@ class EstimateTable:
 def encode_all(code: FixedRateCode, block: SourceBlock,
                strategy: TraitorStrategy | None, ctx: TraitorContext | None,
                p: JointPMF, seed: int) -> dict[int, tuple[int, int]]:
-    """Messages from every sensor: honest ones bin their true sequences
-    (randomized kind draws c uniformly), traitors follow their strategy."""
-    messages = {}
+    """Messages (c, bin) from every sensor, as round 0 of the traitor
+    protocol: an honest sensor bins its true row (randomized kind: under a
+    uniform c), a traitor the row its strategy reports, or else sends the
+    strategy's answer to the poll of block 0."""
     traitors = ctx.traitors if ctx is not None else SubsetView(())
+    if len(traitors) > 0:
+        if strategy is None:
+            raise ValueError("traitors present but no strategy supplied")
+        ctx.code = code
+        strategy.begin_round(ctx, 0)
+    messages = {}
     for i in range(code.m):
-        if i in traitors:
-            continue
+        traitor = i in traitors
         c = 0
         if code.kind == "randomized":
-            c = int(rng_for(seed, "fr-subcode", i).integers(code.C))
-        idx = fixed_rate_encode(code.seed, i, block.sensor(i), code.rates[i], c)
+            c = (strategy.choose_subcodebook(ctx, 0, i, code.C) if traitor
+                 else int(rng_for(seed, "fr-subcode", i).integers(code.C)))
+        row = strategy.reported_block(ctx, i) if traitor else block.sensor(i)
+        if row is None:
+            idx = strategy.respond(ctx, 0, i, 0, bin_count_for_rate(code.n, code.rates[i]))
+        else:
+            idx = code.encode(i, p.alphabet_sizes[i], row, c)
         messages[i] = (c, idx)
-    if strategy is not None and len(traitors) > 0:
-        messages.update(strategy.fixed_rate_messages(ctx, code, block, p))
-    elif len(traitors) > 0:
-        raise ValueError("traitors present but no strategy supplied")
-    if sorted(messages) != list(range(code.m)):
-        raise ValueError("incomplete message set")
     return messages
 
 
@@ -244,8 +255,7 @@ def run_fixed_rate_trial(code: FixedRateCode, p: JointPMF, H: HonestCollection,
     ctx = None
     if len(traitors) > 0:
         r = r_true if r_true is not None else identity_channel(p.alphabet_sizes)
-        ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"),
-                             alphabet_sizes=p.alphabet_sizes,
+        ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p,
                              w_block=sample_side_info(r, block,
                                                       derive_seed(seed, "fr-sideinfo")),
                              own_block=SourceBlock(code.n, block.subset(traitors.indices)))

@@ -247,6 +247,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
             # a variable-rate session lets such traitors behave honestly; a
             # fixed-rate trial needs their strategy
             raise ValueError("fixed_rate with traitors needs a strategy")
+    if strategy_kind == "fixed_rate_ambiguity" and len(honest_true.complement(m)):
+        # otherwise every trial fails, or the attack reads rows W lacks
+        if fr is not None and fr.kind != "deterministic":
+            raise ValueError("the ambiguity attack applies to deterministic coding")
+        if not (target_set.intersection(honest_true) and target_set.difference(honest_true)):
+            raise ValueError(f"target_set {target_set} must straddle the true honest "
+                             f"set {honest_true}")
+        if not info.perfect or r_true is not None:
+            raise ValueError('the ambiguity attack needs perfect information: '
+                             'info_model and true_channel "perfect"')
 
     if doc.get("eavesdropping", False):
         raise ValueError("eavesdropping traitors are not modeled")
@@ -516,10 +526,9 @@ def _fixed_rate_fields(scn: Scenario, session_seed: int) -> dict:
 
 
 def _converse_fields(scn: Scenario, session_seed: int) -> dict:
-    strategy = make_strategy("fixed_rate_ambiguity", target_set=scn.target_set)
+    strategy = scn.build_strategy()      # None when there are no traitors
     _block, _table, wrong = _fixed_rate_trial(scn, strategy, session_seed)
-    outcome = strategy.last_outcome      # None when there are no traitors
-    return {"attack_found": int(outcome is not None and outcome.found),
+    return {"attack_found": int(strategy is not None and strategy.last_outcome.found),
             "honest_error": int(bool(wrong))}
 
 

@@ -461,7 +461,7 @@ def run_round(U: SubsetView, rounds: Sequence[RoundDraws], first: int, codebooks
 
         def message(j, ks):     # called only while this sensor's phases run
             for k in ks[polled[ks]].tolist():
-                chains[j, k] = strategy.respond(ctx, first + k, i, cs[k], j)
+                chains[j, k] = strategy.respond(ctx, first + k, i, j, cb.bin_count(j))
             return chains[j, ks]
 
         cells = np.ravel_multi_index(tuple(prior), prior_sizes) if prior else None
@@ -517,8 +517,7 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
                            derive_seed(seed, "codebook", i))
         for i in range(m)
     }
-    ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"),
-                         alphabet_sizes=sizes, codebooks=codebooks)
+    ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p)
     draws = [_draw_round(p, r_true, strategy, ctx, n, seed, r) for r in range(params.rounds)]
 
     V = tuple(H.candidates)

@@ -617,8 +617,7 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
     codebooks = {i: BinningCodebook(i, n, sizes[i], params.eps, params.nu_value, C,
                                     derive_seed(seed, "codebook", i))
                  for i in range(m)}
-    ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"),
-                         alphabet_sizes=sizes, codebooks=codebooks)
+    ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p)
     V = tuple(H.candidates)
     transcript, honest_errors, round_rates, phase_tx, round_estimates = [], [], [], [], []
     v_traj = [V]
@@ -647,7 +646,8 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
                 c = int(rng_for(seed, "subcode", I, i).integers(C))
                 sent = block.sensor(i)
             if sent is None:
-                sender = lambda j, _i=i, _c=c: strategy.respond(ctx, I, _i, _c, j)
+                sender = lambda j, _i=i, _cb=cb: strategy.respond(ctx, I, _i, j,
+                                                                  _cb.bin_count(j))
             else:
                 chain = cb.encode_blocks(np.asarray(sent)[None], c, range(cb.J))[:, 0]
                 sender = chain.__getitem__

@@ -5,8 +5,10 @@ import numpy as np
 import pytest
 
 from byzsw.adversary import (
+    STRATEGY_KINDS,
     BlackHole,
     FakeDistribution,
+    FixedRateAmbiguity,
     HonestPassthrough,
     TraitorContext,
     fabricate_block,
@@ -14,8 +16,8 @@ from byzsw.adversary import (
     make_strategy,
     optimal_fake_conditional,
 )
-from byzsw.binning import BinningCodebook, EnumerationGuardError
-from byzsw.fixed_rate import FixedRateCode
+from byzsw.binning import BinningCodebook, EnumerationGuardError, bin_count_for_rate
+from byzsw.fixed_rate import FixedRateCode, encode_all, run_fixed_rate_trial
 from byzsw.prob_core import (
     ConditionalPMF,
     JointPMF,
@@ -61,8 +63,7 @@ def perfect_ctx(p, honest, n, seed):
     block = sample_block(p, n, derive_seed(seed, "b"))
     w = sample_side_info(identity_channel(p.alphabet_sizes), block,
                          derive_seed(seed, "w"))
-    ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"),
-                         alphabet_sizes=p.alphabet_sizes, w_block=w,
+    ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"), law=p, w_block=w,
                          own_block=SourceBlock(n, block.subset(traitors.indices)))
     return ctx, block
 
@@ -70,8 +71,8 @@ def perfect_ctx(p, honest, n, seed):
 class TestCapabilitySurface:
     def test_context_exposes_no_honest_secrets(self):
         fields = {f.name for f in dataclasses.fields(TraitorContext)}
-        assert fields == {"traitors", "seed", "alphabet_sizes", "w_block",
-                          "own_block", "codebooks", "polling_history"}
+        assert fields == {"traitors", "seed", "law", "w_block", "own_block", "code",
+                          "polling_history"}
         # nothing resembling honest randomness or honest message contents
         assert not any("honest" in f or "rho" in f or "message" in f
                        for f in fields)
@@ -142,12 +143,11 @@ class TestVariableRateResponses:
         p = three_sensor_law()
         ctx, _ = perfect_ctx(p, SubsetView.of(0, 1), 12, 17)
         cb = BinningCodebook(2, 12, 2, 0.35, 1.925, 8, 5)
-        ctx.codebooks = {2: cb}
         strat = BlackHole()
         strat.begin_round(ctx, 0)
         for j in range(cb.J):
             for rep in range(50):
-                assert 0 <= strat.respond(ctx, rep, 2, 0, j) < cb.bin_count(j)
+                assert 0 <= strat.respond(ctx, rep, 2, j, cb.bin_count(j)) < cb.bin_count(j)
 
     def test_base_respond_refuses_to_answer(self):
         # the session encodes a reported block itself; a strategy that
@@ -158,10 +158,9 @@ class TestVariableRateResponses:
 
         p = three_sensor_law()
         ctx, _ = perfect_ctx(p, SubsetView.of(0, 1), 12, 17)
-        ctx.codebooks = {2: BinningCodebook(2, 12, 2, 0.35, 1.925, 8, 5)}
         for strat in (HonestPassthrough(), Silent()):
             with pytest.raises(NotImplementedError):
-                strat.respond(ctx, 0, 2, 0, 0)
+                strat.respond(ctx, 0, 2, 0, 4)
         H = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])
         params = ProtocolParams(n=10, rounds=2, eps=0.35, eta=4.0, C=8)
         with pytest.raises(NotImplementedError, match="Silent"):
@@ -226,8 +225,7 @@ class TestVariableRateResponses:
                 w = sample_side_info(identity_channel((2, 2, 2)), block,
                                      derive_seed(seed, "sideinfo", I))
                 replay_ctx = TraitorContext(traitors=SubsetView.of(2),
-                                            seed=traitor_seed,
-                                            alphabet_sizes=(2, 2, 2), w_block=w)
+                                            seed=traitor_seed, law=p, w_block=w)
                 fake = fabricate_block(replay_ctx, q_bar,
                                        derive_seed(traitor_seed,
                                                    "fabricate-round", I))
@@ -306,6 +304,60 @@ class TestAmbiguityAttack:
         with pytest.raises(ValueError):
             fixed_rate_ambiguity_attack(ctx, SubsetView.of(0, 1), honest, code,
                                         p, block)
+
+
+class TestOneProtocol:
+    """Both schemes play every strategy through the same hooks."""
+
+    def test_every_kind_plays_both_schemes(self):
+        p = chain_law()
+        H = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])
+        honest = SubsetView.of(1, 2)
+        q_bar = optimal_fake_conditional(r_star_perfect(p, H).per_pair_detail[honest][2],
+                                         honest, (2, 2, 2))
+        codes = [FixedRateCode(rates=(0.92, 0.75, 0.95), n=14, seed=3),
+                 FixedRateCode(rates=(1.4, 1.4, 1.4), n=14, kind="randomized", C=8, seed=3)]
+        params = ProtocolParams(n=10, rounds=3, eps=0.35, eta=4.0, C=8)
+        for kind in STRATEGY_KINDS:
+            def strategy():
+                return make_strategy(kind, q_bar=q_bar, target_set=SubsetView.of(0, 1))
+            for code in codes:
+                if kind == "fixed_rate_ambiguity" and code.kind == "randomized":
+                    continue
+                ctx, block = perfect_ctx(p, honest, 14, 9)
+                msgs = encode_all(code, block, strategy(), ctx, p, seed=10)
+                assert sorted(msgs) == [0, 1, 2]
+                assert all(0 <= c < code.C and 0 <= idx < bin_count_for_rate(14, code.rates[i])
+                           for i, (c, idx) in msgs.items())
+                _block, table, _wrong = run_fixed_rate_trial(code, p, H, honest, strategy(),
+                                                             seed=11)
+                assert sorted(table.final) == [0, 1, 2]
+            if kind == "fixed_rate_ambiguity":
+                with pytest.raises(ValueError, match="fixed-rate code"):
+                    run_session(p, H, InfoModel.perfect_info((2, 2, 2)), honest, None,
+                                strategy(), params, seed=12)
+                continue
+            report = run_session(p, H, InfoModel.perfect_info((2, 2, 2)), honest, None,
+                                 strategy(), params, seed=12)
+            assert len(report.round_rates) == params.rounds
+
+    def test_ambiguity_sends_the_attacks_messages_or_honest_ones(self):
+        p = chain_law()
+        honest, S1 = SubsetView.of(1, 2), SubsetView.of(0, 1)
+        found = []
+        for seed in range(30):
+            rates = (0.92, 0.75, 0.95) if seed % 2 else (1.5, 1.5, 1.5)
+            code = FixedRateCode(rates=rates, n=14, seed=derive_seed(seed, "c"))
+            ctx, block = perfect_ctx(p, honest, 14, seed)
+            outcome = fixed_rate_ambiguity_attack(ctx, S1, honest, code, p, block)
+            want = encode_all(code, block, HonestPassthrough(), ctx, p, seed=seed)
+            if outcome.found:
+                want.update(outcome.messages)
+            strategy = FixedRateAmbiguity(S1)
+            assert encode_all(code, block, strategy, ctx, p, seed=seed) == want
+            assert strategy.last_outcome.messages == outcome.messages
+            found.append(outcome.found)
+        assert set(found) == {True, False}
 
 
 # (alphabet sizes, true honest set, S1, n): every joint space at most 2^14

@@ -65,8 +65,7 @@ def make_ctx(p, honest, n, seed):
     block = sample_block(p, n, derive_seed(seed, "b"))
     w = sample_side_info(identity_channel(p.alphabet_sizes), block,
                          derive_seed(seed, "w"))
-    return TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"),
-                          alphabet_sizes=p.alphabet_sizes, w_block=w,
+    return TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"), law=p, w_block=w,
                           own_block=SourceBlock(n, block.subset(traitors.indices))), block
 
 

@@ -8,7 +8,8 @@ that only restructures the code keeps every CSV byte-identical.
 
 The fixed-rate CSVs carry no field that depends on the bin draws at these
 presets, so the bins themselves are frozen too: the SHA-256 of every
-sensor's full-space bin table under trial 0's code.
+sensor's full-space bin table under trial 0's code, and of the messages
+``encode_all`` returns under each traitor strategy.
 
 ``byzsw region`` is frozen the same way: the SHA-256 of its stdout followed
 by its ``region.json`` on seeded threshold laws, so every printed value, every
@@ -17,13 +18,16 @@ R* float and the maximizer q stay bit for bit the same.
 import hashlib
 import json
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from byzsw import fixed_rate
 from byzsw.binning import all_sequences, bin_count_for_rate, fixed_rate_header, hash_bins
 from byzsw.cli import main
-from byzsw.scenario import preset_scenario
+from byzsw.prob_core import SubsetView
+from byzsw.scenario import PRESETS, preset_scenario, scenario_from_dict
 from byzsw.source_model import derive_seed
 
 # preset, command, CSV file, trials, SHA-256 of the CSV
@@ -130,3 +134,80 @@ def region_digest(tmp_path, capsys, source: list[str]) -> str:
     h = hashlib.sha256(capsys.readouterr().out.encode())
     h.update((tmp_path / "out" / "region.json").read_bytes())
     return h.hexdigest()
+
+
+# preset, strategy kind (None: every sensor honest), SHA-256 of the messages
+# ``encode_all`` returns on the first 40 trials of the "fr" trial mode
+GOLDEN_FR_MESSAGES = [
+    ("fixed_rate_demo", None,
+     "51cebaf92c688b8e779d28a530b9e61c69d4bf5ef4ac3824edf61b3008587c09"),
+    ("fixed_rate_demo", "honest_passthrough",
+     "51cebaf92c688b8e779d28a530b9e61c69d4bf5ef4ac3824edf61b3008587c09"),
+    ("fixed_rate_demo", "black_hole",
+     "0786639968eaaa0b3e3f1e6ff2ecacd5d326b9c6e4ef87fcd7b265ba52e19a9d"),
+    ("fixed_rate_demo", "fake_distribution",
+     "4642b0d1daf4596758539f233659458149c87abea79ef1bcddbdbdd915d49454"),
+    ("fixed_rate_demo", "fixed_rate_ambiguity",
+     "c931d8f301467fccaa0cd73406ba0ff91f4e69e5f63e33512571dfb343717632"),
+    ("fixed_rate_randomized", None,
+     "9ca8e96b686528c86d710a2195d3dc01bcf9d7a43e78b42590e7a10221f00619"),
+    ("fixed_rate_randomized", "honest_passthrough",
+     "0db9013cc0560a0525d6b5d34a852c68d686c8fdb3b977b7b5d6d3513e92e221"),
+    ("fixed_rate_randomized", "black_hole",
+     "1d57d959b318d8ee246c49345767f601405ea3faf40a132e8653dd4fd126649e"),
+    ("fixed_rate_randomized", "fake_distribution",
+     "b4c86f8a4d0e8fb2975b5c121725a50e954857a9cd3f6f89da1f32660c814807"),
+    ("four_sensor_plurality", None,
+     "0812cfce8c887dc0dfcf99c02cb8a4addc9f23b66b6ff40d707ba4dedea441c7"),
+    ("four_sensor_plurality", "honest_passthrough",
+     "27b2d1293e40034a0608827160dabd872299706db14cc25f971841df321ff24a"),
+    ("four_sensor_plurality", "black_hole",
+     "2f80784b056f9939682292602e8057b158c076875be2c2b5f143ebd36906ab10"),
+    ("four_sensor_plurality", "fake_distribution",
+     "48e3c99319925066fc1ed922b36f396d6fee6f2af8c6b0c748048631d5611a52"),
+]
+
+
+class _Encoded(Exception):
+    """Stops a trial once its messages are recorded."""
+
+
+def fixed_rate_messages_digest(monkeypatch, preset: str, kind: str | None,
+                               trials: int = 40) -> str:
+    """SHA-256 of every sensor's (c, bin) on the first ``trials`` trials of
+    ``preset`` with its traitors running ``kind``, or with every sensor
+    honest when ``kind`` is None. Each trial stops after ``encode_all``."""
+    doc = PRESETS[preset]()
+    if kind is not None:
+        target = doc["strategy"]["target_set"] if kind == "fixed_rate_ambiguity" else None
+        doc["strategy"] = {"kind": kind, "target_set": target,
+                           "q_bar": "optimal" if kind == "fake_distribution" else None}
+    scn = scenario_from_dict(doc)
+    honest = scn.honest_true if kind is not None else SubsetView(tuple(range(scn.m)))
+    h = hashlib.sha256()
+    encode_all = fixed_rate.encode_all
+
+    def record(*args):
+        messages = encode_all(*args)
+        h.update(repr([(i, int(c), int(idx))
+                       for i, (c, idx) in sorted(messages.items())]).encode())
+        raise _Encoded
+
+    monkeypatch.setattr(fixed_rate, "encode_all", record)
+    for trial in range(trials):
+        seed = derive_seed(scn.seed, "trial", trial)
+        code = replace(scn.fr, seed=derive_seed(seed, "fr-code"))   # as the "fr" trial mode
+        strategy = scn.build_strategy() if kind is not None else None
+        with pytest.raises(_Encoded):
+            fixed_rate.run_fixed_rate_trial(code, scn.p, scn.collection, honest, strategy,
+                                            seed, r_true=scn.r_true)
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("preset,kind,digest", GOLDEN_FR_MESSAGES,
+                         ids=[f"{g[0]}-{g[1] or 'all_honest'}" for g in GOLDEN_FR_MESSAGES])
+def test_fixed_rate_messages_digest(monkeypatch, preset, kind, digest):
+    """Digests computed when each strategy still had its own fixed-rate
+    messages; ``black_hole`` was recorded after it began to answer the
+    variable-rate poll (its ``traitor-c`` and ``black-hole`` streams)."""
+    assert fixed_rate_messages_digest(monkeypatch, preset, kind) == digest

@@ -48,6 +48,16 @@ def imperfect_toy_doc() -> dict:
     return doc
 
 
+def assert_cli_refuses(tmp_path, capsys, doc: dict, command: str, message: str) -> None:
+    """``command`` on ``doc`` exits 2 with ``message`` and writes nothing."""
+    path = tmp_path / "scenario_in.json"
+    path.write_text(canonical_dumps(doc))
+    out = tmp_path / "out"
+    assert main([command, "--scenario", str(path), "--trials", "2", "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestSchema:
     def test_round_trip_byte_identical(self):
         for name in PRESETS:
@@ -413,6 +423,45 @@ class TestTrialChecks:
                      "--out", str(out)]) == 2
         assert "target_set" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_ambiguity_on_randomized_code_refused_at_load(self, tmp_path, capsys):
+        # every trial would be the error "applies to deterministic coding"
+        doc = PRESETS["fixed_rate_demo"]()
+        doc["fixed_rate"].update({"kind": "randomized", "c_subcodebooks": 8})
+        with pytest.raises(ValueError, match="deterministic coding"):
+            scenario_from_dict(doc)
+        assert_cli_refuses(tmp_path, capsys, doc, "attack-demo", "deterministic coding")
+
+    @pytest.mark.parametrize("target_set", [[1, 2], [0]])
+    def test_ambiguity_target_not_straddling_refused_at_load(self, tmp_path, capsys,
+                                                             target_set):
+        # the true honest set is {1, 2}: every trial would be the error "need a
+        # candidate set straddling the honest set"
+        doc = PRESETS["fixed_rate_demo"]()
+        doc["strategy"]["target_set"] = target_set
+        with pytest.raises(ValueError, match="straddle"):
+            scenario_from_dict(doc)
+        assert_cli_refuses(tmp_path, capsys, doc, "attack-demo", "straddle")
+
+    @pytest.mark.parametrize("blind", ["info_model", "true_channel"])
+    def test_ambiguity_without_perfect_information_refused_at_load(self, tmp_path, capsys,
+                                                                   blind):
+        # W carries nothing: the attack would need rows the traitors never see
+        doc = PRESETS["fixed_rate_demo"]()
+        nothing = np.ones((2, 2, 2, 1)).tolist()
+        doc["true_channel"] = nothing
+        if blind == "info_model":
+            doc["info_model"] = {"channels": {key: [nothing] for key in ("0,1", "0,2", "1,2")}}
+        with pytest.raises(ValueError, match="perfect information"):
+            scenario_from_dict(doc)
+        assert_cli_refuses(tmp_path, capsys, doc, "attack-demo", "perfect information")
+
+    def test_simulate_vr_refuses_the_ambiguity_strategy(self, tmp_path, capsys):
+        # a session would let the traitor behave honestly, unannounced
+        doc = PRESETS["three_sensor"]()
+        doc["strategy"] = {"kind": "fixed_rate_ambiguity", "q_bar": None, "target_set": [1, 2]}
+        scenario_from_dict(doc)
+        assert_cli_refuses(tmp_path, capsys, doc, "simulate-vr", "fixed_rate_ambiguity")
 
     def test_unknown_strategy_kind_refused_at_load(self, tmp_path, capsys):
         # "honest" is not a kind: every trial would otherwise be an error row
