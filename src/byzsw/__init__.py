@@ -26,7 +26,9 @@ from .source_model import (
     derive_seed,
     rng_for,
     sample_block,
+    sample_blocks,
     sample_side_info,
+    sample_side_infos,
 )
 from .binning import (
     BinningCodebook,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .prob_core import (
     marginal,
     type_counts,
 )
-from .source_model import SideInfoBlock, SourceBlock, derive_seed, rng_for
+from .source_model import SourceBlock, derive_seed, keyed_uniforms, rng_for
 
 if TYPE_CHECKING:
     from .fixed_rate import FixedRateCode
@@ -51,6 +51,12 @@ class TraitorContext:
     """Capability surface handed to a strategy by either scheme. Contains
     everything the traitors may legitimately use and nothing else.
 
+    The round data covers the rounds of the last ``begin_round`` call, row
+    k for its k-th round: ``w_block`` holds each round's side information
+    W^n, an (R, n) array, and ``own_block`` the traitors' own rows, an
+    (R, |T|, n) array aligned with ``traitors``. A fixed-rate trial is the
+    one round R = 1.
+
     A variable-rate session fills ``polling_history`` with (round, sensor,
     block) for each of its transactions only after each pass of rounds, so
     during a pass a strategy sees it a pass behind; at the end of the
@@ -59,8 +65,8 @@ class TraitorContext:
     traitors: SubsetView
     seed: int
     law: JointPMF | None = None                   # the source law, as public as its alphabets
-    w_block: SideInfoBlock | None = None
-    own_block: SourceBlock | None = None          # the traitors' own rows
+    w_block: np.ndarray | None = None             # (R, n) side information per round
+    own_block: np.ndarray | None = None           # (R, |T|, n) the traitors' own rows
     code: FixedRateCode | None = None             # fixed-rate only, set by encode_all
     polling_history: list = field(default_factory=list)
 
@@ -68,11 +74,13 @@ class TraitorContext:
         self.polling_history.append(record)
 
 
-def fabricate_block(ctx: TraitorContext, q_bar: ConditionalPMF, seed: int) -> np.ndarray:
-    """Per-slot draw of fake traitor symbols x_T,t ~ qbar(. | w_t).
+def fabricate_block(ctx: TraitorContext, q_bar: ConditionalPMF, seeds) -> np.ndarray:
+    """Per-slot draw of fake traitor symbols x_T,t ~ qbar(. | w_t) for every
+    round of the context, round k from the stream of ``seeds[k]``.
 
-    Returns a (|T|, n) table aligned with ctx.traitors; the fake block is then
-    used verbatim by honest encoding logic for the rest of the round.
+    Returns an (R, |T|, n) array, row k a (|T|, n) table aligned with
+    ctx.traitors; each round's fake block is then used verbatim by honest
+    encoding logic.
     """
     if ctx.w_block is None or ctx.law is None:
         raise ValueError("fabrication requires side information and the source law")
@@ -80,17 +88,15 @@ def fabricate_block(ctx: TraitorContext, q_bar: ConditionalPMF, seed: int) -> np
     if int(np.prod(sizes_t)) != q_bar.output_alphabet_size:
         raise ValueError(f"qbar's output alphabet {q_bar.output_alphabet_size} is not "
                          f"the traitors' joint alphabet {sizes_t}")
-    w = ctx.w_block.w_symbols
-    n = w.shape[0]
-    rng = rng_for(seed, "fabricate")
+    w = ctx.w_block
     rows = q_bar.rows.reshape(q_bar.num_inputs, q_bar.output_alphabet_size)
     if q_bar.num_inputs < int(w.max(initial=0)) + 1:
         raise ValueError("qbar input alphabet smaller than observed W symbols")
-    cs = np.cumsum(rows, axis=1)[w]               # (n, |X_T| flattened)
-    u = rng.random(n)
-    flat = (cs < u[:, None]).sum(axis=1)
+    cs = np.cumsum(rows, axis=1)[w]               # (R, n, |X_T| flattened)
+    u = keyed_uniforms(seeds, "fabricate", w.shape[1])
+    flat = (cs < u[..., None]).sum(axis=2)
     flat = np.minimum(flat, q_bar.output_alphabet_size - 1)
-    return np.stack(np.unravel_index(flat, sizes_t)).astype(np.int64)
+    return np.stack(np.unravel_index(flat, sizes_t), axis=1).astype(np.int64, copy=False)
 
 
 def optimal_fake_conditional(q_star: JointPMF, honest: SubsetView,
@@ -132,14 +138,16 @@ def optimal_fake_conditional(q_star: JointPMF, honest: SubsetView,
 class TraitorStrategy:
     """Base class: by default behave honestly with the true block.
 
-    One protocol for both schemes. A round calls ``begin_round``, with the
-    round's side information and own block in the context, then reads
-    ``reported_block`` for each traitor and encodes the rows it returns
-    like an honest sensor's, under ``choose_subcodebook``. A traitor that
-    reports None is polled through ``respond`` for each block j it sends,
-    with that block's bin count. A fixed-rate trial is round 0 with one
-    block (``fixed_rate.encode_all``). The round index is passed to every
-    call that depends on it.
+    One protocol for both schemes. A scheme draws the round data of its
+    rounds into the context and calls ``begin_round`` once with their
+    indices, then reads ``reported_block`` for each traitor: one row per
+    round, in the order of those indices, which the scheme encodes like an
+    honest sensor's, under ``choose_subcodebook``. A traitor that reports
+    None is polled in every one of those rounds, through ``respond`` for
+    each block j it sends, with that block's bin count. A variable-rate
+    session calls ``begin_round`` once with all its rounds; a fixed-rate
+    trial is round 0 with one block (``fixed_rate.encode_all``). The round
+    index is passed to every per-round call that depends on it.
 
     The session draws every round's blocks before it plays any, and plays
     the rounds in passes, so a strategy must depend only on the round index
@@ -150,17 +158,18 @@ class TraitorStrategy:
 
     kind = "honest_passthrough"
 
-    def begin_round(self, ctx: TraitorContext, round_index: int) -> None:
-        """Prepare the round's reported blocks; the base strategy has none
-        to prepare."""
+    def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> None:
+        """Prepare the reported blocks of ``rounds``, whose data the context
+        holds; the base strategy has none to prepare."""
 
     def reported_block(self, ctx: TraitorContext, sensor: int) -> np.ndarray | None:
-        """The sequence this traitor pretends is its observation, or None if
+        """The sequences this traitor pretends are its observations, an
+        (R, n) array with one row per round of ``begin_round``, or None if
         it sends garbage instead of encoding anything."""
         if ctx.own_block is None:
             raise ValueError("honest passthrough requires the traitors' own block")
         row = list(ctx.traitors).index(sensor)
-        return ctx.own_block.symbols[row]
+        return ctx.own_block[:, row]
 
     def choose_subcodebook(self, ctx: TraitorContext, round_index: int, sensor: int,
                            C: int) -> int:
@@ -194,7 +203,8 @@ class BlackHole(TraitorStrategy):
 
 
 class FakeDistribution(TraitorStrategy):
-    """Simulate qbar(x_T | w) once per round and act honestly on the result."""
+    """Simulate qbar(x_T | w) once per round, every round of ``begin_round``
+    in one draw, and act honestly on the result."""
 
     kind = "fake_distribution"
 
@@ -202,14 +212,14 @@ class FakeDistribution(TraitorStrategy):
         self.q_bar = q_bar
         self._fake: np.ndarray | None = None
 
-    def begin_round(self, ctx: TraitorContext, round_index: int) -> None:
-        super().begin_round(ctx, round_index)
-        self._fake = fabricate_block(ctx, self.q_bar,
-                                     derive_seed(ctx.seed, "fabricate-round", round_index))
+    def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> None:
+        super().begin_round(ctx, rounds)
+        self._fake = fabricate_block(ctx, self.q_bar, [
+            derive_seed(ctx.seed, "fabricate-round", r) for r in rounds])
 
     def reported_block(self, ctx, sensor):
         row = list(ctx.traitors).index(sensor)
-        return self._fake[row]
+        return self._fake[:, row]
 
 
 # ---------------------------------------------------------------------------
@@ -370,12 +380,12 @@ class FixedRateAmbiguity(TraitorStrategy):
         self.target_set = target_set
         self.last_outcome: AmbiguityOutcome | None = None
 
-    def begin_round(self, ctx: TraitorContext, round_index: int) -> None:
+    def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> None:
         if ctx.code is None:
             raise ValueError("the ambiguity attack needs a fixed-rate code")
         sizes = ctx.law.alphabet_sizes
-        seen = SourceBlock(ctx.w_block.n,
-                           np.stack(np.unravel_index(ctx.w_block.w_symbols, sizes)))
+        [w] = ctx.w_block                 # a fixed-rate trial is one round
+        seen = SourceBlock(len(w), np.stack(np.unravel_index(w, sizes)))
         self.last_outcome = fixed_rate_ambiguity_attack(
             ctx, self.target_set, ctx.traitors.complement(len(sizes)), ctx.code,
             ctx.law, seen)

@@ -50,7 +50,7 @@ from .prob_core import (
     type_of,
 )
 from .rate_region import HonestCollection
-from .source_model import SourceBlock, derive_seed, rng_for, sample_block, sample_side_info
+from .source_model import SourceBlock, derive_seed, rng_for, sample_block, sample_side_infos
 
 COMBO_GUARD = 1 << 22
 _TUPLE_BLOCK = 1 << 12    # candidate tuples typed per bincount
@@ -128,15 +128,16 @@ def encode_all(code: FixedRateCode, block: SourceBlock,
                strategy: TraitorStrategy | None, ctx: TraitorContext | None,
                p: JointPMF, seed: int) -> dict[int, tuple[int, int]]:
     """Messages (c, bin) from every sensor, as round 0 of the traitor
-    protocol: an honest sensor bins its true row (randomized kind: under a
-    uniform c), a traitor the row its strategy reports, or else sends the
-    strategy's answer to the poll of block 0."""
+    protocol, the context holding that one round's data: an honest sensor
+    bins its true row (randomized kind: under a uniform c), a traitor the
+    row its strategy reports for round 0, or else sends the strategy's
+    answer to the poll of block 0."""
     traitors = ctx.traitors if ctx is not None else SubsetView(())
     if len(traitors) > 0:
         if strategy is None:
             raise ValueError("traitors present but no strategy supplied")
         ctx.code = code
-        strategy.begin_round(ctx, 0)
+        strategy.begin_round(ctx, [0])
     messages = {}
     for i in range(code.m):
         traitor = i in traitors
@@ -144,7 +145,10 @@ def encode_all(code: FixedRateCode, block: SourceBlock,
         if code.kind == "randomized":
             c = (strategy.choose_subcodebook(ctx, 0, i, code.C) if traitor
                  else int(rng_for(seed, "fr-subcode", i).integers(code.C)))
-        row = strategy.reported_block(ctx, i) if traitor else block.sensor(i)
+        row = block.sensor(i)
+        if traitor:
+            rows = strategy.reported_block(ctx, i)
+            row = None if rows is None else rows[0]
         if row is None:
             idx = strategy.respond(ctx, 0, i, 0, bin_count_for_rate(code.n, code.rates[i]))
         else:
@@ -256,9 +260,9 @@ def run_fixed_rate_trial(code: FixedRateCode, p: JointPMF, H: HonestCollection,
     if len(traitors) > 0:
         r = r_true if r_true is not None else identity_channel(p.alphabet_sizes)
         ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p,
-                             w_block=sample_side_info(r, block,
-                                                      derive_seed(seed, "fr-sideinfo")),
-                             own_block=SourceBlock(code.n, block.subset(traitors.indices)))
+                             w_block=sample_side_infos(r, block.symbols[None],
+                                                       [derive_seed(seed, "fr-sideinfo")]),
+                             own_block=block.subset(traitors.indices)[None])
     messages = encode_all(code, block, strategy, ctx, p, derive_seed(seed, "fr-honest"))
     table = decode_all(code, messages, p, H, plurality=plurality)
     wrong = tuple(i for i in honest_true

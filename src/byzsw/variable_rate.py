@@ -15,10 +15,16 @@ eta-blurred simulable-law sets of each candidate.
 
 Rounds depend on each other only through U(V), the union of the candidate
 sets still in V, which decides the sensors that get a phase; every random
-draw is keyed by (seed, label, round). So the session plays its rounds in
-passes, in lockstep: a pass plays every remaining round under the current
-U(V), one sensor at a time over all of the pass's rounds, and then prunes V
-round by round. If a round's prune changes U(V), the pass's later rounds
+draw is keyed by (seed, label, round). So the session draws every round
+before it plays any, as arrays with a leading round axis: one inverse-CDF
+pass gives the (R, m, n) blocks, one pass the (R, n) side information, and
+one ``begin_round`` call the traitors' reported (R, n) rows (the
+fake-distribution traitor fabricates all of them under qbar in one pass).
+Each round still draws from its own keyed streams, so every draw is the
+one a round-by-round session makes. It then plays its rounds in passes, in
+lockstep: a pass plays every remaining round under the current U(V), one
+sensor at a time over all of the pass's rounds, and then prunes V round by
+round. If a round's prune changes U(V), the pass's later rounds
 are discarded and the next pass starts after that round. Each round is
 thus played under the U(V) its predecessors left, and the report is the
 one a round-by-round session gives, field for field.
@@ -76,7 +82,7 @@ from .rate_region import (
     _row_sums,
     _simulability_matrix,
 )
-from .source_model import SourceBlock, derive_seed, rng_for, sample_block, sample_side_info
+from .source_model import derive_seed, rng_for, sample_blocks, sample_side_infos
 
 SUBCODEBOOK_CAP = 1 << 10
 
@@ -391,11 +397,19 @@ def update_V(V: Sequence[SubsetView], round_estimates: Sequence[dict], U: Subset
 
 @dataclass
 class RoundDraws:
-    """One round's draws: its source block, and each traitor's reported
-    block (None for a traitor that is polled instead)."""
+    """The draws of consecutive rounds: their source blocks, an (R, m, n)
+    array, and each traitor's reported blocks, an (R, n) array, or None for
+    a traitor that is polled instead. A slice selects rounds."""
 
-    block: SourceBlock
+    blocks: np.ndarray
     reported: dict
+
+    def __len__(self) -> int:
+        return len(self.blocks)
+
+    def __getitem__(self, rounds: slice) -> RoundDraws:
+        return RoundDraws(self.blocks[rounds], {i: None if rows is None else rows[rounds]
+                                                for i, rows in self.reported.items()})
 
 
 @dataclass
@@ -411,26 +425,28 @@ class RoundResult:
     forced: int
 
 
-def _draw_round(p: JointPMF, r_true: ConditionalPMF, strategy: TraitorStrategy | None,
-                ctx: TraitorContext, n: int, seed: int, round_index: int) -> RoundDraws:
-    """The round's block and side information from their keyed streams,
-    then the traitors' reported blocks for the round."""
-    block = sample_block(p, n, derive_seed(seed, "block", round_index))
-    ctx.w_block = sample_side_info(r_true, block, derive_seed(seed, "sideinfo", round_index))
+def _draw_rounds(p: JointPMF, r_true: ConditionalPMF, strategy: TraitorStrategy | None,
+                 ctx: TraitorContext, n: int, seed: int, rounds: int) -> RoundDraws:
+    """Every round's block and side information, each round from its own
+    keyed streams, then the traitors' reported blocks for all the rounds
+    from one ``begin_round`` call."""
+    indices = range(rounds)
+    blocks = sample_blocks(p, n, [derive_seed(seed, "block", r) for r in indices])
+    ctx.w_block = sample_side_infos(r_true, blocks,
+                                    [derive_seed(seed, "sideinfo", r) for r in indices])
     traitors = ctx.traitors
-    ctx.own_block = (SourceBlock(n, block.subset(traitors.indices))
-                     if len(traitors) else None)
+    ctx.own_block = blocks[:, list(traitors.indices)] if len(traitors) else None
     if strategy is None:
-        return RoundDraws(block, {})
-    strategy.begin_round(ctx, round_index)
-    return RoundDraws(block, {i: strategy.reported_block(ctx, i) for i in traitors})
+        return RoundDraws(blocks, {})
+    strategy.begin_round(ctx, indices)
+    return RoundDraws(blocks, {i: strategy.reported_block(ctx, i) for i in traitors})
 
 
-def run_round(U: SubsetView, rounds: Sequence[RoundDraws], first: int, codebooks: dict,
+def run_round(U: SubsetView, draws: RoundDraws, first: int, codebooks: dict,
               strategy: TraitorStrategy | None, ctx: TraitorContext,
               params: ProtocolParams, seed: int) -> list[RoundResult]:
     """Play the phases of one pass: rounds first, first+1, ... (one per
-    entry of ``rounds``), all under the same U(V), one phase per sensor of U
+    round of ``draws``), all under the same U(V), one phase per sensor of U
     in ascending order. Each sensor's phases for every round of the pass run
     at once, with the estimates of the sensors before it as their priors.
 
@@ -440,7 +456,7 @@ def run_round(U: SubsetView, rounds: Sequence[RoundDraws], first: int, codebooks
     The candidate-collection prune happens after the pass, in the caller.
     Returns one result per round.
     """
-    R = len(rounds)
+    R = len(draws)
     C = codebooks[0].C
     results = [RoundResult({}, {}, [], 0.0, 0) for _ in range(R)]
     prior, prior_sizes = [], []
@@ -448,20 +464,17 @@ def run_round(U: SubsetView, rounds: Sequence[RoundDraws], first: int, codebooks
         cb = codebooks[i]
         if strategy is not None and i in ctx.traitors:
             cs = [strategy.choose_subcodebook(ctx, first + k, i, C) for k in range(R)]
-            sent = [rd.reported[i] for rd in rounds]
+            sent = draws.reported[i]
         else:
             cs = [int(rng_for(seed, "subcode", first + k, i).integers(C)) for k in range(R)]
-            sent = [rd.block.sensor(i) for rd in rounds]
-        polled = np.array([row is None for row in sent])
-        chains = np.full((cb.J, R), -1, dtype=np.int64)
-        if not polled.all():
-            ks = np.flatnonzero(~polled)
-            chains[:, ks] = cb.encode_rows(np.stack([sent[k] for k in ks]),
-                                           [cs[k] for k in ks], range(cb.J))
+            sent = draws.blocks[:, i]
+        chains = (np.full((cb.J, R), -1, dtype=np.int64) if sent is None
+                  else cb.encode_rows(sent, cs, range(cb.J)))
 
         def message(j, ks):     # called only while this sensor's phases run
-            for k in ks[polled[ks]].tolist():
-                chains[j, k] = strategy.respond(ctx, first + k, i, j, cb.bin_count(j))
+            if sent is None:
+                for k in ks.tolist():
+                    chains[j, k] = strategy.respond(ctx, first + k, i, j, cb.bin_count(j))
             return chains[j, ks]
 
         cells = np.ravel_multi_index(tuple(prior), prior_sizes) if prior else None
@@ -490,10 +503,11 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
     ``r_true`` may be None under perfect information (the identity channel is
     implied). ``strategy`` may be None when there are no traitors.
 
-    Every round is drawn first. Then each pass plays the remaining rounds
-    under the current U(V) (``run_round``) and prunes V over them in order
-    (``update_V``), keeping the rounds up to the first whose prune changes
-    U(V); the next pass starts after it.
+    Every round is drawn first, in one pass (``_draw_rounds``). Then each
+    pass plays the remaining rounds under the current U(V) (``run_round``)
+    and prunes V over them in order (``update_V``), keeping the rounds up to
+    the first whose prune changes U(V), whose honest errors it flags with
+    one comparison of decoded and drawn rows; the next pass starts after it.
     """
     m = p.m
     sizes = p.alphabet_sizes
@@ -518,7 +532,7 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         for i in range(m)
     }
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p)
-    draws = [_draw_round(p, r_true, strategy, ctx, n, seed, r) for r in range(params.rounds)]
+    draws = _draw_rounds(p, r_true, strategy, ctx, n, seed, params.rounds)
 
     V = tuple(H.candidates)
     marginals = {S: marginal(p, S).mass for S in H.candidates}
@@ -543,16 +557,22 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         results = run_round(U, draws[first:], first, codebooks, strategy, ctx, params, seed)
         trajectory, emptied = update_V(V, [res.estimates for res in results], U, p,
                                        info_model, params.eta_value, n, marginals)
-        for res, V_after, was_emptied, rd in zip(results, trajectory, emptied, draws[first:]):
+        kept = results[:len(trajectory)]
+        if honest_true.is_subset_of(U):
+            honest = list(honest_true.indices)
+            decoded = np.array([[res.estimates[i] for i in honest] for res in kept])
+            truth = draws.blocks[first:first + len(kept), honest]
+            honest_errors.extend(np.any(decoded.reshape(truth.shape) != truth,
+                                        axis=(1, 2)).tolist())
+        else:       # an honest sensor outside U(V) is decoded in none of the rounds
+            honest_errors.extend([True] * len(kept))
+        for res, V_after, was_emptied in zip(kept, trajectory, emptied):
             restores += was_emptied
             v_traj.append(V_after)
             transcript.extend(res.records)
             for rec in res.records:
                 ctx.note_poll((rec.round, rec.sensor, rec.j))
             forced_count += res.forced
-            honest_errors.append(any(
-                i not in res.estimates or not np.array_equal(res.estimates[i], rd.block.sensor(i))
-                for i in honest_true))
             round_rates.append(res.bits / n)
             phase_tx.append(res.tx_counts)
             round_estimates.append(res.estimates)

@@ -598,7 +598,8 @@ def sequential_update_V(V, estimates: dict, U: SubsetView, p: JointPMF, info_mod
 def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
                            honest_true: SubsetView, r_true, strategy, params,
                            seed: int):
-    """``variable_rate.run_session`` one round at a time: draw the round,
+    """``variable_rate.run_session`` one round at a time: draw the round
+    with the one-round draws, call ``begin_round`` for that round alone,
     run one phase per sensor of U(V) in ascending order, prune V, repeat.
     Same draws, same report; a traitor whose strategy reports no block is
     polled block by block through ``respond``."""
@@ -629,11 +630,11 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
 
     for I in range(params.rounds):
         block = sample_block(p, n, derive_seed(seed, "block", I))
-        ctx.w_block = sample_side_info(r_true, block, derive_seed(seed, "sideinfo", I))
-        ctx.own_block = (SourceBlock(n, block.subset(traitors.indices))
-                         if len(traitors) else None)
+        w = sample_side_info(r_true, block, derive_seed(seed, "sideinfo", I))
+        ctx.w_block = w.w_symbols[None]
+        ctx.own_block = block.subset(traitors.indices)[None] if len(traitors) else None
         if strategy is not None:
-            strategy.begin_round(ctx, I)
+            strategy.begin_round(ctx, [I])
         U = union_of(V)
         estimates, tx_counts, prior = {}, {}, []
         round_bits = 0.0
@@ -642,6 +643,7 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
             if i in traitors and strategy is not None:
                 c = strategy.choose_subcodebook(ctx, I, i, C)
                 sent = strategy.reported_block(ctx, i)
+                sent = None if sent is None else sent[0]
             else:
                 c = int(rng_for(seed, "subcode", I, i).integers(C))
                 sent = block.sensor(i)

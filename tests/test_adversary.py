@@ -28,10 +28,11 @@ from byzsw.prob_core import (
 )
 from byzsw.rate_region import HonestCollection, InfoModel, r_star_perfect
 from byzsw.source_model import (
-    SourceBlock,
     derive_seed,
     sample_block,
+    sample_blocks,
     sample_side_info,
+    sample_side_infos,
 )
 from byzsw.variable_rate import ProtocolParams, run_session
 from oracles import reference_ambiguity_attack
@@ -63,8 +64,9 @@ def perfect_ctx(p, honest, n, seed):
     block = sample_block(p, n, derive_seed(seed, "b"))
     w = sample_side_info(identity_channel(p.alphabet_sizes), block,
                          derive_seed(seed, "w"))
-    ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"), law=p, w_block=w,
-                         own_block=SourceBlock(n, block.subset(traitors.indices)))
+    ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"), law=p,
+                         w_block=w.w_symbols[None],
+                         own_block=block.subset(traitors.indices)[None])
     return ctx, block
 
 
@@ -84,7 +86,7 @@ class TestFabricate:
         honest = SubsetView.of(0, 1)
         q_bar = optimal_fake_conditional(p, honest, (2, 2, 2))  # p(x2 | x0 x1)
         ctx, block = perfect_ctx(p, honest, 50_000, 11)
-        fake = fabricate_block(ctx, q_bar, 12)
+        [fake] = fabricate_block(ctx, q_bar, [12])
         stacked = np.vstack([block.symbols[:2], fake])
         t = type_of(stacked, (2, 2, 2))
         assert eta_ball_contains(p, t, 0.05)
@@ -98,7 +100,7 @@ class TestFabricate:
         q_star = rep.per_pair_detail[honest][2]
         q_bar = optimal_fake_conditional(q_star, honest, (2, 2, 2))
         ctx, block = perfect_ctx(p, honest, 50_000, 13)
-        fake = fabricate_block(ctx, q_bar, 14)
+        [fake] = fabricate_block(ctx, q_bar, [14])
         stacked = np.vstack([block.symbols[:2], fake])
         t = type_of(stacked, (2, 2, 2))
         assert eta_ball_contains(q_star, t, 0.05)
@@ -110,8 +112,8 @@ class TestFabricate:
         honest = SubsetView.of(0, 1)
         q_bar = optimal_fake_conditional(p, honest, (2, 2, 2))
         ctx, block = perfect_ctx(p, honest, 100_000, 15)
-        fake = fabricate_block(ctx, q_bar, 16)
-        w_sym = ctx.w_block.w_symbols
+        [fake] = fabricate_block(ctx, q_bar, [16])
+        [w_sym] = ctx.w_block
         t = type_of(np.vstack([w_sym[None, :], fake]), (8, 2))
         composed = np.zeros((8, 2))
         pw = np.bincount(
@@ -138,13 +140,72 @@ class TestFabricate:
             optimal_fake_conditional(p, SubsetView.of(0, 1, 2), (2, 2, 2))
 
 
+class TestRoundAxis:
+    """A session draws all its rounds at once; each round's rows equal the
+    one-round draw at that round's keys."""
+
+    @staticmethod
+    def ternary_law():
+        # a ternary sensor, an imperfect channel with |W| = 3, and traitors
+        # 1 and 2 with alphabets 3 and 2
+        rng = np.random.default_rng(18)
+        sizes = (2, 3, 2)
+        p = JointPMF(sizes, rng.dirichlet(np.ones(12)).reshape(sizes))
+        r = ConditionalPMF(sizes, 3, rng.dirichlet(np.ones(3), size=sizes))
+        q_bar = ConditionalPMF((3,), 6, rng.dirichlet(np.ones(6), size=3))
+        return p, r, q_bar
+
+    @pytest.mark.parametrize("R", [1, 5])
+    def test_batched_rows_equal_one_round_draws(self, R):
+        p, r, q_bar = self.ternary_law()
+        n, traitors = 16, SubsetView.of(1, 2)
+        block_seeds = [derive_seed(7, "block", k) for k in range(R)]
+        w_seeds = [derive_seed(7, "sideinfo", k) for k in range(R)]
+        fake_seeds = [derive_seed(7, "fabricate-round", k) for k in range(R)]
+        blocks = sample_blocks(p, n, block_seeds)
+        w = sample_side_infos(r, blocks, w_seeds)
+        ctx = TraitorContext(traitors=traitors, seed=3, law=p, w_block=w,
+                             own_block=blocks[:, [1, 2]])
+        fake = fabricate_block(ctx, q_bar, fake_seeds)
+        strategy = FakeDistribution(q_bar)
+        strategy.begin_round(ctx, range(R))
+        reported = {i: strategy.reported_block(ctx, i) for i in traitors}
+        assert blocks.shape == (R, 3, n) and w.shape == (R, n) and fake.shape == (R, 2, n)
+        assert blocks.dtype == w.dtype == fake.dtype == np.int64
+        for k in range(R):
+            block = sample_block(p, n, block_seeds[k])
+            assert np.array_equal(blocks[k], block.symbols)
+            w_k = sample_side_info(r, block, w_seeds[k]).w_symbols
+            assert np.array_equal(w[k], w_k)
+            one = TraitorContext(traitors=traitors, seed=3, law=p, w_block=w_k[None],
+                                 own_block=block.subset([1, 2])[None])
+            [fake_k] = fabricate_block(one, q_bar, [fake_seeds[k]])
+            assert np.array_equal(fake[k], fake_k)
+            strategy_k = FakeDistribution(q_bar)
+            strategy_k.begin_round(one, [k])
+            for i in traitors:
+                assert np.array_equal(reported[i][k], strategy_k.reported_block(one, i)[0])
+        if R > 1:     # every symbol of each alphabet is drawn
+            assert set(w.ravel()) == {0, 1, 2}
+            assert set(fake[:, 0].ravel()) == {0, 1, 2} and set(fake[:, 1].ravel()) == {0, 1}
+
+    def test_out_of_range_side_info_still_refused(self):
+        p, r, q_bar = self.ternary_law()
+        blocks = sample_blocks(p, 16, range(5))
+        w = sample_side_infos(r, blocks, range(5, 10))
+        w[4, 3] = 3                   # one slot of the last round, past |W| = 3
+        ctx = TraitorContext(traitors=SubsetView.of(1, 2), seed=3, law=p, w_block=w)
+        with pytest.raises(ValueError, match="qbar input alphabet smaller"):
+            fabricate_block(ctx, q_bar, range(5))
+
+
 class TestVariableRateResponses:
     def test_black_hole_index_in_range(self):
         p = three_sensor_law()
         ctx, _ = perfect_ctx(p, SubsetView.of(0, 1), 12, 17)
         cb = BinningCodebook(2, 12, 2, 0.35, 1.925, 8, 5)
         strat = BlackHole()
-        strat.begin_round(ctx, 0)
+        strat.begin_round(ctx, [0])
         for j in range(cb.J):
             for rep in range(50):
                 assert 0 <= strat.respond(ctx, rep, 2, j, cb.bin_count(j)) < cb.bin_count(j)
@@ -171,11 +232,11 @@ class TestVariableRateResponses:
         # a subclass whose begin_round skips super() is encoded from the
         # block it reports for each round
         class PerRound(HonestPassthrough):
-            def begin_round(self, ctx, round_index):
-                self._round = round_index
+            def begin_round(self, ctx, rounds):
+                self._rounds = rounds
 
             def reported_block(self, ctx, sensor):
-                return np.full(10, self._round % 2)
+                return np.array([np.full(10, r % 2) for r in self._rounds])
 
         p = three_sensor_law()
         H = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])
@@ -225,10 +286,11 @@ class TestVariableRateResponses:
                 w = sample_side_info(identity_channel((2, 2, 2)), block,
                                      derive_seed(seed, "sideinfo", I))
                 replay_ctx = TraitorContext(traitors=SubsetView.of(2),
-                                            seed=traitor_seed, law=p, w_block=w)
-                fake = fabricate_block(replay_ctx, q_bar,
-                                       derive_seed(traitor_seed,
-                                                   "fabricate-round", I))
+                                            seed=traitor_seed, law=p,
+                                            w_block=w.w_symbols[None])
+                [fake] = fabricate_block(replay_ctx, q_bar,
+                                         [derive_seed(traitor_seed,
+                                                      "fabricate-round", I)])
                 total += 1
                 est = report.round_estimates[I].get(2)
                 ok += est is not None and np.array_equal(est, fake[0])
@@ -390,7 +452,7 @@ def oracle_instance(k):
     block = sample_block(p, n, derive_seed(k, "block"))
     traitors = honest.complement(len(sizes))
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(k, "traitor"),
-                         own_block=SourceBlock(n, block.subset(traitors.indices)))
+                         own_block=block.subset(traitors.indices)[None])
     return (ctx, S1, honest, code, p, block), int(rng.choice([1, 4, 64, 64]))
 
 
@@ -429,7 +491,7 @@ class TestAmbiguityOracle:
         block = sample_block(p, n, 3)
         traitors = honest.complement(len(sizes))
         ctx = TraitorContext(traitors=traitors, seed=2,
-                             own_block=SourceBlock(n, block.subset(traitors.indices)))
+                             own_block=block.subset(traitors.indices)[None])
         with pytest.raises(EnumerationGuardError) as got:
             fixed_rate_ambiguity_attack(ctx, S1, honest, code, p, block)
         with pytest.raises(EnumerationGuardError) as want:

@@ -30,7 +30,6 @@ from byzsw.fixed_rate import (
 from byzsw.prob_core import JointPMF, SubsetView, identity_channel, marginal
 from byzsw.rate_region import HonestCollection
 from byzsw.source_model import (
-    SourceBlock,
     derive_seed,
     sample_block,
     sample_side_info,
@@ -65,8 +64,9 @@ def make_ctx(p, honest, n, seed):
     block = sample_block(p, n, derive_seed(seed, "b"))
     w = sample_side_info(identity_channel(p.alphabet_sizes), block,
                          derive_seed(seed, "w"))
-    return TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"), law=p, w_block=w,
-                          own_block=SourceBlock(n, block.subset(traitors.indices))), block
+    return TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"), law=p,
+                          w_block=w.w_symbols[None],
+                          own_block=block.subset(traitors.indices)[None]), block
 
 
 class TestEncode:

@@ -161,8 +161,8 @@ class TestRunners:
         monkeypatch.setattr(byzsw.adversary, "fabricate_block", recorded)
         row = trial_row(scenario_from_dict(doc), 0, "fr")
         assert row["error"] == ""
-        assert len(fakes) == 1 and fakes[0].shape == (2, 8)
-        for symbols, size in zip(fakes[0], (3, 2)):
+        assert len(fakes) == 1 and fakes[0].shape == (1, 2, 8)
+        for symbols, size in zip(fakes[0][0], (3, 2)):
             assert 0 <= symbols.min() and symbols.max() < size
 
     def test_wilson_interval(self):

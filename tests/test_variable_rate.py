@@ -296,8 +296,8 @@ class TestRunRound:
                      for i, seed in ((0, 11), (1, 12))}
         block = sample_block(p, 12, 44)
         ctx = TraitorContext(traitors=SV(()), seed=46, law=p)
-        [res] = run_round(SV.of(0, 1), [RoundDraws(block, {})], 0, codebooks, None, ctx,
-                          params, seed=47)
+        [res] = run_round(SV.of(0, 1), RoundDraws(block.symbols[None], {}), 0, codebooks,
+                          None, ctx, params, seed=47)
         assert res.forced == 0
         assert set(res.tx_counts) == {0, 1}
         assert np.array_equal(res.estimates[0], block.sensor(0))
@@ -313,7 +313,8 @@ class TestRunRound:
         params = ProtocolParams(n=10, rounds=6, eps=0.35, nu=1.0, C=16)
         codebooks = {i: BinningCodebook(i, 10, 2, 0.35, 1.0, 16, 30 + i) for i in range(3)}
         ctx = TraitorContext(traitors=SV.of(2), seed=46, law=p)
-        draws = [RoundDraws(sample_block(p, 10, 50 + r), {2: None}) for r in range(6)]
+        draws = RoundDraws(np.stack([sample_block(p, 10, 50 + r).symbols for r in range(6)]),
+                           {2: None})
         together = run_round(SV.of(0, 1, 2), draws, 3, codebooks, BlackHole(), ctx, params, 47)
         for k, res in enumerate(together):
             [alone] = run_round(SV.of(0, 1, 2), draws[k:k + 1], 3 + k, codebooks, BlackHole(),

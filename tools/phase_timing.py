@@ -1,11 +1,11 @@
 """In-process timing of the variable-rate phase search and the V prune, per
-sensor-pass.
+sensor-pass, and of the round draws, per trial.
 
     PYTHONPATH=src python3 tools/phase_timing.py [--trials 12] [--sizes 12,16,20] [--rounds 16]
 
 A session plays its rounds in passes; in each pass every sensor of U(V)
 runs its phases for all of the pass's rounds in one ``_decode_phases``
-call, a *sensor-pass*. Prints one JSON object with two parts.
+call, a *sensor-pass*. Prints one JSON object with three parts.
 
 ``attack``: ``attack-demo --preset three_sensor`` run in this process (one
 warm-up call of 3 trials, then ``--trials`` trials at seed 7), with
@@ -15,6 +15,12 @@ time per sensor-pass and per phase, the kernel calls per sensor-pass the
 decoder makes (calls into ``binning.hash_bins``, ``hash_rows`` and
 ``space_bins``; calls made while a traitor is polled are not counted),
 and the median and mean time per ``update_V`` call.
+
+``draw``: from the same trials, the median and mean time per trial spent
+drawing the rounds (``variable_rate._draw_rounds``: blocks, side
+information and the traitors' reported blocks, one call per session), the
+median time per trial (``run_session``), and the ``rng_for`` generators
+built per trial, by every byzsw module.
 
 ``sizes``: the median time of one sensor-pass of ``--rounds`` phases at
 binary block length n, eps 0.35, nu 1.0, C 1024, for honest senders of
@@ -36,6 +42,7 @@ import contextlib
 import io
 import json
 import statistics
+import sys
 import tempfile
 import time
 import tracemalloc
@@ -44,13 +51,16 @@ import numpy as np
 
 import byzsw.binning as binning
 import byzsw.cli as cli
+import byzsw.scenario as scenario
+import byzsw.source_model as source_model
 import byzsw.variable_rate as vr
 
 KERNELS = ("hash_bins", "hash_rows", "space_bins")
 
 
-def attack_layers(trials: int) -> dict:
-    counts = {"calls": 0}
+def attack_layers(trials: int) -> tuple[dict, dict]:
+    """The ``attack`` and ``draw`` parts, from one run of the trials."""
+    counts = {"calls": 0, "generators": 0}
     paused = [True]
     kernels = {name: getattr(binning, name) for name in KERNELS}
     for name, inner in kernels.items():
@@ -59,8 +69,16 @@ def attack_layers(trials: int) -> dict:
                 counts["calls"] += 1
             return _inner(*args, **kw)
         setattr(binning, name, counted)
-    pass_s, phases, update_s = [], [], []
+    pass_s, phases, update_s, draw_s, session_s = [], [], [], [], []
     decode, update = vr._decode_phases, vr.update_V
+    draw, session = vr._draw_rounds, scenario.run_session
+    rng_for = source_model.rng_for
+    rng_owners = [mod for name, mod in sys.modules.items()
+                  if name.startswith("byzsw") and getattr(mod, "rng_for", None) is rng_for]
+
+    def counted_rng(*args):
+        counts["generators"] += 1
+        return rng_for(*args)
 
     def timed_pass(cb, cs, cells, eps, message):
         def polled(j, ks):
@@ -78,27 +96,41 @@ def attack_layers(trials: int) -> dict:
             phases.append(len(cs))
             paused[0] = True
 
-    def timed_update(*args):
-        start = time.perf_counter()
-        try:
-            return update(*args)
-        finally:
-            update_s.append(time.perf_counter() - start)
+    def timer(inner, times):
+        def timed(*args):
+            start = time.perf_counter()
+            try:
+                return inner(*args)
+            finally:
+                times.append(time.perf_counter() - start)
+        return timed
 
-    vr._decode_phases, vr.update_V = timed_pass, timed_update
+    vr._decode_phases, vr.update_V = timed_pass, timer(update, update_s)
+    vr._draw_rounds, scenario.run_session = timer(draw, draw_s), timer(session, session_s)
+    for mod in rng_owners:
+        mod.rng_for = counted_rng
     try:
         with tempfile.TemporaryDirectory() as out:
             argv = ["attack-demo", "--preset", "three_sensor", "--seed", "7",
                     "--workers", "1", "--out", out, "--trials"]
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(argv + ["3"])
-                pass_s.clear(), phases.clear(), update_s.clear()
-                counts["calls"] = 0
+                for times in (pass_s, phases, update_s, draw_s, session_s):
+                    times.clear()
+                counts["calls"] = counts["generators"] = 0
                 cli.main(argv + [str(trials)])
     finally:
         vr._decode_phases, vr.update_V = decode, update
+        vr._draw_rounds, scenario.run_session = draw, session
+        for mod in rng_owners:
+            mod.rng_for = rng_for
         for name, inner in kernels.items():
             setattr(binning, name, inner)
+    draw_row = {"trials": len(session_s),
+                "draw_us_median": 1e6 * statistics.median(draw_s),
+                "draw_us_mean": 1e6 * statistics.fmean(draw_s),
+                "trial_us_median": 1e6 * statistics.median(session_s),
+                "generators_per_trial": counts["generators"] / len(session_s)}
     return {"trials": trials, "sensor_passes": len(pass_s),
             "phases_per_pass": statistics.fmean(phases),
             "pass_us_median": 1e6 * statistics.median(pass_s),
@@ -107,7 +139,7 @@ def attack_layers(trials: int) -> dict:
             "kernel_calls_per_pass": counts["calls"] / len(pass_s),
             "update_v_calls": len(update_s),
             "update_v_us_median": 1e6 * statistics.median(update_s),
-            "update_v_us_mean": 1e6 * statistics.fmean(update_s)}
+            "update_v_us_mean": 1e6 * statistics.fmean(update_s)}, draw_row
 
 
 def pass_at(n: int, with_prior: bool, rounds: int, reps: int) -> dict:
@@ -139,7 +171,8 @@ def main(argv=None) -> int:
     parser.add_argument("--sizes", default="12,16,20")
     parser.add_argument("--rounds", type=int, default=16)
     args = parser.parse_args(argv)
-    out = {"attack": attack_layers(args.trials), "sizes": {}}
+    attack, draw = attack_layers(args.trials)
+    out = {"attack": attack, "draw": draw, "sizes": {}}
     for n in (int(v) for v in args.sizes.split(",")):
         reps = max(5, 2 ** (22 - n) // (16 * args.rounds))
         out["sizes"][f"n{n}"] = {"rounds": args.rounds, "reps": reps,
