@@ -21,13 +21,10 @@ from .prob_core import (
     type_of,
 )
 from .source_model import (
-    SideInfoBlock,
-    SourceBlock,
     derive_seed,
     rng_for,
     sample_block,
     sample_blocks,
-    sample_side_info,
     sample_side_infos,
 )
 from .binning import (

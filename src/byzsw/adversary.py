@@ -1,11 +1,13 @@
 """Pluggable traitor strategies: one protocol for both schemes.
 
 A strategy sees only what the model grants the traitors: the source law,
-their side information W^n, their own observations, the public codes, the
-polling history, and shared randomness derived from the scenario seed. The
-context object deliberately has no field for honest sensors' private
-randomness or honest message contents, so no strategy can read them. A
-strategy only decides blocks, subcodebooks and garbage; the scheme encodes.
+their side information W^n, their own observations, the public codes, and
+shared randomness derived from the scenario seed. The context object
+deliberately has no field for honest sensors' private randomness or honest
+message contents, so no strategy can read them. A strategy only decides
+blocks, subcodebooks and garbage; the scheme encodes. In both schemes a
+sender's message is one bin chain per round: a reported block's bins or,
+for a traitor that reports none, ``respond``'s (J, R) array.
 
 Strategies:
 
@@ -27,7 +29,7 @@ companion is exactly the first hit of a scan over every companion.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
@@ -37,10 +39,11 @@ from .prob_core import (
     ConditionalPMF,
     JointPMF,
     SubsetView,
+    conditional_rows,
     marginal,
     type_counts,
 )
-from .source_model import SourceBlock, derive_seed, keyed_uniforms, rng_for
+from .source_model import derive_seed, keyed_uniforms, rng_for
 
 if TYPE_CHECKING:
     from .fixed_rate import FixedRateCode
@@ -55,12 +58,7 @@ class TraitorContext:
     k for its k-th round: ``w_block`` holds each round's side information
     W^n, an (R, n) array, and ``own_block`` the traitors' own rows, an
     (R, |T|, n) array aligned with ``traitors``. A fixed-rate trial is the
-    one round R = 1.
-
-    A variable-rate session fills ``polling_history`` with (round, sensor,
-    block) for each of its transactions only after each pass of rounds, so
-    during a pass a strategy sees it a pass behind; at the end of the
-    session it holds every transaction in order."""
+    one round R = 1."""
 
     traitors: SubsetView
     seed: int
@@ -68,10 +66,6 @@ class TraitorContext:
     w_block: np.ndarray | None = None             # (R, n) side information per round
     own_block: np.ndarray | None = None           # (R, |T|, n) the traitors' own rows
     code: FixedRateCode | None = None             # fixed-rate only, set by encode_all
-    polling_history: list = field(default_factory=list)
-
-    def note_poll(self, record) -> None:
-        self.polling_history.append(record)
 
 
 def fabricate_block(ctx: TraitorContext, q_bar: ConditionalPMF, seeds) -> np.ndarray:
@@ -109,26 +103,14 @@ def optimal_fake_conditional(q_star: JointPMF, honest: SubsetView,
     if len(traitors) == 0:
         raise ValueError("no traitors to fabricate for")
     cells = int(np.prod(sizes))
-    sizes_t = tuple(sizes[i] for i in traitors)
-    cells_t = int(np.prod(sizes_t))
+    cells_t = int(np.prod([sizes[i] for i in traitors]))
     qh = marginal(q_star, honest).mass
     perm = tuple(honest.indices) + tuple(traitors.indices)
     q_ht = np.transpose(q_star.mass, perm).reshape(qh.size, cells_t)
-    rows = np.empty((cells, cells_t))
-    filled = []
-    for w in range(cells):
-        x = np.unravel_index(w, sizes)
-        xh = tuple(x[i] for i in honest)
-        k = int(np.ravel_multi_index(xh, qh.shape)) if len(honest) else 0
-        den = qh.reshape(-1)[k]
-        if den > 0:
-            rows[w] = q_ht[k] / den
-        else:
-            rows[w] = 1.0 / cells_t
-            filled.append(w)
-    rows /= rows.sum(axis=1, keepdims=True)
-    return ConditionalPMF((cells,), cells_t, rows.reshape((cells, cells_t)),
-                          uniform_filled_rows=tuple(filled))
+    x = np.unravel_index(np.arange(cells), sizes)
+    k = np.ravel_multi_index(tuple(x[i] for i in honest), qh.shape)   # each w's honest cell
+    rows, filled = conditional_rows(q_ht[k], qh.reshape(-1)[k])
+    return ConditionalPMF((cells,), cells_t, rows, uniform_filled_rows=filled)
 
 
 # ---------------------------------------------------------------------------
@@ -143,18 +125,17 @@ class TraitorStrategy:
     indices, then reads ``reported_block`` for each traitor: one row per
     round, in the order of those indices, which the scheme encodes like an
     honest sensor's, under ``choose_subcodebook``. A traitor that reports
-    None is polled in every one of those rounds, through ``respond`` for
-    each block j it sends, with that block's bin count. A variable-rate
-    session calls ``begin_round`` once with all its rounds; a fixed-rate
-    trial is round 0 with one block (``fixed_rate.encode_all``). The round
-    index is passed to every per-round call that depends on it.
+    None sends ``respond``'s bins instead, one chain per round. A
+    variable-rate session calls ``begin_round`` once with all its rounds; a
+    fixed-rate trial is round 0 with one block (``fixed_rate.encode_all``).
+    The round index is passed to every per-round call that depends on it.
 
     The session draws every round's blocks before it plays any, and plays
     the rounds in passes, so a strategy must depend only on the round index
-    and the context's round data, not on ``polling_history`` or on how
-    earlier rounds went: ``begin_round`` runs for every round before the
-    first is played, and ``respond`` may be called again for a round whose
-    pass is discarded and replayed after V changes."""
+    and the context's round data, not on how earlier rounds went:
+    ``begin_round`` runs for every round before the first is played, and
+    ``respond`` may be called again for the rounds of a pass that is
+    discarded and replayed after V changes."""
 
     kind = "honest_passthrough"
 
@@ -176,11 +157,12 @@ class TraitorStrategy:
         return int(rng_for(ctx.seed, "traitor-c", self.kind, round_index, sensor)
                    .integers(C))
 
-    def respond(self, ctx: TraitorContext, round_index: int, sensor: int, j: int,
-                bins: int) -> int:
-        """Block j's bin index, in range(bins), sent by a traitor that
-        reports no block; only such a strategy is polled, and it must
-        answer."""
+    def respond(self, ctx: TraitorContext, rounds: Sequence[int], sensor: int,
+                bins: Sequence[int]) -> np.ndarray:
+        """The bin chains sent by a traitor that reports no block, a
+        (len(bins), len(rounds)) int64 array: entry (j, k) is block j's bin
+        index in round ``rounds[k]``, in range(bins[j]). Only such a
+        strategy is asked, and it must answer."""
         raise NotImplementedError(f"{type(self).__name__} reports no block for sensor "
                                   f"{sensor} but does not answer polls")
 
@@ -190,16 +172,19 @@ class HonestPassthrough(TraitorStrategy):
 
 
 class BlackHole(TraitorStrategy):
-    """Garbage messages, always within the alphabet contract."""
+    """Garbage messages, always within the alphabet contract: each block's
+    index is drawn from its own (round, sensor, block) stream."""
 
     kind = "black_hole"
 
     def reported_block(self, ctx, sensor):
         return None
 
-    def respond(self, ctx: TraitorContext, round_index: int, sensor: int, j: int,
-                bins: int) -> int:
-        return int(rng_for(ctx.seed, "black-hole", round_index, sensor, j).integers(bins))
+    def respond(self, ctx: TraitorContext, rounds: Sequence[int], sensor: int,
+                bins: Sequence[int]) -> np.ndarray:
+        return np.array([[rng_for(ctx.seed, "black-hole", r, sensor, j).integers(count)
+                          for r in rounds] for j, count in enumerate(bins)],
+                        dtype=np.int64).reshape(len(bins), len(rounds))
 
 
 class FakeDistribution(TraitorStrategy):
@@ -280,7 +265,7 @@ def _lex_least_companion(x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.nd
 
 def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
                                 honest_true: SubsetView, code, p: JointPMF,
-                                true_block: SourceBlock, *,
+                                true_block: np.ndarray, *,
                                 max_attempts: int = 64) -> AmbiguityOutcome:
     """Search for a confusable substitute for X_{S1 n H}: same bins as the
     truth, strongly typical, different from the truth, and admitting a
@@ -290,7 +275,8 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     the search fails, which is the likely outcome whenever the rates lie
     inside SW(X_{S1 n H}).
 
-    Nothing is enumerated beyond each intersection sensor's own sequence
+    ``true_block`` is the block's (m, n) symbol array. Nothing is
+    enumerated beyond each intersection sensor's own sequence
     space, whose bins (``code.space_bins``, hashed once per code and shared
     with the decoder) give the truth's bin and its members.
 
@@ -331,12 +317,12 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     stride = cells_inter
     for size, i in zip(sizes_inter, inter):
         stride //= size
-        truth_bin = code.encode(i, size, true_block.sensor(i))
+        truth_bin = code.encode(i, size, true_block[i])
         members = all_sequences(size, n)[np.flatnonzero(code.space_bins(i, size) == truth_bin)]
         cands = (cands[:, None, :]
                  + stride * members[None, :, :].astype(np.int64)).reshape(-1, n)
     cands = cands[np.lexsort(cands.T[::-1])]
-    truth_flat = np.ravel_multi_index(tuple(true_block.subset(inter.indices)), sizes_inter)
+    truth_flat = np.ravel_multi_index(tuple(true_block[list(inter.indices)]), sizes_inter)
     cands = cands[np.any(cands != truth_flat[None, :], axis=1)]
     counts = type_counts(cands, cells_inter)
     dist = np.max(np.abs(counts / n - marginal(p, inter).mass.reshape(1, -1)), axis=1)
@@ -371,8 +357,8 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
 class FixedRateAmbiguity(TraitorStrategy):
     """The converse construction on ``ctx.code``. Under perfect information
     W is the flat joint symbol, so the traitors know X_{S1 n H}. When the
-    attack finds a confusable sequence every traitor answers the poll with
-    its message; otherwise they behave honestly."""
+    attack finds a confusable sequence every traitor sends its message;
+    otherwise they behave honestly."""
 
     kind = "fixed_rate_ambiguity"
 
@@ -385,17 +371,17 @@ class FixedRateAmbiguity(TraitorStrategy):
             raise ValueError("the ambiguity attack needs a fixed-rate code")
         sizes = ctx.law.alphabet_sizes
         [w] = ctx.w_block                 # a fixed-rate trial is one round
-        seen = SourceBlock(len(w), np.stack(np.unravel_index(w, sizes)))
         self.last_outcome = fixed_rate_ambiguity_attack(
             ctx, self.target_set, ctx.traitors.complement(len(sizes)), ctx.code,
-            ctx.law, seen)
+            ctx.law, np.stack(np.unravel_index(w, sizes)))
 
     def reported_block(self, ctx, sensor):
         return None if self.last_outcome.found else super().reported_block(ctx, sensor)
 
-    def respond(self, ctx: TraitorContext, round_index: int, sensor: int, j: int,
-                bins: int) -> int:
-        return self.last_outcome.messages[sensor][1]
+    def respond(self, ctx: TraitorContext, rounds: Sequence[int], sensor: int,
+                bins: Sequence[int]) -> np.ndarray:
+        return np.full((len(bins), len(rounds)), self.last_outcome.messages[sensor][1],
+                       dtype=np.int64)
 
 
 STRATEGY_KINDS = ("honest_passthrough", "black_hole", "fake_distribution",

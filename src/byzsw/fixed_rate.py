@@ -3,8 +3,10 @@
 Every sensor sends a single bin index at its fixed rate (randomized coding
 prepends a uniformly chosen subcodebook index), read from the bins of its
 whole sequence space, hashed once per code (``FixedRateCode.space_bins``)
-and shared by the encoder, the decoder and the ambiguity attack. Traitors
-play round 0 of the variable-rate session's protocol (``encode_all``).
+and shared by the encoder, the decoder and the ambiguity attack. A block is
+an (m, n) int64 array. Traitors play round 0 of the variable-rate session's
+protocol (``encode_all``): a traitor that reports no block sends block 0
+of its ``respond`` chain.
 The decoder runs one Slepian-Wolf style search per candidate honest set S:
 it enumerates the sequences matching each received bin and keeps the
 lexicographically least jointly typical tuple, or null when none exists. The
@@ -50,7 +52,7 @@ from .prob_core import (
     type_of,
 )
 from .rate_region import HonestCollection
-from .source_model import SourceBlock, derive_seed, rng_for, sample_block, sample_side_infos
+from .source_model import derive_seed, rng_for, sample_block, sample_side_infos
 
 COMBO_GUARD = 1 << 22
 _TUPLE_BLOCK = 1 << 12    # candidate tuples typed per bincount
@@ -124,14 +126,14 @@ class EstimateTable:
     disagreements: list    # (sensor, set_a, set_b) where both non-null differ
 
 
-def encode_all(code: FixedRateCode, block: SourceBlock,
+def encode_all(code: FixedRateCode, block: np.ndarray,
                strategy: TraitorStrategy | None, ctx: TraitorContext | None,
                p: JointPMF, seed: int) -> dict[int, tuple[int, int]]:
-    """Messages (c, bin) from every sensor, as round 0 of the traitor
-    protocol, the context holding that one round's data: an honest sensor
-    bins its true row (randomized kind: under a uniform c), a traitor the
-    row its strategy reports for round 0, or else sends the strategy's
-    answer to the poll of block 0."""
+    """Messages (c, bin) from every sensor of the (m, n) ``block``, as round
+    0 of the traitor protocol, the context holding that one round's data: an
+    honest sensor bins its true row (randomized kind: under a uniform c), a
+    traitor the row its strategy reports for round 0, or else sends block 0
+    of the strategy's ``respond`` chain."""
     traitors = ctx.traitors if ctx is not None else SubsetView(())
     if len(traitors) > 0:
         if strategy is None:
@@ -145,12 +147,13 @@ def encode_all(code: FixedRateCode, block: SourceBlock,
         if code.kind == "randomized":
             c = (strategy.choose_subcodebook(ctx, 0, i, code.C) if traitor
                  else int(rng_for(seed, "fr-subcode", i).integers(code.C)))
-        row = block.sensor(i)
+        row = block[i]
         if traitor:
             rows = strategy.reported_block(ctx, i)
             row = None if rows is None else rows[0]
         if row is None:
-            idx = strategy.respond(ctx, 0, i, 0, bin_count_for_rate(code.n, code.rates[i]))
+            bins = bin_count_for_rate(code.n, code.rates[i])
+            idx = int(strategy.respond(ctx, [0], i, [bins])[0, 0])
         else:
             idx = code.encode(i, p.alphabet_sizes[i], row, c)
         messages[i] = (c, idx)
@@ -248,24 +251,24 @@ def run_fixed_rate_trial(code: FixedRateCode, p: JointPMF, H: HonestCollection,
                          honest_true: SubsetView, strategy: TraitorStrategy | None,
                          seed: int, *, r_true: ConditionalPMF | None = None,
                          plurality: bool = False
-                         ) -> tuple[SourceBlock, EstimateTable, tuple[int, ...]]:
+                         ) -> tuple[np.ndarray, EstimateTable, tuple[int, ...]]:
     """One fixed-rate block end to end: sample it, let the traitors answer
     through ``strategy`` from their side information (W drawn through
     ``r_true``, the identity channel when None) and own rows, encode every
-    sensor and decode. Returns the block, the estimate table and the true
-    honest sensors decoded wrongly or not at all."""
+    sensor and decode. Returns the (m, n) block, the estimate table and the
+    true honest sensors decoded wrongly or not at all."""
     block = sample_block(p, code.n, derive_seed(seed, "fr-block"))
     traitors = honest_true.complement(code.m)
     ctx = None
     if len(traitors) > 0:
         r = r_true if r_true is not None else identity_channel(p.alphabet_sizes)
         ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p,
-                             w_block=sample_side_infos(r, block.symbols[None],
+                             w_block=sample_side_infos(r, block[None],
                                                        [derive_seed(seed, "fr-sideinfo")]),
-                             own_block=block.subset(traitors.indices)[None])
+                             own_block=block[None, list(traitors.indices)])
     messages = encode_all(code, block, strategy, ctx, p, derive_seed(seed, "fr-honest"))
     table = decode_all(code, messages, p, H, plurality=plurality)
     wrong = tuple(i for i in honest_true
                   if table.final[i] is None
-                  or not np.array_equal(table.final[i], block.sensor(i)))
+                  or not np.array_equal(table.final[i], block[i]))
     return block, table, wrong

@@ -364,6 +364,19 @@ def joint_with_channel(p: JointPMF, r: ConditionalPMF) -> np.ndarray:
     return p.mass[..., None] * r.rows
 
 
+def conditional_rows(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, tuple[int, ...]]:
+    """Condition a (k, w) table on its rows: row k becomes num[k] / den[k],
+    or the uniform row where den[k] is not positive, and every row is then
+    renormalized. Returns the rows and the indices of the uniform-filled
+    ones."""
+    filled = ~(den > 0.0)
+    rows = np.empty(num.shape)
+    rows[~filled] = num[~filled] / den[~filled, None]
+    rows[filled] = 1.0 / num.shape[1]
+    rows /= rows.sum(axis=1, keepdims=True)
+    return rows, tuple(np.flatnonzero(filled).tolist())
+
+
 def marginalize_info_channel(r: ConditionalPMF, p: JointPMF, h: SubsetView) -> ConditionalPMF:
     """Collapse r(w | x_1..x_m) to the channel seen from x_h only:
 
@@ -380,21 +393,10 @@ def marginalize_info_channel(r: ConditionalPMF, p: JointPMF, h: SubsetView) -> C
     num = joint.sum(axis=drop) if drop else joint                 # (sizes_h..., W)
     den = p.mass.sum(axis=drop) if drop else np.array(p.mass)     # (sizes_h...)
     w = r.output_alphabet_size
-    rows = np.empty(num.shape)
-    flat_num = num.reshape(-1, w)
-    flat_den = den.reshape(-1)
-    flat_rows = rows.reshape(-1, w)
-    filled = []
-    for k in range(flat_den.shape[0]):
-        if flat_den[k] > 0.0:
-            flat_rows[k] = flat_num[k] / flat_den[k]
-        else:
-            flat_rows[k] = 1.0 / w
-            filled.append(k)
-    flat_rows /= flat_rows.sum(axis=1, keepdims=True)
+    rows, filled = conditional_rows(num.reshape(-1, w), den.reshape(-1))
     sizes_h = tuple(p.alphabet_sizes[i] for i in h)
     return ConditionalPMF(sizes_h, w, rows.reshape(sizes_h + (w,)),
-                          uniform_filled_rows=tuple(filled))
+                          uniform_filled_rows=filled)
 
 
 def channel_conditional_entropy(p: JointPMF, r: ConditionalPMF, target: SubsetView) -> float:

@@ -328,8 +328,7 @@ def _acyclic_entropy(p: JointPMF, V: Sequence[SubsetView]) -> float | None:
     return value + subset_entropy(p, edges[0])
 
 
-def r_star_perfect(p: JointPMF, H: HonestCollection, *,
-                   tol: float = 1e-10, max_sweeps: int = 100_000) -> RegionReport:
+def r_star_perfect(p: JointPMF, H: HonestCollection) -> RegionReport:
     """Minimum achievable variable-rate sum rate under perfect traitor
     information: the supremum over sub-collections V of the max-entropy value
     with the marginals of every set in V pinned to p.
@@ -350,7 +349,7 @@ def r_star_perfect(p: JointPMF, H: HonestCollection, *,
 
     def solve(V):
         if V not in memo:
-            memo[V] = max_entropy_with_marginals(p, V, tol=tol, max_sweeps=max_sweeps)
+            memo[V] = max_entropy_with_marginals(p, V)
         return memo[V]
 
     def best_over(must_contain):
@@ -591,15 +590,15 @@ def _simulability_matrix(p: JointPMF, S: SubsetView, r_tilde: ConditionalPMF) ->
     return A.reshape(shape).transpose(order).reshape(A.shape)
 
 
-def q_set_feasible(q: JointPMF, S: SubsetView, r_prime: ConditionalPMF, p: JointPMF, *,
-                   tol: float = LP_TOL) -> Feasibility:
+def q_set_feasible(q: JointPMF, S: SubsetView, r_prime: ConditionalPMF,
+                   p: JointPMF) -> Feasibility:
     """Can traitors holding side information r' simulate the joint law q when
     the honest set is S?  Feasible iff there is a table qbar(x_Sc | w) with
 
         q(x) = p(x_S) sum_w r'~(w | x_S) qbar(x_Sc | w),
 
     each row qbar(. | w) a distribution: phase 1 of the simplex on these
-    linear constraints decides it, ``tol`` bounding the residual it may
+    linear constraints decides it, ``LP_TOL`` bounding the residual it may
     leave."""
     if q.alphabet_sizes != p.alphabet_sizes:
         raise ValueError("q and p must share the joint alphabet")
@@ -607,7 +606,7 @@ def q_set_feasible(q: JointPMF, S: SubsetView, r_prime: ConditionalPMF, p: Joint
     A = _simulability_matrix(p, S, r_tilde)
     w = r_tilde.output_alphabet_size
     lp = LinearProgram(np.vstack([A, _row_sums(w, A.shape[1] // w)]),
-                       np.concatenate([q.mass.reshape(-1), np.ones(w)]), tol=tol)
+                       np.concatenate([q.mass.reshape(-1), np.ones(w)]))
     return Feasibility.FEASIBLE if lp.feasible else Feasibility.INFEASIBLE
 
 
@@ -843,26 +842,26 @@ def sw_facets(p: JointPMF, S: SubsetView) -> list[tuple[tuple[int, ...], float]]
             for combo in itertools.combinations(S.indices, k)]
 
 
-def sw_region_contains(rates: Sequence[float], p: JointPMF, S: SubsetView,
-                       *, slack: float = 1e-9) -> bool:
-    """Does the rate vector restricted to S lie in SW(X_S)?"""
+def sw_region_contains(rates: Sequence[float], p: JointPMF, S: SubsetView) -> bool:
+    """Does the rate vector restricted to S lie in SW(X_S), up to a 1e-9
+    slack on each facet?"""
     if any(r < 0 for r in rates):
         raise ValueError("rates must be nonnegative")
     for sub, bound in sw_facets(p, S):
-        if sum(rates[i] for i in sub) < bound - slack:
+        if sum(rates[i] for i in sub) < bound - 1e-9:
             return False
     return True
 
 
-def deterministic_extra_constraints(p: JointPMF, H: HonestCollection, R: InfoModel,
-                                    *, zero_tol: float = 1e-9) -> list[SubsetView]:
+def deterministic_extra_constraints(p: JointPMF, H: HonestCollection,
+                                    R: InfoModel) -> list[SubsetView]:
     """Intersections S1 n S2 of candidate pairs for which some channel in
-    R(S2) lets the traitors know X_{S1 n S2} exactly; deterministic fixed-rate
-    coding must put these intersections in their own SW regions. Each
-    distinct one is listed once, in the order of its first pair (S1 outer,
-    S2 inner, candidate order). Under perfect information the traitors know
-    X_{S2}, so H(X_{S1 n S2} | W) = 0 and every nonempty intersection is
-    listed without a channel test."""
+    R(S2) lets the traitors know X_{S1 n S2} exactly (H(X_{S1 n S2} | W) below
+    1e-9); deterministic fixed-rate coding must put these intersections in
+    their own SW regions. Each distinct one is listed once, in the order of
+    its first pair (S1 outer, S2 inner, candidate order). Under perfect
+    information the traitors know X_{S2}, so H(X_{S1 n S2} | W) = 0 and
+    every nonempty intersection is listed without a channel test."""
     cands = H.candidates
     masks = [s.mask for s in cands]
     extra = []
@@ -873,7 +872,7 @@ def deterministic_extra_constraints(p: JointPMF, H: HonestCollection, R: InfoMod
             if not inter or inter in seen:
                 continue
             view = SubsetView(_mask_indices(inter))
-            if R.perfect or any(channel_conditional_entropy(p, chan, view) < zero_tol
+            if R.perfect or any(channel_conditional_entropy(p, chan, view) < 1e-9
                                 for chan in R.channels_for(s2)):
                 extra.append(view)
                 seen.add(inter)

@@ -5,19 +5,20 @@ by keyed hashing of (seed, purpose labels) so that adding a new consumer never
 perturbs the draws of existing ones. Sampling is inverse-CDF over the fixed
 row-major cell order, which keeps blocks reproducible across platforms.
 
-The draws take a leading round axis: a session draws the blocks and side
-information of all its rounds in one pass (``sample_blocks``,
-``sample_side_infos``), each round from its own keyed stream, and
-``sample_block`` / ``sample_side_info`` are their one-round calls.
+A block is a plain int64 array, one row of symbols per sensor. The draws
+take a leading round axis: a session draws the blocks and side information
+of all its rounds in one pass (``sample_blocks``, ``sample_side_infos``),
+each round from its own keyed stream, and ``sample_block`` is the one-round
+call of the first; a one-round side information is
+``sample_side_infos(r, block[None], [seed])[0]``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from hashlib import blake2b
 
 import numpy as np
 
-from .prob_core import ConditionalPMF, JointPMF, _frozen
+from .prob_core import ConditionalPMF, JointPMF
 
 _SEED_MASK = (1 << 64) - 1
 
@@ -31,43 +32,6 @@ def derive_seed(master: int, *labels) -> int:
 
 def rng_for(master: int, *labels) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(derive_seed(master, *labels)))
-
-
-@dataclass(frozen=True)
-class SourceBlock:
-    """n i.i.d. joint source realizations, one row of symbols per sensor."""
-
-    n: int
-    symbols: np.ndarray  # (m, n) integer table
-
-    def __post_init__(self):
-        arr = np.asarray(self.symbols)
-        if arr.ndim != 2 or arr.shape[1] != self.n:
-            raise ValueError(f"symbols shape {arr.shape} inconsistent with n={self.n}")
-        object.__setattr__(self, "symbols", _frozen(arr))
-
-    def sensor(self, i: int) -> np.ndarray:
-        return self.symbols[i]
-
-    def subset(self, indices) -> np.ndarray:
-        return self.symbols[list(indices)]
-
-
-@dataclass(frozen=True)
-class SideInfoBlock:
-    """The traitors' per-slot side information W^n."""
-
-    w_symbols: np.ndarray  # (n,)
-
-    def __post_init__(self):
-        arr = np.asarray(self.w_symbols)
-        if arr.ndim != 1:
-            raise ValueError("w_symbols must be one-dimensional")
-        object.__setattr__(self, "w_symbols", _frozen(arr))
-
-    @property
-    def n(self) -> int:
-        return int(self.w_symbols.shape[0])
 
 
 def _inverse_cdf(cdf: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -95,10 +59,10 @@ def sample_blocks(p: JointPMF, n: int, seeds) -> np.ndarray:
     return symbols.astype(np.int64, copy=False)
 
 
-def sample_block(p: JointPMF, n: int, seed: int) -> SourceBlock:
-    """Draw n i.i.d. joint symbols from p; deterministic given seed. The
-    one-round case of ``sample_blocks``."""
-    return SourceBlock(n, sample_blocks(p, n, [seed])[0])
+def sample_block(p: JointPMF, n: int, seed: int) -> np.ndarray:
+    """Draw n i.i.d. joint symbols from p as an (m, n) int64 array;
+    deterministic given seed. The one-round case of ``sample_blocks``."""
+    return sample_blocks(p, n, [seed])[0]
 
 
 def sample_side_infos(r: ConditionalPMF, blocks: np.ndarray, seeds) -> np.ndarray:
@@ -113,8 +77,3 @@ def sample_side_infos(r: ConditionalPMF, blocks: np.ndarray, seeds) -> np.ndarra
     w = (cs[flat_in] < u[..., None]).sum(axis=2)      # cs[flat_in] is (R, n, |W|)
     return np.minimum(w, r.output_alphabet_size - 1).astype(np.int64, copy=False)
 
-
-def sample_side_info(r: ConditionalPMF, block: SourceBlock, seed: int) -> SideInfoBlock:
-    """Per-slot independent draw w_t ~ r(. | x_1,t ... x_m,t): the one-round
-    case of ``sample_side_infos``."""
-    return SideInfoBlock(sample_side_infos(r, block.symbols[None], [seed])[0])

@@ -31,8 +31,10 @@ one a round-by-round session gives, field for field.
 
 Within a pass, each sensor's phases for all rounds run at once:
 
-* the senders that report a block have the chains of every round encoded
-  in one kernel call, one key per (round's subcodebook, block);
+* every sender's message is a (J, R) array of bin chains, one per round:
+  a sender that reports a block has them encoded in one kernel call, one
+  key per (round's subcodebook, block), and a traitor that reports none
+  sends the chains its strategy's ``respond`` returns;
 * every candidate must match block 0, the block with the most bins, so the
   whole alphabet^n space is binned on block 0 under each round's
   subcodebook, as many keys per kernel call as fit in 2^14 states (4 at
@@ -43,8 +45,8 @@ Within a pass, each sensor's phases for all rounds run at once:
   round's prior, from one count of (member, cell, symbol);
 * the j-loop then runs over the still-undecided rounds together: the
   members are binned on blocks 1..J-1 in one more kernel call, and each
-  later transaction is a comparison on these few rows. A traitor that
-  reports no block is polled for exactly the blocks its phases use.
+  later transaction is a comparison on these few rows, and the transcript
+  records the first j_used blocks of each round's chain.
 
 The prune tests every round's type against each candidate set in one array
 expression under perfect information, and one LP per round and candidate
@@ -61,7 +63,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -72,6 +74,7 @@ from .prob_core import (
     JointPMF,
     SubsetView,
     marginal,
+    type_counts,
     union_of,
 )
 from .rate_region import (
@@ -224,26 +227,23 @@ def _conditional_type_entropies(rows: np.ndarray, alphabet: int,
 
 
 def _decode_phases(cb: BinningCodebook, cs: Sequence[int], cells: np.ndarray | None,
-                   eps: float, message: Callable[[int, np.ndarray], np.ndarray]):
+                   eps: float, chains: np.ndarray):
     """Run one sensor's phases of a pass at once, one per subcodebook in
     ``cs``, each until its T_j search succeeds.
 
     ``cells`` gives each phase's prior cells per slot (an (R, n) array, or
-    None without a prior), and ``message(j, ks)`` polls the phases ``ks`` (an
-    index array) for block j's bin index; phase k is polled for block j only
-    while it is undecided. Returns the estimates as an (R, n) int64 array,
-    the transactions each phase used, the received indices as a (J, R)
-    array (-1 where a phase was not polled) and the forced-decode flags.
+    None without a prior), and ``chains`` the sender's (J, R) bin indices,
+    phase k's chain in column k; phase k reads block j only while it is
+    undecided. Returns the estimates as an (R, n) int64 array, the
+    transactions each phase used and the forced-decode flags.
     """
     R, n, J = len(cs), cb.n, cb.J
-    received = np.full((J, R), -1, dtype=np.int64)
-    received[0] = message(0, np.arange(R))
     # block 0 has the most bins: of the whole space, about one sequence per
-    # phase shares its received bin, and only those can match a later block
+    # phase shares its block-0 bin, and only those can match a later block
     space = cb.alphabet_size ** n
     keys = max(1, _SPACE_STATES // space)
     found = [np.flatnonzero(cb.encode_space(cs[lo:lo + keys], 0)
-                            == received[0, lo:lo + keys, None]) + lo * space
+                            == chains[0, lo:lo + keys, None]) + lo * space
              for lo in range(0, R, keys)]
     phase, members = np.divmod(np.concatenate(found), space)    # by phase, then index
     rows = all_sequences(cb.alphabet_size, n)[members]
@@ -258,7 +258,6 @@ def _decode_phases(cb: BinningCodebook, cs: Sequence[int], cells: np.ndarray | N
     later = None                                # members' bins on blocks 1..J-1
     for j in range(J):
         if j:
-            received[j, open_] = message(j, np.flatnonzero(open_))
             live = matched & open_[phase]
             if live.any():
                 if later is None:
@@ -266,7 +265,7 @@ def _decode_phases(cb: BinningCodebook, cs: Sequence[int], cells: np.ndarray | N
                     pick = open_[phase]
                     later[:, pick] = cb.encode_rows(rows[pick], [cs[k] for k in phase[pick]],
                                                     range(1, J))
-                matched &= later[j - 1] == received[j, phase]
+                matched &= later[j - 1] == chains[j, phase]
         hits = np.flatnonzero(matched & open_[phase] & (cond_h <= (j + 1) * eps + 1e-12))
         ks, first = np.unique(phase[hits], return_index=True)   # least member per phase
         estimates[ks] = rows[hits[first]]
@@ -279,7 +278,7 @@ def _decode_phases(cb: BinningCodebook, cs: Sequence[int], cells: np.ndarray | N
     # full chain; this is only reachable when the sender's messages fit no
     # sequence (a garbage-spewing traitor). Its forced estimate is the
     # lexicographically least sequence; the V update handles elimination.
-    return estimates, j_used, received, forced
+    return estimates, j_used, forced
 
 
 # ---------------------------------------------------------------------------
@@ -313,10 +312,9 @@ def _ball_marginal_feasible_perfect(t_u: np.ndarray, U: SubsetView, S: SubsetVie
 
 
 def _ball_membership_general(t_u: np.ndarray, U: SubsetView, S: SubsetView,
-                             r_tilde: ConditionalPMF, p: JointPMF, tau_u: float,
-                             *, tol: float = 1e-7) -> bool:
+                             r_tilde: ConditionalPMF, p: JointPMF, tau_u: float) -> bool:
     """Imperfect-information membership: does some simulable law sit within
-    the tau_u-ball (widened by ``tol``) of the type? An LP feasibility
+    the tau_u-ball (widened by 1e-7) of the type? An LP feasibility
     question, decided by phase 1 of the simplex: y = A qbar with each row
     of qbar on its simplex and lo <= y <= hi, the box held by slack columns
     as A qbar - s = max(lo, 0) and A qbar + s' = hi."""
@@ -334,7 +332,7 @@ def _ball_membership_general(t_u: np.ndarray, U: SubsetView, S: SubsetView,
     zero = np.zeros_like(eye)
     rows = np.block([[A, -eye, zero], [A, zero, eye],
                      [_row_sums(w, A.shape[1] // w), np.zeros((w, 2 * target.size))]])
-    rhs = np.concatenate([np.maximum(target - tau_u - tol, 0.0), target + tau_u + tol,
+    rhs = np.concatenate([np.maximum(target - tau_u - 1e-7, 0.0), target + tau_u + 1e-7,
                           np.ones(w)])
     return LinearProgram(rows, rhs).feasible
 
@@ -365,9 +363,7 @@ def update_V(V: Sequence[SubsetView], round_estimates: Sequence[dict], U: Subset
     flat = np.ravel_multi_index(
         tuple(np.array([[est[i] for est in round_estimates] for i in U])), sizes_u)
     rounds = len(round_estimates)
-    counts = np.bincount((np.arange(rounds)[:, None] * cells_u + flat).ravel(),
-                         minlength=rounds * cells_u)
-    t_u = (counts / n).reshape((rounds,) + sizes_u)
+    t_u = (type_counts(flat, cells_u) / n).reshape((rounds,) + sizes_u)
     tau_u = eta / cells_u
     if info_model.perfect:
         passed = {S: _ball_marginal_feasible_perfect(t_u, U, S, marginals[S], tau_u)
@@ -399,7 +395,8 @@ def update_V(V: Sequence[SubsetView], round_estimates: Sequence[dict], U: Subset
 class RoundDraws:
     """The draws of consecutive rounds: their source blocks, an (R, m, n)
     array, and each traitor's reported blocks, an (R, n) array, or None for
-    a traitor that is polled instead. A slice selects rounds."""
+    a traitor that sends ``respond``'s chains instead. A slice selects
+    rounds."""
 
     blocks: np.ndarray
     reported: dict
@@ -452,8 +449,9 @@ def run_round(U: SubsetView, draws: RoundDraws, first: int, codebooks: dict,
 
     A sender that reports a block (an honest sensor, or a traitor whose
     strategy reports one) has the chains of all its rounds encoded in one
-    kernel call; a traitor that reports None is polled through ``respond``.
-    The candidate-collection prune happens after the pass, in the caller.
+    kernel call; a traitor that reports None sends the chains ``respond``
+    returns. The candidate-collection prune happens after the pass, in the
+    caller.
     Returns one result per round.
     """
     R = len(draws)
@@ -468,17 +466,11 @@ def run_round(U: SubsetView, draws: RoundDraws, first: int, codebooks: dict,
         else:
             cs = [int(rng_for(seed, "subcode", first + k, i).integers(C)) for k in range(R)]
             sent = draws.blocks[:, i]
-        chains = (np.full((cb.J, R), -1, dtype=np.int64) if sent is None
-                  else cb.encode_rows(sent, cs, range(cb.J)))
-
-        def message(j, ks):     # called only while this sensor's phases run
-            if sent is None:
-                for k in ks.tolist():
-                    chains[j, k] = strategy.respond(ctx, first + k, i, j, cb.bin_count(j))
-            return chains[j, ks]
-
+        chains = (strategy.respond(ctx, range(first, first + R), i,
+                                   [cb.bin_count(j) for j in range(cb.J)])
+                  if sent is None else cb.encode_rows(sent, cs, range(cb.J)))
         cells = np.ravel_multi_index(tuple(prior), prior_sizes) if prior else None
-        est, j_used, received, forced = _decode_phases(cb, cs, cells, params.eps, message)
+        est, j_used, forced = _decode_phases(cb, cs, cells, params.eps, chains)
         prior.append(est)
         prior_sizes.append(cb.alphabet_size)
         bits = [cb.block_bits(j) for j in range(cb.J)]
@@ -490,7 +482,7 @@ def run_round(U: SubsetView, draws: RoundDraws, first: int, codebooks: dict,
             for j in range(used):
                 res.bits += bits[j]
                 res.records.append(TranscriptRecord(first + k, i, cs[k], j,
-                                                    int(received[j, k]), bits[j]))
+                                                    int(chains[j, k]), bits[j]))
     return results
 
 
@@ -570,8 +562,6 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
             restores += was_emptied
             v_traj.append(V_after)
             transcript.extend(res.records)
-            for rec in res.records:
-                ctx.note_poll((rec.round, rec.sensor, rec.j))
             forced_count += res.forced
             round_rates.append(res.bits / n)
             phase_tx.append(res.tx_counts)

@@ -49,7 +49,7 @@ from byzsw.rate_region import (
     _lex_key,
     max_entropy_with_marginals,
 )
-from byzsw.source_model import SourceBlock, rng_for
+from byzsw.source_model import rng_for
 
 
 def brute_entropy(table) -> float:
@@ -420,7 +420,7 @@ def _ball_distances(flat_seqs: np.ndarray, cells: int, p_flat: np.ndarray) -> np
 
 def reference_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
                                honest_true: SubsetView, code, p: JointPMF,
-                               true_block: SourceBlock, *,
+                               true_block: np.ndarray, *,
                                max_attempts: int = 64) -> AmbiguityOutcome:
     """Search for a confusable substitute for X_{S1 n H}: same bins as the
     truth, strongly typical, different from the truth, and admitting a
@@ -445,7 +445,7 @@ def reference_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     n = code.n
     sizes_inter = tuple(p.alphabet_sizes[i] for i in inter)
     cells_inter = int(np.prod(sizes_inter))
-    truth_inter = true_block.subset(inter.indices)
+    truth_inter = true_block[list(inter.indices)]
     p_inter = marginal(p, inter)
     tol_inter = code.eps_decode / cells_inter
 
@@ -483,7 +483,7 @@ def reference_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     for size, i in zip(sizes_inter, inter):
         stride //= size
         syms = flat // stride % size
-        truth_bin = fixed_rate_encode(code.seed, i, true_block.sensor(i), code.rates[i], 0)
+        truth_bin = fixed_rate_encode(code.seed, i, true_block[i], code.rates[i], 0)
         match &= hash_bins(code.seed, fixed_rate_header(i, 0), syms,
                            bin_count_for_rate(n, code.rates[i])) == truth_bin
 
@@ -601,11 +601,11 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
     """``variable_rate.run_session`` one round at a time: draw the round
     with the one-round draws, call ``begin_round`` for that round alone,
     run one phase per sensor of U(V) in ascending order, prune V, repeat.
-    Same draws, same report; a traitor whose strategy reports no block is
-    polled block by block through ``respond``."""
+    Same draws, same report; a traitor whose strategy reports no block
+    sends its one-round chain from ``respond``."""
     from byzsw.binning import BinningCodebook
     from byzsw.prob_core import identity_channel
-    from byzsw.source_model import derive_seed, sample_block, sample_side_info
+    from byzsw.source_model import derive_seed, sample_block, sample_side_infos
     from byzsw.variable_rate import SessionReport, TranscriptRecord
 
     m, sizes, n = p.m, p.alphabet_sizes, params.n
@@ -630,9 +630,8 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
 
     for I in range(params.rounds):
         block = sample_block(p, n, derive_seed(seed, "block", I))
-        w = sample_side_info(r_true, block, derive_seed(seed, "sideinfo", I))
-        ctx.w_block = w.w_symbols[None]
-        ctx.own_block = block.subset(traitors.indices)[None] if len(traitors) else None
+        ctx.w_block = sample_side_infos(r_true, block[None], [derive_seed(seed, "sideinfo", I)])
+        ctx.own_block = block[None, list(traitors.indices)] if len(traitors) else None
         if strategy is not None:
             strategy.begin_round(ctx, [I])
         U = union_of(V)
@@ -646,13 +645,13 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
                 sent = None if sent is None else sent[0]
             else:
                 c = int(rng_for(seed, "subcode", I, i).integers(C))
-                sent = block.sensor(i)
+                sent = block[i]
             if sent is None:
-                sender = lambda j, _i=i, _cb=cb: strategy.respond(ctx, I, _i, j,
-                                                                  _cb.bin_count(j))
+                bins = [cb.bin_count(j) for j in range(cb.J)]
+                chain = strategy.respond(ctx, [I], i, bins)[:, 0]
             else:
                 chain = cb.encode_blocks(np.asarray(sent)[None], c, range(cb.J))[:, 0]
-                sender = chain.__getitem__
+            sender = chain.__getitem__
             est, j_used, received, forced = sequential_decode_phase(
                 cb, prior, sizes, c, params.eps, sender)
             forced_count += forced
@@ -663,14 +662,13 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
                 bits = cb.block_bits(j)
                 round_bits += bits
                 transcript.append(TranscriptRecord(I, i, c, j, received[j], bits))
-                ctx.note_poll((I, i, j))
         newV, emptied = sequential_update_V(V, estimates, U, p, info_model,
                                             params.eta_value, n)
         restores += emptied
         V = newV
         v_traj.append(V)
         honest_errors.append(any(i not in estimates
-                                 or not np.array_equal(estimates[i], block.sensor(i))
+                                 or not np.array_equal(estimates[i], block[i])
                                  for i in honest_true))
         round_rates.append(round_bits / n)
         phase_tx.append(tx_counts)

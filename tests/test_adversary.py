@@ -11,6 +11,7 @@ from byzsw.adversary import (
     FixedRateAmbiguity,
     HonestPassthrough,
     TraitorContext,
+    TraitorStrategy,
     fabricate_block,
     fixed_rate_ambiguity_attack,
     make_strategy,
@@ -29,9 +30,9 @@ from byzsw.prob_core import (
 from byzsw.rate_region import HonestCollection, InfoModel, r_star_perfect
 from byzsw.source_model import (
     derive_seed,
+    rng_for,
     sample_block,
     sample_blocks,
-    sample_side_info,
     sample_side_infos,
 )
 from byzsw.variable_rate import ProtocolParams, run_session
@@ -62,19 +63,17 @@ def perfect_ctx(p, honest, n, seed):
     m = p.m
     traitors = honest.complement(m)
     block = sample_block(p, n, derive_seed(seed, "b"))
-    w = sample_side_info(identity_channel(p.alphabet_sizes), block,
-                         derive_seed(seed, "w"))
+    w = sample_side_infos(identity_channel(p.alphabet_sizes), block[None],
+                          [derive_seed(seed, "w")])
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"), law=p,
-                         w_block=w.w_symbols[None],
-                         own_block=block.subset(traitors.indices)[None])
+                         w_block=w, own_block=block[None, list(traitors.indices)])
     return ctx, block
 
 
 class TestCapabilitySurface:
     def test_context_exposes_no_honest_secrets(self):
         fields = {f.name for f in dataclasses.fields(TraitorContext)}
-        assert fields == {"traitors", "seed", "law", "w_block", "own_block", "code",
-                          "polling_history"}
+        assert fields == {"traitors", "seed", "law", "w_block", "own_block", "code"}
         # nothing resembling honest randomness or honest message contents
         assert not any("honest" in f or "rho" in f or "message" in f
                        for f in fields)
@@ -87,7 +86,7 @@ class TestFabricate:
         q_bar = optimal_fake_conditional(p, honest, (2, 2, 2))  # p(x2 | x0 x1)
         ctx, block = perfect_ctx(p, honest, 50_000, 11)
         [fake] = fabricate_block(ctx, q_bar, [12])
-        stacked = np.vstack([block.symbols[:2], fake])
+        stacked = np.vstack([block[:2], fake])
         t = type_of(stacked, (2, 2, 2))
         assert eta_ball_contains(p, t, 0.05)
 
@@ -101,7 +100,7 @@ class TestFabricate:
         q_bar = optimal_fake_conditional(q_star, honest, (2, 2, 2))
         ctx, block = perfect_ctx(p, honest, 50_000, 13)
         [fake] = fabricate_block(ctx, q_bar, [14])
-        stacked = np.vstack([block.symbols[:2], fake])
+        stacked = np.vstack([block[:2], fake])
         t = type_of(stacked, (2, 2, 2))
         assert eta_ball_contains(q_star, t, 0.05)
         assert not eta_ball_contains(p, t, 0.05)   # visibly not the true law
@@ -117,7 +116,7 @@ class TestFabricate:
         t = type_of(np.vstack([w_sym[None, :], fake]), (8, 2))
         composed = np.zeros((8, 2))
         pw = np.bincount(
-            np.ravel_multi_index(tuple(sample_block(p, 1, 0).symbols * 0), (2, 2, 2)),
+            np.ravel_multi_index(tuple(sample_block(p, 1, 0) * 0), (2, 2, 2)),
             minlength=8) * 0.0
         pw = p.mass.reshape(-1)
         for w in range(8):
@@ -174,11 +173,11 @@ class TestRoundAxis:
         assert blocks.dtype == w.dtype == fake.dtype == np.int64
         for k in range(R):
             block = sample_block(p, n, block_seeds[k])
-            assert np.array_equal(blocks[k], block.symbols)
-            w_k = sample_side_info(r, block, w_seeds[k]).w_symbols
-            assert np.array_equal(w[k], w_k)
-            one = TraitorContext(traitors=traitors, seed=3, law=p, w_block=w_k[None],
-                                 own_block=block.subset([1, 2])[None])
+            assert np.array_equal(blocks[k], block)
+            w_k = sample_side_infos(r, block[None], [w_seeds[k]])
+            assert np.array_equal(w[k], w_k[0])
+            one = TraitorContext(traitors=traitors, seed=3, law=p, w_block=w_k,
+                                 own_block=block[None, [1, 2]])
             [fake_k] = fabricate_block(one, q_bar, [fake_seeds[k]])
             assert np.array_equal(fake[k], fake_k)
             strategy_k = FakeDistribution(q_bar)
@@ -206,9 +205,40 @@ class TestVariableRateResponses:
         cb = BinningCodebook(2, 12, 2, 0.35, 1.925, 8, 5)
         strat = BlackHole()
         strat.begin_round(ctx, [0])
-        for j in range(cb.J):
-            for rep in range(50):
-                assert 0 <= strat.respond(ctx, rep, 2, j, cb.bin_count(j)) < cb.bin_count(j)
+        bins = [cb.bin_count(j) for j in range(cb.J)]
+        chains = strat.respond(ctx, range(50), 2, bins)
+        assert chains.shape == (cb.J, 50)
+        assert ((0 <= chains) & (chains < np.array(bins)[:, None])).all()
+
+    def test_respond_array_form(self):
+        # one (len(bins), len(rounds)) int64 array: the black hole's entry
+        # (j, k) is the keyed draw of round rounds[k] and block j, and the
+        # ambiguity attacker sends its message in every entry
+        p = chain_law()
+        honest = SubsetView.of(1, 2)
+        rounds, bins = [3, 0, 7], [40, 9, 2, 5]
+        ctx, _ = perfect_ctx(p, honest, 14, 17)
+        chains = BlackHole().respond(ctx, rounds, 0, bins)
+        assert chains.shape == (len(bins), len(rounds)) and chains.dtype == np.int64
+        for j, count in enumerate(bins):
+            for k, r in enumerate(rounds):
+                assert chains[j, k] == rng_for(ctx.seed, "black-hole", r, 0, j).integers(count)
+                assert 0 <= chains[j, k] < count
+        assert BlackHole().respond(ctx, [], 0, bins).shape == (len(bins), 0)
+        found = 0
+        for seed in range(6):
+            ctx, _ = perfect_ctx(p, honest, 14, seed)
+            ctx.code = FixedRateCode(rates=(0.92, 0.75, 0.95), n=14, seed=derive_seed(seed, "c"))
+            strategy = FixedRateAmbiguity(SubsetView.of(0, 1))
+            strategy.begin_round(ctx, [0])
+            if strategy.last_outcome.found:
+                found += 1
+                chains = strategy.respond(ctx, rounds, 0, bins)
+                assert chains.shape == (len(bins), len(rounds)) and chains.dtype == np.int64
+                assert (chains == strategy.last_outcome.messages[0][1]).all()
+        assert found
+        with pytest.raises(NotImplementedError):
+            TraitorStrategy().respond(ctx, rounds, 0, bins)
 
     def test_base_respond_refuses_to_answer(self):
         # the session encodes a reported block itself; a strategy that
@@ -221,7 +251,7 @@ class TestVariableRateResponses:
         ctx, _ = perfect_ctx(p, SubsetView.of(0, 1), 12, 17)
         for strat in (HonestPassthrough(), Silent()):
             with pytest.raises(NotImplementedError):
-                strat.respond(ctx, 0, 2, 0, 4)
+                strat.respond(ctx, [0], 2, [4])
         H = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])
         params = ProtocolParams(n=10, rounds=2, eps=0.35, eta=4.0, C=8)
         with pytest.raises(NotImplementedError, match="Silent"):
@@ -283,11 +313,10 @@ class TestVariableRateResponses:
             traitor_seed = derive_seed(seed, "traitor")
             for I in range(params.rounds):
                 block = sample_block(p, params.n, derive_seed(seed, "block", I))
-                w = sample_side_info(identity_channel((2, 2, 2)), block,
-                                     derive_seed(seed, "sideinfo", I))
+                w = sample_side_infos(identity_channel((2, 2, 2)), block[None],
+                                      [derive_seed(seed, "sideinfo", I)])
                 replay_ctx = TraitorContext(traitors=SubsetView.of(2),
-                                            seed=traitor_seed, law=p,
-                                            w_block=w.w_symbols[None])
+                                            seed=traitor_seed, law=p, w_block=w)
                 [fake] = fabricate_block(replay_ctx, q_bar,
                                          [derive_seed(traitor_seed,
                                                       "fabricate-round", I)])
@@ -345,7 +374,7 @@ class TestAmbiguityAttack:
                 found += 1
                 assert set(out.messages) == {0}
                 assert not np.array_equal(out.fake_intersection,
-                                          block.subset([1]))
+                                          block[[1]])
         assert found >= 30
 
     def test_zero_rate_trivially_found(self):
@@ -452,7 +481,7 @@ def oracle_instance(k):
     block = sample_block(p, n, derive_seed(k, "block"))
     traitors = honest.complement(len(sizes))
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(k, "traitor"),
-                         own_block=block.subset(traitors.indices)[None])
+                         own_block=block[None, list(traitors.indices)])
     return (ctx, S1, honest, code, p, block), int(rng.choice([1, 4, 64, 64]))
 
 
@@ -491,7 +520,7 @@ class TestAmbiguityOracle:
         block = sample_block(p, n, 3)
         traitors = honest.complement(len(sizes))
         ctx = TraitorContext(traitors=traitors, seed=2,
-                             own_block=block.subset(traitors.indices)[None])
+                             own_block=block[None, list(traitors.indices)])
         with pytest.raises(EnumerationGuardError) as got:
             fixed_rate_ambiguity_attack(ctx, S1, honest, code, p, block)
         with pytest.raises(EnumerationGuardError) as want:

@@ -16,7 +16,6 @@ from byzsw import (
     InfoModel,
     JointPMF,
     ProtocolParams,
-    SourceBlock,
     SubsetView,
     TraitorContext,
     derive_seed,
@@ -27,10 +26,12 @@ from byzsw import (
 )
 
 TRACER_PATH = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
-# byte-string kernels the binning layer no longer has
+# byte-string kernels the binning layer no longer has, and the one-round
+# side-information draw (a round's W is sample_side_infos' one-round call)
 GONE = {("byzsw.binning", "BinningCodebook.encode_block_bytes"),
         ("byzsw.binning", "fixed_rate_encode_bytes"),
-        ("byzsw.binning", "all_sequence_bytes")}
+        ("byzsw.binning", "all_sequence_bytes"),
+        ("byzsw.source_model", "sample_side_info")}
 
 
 def load_tracer():
@@ -95,7 +96,7 @@ def ambiguity_outcome():
     block = sample_block(p, 14, derive_seed(0, "block"))
     traitors = SubsetView.of(0)
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(0, "traitor"),
-                         own_block=SourceBlock(14, block.subset(traitors.indices)))
+                         own_block=block[None, list(traitors.indices)])
     return fixed_rate_ambiguity_attack(ctx, SubsetView.of(0, 1), SubsetView.of(1, 2),
                                        code, p, block)
 

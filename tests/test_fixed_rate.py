@@ -32,7 +32,7 @@ from byzsw.rate_region import HonestCollection
 from byzsw.source_model import (
     derive_seed,
     sample_block,
-    sample_side_info,
+    sample_side_infos,
 )
 from oracles import reference_first_typical
 
@@ -62,11 +62,10 @@ H3 = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])
 def make_ctx(p, honest, n, seed):
     traitors = honest.complement(p.m)
     block = sample_block(p, n, derive_seed(seed, "b"))
-    w = sample_side_info(identity_channel(p.alphabet_sizes), block,
-                         derive_seed(seed, "w"))
+    w = sample_side_infos(identity_channel(p.alphabet_sizes), block[None],
+                          [derive_seed(seed, "w")])
     return TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"), law=p,
-                          w_block=w.w_symbols[None],
-                          own_block=block.subset(traitors.indices)[None]), block
+                          w_block=w, own_block=block[None, list(traitors.indices)]), block
 
 
 class TestEncode:
@@ -136,7 +135,7 @@ class TestDecode:
             msgs = encode_all(code, block, None, None, p, seed=seed)
             table = decode_all(code, msgs, p, coll)
             ok = all(table.final[i] is not None
-                     and np.array_equal(table.final[i], block.sensor(i))
+                     and np.array_equal(table.final[i], block[i])
                      for i in range(2))
             wins += ok
         assert wins >= 95
@@ -158,7 +157,7 @@ class TestDecode:
                               seed=derive_seed(seed, "h"))
             table = decode_all(code, msgs, p, H3)
             wins += all(table.final[i] is not None
-                        and np.array_equal(table.final[i], block.sensor(i))
+                        and np.array_equal(table.final[i], block[i])
                         for i in h_true)
         assert wins >= 45
 
@@ -176,8 +175,8 @@ class TestDecode:
             table = decode_all(code, msgs, p, H3)
             est = table.per_set[(1, 2)]
             wins += (est is not None
-                     and np.array_equal(est[0], block.sensor(1))
-                     and np.array_equal(est[1], block.sensor(2)))
+                     and np.array_equal(est[0], block[1])
+                     and np.array_equal(est[1], block[2]))
         assert wins >= 47
 
     def test_full_rate_recovers_everything(self):
@@ -193,7 +192,7 @@ class TestDecode:
             msgs = encode_all(code, block, None, None, p, seed=seed)
             table = decode_all(code, msgs, p, H3)
             wins += all(table.final[i] is not None
-                        and np.array_equal(table.final[i], block.sensor(i))
+                        and np.array_equal(table.final[i], block[i])
                         for i in range(3))
         assert wins >= 29
 
@@ -346,7 +345,7 @@ class TestPlurality:
             t_plur = decode_all(code, msgs, p, coll, plurality=True)
             for i in h_true:
                 if t_plur.final[i] is not None:
-                    assert np.array_equal(t_plur.final[i], block.sensor(i))
+                    assert np.array_equal(t_plur.final[i], block[i])
 
 
 def converse(code, p, H, honest_true, seed):

@@ -356,7 +356,7 @@ class TestStronglyTypical:
         hits = 0
         for seed in range(100):
             block = sample_block(p, 10_000, seed)
-            hits += strongly_typical(block.symbols, p, 0.05)
+            hits += strongly_typical(block, p, 0.05)
         assert hits >= 99
 
     def test_agrees_with_literal_frequency_check(self):

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from byzsw.prob_core import ConditionalPMF, JointPMF, identity_channel, type_of
-from byzsw.source_model import derive_seed, sample_block, sample_side_info
+from byzsw.source_model import derive_seed, sample_block, sample_side_infos
 
 
 def copy_pair(p0: float) -> JointPMF:
@@ -13,27 +13,33 @@ def copy_pair(p0: float) -> JointPMF:
     return JointPMF((2, 2), mass)
 
 
+def side_info(r: ConditionalPMF, blk: np.ndarray, seed: int) -> np.ndarray:
+    """The one-round side information of an (m, n) block."""
+    return sample_side_infos(r, blk[None], [seed])[0]
+
+
 class TestSampleBlock:
     def test_point_mass_constant_block(self):
         mass = np.zeros((2, 3))
         mass[1, 2] = 1.0
         p = JointPMF((2, 3), mass)
         blk = sample_block(p, 64, 5)
-        assert np.all(blk.symbols[0] == 1)
-        assert np.all(blk.symbols[1] == 2)
+        assert blk.shape == (2, 64) and blk.dtype == np.int64
+        assert np.all(blk[0] == 1)
+        assert np.all(blk[1] == 2)
 
     def test_same_seed_same_block(self):
         p = copy_pair(0.5)
         a = sample_block(p, 100, 77)
         b = sample_block(p, 100, 77)
-        assert np.array_equal(a.symbols, b.symbols)
+        assert np.array_equal(a, b)
         c = sample_block(p, 100, 78)
-        assert not np.array_equal(a.symbols, c.symbols)
+        assert not np.array_equal(a, c)
 
     def test_uniform_2x2_frequencies(self):
         p = JointPMF((2, 2), np.full((2, 2), 0.25))
         blk = sample_block(p, 100_000, 13)
-        t = type_of(blk.symbols, (2, 2)).normalized().mass
+        t = type_of(blk, (2, 2)).normalized().mass
         assert np.max(np.abs(t - 0.25)) < 0.01
 
     def test_n_must_be_positive(self):
@@ -50,25 +56,25 @@ class TestSideInfo:
             for x1 in range(2):
                 rows[x0, x1, x0] = 1.0
         r = ConditionalPMF((2, 2), 2, rows)
-        w = sample_side_info(r, blk, 4)
-        assert np.array_equal(w.w_symbols, blk.symbols[0])
+        w = side_info(r, blk, 4)
+        assert np.array_equal(w, blk[0])
 
     def test_uniform_channel_marginal(self):
         p = copy_pair(0.4)
         blk = sample_block(p, 100_000, 5)
         rows = np.full((2, 2, 4), 0.25)
         r = ConditionalPMF((2, 2), 4, rows)
-        w = sample_side_info(r, blk, 6)
-        freqs = np.bincount(w.w_symbols, minlength=4) / blk.n
+        w = side_info(r, blk, 6)
+        freqs = np.bincount(w, minlength=4) / blk.shape[1]
         assert np.max(np.abs(freqs - 0.25)) < 0.01
 
     def test_seeded_repeatability(self):
         p = copy_pair(0.7)
         blk = sample_block(p, 500, 8)
         r = identity_channel((2, 2))
-        a = sample_side_info(r, blk, 9)
-        b = sample_side_info(r, blk, 9)
-        assert np.array_equal(a.w_symbols, b.w_symbols)
+        a = side_info(r, blk, 9)
+        b = side_info(r, blk, 9)
+        assert np.array_equal(a, b)
 
 
 class TestJointTypeConvergence:
@@ -90,8 +96,8 @@ class TestJointTypeConvergence:
         hits = 0
         for seed in range(100):
             blk = sample_block(p, 100_000, derive_seed(seed, "b"))
-            w = sample_side_info(r, blk, derive_seed(seed, "w"))
-            stacked = np.vstack([blk.symbols, w.w_symbols[None, :]])
+            w = side_info(r, blk, derive_seed(seed, "w"))
+            stacked = np.vstack([blk, w[None, :]])
             t = type_of(stacked, (2, 2, 2))
             from byzsw.prob_core import eta_ball_contains
             hits += eta_ball_contains(joint, t, 0.02)

@@ -215,16 +215,16 @@ class TestDecodePhaseOracle:
                                   else cb.encode_block(x, cs[k], j))
 
             senders = [sender(k) for k in range(R)]
-            est, j_used, received, forced = _decode_phases(
-                cb, cs, prior_cells(prior, sizes), eps,
-                lambda j, ks: np.array([senders[k](j) for k in ks], dtype=np.int64))
+            chains = np.array([[senders[k](j) for k in range(R)] for j in range(cb.J)],
+                              dtype=np.int64)
+            est, j_used, forced = _decode_phases(cb, cs, prior_cells(prior, sizes), eps,
+                                                 chains)
             assert est.dtype == np.int64
             for k in range(R):
                 want = reference_decode_phase(cb, [(s, seqs[k]) for s, seqs in prior],
                                               sizes, cs[k], eps, senders[k])
                 assert np.array_equal(est[k], want[0]), kinds[k]
-                assert (j_used[k], received[:j_used[k], k].tolist(), forced[k]) == want[1:]
-                assert (received[j_used[k]:, k] == -1).all()
+                assert (j_used[k], chains[:j_used[k], k].tolist(), forced[k]) == want[1:]
                 if kinds[k] == "no_match":
                     assert forced[k] and j_used[k] == cb.J
 
@@ -233,10 +233,9 @@ class TestDecodePhaseBudget:
     """A sensor's phases over a pass at binary n = 12 make at most
     ceil(R / 4) + 2 calls into the mixing core (one for the senders' chains,
     one per 4 block-0 keys, one for the members' later blocks), whatever
-    the number of transactions, and poll each phase block by block for
-    exactly the transactions it uses. A pass whose phases are all forced
-    (no sequence in any received block-0 bin) makes no later-block call.
-    From binary n = 14 on a block-0 call takes one key."""
+    the number of transactions. A pass whose phases are all forced (no
+    sequence in any received block-0 bin) makes no later-block call. From
+    binary n = 14 on a block-0 call takes one key."""
 
     @pytest.mark.parametrize("n,eps,nu,per_call", [(12, 0.35, 1.925, 4), (12, 0.1, 0.15, 4),
                                                    (14, 0.35, 1.0, 1)])
@@ -262,21 +261,13 @@ class TestDecodePhaseBudget:
             chains = cb.encode_rows(truth, cs, range(cb.J))
             for k in forced_k:
                 chains[0, k] = first[k]
-            polled = []
-
-            def message(j, ks):
-                polled.extend((int(k), j) for k in ks)
-                return chains[j, ks]
-
-            est, j_used, received, forced = _decode_phases(cb, cs, prior_cells(prior, sizes),
-                                                           eps, message)
+            est, j_used, forced = _decode_phases(cb, cs, prior_cells(prior, sizes), eps,
+                                                 chains)
             assert len(calls) <= math.ceil(R / per_call) + 2
             if len(forced_k) == R:      # the chain call and the block-0 calls only
                 assert len(calls) == math.ceil(R / per_call) + 1
             for k in range(R):
                 assert forced[k] == (k in forced_k)
-                assert [j for kk, j in polled if kk == k] == list(range(j_used[k]))
-                assert received[:j_used[k], k].tolist() == chains[:j_used[k], k].tolist()
                 if forced[k]:
                     assert j_used[k] == cb.J
                 else:
@@ -296,12 +287,12 @@ class TestRunRound:
                      for i, seed in ((0, 11), (1, 12))}
         block = sample_block(p, 12, 44)
         ctx = TraitorContext(traitors=SV(()), seed=46, law=p)
-        [res] = run_round(SV.of(0, 1), RoundDraws(block.symbols[None], {}), 0, codebooks,
+        [res] = run_round(SV.of(0, 1), RoundDraws(block[None], {}), 0, codebooks,
                           None, ctx, params, seed=47)
         assert res.forced == 0
         assert set(res.tx_counts) == {0, 1}
-        assert np.array_equal(res.estimates[0], block.sensor(0))
-        assert np.array_equal(res.estimates[1], block.sensor(1))
+        assert np.array_equal(res.estimates[0], block[0])
+        assert np.array_equal(res.estimates[1], block[1])
         assert res.bits == sum(r.bits for r in res.records)
         assert all(r.round == 0 for r in res.records)
 
@@ -313,7 +304,7 @@ class TestRunRound:
         params = ProtocolParams(n=10, rounds=6, eps=0.35, nu=1.0, C=16)
         codebooks = {i: BinningCodebook(i, 10, 2, 0.35, 1.0, 16, 30 + i) for i in range(3)}
         ctx = TraitorContext(traitors=SV.of(2), seed=46, law=p)
-        draws = RoundDraws(np.stack([sample_block(p, 10, 50 + r).symbols for r in range(6)]),
+        draws = RoundDraws(np.stack([sample_block(p, 10, 50 + r) for r in range(6)]),
                            {2: None})
         together = run_round(SV.of(0, 1, 2), draws, 3, codebooks, BlackHole(), ctx, params, 47)
         for k, res in enumerate(together):
@@ -336,7 +327,7 @@ class TestUpdateV:
         keep = 0
         for seed in range(20):
             blk = sample_block(p, 4096, seed)
-            est = {i: blk.sensor(i) for i in range(3)}
+            est = {i: blk[i] for i in range(3)}
             [newV], [emptied] = update_V(tuple(coll.candidates), [est],
                                          SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
                                          candidate_marginals(p, coll))
@@ -354,7 +345,7 @@ class TestUpdateV:
         drops = 0
         for seed in range(20):
             blk = sample_block(q_star, 4096, seed)
-            est = {i: blk.sensor(i) for i in range(3)}
+            est = {i: blk[i] for i in range(3)}
             [newV], [emptied] = update_V(tuple(coll.candidates), [est],
                                          SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
                                          candidate_marginals(p, coll))
@@ -393,7 +384,7 @@ class TestUpdateV:
                                       SubsetView.of(1): [r]}, (2, 2))
         coll = HonestCollection.explicit([[0, 1], [0], [1]])
         blk = sample_block(p, 2048, 9)
-        est = {i: blk.sensor(i) for i in range(2)}
+        est = {i: blk[i] for i in range(2)}
         [newV], [emptied] = update_V(tuple(coll.candidates), [est],
                                      SubsetView.of(0, 1), p, im, 0.5, 2048,
                                      candidate_marginals(p, coll))
@@ -410,9 +401,9 @@ class TestUpdateV:
         im = InfoModel.perfect_info((2, 2, 2))
         q_star = r_star_perfect(p, coll).maximizer_q
         blocks = [sample_block(p, 4096, 1), sample_block(q_star, 4096, 2)]
-        garbage = {0: blocks[0].sensor(0), 1: blocks[0].sensor(1),
+        garbage = {0: blocks[0][0], 1: blocks[0][1],
                    2: np.random.default_rng(3).integers(0, 2, 4096)}
-        ests = [{i: b.sensor(i) for i in range(3)} for b in blocks] + [garbage, garbage]
+        ests = [{i: b[i] for i in range(3)} for b in blocks] + [garbage, garbage]
         trajectory, emptied = update_V(tuple(coll.candidates), ests, SubsetView.of(0, 1, 2),
                                        p, im, 0.35, 4096, candidate_marginals(p, coll))
         keys = [{S.indices for S in V} for V in trajectory]
@@ -503,28 +494,16 @@ class TestAttackSession:
 @pytest.mark.filterwarnings("ignore:subcodebook count")
 class TestSequentialOracle:
     """``run_session`` plays the rounds in passes; the per-round session in
-    ``tests/oracles.py`` plays them one at a time. Every report field and
-    the traitors' polling history agree."""
+    ``tests/oracles.py`` plays them one at a time. Every report field
+    agrees, the transcript's (round, sensor, j) triples among them."""
 
     @staticmethod
     def _both(p, coll, im, h_true, r_true, make_strategy, params, seeds):
-        import byzsw.adversary as adversary
         for seed in seeds:
-            polls = []
-            for session in (run_session, sequential_run_session):
-                history = []
-                note = adversary.TraitorContext.note_poll
-                adversary.TraitorContext.note_poll = (
-                    lambda self, rec, _h=history, _n=note: (_h.append(rec), _n(self, rec)))
-                try:
-                    rep = session(p, coll, im, h_true, r_true, make_strategy(), params,
-                                  seed=seed)
-                finally:
-                    adversary.TraitorContext.note_poll = note
-                polls.append((rep, history))
-            (got, got_polls), (want, want_polls) = polls
+            got, want = (session(p, coll, im, h_true, r_true, make_strategy(), params,
+                                 seed=seed)
+                         for session in (run_session, sequential_run_session))
             assert report_differences(got, want) == [], seed
-            assert got_polls == want_polls, seed
             yield got
 
     def _three_sensor(self, strategy_kind, seeds, rounds=50):

@@ -13,8 +13,7 @@ warm-up call of 3 trials, then ``--trials`` trials at seed 7), with
 reports the sensor-passes, the phases per sensor-pass, the median and mean
 time per sensor-pass and per phase, the kernel calls per sensor-pass the
 decoder makes (calls into ``binning.hash_bins``, ``hash_rows`` and
-``space_bins``; calls made while a traitor is polled are not counted),
-and the median and mean time per ``update_V`` call.
+``space_bins``), and the median and mean time per ``update_V`` call.
 
 ``draw``: from the same trials, the median and mean time per trial spent
 drawing the rounds (``variable_rate._draw_rounds``: blocks, side
@@ -80,17 +79,11 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
         counts["generators"] += 1
         return rng_for(*args)
 
-    def timed_pass(cb, cs, cells, eps, message):
-        def polled(j, ks):
-            paused[0] = True
-            try:
-                return message(j, ks)
-            finally:
-                paused[0] = False
+    def timed_pass(cb, cs, cells, eps, chains):
         paused[0] = False
         start = time.perf_counter()
         try:
-            return decode(cb, cs, cells, eps, polled)
+            return decode(cb, cs, cells, eps, chains)
         finally:
             pass_s.append(time.perf_counter() - start)
             phases.append(len(cs))
@@ -155,7 +148,7 @@ def pass_at(n: int, with_prior: bool, rounds: int, reps: int) -> dict:
         if rep == 1:    # after the warm-up pass: numpy's peak allocation
             tracemalloc.start()
         start = time.perf_counter()
-        vr._decode_phases(cb, cs, cells, 0.35, lambda j, ks: chains[j, ks])
+        vr._decode_phases(cb, cs, cells, 0.35, chains)
         elapsed = time.perf_counter() - start
         if rep == 1:
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
