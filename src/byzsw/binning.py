@@ -7,12 +7,11 @@ SplitMix64 chain over the sequence's bytes, started from that key and
 reduced modulo the block's bin count. Uniform binning is all the scheme
 needs (the traitors know the codebooks anyway), so a non-cryptographic mixer
 suffices, and it bins a whole array of candidate sequences in a few numpy
-operations. The mixer replaced a per-sequence keyed blake2b-128: the bin
-draws changed, the preset CSV digests in the tests did not. Decoders test
-every candidate of a block at once; the scalar encoders are thin wrappers
-over the kernel. Codebooks stay O(1) memory while behaving statistically
-like stored random bins. Bin counts are rounded up to integers; rate
-accounting elsewhere uses log2(actual bin count) so it stays exact.
+operations. Decoders test every candidate of a block at once; the scalar
+encoders are thin wrappers over the kernel. Codebooks stay O(1) memory
+while behaving statistically like stored random bins. Bin counts are
+rounded up to integers; rate accounting elsewhere uses log2(actual bin
+count) so it stays exact.
 
 The kernel also takes a header axis: a sequence of headers with one bin
 count each gives one row of bins per header, from the same single pass over

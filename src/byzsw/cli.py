@@ -122,6 +122,15 @@ def _run_trials(scn: Scenario, mode: str, workers: int) -> list[dict]:
                              [mode] * scn.trials))
 
 
+def _write_region(out_dir: str | None, region: dict, scn: Scenario) -> None:
+    if not out_dir:
+        return
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    (out / "region.json").write_text(canonical_dumps(region))
+    (out / "scenario.json").write_text(canonical_dumps(scenario_to_dict(scn)))
+
+
 def cmd_region(args) -> int:
     scn = _load(args)
     p = scn.p
@@ -139,6 +148,9 @@ def cmd_region(args) -> int:
         print(f"R*({scn.honest_true}, r) in [{lo:.6f}, {hi:.6f}] bits/symbol "
               "(certified bracket)")
         print("maximizer V:", " ".join(str(s) for s in res.maximizer_V))
+        _write_region(args.out, {"r_star_lower": res.lower, "r_star_upper": res.upper,
+                                 "maximizer_V": [list(s.indices) for s in res.maximizer_V]},
+                      scn)
         return 0
     report = scn.region()
     print(header)
@@ -172,18 +184,12 @@ def cmd_region(args) -> int:
             parts = [f"R_{{{','.join(str(i) for i in sub)}}} >= {b:.6f}"
                      for sub, b in sw_facets(p, inter)]
             print(f"  {inter}: " + "; ".join(parts))
-    if args.out:
-        out = {
-            "r_star": report.r_star,
-            "maximizer_V": [list(s.indices) for s in report.maximizer_V],
-            "per_pair": {",".join(map(str, k.indices)): v
-                         for k, v in report.per_pair.items()},
-            "maximizer_q": report.maximizer_q.mass.tolist(),
-        }
-        path = Path(args.out)
-        path.mkdir(parents=True, exist_ok=True)
-        (path / "region.json").write_text(canonical_dumps(out))
-        (path / "scenario.json").write_text(canonical_dumps(scenario_to_dict(scn)))
+    _write_region(args.out, {
+        "r_star": report.r_star,
+        "maximizer_V": [list(s.indices) for s in report.maximizer_V],
+        "per_pair": {",".join(map(str, k.indices)): v for k, v in report.per_pair.items()},
+        "maximizer_q": report.maximizer_q.mass.tolist(),
+    }, scn)
     return 0
 
 

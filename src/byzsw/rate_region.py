@@ -610,6 +610,32 @@ def q_set_feasible(q: JointPMF, S: SubsetView, r_prime: ConditionalPMF,
     return Feasibility.FEASIBLE if lp.feasible else Feasibility.INFEASIBLE
 
 
+def _ball_membership_general(t_u: np.ndarray, U: SubsetView, S: SubsetView,
+                             r_prime: ConditionalPMF, p: JointPMF, tau_u: float) -> bool:
+    """Imperfect-information membership of a type ``t_u`` over X_U, S within
+    U: can traitors holding side information r' simulate, for the honest
+    set S, a law within the tau_u-ball (widened by 1e-7) of the type? Phase
+    1 of the simplex decides it: y = A qbar with each row of qbar on its
+    simplex and lo <= y <= hi, the box held by slack columns as
+    A qbar - s = max(lo, 0) and A qbar + s' = hi."""
+    r_tilde = _effective_channel(r_prime, p, S)
+    if S.indices == U.indices:      # no traitor coordinate to simulate
+        p_s = marginal(p, S).mass
+        return bool(np.max(np.abs(t_u.reshape(p_s.shape) - p_s)) <= tau_u + 1e-12)
+    # Re-index the problem to live on the U coordinates only.
+    A = _simulability_matrix(marginal(p, U), SubsetView(tuple(U.indices.index(i) for i in S)),
+                             r_tilde)
+    w = r_tilde.output_alphabet_size
+    target = t_u.reshape(-1)
+    eye = np.eye(target.size)
+    zero = np.zeros_like(eye)
+    rows = np.block([[A, -eye, zero], [A, zero, eye],
+                     [_row_sums(w, A.shape[1] // w), np.zeros((w, 2 * target.size))]])
+    rhs = np.concatenate([np.maximum(target - tau_u - 1e-7, 0.0), target + tau_u + 1e-7,
+                          np.ones(w)])
+    return LinearProgram(rows, rhs).feasible
+
+
 # ---------------------------------------------------------------------------
 # general (imperfect-information) optimizer
 # ---------------------------------------------------------------------------

@@ -260,13 +260,16 @@ def scenario_from_dict(doc: dict) -> Scenario:
 
     if doc.get("eavesdropping", False):
         raise ValueError("eavesdropping traitors are not modeled")
+    trials = int(doc.get("trials", 1))
+    if trials < 0:
+        raise ValueError(f"trials must be nonnegative, got {trials}")
 
     return Scenario(m=m, alphabet_sizes=sizes, p=p, collection=collection,
                     info_model=info, honest_true=honest_true, r_true=r_true,
                     strategy_kind=strategy_kind, q_bar_spec=q_bar_spec,
                     target_set=target_set, vr=vr, fr=fr,
                     fr_plurality=fr_plurality,
-                    trials=int(doc.get("trials", 1)), seed=int(doc["seed"]))
+                    trials=trials, seed=int(doc["seed"]))
 
 
 def load_scenario(path) -> Scenario:

@@ -18,16 +18,19 @@ sets still in V, which decides the sensors that get a phase; every random
 draw is keyed by (seed, label, round). So the session draws every round
 before it plays any, as arrays with a leading round axis: one inverse-CDF
 pass gives the (R, m, n) blocks, one pass the (R, n) side information, and
-one ``begin_round`` call the traitors' reported (R, n) rows (the
-fake-distribution traitor fabricates all of them under qbar in one pass).
-Each round still draws from its own keyed streams, so every draw is the
-one a round-by-round session makes. It then plays its rounds in passes, in
+one ``begin_round`` call the traitors' reported rows (the fake-distribution
+traitor fabricates all of them under qbar in one pass), which replace their
+true rows in the (R, m, n) array of rows the sensors encode. Each round
+still draws from its own keyed streams, so every draw is the one a
+round-by-round session makes. It then plays its rounds in passes, in
 lockstep: a pass plays every remaining round under the current U(V), one
-sensor at a time over all of the pass's rounds, and then prunes V round by
-round. If a round's prune changes U(V), the pass's later rounds
-are discarded and the next pass starts after that round. Each round is
-thus played under the U(V) its predecessors left, and the report is the
-one a round-by-round session gives, field for field.
+sensor at a time over all of the pass's rounds, into one (R, |U|, n) array
+of estimates, and then prunes V round by round on that array. If a
+round's prune changes U(V), the pass's later rounds are discarded and the
+next pass starts after that round. Each round is thus played under the
+U(V) its predecessors left, and the report is the one a round-by-round
+session gives, field for field: the session builds its transcript and
+per-round dicts from the kept rounds' arrays.
 
 Within a pass, each sensor's phases for all rounds run at once:
 
@@ -45,8 +48,8 @@ Within a pass, each sensor's phases for all rounds run at once:
   round's prior, from one count of (member, cell, symbol);
 * the j-loop then runs over the still-undecided rounds together: the
   members are binned on blocks 1..J-1 in one more kernel call, and each
-  later transaction is a comparison on these few rows, and the transcript
-  records the first j_used blocks of each round's chain.
+  later transaction is a comparison on these few rows; a round's transcript
+  holds the first j_used blocks of its chain.
 
 The prune tests every round's type against each candidate set in one array
 expression under perfect information, and one LP per round and candidate
@@ -68,7 +71,7 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import TraitorContext, TraitorStrategy
-from .binning import BinningCodebook, EnumerationGuardError, all_sequences
+from .binning import BinningCodebook, _check_space, all_sequences
 from .prob_core import (
     ConditionalPMF,
     JointPMF,
@@ -77,14 +80,7 @@ from .prob_core import (
     type_counts,
     union_of,
 )
-from .rate_region import (
-    HonestCollection,
-    InfoModel,
-    LinearProgram,
-    _effective_channel,
-    _row_sums,
-    _simulability_matrix,
-)
+from .rate_region import HonestCollection, InfoModel, _ball_membership_general
 from .source_model import derive_seed, rng_for, sample_blocks, sample_side_infos
 
 SUBCODEBOOK_CAP = 1 << 10
@@ -311,33 +307,7 @@ def _ball_marginal_feasible_perfect(t_u: np.ndarray, U: SubsetView, S: SubsetVie
     return np.all(lower - 1e-12 <= ps, axis=1) & np.all(ps <= upper + 1e-12, axis=1)
 
 
-def _ball_membership_general(t_u: np.ndarray, U: SubsetView, S: SubsetView,
-                             r_tilde: ConditionalPMF, p: JointPMF, tau_u: float) -> bool:
-    """Imperfect-information membership: does some simulable law sit within
-    the tau_u-ball (widened by 1e-7) of the type? An LP feasibility
-    question, decided by phase 1 of the simplex: y = A qbar with each row
-    of qbar on its simplex and lo <= y <= hi, the box held by slack columns
-    as A qbar - s = max(lo, 0) and A qbar + s' = hi."""
-    p_u = marginal(p, U)
-    inner = SubsetView(tuple(i for i in U if i not in S))
-    if len(inner) == 0:
-        p_s = marginal(p, S).mass
-        return bool(np.max(np.abs(t_u.reshape(p_s.shape) - p_s)) <= tau_u + 1e-12)
-    # Re-index the problem to live on the U coordinates only.
-    pos = {i: k for k, i in enumerate(U)}
-    A = _simulability_matrix(p_u, SubsetView(tuple(pos[i] for i in S)), r_tilde)
-    w = r_tilde.output_alphabet_size
-    target = t_u.reshape(-1)
-    eye = np.eye(target.size)
-    zero = np.zeros_like(eye)
-    rows = np.block([[A, -eye, zero], [A, zero, eye],
-                     [_row_sums(w, A.shape[1] // w), np.zeros((w, 2 * target.size))]])
-    rhs = np.concatenate([np.maximum(target - tau_u - 1e-7, 0.0), target + tau_u + 1e-7,
-                          np.ones(w)])
-    return LinearProgram(rows, rhs).feasible
-
-
-def update_V(V: Sequence[SubsetView], round_estimates: Sequence[dict], U: SubsetView,
+def update_V(V: Sequence[SubsetView], estimates: np.ndarray, U: SubsetView,
              p: JointPMF, info_model: InfoModel, eta: float, n: int,
              marginals: dict) -> tuple[list, list]:
     """The end-of-round prunes of the candidate collection over a pass, round
@@ -346,11 +316,11 @@ def update_V(V: Sequence[SubsetView], round_estimates: Sequence[dict], U: Subset
     V, the previous V is restored (a vanishing-probability event at proper
     parameters) and the round is flagged.
 
-    ``round_estimates`` holds one dict per round of the pass, mapping each
-    sensor of U = U(V) to its decoded block. Returns (the V after each
-    round's prune, the emptied flags), stopping after the first round whose
-    prune changes U(V): the later rounds were played under a U that no
-    longer holds.
+    ``estimates`` is the pass's (R, |U|, n) array of decoded blocks:
+    ``estimates[k]`` holds round k's blocks of the sensors of U = U(V) in
+    ascending order. Returns (the V after each round's prune, the emptied
+    flags), stopping after the first round whose prune changes U(V): the
+    later rounds were played under a U that no longer holds.
 
     The type is the count of each X_U cell over the n decoded slots,
     divided by n. Under perfect information every candidate is tested on
@@ -360,9 +330,8 @@ def update_V(V: Sequence[SubsetView], round_estimates: Sequence[dict], U: Subset
     time."""
     sizes_u = tuple(p.alphabet_sizes[i] for i in U)
     cells_u = math.prod(sizes_u)
-    flat = np.ravel_multi_index(
-        tuple(np.array([[est[i] for est in round_estimates] for i in U])), sizes_u)
-    rounds = len(round_estimates)
+    flat = np.ravel_multi_index(tuple(np.moveaxis(estimates, 1, 0)), sizes_u)
+    rounds = len(estimates)
     t_u = (type_counts(flat, cells_u) / n).reshape((rounds,) + sizes_u)
     tau_u = eta / cells_u
     if info_model.perfect:
@@ -376,8 +345,7 @@ def update_V(V: Sequence[SubsetView], round_estimates: Sequence[dict], U: Subset
             kept = tuple(S for S in V if passed[S][r])
         else:
             kept = tuple(S for S in V if any(
-                _ball_membership_general(t_u[r], U, S, _effective_channel(chan, p, S), p,
-                                         tau_u)
+                _ball_membership_general(t_u[r], U, S, chan, p, tau_u)
                 for chan in info_model.channels_for(S)))
         emptied.append(not kept)
         V = kept or V
@@ -391,42 +359,16 @@ def update_V(V: Sequence[SubsetView], round_estimates: Sequence[dict], U: Subset
 # sessions
 # ---------------------------------------------------------------------------
 
-@dataclass
-class RoundDraws:
-    """The draws of consecutive rounds: their source blocks, an (R, m, n)
-    array, and each traitor's reported blocks, an (R, n) array, or None for
-    a traitor that sends ``respond``'s chains instead. A slice selects
-    rounds."""
-
-    blocks: np.ndarray
-    reported: dict
-
-    def __len__(self) -> int:
-        return len(self.blocks)
-
-    def __getitem__(self, rounds: slice) -> RoundDraws:
-        return RoundDraws(self.blocks[rounds], {i: None if rows is None else rows[rounds]
-                                                for i, rows in self.reported.items()})
-
-
-@dataclass
-class RoundResult:
-    """One played round: the decoded blocks and transaction counts per
-    sensor of U (ascending), its transcript records, its bin bits (summed
-    in transcript order) and its forced phases."""
-
-    estimates: dict
-    tx_counts: dict
-    records: list
-    bits: float
-    forced: int
-
-
 def _draw_rounds(p: JointPMF, r_true: ConditionalPMF, strategy: TraitorStrategy | None,
-                 ctx: TraitorContext, n: int, seed: int, rounds: int) -> RoundDraws:
+                 ctx: TraitorContext, n: int, seed: int, rounds: int):
     """Every round's block and side information, each round from its own
     keyed streams, then the traitors' reported blocks for all the rounds
-    from one ``begin_round`` call."""
+    from one ``begin_round`` call.
+
+    Returns the (R, m, n) true blocks, the (R, m, n) rows each sensor
+    encodes (a reporting traitor's ``reported_block`` rows in place of its
+    true rows; the true blocks themselves without a strategy), and the set
+    of traitors that report no block and send ``respond``'s chains."""
     indices = range(rounds)
     blocks = sample_blocks(p, n, [derive_seed(seed, "block", r) for r in indices])
     ctx.w_block = sample_side_infos(r_true, blocks,
@@ -434,56 +376,54 @@ def _draw_rounds(p: JointPMF, r_true: ConditionalPMF, strategy: TraitorStrategy 
     traitors = ctx.traitors
     ctx.own_block = blocks[:, list(traitors.indices)] if len(traitors) else None
     if strategy is None:
-        return RoundDraws(blocks, {})
+        return blocks, blocks, set()
     strategy.begin_round(ctx, indices)
-    return RoundDraws(blocks, {i: strategy.reported_block(ctx, i) for i in traitors})
+    sent, silent = blocks.copy(), set()
+    for i in traitors:
+        rows = strategy.reported_block(ctx, i)
+        if rows is None:
+            silent.add(i)
+        else:
+            sent[:, i] = rows
+    return blocks, sent, silent
 
 
-def run_round(U: SubsetView, draws: RoundDraws, first: int, codebooks: dict,
+def run_round(U: SubsetView, sent: np.ndarray, silent: set, first: int, codebooks: dict,
               strategy: TraitorStrategy | None, ctx: TraitorContext,
-              params: ProtocolParams, seed: int) -> list[RoundResult]:
+              params: ProtocolParams, seed: int):
     """Play the phases of one pass: rounds first, first+1, ... (one per
-    round of ``draws``), all under the same U(V), one phase per sensor of U
-    in ascending order. Each sensor's phases for every round of the pass run
-    at once, with the estimates of the sensors before it as their priors.
+    round of ``sent``, the (R, m, n) rows the sensors encode), all under the
+    same U(V), one phase per sensor of U in ascending order. Each sensor's
+    phases for every round of the pass run at once, with the estimates of
+    the sensors before it as their priors.
 
-    A sender that reports a block (an honest sensor, or a traitor whose
-    strategy reports one) has the chains of all its rounds encoded in one
-    kernel call; a traitor that reports None sends the chains ``respond``
-    returns. The candidate-collection prune happens after the pass, in the
-    caller.
-    Returns one result per round.
+    A sender that reports a block has the chains of all its rounds encoded
+    in one kernel call; a traitor in ``silent`` sends the chains
+    ``respond`` returns. The candidate-collection prune happens after the
+    pass, in the caller.
+
+    Returns, for the sensors of U in order: the (R, |U|, n) estimates, and
+    the (|U|, R) subcodebooks, transactions used and forced flags, and
+    each sensor's (J, R) chains.
     """
-    R = len(draws)
+    rounds = range(first, first + len(sent))
     C = codebooks[0].C
-    results = [RoundResult({}, {}, [], 0.0, 0) for _ in range(R)]
-    prior, prior_sizes = [], []
-    for i in sorted(U.indices):
+    cells = None        # the flat prior symbol of each (round, slot)
+    phases = []
+    for i in U:
         cb = codebooks[i]
         if strategy is not None and i in ctx.traitors:
-            cs = [strategy.choose_subcodebook(ctx, first + k, i, C) for k in range(R)]
-            sent = draws.reported[i]
+            cs = [strategy.choose_subcodebook(ctx, r, i, C) for r in rounds]
         else:
-            cs = [int(rng_for(seed, "subcode", first + k, i).integers(C)) for k in range(R)]
-            sent = draws.blocks[:, i]
-        chains = (strategy.respond(ctx, range(first, first + R), i,
-                                   [cb.bin_count(j) for j in range(cb.J)])
-                  if sent is None else cb.encode_rows(sent, cs, range(cb.J)))
-        cells = np.ravel_multi_index(tuple(prior), prior_sizes) if prior else None
+            cs = [int(rng_for(seed, "subcode", r, i).integers(C)) for r in rounds]
+        chains = (strategy.respond(ctx, rounds, i, [cb.bin_count(j) for j in range(cb.J)])
+                  if i in silent else cb.encode_rows(sent[:, i], cs, range(cb.J)))
         est, j_used, forced = _decode_phases(cb, cs, cells, params.eps, chains)
-        prior.append(est)
-        prior_sizes.append(cb.alphabet_size)
-        bits = [cb.block_bits(j) for j in range(cb.J)]
-        for k, res in enumerate(results):
-            res.estimates[i] = est[k]
-            used = int(j_used[k])
-            res.tx_counts[i] = used
-            res.forced += bool(forced[k])
-            for j in range(used):
-                res.bits += bits[j]
-                res.records.append(TranscriptRecord(first + k, i, cs[k], j,
-                                                    int(chains[j, k]), bits[j]))
-    return results
+        cells = est if cells is None else cells * cb.alphabet_size + est
+        phases.append((est, cs, j_used, forced, chains))
+    estimates, cs, j_used, forced, chains = zip(*phases)
+    return (np.stack(estimates, axis=1), np.array(cs), np.array(j_used),
+            np.array(forced), list(chains))
 
 
 def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
@@ -498,12 +438,12 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
     Every round is drawn first, in one pass (``_draw_rounds``). Then each
     pass plays the remaining rounds under the current U(V) (``run_round``)
     and prunes V over them in order (``update_V``), keeping the rounds up to
-    the first whose prune changes U(V), whose honest errors it flags with
-    one comparison of decoded and drawn rows; the next pass starts after it.
+    the first whose prune changes U(V); the next pass starts after it. The
+    kept rounds' honest errors are one comparison of the honest sensors'
+    rows of the estimates array with their drawn rows, and their transcript
+    records, round by round, then sensor by sensor, then block by block.
     """
-    m = p.m
-    sizes = p.alphabet_sizes
-    n = params.n
+    m, sizes, n = p.m, p.alphabet_sizes, params.n
     traitors = honest_true.complement(m)
     if len(traitors) == 0:
         strategy = None
@@ -515,68 +455,67 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         from .prob_core import identity_channel
         r_true = identity_channel(sizes)
 
-    if n * math.log2(max(sizes)) > 22 + 1e-9:
-        # before any sender encodes: bin counts may overflow at such n
-        raise EnumerationGuardError("phase search space exceeds the 2^22 guard")
+    _check_space(max(sizes), n)     # before any sender encodes: bin counts may overflow
     codebooks = {
         i: BinningCodebook(i, n, sizes[i], params.eps, params.nu_value, C,
                            derive_seed(seed, "codebook", i))
         for i in range(m)
     }
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p)
-    draws = _draw_rounds(p, r_true, strategy, ctx, n, seed, params.rounds)
+    blocks, sent, silent = _draw_rounds(p, r_true, strategy, ctx, n, seed, params.rounds)
+    block_bits = {i: [cb.block_bits(j) for j in range(cb.J)] for i, cb in codebooks.items()}
 
     V = tuple(H.candidates)
     marginals = {S: marginal(p, S).mass for S in H.candidates}
-    transcript = []
-    honest_errors = []
-    round_rates = []
+    transcript, honest_errors, round_rates, phase_tx, round_estimates = [], [], [], [], []
     v_traj = [V]
-    phase_tx = []
-    round_estimates = []
-    subcode_bits = 0.0
-    forced_count = 0
-    restores = 0
+    subcode_bits, forced_count, restores = 0.0, 0, 0
 
     j_max = max(cb.J for cb in codebooks.values())
-    min_block_bits = min(cb.block_bits(j) for cb in codebooks.values()
-                         for j in range(cb.J))
+    min_block_bits = min(min(bits) for bits in block_bits.values())
     feedback_ratio = math.log2(C * j_max) / min_block_bits if min_block_bits > 0 else math.inf
 
     first = 0
     while first < params.rounds:
         U = union_of(V)
-        results = run_round(U, draws[first:], first, codebooks, strategy, ctx, params, seed)
-        trajectory, emptied = update_V(V, [res.estimates for res in results], U, p,
-                                       info_model, params.eta_value, n, marginals)
-        kept = results[:len(trajectory)]
+        estimates, cs, j_used, forced, chains = run_round(
+            U, sent[first:], silent, first, codebooks, strategy, ctx, params, seed)
+        trajectory, emptied = update_V(V, estimates, U, p, info_model, params.eta_value,
+                                       n, marginals)
+        kept = len(trajectory)
         if honest_true.is_subset_of(U):
             honest = list(honest_true.indices)
-            decoded = np.array([[res.estimates[i] for i in honest] for res in kept])
-            truth = draws.blocks[first:first + len(kept), honest]
-            honest_errors.extend(np.any(decoded.reshape(truth.shape) != truth,
+            decoded = estimates[:kept, [U.indices.index(i) for i in honest]]
+            honest_errors.extend(np.any(decoded != blocks[first:first + kept, honest],
                                         axis=(1, 2)).tolist())
         else:       # an honest sensor outside U(V) is decoded in none of the rounds
-            honest_errors.extend([True] * len(kept))
-        for res, V_after, was_emptied in zip(kept, trajectory, emptied):
-            restores += was_emptied
-            v_traj.append(V_after)
-            transcript.extend(res.records)
-            forced_count += res.forced
-            round_rates.append(res.bits / n)
-            phase_tx.append(res.tx_counts)
-            round_estimates.append(res.estimates)
-            subcode_bits += len(res.tx_counts) * math.log2(C)
-        first += len(trajectory)
+            honest_errors.extend([True] * kept)
+        restores += sum(emptied)
+        v_traj.extend(trajectory)
+        forced_count += int(forced[:, :kept].sum())
+        for k in range(kept):
+            bits, tx, ests = 0.0, {}, {}
+            for u, i in enumerate(U):
+                tx[i] = int(j_used[u, k])
+                ests[i] = estimates[k, u]
+                for j in range(tx[i]):
+                    bits += block_bits[i][j]
+                    transcript.append(TranscriptRecord(first + k, i, int(cs[u, k]), j,
+                                                       int(chains[u][j, k]),
+                                                       block_bits[i][j]))
+            round_rates.append(bits / n)
+            phase_tx.append(tx)
+            round_estimates.append(ests)
+            subcode_bits += len(tx) * math.log2(C)
+        first += kept
         V = trajectory[-1]
 
     # canonical accounting: one left-to-right sum over the transcript, so the
     # reported rate equals sum(log2 bin count) / (n N) bit-exactly
-    total_rate = sum(rec.bits for rec in transcript) / (n * params.rounds)
     return SessionReport(
         honest_error_rounds=tuple(honest_errors),
         round_rates=tuple(round_rates),
-        sum_rate=total_rate,
+        sum_rate=sum(rec.bits for rec in transcript) / (n * params.rounds),
         v_trajectory=tuple(v_traj),
         phase_transactions=tuple(phase_tx),
         subcode_bits_total=subcode_bits,

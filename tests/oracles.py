@@ -567,8 +567,7 @@ def sequential_decode_phase(cb, prior, sizes, c: int, eps: float, next_message):
 def sequential_update_V(V, estimates: dict, U: SubsetView, p: JointPMF, info_model,
                         eta: float, n: int):
     """One end-of-round prune on one round's decoded block: (new V, emptied)."""
-    from byzsw.rate_region import _effective_channel
-    from byzsw.variable_rate import _ball_membership_general
+    from byzsw.rate_region import _ball_membership_general
 
     sizes_u = tuple(p.alphabet_sizes[i] for i in U)
     flat = np.ravel_multi_index(tuple(estimates[i] for i in U), sizes_u)
@@ -585,8 +584,7 @@ def sequential_update_V(V, estimates: dict, U: SubsetView, p: JointPMF, info_mod
             ps = marginal(p, S).mass.reshape(-1)
             ok = bool(np.all(lower - 1e-12 <= ps) and np.all(ps <= upper + 1e-12))
         else:
-            ok = any(_ball_membership_general(t_u, U, S, _effective_channel(chan, p, S),
-                                              p, tau_u)
+            ok = any(_ball_membership_general(t_u, U, S, chan, p, tau_u)
                      for chan in info_model.channels_for(S))
         if ok:
             kept.append(S)

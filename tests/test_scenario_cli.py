@@ -210,6 +210,18 @@ class TestCli:
         assert lo <= 1.9709505944546686 <= hi
         assert hi - lo <= 2e-6
 
+    def test_region_command_imperfect_info_writes_out(self, tmp_path, capsys):
+        path = tmp_path / "imperfect.json"
+        path.write_text(canonical_dumps(imperfect_toy_doc()))
+        assert main(["region", "--scenario", str(path), "--out", str(tmp_path / "o")]) == 0
+        assert (tmp_path / "o" / "scenario.json").read_text() == path.read_text()
+        region = json.loads((tmp_path / "o" / "region.json").read_text())
+        assert sorted(region) == ["maximizer_V", "r_star_lower", "r_star_upper"]
+        # unrounded: the printed bracket is the written one rounded outward
+        lo, hi = map(float, capsys.readouterr().out.split(" in [")[1].split("]")[0].split(","))
+        assert lo <= region["r_star_lower"] <= 1.9709505944546686 <= region["r_star_upper"] <= hi
+        assert all(isinstance(s, list) for s in region["maximizer_V"])
+
     def test_simulate_vr_csv_deterministic(self, tmp_path, capsys):
         scn = self._write_tiny(tmp_path)
         with warnings.catch_warnings():
@@ -265,6 +277,17 @@ class TestCli:
         assert len(rows) == 1   # header only
         summary = json.loads((tmp_path / "z" / "fr_trials_summary.json").read_text())
         assert summary == {"trials": 0}
+
+    def test_negative_trials_refused(self, tmp_path, capsys):
+        assert main(["simulate-fr", "--preset", "fixed_rate_randomized",
+                     "--trials", "-3", "--out", str(tmp_path / "n")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "trials" in captured.err
+        assert not (tmp_path / "n").exists()
+        doc = tiny_vr_doc()
+        doc["trials"] = -1
+        with pytest.raises(ValueError, match="trials"):
+            scenario_from_dict(doc)
 
     def test_invalid_scenario_exits_nonzero(self, tmp_path):
         bad = tmp_path / "bad.json"

@@ -12,7 +12,7 @@ from byzsw.rate_region import HonestCollection, InfoModel, r_star_perfect
 from byzsw.source_model import sample_block
 from byzsw.variable_rate import (
     ProtocolParams,
-    RoundDraws,
+    _draw_rounds,
     run_round,
     run_session,
     _conditional_type_entropies,
@@ -276,7 +276,7 @@ class TestDecodePhaseBudget:
 
 
 class TestRunRound:
-    def test_single_round_decodes_truth_and_counts_bits(self):
+    def test_single_round_decodes_truth(self):
         from byzsw.adversary import TraitorContext
         from byzsw.binning import BinningCodebook
         from byzsw.prob_core import SubsetView as SV
@@ -287,14 +287,12 @@ class TestRunRound:
                      for i, seed in ((0, 11), (1, 12))}
         block = sample_block(p, 12, 44)
         ctx = TraitorContext(traitors=SV(()), seed=46, law=p)
-        [res] = run_round(SV.of(0, 1), RoundDraws(block[None], {}), 0, codebooks,
-                          None, ctx, params, seed=47)
-        assert res.forced == 0
-        assert set(res.tx_counts) == {0, 1}
-        assert np.array_equal(res.estimates[0], block[0])
-        assert np.array_equal(res.estimates[1], block[1])
-        assert res.bits == sum(r.bits for r in res.records)
-        assert all(r.round == 0 for r in res.records)
+        est, cs, j_used, forced, chains = run_round(SV.of(0, 1), block[None], set(), 0,
+                                                    codebooks, None, ctx, params, seed=47)
+        assert not forced.any()
+        assert est.shape == (1, 2, 12) and cs.shape == j_used.shape == (2, 1)
+        assert [chain.shape for chain in chains] == [(cb.J, 1) for cb in codebooks.values()]
+        assert np.array_equal(est[0], block)
 
     def test_pass_equals_rounds_played_one_at_a_time(self):
         from byzsw.adversary import TraitorContext
@@ -304,15 +302,46 @@ class TestRunRound:
         params = ProtocolParams(n=10, rounds=6, eps=0.35, nu=1.0, C=16)
         codebooks = {i: BinningCodebook(i, 10, 2, 0.35, 1.0, 16, 30 + i) for i in range(3)}
         ctx = TraitorContext(traitors=SV.of(2), seed=46, law=p)
-        draws = RoundDraws(np.stack([sample_block(p, 10, 50 + r) for r in range(6)]),
-                           {2: None})
-        together = run_round(SV.of(0, 1, 2), draws, 3, codebooks, BlackHole(), ctx, params, 47)
-        for k, res in enumerate(together):
-            [alone] = run_round(SV.of(0, 1, 2), draws[k:k + 1], 3 + k, codebooks, BlackHole(),
-                                ctx, params, 47)
-            assert res.records == alone.records
-            assert res.bits == alone.bits and res.tx_counts == alone.tx_counts
-            assert all(np.array_equal(res.estimates[i], alone.estimates[i]) for i in range(3))
+        sent = np.stack([sample_block(p, 10, 50 + r) for r in range(6)])
+        est, cs, j_used, forced, chains = run_round(SV.of(0, 1, 2), sent, {2}, 3, codebooks,
+                                                    BlackHole(), ctx, params, 47)
+        for k in range(6):
+            alone = run_round(SV.of(0, 1, 2), sent[k:k + 1], {2}, 3 + k, codebooks,
+                              BlackHole(), ctx, params, 47)
+            assert np.array_equal(est[k:k + 1], alone[0])
+            for whole, one in zip((cs, j_used, forced), alone[1:4]):
+                assert np.array_equal(whole[:, k:k + 1], one)
+            for whole, one in zip(chains, alone[4]):
+                assert np.array_equal(whole[:, k:k + 1], one)
+
+
+class TestDrawRounds:
+    def test_sent_rows_and_silent_traitors(self):
+        from byzsw.adversary import HonestPassthrough, TraitorContext
+        from byzsw.prob_core import identity_channel
+
+        p = three_sensor_law()
+        h_true = SubsetView.of(0, 1)
+        region = r_star_perfect(p, HonestCollection.explicit([[0, 1], [0, 2], [1, 2]]))
+        q_bar = optimal_fake_conditional(region.per_pair_detail[h_true][2], h_true, (2, 2, 2))
+        r_true = identity_channel(p.alphabet_sizes)
+        truth = None
+        for strategy in (None, HonestPassthrough(), FakeDistribution(q_bar), BlackHole()):
+            ctx = TraitorContext(traitors=SubsetView.of(2), seed=46, law=p)
+            blocks, sent, silent = _draw_rounds(p, r_true, strategy, ctx, 10, 47, 5)
+            truth = blocks if truth is None else truth
+            assert np.array_equal(blocks, truth)    # the strategy draws no true block
+            assert sent.shape == (5, 3, 10)
+            assert np.array_equal(sent[:, :2], blocks[:, :2])
+            assert silent == ({2} if isinstance(strategy, BlackHole) else set())
+            if strategy is None:
+                assert sent is blocks
+            elif not silent:
+                assert np.array_equal(sent[:, 2], strategy.reported_block(ctx, 2))
+        fake = FakeDistribution(q_bar)
+        ctx = TraitorContext(traitors=SubsetView.of(2), seed=46, law=p)
+        assert not np.array_equal(_draw_rounds(p, r_true, fake, ctx, 10, 47, 5)[1][:, 2],
+                                  truth[:, 2])
 
 
 def candidate_marginals(p, coll):
@@ -327,8 +356,7 @@ class TestUpdateV:
         keep = 0
         for seed in range(20):
             blk = sample_block(p, 4096, seed)
-            est = {i: blk[i] for i in range(3)}
-            [newV], [emptied] = update_V(tuple(coll.candidates), [est],
+            [newV], [emptied] = update_V(tuple(coll.candidates), blk[None],
                                          SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
                                          candidate_marginals(p, coll))
             keep += (not emptied) and len(newV) == 3
@@ -345,8 +373,7 @@ class TestUpdateV:
         drops = 0
         for seed in range(20):
             blk = sample_block(q_star, 4096, seed)
-            est = {i: blk[i] for i in range(3)}
-            [newV], [emptied] = update_V(tuple(coll.candidates), [est],
+            [newV], [emptied] = update_V(tuple(coll.candidates), blk[None],
                                          SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
                                          candidate_marginals(p, coll))
             assert not emptied
@@ -384,8 +411,7 @@ class TestUpdateV:
                                       SubsetView.of(1): [r]}, (2, 2))
         coll = HonestCollection.explicit([[0, 1], [0], [1]])
         blk = sample_block(p, 2048, 9)
-        est = {i: blk[i] for i in range(2)}
-        [newV], [emptied] = update_V(tuple(coll.candidates), [est],
+        [newV], [emptied] = update_V(tuple(coll.candidates), blk[None],
                                      SubsetView.of(0, 1), p, im, 0.5, 2048,
                                      candidate_marginals(p, coll))
         assert not emptied
@@ -401,9 +427,9 @@ class TestUpdateV:
         im = InfoModel.perfect_info((2, 2, 2))
         q_star = r_star_perfect(p, coll).maximizer_q
         blocks = [sample_block(p, 4096, 1), sample_block(q_star, 4096, 2)]
-        garbage = {0: blocks[0][0], 1: blocks[0][1],
-                   2: np.random.default_rng(3).integers(0, 2, 4096)}
-        ests = [{i: b[i] for i in range(3)} for b in blocks] + [garbage, garbage]
+        garbage = np.stack([blocks[0][0], blocks[0][1],
+                            np.random.default_rng(3).integers(0, 2, 4096)])
+        ests = np.stack(blocks + [garbage, garbage])
         trajectory, emptied = update_V(tuple(coll.candidates), ests, SubsetView.of(0, 1, 2),
                                        p, im, 0.35, 4096, candidate_marginals(p, coll))
         keys = [{S.indices for S in V} for V in trajectory]
