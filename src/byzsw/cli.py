@@ -28,8 +28,6 @@ from .scenario import (
     Scenario,
     aggregate_rows,
     canonical_dumps,
-    load_scenario,
-    preset_scenario,
     run_trial,
     scenario_from_dict,
     scenario_to_dict,
@@ -56,16 +54,15 @@ def _load(args) -> Scenario:
     if args.scenario and args.preset:
         raise SystemExit("give either --scenario or --preset, not both")
     if args.preset:
-        scn = preset_scenario(args.preset)
+        doc = PRESETS[args.preset]()        # argparse admits only preset names
     elif args.scenario:
-        scn = load_scenario(args.scenario)
+        with open(args.scenario) as fh:
+            doc = json.load(fh)
     else:
         raise SystemExit("one of --scenario or --preset is required")
-    doc = scenario_to_dict(scn)
-    if args.trials is not None:
-        doc["trials"] = args.trials
-    if args.seed is not None:
-        doc["seed"] = args.seed
+    if type(doc) is dict:       # any other document is refused by the load below
+        doc.update((key, value) for key, value in (("trials", args.trials),
+                                                   ("seed", args.seed)) if value is not None)
     return scenario_from_dict(doc)
 
 
@@ -200,6 +197,7 @@ def cmd_trials(args) -> int:
         # every such trial and the summary need R*: a collection past the
         # enumeration guard is refused here, before any trial runs
         scn.region()
+    scn.check_strategy()     # a strategy no trial could build is refused here too
     rows = _run_trials(scn, mode, args.workers)
     summary = aggregate_rows(rows)
     if mode.endswith("vr"):

@@ -10,12 +10,14 @@ the variable-rate modes, ``run_fixed_rate_trial`` for the fixed-rate ones.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import json
 import math
+import re
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Sequence
+from typing import Any, Callable
 
 import numpy as np
 
@@ -35,52 +37,280 @@ SCHEMA_VERSION = 1
 
 
 # ---------------------------------------------------------------------------
-# schema
+# schema: one table of fields per section, walked once by the loader
 # ---------------------------------------------------------------------------
 
 def canonical_dumps(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _set_key(s: Sequence[int]) -> str:
-    return ",".join(str(i) for i in s)
+REQUIRED = object()     # field default: the document must give the field
+ABSENT = object()       # field default: an absent field stays absent
 
 
-def _parse_set_key(key: str) -> tuple[int, ...]:
-    return tuple(int(tok) for tok in key.split(",") if tok != "")
+def _number(ok: Callable, integer: bool = False) -> Callable:
+    """A finite JSON number that ``ok`` accepts; with ``integer``, a JSON
+    integer only: not 3.0, not true."""
+    return lambda v: (type(v) is int or (not integer and type(v) is float
+                                         and math.isfinite(v))) and ok(v)
 
 
-@dataclass
+def _each(test: Callable) -> Callable:
+    return lambda v: type(v) is list and all(map(test, v))
+
+
+def _table(v) -> bool:
+    """A probability table: nested lists of finite numbers >= 0."""
+    return type(v) is list and all(_table(x) if type(x) is list else _NONNEGATIVE[1](x)
+                                   for x in v)
+
+
+# (what a field must be, its test); a tuple test lists the allowed values
+_NONNEGATIVE = ("a finite number >= 0", _number(lambda x: x >= 0))
+_COUNT = ("an integer >= 1", _number(lambda x: x >= 1, integer=True))
+_NATURAL = ("an integer >= 0", _number(lambda x: x >= 0, integer=True))
+_POSITIVE = ("a finite number > 0", _number(lambda x: x > 0))
+_SENSORS = ("a list of sensor indices", _each(_NATURAL[1]))      # each < m: _sensors
+_SECTION = ("null or an object", lambda v: v is None)            # an object is walked
+_SENSOR_KEY = re.compile(r"(0|[1-9][0-9]*)(,(0|[1-9][0-9]*))*")   # "i,j,...", no leading 0
+
+
+def _maybe(want: str, test: Callable) -> tuple:
+    return f"null or {want}", lambda v: v is None or test(v)
+
+
+# every field of a scenario document, by section: key -> (what it must be,
+# test, default); the default REQUIRED or ABSENT is never filled in
+_FIELDS = {
+    "": {
+        "schema_version": (str(SCHEMA_VERSION),
+                           lambda v: type(v) is int and v == SCHEMA_VERSION, REQUIRED),
+        "m": (*_COUNT, REQUIRED),
+        "alphabet_sizes": ("a list of integers >= 1", _each(_COUNT[1]), REQUIRED),
+        "pmf": ("a table of finite numbers >= 0", _table, REQUIRED),
+        "honest_collection": ("an object", lambda v: False, REQUIRED),     # walked
+        "info_model": ('"perfect" or an object', lambda v: v == "perfect", REQUIRED),
+        "true_honest": (*_SENSORS, REQUIRED),
+        "true_channel": ('"perfect" or a table of finite numbers >= 0',
+                         lambda v: v == "perfect" or _table(v), REQUIRED),
+        "strategy": (*_SECTION, None),
+        "variable_rate": (*_SECTION, None),
+        "fixed_rate": (*_SECTION, None),
+        "eavesdropping": ("false: eavesdropping traitors are not modeled",
+                          lambda v: v is False, ABSENT),
+        "trials": (*_NATURAL, 1),
+        "seed": ("an integer", lambda v: type(v) is int, REQUIRED),
+    },
+    "honest_collection": {      # exactly one of the two: checked by the loader
+        "threshold_t": (*_NATURAL, ABSENT),
+        "sets": ("a list of lists of sensor indices", _each(_SENSORS[1]), ABSENT),
+    },
+    "info_model": {
+        "channels": ('an object mapping "i,j,..." to lists of channel tables',
+                     lambda v: type(v) is dict and all(
+                         type(key) is str and _SENSOR_KEY.fullmatch(key)
+                         and _each(_table)(tables) for key, tables in v.items()), REQUIRED),
+    },
+    "strategy": {
+        "kind": ("strategy kind", STRATEGY_KINDS, REQUIRED),
+        "q_bar": ('null, "optimal" or a table of finite numbers >= 0',     # null: optimal
+                  lambda v: v in (None, "optimal") or _table(v), None),
+        "target_set": (*_maybe(*_SENSORS), None),
+    },
+    "variable_rate": {
+        "n": (*_COUNT, REQUIRED),
+        "rounds": (*_COUNT, REQUIRED),
+        "eps": (*_POSITIVE, REQUIRED),
+        "nu": (*_maybe(*_POSITIVE), None),
+        "eta": (*_maybe(*_POSITIVE), None),
+        "c_subcodebooks": (*_maybe(*_COUNT), None),
+        "alpha": ("a number in (0, 1)", _number(lambda x: 0 < x < 1), 0.05),
+    },
+    "fixed_rate": {
+        "rates": ("a list of finite numbers >= 0", _each(_NONNEGATIVE[1]), REQUIRED),
+        "n": (*_COUNT, REQUIRED),
+        "kind": ("coding kind", ("deterministic", "randomized"), REQUIRED),
+        "c_subcodebooks": (*_COUNT, 1),
+        "eps_decode": (*_POSITIVE, 1.4),
+        "plurality": ("true or false", lambda v: type(v) is bool, False),
+    },
+}
+
+
+def _walk(doc: Any, section: str = "") -> None:
+    """Check ``doc`` against the section's fields in place: refuse unknown
+    fields, missing required ones and values that fail their test, each by
+    its path, and fill in absent optional fields."""
+    where = section + "." if section else ""
+    if type(doc) is not dict:
+        raise ValueError(f"{section or 'scenario'}: must be an object, got {doc!r}")
+    fields = _FIELDS[section]
+    for key, (want, test, default) in fields.items():
+        value = doc.get(key, default)
+        if value is REQUIRED:
+            raise ValueError(f"{where}{key}: missing required field")
+        if key not in doc:
+            if value is not ABSENT:
+                doc[key] = value
+        elif key in _FIELDS and type(value) is dict:
+            _walk(value, key)
+        elif type(test) is tuple and value not in test:
+            raise ValueError(f"{where}{key}: unknown {want} {value!r}; have {test}")
+        elif type(test) is not tuple and not test(value):
+            raise ValueError(f"{where}{key}: must be {want}, got {value!r}")
+    unknown = doc.keys() - fields.keys()
+    if unknown:
+        raise ValueError(f"{where}{min(unknown)}: unknown field")
+
+
+def _sensors(indices: list, path: str, m: int) -> SubsetView:
+    """The sensor set a checked index list names: nonempty, strictly
+    increasing, each in [0, m)."""
+    if not indices or indices[-1] >= m or any(b <= a for a, b in zip(indices, indices[1:])):
+        raise ValueError(f"{path}: must be a nonempty, strictly increasing list of "
+                         f"sensors in [0, {m}), got {indices}")
+    return SubsetView(tuple(indices))
+
+
+_OPTIMAL_NEEDS_PERFECT = "optimal qbar derivation is implemented for perfect information only"
+
+
+@dataclass(frozen=True)
 class Scenario:
-    """Runtime form of a scenario file."""
+    """Runtime form of a scenario document: ``Scenario(doc)`` checks a copy of
+    ``doc``, fills in its absent optional fields, keeps it and reads every
+    other field from it, so ``dataclasses.replace`` can change only ``doc``."""
 
-    m: int
-    alphabet_sizes: tuple[int, ...]
-    p: JointPMF
-    collection: HonestCollection
-    info_model: InfoModel
-    honest_true: SubsetView
-    r_true: ConditionalPMF | None            # None means the identity channel
-    strategy_kind: str | None
-    q_bar_spec: Any                          # "optimal", nested table, or None
-    target_set: SubsetView | None
-    vr: ProtocolParams | None
-    fr: FixedRateCode | None
-    fr_plurality: bool
-    trials: int
-    seed: int
+    doc: dict = field(repr=False)
+    m: int = field(init=False)
+    alphabet_sizes: tuple[int, ...] = field(init=False)
+    p: JointPMF = field(init=False)
+    collection: HonestCollection = field(init=False)
+    info_model: InfoModel = field(init=False)
+    honest_true: SubsetView = field(init=False)
+    r_true: ConditionalPMF | None = field(init=False)    # None means the identity channel
+    strategy_kind: str | None = field(init=False)
+    q_bar_spec: Any = field(init=False)                  # "optimal", nested table, or None
+    target_set: SubsetView | None = field(init=False)
+    vr: ProtocolParams | None = field(init=False)
+    fr: FixedRateCode | None = field(init=False)
+    fr_plurality: bool = field(init=False)
+    trials: int = field(init=False)
+    seed: int = field(init=False)
+    _region_cache: RegionReport | None = field(init=False, default=None, repr=False)
 
-    _region_cache: RegionReport | None = field(default=None, repr=False)
+    def __post_init__(self):
+        """The field table's checks, then those that tie fields together."""
+        doc = copy.deepcopy(self.doc)
+        _walk(doc)
+        doc.pop("eavesdropping", None)      # false, or the table refused it: not kept
+        m = doc["m"]
+        sizes = tuple(doc["alphabet_sizes"])
+        if len(sizes) != m:
+            raise ValueError("alphabet_sizes length != m")
+        p = JointPMF(sizes, np.asarray(doc["pmf"], dtype=float))
+
+        coll_doc = doc["honest_collection"]
+        if len(coll_doc) != 1:
+            raise ValueError("honest_collection: must give exactly one of threshold_t and sets")
+        if "threshold_t" in coll_doc:
+            collection = HonestCollection.threshold(m, coll_doc["threshold_t"])
+        else:
+            collection = HonestCollection(tuple(
+                _sensors(s, f"honest_collection.sets[{k}]", m)
+                for k, s in enumerate(coll_doc["sets"])))
+
+        if doc["info_model"] == "perfect":
+            info = InfoModel.perfect_info(sizes)
+        else:
+            channels = doc["info_model"]["channels"]
+            info = InfoModel.from_channels({
+                _sensors([int(tok) for tok in key.split(",")], f"info_model.channels.{key}", m):
+                [ConditionalPMF(sizes, np.shape(t)[-1], t) for t in tables]
+                for key, tables in channels.items()}, sizes)
+            for cand in collection:
+                if cand.indices not in info.channels:
+                    raise ValueError(f"info_model.channels: no channels for candidate {cand}")
+
+        honest_true = _sensors(doc["true_honest"], "true_honest", m)
+        if honest_true not in collection:
+            raise ValueError(f"true honest set {honest_true} not in the collection")
+
+        if doc["true_channel"] == "perfect":
+            if not info.perfect:
+                raise ValueError('true_channel "perfect" requires a perfect info model')
+            r_true = None
+        else:
+            table = doc["true_channel"]
+            r_true = ConditionalPMF(sizes, np.shape(table)[-1], table)
+            if not info.perfect:
+                accepted = info.channels_for(honest_true)
+                if not any(ch.rows.shape == r_true.rows.shape
+                           and np.allclose(ch.rows, r_true.rows, atol=1e-12)
+                           for ch in accepted):
+                    raise ValueError("true channel is not in the info model for the "
+                                     "true honest set")
+
+        strat_doc = doc["strategy"] or {"kind": None, "q_bar": None, "target_set": None}
+        strategy_kind, q_bar_spec = strat_doc["kind"], strat_doc["q_bar"]
+        target_set = strat_doc["target_set"]
+        if target_set is not None:
+            target_set = _sensors(target_set, "strategy.target_set", m)
+        if strategy_kind == "fixed_rate_ambiguity" and target_set is None:
+            raise ValueError("fixed_rate_ambiguity strategy needs a nonempty target_set")
+
+        vr_doc = doc["variable_rate"]
+        vr = None if vr_doc is None else ProtocolParams(
+            n=vr_doc["n"], rounds=vr_doc["rounds"], eps=vr_doc["eps"], nu=vr_doc["nu"],
+            eta=vr_doc["eta"], C=vr_doc["c_subcodebooks"], alpha=vr_doc["alpha"])
+
+        fr_doc = doc["fixed_rate"]
+        fr = None
+        if fr_doc is not None:
+            fr = FixedRateCode(rates=tuple(fr_doc["rates"]), n=fr_doc["n"], kind=fr_doc["kind"],
+                               C=fr_doc["c_subcodebooks"], seed=0,
+                               eps_decode=fr_doc["eps_decode"])
+            if len(fr.rates) != m:
+                raise ValueError("fixed_rate.rates length != m")
+            if strategy_kind is None and len(honest_true.complement(m)):
+                # a variable-rate session lets such traitors behave honestly; a
+                # fixed-rate trial needs their strategy
+                raise ValueError("fixed_rate with traitors needs a strategy")
+        if strategy_kind == "fixed_rate_ambiguity" and len(honest_true.complement(m)):
+            # otherwise every trial fails, or the attack reads rows W lacks
+            if fr is not None and fr.kind != "deterministic":
+                raise ValueError("the ambiguity attack applies to deterministic coding")
+            if not (target_set.intersection(honest_true) and target_set.difference(honest_true)):
+                raise ValueError(f"target_set {target_set} must straddle the true honest "
+                                 f"set {honest_true}")
+            if not info.perfect or r_true is not None:
+                raise ValueError('the ambiguity attack needs perfect information: '
+                                 'info_model and true_channel "perfect"')
+
+        self.__dict__.update(   # frozen: set without __setattr__
+            doc=doc, m=m, alphabet_sizes=sizes, p=p, collection=collection,
+            info_model=info, honest_true=honest_true, r_true=r_true,
+            strategy_kind=strategy_kind, q_bar_spec=q_bar_spec, target_set=target_set,
+            vr=vr, fr=fr, fr_plurality=False if fr_doc is None else fr_doc["plurality"],
+            trials=doc["trials"], seed=doc["seed"])
 
     def region(self) -> RegionReport:
         if self._region_cache is None:
             if not self.info_model.perfect:
                 raise ValueError("exact region evaluation requires perfect information")
-            self._region_cache = r_star_perfect(self.p, self.collection)
+            self.__dict__["_region_cache"] = r_star_perfect(self.p, self.collection)
         return self._region_cache
 
     def traitors(self) -> SubsetView:
         return self.honest_true.complement(self.m)
+
+    def check_strategy(self) -> None:
+        """Refuse a strategy that no trial could build, before any trial
+        runs; the optimal qbar is checked without solving the region."""
+        if self.strategy_kind != "fake_distribution" or self.q_bar_spec not in (None, "optimal"):
+            self.build_strategy()
+        elif len(self.traitors()) and not self.info_model.perfect:
+            raise ValueError(_OPTIMAL_NEEDS_PERFECT)
 
     def build_strategy(self) -> TraitorStrategy | None:
         if self.strategy_kind is None or len(self.traitors()) == 0:
@@ -97,179 +327,25 @@ class Scenario:
         cells_t = int(np.prod(sizes_t))
         if self.q_bar_spec == "optimal" or self.q_bar_spec is None:
             if not self.info_model.perfect:
-                raise ValueError("optimal qbar derivation is implemented for "
-                                 "perfect information only")
+                raise ValueError(_OPTIMAL_NEEDS_PERFECT)
             _value, _V, q_star = self.region().per_pair_detail[self.honest_true]
             return optimal_fake_conditional(q_star, self.honest_true,
                                             self.alphabet_sizes)
         arr = np.asarray(self.q_bar_spec, dtype=float)
         w = arr.shape[0]
+        if arr.size != w * cells_t:
+            raise ValueError(f"strategy.q_bar: rows must have {cells_t} entries, one per "
+                             f"symbol tuple of the traitors {traitors}")
         return ConditionalPMF((w,), cells_t, arr.reshape(w, cells_t))
 
 
-def _channel_to_nested(chan: ConditionalPMF) -> list:
-    return chan.rows.tolist()
-
-
-def _channel_from_nested(table, input_sizes, w=None) -> ConditionalPMF:
-    arr = np.asarray(table, dtype=float)
-    if w is None:
-        w = arr.shape[-1]
-    return ConditionalPMF(tuple(input_sizes), int(w), arr)
-
-
 def scenario_to_dict(s: Scenario) -> dict:
-    if s.collection.threshold_t is not None:
-        coll: Any = {"threshold_t": s.collection.threshold_t}
-    else:
-        coll = {"sets": [list(c.indices) for c in s.collection.candidates]}
-    if s.info_model.perfect:
-        info: Any = "perfect"
-    else:
-        info = {"channels": {
-            _set_key(k): [_channel_to_nested(ch) for ch in chans]
-            for k, chans in sorted(s.info_model.channels.items())}}
-    doc = {
-        "schema_version": SCHEMA_VERSION,
-        "m": s.m,
-        "alphabet_sizes": list(s.alphabet_sizes),
-        "pmf": s.p.mass.tolist(),
-        "honest_collection": coll,
-        "info_model": info,
-        "true_honest": list(s.honest_true.indices),
-        "true_channel": "perfect" if s.r_true is None else _channel_to_nested(s.r_true),
-        "strategy": None if s.strategy_kind is None else {
-            "kind": s.strategy_kind,
-            "q_bar": ("optimal" if s.q_bar_spec in ("optimal", None)
-                      else np.asarray(s.q_bar_spec, dtype=float).tolist())
-            if s.strategy_kind == "fake_distribution" else None,
-            "target_set": list(s.target_set.indices) if s.target_set else None,
-        },
-        "variable_rate": None if s.vr is None else {
-            "n": s.vr.n, "rounds": s.vr.rounds, "eps": s.vr.eps,
-            "nu": s.vr.nu, "eta": s.vr.eta, "c_subcodebooks": s.vr.C,
-            "alpha": s.vr.alpha,
-        },
-        "fixed_rate": None if s.fr is None else {
-            "rates": list(s.fr.rates), "n": s.fr.n, "kind": s.fr.kind,
-            "c_subcodebooks": s.fr.C, "eps_decode": s.fr.eps_decode,
-            "plurality": s.fr_plurality,
-        },
-        "trials": s.trials,
-        "seed": s.seed,
-    }
-    return doc
+    """A copy of the checked document ``s`` was loaded from, absent optional
+    fields filled in."""
+    return copy.deepcopy(s.doc)
 
 
-def scenario_from_dict(doc: dict) -> Scenario:
-    if doc.get("schema_version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema_version {doc.get('schema_version')!r}")
-    m = int(doc["m"])
-    sizes = tuple(int(a) for a in doc["alphabet_sizes"])
-    if len(sizes) != m:
-        raise ValueError("alphabet_sizes length != m")
-    p = JointPMF(sizes, np.asarray(doc["pmf"], dtype=float))
-
-    coll_doc = doc["honest_collection"]
-    if "threshold_t" in coll_doc:
-        collection = HonestCollection.threshold(m, int(coll_doc["threshold_t"]))
-    else:
-        collection = HonestCollection.explicit(coll_doc["sets"])
-
-    info_doc = doc["info_model"]
-    if info_doc == "perfect":
-        info = InfoModel.perfect_info(sizes)
-    else:
-        channels = {}
-        for key, chans in info_doc["channels"].items():
-            channels[SubsetView(_parse_set_key(key))] = [
-                _channel_from_nested(t, sizes) for t in chans]
-        info = InfoModel.from_channels(channels, sizes)
-        for cand in collection:
-            info.channels_for(cand)   # raises if missing
-
-    honest_true = SubsetView(tuple(int(i) for i in doc["true_honest"]))
-    if honest_true not in collection:
-        raise ValueError(f"true honest set {honest_true} not in the collection")
-
-    tc = doc["true_channel"]
-    if tc == "perfect":
-        if not info.perfect:
-            raise ValueError('true_channel "perfect" requires a perfect info model')
-        r_true = None
-    else:
-        r_true = _channel_from_nested(tc, sizes)
-        if not info.perfect:
-            accepted = info.channels_for(honest_true)
-            if not any(ch.rows.shape == r_true.rows.shape
-                       and np.allclose(ch.rows, r_true.rows, atol=1e-12)
-                       for ch in accepted):
-                raise ValueError("true channel is not in the info model for the "
-                                 "true honest set")
-
-    strat_doc = doc.get("strategy")
-    strategy_kind = q_bar_spec = None
-    target_set = None
-    if strat_doc is not None:
-        strategy_kind = strat_doc["kind"]
-        if strategy_kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy kind {strategy_kind!r}; have {STRATEGY_KINDS}")
-        q_bar_spec = strat_doc.get("q_bar")
-        ts = strat_doc.get("target_set")
-        target_set = SubsetView(tuple(int(i) for i in ts)) if ts else None
-        if target_set is not None and not all(0 <= i < m for i in target_set):
-            raise ValueError(f"target_set {target_set} has a sensor outside [0, {m})")
-        if strategy_kind == "fixed_rate_ambiguity" and target_set is None:
-            raise ValueError("fixed_rate_ambiguity strategy needs a nonempty target_set")
-
-    vr_doc = doc.get("variable_rate")
-    vr = None
-    if vr_doc is not None:
-        vr = ProtocolParams(n=int(vr_doc["n"]), rounds=int(vr_doc["rounds"]),
-                            eps=float(vr_doc["eps"]),
-                            nu=vr_doc.get("nu"), eta=vr_doc.get("eta"),
-                            C=vr_doc.get("c_subcodebooks"),
-                            alpha=float(vr_doc.get("alpha", 0.05)))
-
-    fr_doc = doc.get("fixed_rate")
-    fr = None
-    fr_plurality = False
-    if fr_doc is not None:
-        fr = FixedRateCode(rates=tuple(float(r) for r in fr_doc["rates"]),
-                           n=int(fr_doc["n"]), kind=fr_doc["kind"],
-                           C=int(fr_doc.get("c_subcodebooks", 1)),
-                           seed=0,
-                           eps_decode=float(fr_doc.get("eps_decode", 1.4)))
-        fr_plurality = bool(fr_doc.get("plurality", False))
-        if len(fr.rates) != m:
-            raise ValueError("fixed_rate.rates length != m")
-        if strategy_kind is None and len(honest_true.complement(m)):
-            # a variable-rate session lets such traitors behave honestly; a
-            # fixed-rate trial needs their strategy
-            raise ValueError("fixed_rate with traitors needs a strategy")
-    if strategy_kind == "fixed_rate_ambiguity" and len(honest_true.complement(m)):
-        # otherwise every trial fails, or the attack reads rows W lacks
-        if fr is not None and fr.kind != "deterministic":
-            raise ValueError("the ambiguity attack applies to deterministic coding")
-        if not (target_set.intersection(honest_true) and target_set.difference(honest_true)):
-            raise ValueError(f"target_set {target_set} must straddle the true honest "
-                             f"set {honest_true}")
-        if not info.perfect or r_true is not None:
-            raise ValueError('the ambiguity attack needs perfect information: '
-                             'info_model and true_channel "perfect"')
-
-    if doc.get("eavesdropping", False):
-        raise ValueError("eavesdropping traitors are not modeled")
-    trials = int(doc.get("trials", 1))
-    if trials < 0:
-        raise ValueError(f"trials must be nonnegative, got {trials}")
-
-    return Scenario(m=m, alphabet_sizes=sizes, p=p, collection=collection,
-                    info_model=info, honest_true=honest_true, r_true=r_true,
-                    strategy_kind=strategy_kind, q_bar_spec=q_bar_spec,
-                    target_set=target_set, vr=vr, fr=fr,
-                    fr_plurality=fr_plurality,
-                    trials=trials, seed=int(doc["seed"]))
+scenario_from_dict = Scenario      # the scenario a copy of the document describes
 
 
 def load_scenario(path) -> Scenario:
@@ -317,139 +393,75 @@ def _star_law_m4(cross: float = 0.15) -> list:
     return mass.tolist()
 
 
+def _preset(**fields) -> dict:
+    """A preset's document: perfect information, seed 20260810 and the
+    table's defaults wherever ``fields`` gives no value."""
+    doc = {"schema_version": SCHEMA_VERSION, "info_model": "perfect",
+           "true_channel": "perfect", "seed": 20260810, **fields}
+    _walk(doc)
+    return doc
+
+
 def _preset_three_sensor() -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "m": 3,
-        "alphabet_sizes": [2, 2, 2],
-        "pmf": _three_sensor_law(),
-        "honest_collection": {"sets": [[0, 1], [0, 2], [1, 2]]},
-        "info_model": "perfect",
-        "true_honest": [0, 1],
-        "true_channel": "perfect",
-        "strategy": {"kind": "fake_distribution", "q_bar": "optimal",
-                     "target_set": None},
-        # eta = 4.0: at n = 12 the per-cell type noise is ~0.14 while the
-        # default 2*eps tolerance is 0.175/S-cell, so honest candidate sets
-        # would be pruned by noise; the wide ball keeps the V update sound at
-        # desk scale (eta is a tunable; it vanishes only in the eps -> 0
-        # asymptotics).
-        "variable_rate": {"n": 12, "rounds": 50, "eps": 0.35, "nu": 1.925,
-                          "eta": 4.0, "c_subcodebooks": None, "alpha": 0.05},
-        "fixed_rate": None,
-        "trials": 100,
-        "seed": 20260810,
-    }
+    # eta = 4.0: at n = 12 the per-cell type noise is ~0.14 while the
+    # default 2*eps tolerance is 0.175/S-cell, so honest candidate sets
+    # would be pruned by noise; the wide ball keeps the V update sound at
+    # desk scale (eta is a tunable; it vanishes only in the eps -> 0
+    # asymptotics).
+    return _preset(m=3, alphabet_sizes=[2, 2, 2], pmf=_three_sensor_law(),
+                   honest_collection={"sets": [[0, 1], [0, 2], [1, 2]]}, true_honest=[0, 1],
+                   strategy={"kind": "fake_distribution", "q_bar": "optimal"},
+                   variable_rate={"n": 12, "rounds": 50, "eps": 0.35, "nu": 1.925, "eta": 4.0},
+                   trials=100)
 
 
 def _preset_two_sensor_baseline() -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "m": 2,
-        "alphabet_sizes": [2, 2],
-        "pmf": [[0.445, 0.055], [0.055, 0.445]],
-        "honest_collection": {"sets": [[0, 1]]},
-        "info_model": "perfect",
-        "true_honest": [0, 1],
-        "true_channel": "perfect",
-        "strategy": None,
-        "variable_rate": {"n": 12, "rounds": 50, "eps": 0.35, "nu": 1.925,
-                          "eta": None, "c_subcodebooks": None, "alpha": 0.05},
-        "fixed_rate": None,
-        "trials": 100,
-        "seed": 20260810,
-    }
+    return _preset(m=2, alphabet_sizes=[2, 2], pmf=[[0.445, 0.055], [0.055, 0.445]],
+                   honest_collection={"sets": [[0, 1]]}, true_honest=[0, 1],
+                   variable_rate={"n": 12, "rounds": 50, "eps": 0.35, "nu": 1.925},
+                   trials=100)
 
 
 def _preset_independent_coding() -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "m": 3,
-        "alphabet_sizes": [2, 2, 2],
-        "pmf": _chain_law(),
-        "honest_collection": {"threshold_t": 2},
-        "info_model": "perfect",
-        "true_honest": [0, 1, 2],
-        "true_channel": "perfect",
-        "strategy": None,
-        "variable_rate": {"n": 12, "rounds": 50, "eps": 0.35, "nu": 1.925,
-                          "eta": 4.0, "c_subcodebooks": None, "alpha": 0.05},
-        "fixed_rate": None,
-        "trials": 50,
-        "seed": 20260810,
-    }
+    return _preset(m=3, alphabet_sizes=[2, 2, 2], pmf=_chain_law(),
+                   honest_collection={"threshold_t": 2}, true_honest=[0, 1, 2],
+                   variable_rate={"n": 12, "rounds": 50, "eps": 0.35, "nu": 1.925, "eta": 4.0},
+                   trials=50)
 
 
 def _preset_four_sensor_plurality() -> dict:
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "m": 4,
-        "alphabet_sizes": [2, 2, 2, 2],
-        "pmf": _star_law_m4(),
-        "honest_collection": {"threshold_t": 1},
-        "info_model": "perfect",
-        "true_honest": [1, 2, 3],
-        "true_channel": "perfect",
-        "strategy": {"kind": "fake_distribution", "q_bar": "optimal",
-                     "target_set": None},
-        "variable_rate": None,
-        # candidate sets here have 8 or 16 cells, so the decode ball needs
-        # eps_decode ~ 3 at this blocklength; rates sit well above the
-        # pairwise-intersection constraints
-        "fixed_rate": {"rates": [1.6, 1.6, 1.6, 1.6], "n": 12,
-                       "kind": "randomized", "c_subcodebooks": 8,
-                       "eps_decode": 3.2, "plurality": True},
-        "trials": 100,
-        "seed": 20260810,
-    }
+    # candidate sets here have 8 or 16 cells, so the decode ball needs
+    # eps_decode ~ 3 at this blocklength; rates sit well above the
+    # pairwise-intersection constraints
+    return _preset(m=4, alphabet_sizes=[2, 2, 2, 2], pmf=_star_law_m4(),
+                   honest_collection={"threshold_t": 1}, true_honest=[1, 2, 3],
+                   strategy={"kind": "fake_distribution", "q_bar": "optimal"},
+                   fixed_rate={"rates": [1.6, 1.6, 1.6, 1.6], "n": 12, "kind": "randomized",
+                               "c_subcodebooks": 8, "eps_decode": 3.2, "plurality": True},
+                   trials=100)
 
 
 def _preset_fixed_rate_randomized() -> dict:
     # Rates are an interior point of the pairwise Slepian-Wolf region plus the
     # 0.1 margin; at n = 14 the hash-bin spurious-match rate 2^{n(1-R)} must
     # be well below 1 for reliable decoding, which pins R >= ~1.3.
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "m": 3,
-        "alphabet_sizes": [2, 2, 2],
-        "pmf": _chain_law(),
-        "honest_collection": {"sets": [[0, 1], [0, 2], [1, 2]]},
-        "info_model": "perfect",
-        "true_honest": [1, 2],
-        "true_channel": "perfect",
-        "strategy": {"kind": "fake_distribution", "q_bar": "optimal",
-                     "target_set": None},
-        "variable_rate": None,
-        "fixed_rate": {"rates": [1.4, 1.4, 1.4], "n": 14, "kind": "randomized",
-                       "c_subcodebooks": 8, "eps_decode": 1.4,
-                       "plurality": False},
-        "trials": 200,
-        "seed": 20260810,
-    }
+    return _preset(m=3, alphabet_sizes=[2, 2, 2], pmf=_chain_law(),
+                   honest_collection={"sets": [[0, 1], [0, 2], [1, 2]]}, true_honest=[1, 2],
+                   strategy={"kind": "fake_distribution", "q_bar": "optimal"},
+                   fixed_rate={"rates": [1.4, 1.4, 1.4], "n": 14, "kind": "randomized",
+                               "c_subcodebooks": 8},
+                   trials=200)
 
 
 def _preset_fixed_rate_demo() -> dict:
     # Inside the randomized region but outside the deterministic one
     # (R_1 < H(X_1)); the ambiguity attack targets S1 = {0,1} through the
     # known intersection {1}.
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "m": 3,
-        "alphabet_sizes": [2, 2, 2],
-        "pmf": _chain_law(),
-        "honest_collection": {"sets": [[0, 1], [0, 2], [1, 2]]},
-        "info_model": "perfect",
-        "true_honest": [1, 2],
-        "true_channel": "perfect",
-        "strategy": {"kind": "fixed_rate_ambiguity", "q_bar": None,
-                     "target_set": [0, 1]},
-        "variable_rate": None,
-        "fixed_rate": {"rates": [0.92, 0.75, 0.95], "n": 14,
-                       "kind": "deterministic", "c_subcodebooks": 1,
-                       "eps_decode": 1.4, "plurality": False},
-        "trials": 200,
-        "seed": 20260810,
-    }
+    return _preset(m=3, alphabet_sizes=[2, 2, 2], pmf=_chain_law(),
+                   honest_collection={"sets": [[0, 1], [0, 2], [1, 2]]}, true_honest=[1, 2],
+                   strategy={"kind": "fixed_rate_ambiguity", "target_set": [0, 1]},
+                   fixed_rate={"rates": [0.92, 0.75, 0.95], "n": 14, "kind": "deterministic"},
+                   trials=200)
 
 
 PRESETS = {

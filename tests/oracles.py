@@ -8,7 +8,7 @@ at a time, conditional type entropies by explicit type counts, the phase
 search by the lazy candidate-by-candidate loop, the variable-rate session
 by the round-by-round loop (one phase, then one prune, per round), the fixed-rate per-set
 search by the tuple-by-tuple typicality loop, the irredundant
-sub-collections by a scan over every subset mask, linear programs by
+sub-collections by coverer counts over every subset mask, linear programs by
 scipy's HiGHS solver, the simulation constraints and simulated laws by
 per-cell loops, the region report by running IPF on every family, the
 deterministic-coding extra constraints by a channel test on every candidate
@@ -250,10 +250,49 @@ def reference_first_typical(p_s: JointPMF, rows, eps: float):
 
 def reference_candidate_collections(candidates, must_contain):
     """Nonempty sub-collections, skipping any whose union and constraint set
-    are both dominated by a smaller one already enumerated (dropping one set
-    leaves the union unchanged). ``must_contain`` pins one set that may not
-    be dropped, for per-true-honest-set evaluations. Returns (V, union
-    bitmask) pairs, the shape ``_candidate_collections`` returns."""
+    are both dominated by a smaller one (dropping one set leaves the union
+    unchanged). ``must_contain`` pins one set that may not be dropped, for
+    per-true-honest-set evaluations. Returns (V, union bitmask) pairs, the
+    shape ``_candidate_collections`` returns.
+
+    Every subset mask at once: count each sensor's coverers per family; a
+    member is redundant iff each of its sensors has a second coverer, and a
+    family of more than one member with a redundant member other than the
+    pin is dropped. On at most 10 sets the result is checked against
+    ``scan_candidate_collections``, the mask-by-mask definition."""
+    n = len(candidates)
+    pin = None
+    if must_contain is not None:
+        pin = next((k for k, s in enumerate(candidates)
+                    if s.indices == must_contain.indices), None)
+        if pin is None:
+            return []
+    m = max((i + 1 for s in candidates for i in s.indices), default=0)
+    incidence = np.array([[int(i in s.indices) for i in range(m)] for s in candidates],
+                         dtype=np.int32).reshape(n, m)
+    families = np.arange(1, 1 << n)
+    member = (families[:, None] >> np.arange(n) & 1).astype(np.int32)      # (F, n)
+    coverers = member @ incidence                                          # (F, m)
+    # per (family, set): how many of the set's sensors have at most one coverer
+    lonely = (coverers < 2).astype(np.int32) @ incidence.T
+    redundant = (member == 1) & (lonely == 0)
+    if pin is not None:
+        redundant[:, pin] = False
+    keep = ~((member.sum(axis=1) > 1) & redundant.any(axis=1))
+    if pin is not None:
+        keep &= member[:, pin] == 1
+    unions = (coverers > 0).astype(np.int64) @ (1 << np.arange(m, dtype=np.int64))
+    out = [(tuple(candidates[k] for k in range(n) if mask >> k & 1), int(u))
+           for mask, u in zip(families[keep].tolist(), unions[keep].tolist())]
+    out.sort(key=lambda vu: (-bin(vu[1]).count("1"), _lex_key(vu[0])))
+    if n <= 10:
+        assert out == scan_candidate_collections(candidates, must_contain)
+    return out
+
+
+def scan_candidate_collections(candidates, must_contain):
+    """``reference_candidate_collections`` by a Python scan over every subset
+    mask, one family at a time."""
     out = []
     n = len(candidates)
     for mask in range(1, 1 << n):

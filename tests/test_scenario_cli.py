@@ -1,6 +1,7 @@
 """Tests for scenario files, presets, and the CLI harness."""
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -120,6 +121,116 @@ class TestSchema:
         doc["schema_version"] = 99
         with pytest.raises(ValueError):
             scenario_from_dict(doc)
+
+
+# (preset, field path, malformed value): each must be refused at load, not
+# cast, clamped or ignored
+MALFORMED = [
+    ("three_sensor", "m", 3.0),
+    ("three_sensor", "alphabet_sizes", [2, 2, 2.5]),
+    ("three_sensor", "trials", 2.7),
+    ("three_sensor", "seed", 5.9),
+    ("three_sensor", "variable_rate.n", 12.5),
+    ("three_sensor", "variable_rate.n", True),
+    ("three_sensor", "variable_rate.rounds", 3.9),
+    ("three_sensor", "variable_rate.c_subcodebooks", 7.5),
+    ("three_sensor", "variable_rate.alpha", 0.0),
+    ("three_sensor", "variable_rate.alpha", 2.0),
+    ("three_sensor", "variable_rate.eps", math.nan),
+    ("fixed_rate_randomized", "fixed_rate.n", 14.5),
+    ("fixed_rate_randomized", "fixed_rate.c_subcodebooks", 8.7),
+    ("fixed_rate_randomized", "fixed_rate.eps_decode", -1.0),
+    ("fixed_rate_randomized", "fixed_rate.plurality", "no"),
+    ("fixed_rate_randomized", "fixed_rate.rates", [1.4, math.inf, 1.4]),
+    ("three_sensor", "true_honest", [1.0, 2]),
+    ("three_sensor", "true_honest", [0, 0, 1]),
+    ("three_sensor", "true_honest", [1, 0]),
+    ("fixed_rate_demo", "strategy.target_set", [1, 1]),
+    ("three_sensor", "true_channel", 0.5),
+    ("independent_coding", "honest_collection.threshold_t", 1.5),
+    ("three_sensor", "honest_collection.sets", [[0, 1], [0, 5], [1, 2]]),
+    ("three_sensor", "honest_collection.sets", [[0, 1], [0, 2], [1, 2], []]),
+    ("three_sensor", "honest_collection.sets", [[0, 1], [0, 2], [1, 2, 2]]),
+    ("three_sensor", "comment", "an unknown top-level field"),
+    ("three_sensor", "variable_rate.c_subcodebook", 8),
+]
+
+
+@pytest.mark.parametrize("preset, path, value", MALFORMED,
+                         ids=[f"{path}={value!r}" for _preset, path, value in MALFORMED])
+def test_malformed_field_refused_at_load(preset, path, value):
+    doc = PRESETS[preset]()
+    *sections, key = path.split(".")
+    target = doc
+    for name in sections:
+        target = target[name]
+    target[key] = value
+    with pytest.raises(ValueError) as refusal:
+        scenario_from_dict(json.loads(canonical_dumps(doc)))
+    assert str(refusal.value).startswith(path)
+
+
+@pytest.mark.parametrize("keys", [("0", "1", "0,1", "1,0"), ("0", "1", "0,0"), ("00", "1")])
+def test_channel_keys_name_one_sensor_set_each(keys):
+    # "0,1" and "1,0" would name one candidate, and one of their table lists
+    # would be dropped
+    doc = imperfect_toy_doc()
+    rows = doc["true_channel"]
+    doc["info_model"]["channels"] = {key: [rows] for key in keys}
+    with pytest.raises(ValueError) as refusal:
+        scenario_from_dict(doc)
+    assert str(refusal.value).startswith("info_model.channels")
+
+
+def test_document_is_the_one_source_of_truth():
+    from dataclasses import FrozenInstanceError, replace
+    scn = preset_scenario("three_sensor")
+    scn.region()
+    with pytest.raises(ValueError, match="init=False"):
+        replace(scn, trials=5)      # a field read from the document cannot drift from it
+    with pytest.raises(FrozenInstanceError):
+        scn.trials = 5
+    doc = scenario_to_dict(scn)
+    doc["trials"] = 5
+    doc["pmf"] = PRESETS["independent_coding"]()["pmf"]
+    changed = replace(scn, doc=doc)
+    assert changed.trials == 5 and scenario_to_dict(changed)["trials"] == 5
+    assert changed.region().r_star != scn.region().r_star     # not the old region
+    assert scenario_to_dict(scn)["trials"] == 100
+    with pytest.raises(ValueError, match="^trials"):
+        replace(scn, doc={**doc, "trials": 2.7})    # the replaced document is checked
+
+
+def benchmark_shaped_docs() -> list[dict]:
+    """Documents shaped like the benchmark's (perfbench/run.py): threshold
+    laws with only the required fields, and the imperfect-information toy."""
+    rng = np.random.default_rng(5)
+    docs = [{"schema_version": 1, "m": m, "alphabet_sizes": [2] * m,
+             "pmf": rng.dirichlet(np.ones(2 ** m)).reshape((2,) * m).tolist(),
+             "honest_collection": {"threshold_t": t}, "info_model": "perfect",
+             "true_honest": list(range(m - t)), "true_channel": "perfect", "seed": 7 * m + t}
+            for m, t in ((3, 1), (4, 2), (5, 3))]
+    rows = [[[1.0], [1.0]], [[1.0], [1.0]]]
+    docs.append({"schema_version": 1, "m": 2, "alphabet_sizes": [2, 2],
+                 "pmf": [[0.4, 0.2], [0.1, 0.3]], "honest_collection": {"sets": [[0], [1]]},
+                 "info_model": {"channels": {"0": [rows], "1": [rows]}},
+                 "true_honest": [0], "true_channel": rows, "seed": 3})
+    return docs
+
+
+@pytest.mark.parametrize("doc", benchmark_shaped_docs(), ids=["m3t1", "m4t2", "m5t3", "toy"])
+def test_round_trip_fills_defaults(doc):
+    given = json.loads(canonical_dumps(doc))
+    scn = scenario_from_dict(given)
+    filled = scenario_to_dict(scn)
+    assert filled == {**doc, "strategy": None, "variable_rate": None, "fixed_rate": None,
+                      "trials": 1}
+    text = canonical_dumps(filled)
+    assert canonical_dumps(scenario_to_dict(scenario_from_dict(json.loads(text)))) == text
+    # the kept document shares nothing with the caller's or with a returned copy
+    given["true_honest"].append(1)
+    filled["pmf"][0][0] = 2.0
+    assert canonical_dumps(scenario_to_dict(scn)) == text
 
 
 class TestRunners:
@@ -509,6 +620,35 @@ class TestTrialChecks:
         doc["true_honest"] = [0, 1, 2]
         doc["honest_collection"] = {"sets": [[0, 1, 2]]}
         assert scenario_from_dict(doc).strategy_kind is None     # no traitors: loads
+
+    @pytest.mark.parametrize("case, message", [
+        ("q_bar for three binary symbols", "strategy.q_bar"),
+        ("unnormalized q_bar", "sum to 1"),
+        ("optimal q_bar under imperfect information", "perfect information")])
+    def test_unbuildable_strategy_refused_before_any_trial(self, tmp_path, capsys,
+                                                           monkeypatch, case, message):
+        # every trial would be the same error row, and attack-demo would exit 0
+        def no_trials(*args):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(byzsw.cli, "_run_trials", no_trials)
+        if case.startswith("optimal"):
+            doc = imperfect_toy_doc()
+            doc["strategy"] = {"kind": "fake_distribution", "q_bar": "optimal",
+                               "target_set": None}
+        else:       # three_sensor has one binary traitor
+            doc = PRESETS["three_sensor"]()
+            doc["strategy"]["q_bar"] = [[0.5, 0.3, 0.2]] if "three" in case else [[0.7, 0.7]]
+        scenario_from_dict(doc)         # loads: region can still read it
+        path = tmp_path / "scenario_in.json"
+        path.write_text(canonical_dumps(doc))
+        out = tmp_path / "out"
+        assert main(["attack-demo", "--scenario", str(path), "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+        assert not out.exists()
 
     def test_variable_rate_traitors_without_strategy_load(self):
         # a variable-rate session lets strategy-less traitors behave honestly

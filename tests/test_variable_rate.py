@@ -533,12 +533,12 @@ class TestSequentialOracle:
             yield got
 
     def _three_sensor(self, strategy_kind, seeds, rounds=50):
-        from byzsw.scenario import preset_scenario
-        from dataclasses import replace
+        from byzsw.scenario import PRESETS, scenario_from_dict
         from byzsw.source_model import derive_seed
-        scn = preset_scenario("three_sensor")
-        scn = replace(scn, strategy_kind=strategy_kind,
-                      vr=replace(scn.vr, rounds=rounds))
+        doc = PRESETS["three_sensor"]()
+        doc["strategy"]["kind"] = strategy_kind
+        doc["variable_rate"]["rounds"] = rounds
+        scn = scenario_from_dict(doc)
         return list(self._both(
             scn.p, scn.collection, scn.info_model, scn.honest_true, None,
             scn.build_strategy, scn.vr,
