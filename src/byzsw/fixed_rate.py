@@ -2,8 +2,10 @@
 
 Every sensor sends a single bin index at its fixed rate (randomized coding
 prepends a uniformly chosen subcodebook index), read from the bins of its
-whole sequence space, hashed once per code (``FixedRateCode.space_bins``)
-and shared by the encoder, the decoder and the ambiguity attack. A block is
+whole sequence space, which the whole-space kernel hashes once per key of a
+code (``FixedRateCode.space_bins``); the encoder, the decoder and the
+ambiguity attack share those bins. A code whose n * rate exceeds 32 for some
+sensor, past the kernels' 2^32 bins, is refused at construction. A block is
 an (m, n) int64 array. Traitors play round 0 of the variable-rate session's
 protocol (``encode_all``): a traitor that reports no block sends block 0
 of its ``respond`` chain.
@@ -11,8 +13,9 @@ The decoder runs one Slepian-Wolf style search per candidate honest set S:
 it enumerates the sequences matching each received bin and keeps the
 lexicographically least jointly typical tuple, or null when none exists. The
 search types a block of candidate tuples with one ``bincount`` and checks
-its winner with ``eta_ball_contains``, and one kernel call rechecks that
-every estimate lies in the bin received. Per-sensor final estimates are
+its winner with ``eta_ball_contains``, and one call of the row kernel
+(``hash_rows``) rechecks that every estimate lies in the bin received, each
+estimate read under its own sender's key. Per-sensor final estimates are
 reconciled across candidate sets by a deterministic preference order
 (largest candidate set first, then optional plurality voting, then
 lexicographic set order); disagreements between non-null estimates are
@@ -38,7 +41,7 @@ from .binning import (
     all_sequences,
     bin_count_for_rate,
     fixed_rate_header,
-    hash_bins,
+    hash_rows,
     space_bins,
 )
 from .prob_core import (
@@ -79,8 +82,8 @@ class FixedRateCode:
         # the whole-space bins of each (sensor, alphabet, c) key, filled by
         # space_bins(); not a field, so it takes no part in equality or repr
         object.__setattr__(self, "_space", {})
-        if any(r < 0 for r in self.rates):
-            raise ValueError("rates must be nonnegative")
+        for r in self.rates:
+            bin_count_for_rate(self.n, r)    # refuses a negative rate or past 2^32 bins
         if self.kind not in ("deterministic", "randomized"):
             raise ValueError(f"unknown kind {self.kind!r}")
         # C >= 2 is what gives randomized coding its power; C = 1 is legal and
@@ -104,8 +107,8 @@ class FixedRateCode:
         key = (i, alphabet, c)
         bins = self._space.get(key)
         if bins is None:
-            bins = space_bins(self.seed, fixed_rate_header(i, c), alphabet, self.n,
-                              bin_count_for_rate(self.n, self.rates[i]))
+            bins = space_bins(self.seed, [fixed_rate_header(i, c)], alphabet, self.n,
+                              [bin_count_for_rate(self.n, self.rates[i])])[0]
             bins.setflags(write=False)
             self._space[key] = bins
         return bins
@@ -205,12 +208,14 @@ def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
                for S in H.candidates}
     # bin-membership recheck: never emit an estimate inconsistent with what
     # was actually received. One kernel call bins every decoded row under
-    # every sender's key; row r is read under its own sensor's key.
+    # every sender's key, one row of bins per sender (its header repeated, so
+    # derived once); row r is read under its own sensor's key.
     decoded = [(i, seq) for S, tup in per_set.items() if tup is not None
                for i, seq in zip(S, tup)]
     if decoded:
         senders = sorted({i for i, _ in decoded})
-        bins = hash_bins(code.seed, [fixed_rate_header(i, messages[i][0]) for i in senders],
+        bins = hash_rows(code.seed,
+                         [[fixed_rate_header(i, messages[i][0])] * len(decoded) for i in senders],
                          np.stack([seq for _, seq in decoded]),
                          [bin_count_for_rate(code.n, code.rates[i]) for i in senders])
         got = bins[[senders.index(i) for i, _ in decoded], np.arange(len(decoded))]

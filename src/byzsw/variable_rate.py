@@ -71,7 +71,7 @@ from typing import Sequence
 import numpy as np
 
 from .adversary import TraitorContext, TraitorStrategy
-from .binning import BinningCodebook, _check_space, all_sequences
+from .binning import BinningCodebook, _check_space, all_sequences, bin_count_for_rate
 from .prob_core import (
     ConditionalPMF,
     JointPMF,
@@ -92,7 +92,8 @@ class ProtocolParams:
     default nu = 5.5*eps also covers the imperfect-information requirement
     nu > 5*eps. eta >= eps with eta -> 0 as eps -> 0; default eta = 2*eps.
     C defaults to the analysis bound ceil(3*N*m*B / alpha) with
-    B = ceil(log2|X_M| / (nu - eps)), capped at 1024 for desk scale."""
+    B = ceil(log2|X_M| / (nu - eps)), capped at 1024 for desk scale. Block
+    0's n*(eps+nu) bits must fit the binning kernels' 2^32 bins."""
 
     n: int
     rounds: int
@@ -111,6 +112,7 @@ class ProtocolParams:
             raise ValueError("nu must exceed eps")
         if self.eta_value < self.eps:
             raise ValueError("eta must be at least eps")
+        bin_count_for_rate(self.n, self.eps + self.nu_value)    # block 0 within 2^32 bins
 
     @property
     def nu_value(self) -> float:

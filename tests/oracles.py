@@ -30,7 +30,7 @@ from byzsw.binning import (
     bin_count_for_rate,
     fixed_rate_encode,
     fixed_rate_header,
-    hash_bins,
+    hash_rows,
 )
 from byzsw.prob_core import (
     JointPMF,
@@ -523,8 +523,8 @@ def reference_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
         stride //= size
         syms = flat // stride % size
         truth_bin = fixed_rate_encode(code.seed, i, true_block[i], code.rates[i], 0)
-        match &= hash_bins(code.seed, fixed_rate_header(i, 0), syms,
-                           bin_count_for_rate(n, code.rates[i])) == truth_bin
+        match &= hash_rows(code.seed, [[fixed_rate_header(i, 0)] * len(syms)], syms,
+                           [bin_count_for_rate(n, code.rates[i])])[0] == truth_bin
 
     for k in keep[match][:max_attempts]:
         cand_syms = np.stack(np.unravel_index(cands[k].astype(np.int64),
@@ -595,7 +595,7 @@ def sequential_decode_phase(cb, prior, sizes, c: int, eps: float, next_message):
             received.append(int(next_message(j)))
             if matched.any():
                 if later is None:
-                    later = cb.encode_blocks(rows, c, range(1, cb.J))
+                    later = cb.encode_rows(rows, [c] * len(rows), range(1, cb.J))
                 matched &= later[j - 1] == received[j]
         hit = np.nonzero(matched & (cond_h <= (j + 1) * eps + 1e-12))[0]
         if hit.size:
@@ -687,7 +687,7 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
                 bins = [cb.bin_count(j) for j in range(cb.J)]
                 chain = strategy.respond(ctx, [I], i, bins)[:, 0]
             else:
-                chain = cb.encode_blocks(np.asarray(sent)[None], c, range(cb.J))[:, 0]
+                chain = cb.encode_rows(np.asarray(sent)[None], [c], range(cb.J))[:, 0]
             sender = chain.__getitem__
             est, j_used, received, forced = sequential_decode_phase(
                 cb, prior, sizes, c, params.eps, sender)

@@ -1,11 +1,13 @@
 """Tests for the hashed random-binning codebooks."""
 import math
 import struct
+from hashlib import blake2b
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import byzsw.binning as binning
 from byzsw.binning import (
     BinningCodebook,
     EnumerationGuardError,
@@ -15,7 +17,6 @@ from byzsw.binning import (
     bin_count_for_rate,
     fixed_rate_encode,
     fixed_rate_header,
-    hash_bins,
     hash_rows,
     space_bins,
 )
@@ -28,7 +29,19 @@ def small_codebook(seed=0, eps=0.1, nu=0.15, n=12, C=4) -> BinningCodebook:
                            C=C, master_seed=seed)
 
 
-class TestHashBins:
+def same_header(header: bytes, seqs) -> list[list[bytes]]:
+    """One header row keying every row of ``seqs`` by ``header``."""
+    return [[header] * len(seqs)]
+
+
+def chains(cb: BinningCodebook, seqs, c: int, blocks) -> np.ndarray:
+    """Bins of every row of ``seqs`` under subcodebook c, one row per block
+    in ``blocks``."""
+    seqs = np.asarray(seqs)
+    return cb.encode_rows(seqs, [c] * len(seqs), blocks)
+
+
+class TestHashRows:
     @pytest.mark.parametrize("tag", [0x01, 0x02])
     @pytest.mark.parametrize("seed,sensor,c,j,bins", [
         (0, 0, 0, 0, 7),
@@ -39,106 +52,20 @@ class TestHashBins:
     def test_matches_per_sequence_reference(self, tag, seed, sensor, c, j, bins):
         seqs = all_sequences(2, 10)
         header = struct.pack(">BIII", tag, sensor, c, j)
-        got = hash_bins(seed, header, seqs, bins)
-        assert got.dtype == np.int64 and got.shape == (len(seqs),)
-        assert got.tolist() == [reference_bin(seed, header, s, bins) for s in seqs]
+        got = hash_rows(seed, same_header(header, seqs), seqs, [bins])
+        assert got.dtype == np.int64 and got.shape == (1, len(seqs))
+        assert got[0].tolist() == [reference_bin(seed, header, s, bins) for s in seqs]
 
     @pytest.mark.parametrize("n", [1, 7, 8, 9, 16, 17, 24])
     def test_matches_reference_across_word_boundaries(self, n):
         # rows shorter than, equal to and longer than whole 8-byte words
         seqs = np.random.default_rng(n).integers(0, 256, size=(64, n), dtype=np.uint8)
         header = struct.pack(">BIII", 0x01, 5, 3, 2)
-        got = hash_bins(99, header, seqs, 1000003)
+        got = hash_rows(99, same_header(header, seqs), seqs, [1000003])[0]
         assert got.tolist() == [reference_bin(99, header, s, 1000003) for s in seqs]
 
-    def test_scalar_wrappers_agree_with_kernel(self):
-        cb = small_codebook(seed=9)
-        seqs = all_sequences(2, 12)[::37]
-        for c, j in ((0, 0), (3, 1), (2, cb.J - 1)):
-            assert (cb.encode_blocks(seqs, c, [j])[0].tolist()
-                    == [cb.encode_block(x, c, j) for x in seqs])
-        bins = bin_count_for_rate(12, 0.9)
-        assert (hash_bins(4, fixed_rate_header(1, 5), seqs, bins).tolist()
-                == [fixed_rate_encode(4, 1, x, 0.9, 5) for x in seqs])
-
-    def test_bin_count_must_fit_int64(self):
-        seqs = all_sequences(2, 4)
-        for bins in (0, 2 ** 63):
-            with pytest.raises(ValueError):
-                hash_bins(0, b"", seqs, bins)
-
-    def test_bin_count_capped_at_2_32(self):
-        seqs = all_sequences(2, 4)
-        assert hash_bins(0, b"", seqs, 2 ** 32).max() < 2 ** 32
-        with pytest.raises(ValueError):
-            hash_bins(0, b"", seqs, 2 ** 32 + 1)
-
-    def test_symbols_must_fit_a_byte(self):
-        with pytest.raises(ValueError):
-            hash_bins(0, b"", np.array([[0, 256]]), 4)
-        with pytest.raises(ValueError):
-            hash_bins(0, b"", np.array([0, 1]), 4)
-
-
-class TestHeaderAxis:
-    """A call with a header axis is the single-header calls stacked, bit for
-    bit."""
-
     @pytest.mark.parametrize("n", [5, 8, 12, 17])
-    def test_matches_single_header_calls(self, n):
-        rng = np.random.default_rng(n)
-        seqs = rng.integers(0, 3, size=(200, n), dtype=np.uint8)
-        headers = [struct.pack(">BIII", 0x01, 2, c, j) for c in (0, 7) for j in range(4)]
-        bins = [1, 2, 1000003, 2 ** 32 - 1, 2 ** 32, 7, 2 ** 31 + 5, 2 ** 32]
-        seed = (1 << 64) + 3 * n
-        got = hash_bins(seed, headers, seqs, bins)
-        assert got.dtype == np.int64 and got.shape == (len(headers), len(seqs))
-        want = np.stack([hash_bins(seed, hd, seqs, b) for hd, b in zip(headers, bins)])
-        assert np.array_equal(got, want)
-        assert got[4].tolist() == [reference_bin(seed, headers[4], x, bins[4]) for x in seqs]
-
-    def test_empty_rows_and_headers(self):
-        seqs = np.zeros((0, 6), dtype=np.uint8)
-        assert hash_bins(1, [b"a", b"b"], seqs, [3, 4]).shape == (2, 0)
-        assert hash_bins(1, [], all_sequences(2, 4), []).shape == (0, 16)
-
-    def test_checks_fire_on_every_header(self):
-        seqs = all_sequences(2, 4)
-        for bins in ([4, 0], [2 ** 32 + 1, 4], [4, 2 ** 63]):
-            with pytest.raises(ValueError):
-                hash_bins(0, [b"a", b"b"], seqs, bins)
-        with pytest.raises(ValueError):
-            hash_bins(0, [b"a", b"b"], seqs, [4])
-        with pytest.raises(ValueError):
-            hash_bins(0, [b"a"], np.array([[0, 256]]), [4])
-        with pytest.raises(ValueError):
-            hash_bins(0, [b"a"], np.array([0, 1]), [4])
-
-    @pytest.mark.parametrize("eps,nu,n", [(0.1, 0.15, 12), (0.35, 1.925, 12), (0.3, 0.5, 17)])
-    def test_chain_matches_block_by_block(self, eps, nu, n):
-        cb = BinningCodebook(sensor_id=3, n=n, alphabet_size=2, eps=eps, nu=nu,
-                             C=5, master_seed=2 ** 63 + n)
-        rng = np.random.default_rng(n)
-        for c in range(cb.C):
-            x = rng.integers(0, 2, n)
-            chain = cb.encode_blocks(x[None], c, range(cb.J))
-            assert chain.shape == (cb.J, 1)
-            assert chain[:, 0].tolist() == [cb.encode_block(x, c, j) for j in range(cb.J)]
-
-    def test_chain_checks_subcodebook_and_length(self):
-        cb = small_codebook()
-        with pytest.raises(ValueError):
-            cb.encode_blocks(np.zeros((1, 12), dtype=int), cb.C, range(cb.J))
-        with pytest.raises(ValueError):
-            cb.encode_blocks(np.zeros((1, 5), dtype=int), 0, range(cb.J))
-
-
-class TestPerRowHeaders:
-    """A call with one header per row is the one-row calls side by side, bit
-    for bit."""
-
-    @pytest.mark.parametrize("n", [5, 8, 12, 17])
-    def test_matches_one_row_calls(self, n):
+    def test_matches_reference_row_by_row(self, n):
         rng = np.random.default_rng(n)
         seqs = rng.integers(0, 3, size=(30, n), dtype=np.uint8)
         headers = [[struct.pack(">BIII", 0x01, 2, int(c), j) for c in rng.integers(0, 9, 30)]
@@ -150,61 +77,144 @@ class TestPerRowHeaders:
         assert got.tolist() == [[reference_bin(seed, hd, x, b) for hd, x in zip(row, seqs)]
                                 for row, b in zip(headers, bins)]
 
-    def test_checks(self):
-        seqs = all_sequences(2, 3)
+    @pytest.mark.parametrize("n", [5, 8, 12, 17])
+    def test_repeated_headers_derive_each_key_once(self, n, monkeypatch):
+        derived = []
+
+        def counted(data, **kw):
+            derived.append(data)
+            return blake2b(data, **kw)
+
+        monkeypatch.setattr(binning, "blake2b", counted)
+        rng = np.random.default_rng(n)
+        seqs = rng.integers(0, 3, size=(200, n), dtype=np.uint8)
+        pool = [struct.pack(">BIII", 0x01, 2, c, j) for c in (0, 7) for j in range(4)]
+        # one header row per pool header, repeated over every row, and one
+        # mixing them row by row
+        headers = ([[hd] * len(seqs) for hd in pool]
+                   + [[pool[int(k)] for k in rng.integers(0, len(pool), len(seqs))]])
+        bins = [1, 2, 1000003, 2 ** 32 - 1, 2 ** 32, 7, 2 ** 31 + 5, 2 ** 32, 1000003]
+        seed = (1 << 64) + 3 * n
+        got = hash_rows(seed, headers, seqs, bins)
+        assert sorted(derived) == sorted(pool)
+        assert got.shape == (len(headers), len(seqs))
+        assert got.tolist() == [[reference_bin(seed, hd, x, b) for hd, x in zip(row, seqs)]
+                                for row, b in zip(headers, bins)]
+
+    def test_scalar_wrappers_agree_with_kernel(self):
+        cb = small_codebook(seed=9)
+        seqs = all_sequences(2, 12)[::37]
+        for c, j in ((0, 0), (3, 1), (2, cb.J - 1)):
+            assert (chains(cb, seqs, c, [j])[0].tolist()
+                    == [cb.encode_block(x, c, j) for x in seqs])
+        bins = bin_count_for_rate(12, 0.9)
+        assert (hash_rows(4, same_header(fixed_rate_header(1, 5), seqs), seqs, [bins])[0].tolist()
+                == [fixed_rate_encode(4, 1, x, 0.9, 5) for x in seqs])
+
+    def test_bin_count_must_fit_int64(self):
+        seqs = all_sequences(2, 4)
+        for bins in (0, 2 ** 63):
+            with pytest.raises(ValueError):
+                hash_rows(0, same_header(b"", seqs), seqs, [bins])
+
+    def test_bin_count_capped_at_2_32(self):
+        seqs = all_sequences(2, 4)
+        assert hash_rows(0, same_header(b"", seqs), seqs, [2 ** 32]).max() < 2 ** 32
         with pytest.raises(ValueError):
-            hash_rows(0, [[b"a"] * 8], seqs, [2 ** 32 + 1])
+            hash_rows(0, same_header(b"", seqs), seqs, [2 ** 32 + 1])
+
+    def test_symbols_must_fit_a_byte(self):
+        with pytest.raises(ValueError):
+            hash_rows(0, [[b""]], np.array([[0, 256]]), [4])
+        with pytest.raises(ValueError):
+            hash_rows(0, [[b""] * 2], np.array([0, 1]), [4])     # 1-D input
+
+    def test_empty_rows_and_headers(self):
+        seqs = np.zeros((0, 6), dtype=np.uint8)
+        assert hash_rows(1, [[], []], seqs, [3, 4]).shape == (2, 0)
+        assert hash_rows(1, [], all_sequences(2, 4), []).shape == (0, 16)
+
+    def test_checks_fire_on_every_header_row(self):
+        seqs = all_sequences(2, 3)
+        two = [[b"a"] * 8, [b"b"] * 8]
+        for bins in ([4, 0], [2 ** 32 + 1, 4], [4, 2 ** 63]):
+            with pytest.raises(ValueError):
+                hash_rows(0, two, seqs, bins)
+        with pytest.raises(ValueError):
+            hash_rows(0, two, seqs, [4])
         with pytest.raises(ValueError):
             hash_rows(0, [[b"a"] * 7], seqs, [4])
         with pytest.raises(ValueError):
-            hash_rows(0, [[b"a"] * 8], seqs, [4, 4])
-        with pytest.raises(ValueError):
-            hash_rows(0, [[b"a"]], np.array([[0, 256]]), [4])
+            hash_rows(0, [[b"a"] * 8, [b"b"] * 7], seqs, [4, 4])
 
-    def test_codebook_rows_match_chains(self):
+
+class TestCodebookRows:
+    """``encode_rows`` keys each row by its own subcodebook, block by block."""
+
+    @pytest.mark.parametrize("eps,nu,n", [(0.1, 0.15, 12), (0.35, 1.925, 12), (0.3, 0.5, 17)])
+    def test_chain_matches_block_by_block(self, eps, nu, n):
+        cb = BinningCodebook(sensor_id=3, n=n, alphabet_size=2, eps=eps, nu=nu,
+                             C=5, master_seed=2 ** 63 + n)
+        rng = np.random.default_rng(n)
+        for c in range(cb.C):
+            x = rng.integers(0, 2, n)
+            chain = cb.encode_rows(x[None], [c], range(cb.J))
+            assert chain.shape == (cb.J, 1)
+            assert chain[:, 0].tolist() == [cb.encode_block(x, c, j) for j in range(cb.J)]
+            assert chain[:, 0].tolist() == [reference_bin(cb.master_seed, cb._header(c, j), x,
+                                                          cb.bin_count(j))
+                                            for j in range(cb.J)]
+
+    def test_rows_match_reference(self):
         cb = small_codebook(seed=17, eps=0.35, nu=1.0)
         rng = np.random.default_rng(17)
         seqs = rng.integers(0, 2, (10, 12))
         cs = [int(c) for c in rng.integers(0, cb.C, 10)]
         got = cb.encode_rows(seqs, cs, range(cb.J))
-        assert np.array_equal(got, np.stack([cb.encode_blocks(x[None], c, range(cb.J))[:, 0]
-                                             for x, c in zip(seqs, cs)], axis=1))
+        assert got.tolist() == [[reference_bin(17, cb._header(c, j), x, cb.bin_count(j))
+                                 for x, c in zip(seqs, cs)] for j in range(cb.J)]
         assert np.array_equal(cb.encode_rows(seqs, cs, [2, 0]), got[[2, 0]])
-        for bad_cs, blocks in ((cs[:-1] + [cb.C], [0]), (cs, [cb.J]), (cs[:-1], [0])):
+
+    def test_checks_subcodebook_block_and_length(self):
+        cb = small_codebook()
+        seqs = np.zeros((3, 12), dtype=int)
+        for bad_cs, blocks in (([0, 1, cb.C], [0]), ([0, 1, 2], [cb.J]), ([0, 1], [0])):
             with pytest.raises(ValueError):
                 cb.encode_rows(seqs, bad_cs, blocks)
+        with pytest.raises(ValueError):
+            cb.encode_rows(np.zeros((1, 5), dtype=int), [0], range(cb.J))
 
 
 class TestSpaceBins:
-    """The whole-space entry, fed from the cached native words, equals
-    ``hash_bins`` over ``all_sequences`` bit for bit."""
+    """The whole-space kernel, fed from the cached native words, equals
+    ``hash_rows`` over ``all_sequences`` bit for bit."""
 
     BINS = [1, 2, 7, 1000003, 2 ** 31 + 5, 2 ** 32 - 1, 2 ** 32]
 
     @pytest.mark.parametrize("alphabet,n", [(2, 1), (2, 7), (2, 8), (2, 9), (2, 16), (2, 17),
                                             (3, 1), (3, 7), (3, 8), (3, 9)])
-    def test_matches_hash_bins_over_all_sequences(self, alphabet, n):
+    def test_matches_hash_rows_over_all_sequences(self, alphabet, n):
         seqs = all_sequences(alphabet, n)
         headers = [struct.pack(">BIII", 0x01, 4, c, j) for c, j in zip(range(7), (0, 1) * 4)]
         seed = (1 << 64) + 7 * n + alphabet
         got = space_bins(seed, headers, alphabet, n, self.BINS)
         assert got.dtype == np.int64 and got.shape == (len(headers), len(seqs))
-        assert np.array_equal(got, hash_bins(seed, headers, seqs, self.BINS))
-        for hd, b in zip(headers, self.BINS):
-            assert np.array_equal(space_bins(seed, hd, alphabet, n, b),
-                                  hash_bins(seed, hd, seqs, b))
+        assert np.array_equal(got, hash_rows(seed, [[hd] * len(seqs) for hd in headers],
+                                             seqs, self.BINS))
+        for row, hd, b in zip(got, headers, self.BINS):
+            assert np.array_equal(space_bins(seed, [hd], alphabet, n, [b])[0], row)
 
     @pytest.mark.parametrize("alphabet,n", [(3, 16), (3, 17)])
     def test_guard_as_for_all_sequences(self, alphabet, n):
         with pytest.raises(EnumerationGuardError):
             all_sequences(alphabet, n)
         with pytest.raises(EnumerationGuardError):
-            space_bins(0, b"", alphabet, n, 4)
+            space_bins(0, [b""], alphabet, n, [4])
 
     def test_word_table_cached_read_only_and_untouched(self):
         words = _chunk_words(2, 8)
         before = words.copy()
-        space_bins(5, b"x", 2, 12, 1000)
+        space_bins(5, [b"x"], 2, 12, [1000])
         assert _chunk_words(2, 8) is words
         assert not words.flags.writeable
         with pytest.raises(ValueError):
@@ -213,22 +223,23 @@ class TestSpaceBins:
         assert words.shape == (2 ** 8,) and words.dtype == np.uint64
 
     @pytest.mark.parametrize("alphabet,n", [(3, 13), (2, 20)])
-    def test_matches_hash_bins_at_large_spaces(self, alphabet, n):
+    def test_matches_hash_rows_at_large_spaces(self, alphabet, n):
         # three word chunks at binary n = 20; a short last chunk at ternary
         # n = 13. The rows are built uncached, so the test keeps no 2^20 table.
         seqs = all_sequences.__wrapped__(alphabet, n)
         headers = [fixed_rate_header(1, 0), fixed_rate_header(2, 5)]
         bins = [2 ** 32, 1000003]
         assert np.array_equal(space_bins(3 * n, headers, alphabet, n, bins),
-                              hash_bins(3 * n, headers, seqs, bins))
+                              hash_rows(3 * n, [[hd] * len(seqs) for hd in headers],
+                                        seqs, bins))
 
-    def test_bin_count_outside_range_rejected_like_hash_bins(self):
+    def test_bin_count_outside_range_rejected_like_hash_rows(self):
         seqs = all_sequences(2, 4)
         for bins in (0, 2 ** 32 + 1, 2 ** 63):
             with pytest.raises(ValueError) as want:
-                hash_bins(0, b"", seqs, bins)
+                hash_rows(0, same_header(b"", seqs), seqs, [bins])
             with pytest.raises(ValueError) as got:
-                space_bins(0, b"", 2, 4, bins)
+                space_bins(0, [b""], 2, 4, [bins])
             assert str(got.value) == str(want.value)
             with pytest.raises(ValueError):
                 space_bins(0, [b"a", b"b"], 2, 4, [4, bins])
@@ -237,7 +248,7 @@ class TestSpaceBins:
         cb = small_codebook(seed=21)
         seqs = all_sequences(2, 12)
         for c, j in ((0, 0), (3, 1), (1, cb.J - 1)):
-            assert np.array_equal(cb.encode_space([c], j), cb.encode_blocks(seqs, c, [j]))
+            assert np.array_equal(cb.encode_space([c], j), chains(cb, seqs, c, [j]))
         with pytest.raises(ValueError):
             cb.encode_space([cb.C], 0)
         with pytest.raises(ValueError):
@@ -247,7 +258,8 @@ class TestSpaceBins:
                               np.stack([cb.encode_space([c], 1)[0] for c in (2, 0, 2)]))
         with pytest.raises(ValueError):
             cb.encode_space([0, cb.C], 0)
-        bins = hash_bins(8, fixed_rate_header(2, 3), seqs, bin_count_for_rate(12, 0.5))
+        bins = hash_rows(8, same_header(fixed_rate_header(2, 3), seqs), seqs,
+                         [bin_count_for_rate(12, 0.5)])[0]
         code = FixedRateCode(rates=(1.0, 1.0, 0.5), n=12, kind="randomized", C=4, seed=8)
         got = code.space_bins(2, 2, 3)
         assert np.array_equal(got, bins)
@@ -255,7 +267,7 @@ class TestSpaceBins:
 
 
 class TestReduction:
-    """The reduction of the mixing core equals ``%``, on short rows and on
+    """The reduction the kernels share equals ``%``, on short rows and on
     long ones (floor division, a block of columns at a time)."""
 
     @pytest.mark.parametrize("width", [5, 2 ** 14 + 7])
@@ -319,7 +331,7 @@ class TestEncodeBlock:
         seqs = all_sequences(2, 12)
         for seed in range(100):
             cb = small_codebook(seed=seed)
-            idx = cb.encode_blocks(seqs, 0, [0])[0]
+            idx = chains(cb, seqs, 0, [0])[0]
             counts = np.bincount(idx, minlength=cb.bin_count(0))
             p_value = stats.chisquare(counts).pvalue
             passed += p_value > 0.001
@@ -337,7 +349,7 @@ def matching_rows(cb: BinningCodebook, seqs, c: int, sent) -> np.ndarray:
     0..len(sent)-1 equal ``sent``, in row order: what a decoder keeps after
     those blocks."""
     seqs = np.asarray(seqs)
-    bins = cb.encode_blocks(seqs, c, range(len(sent)))
+    bins = chains(cb, seqs, c, range(len(sent)))
     return seqs[(bins == np.asarray(sent)[:, None]).all(axis=0)]
 
 
@@ -345,7 +357,7 @@ class TestComposite:
     def test_single_block_chain(self):
         cb = small_codebook()
         x = np.array([1] * 12)
-        chain = cb.encode_blocks(x[None], 2, range(cb.J))[:, 0]
+        chain = chains(cb, x[None], 2, range(cb.J))[:, 0]
         assert chain.shape == (cb.J,)
         assert chain[0] == cb.encode_block(x, 2, 0)
 
@@ -356,8 +368,8 @@ class TestComposite:
             x = rng.integers(0, 2, size=12)
             c = int(rng.integers(0, cb.C))
             j = int(rng.integers(0, cb.J - 1))
-            a = cb.encode_blocks(x[None], c, range(j + 1))[:, 0]
-            b = cb.encode_blocks(x[None], c, range(j + 2))[:, 0]
+            a = chains(cb, x[None], c, range(j + 1))[:, 0]
+            b = chains(cb, x[None], c, range(j + 2))[:, 0]
             assert list(b[:j + 1]) == list(a)
             assert list(b) == [cb.encode_block(x, c, k) for k in range(j + 2)]
 
@@ -374,7 +386,7 @@ class TestComposite:
         x, y = pairs[:, 0], pairs[:, 1]
         same_chain = np.any(x != y, axis=1)
         for k in range(j + 1):
-            same_chain &= cb.encode_blocks(x, 0, [k])[0] == cb.encode_blocks(y, 0, [k])[0]
+            same_chain &= chains(cb, x, 0, [k])[0] == chains(cb, y, 0, [k])[0]
         hits = int(same_chain.sum())
         freq = hits / trials
         sigma = math.sqrt(nominal * (1 - nominal) / trials)
@@ -393,25 +405,25 @@ class TestComposite:
             pairs = rng.integers(0, 2, size=(8192, 2, 12))
             x, y = pairs[:, 0], pairs[:, 1]
             keep = np.any(x != y, axis=1) & (
-                cb.encode_blocks(x, 0, [j])[0] == cb.encode_blocks(y, 0, [j])[0])
+                chains(cb, x, 0, [j])[0] == chains(cb, y, 0, [j])[0])
             batches.append(pairs[keep])
             found += int(keep.sum())
         colliding = np.concatenate(batches)[:3000]
-        hits = int((cb.encode_blocks(colliding[:, 0], 1, [j])[0]
-                    == cb.encode_blocks(colliding[:, 1], 1, [j])[0]).sum())
+        hits = int((chains(cb, colliding[:, 0], 1, [j])[0]
+                    == chains(cb, colliding[:, 1], 1, [j])[0]).sum())
         freq = hits / len(colliding)
         sigma = math.sqrt(nominal * (1 - nominal) / len(colliding))
         assert abs(freq - nominal) < 3.5 * sigma
 
 
 class TestSearchBin:
-    """A bin search is ``encode_blocks`` over the candidates, compared with
+    """A bin search is ``encode_rows`` over the candidates, compared with
     the first entries of the sender's chain."""
 
     def test_true_sequence_found_iff_chain_matches(self):
         cb = small_codebook()
         x = np.array([0, 1, 1, 0] * 3)
-        chain = cb.encode_blocks(x[None], 0, range(2))[:, 0]
+        chain = chains(cb, x[None], 0, range(2))[:, 0]
         assert [tuple(s) for s in matching_rows(cb, [x], 0, chain)] == [tuple(x)]
         wrong = [(chain[0] + 1) % cb.bin_count(0), chain[1]]
         assert len(matching_rows(cb, [x], 0, wrong)) == 0
@@ -419,13 +431,13 @@ class TestSearchBin:
     def test_empty_candidates(self):
         cb = small_codebook()
         none = np.zeros((0, 12), dtype=np.uint8)
-        assert cb.encode_blocks(none, 0, [0]).shape == (1, 0)
+        assert chains(cb, none, 0, [0]).shape == (1, 0)
         assert len(matching_rows(cb, none, 0, [0])) == 0
 
     def test_results_lexicographic(self):
         cb = small_codebook(eps=0.05, nu=0.05001, n=8)
         seqs = all_sequences(2, 8)
-        chain = cb.encode_blocks(seqs[37:38], 0, [0])[:, 0]
+        chain = chains(cb, seqs[37:38], 0, [0])[:, 0]
         found = matching_rows(cb, seqs, 0, chain)
         keys = [tuple(int(v) for v in s) for s in found]
         assert keys == sorted(keys)
@@ -440,7 +452,7 @@ class TestSearchBin:
             cb = BinningCodebook(0, 12, 2, eps=0.35, nu=0.8, C=2, master_seed=seed)
             truth = rng.integers(0, 2, size=12)
             cands = [truth] + [rng.integers(0, 2, size=12) for _ in range(200)]
-            chain = cb.encode_blocks(truth[None], 0, range(2))[:, 0]  # rate 2*0.35+0.8 = 1.5b/sym
+            chain = chains(cb, truth[None], 0, range(2))[:, 0]  # rate 2*0.35+0.8 = 1.5b/sym
             found = matching_rows(cb, cands, 0, chain)
             wins += (len(found) == 1
                      and np.array_equal(found[0], truth))
@@ -453,7 +465,7 @@ class TestSearchBin:
         seqs = all_sequences(2, 8)
         seen = {}
         for s in seqs:
-            chain = cb.encode_blocks(s[None], 1, range(2))[:, 0]
+            chain = chains(cb, s[None], 1, range(2))[:, 0]
             seen.setdefault(tuple(chain), []).append(tuple(int(v) for v in s))
         total = sum(len(v) for v in seen.values())
         assert total == len(seqs)

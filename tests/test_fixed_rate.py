@@ -17,7 +17,7 @@ from byzsw.binning import (
     all_sequences,
     bin_count_for_rate,
     fixed_rate_header,
-    hash_bins,
+    hash_rows,
 )
 from byzsw.fixed_rate import (
     COMBO_GUARD,
@@ -295,7 +295,7 @@ class TestFirstTypicalOracle:
 
     @pytest.mark.parametrize("kind", ["ambiguity", "garbage"])
     def test_decode_all_per_set_against_the_loop(self, kind):
-        # whole trials, members from hash_bins over the whole space
+        # whole trials, members from hash_rows over the whole space
         p = chain_law()
         h_true = SubsetView.of(1, 2)
         for seed in range(15):
@@ -309,8 +309,8 @@ class TestFirstTypicalOracle:
             seqs = all_sequences(2, 14)
             members = {}
             for i, (c, idx) in msgs.items():
-                bins = hash_bins(code.seed, fixed_rate_header(i, c), seqs,
-                                 bin_count_for_rate(14, code.rates[i]))
+                bins = hash_rows(code.seed, [[fixed_rate_header(i, c)] * len(seqs)], seqs,
+                                 [bin_count_for_rate(14, code.rates[i])])[0]
                 members[i] = seqs[np.flatnonzero(bins == idx)]
             for S in H3.candidates:
                 assert_same_tuple(table.per_set[S.indices],

@@ -24,7 +24,7 @@ import numpy as np
 import pytest
 
 from byzsw import fixed_rate
-from byzsw.binning import all_sequences, bin_count_for_rate, fixed_rate_header, hash_bins
+from byzsw.binning import all_sequences, bin_count_for_rate, fixed_rate_header, hash_rows
 from byzsw.cli import main
 from byzsw.prob_core import SubsetView
 from byzsw.scenario import PRESETS, preset_scenario, scenario_from_dict
@@ -77,8 +77,9 @@ def test_fixed_rate_bin_draws_digest(preset, digest):
     seed = derive_seed(derive_seed(scn.seed, "trial", 0), "fr-code")   # as the "fr" trial mode
     h = hashlib.sha256()
     for i, (alphabet, rate) in enumerate(zip(scn.alphabet_sizes, scn.fr.rates)):
-        bins = hash_bins(seed, fixed_rate_header(i, 0), all_sequences(alphabet, scn.fr.n),
-                         bin_count_for_rate(scn.fr.n, rate))
+        seqs = all_sequences(alphabet, scn.fr.n)
+        bins = hash_rows(seed, [[fixed_rate_header(i, 0)] * len(seqs)], seqs,
+                         [bin_count_for_rate(scn.fr.n, rate)])[0]
         h.update(bins.astype("<i8").tobytes())
     assert h.hexdigest() == digest
 

@@ -6,7 +6,8 @@ from byzsw.scenario import PRESETS, aggregate_rows, canonical_dumps, run_trial
 
 def test_vr_guard_failure_becomes_row():
     doc = PRESETS["two_sensor_baseline"]()
-    doc["variable_rate"].update({"n": 40, "rounds": 1, "c_subcodebooks": 8})
+    # n(eps + nu) = 30 keeps block 0 within the 2^32 bins the load allows
+    doc["variable_rate"].update({"n": 40, "rounds": 1, "c_subcodebooks": 8, "nu": 0.4})
     doc["trials"] = 1
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")

@@ -655,6 +655,21 @@ class TestTrialChecks:
         scn = scenario_from_dict(imperfect_toy_doc())
         assert scn.strategy_kind is None and len(scn.traitors()) == 1
 
+    @pytest.mark.parametrize("preset, section, key, value", [
+        ("fixed_rate_demo", "fixed_rate", "rates", [0.92, 0.75, 3.0]),      # n * R = 42
+        ("fixed_rate_demo", "fixed_rate", "rates", [0.92, 0.75, 200.0]),    # 2.0 ** 2800
+        ("three_sensor", "variable_rate", "nu", 3.0),                       # n(eps + nu) = 40.2
+    ], ids=["rate-3", "rate-200", "nu-3"])
+    def test_bin_count_past_2_32_refused_at_load(self, tmp_path, capsys, preset, section,
+                                                 key, value):
+        # every trial would be the same ValueError or OverflowError row, and
+        # attack-demo would exit 0
+        doc = PRESETS[preset]()
+        doc[section][key] = value
+        with pytest.raises(ValueError, match=r"past the 2\^32 cap"):
+            scenario_from_dict(doc)
+        assert_cli_refuses(tmp_path, capsys, doc, "attack-demo", "past the 2^32 cap")
+
 
 class TestSummaryCounts:
     def test_restore_and_forced_totals_match_rows(self, tmp_path):

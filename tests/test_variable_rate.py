@@ -231,7 +231,7 @@ class TestDecodePhaseOracle:
 
 class TestDecodePhaseBudget:
     """A sensor's phases over a pass at binary n = 12 make at most
-    ceil(R / 4) + 2 calls into the mixing core (one for the senders' chains,
+    ceil(R / 4) + 2 binning kernel calls (one for the senders' chains,
     one per 4 block-0 keys, one for the members' later blocks), whatever
     the number of transactions. A pass whose phases are all forced (no
     sequence in any received block-0 bin) makes no later-block call. From
@@ -246,8 +246,10 @@ class TestDecodePhaseBudget:
         rng = np.random.default_rng(int(eps * 100) + R)
         sizes = [2, 3, 2]
         calls = []
-        core = binning._mix
-        monkeypatch.setattr(binning, "_mix", lambda *a: calls.append(1) or core(*a))
+        for name in ("hash_rows", "space_bins"):
+            kernel = getattr(binning, name)
+            monkeypatch.setattr(binning, name,
+                                lambda *a, _kernel=kernel: calls.append(1) or _kernel(*a))
         j_seen = set()
         for trial in range(12):
             cb = BinningCodebook(2, n, 2, eps, nu, C=4, master_seed=int(rng.integers(1 << 62)))

@@ -12,8 +12,8 @@ warm-up call of 3 trials, then ``--trials`` trials at seed 7), with
 ``variable_rate._decode_phases`` and ``update_V`` wrapped by timers. It
 reports the sensor-passes, the phases per sensor-pass, the median and mean
 time per sensor-pass and per phase, the kernel calls per sensor-pass the
-decoder makes (calls into ``binning.hash_bins``, ``hash_rows`` and
-``space_bins``), and the median and mean time per ``update_V`` call.
+decoder makes (calls into the two binning kernels, ``binning.hash_rows``
+and ``space_bins``), and the median and mean time per ``update_V`` call.
 
 ``draw``: from the same trials, the median and mean time per trial spent
 drawing the rounds (``variable_rate._draw_rounds``: blocks, side
@@ -54,7 +54,7 @@ import byzsw.scenario as scenario
 import byzsw.source_model as source_model
 import byzsw.variable_rate as vr
 
-KERNELS = ("hash_bins", "hash_rows", "space_bins")
+KERNELS = ("hash_rows", "space_bins")
 
 
 def attack_layers(trials: int) -> tuple[dict, dict]:
