@@ -150,6 +150,9 @@ def cmd_region(args) -> int:
                       scn)
         return 0
     report = scn.region()
+    if not report.all_converged:
+        print("warning: IPF stopped at its sweep cap; the R* values are approximate",
+              file=sys.stderr)
     print(header)
     print(f"R* (min achievable variable-rate sum rate): {report.r_star:.6f} bits/symbol")
     print("maximizer V:", " ".join(str(s) for s in report.maximizer_V))

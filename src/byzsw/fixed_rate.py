@@ -1,9 +1,10 @@
 """One-shot fixed-rate coding: deterministic and randomized variants.
 
-Every sensor sends a single bin index at its fixed rate (randomized coding
-prepends a uniformly chosen subcodebook index), read from the bins of its
-whole sequence space, which the whole-space kernel hashes once per key of a
-code (``FixedRateCode.space_bins``); the encoder, the decoder and the
+Every sensor sends a single bin index at its fixed rate (a code with C > 1
+subcodebooks, randomized coding, prepends a uniformly chosen subcodebook
+index; C = 1 is deterministic coding), read from the bins of its whole
+sequence space, which the whole-space kernel hashes once per key of a code
+(``FixedRateCode.space_bins``); the encoder, the decoder and the
 ambiguity attack share those bins. A code whose n * rate exceeds 32 for some
 sensor, past the kernels' 2^32 bins, is refused at construction. A block is
 an (m, n) int64 array. Traitors play round 0 of the variable-rate session's
@@ -17,8 +18,8 @@ its winner with ``eta_ball_contains``, and one call of the row kernel
 (``hash_rows``) rechecks that every estimate lies in the bin received, each
 estimate read under its own sender's key. Per-sensor final estimates are
 reconciled across candidate sets by a deterministic preference order
-(largest candidate set first, then optional plurality voting, then
-lexicographic set order); disagreements between non-null estimates are
+(largest candidate set first, then the code's optional plurality voting,
+then lexicographic set order); disagreements between non-null estimates are
 reported as diagnostics.
 
 ``run_fixed_rate_trial`` plays one block end to end, the fixed-rate
@@ -63,20 +64,21 @@ _TUPLE_BLOCK = 1 << 12    # candidate tuples typed per bincount
 
 @dataclass(frozen=True)
 class FixedRateCode:
-    """Fixed per-sensor rates in bits/symbol, block length, coding kind.
+    """Fixed per-sensor rates in bits/symbol, block length and the number C
+    of subcodebooks: C = 1 is deterministic coding, C > 1 randomized coding.
 
-    ``eps_decode`` is the typicality width used by the decoder's search. The
-    asymptotic theory wants it vanishing; at desk-scale n it must be wide
-    enough that the true tuple's type lands inside the ball (per-cell type
-    fluctuations are O(1/sqrt(n))).
+    The decoder's settings: ``eps_decode`` is its search's typicality width
+    (vanishing in the asymptotic theory; at desk-scale n wide enough that the
+    true tuple's type lands inside the ball, per-cell type fluctuations being
+    O(1/sqrt(n))), and ``plurality`` reconciles by plurality vote first.
     """
 
     rates: tuple[float, ...]
     n: int
-    kind: str = "deterministic"
     C: int = 1
     seed: int = 0
     eps_decode: float = 1.4
+    plurality: bool = False
 
     def __post_init__(self):
         # the whole-space bins of each (sensor, alphabet, c) key, filled by
@@ -84,19 +86,17 @@ class FixedRateCode:
         object.__setattr__(self, "_space", {})
         for r in self.rates:
             bin_count_for_rate(self.n, r)    # refuses a negative rate or past 2^32 bins
-        if self.kind not in ("deterministic", "randomized"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        # C >= 2 is what gives randomized coding its power; C = 1 is legal and
-        # reduces bit-exactly to the deterministic kind.
         if self.C < 1:
             raise ValueError("need at least one subcodebook")
-        if self.kind == "deterministic" and self.C != 1:
-            raise ValueError("deterministic coding has exactly one codebook")
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
 
     @property
     def m(self) -> int:
         return len(self.rates)
+
+    @property
+    def kind(self) -> str:
+        return "deterministic" if self.C == 1 else "randomized"
 
     def space_bins(self, i: int, alphabet: int, c: int = 0) -> np.ndarray:
         """Bin of every sequence of ``all_sequences(alphabet, n)`` under the
@@ -134,7 +134,7 @@ def encode_all(code: FixedRateCode, block: np.ndarray,
                p: JointPMF, seed: int) -> dict[int, tuple[int, int]]:
     """Messages (c, bin) from every sensor of the (m, n) ``block``, as round
     0 of the traitor protocol, the context holding that one round's data: an
-    honest sensor bins its true row (randomized kind: under a uniform c), a
+    honest sensor bins its true row (under a uniform c when C > 1), a
     traitor the row its strategy reports for round 0, or else sends block 0
     of the strategy's ``respond`` chain."""
     traitors = ctx.traitors if ctx is not None else SubsetView(())
@@ -147,7 +147,7 @@ def encode_all(code: FixedRateCode, block: np.ndarray,
     for i in range(code.m):
         traitor = i in traitors
         c = 0
-        if code.kind == "randomized":
+        if code.C > 1:
             c = (strategy.choose_subcodebook(ctx, 0, i, code.C) if traitor
                  else int(rng_for(seed, "fr-subcode", i).integers(code.C)))
         row = block[i]
@@ -194,8 +194,7 @@ def _first_typical(p_s: JointPMF, rows: list[np.ndarray],
 
 
 def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
-               p: JointPMF, H: HonestCollection, *,
-               plurality: bool = False) -> EstimateTable:
+               p: JointPMF, H: HonestCollection) -> EstimateTable:
     """Per-candidate-set typical-search decoding plus final reconciliation."""
     sizes = p.alphabet_sizes
     members = {}
@@ -236,7 +235,7 @@ def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
                 disagreements.append((i, sa, sb))
         if not values:
             final[i] = None
-        elif plurality and len(values) > 1:
+        elif code.plurality and len(values) > 1:
             buckets: list[list] = []      # [count, value, first preference rank]
             for rank, (S, v) in enumerate(values):
                 for bucket in buckets:
@@ -254,8 +253,7 @@ def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
 
 def run_fixed_rate_trial(code: FixedRateCode, p: JointPMF, H: HonestCollection,
                          honest_true: SubsetView, strategy: TraitorStrategy | None,
-                         seed: int, *, r_true: ConditionalPMF | None = None,
-                         plurality: bool = False
+                         seed: int, *, r_true: ConditionalPMF | None = None
                          ) -> tuple[np.ndarray, EstimateTable, tuple[int, ...]]:
     """One fixed-rate block end to end: sample it, let the traitors answer
     through ``strategy`` from their side information (W drawn through
@@ -272,7 +270,7 @@ def run_fixed_rate_trial(code: FixedRateCode, p: JointPMF, H: HonestCollection,
                                                        [derive_seed(seed, "fr-sideinfo")]),
                              own_block=block[None, list(traitors.indices)])
     messages = encode_all(code, block, strategy, ctx, p, derive_seed(seed, "fr-honest"))
-    table = decode_all(code, messages, p, H, plurality=plurality)
+    table = decode_all(code, messages, p, H)
     wrong = tuple(i for i in honest_true
                   if table.final[i] is None
                   or not np.array_equal(table.final[i], block[i]))

@@ -67,7 +67,6 @@ class HonestCollection:
     """The list of candidate honest sets the code must tolerate."""
 
     candidates: tuple[SubsetView, ...]
-    threshold_t: int | None = None
 
     def __post_init__(self):
         cands = tuple(self.candidates)
@@ -87,7 +86,7 @@ class HonestCollection:
         for size in range(m - t, m + 1):
             for combo in itertools.combinations(range(m), size):
                 sets.append(SubsetView(combo))
-        return cls(tuple(sets), threshold_t=t)
+        return cls(tuple(sets))
 
     @classmethod
     def explicit(cls, sets: Iterable[Sequence[int]]) -> "HonestCollection":
@@ -105,8 +104,6 @@ class HonestCollection:
     def detect_threshold(self, m: int) -> int | None:
         """Recognize threshold-style collections, including the variant that
         lists only the minimum-size sets (exactly t traitors)."""
-        if self.threshold_t is not None:
-            return self.threshold_t
         sizes = {len(c) for c in self.candidates}
         smallest = min(sizes)
         t = m - smallest
@@ -122,15 +119,19 @@ class HonestCollection:
 @dataclass(frozen=True)
 class InfoModel:
     """Map from candidate honest sets to the side-information channels the
-    code is willing to accept for them."""
+    code is willing to accept for them; ``channels`` None is perfect
+    information, where every candidate's one channel is the identity."""
 
-    perfect: bool
-    channels: Mapping[tuple[int, ...], tuple[ConditionalPMF, ...]] | None = None
-    alphabet_sizes: tuple[int, ...] = ()
+    channels: Mapping[tuple[int, ...], tuple[ConditionalPMF, ...]] | None
+    alphabet_sizes: tuple[int, ...]
+
+    @property
+    def perfect(self) -> bool:
+        return self.channels is None
 
     @classmethod
     def perfect_info(cls, alphabet_sizes: Sequence[int]) -> "InfoModel":
-        return cls(True, None, tuple(int(a) for a in alphabet_sizes))
+        return cls(None, tuple(int(a) for a in alphabet_sizes))
 
     @classmethod
     def from_channels(cls, channels: Mapping[SubsetView, Sequence[ConditionalPMF]],
@@ -141,7 +142,7 @@ class InfoModel:
             if not chans:
                 raise ValueError(f"candidate {key} has no channels")
             table[key] = tuple(chans)
-        return cls(False, table, tuple(int(a) for a in alphabet_sizes))
+        return cls(table, tuple(int(a) for a in alphabet_sizes))
 
     def channels_for(self, s: SubsetView) -> tuple[ConditionalPMF, ...]:
         if self.perfect:
@@ -229,11 +230,15 @@ class RegionReport:
     """Evaluation of the variable-rate minimum achievable sum rate."""
 
     r_star: float
-    per_pair: dict            # SubsetView (true honest set) -> value in bits
     maximizer_V: tuple[SubsetView, ...]
     maximizer_q: JointPMF
-    per_pair_detail: dict     # SubsetView -> (value, V, q)
+    per_pair_detail: dict     # SubsetView (true honest set) -> (value in bits, V, q)
     all_converged: bool
+
+    @property
+    def per_pair(self) -> dict:
+        """SubsetView (true honest set) -> value in bits."""
+        return {h: detail[0] for h, detail in self.per_pair_detail.items()}
 
 
 def _lex_key(V: Sequence[SubsetView]):
@@ -367,15 +372,13 @@ def r_star_perfect(p: JointPMF, H: HonestCollection) -> RegionReport:
         return res.value, best[1], res
 
     value, maxV, maxres = best_over(None)
-    per_pair = {}
     per_pair_detail = {}
     all_conv = maxres.converged
     for h_true in cands:
         v, V, res = best_over(h_true)
-        per_pair[h_true] = v
         per_pair_detail[h_true] = (v, V, res.q)
         all_conv = all_conv and res.converged
-    return RegionReport(value, per_pair, maxV, maxres.q, per_pair_detail, all_conv)
+    return RegionReport(value, maxV, maxres.q, per_pair_detail, all_conv)
 
 
 def closed_form_t(p: JointPMF, t: int) -> float:

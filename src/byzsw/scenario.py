@@ -96,8 +96,6 @@ _FIELDS = {
         "strategy": (*_SECTION, None),
         "variable_rate": (*_SECTION, None),
         "fixed_rate": (*_SECTION, None),
-        "eavesdropping": ("false: eavesdropping traitors are not modeled",
-                          lambda v: v is False, ABSENT),
         "trials": (*_NATURAL, 1),
         "seed": ("an integer", lambda v: type(v) is int, REQUIRED),
     },
@@ -129,7 +127,6 @@ _FIELDS = {
     "fixed_rate": {
         "rates": ("a list of finite numbers >= 0", _each(_NONNEGATIVE[1]), REQUIRED),
         "n": (*_COUNT, REQUIRED),
-        "kind": ("coding kind", ("deterministic", "randomized"), REQUIRED),
         "c_subcodebooks": (*_COUNT, 1),
         "eps_decode": (*_POSITIVE, 1.4),
         "plurality": ("true or false", lambda v: type(v) is bool, False),
@@ -194,7 +191,6 @@ class Scenario:
     target_set: SubsetView | None = field(init=False)
     vr: ProtocolParams | None = field(init=False)
     fr: FixedRateCode | None = field(init=False)
-    fr_plurality: bool = field(init=False)
     trials: int = field(init=False)
     seed: int = field(init=False)
     _region_cache: RegionReport | None = field(init=False, default=None, repr=False)
@@ -203,7 +199,6 @@ class Scenario:
         """The field table's checks, then those that tie fields together."""
         doc = copy.deepcopy(self.doc)
         _walk(doc)
-        doc.pop("eavesdropping", None)      # false, or the table refused it: not kept
         m = doc["m"]
         sizes = tuple(doc["alphabet_sizes"])
         if len(sizes) != m:
@@ -267,9 +262,9 @@ class Scenario:
         fr_doc = doc["fixed_rate"]
         fr = None
         if fr_doc is not None:
-            fr = FixedRateCode(rates=tuple(fr_doc["rates"]), n=fr_doc["n"], kind=fr_doc["kind"],
-                               C=fr_doc["c_subcodebooks"], seed=0,
-                               eps_decode=fr_doc["eps_decode"])
+            fr = FixedRateCode(rates=tuple(fr_doc["rates"]), n=fr_doc["n"],
+                               C=fr_doc["c_subcodebooks"], eps_decode=fr_doc["eps_decode"],
+                               plurality=fr_doc["plurality"])
             if len(fr.rates) != m:
                 raise ValueError("fixed_rate.rates length != m")
             if strategy_kind is None and len(honest_true.complement(m)):
@@ -291,8 +286,7 @@ class Scenario:
             doc=doc, m=m, alphabet_sizes=sizes, p=p, collection=collection,
             info_model=info, honest_true=honest_true, r_true=r_true,
             strategy_kind=strategy_kind, q_bar_spec=q_bar_spec, target_set=target_set,
-            vr=vr, fr=fr, fr_plurality=False if fr_doc is None else fr_doc["plurality"],
-            trials=doc["trials"], seed=doc["seed"])
+            vr=vr, fr=fr, trials=doc["trials"], seed=doc["seed"])
 
     def region(self) -> RegionReport:
         if self._region_cache is None:
@@ -332,10 +326,14 @@ class Scenario:
             return optimal_fake_conditional(q_star, self.honest_true,
                                             self.alphabet_sizes)
         arr = np.asarray(self.q_bar_spec, dtype=float)
-        w = arr.shape[0]
+        w = len(arr)
         if arr.size != w * cells_t:
             raise ValueError(f"strategy.q_bar: rows must have {cells_t} entries, one per "
                              f"symbol tuple of the traitors {traitors}")
+        w_true = self.p.num_cells if self.r_true is None else self.r_true.output_alphabet_size
+        if w != w_true:
+            raise ValueError(f"strategy.q_bar: must have {w_true} rows, one per "
+                             f"side-information symbol w, got {w}")
         return ConditionalPMF((w,), cells_t, arr.reshape(w, cells_t))
 
 
@@ -436,8 +434,8 @@ def _preset_four_sensor_plurality() -> dict:
     return _preset(m=4, alphabet_sizes=[2, 2, 2, 2], pmf=_star_law_m4(),
                    honest_collection={"threshold_t": 1}, true_honest=[1, 2, 3],
                    strategy={"kind": "fake_distribution", "q_bar": "optimal"},
-                   fixed_rate={"rates": [1.6, 1.6, 1.6, 1.6], "n": 12, "kind": "randomized",
-                               "c_subcodebooks": 8, "eps_decode": 3.2, "plurality": True},
+                   fixed_rate={"rates": [1.6, 1.6, 1.6, 1.6], "n": 12, "c_subcodebooks": 8,
+                               "eps_decode": 3.2, "plurality": True},
                    trials=100)
 
 
@@ -448,8 +446,7 @@ def _preset_fixed_rate_randomized() -> dict:
     return _preset(m=3, alphabet_sizes=[2, 2, 2], pmf=_chain_law(),
                    honest_collection={"sets": [[0, 1], [0, 2], [1, 2]]}, true_honest=[1, 2],
                    strategy={"kind": "fake_distribution", "q_bar": "optimal"},
-                   fixed_rate={"rates": [1.4, 1.4, 1.4], "n": 14, "kind": "randomized",
-                               "c_subcodebooks": 8},
+                   fixed_rate={"rates": [1.4, 1.4, 1.4], "n": 14, "c_subcodebooks": 8},
                    trials=200)
 
 
@@ -460,7 +457,7 @@ def _preset_fixed_rate_demo() -> dict:
     return _preset(m=3, alphabet_sizes=[2, 2, 2], pmf=_chain_law(),
                    honest_collection={"sets": [[0, 1], [0, 2], [1, 2]]}, true_honest=[1, 2],
                    strategy={"kind": "fixed_rate_ambiguity", "target_set": [0, 1]},
-                   fixed_rate={"rates": [0.92, 0.75, 0.95], "n": 14, "kind": "deterministic"},
+                   fixed_rate={"rates": [0.92, 0.75, 0.95], "n": 14},
                    trials=200)
 
 
@@ -527,8 +524,7 @@ def _fixed_rate_trial(scn: Scenario, strategy: TraitorStrategy | None,
                       session_seed: int) -> tuple:
     code = replace(scn.fr, seed=derive_seed(session_seed, "fr-code"))
     return run_fixed_rate_trial(code, scn.p, scn.collection, scn.honest_true, strategy,
-                                session_seed, r_true=scn.r_true,
-                                plurality=scn.fr_plurality)
+                                session_seed, r_true=scn.r_true)
 
 
 def _fixed_rate_fields(scn: Scenario, session_seed: int) -> dict:
@@ -587,14 +583,14 @@ def trial_row(scn: Scenario, trial: int, mode: str) -> dict:
 # ---------------------------------------------------------------------------
 
 def wilson_interval(successes: int, n: int, z: float = 1.959963984540054) -> tuple[float, float]:
-    """95% Wilson score interval for a binomial proportion."""
+    """95% Wilson score interval for a binomial proportion, exact at k = 0 and k = n."""
     if n == 0:
         return (0.0, 1.0)
     phat = successes / n
     denom = 1 + z * z / n
     center = (phat + z * z / (2 * n)) / denom
     half = z * math.sqrt(phat * (1 - phat) / n + z * z / (4 * n * n)) / denom
-    return (max(0.0, center - half), min(1.0, center + half))
+    return (0.0 if successes == 0 else center - half, 1.0 if successes == n else center + half)
 
 
 _RATE_FIELDS = ("honest_error", "indistinguishable", "attack_found")

@@ -225,9 +225,9 @@ def _conditional_type_entropies(rows: np.ndarray, alphabet: int,
 
 
 def _decode_phases(cb: BinningCodebook, cs: Sequence[int], cells: np.ndarray | None,
-                   eps: float, chains: np.ndarray):
+                   chains: np.ndarray):
     """Run one sensor's phases of a pass at once, one per subcodebook in
-    ``cs``, each until its T_j search succeeds.
+    ``cs``, each until its T_j search succeeds at the codebook's eps.
 
     ``cells`` gives each phase's prior cells per slot (an (R, n) array, or
     None without a prior), and ``chains`` the sender's (J, R) bin indices,
@@ -235,7 +235,7 @@ def _decode_phases(cb: BinningCodebook, cs: Sequence[int], cells: np.ndarray | N
     undecided. Returns the estimates as an (R, n) int64 array, the
     transactions each phase used and the forced-decode flags.
     """
-    R, n, J = len(cs), cb.n, cb.J
+    R, n, J, eps = len(cs), cb.n, cb.J, cb.eps
     # block 0 has the most bins: of the whole space, about one sequence per
     # phase shares its block-0 bin, and only those can match a later block
     space = cb.alphabet_size ** n
@@ -309,9 +309,8 @@ def _ball_marginal_feasible_perfect(t_u: np.ndarray, U: SubsetView, S: SubsetVie
     return np.all(lower - 1e-12 <= ps, axis=1) & np.all(ps <= upper + 1e-12, axis=1)
 
 
-def update_V(V: Sequence[SubsetView], estimates: np.ndarray, U: SubsetView,
-             p: JointPMF, info_model: InfoModel, eta: float, n: int,
-             marginals: dict) -> tuple[list, list]:
+def update_V(V: Sequence[SubsetView], estimates: np.ndarray, p: JointPMF,
+             info_model: InfoModel, eta: float) -> tuple[list, list]:
     """The end-of-round prunes of the candidate collection over a pass, round
     by round: keep S iff the empirical type of the round's decoded block is
     consistent with some channel the code accepts for S. If a prune empties
@@ -325,11 +324,11 @@ def update_V(V: Sequence[SubsetView], estimates: np.ndarray, U: SubsetView,
     later rounds were played under a U that no longer holds.
 
     The type is the count of each X_U cell over the n decoded slots,
-    divided by n. Under perfect information every candidate is tested on
-    every round's type at once; ``marginals`` maps each candidate S to
-    ``marginal(p, S).mass``, which that test reads. Under imperfect
-    information each round's remaining candidates are tested one LP at a
-    time."""
+    divided by n. Under perfect information every candidate S is tested on
+    every round's type at once against ``marginal(p, S)``, memoized on the
+    law. Under imperfect information each round's remaining candidates are
+    tested one LP at a time."""
+    U, n = union_of(V), estimates.shape[-1]
     sizes_u = tuple(p.alphabet_sizes[i] for i in U)
     cells_u = math.prod(sizes_u)
     flat = np.ravel_multi_index(tuple(np.moveaxis(estimates, 1, 0)), sizes_u)
@@ -337,7 +336,7 @@ def update_V(V: Sequence[SubsetView], estimates: np.ndarray, U: SubsetView,
     t_u = (type_counts(flat, cells_u) / n).reshape((rounds,) + sizes_u)
     tau_u = eta / cells_u
     if info_model.perfect:
-        passed = {S: _ball_marginal_feasible_perfect(t_u, U, S, marginals[S], tau_u)
+        passed = {S: _ball_marginal_feasible_perfect(t_u, U, S, marginal(p, S).mass, tau_u)
                   for S in V}
 
     V = tuple(V)
@@ -420,7 +419,7 @@ def run_round(U: SubsetView, sent: np.ndarray, silent: set, first: int, codebook
             cs = [int(rng_for(seed, "subcode", r, i).integers(C)) for r in rounds]
         chains = (strategy.respond(ctx, rounds, i, [cb.bin_count(j) for j in range(cb.J)])
                   if i in silent else cb.encode_rows(sent[:, i], cs, range(cb.J)))
-        est, j_used, forced = _decode_phases(cb, cs, cells, params.eps, chains)
+        est, j_used, forced = _decode_phases(cb, cs, cells, chains)
         cells = est if cells is None else cells * cb.alphabet_size + est
         phases.append((est, cs, j_used, forced, chains))
     estimates, cs, j_used, forced, chains = zip(*phases)
@@ -468,7 +467,6 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
     block_bits = {i: [cb.block_bits(j) for j in range(cb.J)] for i, cb in codebooks.items()}
 
     V = tuple(H.candidates)
-    marginals = {S: marginal(p, S).mass for S in H.candidates}
     transcript, honest_errors, round_rates, phase_tx, round_estimates = [], [], [], [], []
     v_traj = [V]
     subcode_bits, forced_count, restores = 0.0, 0, 0
@@ -482,8 +480,7 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         U = union_of(V)
         estimates, cs, j_used, forced, chains = run_round(
             U, sent[first:], silent, first, codebooks, strategy, ctx, params, seed)
-        trajectory, emptied = update_V(V, estimates, U, p, info_model, params.eta_value,
-                                       n, marginals)
+        trajectory, emptied = update_V(V, estimates, p, info_model, params.eta_value)
         kept = len(trajectory)
         if honest_true.is_subset_of(U):
             honest = list(honest_true.indices)

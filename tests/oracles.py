@@ -406,15 +406,13 @@ def reference_r_star_perfect(p: JointPMF, H: HonestCollection, *,
         return best
 
     value, maxV, maxres = best_over(None)
-    per_pair = {}
     per_pair_detail = {}
     all_conv = maxres.converged
     for h_true in cands:
         v, V, res = best_over(h_true)
-        per_pair[h_true] = v
         per_pair_detail[h_true] = (v, V, res.q)
         all_conv = all_conv and res.converged
-    return RegionReport(value, per_pair, maxV, maxres.q, per_pair_detail, all_conv)
+    return RegionReport(value, maxV, maxres.q, per_pair_detail, all_conv)
 
 
 def reference_deterministic_extra_constraints(p: JointPMF, H: HonestCollection, R: InfoModel,

@@ -345,8 +345,7 @@ class TestNoTraitorDegeneration:
 
 class TestAmbiguityAttack:
     def setup_code(self, rates, seed=0):
-        return FixedRateCode(rates=rates, n=14, kind="deterministic", C=1,
-                             seed=seed, eps_decode=1.4)
+        return FixedRateCode(rates=rates, n=14, C=1, seed=seed, eps_decode=1.4)
 
     def test_not_found_inside_sw(self):
         # R_1 well above H(X_1): no confusable sequence in the bin
@@ -389,8 +388,7 @@ class TestAmbiguityAttack:
     def test_requires_deterministic_kind(self):
         p = chain_law()
         honest = SubsetView.of(1, 2)
-        code = FixedRateCode(rates=(1.0, 1.0, 1.0), n=14, kind="randomized",
-                             C=4, seed=1)
+        code = FixedRateCode(rates=(1.0, 1.0, 1.0), n=14, C=4, seed=1)
         ctx, block = perfect_ctx(p, honest, 14, 5)
         with pytest.raises(ValueError):
             fixed_rate_ambiguity_attack(ctx, SubsetView.of(0, 1), honest, code,
@@ -407,7 +405,7 @@ class TestOneProtocol:
         q_bar = optimal_fake_conditional(r_star_perfect(p, H).per_pair_detail[honest][2],
                                          honest, (2, 2, 2))
         codes = [FixedRateCode(rates=(0.92, 0.75, 0.95), n=14, seed=3),
-                 FixedRateCode(rates=(1.4, 1.4, 1.4), n=14, kind="randomized", C=8, seed=3)]
+                 FixedRateCode(rates=(1.4, 1.4, 1.4), n=14, C=8, seed=3)]
         params = ProtocolParams(n=10, rounds=3, eps=0.35, eta=4.0, C=8)
         for kind in STRATEGY_KINDS:
             def strategy():
@@ -475,8 +473,7 @@ def oracle_instance(k):
     rates = tuple((0.0 if k % 5 == 0 else float(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0])))
                   if i in inter else float(rng.uniform(0.5, 1.5))
                   for i in range(len(sizes)))
-    code = FixedRateCode(rates=rates, n=n, kind="deterministic", C=1,
-                         seed=derive_seed(k, "code"),
+    code = FixedRateCode(rates=rates, n=n, C=1, seed=derive_seed(k, "code"),
                          eps_decode=float(rng.choice([0.3, 0.6, 1.0, 1.4])))
     block = sample_block(p, n, derive_seed(k, "block"))
     traitors = honest.complement(len(sizes))
@@ -515,8 +512,7 @@ class TestAmbiguityOracle:
     def test_same_guard_refusal(self, sizes, honest, S1, n):
         p = JointPMF(sizes, np.full(sizes, 1.0 / np.prod(sizes)))
         honest, S1 = SubsetView(honest), SubsetView(S1)
-        code = FixedRateCode(rates=(0.5,) * len(sizes), n=n, kind="deterministic",
-                             C=1, seed=1)
+        code = FixedRateCode(rates=(0.5,) * len(sizes), n=n, C=1, seed=1)
         block = sample_block(p, n, 3)
         traitors = honest.complement(len(sizes))
         ctx = TraitorContext(traitors=traitors, seed=2,

@@ -98,8 +98,7 @@ def max_entropy_result():
 
 def ambiguity_outcome():
     p = chain_law()
-    code = FixedRateCode(rates=(0.92, 0.75, 0.95), n=14, kind="deterministic",
-                         seed=derive_seed(0, "code"))
+    code = FixedRateCode(rates=(0.92, 0.75, 0.95), n=14, seed=derive_seed(0, "code"))
     block = sample_block(p, 14, derive_seed(0, "block"))
     traitors = SubsetView.of(0)
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(0, "traitor"),

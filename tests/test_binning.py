@@ -260,7 +260,7 @@ class TestSpaceBins:
             cb.encode_space([0, cb.C], 0)
         bins = hash_rows(8, same_header(fixed_rate_header(2, 3), seqs), seqs,
                          [bin_count_for_rate(12, 0.5)])[0]
-        code = FixedRateCode(rates=(1.0, 1.0, 0.5), n=12, kind="randomized", C=4, seed=8)
+        code = FixedRateCode(rates=(1.0, 1.0, 0.5), n=12, C=4, seed=8)
         got = code.space_bins(2, 2, 3)
         assert np.array_equal(got, bins)
         assert code.space_bins(2, 2, 3) is got and not got.flags.writeable

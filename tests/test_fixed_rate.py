@@ -71,8 +71,7 @@ def make_ctx(p, honest, n, seed):
 class TestEncode:
     def test_all_honest_deterministic_under_seed(self):
         p = chain_law()
-        code = FixedRateCode(rates=(1.0, 1.0, 1.0), n=12, kind="deterministic",
-                             seed=3)
+        code = FixedRateCode(rates=(1.0, 1.0, 1.0), n=12, seed=3)
         block = sample_block(p, 12, 1)
         a = encode_all(code, block, None, None, p, seed=9)
         b = encode_all(code, block, None, None, p, seed=9)
@@ -81,8 +80,7 @@ class TestEncode:
 
     def test_randomized_c_varies_and_in_range(self):
         p = chain_law()
-        code = FixedRateCode(rates=(1.0, 1.0, 1.0), n=12, kind="randomized",
-                             C=8, seed=3)
+        code = FixedRateCode(rates=(1.0, 1.0, 1.0), n=12, C=8, seed=3)
         block = sample_block(p, 12, 1)
         cs = set()
         for seed in range(12):
@@ -95,8 +93,7 @@ class TestEncode:
 
     def test_black_hole_messages_in_range(self):
         p = chain_law()
-        code = FixedRateCode(rates=(0.8, 0.8, 0.8), n=12, kind="randomized",
-                             C=4, seed=3)
+        code = FixedRateCode(rates=(0.8, 0.8, 0.8), n=12, C=4, seed=3)
         ctx, block = make_ctx(p, SubsetView.of(1, 2), 12, 5)
         msgs = encode_all(code, block, BlackHole(), ctx, p, seed=6)
         c, idx = msgs[0]
@@ -106,13 +103,13 @@ class TestEncode:
     def test_randomized_c1_reduces_to_deterministic(self):
         p = chain_law()
         block = sample_block(p, 12, 2)
-        det = FixedRateCode(rates=(0.9, 0.7, 0.9), n=12, kind="deterministic",
-                            seed=17)
-        rand1 = FixedRateCode(rates=(0.9, 0.7, 0.9), n=12, kind="randomized",
-                              C=1, seed=17)
-        a = encode_all(det, block, None, None, p, seed=8)
-        b = encode_all(rand1, block, None, None, p, seed=8)
-        assert a == b
+        code = FixedRateCode(rates=(0.9, 0.7, 0.9), n=12, C=1, seed=17)
+        assert encode_all(code, block, None, None, p, seed=8) == {
+            i: (0, code.encode(i, 2, block[i])) for i in range(3)}
+
+    def test_kind_follows_subcodebook_count(self):
+        assert FixedRateCode(rates=(1.0,), n=4).kind == "deterministic"
+        assert FixedRateCode(rates=(1.0,), n=4, C=8).kind == "randomized"
 
 
 class TestDecode:
@@ -128,8 +125,7 @@ class TestDecode:
         code_rates = (1.8, 1.3)
         wins = 0
         for seed in range(100):
-            code = FixedRateCode(rates=code_rates, n=14, kind="deterministic",
-                                 seed=derive_seed(seed, "code"),
+            code = FixedRateCode(rates=code_rates, n=14, seed=derive_seed(seed, "code"),
                                  eps_decode=1.4)
             block = sample_block(p, 14, derive_seed(seed, "blk"))
             msgs = encode_all(code, block, None, None, p, seed=seed)
@@ -149,9 +145,8 @@ class TestDecode:
                                          h_true, (2, 2, 2))
         wins = 0
         for seed in range(50):
-            code = FixedRateCode(rates=(1.4, 1.4, 1.4), n=14, kind="randomized",
-                                 C=8, seed=derive_seed(seed, "code"),
-                                 eps_decode=1.4)
+            code = FixedRateCode(rates=(1.4, 1.4, 1.4), n=14, C=8,
+                                 seed=derive_seed(seed, "code"), eps_decode=1.4)
             ctx, block = make_ctx(p, h_true, 14, seed)
             msgs = encode_all(code, block, FakeDistribution(q_bar), ctx, p,
                               seed=derive_seed(seed, "h"))
@@ -166,9 +161,8 @@ class TestDecode:
         h_true = SubsetView.of(1, 2)
         wins = 0
         for seed in range(50):
-            code = FixedRateCode(rates=(1.4, 1.4, 1.4), n=14, kind="randomized",
-                                 C=8, seed=derive_seed(seed, "code"),
-                                 eps_decode=1.4)
+            code = FixedRateCode(rates=(1.4, 1.4, 1.4), n=14, C=8,
+                                 seed=derive_seed(seed, "code"), eps_decode=1.4)
             ctx, block = make_ctx(p, h_true, 14, seed)
             msgs = encode_all(code, block, BlackHole(), ctx, p,
                               seed=derive_seed(seed, "h"))
@@ -186,7 +180,6 @@ class TestDecode:
         wins = 0
         for seed in range(30):
             code = FixedRateCode(rates=(1.6, 1.6, 1.6), n=12,
-                                 kind="deterministic",
                                  seed=derive_seed(seed, "code"), eps_decode=1.6)
             block = sample_block(p, 12, derive_seed(seed, "blk"))
             msgs = encode_all(code, block, None, None, p, seed=seed)
@@ -199,8 +192,7 @@ class TestDecode:
     def test_honest_passthrough_traitor_equivalent(self):
         p = chain_law()
         h_true = SubsetView.of(1, 2)
-        code = FixedRateCode(rates=(1.2, 1.2, 1.2), n=12, kind="deterministic",
-                             seed=21, eps_decode=1.6)
+        code = FixedRateCode(rates=(1.2, 1.2, 1.2), n=12, seed=21, eps_decode=1.6)
         ctx, block = make_ctx(p, h_true, 12, 31)
         msgs_honest = encode_all(code, block, None, None, p, seed=41)
         msgs_pass = encode_all(code, block, HonestPassthrough(), ctx, p, seed=41)
@@ -299,7 +291,7 @@ class TestFirstTypicalOracle:
         p = chain_law()
         h_true = SubsetView.of(1, 2)
         for seed in range(15):
-            code = FixedRateCode(rates=(0.92, 0.75, 0.95), n=14, kind="deterministic",
+            code = FixedRateCode(rates=(0.92, 0.75, 0.95), n=14,
                                  seed=derive_seed(seed, "code"), eps_decode=1.4)
             strategy = (FixedRateAmbiguity(SubsetView.of(0, 1)) if kind == "ambiguity"
                         else BlackHole())
@@ -336,13 +328,13 @@ class TestPlurality:
         q_bar = optimal_fake_conditional(rep.per_pair_detail[h_true][2],
                                          h_true, (2, 2, 2, 2))
         for seed in range(10):
-            code = FixedRateCode(rates=(2.3, 2.3, 2.3, 2.3), n=10,
-                                 kind="randomized", C=8,
-                                 seed=derive_seed(seed, "code"), eps_decode=3.2)
+            code = FixedRateCode(rates=(2.3, 2.3, 2.3, 2.3), n=10, C=8,
+                                 seed=derive_seed(seed, "code"), eps_decode=3.2,
+                                 plurality=True)
             ctx, block = make_ctx(p, h_true, 10, seed)
             msgs = encode_all(code, block, FakeDistribution(q_bar), ctx, p,
                               seed=derive_seed(seed, "h"))
-            t_plur = decode_all(code, msgs, p, coll, plurality=True)
+            t_plur = decode_all(code, msgs, p, coll)
             for i in h_true:
                 if t_plur.final[i] is not None:
                     assert np.array_equal(t_plur.final[i], block[i])
@@ -365,7 +357,6 @@ class TestConverseDemo:
         found = 0
         for seed in range(40):
             code = FixedRateCode(rates=(0.92, 0.75, 0.95), n=14,
-                                 kind="deterministic",
                                  seed=derive_seed(seed, "code"), eps_decode=1.4)
             attack_found, honest_error = converse(code, p, H3, h_true,
                                                   derive_seed(seed, "demo"))
@@ -380,7 +371,6 @@ class TestConverseDemo:
         errors = 0
         for seed in range(40):
             code = FixedRateCode(rates=(1.5, 1.5, 1.5), n=14,
-                                 kind="deterministic",
                                  seed=derive_seed(seed, "code"), eps_decode=1.4)
             _found, honest_error = converse(code, p, H3, h_true,
                                             derive_seed(seed, "demo"))
@@ -394,8 +384,7 @@ class TestConverseDemo:
         coll = HonestCollection.explicit([[0, 1, 2], [1, 2]])
         # the candidate set {0,1,2} has 8 cells, so the ball needs
         # eps_decode ~ 3 for the true triple's type to sit inside it at n=12
-        code = FixedRateCode(rates=(1.6, 1.6, 1.6), n=12, kind="deterministic",
-                             seed=2, eps_decode=3.0)
+        code = FixedRateCode(rates=(1.6, 1.6, 1.6), n=12, seed=2, eps_decode=3.0)
         for seed in range(10):
             assert converse(code, p, coll, SubsetView.of(0, 1, 2), seed) == (False, False)
 
@@ -406,7 +395,6 @@ class TestEstimateTableInvariants:
         h_true = SubsetView.of(1, 2)
         for seed in range(20):
             code = FixedRateCode(rates=(1.0, 0.9, 1.0), n=12,
-                                 kind="deterministic",
                                  seed=derive_seed(seed, "code"), eps_decode=1.6)
             ctx, block = make_ctx(p, h_true, 12, seed)
             msgs = encode_all(code, block, BlackHole(), ctx, p,

@@ -441,6 +441,12 @@ class TestClosedForms:
         with pytest.raises(ValueError):
             closed_form_t(p, 3)          # t = m - 2 = 3 has no closed form
 
+    def test_detect_threshold_recognizes_every_threshold_family(self):
+        # the sets alone name t: the region command's cross-check needs no stored t
+        for m in range(1, 6):
+            for t in range(m):
+                assert HonestCollection.threshold(m, t).detect_threshold(m) == t
+
 
 class TestQSetFeasible:
     def test_honest_law_feasible_when_w_covers_traitors(self):

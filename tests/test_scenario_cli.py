@@ -13,6 +13,7 @@ import pytest
 
 import byzsw.adversary
 import byzsw.cli
+import byzsw.rate_region
 import byzsw.scenario
 from byzsw.cli import main
 from byzsw.scenario import (
@@ -83,13 +84,12 @@ class TestSchema:
         with pytest.raises(ValueError):
             scenario_from_dict(doc)
 
-    def test_eavesdropping_field_rejected(self):
+    @pytest.mark.parametrize("value", [False, True])
+    def test_eavesdropping_field_rejected(self, value):
         doc = tiny_vr_doc()
         scenario_from_dict(doc)    # absent: loads
-        doc["eavesdropping"] = False
-        assert "eavesdropping" not in scenario_to_dict(scenario_from_dict(doc))
-        doc["eavesdropping"] = True
-        with pytest.raises(ValueError, match="eavesdropping"):
+        doc["eavesdropping"] = value
+        with pytest.raises(ValueError, match="^eavesdropping: unknown field"):
             scenario_from_dict(doc)
 
     def test_imperfect_channel_membership_checked(self):
@@ -153,6 +153,9 @@ MALFORMED = [
     ("three_sensor", "honest_collection.sets", [[0, 1], [0, 2], [1, 2, 2]]),
     ("three_sensor", "comment", "an unknown top-level field"),
     ("three_sensor", "variable_rate.c_subcodebook", 8),
+    ("fixed_rate_demo", "fixed_rate.kind", "deterministic"),     # C = 1 is deterministic
+    ("fixed_rate_randomized", "fixed_rate.kind", "randomized"),
+    ("three_sensor", "eavesdropping", False),                    # not modeled
 ]
 
 
@@ -260,8 +263,8 @@ class TestRunners:
                     .reshape(2, 3, 2).tolist(),
                     "honest_collection": {"sets": [[0, 1], [0, 2], [1, 2], [0]]},
                     "true_honest": [0]})
-        doc["fixed_rate"].update({"rates": [1.5, 2.0, 1.5], "n": 8, "kind": "randomized",
-                                  "c_subcodebooks": 4, "eps_decode": 3.0})
+        doc["fixed_rate"].update({"rates": [1.5, 2.0, 1.5], "n": 8, "c_subcodebooks": 4,
+                                  "eps_decode": 3.0})
         fakes = []
         fabricate = byzsw.adversary.fabricate_block
 
@@ -277,8 +280,12 @@ class TestRunners:
             assert 0 <= symbols.min() and symbols.max() < size
 
     def test_wilson_interval(self):
-        lo, hi = wilson_interval(0, 100)
-        assert lo < 1e-6 and hi < 0.05
+        for n in (1, 3, 100):
+            lo, hi = wilson_interval(0, n)
+            assert lo == 0.0 and hi < 1.0
+            lo, hi = wilson_interval(n, n)
+            assert lo > 0.0 and hi == 1.0
+        assert wilson_interval(0, 100)[1] < 0.05
         lo, hi = wilson_interval(50, 100)
         assert lo < 0.5 < hi
 
@@ -304,6 +311,24 @@ class TestCli:
         out = capsys.readouterr().out
         assert "R* (min achievable variable-rate sum rate): 2.622556" in out
         assert "closed-form cross-check (t=1): 2.622556  [match]" in out
+
+    def test_region_warns_when_ipf_stops_at_its_sweep_cap(self, tmp_path, capsys,
+                                                          monkeypatch):
+        # the printed values and region.json are unchanged; stderr says they
+        # are not exact
+        assert main(["region", "--preset", "three_sensor", "--out", str(tmp_path / "a")]) == 0
+        plain = capsys.readouterr()
+        assert plain.err == ""
+        real = byzsw.rate_region.max_entropy_with_marginals
+        monkeypatch.setattr(byzsw.rate_region, "max_entropy_with_marginals",
+                            lambda *args, **kw: real(*args, **kw)._replace(converged=False))
+        assert main(["region", "--preset", "three_sensor", "--out", str(tmp_path / "b")]) == 0
+        flagged = capsys.readouterr()
+        assert flagged.out == plain.out
+        lines = flagged.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("warning: ")
+        assert ((tmp_path / "b" / "region.json").read_bytes()
+                == (tmp_path / "a" / "region.json").read_bytes())
 
     def test_region_command_threshold_m_minus_1(self, capsys):
         assert main(["region", "--preset", "independent_coding"]) == 0
@@ -561,7 +586,7 @@ class TestTrialChecks:
     def test_ambiguity_on_randomized_code_refused_at_load(self, tmp_path, capsys):
         # every trial would be the error "applies to deterministic coding"
         doc = PRESETS["fixed_rate_demo"]()
-        doc["fixed_rate"].update({"kind": "randomized", "c_subcodebooks": 8})
+        doc["fixed_rate"]["c_subcodebooks"] = 8
         with pytest.raises(ValueError, match="deterministic coding"):
             scenario_from_dict(doc)
         assert_cli_refuses(tmp_path, capsys, doc, "attack-demo", "deterministic coding")
@@ -638,7 +663,7 @@ class TestTrialChecks:
                                "target_set": None}
         else:       # three_sensor has one binary traitor
             doc = PRESETS["three_sensor"]()
-            doc["strategy"]["q_bar"] = [[0.5, 0.3, 0.2]] if "three" in case else [[0.7, 0.7]]
+            doc["strategy"]["q_bar"] = [[0.5, 0.3, 0.2]] if "three" in case else [[0.7, 0.7]] * 8
         scenario_from_dict(doc)         # loads: region can still read it
         path = tmp_path / "scenario_in.json"
         path.write_text(canonical_dumps(doc))
@@ -649,6 +674,17 @@ class TestTrialChecks:
         lines = captured.err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("preset, command, rows", [
+        ("three_sensor", "attack-demo", 2), ("fixed_rate_randomized", "simulate-fr", 3),
+        ("three_sensor", "attack-demo", 12)])
+    def test_q_bar_needs_one_row_per_side_information_symbol(self, tmp_path, capsys,
+                                                             preset, command, rows):
+        # |W| = |X_M| = 8 under perfect information: fewer rows made every
+        # trial an error row, and more rows were never read
+        doc = PRESETS[preset]()
+        doc["strategy"]["q_bar"] = [[0.5, 0.5]] * rows
+        assert_cli_refuses(tmp_path, capsys, doc, command, "strategy.q_bar: must have 8 rows")
 
     def test_variable_rate_traitors_without_strategy_load(self):
         # a variable-rate session lets strategy-less traitors behave honestly

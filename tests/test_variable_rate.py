@@ -7,7 +7,7 @@ import pytest
 
 from byzsw.adversary import BlackHole, FakeDistribution, optimal_fake_conditional
 from byzsw.binning import BinningCodebook, all_sequences
-from byzsw.prob_core import JointPMF, SubsetView, entropy, marginal
+from byzsw.prob_core import JointPMF, SubsetView, entropy
 from byzsw.rate_region import HonestCollection, InfoModel, r_star_perfect
 from byzsw.source_model import sample_block
 from byzsw.variable_rate import (
@@ -217,8 +217,7 @@ class TestDecodePhaseOracle:
             senders = [sender(k) for k in range(R)]
             chains = np.array([[senders[k](j) for k in range(R)] for j in range(cb.J)],
                               dtype=np.int64)
-            est, j_used, forced = _decode_phases(cb, cs, prior_cells(prior, sizes), eps,
-                                                 chains)
+            est, j_used, forced = _decode_phases(cb, cs, prior_cells(prior, sizes), chains)
             assert est.dtype == np.int64
             for k in range(R):
                 want = reference_decode_phase(cb, [(s, seqs[k]) for s, seqs in prior],
@@ -263,8 +262,7 @@ class TestDecodePhaseBudget:
             chains = cb.encode_rows(truth, cs, range(cb.J))
             for k in forced_k:
                 chains[0, k] = first[k]
-            est, j_used, forced = _decode_phases(cb, cs, prior_cells(prior, sizes), eps,
-                                                 chains)
+            est, j_used, forced = _decode_phases(cb, cs, prior_cells(prior, sizes), chains)
             assert len(calls) <= math.ceil(R / per_call) + 2
             if len(forced_k) == R:      # the chain call and the block-0 calls only
                 assert len(calls) == math.ceil(R / per_call) + 1
@@ -346,10 +344,6 @@ class TestDrawRounds:
                                   truth[:, 2])
 
 
-def candidate_marginals(p, coll):
-    return {S: marginal(p, S).mass for S in coll.candidates}
-
-
 class TestUpdateV:
     def test_all_honest_types_keep_everything_at_large_n(self):
         p = three_sensor_law()
@@ -358,9 +352,7 @@ class TestUpdateV:
         keep = 0
         for seed in range(20):
             blk = sample_block(p, 4096, seed)
-            [newV], [emptied] = update_V(tuple(coll.candidates), blk[None],
-                                         SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
-                                         candidate_marginals(p, coll))
+            [newV], [emptied] = update_V(tuple(coll.candidates), blk[None], p, im, 0.35)
             keep += (not emptied) and len(newV) == 3
         assert keep >= 19
 
@@ -375,9 +367,7 @@ class TestUpdateV:
         drops = 0
         for seed in range(20):
             blk = sample_block(q_star, 4096, seed)
-            [newV], [emptied] = update_V(tuple(coll.candidates), blk[None],
-                                         SubsetView.of(0, 1, 2), p, im, 0.35, 4096,
-                                         candidate_marginals(p, coll))
+            [newV], [emptied] = update_V(tuple(coll.candidates), blk[None], p, im, 0.35)
             assert not emptied
             kept = {v.indices for v in newV}
             drops += kept == {(0, 1), (1, 2)}
@@ -413,9 +403,7 @@ class TestUpdateV:
                                       SubsetView.of(1): [r]}, (2, 2))
         coll = HonestCollection.explicit([[0, 1], [0], [1]])
         blk = sample_block(p, 2048, 9)
-        [newV], [emptied] = update_V(tuple(coll.candidates), blk[None],
-                                     SubsetView.of(0, 1), p, im, 0.5, 2048,
-                                     candidate_marginals(p, coll))
+        [newV], [emptied] = update_V(tuple(coll.candidates), blk[None], p, im, 0.5)
         assert not emptied
         assert {v.indices for v in newV} == {(0,), (1,), (0, 1)}
 
@@ -432,8 +420,7 @@ class TestUpdateV:
         garbage = np.stack([blocks[0][0], blocks[0][1],
                             np.random.default_rng(3).integers(0, 2, 4096)])
         ests = np.stack(blocks + [garbage, garbage])
-        trajectory, emptied = update_V(tuple(coll.candidates), ests, SubsetView.of(0, 1, 2),
-                                       p, im, 0.35, 4096, candidate_marginals(p, coll))
+        trajectory, emptied = update_V(tuple(coll.candidates), ests, p, im, 0.35)
         keys = [{S.indices for S in V} for V in trajectory]
         assert keys[:2] == [{(0, 1), (0, 2), (1, 2)}, {(0, 1), (1, 2)}]
         assert len(trajectory) == 3 and emptied == [False, False, False]

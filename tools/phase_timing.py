@@ -79,11 +79,11 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
         counts["generators"] += 1
         return rng_for(*args)
 
-    def timed_pass(cb, cs, cells, eps, chains):
+    def timed_pass(cb, cs, cells, chains):
         paused[0] = False
         start = time.perf_counter()
         try:
-            return decode(cb, cs, cells, eps, chains)
+            return decode(cb, cs, cells, chains)
         finally:
             pass_s.append(time.perf_counter() - start)
             phases.append(len(cs))
@@ -148,7 +148,7 @@ def pass_at(n: int, with_prior: bool, rounds: int, reps: int) -> dict:
         if rep == 1:    # after the warm-up pass: numpy's peak allocation
             tracemalloc.start()
         start = time.perf_counter()
-        vr._decode_phases(cb, cs, cells, 0.35, chains)
+        vr._decode_phases(cb, cs, cells, chains)
         elapsed = time.perf_counter() - start
         if rep == 1:
             peak = tracemalloc.get_traced_memory()[1] / 2 ** 20
