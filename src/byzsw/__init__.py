@@ -33,7 +33,6 @@ from .binning import (
     fixed_rate_encode,
 )
 from .rate_region import (
-    Feasibility,
     HonestCollection,
     InfoModel,
     MaxEntropyResult,
@@ -55,7 +54,6 @@ from .adversary import (
     TraitorStrategy,
     fabricate_block,
     fixed_rate_ambiguity_attack,
-    make_strategy,
     optimal_fake_conditional,
 )
 from .variable_rate import (
@@ -79,7 +77,6 @@ from .scenario import (
     canonical_dumps,
     load_scenario,
     preset_scenario,
-    save_scenario,
     scenario_from_dict,
     scenario_to_dict,
 )

@@ -34,7 +34,7 @@ from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from .binning import EnumerationGuardError, all_sequences, bin_count_for_rate
+from .binning import _check_space, all_sequences, bin_count_for_rate
 from .prob_core import (
     ConditionalPMF,
     JointPMF,
@@ -220,15 +220,6 @@ class AmbiguityOutcome:
     fake_companion: np.ndarray | None
 
 
-def _check_joint_space(cells: int, n: int) -> None:
-    """Refuse a joint space of cells^n sequences past the per-stage 2^22
-    desk-scale guard: the attack refuses the sizes a scan of the space would
-    refuse, whatever the bins hold."""
-    if n * math.log2(cells) > 22 + 1e-9:
-        raise EnumerationGuardError(
-            f"joint space {cells}^{n} exceeds the per-stage 2^22 guard")
-
-
 def _flat_cells(S: SubsetView, part: SubsetView, sizes) -> np.ndarray:
     """Offset of each flat joint symbol of ``part`` in the flat cells of S,
     whose last (highest-index) sensor varies fastest."""
@@ -293,8 +284,10 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
       n_a inside its intervals (an absent row needs 0 admitted everywhere),
       and the least companion is built greedily slot by slot.
 
-    Both joint spaces stay behind the per-stage 2^22 guard, and the outcome
-    is the one a scan of every candidate and every companion would give.
+    Both joint spaces stay behind the 2^22 enumeration guard
+    (``binning._check_space``), so the attack refuses the sizes a scan of
+    either space would refuse, whatever the bins hold, and the outcome is the
+    one a scan of every candidate and every companion would give.
     """
     if code.kind != "deterministic":
         raise ValueError("the ambiguity attack applies to deterministic coding")
@@ -309,8 +302,8 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     sizes_inter = tuple(sizes[i] for i in inter)
     sizes_outer = tuple(sizes[i] for i in outer)
     cells_inter = math.prod(sizes_inter)
-    _check_joint_space(cells_inter, n)
-    _check_joint_space(math.prod(sizes_outer), n)
+    _check_space(cells_inter, n)
+    _check_space(math.prod(sizes_outer), n)
 
     # candidates: each sensor's members of the truth's bin, joined per slot
     cands = np.zeros((1, n), dtype=np.int64)
@@ -384,22 +377,6 @@ class FixedRateAmbiguity(TraitorStrategy):
                        dtype=np.int64)
 
 
-STRATEGY_KINDS = ("honest_passthrough", "black_hole", "fake_distribution",
-                  "fixed_rate_ambiguity")
-
-
-def make_strategy(kind: str, *, q_bar: ConditionalPMF | None = None,
-                  target_set: SubsetView | None = None) -> TraitorStrategy:
-    if kind == "honest_passthrough":
-        return HonestPassthrough()
-    if kind == "black_hole":
-        return BlackHole()
-    if kind == "fake_distribution":
-        if q_bar is None:
-            raise ValueError("fake_distribution needs qbar")
-        return FakeDistribution(q_bar)
-    if kind == "fixed_rate_ambiguity":
-        if target_set is None:
-            raise ValueError("ambiguity attack needs a target candidate set")
-        return FixedRateAmbiguity(target_set)
-    raise ValueError(f"unknown strategy kind {kind!r}")
+# every strategy class by its kind, the scenario field's allowed values
+STRATEGIES = {cls.kind: cls for cls in (HonestPassthrough, BlackHole, FakeDistribution,
+                                        FixedRateAmbiguity)}

@@ -61,7 +61,10 @@ class EnumerationGuardError(RuntimeError):
 
 
 def _check_space(alphabet: int, n: int) -> None:
-    """Refuse an alphabet^n sequence space past the 2^22 desk-scale guard."""
+    """Refuse an alphabet^n sequence space past the 2^22 desk-scale guard,
+    and an alphabet whose symbols do not fit in the tables' one byte."""
+    if alphabet > 256:
+        raise ValueError(f"alphabet of {alphabet} symbols: symbols must fit in one byte")
     if n * math.log2(alphabet) > 22 + 1e-9:
         raise EnumerationGuardError(
             f"sequence space {alphabet}^{n} exceeds the 2^22 enumeration guard")

@@ -200,7 +200,7 @@ def cmd_trials(args) -> int:
         # every such trial and the summary need R*: a collection past the
         # enumeration guard is refused here, before any trial runs
         scn.region()
-    scn.check_strategy()     # a strategy no trial could build is refused here too
+    scn.build_strategy()     # as is a strategy no trial could build: an optimal qbar solves R*
     rows = _run_trials(scn, mode, args.workers)
     summary = aggregate_rows(rows)
     if mode.endswith("vr"):

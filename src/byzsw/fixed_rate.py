@@ -202,8 +202,7 @@ def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
         c, idx = messages[i]
         in_bin = np.flatnonzero(code.space_bins(i, sizes[i], c) == idx)
         members[i] = all_sequences(sizes[i], code.n)[in_bin]
-    per_set = {S.indices: _first_typical(marginal(p, S), [members[i] for i in S],
-                                         code.eps_decode)
+    per_set = {S: _first_typical(marginal(p, S), [members[i] for i in S], code.eps_decode)
                for S in H.candidates}
     # bin-membership recheck: never emit an estimate inconsistent with what
     # was actually received. One kernel call bins every decoded row under
@@ -227,7 +226,7 @@ def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
         containing = [S for S in order if i in S]
         values = []
         for S in containing:
-            tup = per_set[S.indices]
+            tup = per_set[S]
             if tup is not None:
                 values.append((S, tup[list(S.indices).index(i)]))
         for (sa, va), (sb, vb) in itertools.combinations(values, 2):

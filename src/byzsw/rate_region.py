@@ -30,7 +30,6 @@ work beyond ~2^20 cells.
 """
 from __future__ import annotations
 
-import enum
 import functools
 import itertools
 import math
@@ -72,7 +71,7 @@ class HonestCollection:
         cands = tuple(self.candidates)
         if not cands:
             raise ValueError("honest collection must be nonempty")
-        if len({c.indices for c in cands}) != len(cands):
+        if len(set(cands)) != len(cands):
             raise ValueError("duplicate candidate sets")
         object.__setattr__(self, "candidates",
                            tuple(sorted(cands, key=lambda s: (len(s), s.indices))))
@@ -99,21 +98,15 @@ class HonestCollection:
         return len(self.candidates)
 
     def __contains__(self, s: SubsetView) -> bool:
-        return any(c.indices == s.indices for c in self.candidates)
+        return s in self.candidates
 
     def detect_threshold(self, m: int) -> int | None:
         """Recognize threshold-style collections, including the variant that
         lists only the minimum-size sets (exactly t traitors)."""
-        sizes = {len(c) for c in self.candidates}
-        smallest = min(sizes)
-        t = m - smallest
-        full = HonestCollection.threshold(m, t)
-        mine = {c.indices for c in self.candidates}
-        if mine == {c.indices for c in full.candidates}:
-            return t
-        if mine == {tuple(c) for c in itertools.combinations(range(m), smallest)}:
-            return t
-        return None
+        smallest = min(map(len, self.candidates))
+        exact = {SubsetView(c) for c in itertools.combinations(range(m), smallest)}
+        full = set(HonestCollection.threshold(m, m - smallest))
+        return m - smallest if set(self.candidates) in (full, exact) else None
 
 
 @dataclass(frozen=True)
@@ -122,7 +115,7 @@ class InfoModel:
     code is willing to accept for them; ``channels`` None is perfect
     information, where every candidate's one channel is the identity."""
 
-    channels: Mapping[tuple[int, ...], tuple[ConditionalPMF, ...]] | None
+    channels: Mapping[SubsetView, tuple[ConditionalPMF, ...]] | None
     alphabet_sizes: tuple[int, ...]
 
     @property
@@ -138,17 +131,16 @@ class InfoModel:
                       alphabet_sizes: Sequence[int]) -> "InfoModel":
         table = {}
         for s, chans in channels.items():
-            key = s.indices if isinstance(s, SubsetView) else tuple(s)
             if not chans:
-                raise ValueError(f"candidate {key} has no channels")
-            table[key] = tuple(chans)
+                raise ValueError(f"candidate {s} has no channels")
+            table[s] = tuple(chans)
         return cls(table, tuple(int(a) for a in alphabet_sizes))
 
     def channels_for(self, s: SubsetView) -> tuple[ConditionalPMF, ...]:
         if self.perfect:
             return (identity_channel(self.alphabet_sizes),)
         try:
-            return self.channels[s.indices]
+            return self.channels[s]
         except KeyError:
             raise KeyError(f"no channels registered for candidate {s}") from None
 
@@ -177,7 +169,6 @@ def max_entropy_with_marginals(p: JointPMF, V: Sequence[SubsetView], *,
     coordinates outside U independent and uniform, which preserves the
     product form of the maximizer.
     """
-    V = [s if isinstance(s, SubsetView) else SubsetView.of(*s) for s in V]
     if not V:
         raise ValueError("constraint family must be nonempty")
     U = union_of(V)
@@ -270,8 +261,7 @@ def _candidate_collections(candidates: Sequence[SubsetView],
         rank[k] = r
     pin = None
     if must_contain is not None:
-        pin = next((k for k, s in enumerate(candidates)
-                    if s.indices == must_contain.indices), None)
+        pin = next((k for k, s in enumerate(candidates) if s == must_contain), None)
         if pin is None:
             return []
     families = []
@@ -555,14 +545,6 @@ def _row_sums(w: int, cells: int) -> np.ndarray:
 # simulability of a joint law given a candidate set and channel
 # ---------------------------------------------------------------------------
 
-class Feasibility(enum.Enum):
-    FEASIBLE = "feasible"
-    INFEASIBLE = "infeasible"
-
-    def __bool__(self) -> bool:
-        return self is Feasibility.FEASIBLE
-
-
 def _effective_channel(r: ConditionalPMF, p: JointPMF, S: SubsetView) -> ConditionalPMF:
     """Accept channels given on the full input alphabet or already on x_S."""
     sizes_s = tuple(p.alphabet_sizes[i] for i in S)
@@ -594,7 +576,7 @@ def _simulability_matrix(p: JointPMF, S: SubsetView, r_tilde: ConditionalPMF) ->
 
 
 def q_set_feasible(q: JointPMF, S: SubsetView, r_prime: ConditionalPMF,
-                   p: JointPMF) -> Feasibility:
+                   p: JointPMF) -> bool:
     """Can traitors holding side information r' simulate the joint law q when
     the honest set is S?  Feasible iff there is a table qbar(x_Sc | w) with
 
@@ -610,7 +592,7 @@ def q_set_feasible(q: JointPMF, S: SubsetView, r_prime: ConditionalPMF,
     w = r_tilde.output_alphabet_size
     lp = LinearProgram(np.vstack([A, _row_sums(w, A.shape[1] // w)]),
                        np.concatenate([q.mass.reshape(-1), np.ones(w)]))
-    return Feasibility.FEASIBLE if lp.feasible else Feasibility.INFEASIBLE
+    return lp.feasible
 
 
 def _ball_membership_general(t_u: np.ndarray, U: SubsetView, S: SubsetView,
@@ -622,7 +604,7 @@ def _ball_membership_general(t_u: np.ndarray, U: SubsetView, S: SubsetView,
     simplex and lo <= y <= hi, the box held by slack columns as
     A qbar - s = max(lo, 0) and A qbar + s' = hi."""
     r_tilde = _effective_channel(r_prime, p, S)
-    if S.indices == U.indices:      # no traitor coordinate to simulate
+    if S == U:          # no traitor coordinate to simulate
         p_s = marginal(p, S).mass
         return bool(np.max(np.abs(t_u.reshape(p_s.shape) - p_s)) <= tau_u + 1e-12)
     # Re-index the problem to live on the U coordinates only.

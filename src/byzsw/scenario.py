@@ -21,7 +21,13 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .adversary import STRATEGY_KINDS, TraitorStrategy, make_strategy, optimal_fake_conditional
+from .adversary import (
+    STRATEGIES,
+    FakeDistribution,
+    FixedRateAmbiguity,
+    TraitorStrategy,
+    optimal_fake_conditional,
+)
 from .fixed_rate import FixedRateCode, run_fixed_rate_trial
 from .prob_core import ConditionalPMF, JointPMF, SubsetView
 from .rate_region import (
@@ -86,7 +92,8 @@ _FIELDS = {
         "schema_version": (str(SCHEMA_VERSION),
                            lambda v: type(v) is int and v == SCHEMA_VERSION, REQUIRED),
         "m": (*_COUNT, REQUIRED),
-        "alphabet_sizes": ("a list of integers >= 1", _each(_COUNT[1]), REQUIRED),
+        "alphabet_sizes": ("a list of integers in [1, 256]",     # a symbol is one byte
+                           _each(_number(lambda x: 1 <= x <= 256, integer=True)), REQUIRED),
         "pmf": ("a table of finite numbers >= 0", _table, REQUIRED),
         "honest_collection": ("an object", lambda v: False, REQUIRED),     # walked
         "info_model": ('"perfect" or an object', lambda v: v == "perfect", REQUIRED),
@@ -110,7 +117,7 @@ _FIELDS = {
                          and _each(_table)(tables) for key, tables in v.items()), REQUIRED),
     },
     "strategy": {
-        "kind": ("strategy kind", STRATEGY_KINDS, REQUIRED),
+        "kind": ("strategy kind", tuple(STRATEGIES), REQUIRED),
         "q_bar": ('null, "optimal" or a table of finite numbers >= 0',     # null: optimal
                   lambda v: v in (None, "optimal") or _table(v), None),
         "target_set": (*_maybe(*_SENSORS), None),
@@ -169,7 +176,12 @@ def _sensors(indices: list, path: str, m: int) -> SubsetView:
     return SubsetView(tuple(indices))
 
 
-_OPTIMAL_NEEDS_PERFECT = "optimal qbar derivation is implemented for perfect information only"
+def _at(path: str, build: Callable, *args):
+    """``build(*args)``, a refusal prefixed with the field path it came from."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -202,14 +214,15 @@ class Scenario:
         m = doc["m"]
         sizes = tuple(doc["alphabet_sizes"])
         if len(sizes) != m:
-            raise ValueError("alphabet_sizes length != m")
-        p = JointPMF(sizes, np.asarray(doc["pmf"], dtype=float))
+            raise ValueError(f"alphabet_sizes: must have m = {m} entries, got {len(sizes)}")
+        p = _at("pmf", JointPMF, sizes, doc["pmf"])
 
         coll_doc = doc["honest_collection"]
         if len(coll_doc) != 1:
             raise ValueError("honest_collection: must give exactly one of threshold_t and sets")
         if "threshold_t" in coll_doc:
-            collection = HonestCollection.threshold(m, coll_doc["threshold_t"])
+            collection = _at("honest_collection.threshold_t", HonestCollection.threshold,
+                             m, coll_doc["threshold_t"])
         else:
             collection = HonestCollection(tuple(
                 _sensors(s, f"honest_collection.sets[{k}]", m)
@@ -224,7 +237,7 @@ class Scenario:
                 [ConditionalPMF(sizes, np.shape(t)[-1], t) for t in tables]
                 for key, tables in channels.items()}, sizes)
             for cand in collection:
-                if cand.indices not in info.channels:
+                if cand not in info.channels:
                     raise ValueError(f"info_model.channels: no channels for candidate {cand}")
 
         honest_true = _sensors(doc["true_honest"], "true_honest", m)
@@ -249,6 +262,11 @@ class Scenario:
         strat_doc = doc["strategy"] or {"kind": None, "q_bar": None, "target_set": None}
         strategy_kind, q_bar_spec = strat_doc["kind"], strat_doc["q_bar"]
         target_set = strat_doc["target_set"]
+        for key, reader in (("q_bar", "fake_distribution"),
+                            ("target_set", "fixed_rate_ambiguity")):
+            if strat_doc[key] is not None and strategy_kind != reader:
+                raise ValueError(f"strategy.{key}: only the {reader} strategy reads it, "
+                                 f"not {strategy_kind}")
         if target_set is not None:
             target_set = _sensors(target_set, "strategy.target_set", m)
         if strategy_kind == "fixed_rate_ambiguity" and target_set is None:
@@ -266,7 +284,8 @@ class Scenario:
                                C=fr_doc["c_subcodebooks"], eps_decode=fr_doc["eps_decode"],
                                plurality=fr_doc["plurality"])
             if len(fr.rates) != m:
-                raise ValueError("fixed_rate.rates length != m")
+                raise ValueError(f"fixed_rate.rates: must have m = {m} entries, "
+                                 f"got {len(fr.rates)}")
             if strategy_kind is None and len(honest_true.complement(m)):
                 # a variable-rate session lets such traitors behave honestly; a
                 # fixed-rate trial needs their strategy
@@ -298,22 +317,16 @@ class Scenario:
     def traitors(self) -> SubsetView:
         return self.honest_true.complement(self.m)
 
-    def check_strategy(self) -> None:
-        """Refuse a strategy that no trial could build, before any trial
-        runs; the optimal qbar is checked without solving the region."""
-        if self.strategy_kind != "fake_distribution" or self.q_bar_spec not in (None, "optimal"):
-            self.build_strategy()
-        elif len(self.traitors()) and not self.info_model.perfect:
-            raise ValueError(_OPTIMAL_NEEDS_PERFECT)
-
     def build_strategy(self) -> TraitorStrategy | None:
+        """A fresh strategy for one trial, or None without a kind or without
+        traitors. The optimal qbar reads the cached region."""
         if self.strategy_kind is None or len(self.traitors()) == 0:
             return None
         if self.strategy_kind == "fake_distribution":
-            return make_strategy("fake_distribution", q_bar=self.q_bar())
+            return FakeDistribution(self.q_bar())
         if self.strategy_kind == "fixed_rate_ambiguity":
-            return make_strategy("fixed_rate_ambiguity", target_set=self.target_set)
-        return make_strategy(self.strategy_kind)
+            return FixedRateAmbiguity(self.target_set)
+        return STRATEGIES[self.strategy_kind]()
 
     def q_bar(self) -> ConditionalPMF:
         traitors = self.traitors()
@@ -321,7 +334,8 @@ class Scenario:
         cells_t = int(np.prod(sizes_t))
         if self.q_bar_spec == "optimal" or self.q_bar_spec is None:
             if not self.info_model.perfect:
-                raise ValueError(_OPTIMAL_NEEDS_PERFECT)
+                raise ValueError("optimal qbar derivation is implemented for perfect "
+                                 "information only")
             _value, _V, q_star = self.region().per_pair_detail[self.honest_true]
             return optimal_fake_conditional(q_star, self.honest_true,
                                             self.alphabet_sizes)
@@ -349,11 +363,6 @@ scenario_from_dict = Scenario      # the scenario a copy of the document describ
 def load_scenario(path) -> Scenario:
     with open(path) as fh:
         return scenario_from_dict(json.load(fh))
-
-
-def save_scenario(s: Scenario, path) -> None:
-    with open(path, "w") as fh:
-        fh.write(canonical_dumps(scenario_to_dict(s)))
 
 
 # ---------------------------------------------------------------------------

@@ -351,7 +351,7 @@ def update_V(V: Sequence[SubsetView], estimates: np.ndarray, p: JointPMF,
         emptied.append(not kept)
         V = kept or V
         trajectory.append(V)
-        if union_of(V).indices != U.indices:
+        if union_of(V) != U:
             break
     return trajectory, emptied
 

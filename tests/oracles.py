@@ -25,7 +25,6 @@ import numpy as np
 
 from byzsw.adversary import AmbiguityOutcome, TraitorContext
 from byzsw.binning import (
-    EnumerationGuardError,
     all_sequences,
     bin_count_for_rate,
     fixed_rate_encode,
@@ -439,12 +438,9 @@ def reference_deterministic_extra_constraints(p: JointPMF, H: HonestCollection, 
 
 def _joint_flat_space(sizes: tuple[int, ...], n: int) -> np.ndarray:
     """All joint sequences over a coordinate set, as (count, n) per-slot flat
-    joint symbols in lexicographic order."""
-    cells = int(np.prod(sizes))
-    if n * math.log2(cells) > 22 + 1e-9:
-        raise EnumerationGuardError(
-            f"joint space {cells}^{n} exceeds the per-stage 2^22 guard")
-    return all_sequences(cells, n)
+    joint symbols in lexicographic order; ``all_sequences`` refuses a space
+    past its guard."""
+    return all_sequences(int(np.prod(sizes)), n)
 
 
 def _ball_distances(flat_seqs: np.ndarray, cells: int, p_flat: np.ndarray) -> np.ndarray:

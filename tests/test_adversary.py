@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from byzsw.adversary import (
-    STRATEGY_KINDS,
+    STRATEGIES,
     BlackHole,
     FakeDistribution,
     FixedRateAmbiguity,
@@ -14,7 +14,6 @@ from byzsw.adversary import (
     TraitorStrategy,
     fabricate_block,
     fixed_rate_ambiguity_attack,
-    make_strategy,
     optimal_fake_conditional,
 )
 from byzsw.binning import BinningCodebook, EnumerationGuardError, bin_count_for_rate
@@ -407,9 +406,10 @@ class TestOneProtocol:
         codes = [FixedRateCode(rates=(0.92, 0.75, 0.95), n=14, seed=3),
                  FixedRateCode(rates=(1.4, 1.4, 1.4), n=14, C=8, seed=3)]
         params = ProtocolParams(n=10, rounds=3, eps=0.35, eta=4.0, C=8)
-        for kind in STRATEGY_KINDS:
+        args = {"fake_distribution": (q_bar,), "fixed_rate_ambiguity": (SubsetView.of(0, 1),)}
+        for kind, cls in STRATEGIES.items():
             def strategy():
-                return make_strategy(kind, q_bar=q_bar, target_set=SubsetView.of(0, 1))
+                return cls(*args.get(kind, ()))
             for code in codes:
                 if kind == "fixed_rate_ambiguity" and code.kind == "randomized":
                     continue
@@ -522,16 +522,13 @@ class TestAmbiguityOracle:
         with pytest.raises(EnumerationGuardError) as want:
             reference_ambiguity_attack(ctx, S1, honest, code, p, block)
         assert str(got.value) == str(want.value)
-        assert "per-stage 2^22 guard" in str(got.value)
+        assert "exceeds the 2^22 enumeration guard" in str(got.value)
 
 
-class TestStrategyFactory:
+class TestStrategyTable:
     def test_kinds(self):
-        assert make_strategy("black_hole").kind == "black_hole"
-        assert make_strategy("honest_passthrough").kind == "honest_passthrough"
+        assert list(STRATEGIES) == ["honest_passthrough", "black_hole", "fake_distribution",
+                                    "fixed_rate_ambiguity"]
+        assert all(cls.kind == kind for kind, cls in STRATEGIES.items())
         q_bar = ConditionalPMF((2,), 2, np.array([[0.5, 0.5], [0.1, 0.9]]))
-        assert make_strategy("fake_distribution", q_bar=q_bar).kind == "fake_distribution"
-        with pytest.raises(ValueError):
-            make_strategy("fake_distribution")
-        with pytest.raises(ValueError):
-            make_strategy("nonsense")
+        assert FakeDistribution(q_bar).kind == "fake_distribution"

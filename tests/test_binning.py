@@ -211,6 +211,17 @@ class TestSpaceBins:
         with pytest.raises(EnumerationGuardError):
             space_bins(0, [b""], alphabet, n, [4])
 
+    def test_alphabet_past_one_byte_refused(self):
+        # a uint8 table wrapped symbol 299 to 43: all_sequences(300, 2) held
+        # 65536 distinct rows of 90000, and sensor 0's bin of (299, 5) was
+        # that of (43, 5)
+        for refused in (lambda: all_sequences(300, 2),
+                        lambda: space_bins(0, [b""], 300, 2, [4]),
+                        lambda: FixedRateCode(rates=(1.0, 1.0), n=2).encode(0, 300, [299, 5])):
+            with pytest.raises(ValueError, match="one byte"):
+                refused()
+        assert all_sequences(256, 2)[-1].tolist() == [255, 255]
+
     def test_word_table_cached_read_only_and_untouched(self):
         words = _chunk_words(2, 8)
         before = words.copy()

@@ -167,7 +167,7 @@ class TestDecode:
             msgs = encode_all(code, block, BlackHole(), ctx, p,
                               seed=derive_seed(seed, "h"))
             table = decode_all(code, msgs, p, H3)
-            est = table.per_set[(1, 2)]
+            est = table.per_set[SubsetView.of(1, 2)]
             wins += (est is not None
                      and np.array_equal(est[0], block[1])
                      and np.array_equal(est[1], block[2]))
@@ -305,7 +305,7 @@ class TestFirstTypicalOracle:
                                  [bin_count_for_rate(14, code.rates[i])])[0]
                 members[i] = seqs[np.flatnonzero(bins == idx)]
             for S in H3.candidates:
-                assert_same_tuple(table.per_set[S.indices],
+                assert_same_tuple(table.per_set[S],
                                   reference_first_typical(marginal(p, S),
                                                           [members[i] for i in S], 1.4))
 
@@ -403,7 +403,7 @@ class TestEstimateTableInvariants:
             for i in range(3):
                 vals = [tuple(tup[list(S.indices).index(i)])
                         for S in H3.candidates if i in S
-                        for tup in [table.per_set[S.indices]] if tup is not None]
+                        for tup in [table.per_set[S]] if tup is not None]
                 if table.final[i] is None:
                     assert not vals
                 else:

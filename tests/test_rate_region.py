@@ -16,7 +16,6 @@ from byzsw.prob_core import (
     identity_channel,
 )
 from byzsw.rate_region import (
-    Feasibility,
     HonestCollection,
     InfoModel,
     closed_form_t,
@@ -458,14 +457,14 @@ class TestQSetFeasible:
         for _ in range(5):
             p = random_pmf(rng, (2, 2))
             r = identity_channel((2, 2))
-            assert q_set_feasible(p, SubsetView.of(0), r, p) is Feasibility.FEASIBLE
+            assert q_set_feasible(p, SubsetView.of(0), r, p) is True
             # W = x1 exactly (the simulated coordinate) also suffices
             rows = np.zeros((2, 2, 2))
             for x0 in range(2):
                 for x1 in range(2):
                     rows[x0, x1, x1] = 1.0
             r1 = ConditionalPMF((2, 2), 2, rows)
-            assert q_set_feasible(p, SubsetView.of(0), r1, p) is Feasibility.FEASIBLE
+            assert q_set_feasible(p, SubsetView.of(0), r1, p) is True
 
     def test_perfect_info_marginal_match_feasible(self):
         rng = np.random.default_rng(15)
@@ -474,7 +473,7 @@ class TestQSetFeasible:
         # any q with q(x0) = p(x0) is reachable under perfect information
         q_mass = np.outer(p.mass.sum(axis=1), [0.5, 0.5])
         q = JointPMF((2, 2), q_mass)
-        assert q_set_feasible(q, SubsetView.of(0), r, p) is Feasibility.FEASIBLE
+        assert q_set_feasible(q, SubsetView.of(0), r, p) is True
 
     def test_constant_w_requires_product_form(self):
         p = JointPMF((2, 2), np.array([[0.445, 0.055], [0.055, 0.445]]))
@@ -483,11 +482,11 @@ class TestQSetFeasible:
         S = SubsetView.of(0)
         # q = p itself is correlated beyond independence: infeasible
         assert not product_form_feasible(p, p, S)
-        assert q_set_feasible(p, S, r, p) is Feasibility.INFEASIBLE
+        assert q_set_feasible(p, S, r, p) is False
         # the independent coupling with matching x0 marginal is feasible
         q_ind = JointPMF((2, 2), np.outer([0.5, 0.5], [0.5, 0.5]))
         assert product_form_feasible(q_ind, p, S)
-        assert q_set_feasible(q_ind, S, r, p) is Feasibility.FEASIBLE
+        assert q_set_feasible(q_ind, S, r, p) is True
 
     def test_perturbed_product_law_infeasible(self):
         # perturb a feasible product-form law inside a fiber by 3e-6: the
@@ -500,9 +499,9 @@ class TestQSetFeasible:
         bump = 3e-6
         q = JointPMF((2, 2), base + np.array([[bump, -bump], [-bump, bump]]))
         assert not product_form_feasible(q, p, SubsetView.of(0))
-        assert q_set_feasible(q, SubsetView.of(0), r, p) is Feasibility.INFEASIBLE
+        assert q_set_feasible(q, SubsetView.of(0), r, p) is False
         assert q_set_feasible(JointPMF((2, 2), base), SubsetView.of(0), r, p) \
-            is Feasibility.FEASIBLE
+            is True
 
     def test_oracle_agreement_on_random_instances(self):
         # every other law is a product p(x0) g(x1) with g on the oracle's

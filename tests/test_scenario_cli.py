@@ -3,6 +3,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -156,6 +157,13 @@ MALFORMED = [
     ("fixed_rate_demo", "fixed_rate.kind", "deterministic"),     # C = 1 is deterministic
     ("fixed_rate_randomized", "fixed_rate.kind", "randomized"),
     ("three_sensor", "eavesdropping", False),                    # not modeled
+    ("three_sensor", "alphabet_sizes", [2, 2, 300]),             # a symbol is one byte
+    ("three_sensor", "alphabet_sizes", [2, 2]),
+    ("three_sensor", "pmf", [[0.25, 0.25], [0.25, 0.25]]),
+    ("independent_coding", "honest_collection.threshold_t", 3),
+    ("fixed_rate_demo", "fixed_rate.rates", [0.92, 0.75]),
+    ("fixed_rate_demo", "strategy.q_bar", [[1.0]]),              # read by no other kind
+    ("three_sensor", "strategy.target_set", [0, 1]),
 ]
 
 
@@ -170,7 +178,8 @@ def test_malformed_field_refused_at_load(preset, path, value):
     target[key] = value
     with pytest.raises(ValueError) as refusal:
         scenario_from_dict(json.loads(canonical_dumps(doc)))
-    assert str(refusal.value).startswith(path)
+    # the message starts with the path, a list member's with its index
+    assert re.match(rf"{re.escape(path)}(\[\d+\])?: ", str(refusal.value))
 
 
 @pytest.mark.parametrize("keys", [("0", "1", "0,1", "1,0"), ("0", "1", "0,0"), ("00", "1")])
@@ -452,11 +461,14 @@ class TestCli:
     @pytest.mark.parametrize("command, strategy", [
         ("simulate-vr", None),
         ("attack-demo", {"kind": "fake_distribution", "q_bar": "optimal",
+                         "target_set": None}),
+        ("simulate-fr", {"kind": "fake_distribution", "q_bar": "optimal",
                          "target_set": None})])
     def test_trials_over_family_guard_refused_before_any_trial(
             self, tmp_path, capsys, monkeypatch, command, strategy):
-        # every trial and the summary's r_star need R* of threshold(6, 5),
-        # past FAMILY_GUARD: refused once, up front, with nothing written
+        # every trial, the optimal qbar and the summary's r_star need R* of
+        # threshold(6, 5), past FAMILY_GUARD: refused once, up front, with
+        # nothing written
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
@@ -467,6 +479,7 @@ class TestCli:
                "true_honest": [0], "true_channel": "perfect", "strategy": strategy,
                "variable_rate": {"n": 2, "rounds": 1, "eps": 0.35, "nu": 1.925,
                                  "eta": None, "c_subcodebooks": 2, "alpha": 0.05},
+               "fixed_rate": {"rates": [1.0] * 6, "n": 2} if command == "simulate-fr" else None,
                "trials": 2, "seed": 1}
         path = tmp_path / "big.json"
         path.write_text(canonical_dumps(doc))
@@ -479,9 +492,12 @@ class TestCli:
         assert lines[0].startswith("error: ") and lines[0].endswith("guard is 4096")
         assert not out_dir.exists()
 
-    def test_in_process_trials_solve_the_region_once(self, capsys, monkeypatch):
-        # the up-front refusal check, every trial's optimal qbar and budget
-        # all read the one Scenario's region
+    @pytest.mark.parametrize("command, preset", [("attack-demo", "three_sensor"),
+                                                 ("simulate-fr", "four_sensor_plurality")])
+    def test_in_process_trials_solve_the_region_once(self, capsys, monkeypatch, command,
+                                                     preset):
+        # the strategy built before any trial, every trial's optimal qbar and
+        # budget all read the one Scenario's region
         calls = []
         solve = byzsw.scenario.r_star_perfect
 
@@ -492,7 +508,7 @@ class TestCli:
         monkeypatch.setattr(byzsw.scenario, "r_star_perfect", counted)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")       # the subcodebook cap
-            assert main(["attack-demo", "--preset", "three_sensor", "--trials", "3"]) == 0
+            assert main([command, "--preset", preset, "--trials", "3"]) == 0
         assert "trials: 3" in capsys.readouterr().out
         assert len(calls) == 1
 
@@ -685,6 +701,21 @@ class TestTrialChecks:
         doc = PRESETS[preset]()
         doc["strategy"]["q_bar"] = [[0.5, 0.5]] * rows
         assert_cli_refuses(tmp_path, capsys, doc, command, "strategy.q_bar: must have 8 rows")
+
+    @pytest.mark.parametrize("command", ["simulate-vr", "simulate-fr"])
+    def test_alphabet_past_one_byte_refused_at_load(self, tmp_path, capsys, command):
+        # the uint8 sequence tables wrapped symbols 256 and above, and both
+        # commands ran on the wrapped spaces
+        doc = {"schema_version": 1, "m": 2, "alphabet_sizes": [300, 2],
+               "pmf": np.full((300, 2), 1 / 600).tolist(),
+               "honest_collection": {"sets": [[0, 1]]}, "info_model": "perfect",
+               "true_honest": [0, 1], "true_channel": "perfect",
+               "variable_rate": {"n": 2, "rounds": 1, "eps": 0.35, "nu": 1.925,
+                                 "c_subcodebooks": 2},
+               "fixed_rate": {"rates": [5.0, 1.0], "n": 2}, "trials": 1, "seed": 1}
+        with pytest.raises(ValueError, match=r"^alphabet_sizes: .*\[1, 256\]"):
+            scenario_from_dict(doc)
+        assert_cli_refuses(tmp_path, capsys, doc, command, "alphabet_sizes")
 
     def test_variable_rate_traitors_without_strategy_load(self):
         # a variable-rate session lets strategy-less traitors behave honestly

@@ -525,7 +525,7 @@ class TestSequentialOracle:
         from byzsw.scenario import PRESETS, scenario_from_dict
         from byzsw.source_model import derive_seed
         doc = PRESETS["three_sensor"]()
-        doc["strategy"]["kind"] = strategy_kind
+        doc["strategy"] = {"kind": strategy_kind}      # a null q_bar is the optimal one
         doc["variable_rate"]["rounds"] = rounds
         scn = scenario_from_dict(doc)
         return list(self._both(
