@@ -122,13 +122,13 @@ class TraitorStrategy:
 
     One protocol for both schemes. A scheme draws the round data of its
     rounds into the context and calls ``begin_round`` once with their
-    indices, then reads ``reported_block`` for each traitor: one row per
-    round, in the order of those indices, which the scheme encodes like an
-    honest sensor's, under ``choose_subcodebook``. A traitor that reports
-    None sends ``respond``'s bins instead, one chain per round. A
-    variable-rate session calls ``begin_round`` once with all its rounds; a
-    fixed-rate trial is round 0 with one block (``fixed_rate.encode_all``).
-    The round index is passed to every per-round call that depends on it.
+    indices. It returns the rows the traitors report, which the scheme
+    encodes like honest sensors' rows, under ``choose_subcodebook``; or
+    None, and every traitor sends ``respond``'s bins instead, one chain per
+    round. A variable-rate session calls ``begin_round`` once with all its
+    rounds; a fixed-rate trial is round 0 with one block
+    (``fixed_rate.encode_all``). The round index is passed to every
+    per-round call that depends on it.
 
     The session draws every round's blocks before it plays any, and plays
     the rounds in passes, so a strategy must depend only on the round index
@@ -139,18 +139,14 @@ class TraitorStrategy:
 
     kind = "honest_passthrough"
 
-    def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> None:
-        """Prepare the reported blocks of ``rounds``, whose data the context
-        holds; the base strategy has none to prepare."""
-
-    def reported_block(self, ctx: TraitorContext, sensor: int) -> np.ndarray | None:
-        """The sequences this traitor pretends are its observations, an
-        (R, n) array with one row per round of ``begin_round``, or None if
-        it sends garbage instead of encoding anything."""
+    def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> np.ndarray | None:
+        """The sequences the traitors pretend are their observations, an
+        (R, |T|, n) array with one row per round of ``rounds``, aligned with
+        ``ctx.traitors``; or None if they send garbage instead of encoding
+        anything. The base strategy reports the true rows."""
         if ctx.own_block is None:
             raise ValueError("honest passthrough requires the traitors' own block")
-        row = list(ctx.traitors).index(sensor)
-        return ctx.own_block[:, row]
+        return ctx.own_block
 
     def choose_subcodebook(self, ctx: TraitorContext, round_index: int, sensor: int,
                            C: int) -> int:
@@ -177,7 +173,7 @@ class BlackHole(TraitorStrategy):
 
     kind = "black_hole"
 
-    def reported_block(self, ctx, sensor):
+    def begin_round(self, ctx, rounds):
         return None
 
     def respond(self, ctx: TraitorContext, rounds: Sequence[int], sensor: int,
@@ -195,16 +191,10 @@ class FakeDistribution(TraitorStrategy):
 
     def __init__(self, q_bar: ConditionalPMF):
         self.q_bar = q_bar
-        self._fake: np.ndarray | None = None
 
-    def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> None:
-        super().begin_round(ctx, rounds)
-        self._fake = fabricate_block(ctx, self.q_bar, [
+    def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> np.ndarray:
+        return fabricate_block(ctx, self.q_bar, [
             derive_seed(ctx.seed, "fabricate-round", r) for r in rounds])
-
-    def reported_block(self, ctx, sensor):
-        row = list(ctx.traitors).index(sensor)
-        return self._fake[:, row]
 
 
 # ---------------------------------------------------------------------------
@@ -359,7 +349,7 @@ class FixedRateAmbiguity(TraitorStrategy):
         self.target_set = target_set
         self.last_outcome: AmbiguityOutcome | None = None
 
-    def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> None:
+    def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> np.ndarray | None:
         if ctx.code is None:
             raise ValueError("the ambiguity attack needs a fixed-rate code")
         sizes = ctx.law.alphabet_sizes
@@ -367,9 +357,7 @@ class FixedRateAmbiguity(TraitorStrategy):
         self.last_outcome = fixed_rate_ambiguity_attack(
             ctx, self.target_set, ctx.traitors.complement(len(sizes)), ctx.code,
             ctx.law, np.stack(np.unravel_index(w, sizes)))
-
-    def reported_block(self, ctx, sensor):
-        return None if self.last_outcome.found else super().reported_block(ctx, sensor)
+        return None if self.last_outcome.found else super().begin_round(ctx, rounds)
 
     def respond(self, ctx: TraitorContext, rounds: Sequence[int], sensor: int,
                 bins: Sequence[int]) -> np.ndarray:

@@ -108,8 +108,9 @@ def _trial_mode(command: str, scn: Scenario) -> str:
 
 def _run_trials(scn: Scenario, mode: str, workers: int) -> list[dict]:
     """Rows of every trial in trial order (``map`` keeps its input order).
-    In-process trials share ``scn``, so a region it has solved is not solved
-    again; each worker process rebuilds the scenario once."""
+    In-process trials share ``scn``, so a region it has solved and the
+    strategy it has built are not made again; each worker process rebuilds
+    the scenario, and so its strategy, once."""
     trials = range(scn.trials)
     if workers <= 1:
         return [trial_row(scn, t, mode) for t in trials]
@@ -200,7 +201,7 @@ def cmd_trials(args) -> int:
         # every such trial and the summary need R*: a collection past the
         # enumeration guard is refused here, before any trial runs
         scn.region()
-    scn.build_strategy()     # as is a strategy no trial could build: an optimal qbar solves R*
+    scn.strategy     # as is a strategy no trial could build: an optimal qbar solves R*
     rows = _run_trials(scn, mode, args.workers)
     summary = aggregate_rows(rows)
     if mode.endswith("vr"):

@@ -135,14 +135,19 @@ def encode_all(code: FixedRateCode, block: np.ndarray,
     """Messages (c, bin) from every sensor of the (m, n) ``block``, as round
     0 of the traitor protocol, the context holding that one round's data: an
     honest sensor bins its true row (under a uniform c when C > 1), a
-    traitor the row its strategy reports for round 0, or else sends block 0
-    of the strategy's ``respond`` chain."""
+    traitor the row its strategy's ``begin_round`` reports for round 0, or,
+    when it reports none, block 0 of the strategy's ``respond`` chain."""
     traitors = ctx.traitors if ctx is not None else SubsetView(())
+    sent, silent = block, False
     if len(traitors) > 0:
         if strategy is None:
             raise ValueError("traitors present but no strategy supplied")
         ctx.code = code
-        strategy.begin_round(ctx, [0])
+        reported = strategy.begin_round(ctx, [0])
+        silent = reported is None
+        if not silent:
+            sent = block.copy()
+            sent[list(traitors.indices)] = reported[0]
     messages = {}
     for i in range(code.m):
         traitor = i in traitors
@@ -150,15 +155,11 @@ def encode_all(code: FixedRateCode, block: np.ndarray,
         if code.C > 1:
             c = (strategy.choose_subcodebook(ctx, 0, i, code.C) if traitor
                  else int(rng_for(seed, "fr-subcode", i).integers(code.C)))
-        row = block[i]
-        if traitor:
-            rows = strategy.reported_block(ctx, i)
-            row = None if rows is None else rows[0]
-        if row is None:
+        if silent and traitor:
             bins = bin_count_for_rate(code.n, code.rates[i])
             idx = int(strategy.respond(ctx, [0], i, [bins])[0, 0])
         else:
-            idx = code.encode(i, p.alphabet_sizes[i], row, c)
+            idx = code.encode(i, p.alphabet_sizes[i], sent[i], c)
         messages[i] = (c, idx)
     return messages
 

@@ -184,6 +184,21 @@ def _at(path: str, build: Callable, *args):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _channel(sizes: tuple, table: list) -> ConditionalPMF:
+    """The channel a checked table describes: one row per joint symbol."""
+    return ConditionalPMF(sizes, np.shape(table)[-1], table)
+
+
+def _q_bar_table(table: list, cells_t: int, w_size: int) -> ConditionalPMF:
+    """The fake conditional a checked table describes: one row of ``cells_t``
+    entries per side-information symbol."""
+    arr = np.asarray(table, dtype=float)
+    if len(arr) != w_size or arr.size != w_size * cells_t:
+        raise ValueError(f"must have {w_size} rows, one per side-information symbol w, "
+                         f"of {cells_t} entries, got shape {arr.shape}")
+    return ConditionalPMF((w_size,), cells_t, arr.reshape(w_size, cells_t))
+
+
 @dataclass(frozen=True)
 class Scenario:
     """Runtime form of a scenario document: ``Scenario(doc)`` checks a copy of
@@ -199,13 +214,14 @@ class Scenario:
     honest_true: SubsetView = field(init=False)
     r_true: ConditionalPMF | None = field(init=False)    # None means the identity channel
     strategy_kind: str | None = field(init=False)
-    q_bar_spec: Any = field(init=False)                  # "optimal", nested table, or None
+    q_bar_table: ConditionalPMF | None = field(init=False)   # None: optimal or unread
     target_set: SubsetView | None = field(init=False)
     vr: ProtocolParams | None = field(init=False)
     fr: FixedRateCode | None = field(init=False)
     trials: int = field(init=False)
     seed: int = field(init=False)
     _region_cache: RegionReport | None = field(init=False, default=None, repr=False)
+    _strategy_cache: TraitorStrategy | None = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
         """The field table's checks, then those that tie fields together."""
@@ -232,9 +248,10 @@ class Scenario:
             info = InfoModel.perfect_info(sizes)
         else:
             channels = doc["info_model"]["channels"]
-            info = InfoModel.from_channels({
+            info = _at("info_model.channels", InfoModel.from_channels, {
                 _sensors([int(tok) for tok in key.split(",")], f"info_model.channels.{key}", m):
-                [ConditionalPMF(sizes, np.shape(t)[-1], t) for t in tables]
+                [_at(f"info_model.channels.{key}[{k}]", _channel, sizes, t)
+                 for k, t in enumerate(tables)]
                 for key, tables in channels.items()}, sizes)
             for cand in collection:
                 if cand not in info.channels:
@@ -249,8 +266,7 @@ class Scenario:
                 raise ValueError('true_channel "perfect" requires a perfect info model')
             r_true = None
         else:
-            table = doc["true_channel"]
-            r_true = ConditionalPMF(sizes, np.shape(table)[-1], table)
+            r_true = _at("true_channel", _channel, sizes, doc["true_channel"])
             if not info.perfect:
                 accepted = info.channels_for(honest_true)
                 if not any(ch.rows.shape == r_true.rows.shape
@@ -259,14 +275,24 @@ class Scenario:
                     raise ValueError("true channel is not in the info model for the "
                                      "true honest set")
 
+        traitors = honest_true.complement(m)
+        if doc["strategy"] is not None and len(traitors) == 0:
+            raise ValueError(f"strategy: no traitor plays it, true_honest {honest_true} "
+                             "holds every sensor")
         strat_doc = doc["strategy"] or {"kind": None, "q_bar": None, "target_set": None}
-        strategy_kind, q_bar_spec = strat_doc["kind"], strat_doc["q_bar"]
-        target_set = strat_doc["target_set"]
+        strategy_kind, q_bar, target_set = (strat_doc[key]
+                                            for key in ("kind", "q_bar", "target_set"))
         for key, reader in (("q_bar", "fake_distribution"),
                             ("target_set", "fixed_rate_ambiguity")):
             if strat_doc[key] is not None and strategy_kind != reader:
                 raise ValueError(f"strategy.{key}: only the {reader} strategy reads it, "
                                  f"not {strategy_kind}")
+        if q_bar == "optimal":
+            q_bar = None
+        elif q_bar is not None:
+            q_bar = _at("strategy.q_bar", _q_bar_table, q_bar,
+                        math.prod(sizes[i] for i in traitors),
+                        p.num_cells if r_true is None else r_true.output_alphabet_size)
         if target_set is not None:
             target_set = _sensors(target_set, "strategy.target_set", m)
         if strategy_kind == "fixed_rate_ambiguity" and target_set is None:
@@ -286,11 +312,11 @@ class Scenario:
             if len(fr.rates) != m:
                 raise ValueError(f"fixed_rate.rates: must have m = {m} entries, "
                                  f"got {len(fr.rates)}")
-            if strategy_kind is None and len(honest_true.complement(m)):
+            if strategy_kind is None and len(traitors):
                 # a variable-rate session lets such traitors behave honestly; a
                 # fixed-rate trial needs their strategy
                 raise ValueError("fixed_rate with traitors needs a strategy")
-        if strategy_kind == "fixed_rate_ambiguity" and len(honest_true.complement(m)):
+        if strategy_kind == "fixed_rate_ambiguity":
             # otherwise every trial fails, or the attack reads rows W lacks
             if fr is not None and fr.kind != "deterministic":
                 raise ValueError("the ambiguity attack applies to deterministic coding")
@@ -304,7 +330,7 @@ class Scenario:
         self.__dict__.update(   # frozen: set without __setattr__
             doc=doc, m=m, alphabet_sizes=sizes, p=p, collection=collection,
             info_model=info, honest_true=honest_true, r_true=r_true,
-            strategy_kind=strategy_kind, q_bar_spec=q_bar_spec, target_set=target_set,
+            strategy_kind=strategy_kind, q_bar_table=q_bar, target_set=target_set,
             vr=vr, fr=fr, trials=doc["trials"], seed=doc["seed"])
 
     def region(self) -> RegionReport:
@@ -314,41 +340,25 @@ class Scenario:
             self.__dict__["_region_cache"] = r_star_perfect(self.p, self.collection)
         return self._region_cache
 
-    def traitors(self) -> SubsetView:
-        return self.honest_true.complement(self.m)
-
-    def build_strategy(self) -> TraitorStrategy | None:
-        """A fresh strategy for one trial, or None without a kind or without
-        traitors. The optimal qbar reads the cached region."""
-        if self.strategy_kind is None or len(self.traitors()) == 0:
-            return None
-        if self.strategy_kind == "fake_distribution":
-            return FakeDistribution(self.q_bar())
-        if self.strategy_kind == "fixed_rate_ambiguity":
-            return FixedRateAmbiguity(self.target_set)
-        return STRATEGIES[self.strategy_kind]()
-
-    def q_bar(self) -> ConditionalPMF:
-        traitors = self.traitors()
-        sizes_t = tuple(self.alphabet_sizes[i] for i in traitors)
-        cells_t = int(np.prod(sizes_t))
-        if self.q_bar_spec == "optimal" or self.q_bar_spec is None:
-            if not self.info_model.perfect:
-                raise ValueError("optimal qbar derivation is implemented for perfect "
-                                 "information only")
-            _value, _V, q_star = self.region().per_pair_detail[self.honest_true]
-            return optimal_fake_conditional(q_star, self.honest_true,
-                                            self.alphabet_sizes)
-        arr = np.asarray(self.q_bar_spec, dtype=float)
-        w = len(arr)
-        if arr.size != w * cells_t:
-            raise ValueError(f"strategy.q_bar: rows must have {cells_t} entries, one per "
-                             f"symbol tuple of the traitors {traitors}")
-        w_true = self.p.num_cells if self.r_true is None else self.r_true.output_alphabet_size
-        if w != w_true:
-            raise ValueError(f"strategy.q_bar: must have {w_true} rows, one per "
-                             f"side-information symbol w, got {w}")
-        return ConditionalPMF((w,), cells_t, arr.reshape(w, cells_t))
+    @property
+    def strategy(self) -> TraitorStrategy | None:
+        """The traitors' strategy, or None without a kind: built on first
+        read and shared by every trial of the scenario, which is sound as a
+        strategy keeps nothing from one trial that the next one reads. An
+        optimal qbar reads the cached region."""
+        if self._strategy_cache is None and self.strategy_kind is not None:
+            kind, q_bar = self.strategy_kind, self.q_bar_table
+            if kind == "fake_distribution" and q_bar is None:
+                if not self.info_model.perfect:
+                    raise ValueError("optimal qbar derivation is implemented for perfect "
+                                     "information only")
+                _value, _V, q_star = self.region().per_pair_detail[self.honest_true]
+                q_bar = optimal_fake_conditional(q_star, self.honest_true, self.alphabet_sizes)
+            self.__dict__["_strategy_cache"] = (
+                FakeDistribution(q_bar) if kind == "fake_distribution"
+                else FixedRateAmbiguity(self.target_set) if kind == "fixed_rate_ambiguity"
+                else STRATEGIES[kind]())
+        return self._strategy_cache
 
 
 def scenario_to_dict(s: Scenario) -> dict:
@@ -504,9 +514,8 @@ def _scenario_from_json(doc_json: str) -> Scenario:
 
 
 def _session_fields(scn: Scenario, session_seed: int) -> dict:
-    strategy = scn.build_strategy()
     report = run_session(scn.p, scn.collection, scn.info_model, scn.honest_true,
-                         scn.r_true, strategy, scn.vr, session_seed)
+                         scn.r_true, scn.strategy, scn.vr, session_seed)
     over: Any = ""
     if scn.info_model.perfect:
         budget = scn.region().r_star + scn.m * (2 * scn.vr.eps + scn.vr.nu_value)
@@ -529,15 +538,14 @@ def _attack_session_fields(scn: Scenario, session_seed: int) -> dict:
     return fields
 
 
-def _fixed_rate_trial(scn: Scenario, strategy: TraitorStrategy | None,
-                      session_seed: int) -> tuple:
+def _fixed_rate_trial(scn: Scenario, session_seed: int) -> tuple:
     code = replace(scn.fr, seed=derive_seed(session_seed, "fr-code"))
-    return run_fixed_rate_trial(code, scn.p, scn.collection, scn.honest_true, strategy,
+    return run_fixed_rate_trial(code, scn.p, scn.collection, scn.honest_true, scn.strategy,
                                 session_seed, r_true=scn.r_true)
 
 
 def _fixed_rate_fields(scn: Scenario, session_seed: int) -> dict:
-    _block, table, wrong = _fixed_rate_trial(scn, scn.build_strategy(), session_seed)
+    _block, table, wrong = _fixed_rate_trial(scn, session_seed)
     return {
         "honest_error": int(bool(wrong)),
         "num_null_finals": sum(1 for i in range(scn.m) if table.final[i] is None),
@@ -546,9 +554,8 @@ def _fixed_rate_fields(scn: Scenario, session_seed: int) -> dict:
 
 
 def _converse_fields(scn: Scenario, session_seed: int) -> dict:
-    strategy = scn.build_strategy()      # None when there are no traitors
-    _block, _table, wrong = _fixed_rate_trial(scn, strategy, session_seed)
-    return {"attack_found": int(strategy is not None and strategy.last_outcome.found),
+    _block, _table, wrong = _fixed_rate_trial(scn, session_seed)
+    return {"attack_found": int(scn.strategy.last_outcome.found),
             "honest_error": int(bool(wrong))}
 
 

@@ -363,35 +363,30 @@ def update_V(V: Sequence[SubsetView], estimates: np.ndarray, p: JointPMF,
 def _draw_rounds(p: JointPMF, r_true: ConditionalPMF, strategy: TraitorStrategy | None,
                  ctx: TraitorContext, n: int, seed: int, rounds: int):
     """Every round's block and side information, each round from its own
-    keyed streams, then the traitors' reported blocks for all the rounds
+    keyed streams, then the traitors' reported rows for all the rounds
     from one ``begin_round`` call.
 
     Returns the (R, m, n) true blocks, the (R, m, n) rows each sensor
-    encodes (a reporting traitor's ``reported_block`` rows in place of its
-    true rows; the true blocks themselves without a strategy), and the set
-    of traitors that report no block and send ``respond``'s chains."""
+    encodes (the traitors' reported rows in place of their true rows; the
+    true blocks themselves without a strategy or when the traitors report
+    none), and whether the traitors report no rows and send ``respond``'s
+    chains instead."""
     indices = range(rounds)
     blocks = sample_blocks(p, n, [derive_seed(seed, "block", r) for r in indices])
     ctx.w_block = sample_side_infos(r_true, blocks,
                                     [derive_seed(seed, "sideinfo", r) for r in indices])
-    traitors = ctx.traitors
-    ctx.own_block = blocks[:, list(traitors.indices)] if len(traitors) else None
-    if strategy is None:
-        return blocks, blocks, set()
-    strategy.begin_round(ctx, indices)
-    sent, silent = blocks.copy(), set()
-    for i in traitors:
-        rows = strategy.reported_block(ctx, i)
-        if rows is None:
-            silent.add(i)
-        else:
-            sent[:, i] = rows
-    return blocks, sent, silent
+    traitors = list(ctx.traitors.indices)
+    ctx.own_block = blocks[:, traitors] if traitors else None
+    reported = None if strategy is None else strategy.begin_round(ctx, indices)
+    if reported is None:
+        return blocks, blocks, strategy is not None
+    sent = blocks.copy()
+    sent[:, traitors] = reported
+    return blocks, sent, False
 
 
-def run_round(U: SubsetView, sent: np.ndarray, silent: set, first: int, codebooks: dict,
-              strategy: TraitorStrategy | None, ctx: TraitorContext,
-              params: ProtocolParams, seed: int):
+def run_round(U: SubsetView, sent: np.ndarray, silent: bool, first: int, codebooks: dict,
+              strategy: TraitorStrategy | None, ctx: TraitorContext, seed: int):
     """Play the phases of one pass: rounds first, first+1, ... (one per
     round of ``sent``, the (R, m, n) rows the sensors encode), all under the
     same U(V), one phase per sensor of U in ascending order. Each sensor's
@@ -399,7 +394,7 @@ def run_round(U: SubsetView, sent: np.ndarray, silent: set, first: int, codebook
     the sensors before it as their priors.
 
     A sender that reports a block has the chains of all its rounds encoded
-    in one kernel call; a traitor in ``silent`` sends the chains
+    in one kernel call; when ``silent``, each traitor sends the chains
     ``respond`` returns. The candidate-collection prune happens after the
     pass, in the caller.
 
@@ -413,12 +408,13 @@ def run_round(U: SubsetView, sent: np.ndarray, silent: set, first: int, codebook
     phases = []
     for i in U:
         cb = codebooks[i]
-        if strategy is not None and i in ctx.traitors:
+        traitor = strategy is not None and i in ctx.traitors
+        if traitor:
             cs = [strategy.choose_subcodebook(ctx, r, i, C) for r in rounds]
         else:
             cs = [int(rng_for(seed, "subcode", r, i).integers(C)) for r in rounds]
         chains = (strategy.respond(ctx, rounds, i, [cb.bin_count(j) for j in range(cb.J)])
-                  if i in silent else cb.encode_rows(sent[:, i], cs, range(cb.J)))
+                  if silent and traitor else cb.encode_rows(sent[:, i], cs, range(cb.J)))
         est, j_used, forced = _decode_phases(cb, cs, cells, chains)
         cells = est if cells is None else cells * cb.alphabet_size + est
         phases.append((est, cs, j_used, forced, chains))
@@ -479,7 +475,7 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
     while first < params.rounds:
         U = union_of(V)
         estimates, cs, j_used, forced, chains = run_round(
-            U, sent[first:], silent, first, codebooks, strategy, ctx, params, seed)
+            U, sent[first:], silent, first, codebooks, strategy, ctx, seed)
         trajectory, emptied = update_V(V, estimates, p, info_model, params.eta_value)
         kept = len(trajectory)
         if honest_true.is_subset_of(U):

@@ -663,8 +663,7 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
         block = sample_block(p, n, derive_seed(seed, "block", I))
         ctx.w_block = sample_side_infos(r_true, block[None], [derive_seed(seed, "sideinfo", I)])
         ctx.own_block = block[None, list(traitors.indices)] if len(traitors) else None
-        if strategy is not None:
-            strategy.begin_round(ctx, [I])
+        reported = None if strategy is None else strategy.begin_round(ctx, [I])
         U = union_of(V)
         estimates, tx_counts, prior = {}, {}, []
         round_bits = 0.0
@@ -672,8 +671,7 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
             cb = codebooks[i]
             if i in traitors and strategy is not None:
                 c = strategy.choose_subcodebook(ctx, I, i, C)
-                sent = strategy.reported_block(ctx, i)
-                sent = None if sent is None else sent[0]
+                sent = None if reported is None else reported[0, traitors.indices.index(i)]
             else:
                 c = int(rng_for(seed, "subcode", I, i).integers(C))
                 sent = block[i]

@@ -165,9 +165,7 @@ class TestRoundAxis:
         ctx = TraitorContext(traitors=traitors, seed=3, law=p, w_block=w,
                              own_block=blocks[:, [1, 2]])
         fake = fabricate_block(ctx, q_bar, fake_seeds)
-        strategy = FakeDistribution(q_bar)
-        strategy.begin_round(ctx, range(R))
-        reported = {i: strategy.reported_block(ctx, i) for i in traitors}
+        reported = FakeDistribution(q_bar).begin_round(ctx, range(R))
         assert blocks.shape == (R, 3, n) and w.shape == (R, n) and fake.shape == (R, 2, n)
         assert blocks.dtype == w.dtype == fake.dtype == np.int64
         for k in range(R):
@@ -179,10 +177,8 @@ class TestRoundAxis:
                                  own_block=block[None, [1, 2]])
             [fake_k] = fabricate_block(one, q_bar, [fake_seeds[k]])
             assert np.array_equal(fake[k], fake_k)
-            strategy_k = FakeDistribution(q_bar)
-            strategy_k.begin_round(one, [k])
-            for i in traitors:
-                assert np.array_equal(reported[i][k], strategy_k.reported_block(one, i)[0])
+            [reported_k] = FakeDistribution(q_bar).begin_round(one, [k])
+            assert np.array_equal(reported[k], reported_k)
         if R > 1:     # every symbol of each alphabet is drawn
             assert set(w.ravel()) == {0, 1, 2}
             assert set(fake[:, 0].ravel()) == {0, 1, 2} and set(fake[:, 1].ravel()) == {0, 1}
@@ -229,7 +225,9 @@ class TestVariableRateResponses:
             ctx, _ = perfect_ctx(p, honest, 14, seed)
             ctx.code = FixedRateCode(rates=(0.92, 0.75, 0.95), n=14, seed=derive_seed(seed, "c"))
             strategy = FixedRateAmbiguity(SubsetView.of(0, 1))
-            strategy.begin_round(ctx, [0])
+            rows = strategy.begin_round(ctx, [0])
+            # the traitors report their own rows unless the attack found a sequence
+            assert rows is None if strategy.last_outcome.found else rows is ctx.own_block
             if strategy.last_outcome.found:
                 found += 1
                 chains = strategy.respond(ctx, rounds, 0, bins)
@@ -243,7 +241,7 @@ class TestVariableRateResponses:
         # the session encodes a reported block itself; a strategy that
         # reports none must answer the polls
         class Silent(HonestPassthrough):
-            def reported_block(self, ctx, sensor):
+            def begin_round(self, ctx, rounds):
                 return None
 
         p = three_sensor_law()
@@ -257,15 +255,21 @@ class TestVariableRateResponses:
             run_session(p, H, InfoModel.perfect_info((2, 2, 2)), SubsetView.of(0, 1), None,
                         Silent(), params, seed=21)
 
+    def test_begin_round_reports_every_traitors_rows_or_none(self):
+        p = three_sensor_law()
+        ctx, _ = perfect_ctx(p, SubsetView.of(0), 12, 17)
+        assert HonestPassthrough().begin_round(ctx, [0]) is ctx.own_block   # (1, 2, n)
+        assert BlackHole().begin_round(ctx, [0]) is None
+        ctx.own_block = None
+        with pytest.raises(ValueError, match="own block"):
+            HonestPassthrough().begin_round(ctx, [0])
+
     def test_session_sends_each_rounds_reported_block(self):
-        # a subclass whose begin_round skips super() is encoded from the
-        # block it reports for each round
+        # the session encodes the rows a subclass's begin_round reports for
+        # each round
         class PerRound(HonestPassthrough):
             def begin_round(self, ctx, rounds):
-                self._rounds = rounds
-
-            def reported_block(self, ctx, sensor):
-                return np.array([np.full(10, r % 2) for r in self._rounds])
+                return np.array([np.full((1, 10), r % 2) for r in rounds])
 
         p = three_sensor_law()
         H = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])

@@ -198,7 +198,7 @@ def fixed_rate_messages_digest(monkeypatch, preset: str, kind: str | None,
     for trial in range(trials):
         seed = derive_seed(scn.seed, "trial", trial)
         code = replace(scn.fr, seed=derive_seed(seed, "fr-code"))   # as the "fr" trial mode
-        strategy = scn.build_strategy() if kind is not None else None
+        strategy = scn.strategy if kind is not None else None
         with pytest.raises(_Encoded):
             fixed_rate.run_fixed_rate_trial(code, scn.p, scn.collection, honest, strategy,
                                             seed, r_true=scn.r_true)

@@ -164,13 +164,21 @@ MALFORMED = [
     ("fixed_rate_demo", "fixed_rate.rates", [0.92, 0.75]),
     ("fixed_rate_demo", "strategy.q_bar", [[1.0]]),              # read by no other kind
     ("three_sensor", "strategy.target_set", [0, 1]),
+    ("three_sensor", "true_channel", [[[[0.6, 0.3]] * 2] * 2] * 2),   # rows sum to 0.9
+    ("three_sensor", "true_channel", [[0.5, 0.5]] * 7 + [[1.0]]),  # ragged
+    ("three_sensor", "true_channel", [[1.0, 0.0]] * 8),          # flat, not (2, 2, 2, 2)
+    ("imperfect_toy", "info_model.channels.0", [[[[0.5], [1.0]], [[1.0], [1.0]]]]),
+    ("imperfect_toy", "info_model.channels.1", [[[[1.0], [1.0]], [[1.0]]]]),
+    ("imperfect_toy", "info_model.channels.1", [[[1.0], [1.0]]]),
+    ("imperfect_toy", "info_model.channels", {"0": [[[[1.0], [1.0]], [[1.0], [1.0]]]],
+                                              "1": []}),
 ]
 
 
 @pytest.mark.parametrize("preset, path, value", MALFORMED,
                          ids=[f"{path}={value!r}" for _preset, path, value in MALFORMED])
 def test_malformed_field_refused_at_load(preset, path, value):
-    doc = PRESETS[preset]()
+    doc = imperfect_toy_doc() if preset == "imperfect_toy" else PRESETS[preset]()
     *sections, key = path.split(".")
     target = doc
     for name in sections:
@@ -208,6 +216,8 @@ def test_document_is_the_one_source_of_truth():
     changed = replace(scn, doc=doc)
     assert changed.trials == 5 and scenario_to_dict(changed)["trials"] == 5
     assert changed.region().r_star != scn.region().r_star     # not the old region
+    assert scn.strategy is scn.strategy and changed.strategy is not scn.strategy
+    assert not np.array_equal(changed.strategy.q_bar.rows, scn.strategy.q_bar.rows)
     assert scenario_to_dict(scn)["trials"] == 100
     with pytest.raises(ValueError, match="^trials"):
         replace(scn, doc={**doc, "trials": 2.7})    # the replaced document is checked
@@ -493,24 +503,29 @@ class TestCli:
         assert not out_dir.exists()
 
     @pytest.mark.parametrize("command, preset", [("attack-demo", "three_sensor"),
-                                                 ("simulate-fr", "four_sensor_plurality")])
+                                                 ("simulate-fr", "four_sensor_plurality"),
+                                                 ("simulate-fr", "fixed_rate_randomized")])
     def test_in_process_trials_solve_the_region_once(self, capsys, monkeypatch, command,
                                                      preset):
-        # the strategy built before any trial, every trial's optimal qbar and
-        # budget all read the one Scenario's region
-        calls = []
-        solve = byzsw.scenario.r_star_perfect
+        # the strategy is built once, before any trial, and every trial shares
+        # it; it and every trial's budget read the one Scenario's region
+        calls = {"r_star_perfect": 0, "optimal_fake_conditional": 0}
 
-        def counted(*args, **kwargs):
-            calls.append(1)
-            return solve(*args, **kwargs)
+        def counted(name):
+            solve = getattr(byzsw.scenario, name)
 
-        monkeypatch.setattr(byzsw.scenario, "r_star_perfect", counted)
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return solve(*args, **kwargs)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(byzsw.scenario, name, counted(name))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")       # the subcodebook cap
             assert main([command, "--preset", preset, "--trials", "3"]) == 0
         assert "trials: 3" in capsys.readouterr().out
-        assert len(calls) == 1
+        assert calls == {"r_star_perfect": 1, "optimal_fake_conditional": 1}
 
     def test_trials_and_seed_overrides(self, tmp_path):
         scn = self._write_tiny(tmp_path)
@@ -662,24 +677,17 @@ class TestTrialChecks:
         doc["honest_collection"] = {"sets": [[0, 1, 2]]}
         assert scenario_from_dict(doc).strategy_kind is None     # no traitors: loads
 
-    @pytest.mark.parametrize("case, message", [
-        ("q_bar for three binary symbols", "strategy.q_bar"),
-        ("unnormalized q_bar", "sum to 1"),
-        ("optimal q_bar under imperfect information", "perfect information")])
     def test_unbuildable_strategy_refused_before_any_trial(self, tmp_path, capsys,
-                                                           monkeypatch, case, message):
-        # every trial would be the same error row, and attack-demo would exit 0
+                                                           monkeypatch):
+        # an optimal qbar under imperfect information: every trial would be
+        # the same error row, and attack-demo would exit 0
         def no_trials(*args):
             raise AssertionError("a trial ran")
 
         monkeypatch.setattr(byzsw.cli, "_run_trials", no_trials)
-        if case.startswith("optimal"):
-            doc = imperfect_toy_doc()
-            doc["strategy"] = {"kind": "fake_distribution", "q_bar": "optimal",
-                               "target_set": None}
-        else:       # three_sensor has one binary traitor
-            doc = PRESETS["three_sensor"]()
-            doc["strategy"]["q_bar"] = [[0.5, 0.3, 0.2]] if "three" in case else [[0.7, 0.7]] * 8
+        doc = imperfect_toy_doc()
+        doc["strategy"] = {"kind": "fake_distribution", "q_bar": "optimal",
+                           "target_set": None}
         scenario_from_dict(doc)         # loads: region can still read it
         path = tmp_path / "scenario_in.json"
         path.write_text(canonical_dumps(doc))
@@ -688,8 +696,33 @@ class TestTrialChecks:
         captured = capsys.readouterr()
         assert captured.out == ""
         lines = captured.err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ") and message in lines[0]
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "perfect information" in lines[0]
         assert not out.exists()
+
+    @pytest.mark.parametrize("q_bar, message", [
+        ([[0.6, 0.3]] * 8, "channel row does not sum to 1"),
+        ([[0.5, 0.5]] * 7 + [[1.0]], "inhomogeneous"),
+        ([[0.5, 0.5]] * 3, "must have 8 rows"),
+        ([[0.5, 0.3, 0.2]] * 8, "of 2 entries, got shape (8, 3)")],
+        ids=["rows summing to 0.9", "ragged", "3 rows of 8", "rows of three symbols"])
+    def test_explicit_q_bar_refused_at_load(self, tmp_path, capsys, q_bar, message):
+        # each loaded, and region ran on it: only a trial refused it
+        doc = PRESETS["three_sensor"]()         # one binary traitor, |W| = 8
+        doc["strategy"]["q_bar"] = q_bar
+        with pytest.raises(ValueError) as refusal:
+            scenario_from_dict(doc)
+        assert str(refusal.value).startswith("strategy.q_bar: ")
+        assert message in str(refusal.value)
+        assert_cli_refuses(tmp_path, capsys, doc, "region", "strategy.q_bar: ")
+
+    def test_strategy_without_traitors_refused_at_load(self, tmp_path, capsys):
+        # no traitor played it: attack-demo exited 0 on rows no traitor acted in
+        doc = PRESETS["two_sensor_baseline"]()
+        doc["strategy"] = {"kind": "black_hole"}
+        with pytest.raises(ValueError, match="^strategy: "):
+            scenario_from_dict(doc)
+        assert_cli_refuses(tmp_path, capsys, doc, "attack-demo", "strategy: ")
 
     @pytest.mark.parametrize("preset, command, rows", [
         ("three_sensor", "attack-demo", 2), ("fixed_rate_randomized", "simulate-fr", 3),
@@ -720,7 +753,7 @@ class TestTrialChecks:
     def test_variable_rate_traitors_without_strategy_load(self):
         # a variable-rate session lets strategy-less traitors behave honestly
         scn = scenario_from_dict(imperfect_toy_doc())
-        assert scn.strategy_kind is None and len(scn.traitors()) == 1
+        assert scn.strategy_kind is None and len(scn.honest_true.complement(scn.m)) == 1
 
     @pytest.mark.parametrize("preset, section, key, value", [
         ("fixed_rate_demo", "fixed_rate", "rates", [0.92, 0.75, 3.0]),      # n * R = 42
