@@ -17,12 +17,11 @@ from .prob_core import (
     identity_channel,
     marginal,
     marginalize_info_channel,
-    strongly_typical,
     type_of,
 )
 from .source_model import (
     derive_seed,
-    rng_for,
+    keyed_draws,
     sample_block,
     sample_blocks,
     sample_side_infos,

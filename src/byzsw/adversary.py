@@ -43,7 +43,7 @@ from .prob_core import (
     marginal,
     type_counts,
 )
-from .source_model import derive_seed, keyed_uniforms, rng_for
+from .source_model import keyed_draws
 
 if TYPE_CHECKING:
     from .fixed_rate import FixedRateCode
@@ -68,9 +68,11 @@ class TraitorContext:
     code: FixedRateCode | None = None             # fixed-rate only, set by encode_all
 
 
-def fabricate_block(ctx: TraitorContext, q_bar: ConditionalPMF, seeds) -> np.ndarray:
+def fabricate_block(ctx: TraitorContext, q_bar: ConditionalPMF,
+                    rounds: Sequence[int]) -> np.ndarray:
     """Per-slot draw of fake traitor symbols x_T,t ~ qbar(. | w_t) for every
-    round of the context, round k from the stream of ``seeds[k]``.
+    round of the context, row k from round ``rounds[k]``'s draws of the
+    traitors' seed.
 
     Returns an (R, |T|, n) array, row k a (|T|, n) table aligned with
     ctx.traitors; each round's fake block is then used verbatim by honest
@@ -87,7 +89,7 @@ def fabricate_block(ctx: TraitorContext, q_bar: ConditionalPMF, seeds) -> np.nda
     if q_bar.num_inputs < int(w.max(initial=0)) + 1:
         raise ValueError("qbar input alphabet smaller than observed W symbols")
     cs = np.cumsum(rows, axis=1)[w]               # (R, n, |X_T| flattened)
-    u = keyed_uniforms(seeds, "fabricate", w.shape[1])
+    u = keyed_draws(ctx.seed, ("fabricate",), rounds, w.shape[1])
     flat = (cs < u[..., None]).sum(axis=2)
     flat = np.minimum(flat, q_bar.output_alphabet_size - 1)
     return np.stack(np.unravel_index(flat, sizes_t), axis=1).astype(np.int64, copy=False)
@@ -123,12 +125,12 @@ class TraitorStrategy:
     One protocol for both schemes. A scheme draws the round data of its
     rounds into the context and calls ``begin_round`` once with their
     indices. It returns the rows the traitors report, which the scheme
-    encodes like honest sensors' rows, under ``choose_subcodebook``; or
-    None, and every traitor sends ``respond``'s bins instead, one chain per
-    round. A variable-rate session calls ``begin_round`` once with all its
-    rounds; a fixed-rate trial is round 0 with one block
-    (``fixed_rate.encode_all``). The round index is passed to every
-    per-round call that depends on it.
+    encodes like honest sensors' rows, under ``choose_subcodebook``'s
+    subcodebooks; or None, and every traitor sends ``respond``'s bins
+    instead, one chain per round. A variable-rate session calls
+    ``begin_round`` once with all its rounds; a fixed-rate trial is round 0
+    with one block (``fixed_rate.encode_all``). Every call takes the
+    indices of the rounds it answers for.
 
     The session draws every round's blocks before it plays any, and plays
     the rounds in passes, so a strategy must depend only on the round index
@@ -148,10 +150,11 @@ class TraitorStrategy:
             raise ValueError("honest passthrough requires the traitors' own block")
         return ctx.own_block
 
-    def choose_subcodebook(self, ctx: TraitorContext, round_index: int, sensor: int,
-                           C: int) -> int:
-        return int(rng_for(ctx.seed, "traitor-c", self.kind, round_index, sensor)
-                   .integers(C))
+    def choose_subcodebook(self, ctx: TraitorContext, rounds: Sequence[int], sensor: int,
+                           C: int) -> np.ndarray:
+        """The subcodebook a traitor announces in each round of ``rounds``,
+        an int64 array in range(C)."""
+        return keyed_draws(ctx.seed, ("traitor-c", self.kind, sensor), rounds, 1, C)[:, 0]
 
     def respond(self, ctx: TraitorContext, rounds: Sequence[int], sensor: int,
                 bins: Sequence[int]) -> np.ndarray:
@@ -168,8 +171,8 @@ class HonestPassthrough(TraitorStrategy):
 
 
 class BlackHole(TraitorStrategy):
-    """Garbage messages, always within the alphabet contract: each block's
-    index is drawn from its own (round, sensor, block) stream."""
+    """Garbage messages, always within the alphabet contract: block j's
+    index in a round is that round's column j of the sensor's stream."""
 
     kind = "black_hole"
 
@@ -178,9 +181,7 @@ class BlackHole(TraitorStrategy):
 
     def respond(self, ctx: TraitorContext, rounds: Sequence[int], sensor: int,
                 bins: Sequence[int]) -> np.ndarray:
-        return np.array([[rng_for(ctx.seed, "black-hole", r, sensor, j).integers(count)
-                          for r in rounds] for j, count in enumerate(bins)],
-                        dtype=np.int64).reshape(len(bins), len(rounds))
+        return keyed_draws(ctx.seed, ("black-hole", sensor), rounds, len(bins), bins).T
 
 
 class FakeDistribution(TraitorStrategy):
@@ -193,8 +194,7 @@ class FakeDistribution(TraitorStrategy):
         self.q_bar = q_bar
 
     def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> np.ndarray:
-        return fabricate_block(ctx, self.q_bar, [
-            derive_seed(ctx.seed, "fabricate-round", r) for r in rounds])
+        return fabricate_block(ctx, self.q_bar, rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -331,9 +331,12 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
     messages = {}
     for row, i in enumerate(outer):
         messages[i] = (0, code.encode(i, sizes[i], fake_outer[row]))
-    for i in ctx.traitors.difference(outer):
-        rng = rng_for(ctx.seed, "ambiguity-garbage", i)
-        messages[i] = (0, int(rng.integers(bin_count_for_rate(n, code.rates[i]))))
+    rest = ctx.traitors.difference(outer)
+    if rest:
+        garbage = keyed_draws(ctx.seed, ("ambiguity-garbage",), [0], len(sizes),
+                              [bin_count_for_rate(n, rate) for rate in code.rates])[0]
+        for i in rest:
+            messages[i] = (0, int(garbage[i]))
     return AmbiguityOutcome(True, messages, inter.indices, cand_syms, fake_outer)
 
 

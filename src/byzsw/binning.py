@@ -4,10 +4,13 @@ The idealized uniform random binning of the coding scheme is realized by two
 kernels over one keyed mixer. Each (seed, tag, sensor, subcodebook, block)
 header gets a 64-bit key, its 8-byte blake2b digest keyed by the seed
 (``_keys``, once per distinct header of a call); the bin of a sequence is a
-SplitMix64 chain over the sequence's bytes, started from its header's key and
-reduced modulo the bin count. Uniform binning is all the scheme needs (the
-traitors know the codebooks anyway), so a non-cryptographic mixer suffices,
-and it bins a whole array of candidate sequences in a few numpy operations.
+SplitMix64 chain over the sequence's bytes, started from its header's key
+and reduced modulo the bin count. Uniform binning is all the scheme needs
+(the traitors know the codebooks anyway), so a non-cryptographic mixer
+suffices, and it bins a whole array of candidate sequences in a few numpy
+operations. The same mixer and reduction make every random draw of the
+package: ``stream_draws`` mixes the counter positions of a keyed stream
+(``source_model.keyed_draws`` lays them out by round).
 Codebooks stay O(1) memory while behaving statistically like stored random
 bins. Bin counts are rounded up to integers; rate accounting elsewhere uses
 log2(actual bin count) so it stays exact.
@@ -85,8 +88,8 @@ def all_sequences(alphabet: int, n: int) -> np.ndarray:
 
 
 # 0-d arrays rather than numpy scalars: cheaper per ufunc call on small arrays
-_MIX1, _MIX2, _S27, _S30, _S31 = (np.array(v, dtype=np.uint64) for v in (
-    0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 27, 30, 31))
+_MIX1, _MIX2, _GAMMA, _S11, _S27, _S30, _S31 = (np.array(v, dtype=np.uint64) for v in (
+    0xBF58476D1CE4E5B9, 0x94D049BB133111EB, 0x9E3779B97F4A7C15, 11, 27, 30, 31))
 
 
 def _splitmix64(z: np.ndarray) -> None:
@@ -139,6 +142,22 @@ def _reduce(h: np.ndarray, counts: tuple[int, ...]) -> None:
             b = row[start:start + _BLOCK]
             b -= b // count * count
 
+
+
+def stream_draws(key: int, positions: np.ndarray, bounds=None) -> np.ndarray:
+    """The draws at ``positions`` (a 2-D uint64 array) of the counter stream
+    keyed by ``key``: each is the SplitMix64 output key + position * gamma,
+    mixed like a bin. Returns 53-bit uniforms on [0, 1), ``(z >> 11) *
+    2^-53``, when ``bounds`` is None; otherwise int64 integers, column j
+    reduced like bins modulo its bound (one bound for every column or one per
+    column, each in [1, 2^32], so biased by at most 2^-32 relative)."""
+    z = positions * _GAMMA + np.uint64(key)
+    _splitmix64(z)
+    if bounds is None:
+        return (z >> _S11) * 2.0 ** -53
+    k = z.shape[1]
+    _reduce(z.T, _check_counts([bounds] * k if np.ndim(bounds) == 0 else bounds, k))
+    return z.view(np.int64)
 
 def _native_words(rows: np.ndarray) -> np.ndarray:
     """A (k, n) uint8 array as the (words, k) native uint64 array the kernels

@@ -56,7 +56,7 @@ from .prob_core import (
     type_of,
 )
 from .rate_region import HonestCollection
-from .source_model import derive_seed, rng_for, sample_block, sample_side_infos
+from .source_model import derive_seed, keyed_draws, sample_block, sample_side_infos
 
 COMBO_GUARD = 1 << 22
 _TUPLE_BLOCK = 1 << 12    # candidate tuples typed per bincount
@@ -148,14 +148,14 @@ def encode_all(code: FixedRateCode, block: np.ndarray,
         if not silent:
             sent = block.copy()
             sent[list(traitors.indices)] = reported[0]
+    cs = [0] * code.m
+    if code.C > 1:
+        cs = keyed_draws(seed, ("fr-subcode",), [0], code.m, code.C)[0].tolist()
+        for i in traitors:
+            cs[i] = int(strategy.choose_subcodebook(ctx, [0], i, code.C)[0])
     messages = {}
-    for i in range(code.m):
-        traitor = i in traitors
-        c = 0
-        if code.C > 1:
-            c = (strategy.choose_subcodebook(ctx, 0, i, code.C) if traitor
-                 else int(rng_for(seed, "fr-subcode", i).integers(code.C)))
-        if silent and traitor:
+    for i, c in enumerate(cs):
+        if silent and i in traitors:
             bins = bin_count_for_rate(code.n, code.rates[i])
             idx = int(strategy.respond(ctx, [0], i, [bins])[0, 0])
         else:
@@ -267,7 +267,7 @@ def run_fixed_rate_trial(code: FixedRateCode, p: JointPMF, H: HonestCollection,
         r = r_true if r_true is not None else identity_channel(p.alphabet_sizes)
         ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p,
                              w_block=sample_side_infos(r, block[None],
-                                                       [derive_seed(seed, "fr-sideinfo")]),
+                                                       derive_seed(seed, "fr-sideinfo"), [0]),
                              own_block=block[None, list(traitors.indices)])
     messages = encode_all(code, block, strategy, ctx, p, derive_seed(seed, "fr-honest"))
     table = decode_all(code, messages, p, H)

@@ -338,11 +338,6 @@ def eta_ball_contains(q: JointPMF, t: Union[EmpiricalType, JointPMF], eta: float
     return bool(np.max(np.abs(q.mass - other)) <= tol)
 
 
-def strongly_typical(symbols: np.ndarray, p: JointPMF, eps: float) -> bool:
-    """Membership in the strongly typical set, via t(x^n) in B_eps(p)."""
-    return eta_ball_contains(p, type_of(symbols, p.alphabet_sizes), eps)
-
-
 # ---------------------------------------------------------------------------
 # side-information channels
 # ---------------------------------------------------------------------------

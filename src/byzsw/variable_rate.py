@@ -20,17 +20,17 @@ before it plays any, as arrays with a leading round axis: one inverse-CDF
 pass gives the (R, m, n) blocks, one pass the (R, n) side information, and
 one ``begin_round`` call the traitors' reported rows (the fake-distribution
 traitor fabricates all of them under qbar in one pass), which replace their
-true rows in the (R, m, n) array of rows the sensors encode. Each round
-still draws from its own keyed streams, so every draw is the one a
-round-by-round session makes. It then plays its rounds in passes, in
-lockstep: a pass plays every remaining round under the current U(V), one
-sensor at a time over all of the pass's rounds, into one (R, |U|, n) array
-of estimates, and then prunes V round by round on that array. If a
-round's prune changes U(V), the pass's later rounds are discarded and the
-next pass starts after that round. Each round is thus played under the
-U(V) its predecessors left, and the report is the one a round-by-round
-session gives, field for field: the session builds its transcript and
-per-round dicts from the kept rounds' arrays.
+true rows in the (R, m, n) array of rows the sensors encode. A round's
+draws are its own entries of the keyed streams (``keyed_draws``), so every
+draw is the one a round-by-round session makes. It then plays its rounds
+in passes, in lockstep: a pass plays every remaining round under the
+current U(V), one sensor at a time over all of the pass's rounds, into one
+(R, |U|, n) array of estimates, and then prunes V round by round on that
+array. If a round's prune changes U(V), the pass's later rounds are
+discarded and the next pass starts after that round. Each round is thus
+played under the U(V) its predecessors left, and the report is the one a
+round-by-round session gives, field for field: the session builds its
+transcript and per-round dicts from the kept rounds' arrays.
 
 Within a pass, each sensor's phases for all rounds run at once:
 
@@ -81,7 +81,7 @@ from .prob_core import (
     union_of,
 )
 from .rate_region import HonestCollection, InfoModel, _ball_membership_general
-from .source_model import derive_seed, rng_for, sample_blocks, sample_side_infos
+from .source_model import derive_seed, keyed_draws, sample_blocks, sample_side_infos
 
 SUBCODEBOOK_CAP = 1 << 10
 
@@ -362,9 +362,9 @@ def update_V(V: Sequence[SubsetView], estimates: np.ndarray, p: JointPMF,
 
 def _draw_rounds(p: JointPMF, r_true: ConditionalPMF, strategy: TraitorStrategy | None,
                  ctx: TraitorContext, n: int, seed: int, rounds: int):
-    """Every round's block and side information, each round from its own
-    keyed streams, then the traitors' reported rows for all the rounds
-    from one ``begin_round`` call.
+    """Every round's block and side information, one draw each, then the
+    traitors' reported rows for all the rounds from one ``begin_round``
+    call.
 
     Returns the (R, m, n) true blocks, the (R, m, n) rows each sensor
     encodes (the traitors' reported rows in place of their true rows; the
@@ -372,9 +372,8 @@ def _draw_rounds(p: JointPMF, r_true: ConditionalPMF, strategy: TraitorStrategy 
     none), and whether the traitors report no rows and send ``respond``'s
     chains instead."""
     indices = range(rounds)
-    blocks = sample_blocks(p, n, [derive_seed(seed, "block", r) for r in indices])
-    ctx.w_block = sample_side_infos(r_true, blocks,
-                                    [derive_seed(seed, "sideinfo", r) for r in indices])
+    blocks = sample_blocks(p, n, seed, indices)
+    ctx.w_block = sample_side_infos(r_true, blocks, seed, indices)
     traitors = list(ctx.traitors.indices)
     ctx.own_block = blocks[:, traitors] if traitors else None
     reported = None if strategy is None else strategy.begin_round(ctx, indices)
@@ -404,15 +403,14 @@ def run_round(U: SubsetView, sent: np.ndarray, silent: bool, first: int, codeboo
     """
     rounds = range(first, first + len(sent))
     C = codebooks[0].C
+    honest_cs = keyed_draws(seed, ("subcode",), rounds, len(codebooks), C)   # (R, m)
     cells = None        # the flat prior symbol of each (round, slot)
     phases = []
     for i in U:
         cb = codebooks[i]
         traitor = strategy is not None and i in ctx.traitors
-        if traitor:
-            cs = [strategy.choose_subcodebook(ctx, r, i, C) for r in rounds]
-        else:
-            cs = [int(rng_for(seed, "subcode", r, i).integers(C)) for r in rounds]
+        cs = (strategy.choose_subcodebook(ctx, rounds, i, C) if traitor
+              else honest_cs[:, i]).tolist()
         chains = (strategy.respond(ctx, rounds, i, [cb.bin_count(j) for j in range(cb.J)])
                   if silent and traitor else cb.encode_rows(sent[:, i], cs, range(cb.J)))
         est, j_used, forced = _decode_phases(cb, cs, cells, chains)

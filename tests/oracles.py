@@ -48,7 +48,7 @@ from byzsw.rate_region import (
     _lex_key,
     max_entropy_with_marginals,
 )
-from byzsw.source_model import rng_for
+from byzsw.source_model import derive_seed
 
 
 def brute_entropy(table) -> float:
@@ -184,6 +184,17 @@ def reference_bin(seed: int, header: bytes, seq, bins: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         h = z ^ (z >> 31)
     return h % bins
+
+
+def reference_draw(key: int, position: int) -> int:
+    """Output ``position`` (1 for the first) of the SplitMix64 generator
+    started at state ``key``, in plain Python integers: the state advanced
+    by ``position`` golden-ratio increments, then finalized."""
+    mask = (1 << 64) - 1
+    z = (key + position * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
 
 
 def brute_conditional_type_entropy(seq, prior_seqs) -> float:
@@ -535,9 +546,10 @@ def reference_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
         for row, i in enumerate(outer):
             messages[i] = (0, fixed_rate_encode(code.seed, i, fake_outer[row],
                                                 code.rates[i], 0))
-        for i in ctx.traitors.difference(outer):
-            rng = rng_for(ctx.seed, "ambiguity-garbage", i)
-            messages[i] = (0, int(rng.integers(bin_count_for_rate(n, code.rates[i]))))
+        key = derive_seed(ctx.seed, "ambiguity-garbage")
+        for i in ctx.traitors.difference(outer):     # column i of round 0
+            messages[i] = (0, reference_draw(key, i + 1)
+                           % bin_count_for_rate(n, code.rates[i]))
         return AmbiguityOutcome(True, messages, inter.indices, cand_syms,
                                 fake_outer)
     return AmbiguityOutcome(False, None, inter.indices, None, None)
@@ -636,7 +648,7 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
     sends its one-round chain from ``respond``."""
     from byzsw.binning import BinningCodebook
     from byzsw.prob_core import identity_channel
-    from byzsw.source_model import derive_seed, sample_block, sample_side_infos
+    from byzsw.source_model import keyed_draws, sample_blocks, sample_side_infos
     from byzsw.variable_rate import SessionReport, TranscriptRecord
 
     m, sizes, n = p.m, p.alphabet_sizes, params.n
@@ -660,8 +672,8 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
     feedback_ratio = math.log2(C * j_max) / min_block_bits if min_block_bits > 0 else math.inf
 
     for I in range(params.rounds):
-        block = sample_block(p, n, derive_seed(seed, "block", I))
-        ctx.w_block = sample_side_infos(r_true, block[None], [derive_seed(seed, "sideinfo", I)])
+        block = sample_blocks(p, n, seed, [I])[0]
+        ctx.w_block = sample_side_infos(r_true, block[None], seed, [I])
         ctx.own_block = block[None, list(traitors.indices)] if len(traitors) else None
         reported = None if strategy is None else strategy.begin_round(ctx, [I])
         U = union_of(V)
@@ -670,10 +682,10 @@ def sequential_run_session(p: JointPMF, H: HonestCollection, info_model,
         for i in sorted(U.indices):
             cb = codebooks[i]
             if i in traitors and strategy is not None:
-                c = strategy.choose_subcodebook(ctx, I, i, C)
+                c = int(strategy.choose_subcodebook(ctx, [I], i, C)[0])
                 sent = None if reported is None else reported[0, traitors.indices.index(i)]
             else:
-                c = int(rng_for(seed, "subcode", I, i).integers(C))
+                c = int(keyed_draws(seed, ("subcode",), [I], m, C)[0, i])
                 sent = block[i]
             if sent is None:
                 bins = [cb.bin_count(j) for j in range(cb.J)]

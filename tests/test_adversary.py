@@ -29,7 +29,7 @@ from byzsw.prob_core import (
 from byzsw.rate_region import HonestCollection, InfoModel, r_star_perfect
 from byzsw.source_model import (
     derive_seed,
-    rng_for,
+    keyed_draws,
     sample_block,
     sample_blocks,
     sample_side_infos,
@@ -63,7 +63,7 @@ def perfect_ctx(p, honest, n, seed):
     traitors = honest.complement(m)
     block = sample_block(p, n, derive_seed(seed, "b"))
     w = sample_side_infos(identity_channel(p.alphabet_sizes), block[None],
-                          [derive_seed(seed, "w")])
+                          derive_seed(seed, "w"), [0])
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"), law=p,
                          w_block=w, own_block=block[None, list(traitors.indices)])
     return ctx, block
@@ -105,22 +105,23 @@ class TestFabricate:
         assert not eta_ball_contains(p, t, 0.05)   # visibly not the true law
 
     def test_side_info_and_fake_jointly_follow_composed_law(self):
-        # law on (w, fake): p_W(w) qbar(x_T | w)
+        # law on (w, fake): p_W(w) qbar(x_T | w), within 4.5 standard
+        # deviations of the widest cell's sampling noise at this n
         p = three_sensor_law()
         honest = SubsetView.of(0, 1)
         q_bar = optimal_fake_conditional(p, honest, (2, 2, 2))
         ctx, block = perfect_ctx(p, honest, 100_000, 15)
         [fake] = fabricate_block(ctx, q_bar, [16])
         [w_sym] = ctx.w_block
+        n = len(w_sym)
         t = type_of(np.vstack([w_sym[None, :], fake]), (8, 2))
-        composed = np.zeros((8, 2))
-        pw = np.bincount(
-            np.ravel_multi_index(tuple(sample_block(p, 1, 0) * 0), (2, 2, 2)),
-            minlength=8) * 0.0
-        pw = p.mass.reshape(-1)
-        for w in range(8):
-            composed[w] = pw[w] * q_bar.rows.reshape(8, 2)[w]
-        assert eta_ball_contains(JointPMF((8, 2), composed), t, 0.02)
+        rows = q_bar.rows.reshape(8, 2)
+        composed = p.mass.reshape(8, 1) * rows
+        noise = np.sqrt(np.max(composed * (1 - composed)) / n)
+        assert eta_ball_contains(JointPMF((8, 2), composed), t, 4.5 * noise * composed.size)
+        # on the drawn W's own type, which fabrication alone controls
+        t_w = np.bincount(w_sym, minlength=8) / n
+        assert eta_ball_contains(JointPMF((8, 2), t_w[:, None] * rows), t, 0.02)
 
     def test_optimal_fake_rows_are_conditionals(self):
         p = three_sensor_law()
@@ -153,40 +154,40 @@ class TestRoundAxis:
         q_bar = ConditionalPMF((3,), 6, rng.dirichlet(np.ones(6), size=3))
         return p, r, q_bar
 
-    @pytest.mark.parametrize("R", [1, 5])
-    def test_batched_rows_equal_one_round_draws(self, R):
+    @pytest.mark.parametrize("rounds", [[0], [3], range(5), [6, 2, 9]],
+                             ids=["first", "one", "five", "unordered"])
+    def test_batched_rows_equal_one_round_draws(self, rounds):
         p, r, q_bar = self.ternary_law()
-        n, traitors = 16, SubsetView.of(1, 2)
-        block_seeds = [derive_seed(7, "block", k) for k in range(R)]
-        w_seeds = [derive_seed(7, "sideinfo", k) for k in range(R)]
-        fake_seeds = [derive_seed(7, "fabricate-round", k) for k in range(R)]
-        blocks = sample_blocks(p, n, block_seeds)
-        w = sample_side_infos(r, blocks, w_seeds)
+        n, traitors, R = 16, SubsetView.of(1, 2), len(rounds)
+        blocks = sample_blocks(p, n, 7, rounds)
+        w = sample_side_infos(r, blocks, 7, rounds)
         ctx = TraitorContext(traitors=traitors, seed=3, law=p, w_block=w,
                              own_block=blocks[:, [1, 2]])
-        fake = fabricate_block(ctx, q_bar, fake_seeds)
-        reported = FakeDistribution(q_bar).begin_round(ctx, range(R))
+        fake = fabricate_block(ctx, q_bar, rounds)
+        reported = FakeDistribution(q_bar).begin_round(ctx, rounds)
         assert blocks.shape == (R, 3, n) and w.shape == (R, n) and fake.shape == (R, 2, n)
         assert blocks.dtype == w.dtype == fake.dtype == np.int64
-        for k in range(R):
-            block = sample_block(p, n, block_seeds[k])
+        for k, round_index in enumerate(rounds):
+            block = sample_blocks(p, n, 7, [round_index])[0]
             assert np.array_equal(blocks[k], block)
-            w_k = sample_side_infos(r, block[None], [w_seeds[k]])
+            w_k = sample_side_infos(r, block[None], 7, [round_index])
             assert np.array_equal(w[k], w_k[0])
             one = TraitorContext(traitors=traitors, seed=3, law=p, w_block=w_k,
                                  own_block=block[None, [1, 2]])
-            [fake_k] = fabricate_block(one, q_bar, [fake_seeds[k]])
+            [fake_k] = fabricate_block(one, q_bar, [round_index])
             assert np.array_equal(fake[k], fake_k)
-            [reported_k] = FakeDistribution(q_bar).begin_round(one, [k])
+            [reported_k] = FakeDistribution(q_bar).begin_round(one, [round_index])
             assert np.array_equal(reported[k], reported_k)
         if R > 1:     # every symbol of each alphabet is drawn
             assert set(w.ravel()) == {0, 1, 2}
             assert set(fake[:, 0].ravel()) == {0, 1, 2} and set(fake[:, 1].ravel()) == {0, 1}
+        if R == 5:    # distinct rounds draw distinct rows
+            assert len({row.tobytes() for row in blocks}) == R
 
     def test_out_of_range_side_info_still_refused(self):
         p, r, q_bar = self.ternary_law()
-        blocks = sample_blocks(p, 16, range(5))
-        w = sample_side_infos(r, blocks, range(5, 10))
+        blocks = sample_blocks(p, 16, 5, range(5))
+        w = sample_side_infos(r, blocks, 6, range(5))
         w[4, 3] = 3                   # one slot of the last round, past |W| = 3
         ctx = TraitorContext(traitors=SubsetView.of(1, 2), seed=3, law=p, w_block=w)
         with pytest.raises(ValueError, match="qbar input alphabet smaller"):
@@ -207,8 +208,9 @@ class TestVariableRateResponses:
 
     def test_respond_array_form(self):
         # one (len(bins), len(rounds)) int64 array: the black hole's entry
-        # (j, k) is the keyed draw of round rounds[k] and block j, and the
-        # ambiguity attacker sends its message in every entry
+        # (j, k) is column j of round rounds[k]'s draws, under block j's
+        # bin count, and the ambiguity attacker sends its message in every
+        # entry
         p = chain_law()
         honest = SubsetView.of(1, 2)
         rounds, bins = [3, 0, 7], [40, 9, 2, 5]
@@ -217,7 +219,8 @@ class TestVariableRateResponses:
         assert chains.shape == (len(bins), len(rounds)) and chains.dtype == np.int64
         for j, count in enumerate(bins):
             for k, r in enumerate(rounds):
-                assert chains[j, k] == rng_for(ctx.seed, "black-hole", r, 0, j).integers(count)
+                assert chains[j, k] == keyed_draws(ctx.seed, ("black-hole", 0), [r],
+                                                   len(bins), bins)[0, j]
                 assert 0 <= chains[j, k] < count
         assert BlackHole().respond(ctx, [], 0, bins).shape == (len(bins), 0)
         found = 0
@@ -312,17 +315,14 @@ class TestVariableRateResponses:
             strat = FakeDistribution(q_bar)
             report = run_session(p, H, im, honest, None, strat, params, seed=seed)
             assert not report.honest_error
-            # replay the fabrication from the derived seed stream
+            # replay the fabrication round by round from the derived seeds
             traitor_seed = derive_seed(seed, "traitor")
             for I in range(params.rounds):
-                block = sample_block(p, params.n, derive_seed(seed, "block", I))
-                w = sample_side_infos(identity_channel((2, 2, 2)), block[None],
-                                      [derive_seed(seed, "sideinfo", I)])
+                block = sample_blocks(p, params.n, seed, [I])[0]
+                w = sample_side_infos(identity_channel((2, 2, 2)), block[None], seed, [I])
                 replay_ctx = TraitorContext(traitors=SubsetView.of(2),
                                             seed=traitor_seed, law=p, w_block=w)
-                [fake] = fabricate_block(replay_ctx, q_bar,
-                                         [derive_seed(traitor_seed,
-                                                      "fabricate-round", I)])
+                [fake] = fabricate_block(replay_ctx, q_bar, [I])
                 total += 1
                 est = report.round_estimates[I].get(2)
                 ok += est is not None and np.array_equal(est, fake[0])

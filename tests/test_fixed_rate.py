@@ -63,7 +63,7 @@ def make_ctx(p, honest, n, seed):
     traitors = honest.complement(p.m)
     block = sample_block(p, n, derive_seed(seed, "b"))
     w = sample_side_infos(identity_channel(p.alphabet_sizes), block[None],
-                          [derive_seed(seed, "w")])
+                          derive_seed(seed, "w"), [0])
     return TraitorContext(traitors=traitors, seed=derive_seed(seed, "t"), law=p,
                           w_block=w, own_block=block[None, list(traitors.indices)]), block
 
@@ -378,15 +378,19 @@ class TestConverseDemo:
         assert errors <= 2
 
     def test_no_traitors_attack_inapplicable(self):
-        # zero traitors: nobody can emit attack messages, so the demo never
-        # produces an honest error
+        # zero traitors: nobody can emit attack messages, so the attack never
+        # fires, and an honest error is only the code's own bin collision:
+        # another sequence in a sensor's bin whose type is also in the ball,
+        # 3 to 4 of 200 seeds (about 2%) at n = 12
         p = chain_law()
         coll = HonestCollection.explicit([[0, 1, 2], [1, 2]])
+        everyone = SubsetView.of(0, 1, 2)
         # the candidate set {0,1,2} has 8 cells, so the ball needs
         # eps_decode ~ 3 for the true triple's type to sit inside it at n=12
         code = FixedRateCode(rates=(1.6, 1.6, 1.6), n=12, seed=2, eps_decode=3.0)
-        for seed in range(10):
-            assert converse(code, p, coll, SubsetView.of(0, 1, 2), seed) == (False, False)
+        outcomes = [converse(code, p, coll, everyone, seed) for seed in range(200)]
+        assert not any(found for found, _error in outcomes)
+        assert sum(error for _found, error in outcomes) <= 10
 
 
 class TestEstimateTableInvariants:

@@ -33,15 +33,15 @@ from byzsw.source_model import derive_seed
 # preset, command, CSV file, trials, SHA-256 of the CSV
 GOLDEN = [
     ("three_sensor", "attack-demo", "attack_trials.csv", 2,
-     "7d1baadc80371a365df2b9d70d949028efd1975e02cb53b98400c280029d4f85"),
+     "ae2f39c6efdffa7db9ea6b26c5b4177c9921e9e6f114bd73dae7016835ae1c9a"),
     ("two_sensor_baseline", "simulate-vr", "vr_trials.csv", 2,
-     "cc1f6601d7deedfcbe7df493cdd1882cf656e9cb10aa8501b4cf4f47af562699"),
+     "179acb43f3a56f827c10b400deb96b52539e5d76222aabe184f517d457f41669"),
     ("independent_coding", "simulate-vr", "vr_trials.csv", 1,
-     "25ed6e8ec7b4ad2b9b73bd716aa97fb545ead0c4b4eabe7268cf8255c291acb4"),
+     "1768fceb9e6a1700219a5935e3018fad4a5c51a8cf687d7a0648dd61744e94d4"),
     ("four_sensor_plurality", "simulate-fr", "fr_trials.csv", 8,
      "8e0bb50b5be8e1f47753289dcad701f21ef26284d60880788604128d9a577f73"),
     ("fixed_rate_randomized", "simulate-fr", "fr_trials.csv", 8,
-     "8e0bb50b5be8e1f47753289dcad701f21ef26284d60880788604128d9a577f73"),
+     "ac783c208363f7ecfdc0b6a611bd293064a8ab668892c6992cc32112fac29d8b"),
     ("fixed_rate_demo", "attack-demo", "attack_trials.csv", 8,
      "b7d36db2896f56e53a1b34ee7cd28d0ec11e332fb09f119ef628d0934413be61"),
 ]
@@ -141,31 +141,31 @@ def region_digest(tmp_path, capsys, source: list[str]) -> str:
 # ``encode_all`` returns on the first 40 trials of the "fr" trial mode
 GOLDEN_FR_MESSAGES = [
     ("fixed_rate_demo", None,
-     "51cebaf92c688b8e779d28a530b9e61c69d4bf5ef4ac3824edf61b3008587c09"),
+     "7116eb03bfa48367fee0bbbd1fb355667e7c324ac759adf1bf869520490ba4f0"),
     ("fixed_rate_demo", "honest_passthrough",
-     "51cebaf92c688b8e779d28a530b9e61c69d4bf5ef4ac3824edf61b3008587c09"),
+     "7116eb03bfa48367fee0bbbd1fb355667e7c324ac759adf1bf869520490ba4f0"),
     ("fixed_rate_demo", "black_hole",
-     "0786639968eaaa0b3e3f1e6ff2ecacd5d326b9c6e4ef87fcd7b265ba52e19a9d"),
+     "a07db1890fc9d80d164da6cf70056b97dbd27b23371e69600f73e9abca76bbf3"),
     ("fixed_rate_demo", "fake_distribution",
-     "4642b0d1daf4596758539f233659458149c87abea79ef1bcddbdbdd915d49454"),
+     "165ed10161d9497fd612d5bfd5f95e4fc1fd11aa126bccf3f588a88c78b3b824"),
     ("fixed_rate_demo", "fixed_rate_ambiguity",
-     "c931d8f301467fccaa0cd73406ba0ff91f4e69e5f63e33512571dfb343717632"),
+     "4c1eaabddc57b68c2128f2b460166c1a747554b136b4773188fdc5688e9f47f0"),
     ("fixed_rate_randomized", None,
-     "9ca8e96b686528c86d710a2195d3dc01bcf9d7a43e78b42590e7a10221f00619"),
+     "212d4fb1853909e3dbcef4d2d8b8bd3ae810d22915c5b5aa9f8abbf34fd2ed57"),
     ("fixed_rate_randomized", "honest_passthrough",
-     "0db9013cc0560a0525d6b5d34a852c68d686c8fdb3b977b7b5d6d3513e92e221"),
+     "549d93d8a7fedab85a35e586ec43e6d13a87c032c0b6b6d2e1dbcbd69daa11c0"),
     ("fixed_rate_randomized", "black_hole",
-     "1d57d959b318d8ee246c49345767f601405ea3faf40a132e8653dd4fd126649e"),
+     "8a15cb1474810124d13f5f76ff46126388b2c720cdabbc78923b29ee4c788cab"),
     ("fixed_rate_randomized", "fake_distribution",
-     "b4c86f8a4d0e8fb2975b5c121725a50e954857a9cd3f6f89da1f32660c814807"),
+     "2bc5a29a8a14a3ab400a9aa2155c36f9cc1286f67aa26da81304c16674ac43f8"),
     ("four_sensor_plurality", None,
-     "0812cfce8c887dc0dfcf99c02cb8a4addc9f23b66b6ff40d707ba4dedea441c7"),
+     "9747baaa8de194515a9f99f4a0d8d9b2a59c7337f94ddda5e0f2c1d3b8bc25ae"),
     ("four_sensor_plurality", "honest_passthrough",
-     "27b2d1293e40034a0608827160dabd872299706db14cc25f971841df321ff24a"),
+     "26929f6e1dff44e782772c23c5415730ca1c27851f6c2f0d52a31ff0d8b8eb46"),
     ("four_sensor_plurality", "black_hole",
-     "2f80784b056f9939682292602e8057b158c076875be2c2b5f143ebd36906ab10"),
+     "c775669d87276c83a429bb0f8c6379c121dbae8f95f84af8d5a0c1b1caec16c2"),
     ("four_sensor_plurality", "fake_distribution",
-     "48e3c99319925066fc1ed922b36f396d6fee6f2af8c6b0c748048631d5611a52"),
+     "378376af09e4cc8bdc9c859cd2421fcb21b792c69701d4aa7670be248ff058df"),
 ]
 
 
@@ -208,7 +208,6 @@ def fixed_rate_messages_digest(monkeypatch, preset: str, kind: str | None,
 @pytest.mark.parametrize("preset,kind,digest", GOLDEN_FR_MESSAGES,
                          ids=[f"{g[0]}-{g[1] or 'all_honest'}" for g in GOLDEN_FR_MESSAGES])
 def test_fixed_rate_messages_digest(monkeypatch, preset, kind, digest):
-    """Digests computed when each strategy still had its own fixed-rate
-    messages; ``black_hole`` was recorded after it began to answer the
-    variable-rate poll (its ``traitor-c`` and ``black-hole`` streams)."""
+    """Digests recorded when every draw came from the keyed counter stream
+    (``source_model.keyed_draws``)."""
     assert fixed_rate_messages_digest(monkeypatch, preset, kind) == digest

@@ -19,7 +19,6 @@ from byzsw.prob_core import (
     identity_channel,
     marginal,
     marginalize_info_channel,
-    strongly_typical,
     subset_entropy,
     type_of,
 )
@@ -340,14 +339,16 @@ class TestEtaBall:
 
 
 class TestStronglyTypical:
+    """x^n is strongly typical for p iff its type lies in B_eps(p)."""
+
     def test_all_heads_not_typical(self):
         p = JointPMF((2,), np.array([0.5, 0.5]))
-        assert not strongly_typical(np.ones((1, 20), dtype=int), p, 0.2)
+        assert not eta_ball_contains(p, type_of(np.ones((1, 20), dtype=int), (2,)), 0.2)
 
     def test_exact_type_is_typical(self):
         p = JointPMF((2,), np.array([0.5, 0.5]))
         x = np.array([[0, 1] * 10])
-        assert strongly_typical(x, p, 0.0)
+        assert eta_ball_contains(p, type_of(x, (2,)), 0.0)
 
     def test_iid_samples_typical_with_high_frequency(self):
         # uniform binary source, n = 10^4, eps = 0.05: the per-cell tolerance
@@ -356,7 +357,7 @@ class TestStronglyTypical:
         hits = 0
         for seed in range(100):
             block = sample_block(p, 10_000, seed)
-            hits += strongly_typical(block, p, 0.05)
+            hits += eta_ball_contains(p, type_of(block, (2,)), 0.05)
         assert hits >= 99
 
     def test_agrees_with_literal_frequency_check(self):
@@ -366,7 +367,7 @@ class TestStronglyTypical:
             p = random_pmf(rng, (2, 2))
             block = rng.integers(0, 2, size=(2, 9))
             eps = float(rng.uniform(0, 1.0))
-            agree += (strongly_typical(block, p, eps)
+            agree += (eta_ball_contains(p, type_of(block, (2, 2)), eps)
                       == literal_typicality_check(block, p, eps))
         assert agree == 1000
 

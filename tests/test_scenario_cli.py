@@ -844,3 +844,28 @@ def test_imperfect_region_loads_no_scipy(tmp_path):
     out = subprocess.run([sys.executable, "-c", IMPORT_PROBE, str(path)], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert json.loads(out.stdout) == []
+
+
+# Run in a fresh interpreter: every draw comes from the keyed counter stream,
+# so no CLI trial pays for importing numpy.random.
+TRIALS_PROBE = """
+import contextlib, io, json, sys, tempfile, warnings
+from byzsw.cli import main
+
+warnings.simplefilter("ignore")      # the subcodebook cap
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["attack-demo", "--preset", "three_sensor", "--trials", "1"],
+                 ["attack-demo", "--preset", "fixed_rate_demo", "--trials", "2"],
+                 ["simulate-fr", "--preset", "fixed_rate_randomized", "--trials", "2"]):
+        assert main(argv + ["--out", out]) == 0
+print(json.dumps(sorted(m for m in sys.modules if m.split(".")[:2] == ["numpy", "random"])))
+"""
+
+
+def test_cli_trials_load_no_numpy_random():
+    src = str(Path(byzsw.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", TRIALS_PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == []

@@ -18,8 +18,9 @@ and ``space_bins``), and the median and mean time per ``update_V`` call.
 ``draw``: from the same trials, the median and mean time per trial spent
 drawing the rounds (``variable_rate._draw_rounds``: blocks, side
 information and the traitors' reported blocks, one call per session), the
-median time per trial (``run_session``), and the ``rng_for`` generators
-built per trial, by every byzsw module.
+median time per trial (``run_session``), and the calls per trial of the
+keyed counter stream (``source_model.keyed_draws``) that every random
+draw of every byzsw module goes through.
 
 ``sizes``: the median time of one sensor-pass of ``--rounds`` phases at
 binary block length n, eps 0.35, nu 1.0, C 1024, for honest senders of
@@ -59,7 +60,7 @@ KERNELS = ("hash_rows", "space_bins")
 
 def attack_layers(trials: int) -> tuple[dict, dict]:
     """The ``attack`` and ``draw`` parts, from one run of the trials."""
-    counts = {"calls": 0, "generators": 0}
+    counts = {"calls": 0, "draws": 0}
     paused = [True]
     kernels = {name: getattr(binning, name) for name in KERNELS}
     for name, inner in kernels.items():
@@ -71,13 +72,13 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
     pass_s, phases, update_s, draw_s, session_s = [], [], [], [], []
     decode, update = vr._decode_phases, vr.update_V
     draw, session = vr._draw_rounds, scenario.run_session
-    rng_for = source_model.rng_for
-    rng_owners = [mod for name, mod in sys.modules.items()
-                  if name.startswith("byzsw") and getattr(mod, "rng_for", None) is rng_for]
+    keyed_draws = source_model.keyed_draws
+    draw_owners = [mod for name, mod in sys.modules.items() if name.startswith("byzsw")
+                   and getattr(mod, "keyed_draws", None) is keyed_draws]
 
-    def counted_rng(*args):
-        counts["generators"] += 1
-        return rng_for(*args)
+    def counted_draws(*args):
+        counts["draws"] += 1
+        return keyed_draws(*args)
 
     def timed_pass(cb, cs, cells, chains):
         paused[0] = False
@@ -100,8 +101,8 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
 
     vr._decode_phases, vr.update_V = timed_pass, timer(update, update_s)
     vr._draw_rounds, scenario.run_session = timer(draw, draw_s), timer(session, session_s)
-    for mod in rng_owners:
-        mod.rng_for = counted_rng
+    for mod in draw_owners:
+        mod.keyed_draws = counted_draws
     try:
         with tempfile.TemporaryDirectory() as out:
             argv = ["attack-demo", "--preset", "three_sensor", "--seed", "7",
@@ -110,20 +111,20 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
                 cli.main(argv + ["3"])
                 for times in (pass_s, phases, update_s, draw_s, session_s):
                     times.clear()
-                counts["calls"] = counts["generators"] = 0
+                counts["calls"] = counts["draws"] = 0
                 cli.main(argv + [str(trials)])
     finally:
         vr._decode_phases, vr.update_V = decode, update
         vr._draw_rounds, scenario.run_session = draw, session
-        for mod in rng_owners:
-            mod.rng_for = rng_for
+        for mod in draw_owners:
+            mod.keyed_draws = keyed_draws
         for name, inner in kernels.items():
             setattr(binning, name, inner)
     draw_row = {"trials": len(session_s),
                 "draw_us_median": 1e6 * statistics.median(draw_s),
                 "draw_us_mean": 1e6 * statistics.fmean(draw_s),
                 "trial_us_median": 1e6 * statistics.median(session_s),
-                "generators_per_trial": counts["generators"] / len(session_s)}
+                "draw_calls_per_trial": counts["draws"] / len(session_s)}
     return {"trials": trials, "sensor_passes": len(pass_s),
             "phases_per_pass": statistics.fmean(phases),
             "pass_us_median": 1e6 * statistics.median(pass_s),
