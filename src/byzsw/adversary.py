@@ -5,9 +5,10 @@ their side information W^n, their own observations, the public codes, and
 shared randomness derived from the scenario seed. The context object
 deliberately has no field for honest sensors' private randomness or honest
 message contents, so no strategy can read them. A strategy only decides
-blocks, subcodebooks and garbage; the scheme encodes. In both schemes a
-sender's message is one bin chain per round: a reported block's bins or,
-for a traitor that reports none, ``respond``'s (J, R) array.
+blocks, subcodebooks and garbage; the scheme encodes. Both schemes make
+every sensor's messages in one ``send_rounds`` call before the decoder reads
+any: one bin chain per round, the encoding of the sender's true or reported
+rows or, for a traitor that reports none, ``respond``'s (J, R) array.
 
 Strategies:
 
@@ -30,11 +31,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .binning import _check_space, all_sequences, bin_count_for_rate
+from .binning import _check_space, all_sequences
 from .prob_core import (
     ConditionalPMF,
     JointPMF,
@@ -122,22 +123,20 @@ def optimal_fake_conditional(q_star: JointPMF, honest: SubsetView,
 class TraitorStrategy:
     """Base class: by default behave honestly with the true block.
 
-    One protocol for both schemes. A scheme draws the round data of its
-    rounds into the context and calls ``begin_round`` once with their
-    indices. It returns the rows the traitors report, which the scheme
-    encodes like honest sensors' rows, under ``choose_subcodebook``'s
-    subcodebooks; or None, and every traitor sends ``respond``'s bins
-    instead, one chain per round. A variable-rate session calls
-    ``begin_round`` once with all its rounds; a fixed-rate trial is round 0
-    with one block (``fixed_rate.encode_all``). Every call takes the
-    indices of the rounds it answers for.
+    One protocol for both schemes, played by ``send_rounds``: a scheme draws
+    the round data of its rounds into the context, and ``begin_round`` is
+    called once with their indices. It returns the rows the traitors
+    report, which are encoded like honest sensors' rows, under
+    ``choose_subcodebook``'s subcodebooks; or None, and every traitor sends
+    ``respond``'s bins instead, one chain per round. A variable-rate session
+    is one call over all its rounds; a fixed-rate trial is round 0 with one
+    block (``fixed_rate.encode_all``). Each hook is called once per session
+    or trial (``choose_subcodebook`` and ``respond`` once per traitor) with
+    the indices of every round it answers for.
 
-    The session draws every round's blocks before it plays any, and plays
-    the rounds in passes, so a strategy must depend only on the round index
-    and the context's round data, not on how earlier rounds went:
-    ``begin_round`` runs for every round before the first is played, and
-    ``respond`` may be called again for the rounds of a pass that is
-    discarded and replayed after V changes."""
+    Every message is made before the decoder reads any, so a strategy
+    depends only on the round index and the context's round data, not on
+    how earlier rounds were decoded."""
 
     kind = "honest_passthrough"
 
@@ -195,6 +194,34 @@ class FakeDistribution(TraitorStrategy):
 
     def begin_round(self, ctx: TraitorContext, rounds: Sequence[int]) -> np.ndarray:
         return fabricate_block(ctx, self.q_bar, rounds)
+
+
+def send_rounds(strategy: TraitorStrategy | None, ctx: TraitorContext | None,
+                blocks: np.ndarray, rounds: Sequence[int], cs: np.ndarray, C: int,
+                encode: Callable, bins: Sequence[Sequence[int]]) -> list[np.ndarray]:
+    """Every sensor's messages for ``rounds``, the traitor protocol played
+    once. ``blocks`` holds the rounds' (R, m, n) true rows and ``ctx`` their
+    side information (the traitors' own rows are put in it); ``cs`` the
+    (R, m) honest subcodebooks, whose traitors' columns ``choose_subcodebook``
+    overwrites in place when C > 1. Returns each sensor's (J, R) chains:
+    ``encode(i, rows, cs_i)`` of its true or reported (R, n) rows, or, when
+    the traitors report none, a traitor's ``respond`` chains under its bin
+    counts ``bins[i]``. Without a strategy every sensor encodes its rows."""
+    traitors = [] if strategy is None or ctx is None else list(ctx.traitors.indices)
+    sent, silent = blocks, False
+    if traitors:
+        ctx.own_block = blocks[:, traitors]
+        reported = strategy.begin_round(ctx, rounds)
+        silent = reported is None
+        if not silent:
+            sent = blocks.copy()
+            sent[:, traitors] = reported
+        if C > 1:
+            for i in traitors:
+                cs[:, i] = strategy.choose_subcodebook(ctx, rounds, i, C)
+    return [strategy.respond(ctx, rounds, i, bins[i]) if silent and i in traitors
+            else encode(i, sent[:, i], cs[:, i].tolist())
+            for i in range(blocks.shape[1])]
 
 
 # ---------------------------------------------------------------------------
@@ -333,8 +360,7 @@ def fixed_rate_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
         messages[i] = (0, code.encode(i, sizes[i], fake_outer[row]))
     rest = ctx.traitors.difference(outer)
     if rest:
-        garbage = keyed_draws(ctx.seed, ("ambiguity-garbage",), [0], len(sizes),
-                              [bin_count_for_rate(n, rate) for rate in code.rates])[0]
+        garbage = keyed_draws(ctx.seed, ("ambiguity-garbage",), [0], code.m, code.bin_counts)[0]
         for i in rest:
             messages[i] = (0, int(garbage[i]))
     return AmbiguityOutcome(True, messages, inter.indices, cand_syms, fake_outer)

@@ -279,10 +279,11 @@ class BinningCodebook:
 
     def bin_count(self, j: int) -> int:
         self._check_block(j)
-        return self._bin_counts[j]
+        return self.bin_counts[j]
 
     @cached_property
-    def _bin_counts(self) -> tuple[int, ...]:
+    def bin_counts(self) -> tuple[int, ...]:
+        """Each block's bin count, block 0 first."""
         return tuple(bin_count_for_rate(self.n, self.eps + self.nu if j == 0 else self.eps)
                      for j in range(self.J))
 
@@ -310,7 +311,7 @@ class BinningCodebook:
             raise ValueError(f"expected {len(cs)} sequences of length n={self.n}, "
                              f"got shape {rows.shape}")
         return hash_rows(self.master_seed, [[self._header(c, j) for c in cs] for j in blocks],
-                         rows, [self._bin_counts[j] for j in blocks])
+                         rows, [self.bin_counts[j] for j in blocks])
 
     def encode_space(self, cs: Sequence[int], j: int) -> np.ndarray:
         """Bin index of every sequence of ``all_sequences(alphabet_size, n)``
@@ -319,7 +320,7 @@ class BinningCodebook:
         for c in cs:
             self._check_block(j, c)
         return space_bins(self.master_seed, [self._header(c, j) for c in cs],
-                          self.alphabet_size, self.n, [self._bin_counts[j]] * len(cs))
+                          self.alphabet_size, self.n, [self.bin_counts[j]] * len(cs))
 
     def _header(self, c: int, j: int) -> bytes:
         return struct.pack(">BIII", 0x01, self.sensor_id, c, j)

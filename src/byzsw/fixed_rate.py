@@ -7,9 +7,11 @@ sequence space, which the whole-space kernel hashes once per key of a code
 (``FixedRateCode.space_bins``); the encoder, the decoder and the
 ambiguity attack share those bins. A code whose n * rate exceeds 32 for some
 sensor, past the kernels' 2^32 bins, is refused at construction. A block is
-an (m, n) int64 array. Traitors play round 0 of the variable-rate session's
-protocol (``encode_all``): a traitor that reports no block sends block 0
-of its ``respond`` chain.
+an (m, n) int64 array. The senders are the traitor protocol's driver
+(``adversary.send_rounds``) over the one round 0 with the one-shot encoder,
+the call a variable-rate session makes over all its rounds
+(``encode_all``): a traitor that reports no block sends block 0 of its
+``respond`` chain. Deterministic coding draws no subcodebook.
 The decoder runs one Slepian-Wolf style search per candidate honest set S:
 it enumerates the sequences matching each received bin and keeps the
 lexicographically least jointly typical tuple, or null when none exists. The
@@ -36,7 +38,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .adversary import TraitorContext, TraitorStrategy
+from .adversary import TraitorContext, TraitorStrategy, send_rounds
 from .binning import (
     EnumerationGuardError,
     all_sequences,
@@ -71,6 +73,7 @@ class FixedRateCode:
     (vanishing in the asymptotic theory; at desk-scale n wide enough that the
     true tuple's type lands inside the ball, per-cell type fluctuations being
     O(1/sqrt(n))), and ``plurality`` reconciles by plurality vote first.
+    ``bin_counts`` holds each sensor's bin count at its rate.
     """
 
     rates: tuple[float, ...]
@@ -84,8 +87,9 @@ class FixedRateCode:
         # the whole-space bins of each (sensor, alphabet, c) key, filled by
         # space_bins(); not a field, so it takes no part in equality or repr
         object.__setattr__(self, "_space", {})
-        for r in self.rates:
-            bin_count_for_rate(self.n, r)    # refuses a negative rate or past 2^32 bins
+        # each sensor's bin count; refuses a negative rate or past 2^32 bins
+        object.__setattr__(self, "bin_counts",
+                           tuple(bin_count_for_rate(self.n, r) for r in self.rates))
         if self.C < 1:
             raise ValueError("need at least one subcodebook")
         object.__setattr__(self, "rates", tuple(float(r) for r in self.rates))
@@ -108,7 +112,7 @@ class FixedRateCode:
         bins = self._space.get(key)
         if bins is None:
             bins = space_bins(self.seed, [fixed_rate_header(i, c)], alphabet, self.n,
-                              [bin_count_for_rate(self.n, self.rates[i])])[0]
+                              [self.bin_counts[i]])[0]
             bins.setflags(write=False)
             self._space[key] = bins
         return bins
@@ -132,36 +136,21 @@ class EstimateTable:
 def encode_all(code: FixedRateCode, block: np.ndarray,
                strategy: TraitorStrategy | None, ctx: TraitorContext | None,
                p: JointPMF, seed: int) -> dict[int, tuple[int, int]]:
-    """Messages (c, bin) from every sensor of the (m, n) ``block``, as round
-    0 of the traitor protocol, the context holding that one round's data: an
-    honest sensor bins its true row (under a uniform c when C > 1), a
-    traitor the row its strategy's ``begin_round`` reports for round 0, or,
-    when it reports none, block 0 of the strategy's ``respond`` chain."""
-    traitors = ctx.traitors if ctx is not None else SubsetView(())
-    sent, silent = block, False
-    if len(traitors) > 0:
+    """Messages (c, bin) from every sensor of the (m, n) ``block``: the
+    traitor protocol's one round 0 (``send_rounds``), the context holding
+    that round's data. An honest sensor bins its true row (under a uniform c
+    when C > 1), a traitor the row its strategy's ``begin_round`` reports,
+    or, when it reports none, block 0 of the strategy's ``respond`` chain."""
+    if ctx is not None and len(ctx.traitors) > 0:
         if strategy is None:
             raise ValueError("traitors present but no strategy supplied")
         ctx.code = code
-        reported = strategy.begin_round(ctx, [0])
-        silent = reported is None
-        if not silent:
-            sent = block.copy()
-            sent[list(traitors.indices)] = reported[0]
-    cs = [0] * code.m
-    if code.C > 1:
-        cs = keyed_draws(seed, ("fr-subcode",), [0], code.m, code.C)[0].tolist()
-        for i in traitors:
-            cs[i] = int(strategy.choose_subcodebook(ctx, [0], i, code.C)[0])
-    messages = {}
-    for i, c in enumerate(cs):
-        if silent and i in traitors:
-            bins = bin_count_for_rate(code.n, code.rates[i])
-            idx = int(strategy.respond(ctx, [0], i, [bins])[0, 0])
-        else:
-            idx = code.encode(i, p.alphabet_sizes[i], sent[i], c)
-        messages[i] = (c, idx)
-    return messages
+    cs = (keyed_draws(seed, ("fr-subcode",), [0], code.m, code.C) if code.C > 1
+          else np.zeros((1, code.m), dtype=np.int64))
+    chains = send_rounds(strategy, ctx, block[None], [0], cs, code.C,
+                         lambda i, x, c: [[code.encode(i, p.alphabet_sizes[i], x[0], c[0])]],
+                         [[bins] for bins in code.bin_counts])
+    return {i: (int(cs[0, i]), int(chain[0][0])) for i, chain in enumerate(chains)}
 
 
 def _first_typical(p_s: JointPMF, rows: list[np.ndarray],
@@ -216,7 +205,7 @@ def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
         bins = hash_rows(code.seed,
                          [[fixed_rate_header(i, messages[i][0])] * len(decoded) for i in senders],
                          np.stack([seq for _, seq in decoded]),
-                         [bin_count_for_rate(code.n, code.rates[i]) for i in senders])
+                         [code.bin_counts[i] for i in senders])
         got = bins[[senders.index(i) for i, _ in decoded], np.arange(len(decoded))]
         assert got.tolist() == [messages[i][1] for i, _ in decoded]
 
@@ -236,16 +225,10 @@ def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
         if not values:
             final[i] = None
         elif code.plurality and len(values) > 1:
-            buckets: list[list] = []      # [count, value, first preference rank]
-            for rank, (S, v) in enumerate(values):
-                for bucket in buckets:
-                    if np.array_equal(bucket[1], v):
-                        bucket[0] += 1
-                        break
-                else:
-                    buckets.append([1, v, rank])
-            best = max(buckets, key=lambda b: (b[0], -b[2]))
-            final[i] = best[1]
+            votes = {}                    # value -> [count, value], in preference order
+            for _, v in values:
+                votes.setdefault(v.tobytes(), [0, v])[0] += 1
+            final[i] = max(votes.values(), key=lambda vote: vote[0])[1]
         else:
             final[i] = values[0][1]
     return EstimateTable(per_set, final, disagreements)
@@ -267,8 +250,7 @@ def run_fixed_rate_trial(code: FixedRateCode, p: JointPMF, H: HonestCollection,
         r = r_true if r_true is not None else identity_channel(p.alphabet_sizes)
         ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p,
                              w_block=sample_side_infos(r, block[None],
-                                                       derive_seed(seed, "fr-sideinfo"), [0]),
-                             own_block=block[None, list(traitors.indices)])
+                                                       derive_seed(seed, "fr-sideinfo"), [0]))
     messages = encode_all(code, block, strategy, ctx, p, derive_seed(seed, "fr-honest"))
     table = decode_all(code, messages, p, H)
     wrong = tuple(i for i in honest_true

@@ -15,29 +15,32 @@ eta-blurred simulable-law sets of each candidate.
 
 Rounds depend on each other only through U(V), the union of the candidate
 sets still in V, which decides the sensors that get a phase; every random
-draw is keyed by (seed, label, round). So the session draws every round
-before it plays any, as arrays with a leading round axis: one inverse-CDF
-pass gives the (R, m, n) blocks, one pass the (R, n) side information, and
-one ``begin_round`` call the traitors' reported rows (the fake-distribution
-traitor fabricates all of them under qbar in one pass), which replace their
-true rows in the (R, m, n) array of rows the sensors encode. A round's
-draws are its own entries of the keyed streams (``keyed_draws``), so every
-draw is the one a round-by-round session makes. It then plays its rounds
-in passes, in lockstep: a pass plays every remaining round under the
-current U(V), one sensor at a time over all of the pass's rounds, into one
-(R, |U|, n) array of estimates, and then prunes V round by round on that
-array. If a round's prune changes U(V), the pass's later rounds are
-discarded and the next pass starts after that round. Each round is thus
-played under the U(V) its predecessors left, and the report is the one a
-round-by-round session gives, field for field: the session builds its
-transcript and per-round dicts from the kept rounds' arrays.
+draw is keyed by (seed, label, round). What a sensor sends depends only on
+its rows and its randomness, and U(V) decides only whether the decoder
+reads it. So the session draws every round before it plays any, as arrays
+with a leading round axis: one inverse-CDF pass gives the (R, m, n)
+blocks, one pass the (R, n) side information and one the (R, m) honest
+subcodebooks. Then one ``adversary.send_rounds`` call makes every
+sensor's messages for every round, a (J, R) array of bin chains per
+sensor: a sender that reports a block has them encoded in one kernel call,
+one key per (round's subcodebook, block), and a traitor that reports none
+sends the chains its strategy's ``respond`` returns (the fake-distribution
+traitor fabricates all its rows under qbar in one pass). A round's draws
+are its own entries of the keyed streams (``keyed_draws``), so every draw
+is the one a round-by-round session makes.
+
+The session then decodes its rounds in passes, in lockstep: a pass decodes
+every remaining round under the current U(V), one sensor at a time over
+all of the pass's rounds, into one (R, |U|, n) array of estimates
+(``run_round``), and then prunes V round by round on that array. If a
+round's prune changes U(V), the pass's later rounds are discarded and the
+next pass starts after that round, reading the same messages. Each round
+is thus played under the U(V) its predecessors left, and the report is the
+one a round-by-round session gives, field for field: the session builds
+its transcript and per-round dicts from the kept rounds' arrays.
 
 Within a pass, each sensor's phases for all rounds run at once:
 
-* every sender's message is a (J, R) array of bin chains, one per round:
-  a sender that reports a block has them encoded in one kernel call, one
-  key per (round's subcodebook, block), and a traitor that reports none
-  sends the chains its strategy's ``respond`` returns;
 * every candidate must match block 0, the block with the most bins, so the
   whole alphabet^n space is binned on block 0 under each round's
   subcodebook, as many keys per kernel call as fit in 2^14 states (4 at
@@ -70,7 +73,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .adversary import TraitorContext, TraitorStrategy
+from .adversary import TraitorContext, TraitorStrategy, send_rounds
 from .binning import BinningCodebook, _check_space, all_sequences, bin_count_for_rate
 from .prob_core import (
     ConditionalPMF,
@@ -361,64 +364,46 @@ def update_V(V: Sequence[SubsetView], estimates: np.ndarray, p: JointPMF,
 # ---------------------------------------------------------------------------
 
 def _draw_rounds(p: JointPMF, r_true: ConditionalPMF, strategy: TraitorStrategy | None,
-                 ctx: TraitorContext, n: int, seed: int, rounds: int):
-    """Every round's block and side information, one draw each, then the
-    traitors' reported rows for all the rounds from one ``begin_round``
-    call.
+                 ctx: TraitorContext, seed: int, rounds: int,
+                 codebooks: Sequence[BinningCodebook]):
+    """Every round's block, side information and honest subcodebooks, one
+    draw each, then every sensor's messages for all the rounds from one
+    ``send_rounds`` call.
 
-    Returns the (R, m, n) true blocks, the (R, m, n) rows each sensor
-    encodes (the traitors' reported rows in place of their true rows; the
-    true blocks themselves without a strategy or when the traitors report
-    none), and whether the traitors report no rows and send ``respond``'s
-    chains instead."""
+    Returns the (R, m, n) true blocks, the (R, m) subcodebooks each sensor
+    announces, and each sensor's (J, R) bin chains."""
     indices = range(rounds)
-    blocks = sample_blocks(p, n, seed, indices)
+    blocks = sample_blocks(p, codebooks[0].n, seed, indices)
     ctx.w_block = sample_side_infos(r_true, blocks, seed, indices)
-    traitors = list(ctx.traitors.indices)
-    ctx.own_block = blocks[:, traitors] if traitors else None
-    reported = None if strategy is None else strategy.begin_round(ctx, indices)
-    if reported is None:
-        return blocks, blocks, strategy is not None
-    sent = blocks.copy()
-    sent[:, traitors] = reported
-    return blocks, sent, False
+    C = codebooks[0].C
+    cs = keyed_draws(seed, ("subcode",), indices, p.m, C)
+    chains = send_rounds(strategy, ctx, blocks, indices, cs, C,
+                         lambda i, x, c: codebooks[i].encode_rows(x, c, range(codebooks[i].J)),
+                         [cb.bin_counts for cb in codebooks])
+    return blocks, cs, chains
 
 
-def run_round(U: SubsetView, sent: np.ndarray, silent: bool, first: int, codebooks: dict,
-              strategy: TraitorStrategy | None, ctx: TraitorContext, seed: int):
-    """Play the phases of one pass: rounds first, first+1, ... (one per
-    round of ``sent``, the (R, m, n) rows the sensors encode), all under the
-    same U(V), one phase per sensor of U in ascending order. Each sensor's
-    phases for every round of the pass run at once, with the estimates of
-    the sensors before it as their priors.
-
-    A sender that reports a block has the chains of all its rounds encoded
-    in one kernel call; when ``silent``, each traitor sends the chains
-    ``respond`` returns. The candidate-collection prune happens after the
-    pass, in the caller.
+def run_round(U: SubsetView, cs: np.ndarray, chains: Sequence[np.ndarray],
+              codebooks: Sequence[BinningCodebook]):
+    """Decode the phases of one pass, all under the same U(V): one round per
+    row of ``cs``, the (R, m) subcodebooks, whose chains are the columns of
+    each sensor's (J, R) ``chains``. One phase per sensor of U in ascending
+    order; each sensor's phases for every round of the pass run at once,
+    with the estimates of the sensors before it as their priors. The
+    candidate-collection prune happens after the pass, in the caller.
 
     Returns, for the sensors of U in order: the (R, |U|, n) estimates, and
-    the (|U|, R) subcodebooks, transactions used and forced flags, and
-    each sensor's (J, R) chains.
+    the (|U|, R) transactions used and forced flags.
     """
-    rounds = range(first, first + len(sent))
-    C = codebooks[0].C
-    honest_cs = keyed_draws(seed, ("subcode",), rounds, len(codebooks), C)   # (R, m)
     cells = None        # the flat prior symbol of each (round, slot)
     phases = []
     for i in U:
         cb = codebooks[i]
-        traitor = strategy is not None and i in ctx.traitors
-        cs = (strategy.choose_subcodebook(ctx, rounds, i, C) if traitor
-              else honest_cs[:, i]).tolist()
-        chains = (strategy.respond(ctx, rounds, i, [cb.bin_count(j) for j in range(cb.J)])
-                  if silent and traitor else cb.encode_rows(sent[:, i], cs, range(cb.J)))
-        est, j_used, forced = _decode_phases(cb, cs, cells, chains)
+        est, j_used, forced = _decode_phases(cb, cs[:, i].tolist(), cells, chains[i])
         cells = est if cells is None else cells * cb.alphabet_size + est
-        phases.append((est, cs, j_used, forced, chains))
-    estimates, cs, j_used, forced, chains = zip(*phases)
-    return (np.stack(estimates, axis=1), np.array(cs), np.array(j_used),
-            np.array(forced), list(chains))
+        phases.append((est, j_used, forced))
+    estimates, j_used, forced = zip(*phases)
+    return np.stack(estimates, axis=1), np.array(j_used), np.array(forced)
 
 
 def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
@@ -430,13 +415,16 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
     ``r_true`` may be None under perfect information (the identity channel is
     implied). ``strategy`` may be None when there are no traitors.
 
-    Every round is drawn first, in one pass (``_draw_rounds``). Then each
-    pass plays the remaining rounds under the current U(V) (``run_round``)
-    and prunes V over them in order (``update_V``), keeping the rounds up to
-    the first whose prune changes U(V); the next pass starts after it. The
-    kept rounds' honest errors are one comparison of the honest sensors'
-    rows of the estimates array with their drawn rows, and their transcript
-    records, round by round, then sensor by sensor, then block by block.
+    Every round is drawn first, in one pass, and every sensor's messages
+    are made from the draws (``_draw_rounds``). Then each pass decodes the
+    remaining rounds under the current U(V) (``run_round``) and prunes V
+    over them in order (``update_V``), keeping the rounds up to the first
+    whose prune changes U(V); the next pass starts after it. The kept
+    rounds' honest errors are one comparison of the honest sensors' rows of
+    the estimates array with their drawn rows, and their transcript
+    records, round by round, then sensor by sensor, then block by block:
+    each record's subcodebook and bin index read from the session's
+    arrays.
     """
     m, sizes, n = p.m, p.alphabet_sizes, params.n
     traitors = honest_true.complement(m)
@@ -451,29 +439,26 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         r_true = identity_channel(sizes)
 
     _check_space(max(sizes), n)     # before any sender encodes: bin counts may overflow
-    codebooks = {
-        i: BinningCodebook(i, n, sizes[i], params.eps, params.nu_value, C,
-                           derive_seed(seed, "codebook", i))
-        for i in range(m)
-    }
+    codebooks = [BinningCodebook(i, n, sizes[i], params.eps, params.nu_value, C,
+                                 derive_seed(seed, "codebook", i)) for i in range(m)]
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p)
-    blocks, sent, silent = _draw_rounds(p, r_true, strategy, ctx, n, seed, params.rounds)
-    block_bits = {i: [cb.block_bits(j) for j in range(cb.J)] for i, cb in codebooks.items()}
+    blocks, cs, chains = _draw_rounds(p, r_true, strategy, ctx, seed, params.rounds, codebooks)
+    block_bits = [[cb.block_bits(j) for j in range(cb.J)] for cb in codebooks]
 
     V = tuple(H.candidates)
     transcript, honest_errors, round_rates, phase_tx, round_estimates = [], [], [], [], []
     v_traj = [V]
     subcode_bits, forced_count, restores = 0.0, 0, 0
 
-    j_max = max(cb.J for cb in codebooks.values())
-    min_block_bits = min(min(bits) for bits in block_bits.values())
+    j_max = max(cb.J for cb in codebooks)
+    min_block_bits = min(min(bits) for bits in block_bits)
     feedback_ratio = math.log2(C * j_max) / min_block_bits if min_block_bits > 0 else math.inf
 
     first = 0
     while first < params.rounds:
         U = union_of(V)
-        estimates, cs, j_used, forced, chains = run_round(
-            U, sent[first:], silent, first, codebooks, strategy, ctx, seed)
+        estimates, j_used, forced = run_round(U, cs[first:],
+                                              [chain[:, first:] for chain in chains], codebooks)
         trajectory, emptied = update_V(V, estimates, p, info_model, params.eta_value)
         kept = len(trajectory)
         if honest_true.is_subset_of(U):
@@ -487,15 +472,14 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         v_traj.extend(trajectory)
         forced_count += int(forced[:, :kept].sum())
         for k in range(kept):
-            bits, tx, ests = 0.0, {}, {}
+            r, bits, tx, ests = first + k, 0.0, {}, {}
             for u, i in enumerate(U):
                 tx[i] = int(j_used[u, k])
                 ests[i] = estimates[k, u]
                 for j in range(tx[i]):
                     bits += block_bits[i][j]
-                    transcript.append(TranscriptRecord(first + k, i, int(cs[u, k]), j,
-                                                       int(chains[u][j, k]),
-                                                       block_bits[i][j]))
+                    transcript.append(TranscriptRecord(r, i, int(cs[r, i]), j,
+                                                       int(chains[i][j, r]), block_bits[i][j]))
             round_rates.append(bits / n)
             phase_tx.append(tx)
             round_estimates.append(ests)

@@ -275,71 +275,152 @@ class TestDecodePhaseBudget:
         assert max(j_seen) >= 3     # the budget held over multi-transaction phases
 
 
+def encoder(codebooks):
+    """The variable-rate ``encode`` argument of ``send_rounds``."""
+    return lambda i, rows, cs: codebooks[i].encode_rows(rows, cs, range(codebooks[i].J))
+
+
+def bin_counts(codebooks):
+    return [cb.bin_counts for cb in codebooks]
+
+
 class TestRunRound:
     def test_single_round_decodes_truth(self):
-        from byzsw.adversary import TraitorContext
-        from byzsw.binning import BinningCodebook
+        from byzsw.adversary import send_rounds
         from byzsw.prob_core import SubsetView as SV
+        from byzsw.source_model import keyed_draws
 
         p = dsbs()
-        codebooks = {i: BinningCodebook(i, 12, 2, 0.35, 1.925, 8, seed)
-                     for i, seed in ((0, 11), (1, 12))}
+        codebooks = [BinningCodebook(i, 12, 2, 0.35, 1.925, 8, seed)
+                     for i, seed in ((0, 11), (1, 12))]
         block = sample_block(p, 12, 44)
-        ctx = TraitorContext(traitors=SV(()), seed=46, law=p)
-        est, cs, j_used, forced, chains = run_round(SV.of(0, 1), block[None], False, 0,
-                                                    codebooks, None, ctx, seed=47)
+        cs = keyed_draws(47, ("subcode",), [0], 2, 8)
+        chains = send_rounds(None, None, block[None], [0], cs, 8, encoder(codebooks),
+                             bin_counts(codebooks))
+        est, j_used, forced = run_round(SV.of(0, 1), cs, chains, codebooks)
         assert not forced.any()
-        assert est.shape == (1, 2, 12) and cs.shape == j_used.shape == (2, 1)
-        assert [chain.shape for chain in chains] == [(cb.J, 1) for cb in codebooks.values()]
+        assert est.shape == (1, 2, 12) and cs.shape == (1, 2) and j_used.shape == (2, 1)
+        assert [chain.shape for chain in chains] == [(cb.J, 1) for cb in codebooks]
         assert np.array_equal(est[0], block)
 
     def test_pass_equals_rounds_played_one_at_a_time(self):
-        from byzsw.adversary import TraitorContext
+        from byzsw.adversary import TraitorContext, send_rounds
         from byzsw.prob_core import SubsetView as SV
+        from byzsw.source_model import keyed_draws
 
         p = three_sensor_law()
-        codebooks = {i: BinningCodebook(i, 10, 2, 0.35, 1.0, 16, 30 + i) for i in range(3)}
+        codebooks = [BinningCodebook(i, 10, 2, 0.35, 1.0, 16, 30 + i) for i in range(3)]
         ctx = TraitorContext(traitors=SV.of(2), seed=46, law=p)
-        sent = np.stack([sample_block(p, 10, 50 + r) for r in range(6)])
-        est, cs, j_used, forced, chains = run_round(SV.of(0, 1, 2), sent, True, 3, codebooks,
-                                                    BlackHole(), ctx, 47)
+        blocks = np.stack([sample_block(p, 10, 50 + r) for r in range(6)])
+
+        def sent(rounds):
+            cs = keyed_draws(47, ("subcode",), rounds, 3, 16)
+            chains = send_rounds(BlackHole(), ctx, blocks[[r - 3 for r in rounds]], rounds,
+                                 cs, 16, encoder(codebooks), bin_counts(codebooks))
+            return cs, chains
+
+        cs, chains = sent(range(3, 9))
+        est, j_used, forced = run_round(SV.of(0, 1, 2), cs, chains, codebooks)
         for k in range(6):
-            alone = run_round(SV.of(0, 1, 2), sent[k:k + 1], True, 3 + k, codebooks,
-                              BlackHole(), ctx, 47)
-            assert np.array_equal(est[k:k + 1], alone[0])
-            for whole, one in zip((cs, j_used, forced), alone[1:4]):
+            cs_k, chains_k = sent([3 + k])
+            assert np.array_equal(cs[k:k + 1], cs_k)
+            for whole, one in zip(chains, chains_k):
                 assert np.array_equal(whole[:, k:k + 1], one)
-            for whole, one in zip(chains, alone[4]):
+            alone = run_round(SV.of(0, 1, 2), cs_k, chains_k, codebooks)
+            assert np.array_equal(est[k:k + 1], alone[0])
+            for whole, one in zip((j_used, forced), alone[1:]):
                 assert np.array_equal(whole[:, k:k + 1], one)
 
 
 class TestDrawRounds:
-    def test_sent_rows_and_silent_traitors(self):
+    def test_chains_of_true_reported_rows_or_respond(self):
         from byzsw.adversary import HonestPassthrough, TraitorContext
         from byzsw.prob_core import identity_channel
+        from byzsw.source_model import keyed_draws
 
         p = three_sensor_law()
         h_true = SubsetView.of(0, 1)
         region = r_star_perfect(p, HonestCollection.explicit([[0, 1], [0, 2], [1, 2]]))
         q_bar = optimal_fake_conditional(region.per_pair_detail[h_true][2], h_true, (2, 2, 2))
         r_true = identity_channel(p.alphabet_sizes)
+        codebooks = [BinningCodebook(i, 10, 2, 0.35, 1.0, 16, 30 + i) for i in range(3)]
+        encode, bins = encoder(codebooks), bin_counts(codebooks)
+        honest_cs = keyed_draws(47, ("subcode",), range(5), 3, 16)
         truth = None
         for strategy in (None, HonestPassthrough(), FakeDistribution(q_bar), BlackHole()):
             ctx = TraitorContext(traitors=SubsetView.of(2), seed=46, law=p)
-            blocks, sent, silent = _draw_rounds(p, r_true, strategy, ctx, 10, 47, 5)
+            blocks, cs, chains = _draw_rounds(p, r_true, strategy, ctx, 47, 5, codebooks)
             truth = blocks if truth is None else truth
             assert np.array_equal(blocks, truth)    # the strategy draws no true block
-            assert sent.shape == (5, 3, 10)
-            assert np.array_equal(sent[:, :2], blocks[:, :2])
-            assert silent == isinstance(strategy, BlackHole)
-            if strategy is None or silent:
-                assert sent is blocks
+            assert blocks.shape == (5, 3, 10) and cs.shape == (5, 3)
+            assert np.array_equal(cs[:, :2], honest_cs[:, :2])
+            for i in range(2):
+                assert np.array_equal(chains[i], encode(i, blocks[:, i], cs[:, i].tolist()))
+            if strategy is None:
+                assert np.array_equal(cs, honest_cs)
+                want = encode(2, blocks[:, 2], cs[:, 2].tolist())
             else:
-                assert np.array_equal(sent[:, 2:], strategy.begin_round(ctx, range(5)))
+                assert np.array_equal(cs[:, 2],
+                                      strategy.choose_subcodebook(ctx, range(5), 2, 16))
+                reported = strategy.begin_round(ctx, range(5))
+                want = (strategy.respond(ctx, range(5), 2, bins[2]) if reported is None
+                        else encode(2, reported[:, 0], cs[:, 2].tolist()))
+                assert (reported is None) == isinstance(strategy, BlackHole)
+            assert np.array_equal(chains[2], want)
         fake = FakeDistribution(q_bar)
         ctx = TraitorContext(traitors=SubsetView.of(2), seed=46, law=p)
-        assert not np.array_equal(_draw_rounds(p, r_true, fake, ctx, 10, 47, 5)[1][:, 2],
-                                  truth[:, 2])
+        _, cs, chains = _draw_rounds(p, r_true, fake, ctx, 47, 5, codebooks)
+        assert not np.array_equal(chains[2], encode(2, truth[:, 2], cs[:, 2].tolist()))
+
+
+class TestHooksOncePerSession:
+    def test_each_hook_called_once_over_every_round(self):
+        # A silent traitor whose respond sends its true rows' chains plays
+        # like honest passthrough, so its sets stay in V. At this tight eta
+        # the prunes drop an honest sensor from U(V) with the traitor still
+        # in it, so the session plays a later pass that polls the traitor.
+        from byzsw.adversary import HonestPassthrough, TraitorStrategy
+        from byzsw.prob_core import union_of
+        from byzsw.source_model import derive_seed
+
+        calls = []
+
+        class SilentHonest(TraitorStrategy):
+            def __init__(self, codebooks):
+                self.codebooks = codebooks
+
+            def begin_round(self, ctx, rounds):
+                calls.append(("begin_round", None, tuple(rounds)))
+                return None
+
+            def choose_subcodebook(self, ctx, rounds, sensor, C):
+                calls.append(("choose_subcodebook", sensor, tuple(rounds)))
+                return super().choose_subcodebook(ctx, rounds, sensor, C)
+
+            def respond(self, ctx, rounds, sensor, bins):
+                calls.append(("respond", sensor, tuple(rounds)))
+                cb = self.codebooks[sensor]
+                cs = TraitorStrategy.choose_subcodebook(self, ctx, rounds, sensor, cb.C)
+                rows = ctx.own_block[:, ctx.traitors.indices.index(sensor)]
+                return cb.encode_rows(rows, cs.tolist(), range(cb.J))
+
+        p = three_sensor_law()
+        coll = HonestCollection.explicit([[0, 1], [0, 2], [1, 2]])
+        im = InfoModel.perfect_info((2, 2, 2))
+        params = ProtocolParams(n=8, rounds=20, eps=0.35, nu=1.0, eta=0.5, C=8)
+        h_true, every = SubsetView.of(0, 1), tuple(range(20))
+        for seed in range(3):
+            codebooks = [BinningCodebook(i, 8, 2, 0.35, 1.0, 8, derive_seed(seed, "codebook", i))
+                         for i in range(3)]
+            calls.clear()
+            got = run_session(p, coll, im, h_true, None, SilentHonest(codebooks), params, seed)
+            assert sorted(calls, key=lambda call: call[0]) == [
+                ("begin_round", None, every), ("choose_subcodebook", 2, every),
+                ("respond", 2, every)]
+            want = run_session(p, coll, im, h_true, None, HonestPassthrough(), params, seed)
+            assert report_differences(got, want) == []
+            later = [union_of(V) for V in got.v_trajectory[1:-1]]
+            assert any(2 in U and len(U) < 3 for U in later)     # a later pass polls it
 
 
 class TestUpdateV:

@@ -16,11 +16,14 @@ decoder makes (calls into the two binning kernels, ``binning.hash_rows``
 and ``space_bins``), and the median and mean time per ``update_V`` call.
 
 ``draw``: from the same trials, the median and mean time per trial spent
-drawing the rounds (``variable_rate._draw_rounds``: blocks, side
-information and the traitors' reported blocks, one call per session), the
-median time per trial (``run_session``), and the calls per trial of the
-keyed counter stream (``source_model.keyed_draws``) that every random
-draw of every byzsw module goes through.
+drawing the rounds (``variable_rate._draw_rounds`` without the senders:
+blocks, side information and honest subcodebooks, one call per session),
+the median and mean time per trial of the senders (``send_rounds``, the
+traitor protocol and every sensor's chains, one call per session, made
+inside ``_draw_rounds``), the median time per trial (``run_session``), and
+the calls per trial of the keyed counter stream
+(``source_model.keyed_draws``) that every random draw of every byzsw
+module goes through.
 
 ``sizes``: the median time of one sensor-pass of ``--rounds`` phases at
 binary block length n, eps 0.35, nu 1.0, C 1024, for honest senders of
@@ -69,8 +72,8 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
                 counts["calls"] += 1
             return _inner(*args, **kw)
         setattr(binning, name, counted)
-    pass_s, phases, update_s, draw_s, session_s = [], [], [], [], []
-    decode, update = vr._decode_phases, vr.update_V
+    pass_s, phases, update_s, draw_s, send_s, session_s = [], [], [], [], [], []
+    decode, update, send = vr._decode_phases, vr.update_V, vr.send_rounds
     draw, session = vr._draw_rounds, scenario.run_session
     keyed_draws = source_model.keyed_draws
     draw_owners = [mod for name, mod in sys.modules.items() if name.startswith("byzsw")
@@ -100,6 +103,7 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
         return timed
 
     vr._decode_phases, vr.update_V = timed_pass, timer(update, update_s)
+    vr.send_rounds = timer(send, send_s)
     vr._draw_rounds, scenario.run_session = timer(draw, draw_s), timer(session, session_s)
     for mod in draw_owners:
         mod.keyed_draws = counted_draws
@@ -109,20 +113,23 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
                     "--workers", "1", "--out", out, "--trials"]
             with contextlib.redirect_stdout(io.StringIO()):
                 cli.main(argv + ["3"])
-                for times in (pass_s, phases, update_s, draw_s, session_s):
+                for times in (pass_s, phases, update_s, draw_s, send_s, session_s):
                     times.clear()
                 counts["calls"] = counts["draws"] = 0
                 cli.main(argv + [str(trials)])
     finally:
-        vr._decode_phases, vr.update_V = decode, update
+        vr._decode_phases, vr.update_V, vr.send_rounds = decode, update, send
         vr._draw_rounds, scenario.run_session = draw, session
         for mod in draw_owners:
             mod.keyed_draws = keyed_draws
         for name, inner in kernels.items():
             setattr(binning, name, inner)
+    draws_only = [total - senders for total, senders in zip(draw_s, send_s)]
     draw_row = {"trials": len(session_s),
-                "draw_us_median": 1e6 * statistics.median(draw_s),
-                "draw_us_mean": 1e6 * statistics.fmean(draw_s),
+                "draw_us_median": 1e6 * statistics.median(draws_only),
+                "draw_us_mean": 1e6 * statistics.fmean(draws_only),
+                "send_us_median": 1e6 * statistics.median(send_s),
+                "send_us_mean": 1e6 * statistics.fmean(send_s),
                 "trial_us_median": 1e6 * statistics.median(session_s),
                 "draw_calls_per_trial": counts["draws"] / len(session_s)}
     return {"trials": trials, "sensor_passes": len(pass_s),
