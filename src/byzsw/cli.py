@@ -226,24 +226,21 @@ def build_parser() -> argparse.ArgumentParser:
         prog="byzsw",
         description="Distributed source coding under Byzantine sensors: "
                     "rate regions and protocol simulation.")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in ("region", *TRIAL_COMMANDS):
-        sp = sub.add_parser(name)
-        sp.add_argument("--scenario", help="path to a scenario JSON file")
-        sp.add_argument("--preset", choices=sorted(PRESETS),
-                        help="use a built-in scenario")
-        sp.add_argument("--trials", type=int, default=None)
-        sp.add_argument("--seed", type=int, default=None)
-        sp.add_argument("--workers", type=int, default=1)
-        sp.add_argument("--out", default=None, help="directory for CSV/JSON records")
-        sp.set_defaults(fn=cmd_region if name == "region" else cmd_trials)
+    parser.add_argument("command", choices=("region", *TRIAL_COMMANDS))
+    parser.add_argument("--scenario", help="path to a scenario JSON file")
+    parser.add_argument("--preset", choices=sorted(PRESETS), help="use a built-in scenario")
+    parser.add_argument("--trials", type=int, default=None)
+    parser.add_argument("--seed", type=int, default=None)
+    parser.add_argument("--workers", type=int, default=1)
+    parser.add_argument("--out", default=None, help="directory for CSV/JSON records")
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
+    run = cmd_region if args.command == "region" else cmd_trials
     try:
-        return args.fn(args)
+        return run(args)
     except (ValueError, FileNotFoundError, EnumerationGuardError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -3,11 +3,12 @@
 Four groups of operations live here:
 
 * the max-entropy value with prescribed marginals, behind the variable-rate
-  minimum sum rate under perfect traitor information: a junction-tree
-  closed form for alpha-acyclic families, iterative proportional fitting
-  (IPF) for cyclic families and for each search's winner, whose law q the
-  traitors need; plus the analytic closed forms for 1, 2, and m-1 tolerated
-  traitors;
+  minimum sum rate under perfect traitor information: one walk lists the
+  families of every search (overall and per true honest set) and one scan
+  scores each family once, by a junction-tree closed form for alpha-acyclic
+  families and iterative proportional fitting (IPF) for cyclic ones, then
+  IPF solves each search's winner, whose law q the traitors need; plus the
+  analytic closed forms for 1, 2, and m-1 tolerated traitors;
 * one small linear-programming kernel, a dense two-phase simplex in numpy
   (``LinearProgram``), behind everything that asks which joint laws the
   traitors can simulate;
@@ -236,59 +237,64 @@ def _lex_key(V: Sequence[SubsetView]):
     return tuple(sorted(s.indices for s in V))
 
 
-def _candidate_collections(candidates: Sequence[SubsetView],
-                           must_contain: SubsetView | None):
-    """Irredundant sub-collections: every nonempty V in which each member
-    covers a sensor no other member covers. A member without such a private
-    sensor can be dropped without changing the union, so the smaller family
-    dominates; singletons always qualify. ``must_contain`` pins one set that
-    every family holds and that needs no private sensor, for
-    per-true-honest-set evaluations.
+def _families(candidates: Sequence[SubsetView]):
+    """Every family some R* search scores: every nonempty V in which at most
+    one member lacks a private sensor (one no other member covers). An
+    irredundant family (singletons always are) belongs to the overall search
+    and to the search pinned to each of its members; a family whose one
+    redundant member is P only to P's search, for per-true-honest-set
+    evaluations.
 
-    Depth-first over int bitmasks with members in candidate order, carrying
-    the sensors covered exactly once and those covered more than once. A set
-    joins only if it brings a new sensor, and a branch is cut as soon as an
-    unpinned member loses its last private sensor: private sensors only
-    shrink as sets join, so no family below the cut qualifies. Returns
-    (V, union) pairs sorted by (-|union|, _lex_key(V)), the second key read
-    as the members' sorted ranks in index-tuple order; raises
-    EnumerationGuardError past FAMILY_GUARD families.
+    One depth-first walk over int bitmasks with members in candidate order,
+    carrying the sensors covered exactly once and those covered more than
+    once, cut as soon as a second member lacks a private sensor: private
+    sensors only shrink as sets join. So a family with a redundant member
+    extends only to such families; those are walked last. Returns
+    (V, union, lone) triples, lone the redundant member or None, sorted once
+    by (-|union|, _lex_key(V)), the second key read as the members' sorted
+    ranks in index-tuple order. The key depends on the family alone, so each
+    search's families keep the order that search alone would give them.
+
+    Raises EnumerationGuardError past FAMILY_GUARD irredundant families, as
+    early as a walk of the overall search alone. Dropping P maps P's
+    redundant families one to one onto irredundant families without P, so
+    no pinned search outnumbers the overall one, and this refuses exactly
+    the collections in which some search has more than FAMILY_GUARD.
     """
     masks = [s.mask for s in candidates]
     n = len(candidates)
     rank = [0] * n
     for r, k in enumerate(sorted(range(n), key=lambda k: candidates[k].indices)):
         rank[k] = r
-    pin = None
-    if must_contain is not None:
-        pin = next((k for k, s in enumerate(candidates) if s == must_contain), None)
-        if pin is None:
-            return []
     families = []
-
-    def walk(members, start, once, more):
-        families.append((members, once | more))
-        if len(families) > FAMILY_GUARD:
-            raise EnumerationGuardError(
-                f"more than {FAMILY_GUARD} irredundant sub-collections of "
-                f"{n} candidate sets; enumeration guard is {FAMILY_GUARD}")
-        for k in range(start, n):
+    irredundant = 0
+    stack = [((k,), masks[k], 0, None) for k in reversed(range(n))]
+    later = []              # families with a redundant member, walked last
+    while stack or later:
+        members, once, more, lone = (stack or later).pop()
+        families.append((members, once | more, lone))
+        if lone is None:
+            irredundant += 1
+            if irredundant > FAMILY_GUARD:
+                raise EnumerationGuardError(
+                    f"more than {FAMILY_GUARD} irredundant sub-collections of "
+                    f"{n} candidate sets; enumeration guard is {FAMILY_GUARD}")
+        for k in range(members[-1] + 1, n):
             mk = masks[k]
             new = mk & ~(once | more)
-            if k == pin or not new:
-                continue
+            if not new and lone is not None:
+                continue            # k would be a second member without one
             once_k = (once & ~mk) | new
-            if all(masks[i] & once_k for i in members if i != pin):
-                walk(members + (k,), k + 1, once_k, more | (once & mk))
-
-    if pin is None:
-        for k in range(n):
-            walk((k,), k + 1, masks[k], 0)
-    else:
-        walk((pin,), 0, masks[pin], 0)
-    families.sort(key=lambda mu: (-mu[1].bit_count(), sorted(map(rank.__getitem__, mu[0]))))
-    return [(tuple(map(candidates.__getitem__, sorted(members))), union)
-            for members, union in families]
+            bare = [i for i in members if not masks[i] & once_k]
+            if not new:
+                bare.append(k)
+            if len(bare) <= 1:
+                (later if bare else stack).append(
+                    ((*members, k), once_k, more | (once & mk), bare[0] if bare else None))
+    families.sort(key=lambda f: (-f[1].bit_count(), sorted(map(rank.__getitem__, f[0]))))
+    return [(tuple(map(candidates.__getitem__, members)), union,
+             None if lone is None else candidates[lone])
+            for members, union, lone in families]
 
 
 def _mask_indices(mask: int) -> tuple[int, ...]:
@@ -328,47 +334,40 @@ def r_star_perfect(p: JointPMF, H: HonestCollection) -> RegionReport:
     information: the supremum over sub-collections V of the max-entropy value
     with the marginals of every set in V pinned to p.
 
-    Each family is scored in closed form when it is alpha-acyclic
-    (``_acyclic_entropy``) and by IPF when it is cyclic, once per law: a
-    family met again in a later search reads its score. The winner of each
-    search, overall and per true honest set, is then solved by IPF for its
-    law q and convergence flag, and its IPF value is the one reported. On an
-    acyclic family the closed form and IPF agree to a few ulps, far inside
-    the 1e-12 margin a family needs to displace an earlier one, so unless
-    two families' values differ by that margin to within a few ulps, the
+    One walk (``_families``) lists the families of every search, overall and
+    per true honest set, in one order, and one scan over it scores each
+    family once: in closed form when it is alpha-acyclic
+    (``_acyclic_entropy``), by IPF when it is cyclic. Each family updates
+    the best of every search it belongs to, and displaces that best only by
+    more than 1e-12, so each search sees its own families in its own order.
+    The winner of each search is then solved by IPF for its law q and
+    convergence flag, and its IPF value is the one reported. On an acyclic
+    family the closed form and IPF agree to a few ulps, far inside the
+    1e-12 margin a family needs to displace an earlier one, so unless two
+    families' values differ by that margin to within a few ulps, the
     winners, and so every reported float, are those of scoring every family
     by IPF."""
-    cands = list(H.candidates)
     memo: dict = {}
-    scores: dict = {}
 
     def solve(V):
         if V not in memo:
             memo[V] = max_entropy_with_marginals(p, V)
         return memo[V]
 
-    def best_over(must_contain):
-        best = None
-        for V, _u in _candidate_collections(cands, must_contain):
-            value = scores.get(V)
-            if value is None:
-                value = _acyclic_entropy(p, V)
-                if value is None:
-                    value = solve(V).value
-                scores[V] = value
-            if best is None or value > best[0] + 1e-12:
-                best = (value, V)
-        res = solve(best[1])
-        return res.value, best[1], res
+    best: dict = {}         # search (None overall, else the true honest set) -> (value, V)
+    for V, _u, lone in _families(H.candidates):
+        value = _acyclic_entropy(p, V)
+        if value is None:
+            value = solve(V).value
+        for search in ((None, *V) if lone is None else (lone,)):
+            held = best.get(search)
+            if held is None or value > held[0] + 1e-12:
+                best[search] = (value, V)
 
-    value, maxV, maxres = best_over(None)
-    per_pair_detail = {}
-    all_conv = maxres.converged
-    for h_true in cands:
-        v, V, res = best_over(h_true)
-        per_pair_detail[h_true] = (v, V, res.q)
-        all_conv = all_conv and res.converged
-    return RegionReport(value, maxV, maxres.q, per_pair_detail, all_conv)
+    res = {search: solve(V) for search, (_value, V) in best.items()}
+    per_pair_detail = {h: (res[h].value, best[h][1], res[h].q) for h in H.candidates}
+    return RegionReport(res[None].value, best[None][1], res[None].q, per_pair_detail,
+                        all(r.converged for r in res.values()))
 
 
 def closed_form_t(p: JointPMF, t: int) -> float:
@@ -814,7 +813,9 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
 
     best = None
     upper = -math.inf
-    for V, umask in _candidate_collections(list(H.candidates), None):
+    for V, umask, lone in _families(H.candidates):
+        if lone is not None:
+            continue
         U = SubsetView(_mask_indices(umask))
         members = list(V)
         sets = [H_true] + members

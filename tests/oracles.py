@@ -8,9 +8,11 @@ at a time, conditional type entropies by explicit type counts, the phase
 search by the lazy candidate-by-candidate loop, the variable-rate session
 by the round-by-round loop (one phase, then one prune, per round), the fixed-rate per-set
 search by the tuple-by-tuple typicality loop, the irredundant
-sub-collections by coverer counts over every subset mask, linear programs by
-scipy's HiGHS solver, the simulation constraints and simulated laws by
-per-cell loops, the region report by running IPF on every family, the
+sub-collections by coverer counts over every subset mask, the one family
+walk and scan of the region report by one walk and one scan per search,
+linear programs by scipy's HiGHS solver, the simulation constraints and
+simulated laws by per-cell loops, the region report by running IPF on every
+family, the
 deterministic-coding extra constraints by a channel test on every candidate
 pair, and the ambiguity attack by enumerating both joint sequence spaces.
 """
@@ -25,6 +27,7 @@ import numpy as np
 
 from byzsw.adversary import AmbiguityOutcome, TraitorContext
 from byzsw.binning import (
+    EnumerationGuardError,
     all_sequences,
     bin_count_for_rate,
     fixed_rate_encode,
@@ -41,10 +44,11 @@ from byzsw.prob_core import (
     union_of,
 )
 from byzsw.rate_region import (
+    FAMILY_GUARD,
     HonestCollection,
     InfoModel,
     RegionReport,
-    _candidate_collections,
+    _acyclic_entropy,
     _lex_key,
     max_entropy_with_marginals,
 )
@@ -263,7 +267,7 @@ def reference_candidate_collections(candidates, must_contain):
     are both dominated by a smaller one (dropping one set leaves the union
     unchanged). ``must_contain`` pins one set that may not be dropped, for
     per-true-honest-set evaluations. Returns (V, union bitmask) pairs, the
-    shape ``_candidate_collections`` returns.
+    shape ``per_search_candidate_collections`` returns.
 
     Every subset mask at once: count each sensor's coverers per family; a
     member is redundant iff each of its sensors has a second coverer, and a
@@ -322,6 +326,100 @@ def scan_candidate_collections(candidates, must_contain):
             out.append((tuple(V), sum(1 << i for i in u.indices)))
     out.sort(key=lambda vu: (-bin(vu[1]).count("1"), _lex_key(vu[0])))
     return out
+
+
+def per_search_candidate_collections(candidates, must_contain):
+    """Irredundant sub-collections: every nonempty V in which each member
+    covers a sensor no other member covers. A member without such a private
+    sensor can be dropped without changing the union, so the smaller family
+    dominates; singletons always qualify. ``must_contain`` pins one set that
+    every family holds and that needs no private sensor, for
+    per-true-honest-set evaluations.
+
+    Kept verbatim from before one walk served every search: one depth-first
+    walk per search over int bitmasks with members in candidate order,
+    carrying the sensors covered exactly once and those covered more than
+    once. A set joins only if it brings a new sensor, and a branch is cut as
+    soon as an unpinned member loses its last private sensor. Returns
+    (V, union) pairs sorted by (-|union|, _lex_key(V)), the second key read
+    as the members' sorted ranks in index-tuple order; raises
+    EnumerationGuardError past FAMILY_GUARD families.
+    """
+    masks = [s.mask for s in candidates]
+    n = len(candidates)
+    rank = [0] * n
+    for r, k in enumerate(sorted(range(n), key=lambda k: candidates[k].indices)):
+        rank[k] = r
+    pin = None
+    if must_contain is not None:
+        pin = next((k for k, s in enumerate(candidates) if s == must_contain), None)
+        if pin is None:
+            return []
+    families = []
+
+    def walk(members, start, once, more):
+        families.append((members, once | more))
+        if len(families) > FAMILY_GUARD:
+            raise EnumerationGuardError(
+                f"more than {FAMILY_GUARD} irredundant sub-collections of "
+                f"{n} candidate sets; enumeration guard is {FAMILY_GUARD}")
+        for k in range(start, n):
+            mk = masks[k]
+            new = mk & ~(once | more)
+            if k == pin or not new:
+                continue
+            once_k = (once & ~mk) | new
+            if all(masks[i] & once_k for i in members if i != pin):
+                walk(members + (k,), k + 1, once_k, more | (once & mk))
+
+    if pin is None:
+        for k in range(n):
+            walk((k,), k + 1, masks[k], 0)
+    else:
+        walk((pin,), 0, masks[pin], 0)
+    families.sort(key=lambda mu: (-mu[1].bit_count(), sorted(map(rank.__getitem__, mu[0]))))
+    return [(tuple(map(candidates.__getitem__, sorted(members))), union)
+            for members, union in families]
+
+
+def per_search_r_star_perfect(p: JointPMF, H: HonestCollection) -> RegionReport:
+    """Minimum achievable variable-rate sum rate under perfect traitor
+    information, kept verbatim from before one walk and one scan served
+    every search: each search, overall and per true honest set, walks its
+    own families (``per_search_candidate_collections``) and scans them, a
+    family met again in a later search reading its score. The one scan must
+    give this report bit for bit."""
+    cands = list(H.candidates)
+    memo: dict = {}
+    scores: dict = {}
+
+    def solve(V):
+        if V not in memo:
+            memo[V] = max_entropy_with_marginals(p, V)
+        return memo[V]
+
+    def best_over(must_contain):
+        best = None
+        for V, _u in per_search_candidate_collections(cands, must_contain):
+            value = scores.get(V)
+            if value is None:
+                value = _acyclic_entropy(p, V)
+                if value is None:
+                    value = solve(V).value
+                scores[V] = value
+            if best is None or value > best[0] + 1e-12:
+                best = (value, V)
+        res = solve(best[1])
+        return res.value, best[1], res
+
+    value, maxV, maxres = best_over(None)
+    per_pair_detail = {}
+    all_conv = maxres.converged
+    for h_true in cands:
+        v, V, res = best_over(h_true)
+        per_pair_detail[h_true] = (v, V, res.q)
+        all_conv = all_conv and res.converged
+    return RegionReport(value, maxV, maxres.q, per_pair_detail, all_conv)
 
 
 def reference_linprog(A, b, c):
@@ -409,7 +507,7 @@ def reference_r_star_perfect(p: JointPMF, H: HonestCollection, *,
 
     def best_over(must_contain):
         best = None
-        for V, _u in _candidate_collections(cands, must_contain):
+        for V, _u in per_search_candidate_collections(cands, must_contain):
             res = solve(V)
             if best is None or res.value > best[0] + 1e-12:
                 best = (res.value, V, res)

@@ -30,9 +30,12 @@ from byzsw.rate_region import (
 from byzsw import rate_region
 from byzsw.binning import EnumerationGuardError
 
+import oracles
 from oracles import (
     brute_entropy,
     brute_marginal,
+    per_search_candidate_collections,
+    per_search_r_star_perfect,
     pg_maxent_oracle,
     product_form_feasible,
     reference_candidate_collections,
@@ -232,7 +235,7 @@ class TestRStarPerfect:
                [list(c) for c in itertools.combinations(range(5), 3)] + \
                [[0], [1], [2], [3], [4]] + [[0, 1, 2, 3], [1, 2, 3, 4]]
         coll = HonestCollection.explicit(sets[:21])
-        assert len(rate_region._candidate_collections(list(coll.candidates), None)) == 443
+        assert len(search_families(coll.candidates, None)) == 443
         p = random_pmf(np.random.default_rng(9), (2,) * 6)
         with pytest.raises(EnumerationGuardError, match="4096"):
             r_star_perfect(p, HonestCollection.threshold(6, 5))
@@ -256,15 +259,30 @@ def oracle_families(cands: tuple, pin):
     return reference_candidate_collections(list(cands), pin)
 
 
+def search_families(cands, pin):
+    """The (V, union) pairs of one search, overall (pin None) or pinned to a
+    true honest set, read off the one walk in its order."""
+    return [(V, u) for V, u, lone in rate_region._families(tuple(cands))
+            if lone == pin or lone is None and (pin is None or pin in V)]
+
+
 def family_keys(families):
     return [(tuple(s.indices for s in V), u) for V, u in families]
+
+
+def random_collection(rng, m_max=6, max_sets=12):
+    m = int(rng.integers(2, m_max + 1))
+    pool = [c for k in range(m + 1) for c in itertools.combinations(range(m), k)]
+    count = int(rng.integers(1, min(max_sets, len(pool)) + 1))
+    picks = rng.choice(len(pool), size=count, replace=False)
+    return m, HonestCollection.explicit([pool[i] for i in picks])
 
 
 class TestCandidateCollections:
     def assert_matches_oracle(self, H):
         cands = list(H.candidates)
         for pin in [None] + cands:
-            got = rate_region._candidate_collections(cands, pin)
+            got = search_families(cands, pin)
             want = oracle_families(tuple(cands), pin)
             assert family_keys(got) == family_keys(want), (cands, pin)
 
@@ -279,28 +297,99 @@ class TestCandidateCollections:
     def test_random_collections_match_oracle(self):
         rng = np.random.default_rng(41)
         for _ in range(40):
-            m = int(rng.integers(2, 7))
-            pool = [c for k in range(m + 1) for c in itertools.combinations(range(m), k)]
-            count = int(rng.integers(1, min(12, len(pool)) + 1))
-            picks = rng.choice(len(pool), size=count, replace=False)
-            self.assert_matches_oracle(HonestCollection.explicit([pool[i] for i in picks]))
+            _m, H = random_collection(rng)
+            self.assert_matches_oracle(H)
+
+    def test_each_family_listed_once_for_its_searches(self):
+        # a family is irredundant (overall search and each member's) or has
+        # one redundant member, whose search alone it joins
+        rng = np.random.default_rng(44)
+        for _ in range(40):
+            _m, H = random_collection(rng)
+            walk = rate_region._families(H.candidates)
+            assert len({V for V, _u, _lone in walk}) == len(walk)
+            for V, u, lone in walk:
+                assert u == functools.reduce(lambda a, s: a | s.mask, V, 0)
+                assert lone is None or (len(V) > 1 and lone in V)
 
     def test_r_star_identical_under_oracle(self, monkeypatch):
         p = random_pmf(np.random.default_rng(43), (2,) * 4)
         H = HonestCollection.threshold(4, 3)
         fast = r_star_perfect(p, H)
-        monkeypatch.setattr(rate_region, "_candidate_collections",
+        monkeypatch.setattr(oracles, "per_search_candidate_collections",
                             lambda cands, pin: oracle_families(tuple(cands), pin))
-        slow = r_star_perfect(p, H)
-        assert fast.r_star == slow.r_star
-        assert fast.per_pair == slow.per_pair
-        assert fast.maximizer_V == slow.maximizer_V
-        assert np.array_equal(fast.maximizer_q.mass, slow.maximizer_q.mass)
-        assert fast.all_converged == slow.all_converged
-        for h_true, (v, V, q) in fast.per_pair_detail.items():
-            v_o, V_o, q_o = slow.per_pair_detail[h_true]
-            assert (v, V) == (v_o, V_o)
-            assert np.array_equal(q.mass, q_o.mass)
+        slow = per_search_r_star_perfect(p, H)
+        assert report_bits(fast) == report_bits(slow)
+
+
+class TestOneScan:
+    """One walk and one scan give the report of one walk and one scan per
+    search bit for bit, and refuse the same collections."""
+
+    # 41 laws: three binary laws on each threshold collection (3, 1) ... (6, 3)
+    # the family guard admits, (6, 3) the largest, and one mixed-alphabet law
+    # on each up to m = 4
+    @pytest.mark.parametrize("m, t", [
+        (m, t) for m in range(3, 7) for t in range(1, m) if (m, t) not in ((6, 4), (6, 5))])
+    def test_threshold_reports_match_per_search(self, m, t):
+        H = HonestCollection.threshold(m, t)
+        rng = np.random.default_rng([65, m, t])
+        laws = [random_pmf(rng, (2,) * m) for _ in range(3)]
+        if m <= 4:
+            laws.append(random_pmf(rng, tuple(int(a) for a in rng.integers(2, 4, size=m))))
+        for p in laws:
+            assert report_bits(r_star_perfect(p, H)) == report_bits(
+                per_search_r_star_perfect(p, H)), p.alphabet_sizes
+
+    def test_random_collection_reports_match_per_search(self):
+        rng = np.random.default_rng(66)
+        for _ in range(40):
+            m, H = random_collection(rng)
+            p = random_pmf(rng, (2,) * m)
+            assert report_bits(r_star_perfect(p, H)) == report_bits(
+                per_search_r_star_perfect(p, H)), H.candidates
+
+    @pytest.mark.parametrize("t", [4, 5])
+    def test_guard_refuses_before_any_family_is_scored(self, monkeypatch, t):
+        calls = []
+
+        def counted(name):
+            real = getattr(rate_region, name)
+            return lambda *args, **kwargs: calls.append(name) or real(*args, **kwargs)
+
+        for name in ("max_entropy_with_marginals", "_acyclic_entropy"):
+            monkeypatch.setattr(rate_region, name, counted(name))
+        p = random_pmf(np.random.default_rng(67), (2,) * 6)
+        H = HonestCollection.threshold(6, t)
+        with pytest.raises(EnumerationGuardError) as refused:
+            r_star_perfect(p, H)
+        assert calls == []
+        with pytest.raises(EnumerationGuardError) as before:
+            per_search_candidate_collections(list(H.candidates), None)
+        assert str(refused.value) == str(before.value)
+
+    def test_guard_refuses_what_some_search_refused(self, monkeypatch):
+        # a small guard, so that collections land on both sides of it
+        monkeypatch.setattr(rate_region, "FAMILY_GUARD", 40)
+        monkeypatch.setattr(oracles, "FAMILY_GUARD", 40)
+        rng = np.random.default_rng(69)
+        refused = 0
+        for _ in range(60):
+            _m, H = random_collection(rng, max_sets=14)
+            cands = list(H.candidates)
+            messages = set()
+            for pin in [None] + cands:
+                try:
+                    per_search_candidate_collections(cands, pin)
+                except EnumerationGuardError as exc:
+                    messages.add(str(exc))
+            try:
+                rate_region._families(H.candidates)
+                assert not messages, cands
+            except EnumerationGuardError as exc:
+                assert messages == {str(exc)}, cands
+                refused += 1
+        assert 0 < refused < 60
 
 
 def report_bits(rep):
@@ -382,23 +471,29 @@ class TestClosedFormScoring:
         assert rate_region._acyclic_entropy(p, sets_of(*family)) is None
 
     def test_ipf_runs_only_on_cyclic_families_and_winners(self, monkeypatch):
-        calls = []
+        calls, scored = [], []
         real = rate_region.max_entropy_with_marginals
+        real_acyclic = rate_region._acyclic_entropy
 
         def counted(p, V, **kwargs):
             calls.append(rate_region._lex_key(V))
             return real(p, V, **kwargs)
 
+        def scoring(p, V):
+            scored.append(rate_region._lex_key(V))
+            return real_acyclic(p, V)
+
         monkeypatch.setattr(rate_region, "max_entropy_with_marginals", counted)
+        monkeypatch.setattr(rate_region, "_acyclic_entropy", scoring)
         p = random_pmf(np.random.default_rng(64), (2,) * 5)
         H = HonestCollection.threshold(5, 2)
         rep = r_star_perfect(p, H)
         key = rate_region._lex_key
         winners = {key(rep.maximizer_V)} | {
             key(V) for _v, V, _q in rep.per_pair_detail.values()}
-        cyclic = {key(V) for pin in [None, *H.candidates]
-                  for V, _u in rate_region._candidate_collections(list(H.candidates), pin)
-                  if rate_region._acyclic_entropy(p, V) is None}
+        walk = [V for V, _u, _lone in rate_region._families(H.candidates)]
+        assert scored == [key(V) for V in walk]     # each family once, in walk order
+        cyclic = {key(V) for V in walk if real_acyclic(p, V) is None}
         assert len(calls) == len(set(calls))
         assert set(calls) <= winners | cyclic
         assert winners <= set(calls)

@@ -319,6 +319,35 @@ class TestRunners:
         assert agg["mean_v_final_size"] == 2.0
 
 
+class TestParser:
+    @pytest.mark.parametrize("command", ["region", "simulate-vr", "simulate-fr",
+                                         "attack-demo"])
+    def test_every_command_takes_every_option(self, command):
+        args = byzsw.cli.build_parser().parse_args([
+            command, "--scenario", "s.json", "--preset", "three_sensor", "--trials", "3",
+            "--seed", "7", "--workers", "2", "--out", "o"])
+        assert (args.command, args.scenario, args.preset, args.trials, args.seed,
+                args.workers, args.out) == (command, "s.json", "three_sensor", 3, 7, 2, "o")
+
+    def test_defaults(self):
+        args = byzsw.cli.build_parser().parse_args(["region"])
+        assert (args.scenario, args.preset, args.trials, args.seed, args.workers,
+                args.out) == (None, None, None, None, 1, None)
+
+    @pytest.mark.parametrize("argv", [
+        [], ["nope"], ["region", "--preset", "nope"], ["region", "--nope"],
+        ["simulate-vr", "--trials", "two"]],
+        ids=["no-command", "unknown-command", "unknown-preset", "unknown-option",
+             "bad-int"])
+    def test_bad_command_line_exits_2_with_usage(self, capsys, argv):
+        with pytest.raises(SystemExit) as exited:
+            main(argv)
+        assert exited.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("usage: byzsw")
+
+
 class TestCli:
     def _write_tiny(self, tmp_path: Path) -> Path:
         path = tmp_path / "scenario.json"
