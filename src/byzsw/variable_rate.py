@@ -41,11 +41,11 @@ its transcript and per-round dicts from the kept rounds' arrays.
 
 Within a pass, each sensor's phases for all rounds run at once:
 
-* every candidate must match block 0, the block with the most bins, so the
-  whole alphabet^n space is binned on block 0 under each round's
-  subcodebook, as many keys per kernel call as fit in 2^14 states (4 at
-  binary n = 12, one from binary n = 14 on); about one sequence per round
-  shares the received bin, and only those members are scored;
+* every candidate must match block 0, the block with the most bins, so one
+  kernel call scans the whole alphabet^n space on block 0 under every
+  round's subcodebook and keeps the sequences in the bin each round
+  received (``BinningCodebook.match_space``); about one sequence per round
+  does, and only those members are scored;
 * the empirical conditional entropy splits over the cells of the prior
   sensors' decoded symbols, so all members are scored, each under its own
   round's prior, from one count of (member, cell, symbol);
@@ -183,13 +183,6 @@ class SessionReport:
 # phase decoding
 # ---------------------------------------------------------------------------
 
-# Whole-space states per block-0 kernel call: as many keys as fit, 4 at
-# binary n = 12 and one from binary n = 14 on. Measured on three_sensor
-# trials, 4 keys per call beat 2 and 8 on time, and peak memory grows with
-# the keys: the (keys, space) arrays are the pass's largest.
-_SPACE_STATES = 1 << 14
-
-
 @lru_cache(maxsize=None)
 def _xlogx(n: int) -> np.ndarray:
     """f(c) = c log2 c for c = 0..n, cached and read-only."""
@@ -238,15 +231,12 @@ def _decode_phases(cb: BinningCodebook, cs: Sequence[int], cells: np.ndarray | N
     undecided. Returns the estimates as an (R, n) int64 array, the
     transactions each phase used and the forced-decode flags.
     """
+    cs = np.asarray(cs)
     R, n, J, eps = len(cs), cb.n, cb.J, cb.eps
     # block 0 has the most bins: of the whole space, about one sequence per
     # phase shares its block-0 bin, and only those can match a later block
-    space = cb.alphabet_size ** n
-    keys = max(1, _SPACE_STATES // space)
-    found = [np.flatnonzero(cb.encode_space(cs[lo:lo + keys], 0)
-                            == chains[0, lo:lo + keys, None]) + lo * space
-             for lo in range(0, R, keys)]
-    phase, members = np.divmod(np.concatenate(found), space)    # by phase, then index
+    phase, members = np.divmod(cb.match_space(cs, 0, chains[0]),
+                               cb.alphabet_size ** n)    # by phase, then index
     rows = all_sequences(cb.alphabet_size, n)[members]
     cond_h = _conditional_type_entropies(rows, cb.alphabet_size,
                                          None if cells is None else cells[phase])
@@ -264,8 +254,7 @@ def _decode_phases(cb: BinningCodebook, cs: Sequence[int], cells: np.ndarray | N
                 if later is None:
                     later = np.full((J - 1, len(rows)), -1, dtype=np.int64)
                     pick = open_[phase]
-                    later[:, pick] = cb.encode_rows(rows[pick], [cs[k] for k in phase[pick]],
-                                                    range(1, J))
+                    later[:, pick] = cb.encode_rows(rows[pick], cs[phase[pick]], range(1, J))
                 matched &= later[j - 1] == chains[j, phase]
         hits = np.flatnonzero(matched & open_[phase] & (cond_h <= (j + 1) * eps + 1e-12))
         ks, first = np.unique(phase[hits], return_index=True)   # least member per phase
@@ -352,9 +341,10 @@ def update_V(V: Sequence[SubsetView], estimates: np.ndarray, p: JointPMF,
                 _ball_membership_general(t_u[r], U, S, chan, p, tau_u)
                 for chan in info_model.channels_for(S)))
         emptied.append(not kept)
+        pruned = 0 < len(kept) < len(V)
         V = kept or V
         trajectory.append(V)
-        if union_of(V) != U:
+        if pruned and union_of(V) != U:     # only a prune that removed a set can shrink U
             break
     return trajectory, emptied
 
@@ -399,7 +389,7 @@ def run_round(U: SubsetView, cs: np.ndarray, chains: Sequence[np.ndarray],
     phases = []
     for i in U:
         cb = codebooks[i]
-        est, j_used, forced = _decode_phases(cb, cs[:, i].tolist(), cells, chains[i])
+        est, j_used, forced = _decode_phases(cb, cs[:, i], cells, chains[i])
         cells = est if cells is None else cells * cb.alphabet_size + est
         phases.append((est, j_used, forced))
     estimates, j_used, forced = zip(*phases)
@@ -424,7 +414,8 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
     the estimates array with their drawn rows, and their transcript
     records, round by round, then sensor by sensor, then block by block:
     each record's subcodebook and bin index read from the session's
-    arrays.
+    arrays, turned into lists once per session (the transactions once per
+    pass).
     """
     m, sizes, n = p.m, p.alphabet_sizes, params.n
     traitors = honest_true.complement(m)
@@ -444,6 +435,7 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
     ctx = TraitorContext(traitors=traitors, seed=derive_seed(seed, "traitor"), law=p)
     blocks, cs, chains = _draw_rounds(p, r_true, strategy, ctx, seed, params.rounds, codebooks)
     block_bits = [[cb.block_bits(j) for j in range(cb.J)] for cb in codebooks]
+    cs_rows, chain_rows = cs.tolist(), [chain.tolist() for chain in chains]
 
     V = tuple(H.candidates)
     transcript, honest_errors, round_rates, phase_tx, round_estimates = [], [], [], [], []
@@ -471,18 +463,16 @@ def run_session(p: JointPMF, H: HonestCollection, info_model: InfoModel,
         restores += sum(emptied)
         v_traj.extend(trajectory)
         forced_count += int(forced[:, :kept].sum())
-        for k in range(kept):
-            r, bits, tx, ests = first + k, 0.0, {}, {}
-            for u, i in enumerate(U):
-                tx[i] = int(j_used[u, k])
-                ests[i] = estimates[k, u]
-                for j in range(tx[i]):
+        for k, used in enumerate(j_used[:, :kept].T.tolist()):
+            r, bits, tx = first + k, 0.0, dict(zip(U, used))
+            for i, j_i in tx.items():
+                for j in range(j_i):
                     bits += block_bits[i][j]
-                    transcript.append(TranscriptRecord(r, i, int(cs[r, i]), j,
-                                                       int(chains[i][j, r]), block_bits[i][j]))
+                    transcript.append(TranscriptRecord(r, i, cs_rows[r][i], j,
+                                                       chain_rows[i][j][r], block_bits[i][j]))
             round_rates.append(bits / n)
             phase_tx.append(tx)
-            round_estimates.append(ests)
+            round_estimates.append(dict(zip(U, estimates[k])))
             subcode_bits += len(tx) * math.log2(C)
         first += kept
         V = trajectory[-1]

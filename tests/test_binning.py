@@ -79,13 +79,14 @@ class TestHashRows:
 
     @pytest.mark.parametrize("n", [5, 8, 12, 17])
     def test_repeated_headers_derive_each_key_once(self, n, monkeypatch):
-        derived = []
+        derive, derived = binning._derive, []
 
-        def counted(data, **kw):
-            derived.append(data)
-            return blake2b(data, **kw)
+        def counted(seed, headers):
+            headers = list(headers)
+            derived.extend(headers)
+            return derive(seed, headers)
 
-        monkeypatch.setattr(binning, "blake2b", counted)
+        monkeypatch.setattr(binning, "_derive", counted)
         rng = np.random.default_rng(n)
         seqs = rng.integers(0, 3, size=(200, n), dtype=np.uint8)
         pool = [struct.pack(">BIII", 0x01, 2, c, j) for c in (0, 7) for j in range(4)]
@@ -277,6 +278,74 @@ class TestSpaceBins:
         assert code.space_bins(2, 2, 3) is got and not got.flags.writeable
 
 
+class TestMatchSpace:
+    """The block-0 scan, ``_match_space``, gives the flat (key, sequence)
+    indices of the whole-space bins equal to each key's target, bit for bit,
+    whichever way its prefix groups and fan-out blocks cut the keys."""
+
+    SIZES = [(2, 0), (2, 1), (2, 7), (2, 8), (2, 9), (2, 12), (2, 16), (3, 5), (3, 6), (3, 7),
+             (3, 8), (3, 9)]
+
+    @pytest.mark.parametrize("alphabet,n,caps", [(a, n, None) for a, n in SIZES] + [
+        (a, n, caps) for a, n in SIZES if a ** n <= 3 ** 8 for caps in ((3 ** 5, 100), (5, 486))])
+    def test_equals_space_bins_compared(self, alphabet, n, caps, monkeypatch):
+        if caps:    # ragged groups and blocks: a key spans several blocks, or a
+            # group's keys split unevenly into blocks
+            monkeypatch.setattr(binning, "_PREFIX_STATES", caps[0])
+            monkeypatch.setattr(binning, "_FAN_STATES", caps[1])
+        headers = [struct.pack(">BIII", 0x01, 4, c, 0) for c in range(11)]
+        seed = (1 << 64) + 5 * n + alphabet
+        keys = binning._keys(seed, [headers])[0]
+        space = alphabet ** n
+        for bins in (1, 7, 1000003, 2 ** 32):
+            full = space_bins(seed, headers, alphabet, n, [bins] * len(headers))
+            targets = full[np.arange(len(headers)), np.arange(len(headers)) * 37 % space]
+            targets[3] = bins          # past the last bin: matches nothing
+            targets[5] = least_free(full[5], bins)
+            got = binning._match_space(keys, alphabet, n, bins, targets)
+            assert got.dtype == np.int64
+            assert np.array_equal(got, np.flatnonzero(full == targets[:, None]))
+            assert not np.any(got // space == 3)
+            if bins > space:
+                assert not np.any(got // space == 5)
+
+    def test_codebook_entry_and_no_keys(self):
+        cb = small_codebook(seed=23, eps=0.35, nu=1.0)
+        cs = [3, 0, 3, 1]
+        for j in range(cb.J):
+            bins = cb.encode_space(cs, j)
+            targets = bins[:, 11]
+            assert np.array_equal(cb.match_space(cs, j, targets),
+                                  np.flatnonzero(bins == targets[:, None]))
+        assert cb.match_space([], 0, []).shape == (0,)
+        with pytest.raises(ValueError, match="targets"):
+            cb.match_space([0, 1], 0, [0])
+        for bad_cs, j in (([0, cb.C], 0), ([-1], 0), ([0], cb.J), ([0], -1)):
+            with pytest.raises(ValueError, match="out of range"):
+                cb.match_space(bad_cs, j, [0] * len(bad_cs))
+
+    def test_refuses_what_space_bins_refuses(self):
+        keys = binning._keys(0, [[b""]])[0]
+        for alphabet, n in ((3, 16), (2, 23)):
+            with pytest.raises(EnumerationGuardError):
+                binning._match_space(keys, alphabet, n, 4, [0])
+        with pytest.raises(ValueError, match="one byte"):
+            binning._match_space(keys, 300, 2, 4, [0])
+        for bins in (0, 2 ** 32 + 1, 2 ** 63):
+            with pytest.raises(ValueError) as want:
+                space_bins(0, [b""], 2, 4, [bins])
+            with pytest.raises(ValueError) as got:
+                binning._match_space(keys, 2, 4, bins, [0])
+            assert str(got.value) == str(want.value)
+
+
+def least_free(bins, count) -> int:
+    """The least bin in [0, count) that no entry of ``bins`` holds, or count
+    when every bin is held."""
+    free = np.setdiff1d(np.arange(min(count, len(bins) + 1)), bins)
+    return int(free[0]) if free.size else count
+
+
 class TestReduction:
     """The reduction the kernels share equals ``%``, on short rows and on
     long ones (floor division, a block of columns at a time)."""
@@ -290,6 +359,20 @@ class TestReduction:
         want = h % np.array([[bins], [7]], dtype=np.uint64)
         _reduce(h, (bins, 7))
         assert np.array_equal(h, want)
+
+    @pytest.mark.parametrize("bins", [1, 7, 2 ** 32])
+    def test_given_scratch_matches(self, bins):
+        # the block-0 scan passes its own scratch arrays, the other kernels
+        # let the mixer make one and go a block of columns at a time
+        rng = np.random.default_rng(bins)
+        h = rng.integers(0, 2 ** 64, size=(3, 2 ** 14 + 5), dtype=np.uint64)
+        want, got = h.copy(), h.copy()
+        binning._splitmix64(want)
+        binning._splitmix64(got, np.empty_like(got))
+        assert np.array_equal(got, want)
+        mod = want % np.uint64(bins)
+        binning._reduce_by(got, bins, np.empty_like(got))
+        assert np.array_equal(got, mod)
 
 
 class TestAllSequences:

@@ -898,3 +898,28 @@ def test_cli_trials_load_no_numpy_random():
     out = subprocess.run([sys.executable, "-c", TRIALS_PROBE], env=env,
                          capture_output=True, text=True, check=True, timeout=120)
     assert json.loads(out.stdout) == []
+
+
+# Run in a fresh interpreter: only a run with more than one worker imports
+# the process pool.
+SERIAL_PROBE = """
+import contextlib, io, json, sys, tempfile, warnings
+from byzsw.cli import main
+
+warnings.simplefilter("ignore")      # the subcodebook cap
+with tempfile.TemporaryDirectory() as out, contextlib.redirect_stdout(io.StringIO()):
+    for argv in (["attack-demo", "--preset", "three_sensor", "--trials", "1"],
+                 ["simulate-fr", "--preset", "fixed_rate_randomized", "--trials", "2"]):
+        assert main(argv + ["--workers", "1", "--out", out]) == 0
+print(json.dumps(sorted(m for m in sys.modules
+                        if m.split(".")[0] in ("concurrent", "multiprocessing"))))
+"""
+
+
+def test_cli_serial_trials_load_no_process_pool():
+    src = str(Path(byzsw.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", SERIAL_PROBE], env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    assert json.loads(out.stdout) == []

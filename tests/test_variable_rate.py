@@ -229,26 +229,24 @@ class TestDecodePhaseOracle:
 
 
 class TestDecodePhaseBudget:
-    """A sensor's phases over a pass at binary n = 12 make at most
-    ceil(R / 4) + 2 binning kernel calls (one for the senders' chains,
-    one per 4 block-0 keys, one for the members' later blocks), whatever
-    the number of transactions. A pass whose phases are all forced (no
-    sequence in any received block-0 bin) makes no later-block call. From
-    binary n = 14 on a block-0 call takes one key."""
+    """A sensor's phases over a pass make at most 2 binning kernel calls,
+    whatever the number of rounds and transactions: one block-0 scan of the
+    whole space for every round (``_match_space``) and one call binning the
+    members on the later blocks (``_bin_rows``). A pass whose phases are all
+    forced (no sequence in any received block-0 bin) makes only the scan.
+    The senders' chains are made before the pass and are not counted."""
 
-    @pytest.mark.parametrize("n,eps,nu,per_call", [(12, 0.35, 1.925, 4), (12, 0.1, 0.15, 4),
-                                                   (14, 0.35, 1.0, 1)])
+    @pytest.mark.parametrize("n,eps,nu", [(12, 0.35, 1.925), (12, 0.1, 0.15), (14, 0.35, 1.0)])
     @pytest.mark.parametrize("R", [1, 8, 21])
-    def test_core_calls_per_pass_and_polls_in_order(self, n, eps, nu, per_call, R,
-                                                    monkeypatch):
+    def test_core_calls_per_pass_and_polls_in_order(self, n, eps, nu, R, monkeypatch):
         import byzsw.binning as binning
         rng = np.random.default_rng(int(eps * 100) + R)
         sizes = [2, 3, 2]
         calls = []
-        for name in ("hash_rows", "space_bins"):
+        for name in ("_bin_rows", "_match_space"):
             kernel = getattr(binning, name)
-            monkeypatch.setattr(binning, name,
-                                lambda *a, _kernel=kernel: calls.append(1) or _kernel(*a))
+            monkeypatch.setattr(binning, name, lambda *a, _kernel=kernel, _name=name:
+                                calls.append(_name) or _kernel(*a))
         j_seen = set()
         for trial in range(12):
             cb = BinningCodebook(2, n, 2, eps, nu, C=4, master_seed=int(rng.integers(1 << 62)))
@@ -258,14 +256,14 @@ class TestDecodePhaseBudget:
             forced_k = (set(range(R)) if trial % 4 == 3
                         else {k for k in range(R) if (k + trial) % 3 == 0})
             first = [least_free_bin(row) for row in cb.encode_space(cs, 0)]
-            calls.clear()
             chains = cb.encode_rows(truth, cs, range(cb.J))
             for k in forced_k:
                 chains[0, k] = first[k]
+            calls.clear()
             est, j_used, forced = _decode_phases(cb, cs, prior_cells(prior, sizes), chains)
-            assert len(calls) <= math.ceil(R / per_call) + 2
-            if len(forced_k) == R:      # the chain call and the block-0 calls only
-                assert len(calls) == math.ceil(R / per_call) + 1
+            assert calls[:1] == ["_match_space"] and calls[1:] in ([], ["_bin_rows"])
+            if len(forced_k) == R:      # the block-0 scan only
+                assert calls == ["_match_space"]
             for k in range(R):
                 assert forced[k] == (k in forced_k)
                 if forced[k]:
@@ -421,6 +419,32 @@ class TestHooksOncePerSession:
             assert report_differences(got, want) == []
             later = [union_of(V) for V in got.v_trajectory[1:-1]]
             assert any(2 in U and len(U) < 3 for U in later)     # a later pass polls it
+
+
+@pytest.mark.filterwarnings("ignore:subcodebook count")
+class TestKeysOncePerSession:
+    def test_three_sensor_session_derives_each_header_once(self, monkeypatch):
+        # The senders' chains, the block-0 scan and the later-block bins
+        # read one key table per codebook, so no header is derived twice.
+        import byzsw.binning as binning
+        from byzsw.scenario import PRESETS, scenario_from_dict
+
+        scn = scenario_from_dict(PRESETS["three_sensor"]())
+        derive, derived = binning._derive, []
+
+        def counted(seed, headers):
+            headers = list(headers)
+            derived.extend((seed, hd) for hd in headers)
+            return derive(seed, headers)
+
+        monkeypatch.setattr(binning, "_derive", counted)
+        for seed in (3, 4):
+            derived.clear()
+            report = run_session(scn.p, scn.collection, scn.info_model, scn.honest_true,
+                                 scn.r_true, scn.strategy, scn.vr, seed)
+            assert len(derived) == len(set(derived))
+            # every transcript record's (sensor, c, j) header was derived
+            assert len(derived) >= len({(r.sensor, r.c, r.j) for r in report.transcript})
 
 
 class TestUpdateV:

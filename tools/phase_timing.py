@@ -12,8 +12,9 @@ warm-up call of 3 trials, then ``--trials`` trials at seed 7), with
 ``variable_rate._decode_phases`` and ``update_V`` wrapped by timers. It
 reports the sensor-passes, the phases per sensor-pass, the median and mean
 time per sensor-pass and per phase, the kernel calls per sensor-pass the
-decoder makes (calls into the two binning kernels, ``binning.hash_rows``
-and ``space_bins``), and the median and mean time per ``update_V`` call.
+decoder makes (calls into the binning kernels it uses: the block-0 scan
+``binning._match_space`` and the row kernel ``binning._bin_rows``), and
+the median and mean time per ``update_V`` call.
 
 ``draw``: from the same trials, the median and mean time per trial spent
 drawing the rounds (``variable_rate._draw_rounds`` without the senders:
@@ -23,7 +24,8 @@ traitor protocol and every sensor's chains, one call per session, made
 inside ``_draw_rounds``), the median time per trial (``run_session``), and
 the calls per trial of the keyed counter stream
 (``source_model.keyed_draws``) that every random draw of every byzsw
-module goes through.
+module goes through, and the binning keys derived per trial (headers
+passed to ``binning._derive``, one blake2b digest each).
 
 ``sizes``: the median time of one sensor-pass of ``--rounds`` phases at
 binary block length n, eps 0.35, nu 1.0, C 1024, for honest senders of
@@ -58,12 +60,12 @@ import byzsw.scenario as scenario
 import byzsw.source_model as source_model
 import byzsw.variable_rate as vr
 
-KERNELS = ("hash_rows", "space_bins")
+KERNELS = ("_bin_rows", "_match_space")
 
 
 def attack_layers(trials: int) -> tuple[dict, dict]:
     """The ``attack`` and ``draw`` parts, from one run of the trials."""
-    counts = {"calls": 0, "draws": 0}
+    counts = {"calls": 0, "draws": 0, "keys": 0}
     paused = [True]
     kernels = {name: getattr(binning, name) for name in KERNELS}
     for name, inner in kernels.items():
@@ -82,6 +84,13 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
     def counted_draws(*args):
         counts["draws"] += 1
         return keyed_draws(*args)
+
+    derive = binning._derive
+
+    def counted_derive(seed, headers):
+        headers = list(headers)
+        counts["keys"] += len(headers)
+        return derive(seed, headers)
 
     def timed_pass(cb, cs, cells, chains):
         paused[0] = False
@@ -107,6 +116,7 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
     vr._draw_rounds, scenario.run_session = timer(draw, draw_s), timer(session, session_s)
     for mod in draw_owners:
         mod.keyed_draws = counted_draws
+    binning._derive = counted_derive
     try:
         with tempfile.TemporaryDirectory() as out:
             argv = ["attack-demo", "--preset", "three_sensor", "--seed", "7",
@@ -115,13 +125,14 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
                 cli.main(argv + ["3"])
                 for times in (pass_s, phases, update_s, draw_s, send_s, session_s):
                     times.clear()
-                counts["calls"] = counts["draws"] = 0
+                counts["calls"] = counts["draws"] = counts["keys"] = 0
                 cli.main(argv + [str(trials)])
     finally:
         vr._decode_phases, vr.update_V, vr.send_rounds = decode, update, send
         vr._draw_rounds, scenario.run_session = draw, session
         for mod in draw_owners:
             mod.keyed_draws = keyed_draws
+        binning._derive = derive
         for name, inner in kernels.items():
             setattr(binning, name, inner)
     draws_only = [total - senders for total, senders in zip(draw_s, send_s)]
@@ -131,7 +142,8 @@ def attack_layers(trials: int) -> tuple[dict, dict]:
                 "send_us_median": 1e6 * statistics.median(send_s),
                 "send_us_mean": 1e6 * statistics.fmean(send_s),
                 "trial_us_median": 1e6 * statistics.median(session_s),
-                "draw_calls_per_trial": counts["draws"] / len(session_s)}
+                "draw_calls_per_trial": counts["draws"] / len(session_s),
+                "key_derivations_per_trial": counts["keys"] / len(session_s)}
     return {"trials": trials, "sensor_passes": len(pass_s),
             "phases_per_pass": statistics.fmean(phases),
             "pass_us_median": 1e6 * statistics.median(pass_s),
