@@ -3,32 +3,34 @@
 The idealized uniform random binning of the coding scheme is realized by
 kernels over one keyed mixer. Each (seed, tag, sensor, subcodebook, block)
 header gets a 64-bit key, its 8-byte blake2b digest keyed by the seed
-(``_derive``; ``_keys`` derives each distinct header of a call once, and a
-``BinningCodebook`` each of its headers once in its life, which for a
-variable-rate session is the session); the bin of a sequence is a
-SplitMix64 chain over the sequence's bytes, started from its header's key
-and reduced modulo the bin count. Uniform binning is all the scheme needs
-(the traitors know the codebooks anyway), so a non-cryptographic mixer
-suffices, and it bins a whole array of candidate sequences in a few numpy
-operations. The same mixer and reduction make every random draw of the
-package: ``stream_draws`` mixes the counter positions of a keyed stream
-(``source_model.keyed_draws`` lays them out by round).
+(``_derive``; a ``BinningCodebook`` derives each of its headers once in its
+life, which for a variable-rate session is the session); the bin of a
+sequence is a SplitMix64 chain over the sequence's bytes, started from its
+header's key and reduced modulo the bin count. Uniform binning is all the
+scheme needs (the traitors know the codebooks anyway), so a
+non-cryptographic mixer suffices, and it bins a whole array of candidate
+sequences in a few numpy operations. The same mixer and reduction make
+every random draw of the package: ``stream_draws`` mixes the counter
+positions of a keyed stream (``source_model.keyed_draws`` lays them out by
+round).
 Codebooks stay O(1) memory while behaving statistically like stored random
 bins. Bin counts are rounded up to integers; rate accounting elsewhere uses
 log2(actual bin count) so it stays exact.
 
-``hash_rows`` bins given rows, each row under its own header, one row of
-bins per bin count (the row kernel ``_bin_rows`` on their keys): a
-variable-rate pass encodes every round's chain, each under its round's
-subcodebook, in one call (``encode_rows``), and the fixed-rate decoder
-rechecks every estimate in one call. It pads the rows into native 64-bit
-words on every call. ``space_bins`` bins the whole
-``all_sequences(alphabet, n)`` space under each of a sequence of headers
-without the sequence table (``_fan_out``): the chain state after a word
-depends only on the symbols absorbed so far, so each state fans out over the
-cached native words of one 8-symbol chunk (256 words for binary), one mix
-per distinct prefix rather than one per sequence and word. It gives the
-bins of ``hash_rows`` over that table bit for bit. ``_match_space`` walks
+Every kernel takes one header per row of bins, applied to every sequence
+it bins. ``hash_rows`` bins given rows (the row kernel ``_bin_rows`` on
+their keys): the fixed-rate decoder rechecks every estimate under every
+sender's header in one call. ``encode_rows`` keys each row by its own
+subcodebook from the codebook's key table, so a variable-rate pass encodes
+every round's chain, each under its round's subcodebook, in one
+``_bin_rows`` call. The row kernel pads the rows into native 64-bit words on
+every call. ``space_bins`` bins the whole ``all_sequences(alphabet, n)``
+space under each of a sequence of headers without the sequence table
+(``_fan_out``): the chain state after a word depends only on the symbols
+absorbed so far, so each state fans out over the cached native words of one
+8-symbol chunk (256 words for binary), one mix per distinct prefix rather
+than one per sequence and word. It gives the bins of ``hash_rows`` over
+that table bit for bit. ``_match_space`` walks
 the same chunks but keeps only the (key, sequence) pairs whose bin equals
 the key's target: the phase search scans the whole space on block 0 for
 every round of a pass in one call (``BinningCodebook.match_space``). The
@@ -133,25 +135,8 @@ def _derive(seed: int, headers) -> np.ndarray:
     return np.frombuffer(b"".join(digests), dtype=">u8").astype(np.uint64)
 
 
-def _keys(seed: int, headers: Sequence[Sequence[bytes]]) -> np.ndarray:
-    """The keys (``_derive``) of rows of headers, as a new (rows, k) array.
-    Each distinct header is derived once, however often it repeats, and the
-    entries take their keys through one index array: a row that repeats one
-    header (one ``count``, which matches by identity first) is indexed
-    whole, any other row entry by entry."""
-    distinct: dict[bytes, int] = {}
-    index = np.empty((len(headers), len(headers[0]) if len(headers) else 0), dtype=np.intp)
-    for out, row in zip(index, headers):
-        if len(row) and row.count(row[0]) == len(row):
-            out[:] = distinct.setdefault(row[0], len(distinct))
-        else:
-            out[:] = [distinct.setdefault(hd, len(distinct)) for hd in row]
-    return _derive(seed, distinct)[index]
-
-
 def _check_counts(counts: Sequence[int], rows: int) -> tuple[int, ...]:
-    """Bin counts as ints, one per header row, each checked against
-    [1, 2^32]."""
+    """Bin counts as ints, one per header, each checked against [1, 2^32]."""
     if len(counts) != rows:
         raise ValueError(f"{rows} header rows but {len(counts)} bin counts")
     for b in counts:
@@ -232,26 +217,24 @@ def _byte_rows(seqs) -> np.ndarray:
     return rows
 
 
-def hash_rows(seed: int, headers: Sequence[Sequence[bytes]], seqs: np.ndarray,
+def hash_rows(seed: int, headers: Sequence[bytes], seqs: np.ndarray,
               bins: Sequence[int]) -> np.ndarray:
     """Bin index of every row of a (k, n) symbol array under a keyed 64-bit
-    mixer, each row under its own header: ``headers`` holds h sequences of k
-    headers, header ``headers[b][r]`` keying row r under bin count
-    ``bins[b]``. Returns an (h, k) int64 array.
+    mixer, row b of bins under header ``headers[b]`` and bin count
+    ``bins[b]``, every row under the same header. Returns an (h, k) int64
+    array.
 
     Each row (one byte per symbol) is zero-padded to a multiple of 8 bytes
     and read as big-endian 64-bit words; starting from ``h = key``, every
     word is absorbed as ``h = splitmix64(h ^ word)``, and the bin is ``h mod
     bins``. n is fixed per codebook, so the padding is unambiguous. Each bin
     count is capped at 2^32, which keeps the relative bias of the reduction
-    at most 2^-32. A header repeated across rows or header rows has its key
-    derived once.
+    at most 2^-32.
     """
     counts = _check_counts(tuple(bins), len(headers))
     rows = _byte_rows(seqs)
-    if any(len(row) != len(rows) for row in headers):
-        raise ValueError(f"expected {len(rows)} headers per row")
-    return _bin_rows(_keys(seed, headers).reshape(len(headers), len(rows)), rows, counts)
+    keys = _derive(seed, headers)[:, None]
+    return _bin_rows(np.repeat(keys, len(rows), axis=1), rows, counts)
 
 
 def _bin_rows(h: np.ndarray, rows: np.ndarray, counts: Sequence[int]) -> np.ndarray:
@@ -283,12 +266,11 @@ def space_bins(seed: int, headers: Sequence[bytes], alphabet: int, n: int,
                bins: Sequence[int]) -> np.ndarray:
     """The (h, alphabet**n) bins of ``all_sequences(alphabet, n)``, row b
     under header ``headers[b]`` and bin count ``bins[b]``: ``hash_rows`` over
-    that table with ``headers[b]`` on every sequence, bit for bit, but
-    without the sequence table (``_fan_out``). It refuses the spaces
-    ``all_sequences`` refuses."""
+    that table, bit for bit, but without the sequence table (``_fan_out``).
+    It refuses the spaces ``all_sequences`` refuses."""
     _check_space(alphabet, n)
     counts = _check_counts(tuple(bins), len(headers))
-    h = _fan_out(_keys(seed, [headers])[0][:, None], alphabet, n)
+    h = _fan_out(_derive(seed, headers)[:, None], alphabet, n)
     _reduce(h, counts)
     return h.view(np.int64)    # every bin is below 2^32
 
@@ -379,7 +361,8 @@ class BinningCodebook:
         return max(1, math.ceil(math.log2(self.alphabet_size) / self.eps))
 
     def bin_count(self, j: int) -> int:
-        self._check_block(j)
+        if not 0 <= j < self.J:
+            raise ValueError(f"block index {j} out of range [0, {self.J})")
         return self.bin_counts[j]
 
     @cached_property
@@ -391,12 +374,6 @@ class BinningCodebook:
     def block_bits(self, j: int) -> float:
         """Exact payload size of block j in bits: log2(actual bin count)."""
         return math.log2(self.bin_count(j))
-
-    def _check_block(self, j: int, c: int | None = None) -> None:
-        if not 0 <= j < self.J:
-            raise ValueError(f"block index {j} out of range [0, {self.J})")
-        if c is not None and not 0 <= c < self.C:
-            raise ValueError(f"subcodebook index {c} out of range [0, {self.C})")
 
     @cached_property
     def _key_table(self) -> tuple[np.ndarray, np.ndarray]:
@@ -443,21 +420,11 @@ class BinningCodebook:
         """The flat indices k * alphabet_size**n + x, ascending, of every
         sequence x of ``all_sequences(alphabet_size, n)`` whose block-j bin
         under subcodebook ``cs[k]`` is ``targets[k]``: the nonzero entries of
-        ``encode_space(cs, j) == targets[:, None]``, from one kernel call
-        without the (len(cs), space) array."""
+        the whole-space bins (``space_bins`` under the (cs[k], j) headers)
+        equal to ``targets[:, None]``, from one kernel call without the
+        (len(cs), space) array."""
         return _match_space(self._keys_for(cs, [j])[0], self.alphabet_size, self.n,
                             self.bin_counts[j], targets)
-
-    def encode_space(self, cs: Sequence[int], j: int) -> np.ndarray:
-        """Bin index of every sequence of ``all_sequences(alphabet_size, n)``
-        under block j of each subcodebook in ``cs``, without the sequence
-        table: a (len(cs), alphabet_size**n) array from one kernel call."""
-        # Kept though the program calls match_space: the phase-search
-        # oracles bin the whole space through it.
-        for c in cs:
-            self._check_block(j, c)
-        return space_bins(self.master_seed, [self._header(c, j) for c in cs],
-                          self.alphabet_size, self.n, [self.bin_counts[j]] * len(cs))
 
     def _header(self, c: int, j: int) -> bytes:
         return struct.pack(">BIII", 0x01, self.sensor_id, c, j)
@@ -479,5 +446,5 @@ def fixed_rate_encode(seed: int, sensor_id: int, x, rate: float, c: int = 0) -> 
     """One-shot fixed-rate bin index: deterministic in (seed, sensor, c, x)."""
     # Kept for the benchmark tracer, as BinningCodebook.encode_block is.
     x = np.asarray(x)
-    return int(hash_rows(seed, [[fixed_rate_header(sensor_id, c)]], x[None],
+    return int(hash_rows(seed, [fixed_rate_header(sensor_id, c)], x[None],
                          [bin_count_for_rate(x.size, rate)])[0, 0])

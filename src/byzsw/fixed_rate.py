@@ -17,12 +17,12 @@ it enumerates the sequences matching each received bin and keeps the
 lexicographically least jointly typical tuple, or null when none exists. The
 search types a block of candidate tuples with one ``bincount`` and checks
 its winner with ``eta_ball_contains``, and one call of the row kernel
-(``hash_rows``) rechecks that every estimate lies in the bin received, each
-estimate read under its own sender's key. Per-sensor final estimates are
-reconciled across candidate sets by a deterministic preference order
-(largest candidate set first, then the code's optional plurality voting,
-then lexicographic set order); disagreements between non-null estimates are
-reported as diagnostics.
+(``hash_rows``, one header per sender) rechecks that every estimate lies in
+the bin received, each estimate read under its own sender's key. Per-sensor
+final estimates are reconciled across candidate sets by a deterministic
+preference order (largest candidate set first, then the code's optional
+plurality voting, then lexicographic set order); disagreements between
+non-null estimates are reported as diagnostics.
 
 ``run_fixed_rate_trial`` plays one block end to end, the fixed-rate
 counterpart of ``variable_rate.run_session``: the schemes' trials and the
@@ -196,14 +196,13 @@ def decode_all(code: FixedRateCode, messages: Mapping[int, tuple[int, int]],
                for S in H.candidates}
     # bin-membership recheck: never emit an estimate inconsistent with what
     # was actually received. One kernel call bins every decoded row under
-    # every sender's key, one row of bins per sender (its header repeated, so
-    # derived once); row r is read under its own sensor's key.
+    # every sender's header, one row of bins per sender; row r is read under
+    # its own sensor's key.
     decoded = [(i, seq) for S, tup in per_set.items() if tup is not None
                for i, seq in zip(S, tup)]
     if decoded:
         senders = sorted({i for i, _ in decoded})
-        bins = hash_rows(code.seed,
-                         [[fixed_rate_header(i, messages[i][0])] * len(decoded) for i in senders],
+        bins = hash_rows(code.seed, [fixed_rate_header(i, messages[i][0]) for i in senders],
                          np.stack([seq for _, seq in decoded]),
                          [code.bin_counts[i] for i in senders])
         got = bins[[senders.index(i) for i, _ in decoded], np.arange(len(decoded))]

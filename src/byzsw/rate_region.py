@@ -794,9 +794,10 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
     ``upper`` bounds every combination. A combination whose phase 1 finds
     no simulable law is dropped; one whose bound sum_{i in U} H(X_i) (each
     honest marginal is pinned to p) cannot beat the best lower bound so far
-    is skipped unsolved. ``seed`` and ``starts`` are accepted for callers of
-    the earlier multi-start optimizer and do not change the result;
-    ``starts`` must still be at least 1.
+    is skipped unsolved, and one whose bracket is not finite is refused.
+    ``seed`` and ``starts`` are accepted for callers of the earlier
+    multi-start optimizer and do not change the result; ``starts`` must
+    still be at least 1.
     """
     if starts < 1:
         raise ValueError(f"starts must be at least 1, got {starts}")
@@ -820,7 +821,8 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
         members = list(V)
         sets = [H_true] + members
         bound = sum(subset_entropy(p, 1 << i) for i in U)
-        for combo in itertools.product([r], *(R.channels_for(S) for S in members)):
+        for pairs in itertools.product([(0, r)], *(enumerate(R.channels_for(S)) for S in members)):
+            picks, combo = zip(*pairs)
             floor = -math.inf if best is None else best[0]
             if bound <= floor:
                 continue
@@ -828,6 +830,10 @@ def r_star_general(p: JointPMF, H: HonestCollection, R: InfoModel,
             if not system.lp.feasible:
                 continue
             lo, hi, x = _frank_wolfe(system, p, U, floor, bound)
+            if not (math.isfinite(lo) and math.isfinite(hi)):   # a NaN passes both tests below
+                raise ValueError(f"Frank-Wolfe bracket [{lo}, {hi}] is not finite for "
+                                 f"true honest set {H_true}, V = {' '.join(map(str, V))} "
+                                 f"with channel {list(picks[1:])} of R(S) for each S in V")
             upper = max(upper, hi)
             if best is None or lo > best[0] + 1e-12:
                 best = (lo, tuple(V), system, x, combo)

@@ -33,6 +33,7 @@ from byzsw.binning import (
     fixed_rate_encode,
     fixed_rate_header,
     hash_rows,
+    space_bins,
 )
 from byzsw.prob_core import (
     JointPMF,
@@ -188,6 +189,14 @@ def reference_bin(seed: int, header: bytes, seq, bins: int) -> int:
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
         h = z ^ (z >> 31)
     return h % bins
+
+
+def codebook_space_bins(cb, cs, j: int) -> np.ndarray:
+    """The block-j bins of every sequence of ``all_sequences(alphabet_size,
+    n)`` under each subcodebook in ``cs``, a (len(cs), space) array:
+    ``space_bins`` under the codebook's (c, j) headers."""
+    return space_bins(cb.master_seed, [cb._header(c, j) for c in cs], cb.alphabet_size, cb.n,
+                      [cb.bin_count(j)] * len(cs))
 
 
 def reference_draw(key: int, position: int) -> int:
@@ -626,7 +635,7 @@ def reference_ambiguity_attack(ctx: TraitorContext, S1: SubsetView,
         stride //= size
         syms = flat // stride % size
         truth_bin = fixed_rate_encode(code.seed, i, true_block[i], code.rates[i], 0)
-        match &= hash_rows(code.seed, [[fixed_rate_header(i, 0)] * len(syms)], syms,
+        match &= hash_rows(code.seed, [fixed_rate_header(i, 0)], syms,
                            [bin_count_for_rate(n, code.rates[i])])[0] == truth_bin
 
     for k in keep[match][:max_attempts]:
@@ -685,7 +694,7 @@ def sequential_decode_phase(cb, prior, sizes, c: int, eps: float, next_message):
     Returns (estimate, j_used, received indices, forced flag)."""
     n = cb.n
     received = [int(next_message(0))]
-    members = np.nonzero(cb.encode_space([c], 0)[0] == received[0])[0]
+    members = np.nonzero(codebook_space_bins(cb, [c], 0)[0] == received[0])[0]
     rows = all_sequences(cb.alphabet_size, n)[members]
     prior_flat = None
     if prior:

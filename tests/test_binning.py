@@ -21,17 +21,12 @@ from byzsw.binning import (
     space_bins,
 )
 from byzsw.fixed_rate import FixedRateCode
-from oracles import reference_bin
+from oracles import codebook_space_bins, reference_bin
 
 
 def small_codebook(seed=0, eps=0.1, nu=0.15, n=12, C=4) -> BinningCodebook:
     return BinningCodebook(sensor_id=0, n=n, alphabet_size=2, eps=eps, nu=nu,
                            C=C, master_seed=seed)
-
-
-def same_header(header: bytes, seqs) -> list[list[bytes]]:
-    """One header row keying every row of ``seqs`` by ``header``."""
-    return [[header] * len(seqs)]
 
 
 def chains(cb: BinningCodebook, seqs, c: int, blocks) -> np.ndarray:
@@ -52,7 +47,7 @@ class TestHashRows:
     def test_matches_per_sequence_reference(self, tag, seed, sensor, c, j, bins):
         seqs = all_sequences(2, 10)
         header = struct.pack(">BIII", tag, sensor, c, j)
-        got = hash_rows(seed, same_header(header, seqs), seqs, [bins])
+        got = hash_rows(seed, [header], seqs, [bins])
         assert got.dtype == np.int64 and got.shape == (1, len(seqs))
         assert got[0].tolist() == [reference_bin(seed, header, s, bins) for s in seqs]
 
@@ -61,24 +56,26 @@ class TestHashRows:
         # rows shorter than, equal to and longer than whole 8-byte words
         seqs = np.random.default_rng(n).integers(0, 256, size=(64, n), dtype=np.uint8)
         header = struct.pack(">BIII", 0x01, 5, 3, 2)
-        got = hash_rows(99, same_header(header, seqs), seqs, [1000003])[0]
+        got = hash_rows(99, [header], seqs, [1000003])[0]
         assert got.tolist() == [reference_bin(99, header, s, 1000003) for s in seqs]
 
     @pytest.mark.parametrize("n", [5, 8, 12, 17])
     def test_matches_reference_row_by_row(self, n):
+        # one header per row of bins, each keying every sequence
         rng = np.random.default_rng(n)
         seqs = rng.integers(0, 3, size=(30, n), dtype=np.uint8)
-        headers = [[struct.pack(">BIII", 0x01, 2, int(c), j) for c in rng.integers(0, 9, 30)]
-                   for j in range(3)]
+        headers = [struct.pack(">BIII", 0x01, 2, int(c), j)
+                   for j, c in enumerate(rng.integers(0, 9, 3))]
         bins = [2 ** 32, 7, 1000003]
         seed = (1 << 64) + 3 * n
         got = hash_rows(seed, headers, seqs, bins)
         assert got.dtype == np.int64 and got.shape == (3, 30)
-        assert got.tolist() == [[reference_bin(seed, hd, x, b) for hd, x in zip(row, seqs)]
-                                for row, b in zip(headers, bins)]
+        assert got.tolist() == [[reference_bin(seed, hd, x, b) for x in seqs]
+                                for hd, b in zip(headers, bins)]
 
-    @pytest.mark.parametrize("n", [5, 8, 12, 17])
-    def test_repeated_headers_derive_each_key_once(self, n, monkeypatch):
+    @staticmethod
+    def counting_derive(monkeypatch) -> list[bytes]:
+        """The headers every later ``_derive`` call is given, in order."""
         derive, derived = binning._derive, []
 
         def counted(seed, headers):
@@ -87,20 +84,40 @@ class TestHashRows:
             return derive(seed, headers)
 
         monkeypatch.setattr(binning, "_derive", counted)
-        rng = np.random.default_rng(n)
-        seqs = rng.integers(0, 3, size=(200, n), dtype=np.uint8)
-        pool = [struct.pack(">BIII", 0x01, 2, c, j) for c in (0, 7) for j in range(4)]
-        # one header row per pool header, repeated over every row, and one
-        # mixing them row by row
-        headers = ([[hd] * len(seqs) for hd in pool]
-                   + [[pool[int(k)] for k in rng.integers(0, len(pool), len(seqs))]])
-        bins = [1, 2, 1000003, 2 ** 32 - 1, 2 ** 32, 7, 2 ** 31 + 5, 2 ** 32, 1000003]
+        return derived
+
+    @pytest.mark.parametrize("n", [5, 8, 12, 17])
+    def test_one_key_derived_per_header(self, n, monkeypatch):
+        derived = self.counting_derive(monkeypatch)
+        seqs = np.random.default_rng(n).integers(0, 3, size=(200, n), dtype=np.uint8)
+        headers = [struct.pack(">BIII", 0x01, 2, c, j) for c in (0, 7) for j in range(4)]
+        bins = [1, 2, 1000003, 2 ** 32 - 1, 2 ** 32, 7, 2 ** 31 + 5, 2 ** 32]
         seed = (1 << 64) + 3 * n
         got = hash_rows(seed, headers, seqs, bins)
-        assert sorted(derived) == sorted(pool)
+        assert derived == headers
         assert got.shape == (len(headers), len(seqs))
-        assert got.tolist() == [[reference_bin(seed, hd, x, b) for hd, x in zip(row, seqs)]
-                                for row, b in zip(headers, bins)]
+        assert got.tolist() == [[reference_bin(seed, hd, x, b) for x in seqs]
+                                for hd, b in zip(headers, bins)]
+        derived.clear()
+        space_bins(seed, headers, 3, 4, bins)
+        assert derived == headers
+
+    @pytest.mark.parametrize("n", [5, 12])
+    def test_repeated_headers_give_identical_rows(self, n):
+        seqs = np.random.default_rng(n).integers(0, 2, size=(50, n), dtype=np.uint8)
+        a, b = fixed_rate_header(1, 0), fixed_rate_header(2, 3)
+        got = hash_rows(9, [a, b, a, a], seqs, [1000003, 1000003, 1000003, 7])
+        assert np.array_equal(got[0], got[2]) and not np.array_equal(got[0], got[1])
+        assert got[3].tolist() == [reference_bin(9, a, x, 7) for x in seqs]
+        assert got[0].tolist() == [reference_bin(9, a, x, 1000003) for x in seqs]
+
+    def test_header_count_must_equal_bin_count(self):
+        seqs = all_sequences(2, 3)
+        for headers, bins in (([b"a", b"b"], [4]), ([b"a"], [4, 4]), ([], [4]), ([b"a"], [])):
+            with pytest.raises(ValueError, match="bin counts"):
+                hash_rows(0, headers, seqs, bins)
+            with pytest.raises(ValueError, match="bin counts"):
+                space_bins(0, headers, 2, 3, bins)
 
     def test_scalar_wrappers_agree_with_kernel(self):
         cb = small_codebook(seed=9)
@@ -109,44 +126,37 @@ class TestHashRows:
             assert (chains(cb, seqs, c, [j])[0].tolist()
                     == [cb.encode_block(x, c, j) for x in seqs])
         bins = bin_count_for_rate(12, 0.9)
-        assert (hash_rows(4, same_header(fixed_rate_header(1, 5), seqs), seqs, [bins])[0].tolist()
+        assert (hash_rows(4, [fixed_rate_header(1, 5)], seqs, [bins])[0].tolist()
                 == [fixed_rate_encode(4, 1, x, 0.9, 5) for x in seqs])
 
     def test_bin_count_must_fit_int64(self):
         seqs = all_sequences(2, 4)
         for bins in (0, 2 ** 63):
             with pytest.raises(ValueError):
-                hash_rows(0, same_header(b"", seqs), seqs, [bins])
+                hash_rows(0, [b""], seqs, [bins])
 
     def test_bin_count_capped_at_2_32(self):
         seqs = all_sequences(2, 4)
-        assert hash_rows(0, same_header(b"", seqs), seqs, [2 ** 32]).max() < 2 ** 32
+        assert hash_rows(0, [b""], seqs, [2 ** 32]).max() < 2 ** 32
         with pytest.raises(ValueError):
-            hash_rows(0, same_header(b"", seqs), seqs, [2 ** 32 + 1])
+            hash_rows(0, [b""], seqs, [2 ** 32 + 1])
 
     def test_symbols_must_fit_a_byte(self):
         with pytest.raises(ValueError):
-            hash_rows(0, [[b""]], np.array([[0, 256]]), [4])
+            hash_rows(0, [b""], np.array([[0, 256]]), [4])
         with pytest.raises(ValueError):
-            hash_rows(0, [[b""] * 2], np.array([0, 1]), [4])     # 1-D input
+            hash_rows(0, [b""], np.array([0, 1]), [4])     # 1-D input
 
     def test_empty_rows_and_headers(self):
         seqs = np.zeros((0, 6), dtype=np.uint8)
-        assert hash_rows(1, [[], []], seqs, [3, 4]).shape == (2, 0)
+        assert hash_rows(1, [b"a", b"b"], seqs, [3, 4]).shape == (2, 0)
         assert hash_rows(1, [], all_sequences(2, 4), []).shape == (0, 16)
 
     def test_checks_fire_on_every_header_row(self):
         seqs = all_sequences(2, 3)
-        two = [[b"a"] * 8, [b"b"] * 8]
         for bins in ([4, 0], [2 ** 32 + 1, 4], [4, 2 ** 63]):
             with pytest.raises(ValueError):
-                hash_rows(0, two, seqs, bins)
-        with pytest.raises(ValueError):
-            hash_rows(0, two, seqs, [4])
-        with pytest.raises(ValueError):
-            hash_rows(0, [[b"a"] * 7], seqs, [4])
-        with pytest.raises(ValueError):
-            hash_rows(0, [[b"a"] * 8, [b"b"] * 7], seqs, [4, 4])
+                hash_rows(0, [b"a", b"b"], seqs, bins)
 
 
 class TestCodebookRows:
@@ -200,8 +210,7 @@ class TestSpaceBins:
         seed = (1 << 64) + 7 * n + alphabet
         got = space_bins(seed, headers, alphabet, n, self.BINS)
         assert got.dtype == np.int64 and got.shape == (len(headers), len(seqs))
-        assert np.array_equal(got, hash_rows(seed, [[hd] * len(seqs) for hd in headers],
-                                             seqs, self.BINS))
+        assert np.array_equal(got, hash_rows(seed, headers, seqs, self.BINS))
         for row, hd, b in zip(got, headers, self.BINS):
             assert np.array_equal(space_bins(seed, [hd], alphabet, n, [b])[0], row)
 
@@ -242,14 +251,13 @@ class TestSpaceBins:
         headers = [fixed_rate_header(1, 0), fixed_rate_header(2, 5)]
         bins = [2 ** 32, 1000003]
         assert np.array_equal(space_bins(3 * n, headers, alphabet, n, bins),
-                              hash_rows(3 * n, [[hd] * len(seqs) for hd in headers],
-                                        seqs, bins))
+                              hash_rows(3 * n, headers, seqs, bins))
 
     def test_bin_count_outside_range_rejected_like_hash_rows(self):
         seqs = all_sequences(2, 4)
         for bins in (0, 2 ** 32 + 1, 2 ** 63):
             with pytest.raises(ValueError) as want:
-                hash_rows(0, same_header(b"", seqs), seqs, [bins])
+                hash_rows(0, [b""], seqs, [bins])
             with pytest.raises(ValueError) as got:
                 space_bins(0, [b""], 2, 4, [bins])
             assert str(got.value) == str(want.value)
@@ -257,20 +265,15 @@ class TestSpaceBins:
                 space_bins(0, [b"a", b"b"], 2, 4, [4, bins])
 
     def test_codebook_and_fixed_rate_entries(self):
+        # a codebook's whole-space bins are space_bins under its headers
         cb = small_codebook(seed=21)
         seqs = all_sequences(2, 12)
         for c, j in ((0, 0), (3, 1), (1, cb.J - 1)):
-            assert np.array_equal(cb.encode_space([c], j), chains(cb, seqs, c, [j]))
-        with pytest.raises(ValueError):
-            cb.encode_space([cb.C], 0)
-        with pytest.raises(ValueError):
-            cb.encode_space([0], cb.J)
+            assert np.array_equal(codebook_space_bins(cb, [c], j), chains(cb, seqs, c, [j]))
         # several subcodebooks: one row each, from one call
-        assert np.array_equal(cb.encode_space([2, 0, 2], 1),
-                              np.stack([cb.encode_space([c], 1)[0] for c in (2, 0, 2)]))
-        with pytest.raises(ValueError):
-            cb.encode_space([0, cb.C], 0)
-        bins = hash_rows(8, same_header(fixed_rate_header(2, 3), seqs), seqs,
+        assert np.array_equal(codebook_space_bins(cb, [2, 0, 2], 1),
+                              np.stack([chains(cb, seqs, c, [1])[0] for c in (2, 0, 2)]))
+        bins = hash_rows(8, [fixed_rate_header(2, 3)], seqs,
                          [bin_count_for_rate(12, 0.5)])[0]
         code = FixedRateCode(rates=(1.0, 1.0, 0.5), n=12, C=4, seed=8)
         got = code.space_bins(2, 2, 3)
@@ -295,7 +298,7 @@ class TestMatchSpace:
             monkeypatch.setattr(binning, "_FAN_STATES", caps[1])
         headers = [struct.pack(">BIII", 0x01, 4, c, 0) for c in range(11)]
         seed = (1 << 64) + 5 * n + alphabet
-        keys = binning._keys(seed, [headers])[0]
+        keys = binning._derive(seed, headers)
         space = alphabet ** n
         for bins in (1, 7, 1000003, 2 ** 32):
             full = space_bins(seed, headers, alphabet, n, [bins] * len(headers))
@@ -313,7 +316,7 @@ class TestMatchSpace:
         cb = small_codebook(seed=23, eps=0.35, nu=1.0)
         cs = [3, 0, 3, 1]
         for j in range(cb.J):
-            bins = cb.encode_space(cs, j)
+            bins = codebook_space_bins(cb, cs, j)
             targets = bins[:, 11]
             assert np.array_equal(cb.match_space(cs, j, targets),
                                   np.flatnonzero(bins == targets[:, None]))
@@ -325,7 +328,7 @@ class TestMatchSpace:
                 cb.match_space(bad_cs, j, [0] * len(bad_cs))
 
     def test_refuses_what_space_bins_refuses(self):
-        keys = binning._keys(0, [[b""]])[0]
+        keys = binning._derive(0, [b""])
         for alphabet, n in ((3, 16), (2, 23)):
             with pytest.raises(EnumerationGuardError):
                 binning._match_space(keys, alphabet, n, 4, [0])
@@ -417,6 +420,9 @@ class TestEncodeBlock:
             cb.encode_block(x, 0, cb.J)
         with pytest.raises(ValueError):
             cb.encode_block(np.zeros(5, dtype=int), 0, 0)
+        for j in (-1, cb.J):
+            with pytest.raises(ValueError, match="out of range"):
+                cb.bin_count(j)
 
     def test_chi_square_uniformity_over_seeds(self):
         # block 0 at eps=0.1, nu=0.15, n=12: ceil(2^3) = 8 bins over all 4096

@@ -301,7 +301,7 @@ class TestFirstTypicalOracle:
             seqs = all_sequences(2, 14)
             members = {}
             for i, (c, idx) in msgs.items():
-                bins = hash_rows(code.seed, [[fixed_rate_header(i, c)] * len(seqs)], seqs,
+                bins = hash_rows(code.seed, [fixed_rate_header(i, c)], seqs,
                                  [bin_count_for_rate(14, code.rates[i])])[0]
                 members[i] = seqs[np.flatnonzero(bins == idx)]
             for S in H3.candidates:
@@ -392,6 +392,28 @@ class TestConverseDemo:
         assert not any(found for found, _error in outcomes)
         assert sum(error for _found, error in outcomes) <= 10
 
+
+    def test_demo_trial_derives_one_key_per_header_use(self, monkeypatch):
+        # One fixed_rate_demo attack trial derives 6 keys: each sensor's
+        # whole-space header once (FixedRateCode.space_bins), and each
+        # sender's header once more in decode_all's recheck.
+        import byzsw.binning as binning
+        from byzsw.scenario import PRESETS, canonical_dumps, run_trial
+
+        derive, derived = binning._derive, []
+
+        def counted(seed, headers):
+            headers = list(headers)
+            derived.extend(headers)
+            return derive(seed, headers)
+
+        monkeypatch.setattr(binning, "_derive", counted)
+        doc = canonical_dumps(PRESETS["fixed_rate_demo"]())
+        for trial in (0, 1):
+            derived.clear()
+            row = run_trial(doc, trial, "attack-fr")
+            assert row["error"] == "" and row["attack_found"]
+            assert sorted(derived) == sorted([fixed_rate_header(i, 0) for i in range(3)] * 2)
 
 class TestEstimateTableInvariants:
     def test_final_is_one_of_per_set_values(self):

@@ -78,7 +78,7 @@ def test_fixed_rate_bin_draws_digest(preset, digest):
     h = hashlib.sha256()
     for i, (alphabet, rate) in enumerate(zip(scn.alphabet_sizes, scn.fr.rates)):
         seqs = all_sequences(alphabet, scn.fr.n)
-        bins = hash_rows(seed, [[fixed_rate_header(i, 0)] * len(seqs)], seqs,
+        bins = hash_rows(seed, [fixed_rate_header(i, 0)], seqs,
                          [bin_count_for_rate(scn.fr.n, rate)])[0]
         h.update(bins.astype("<i8").tobytes())
     assert h.hexdigest() == digest

@@ -729,6 +729,35 @@ class TestRStarGeneralBracket:
         assert brute_entropy(brute_marginal(laws[0], U)) == pytest.approx(res.lower, abs=1e-9)
         assert res.residual <= 1e-9
 
+    @pytest.mark.parametrize("call", [0, 1])
+    @pytest.mark.parametrize("end", ["lo", "hi"])
+    def test_non_finite_bracket_refused(self, monkeypatch, call, end):
+        # a NaN passes max(upper, hi) and lo > best unnoticed, and a NaN lo
+        # from the first system would become the reported lower bound
+        p, H, R, h_true, r = defect_law()
+        real, families = rate_region._frank_wolfe, []
+        system_class = rate_region._System
+
+        def recording_system(p, sets, channels):
+            families.append(" ".join(map(str, sets[1:])))
+            return system_class(p, sets, channels)
+
+        def patched(*args):
+            lo, hi, x = real(*args)
+            if len(families) == call + 1:
+                lo, hi = (math.nan, hi) if end == "lo" else (lo, math.nan)
+            return lo, hi, x
+
+        monkeypatch.setattr(rate_region, "_System", recording_system)
+        monkeypatch.setattr(rate_region, "_frank_wolfe", patched)
+        with pytest.raises(ValueError, match="not finite") as err:
+            r_star_general(p, H, R, h_true, r)
+        assert len(families) == call + 1
+        # one channel per candidate in the defect law: index 0 of each R(S)
+        width = families[call].count("{")
+        assert (f"true honest set {h_true}, V = {families[call]} with channel {[0] * width}"
+                in str(err.value))
+
     @pytest.mark.parametrize("m, t", [(3, 1), (3, 2)])
     def test_identity_channels_reproduce_perfect_information(self, m, t):
         # W = X for every candidate is perfect information written as a

@@ -23,6 +23,7 @@ from byzsw.variable_rate import (
 )
 from oracles import (
     brute_conditional_type_entropy,
+    codebook_space_bins,
     reference_decode_phase,
     report_differences,
     sequential_run_session,
@@ -204,7 +205,7 @@ class TestDecodePhaseOracle:
                      (1, rng.integers(0, 3, (R, n)))][:trial % 3]
             cs = [int(c) for c in rng.integers(cb.C, size=R)]
             truth, other = rng.integers(0, 2, (2, R, n))
-            unused = [least_free_bin(row) for row in cb.encode_space(cs, 0)]
+            unused = [least_free_bin(row) for row in codebook_space_bins(cb, cs, 0)]
             # phase k's sender: honest, a replay of another sequence, or a
             # block-0 index in a bin no sequence occupies (a forced decode)
             kinds = ["honest", "replay", "no_match"] * 4
@@ -255,7 +256,7 @@ class TestDecodePhaseBudget:
             truth = rng.integers(0, 2, (R, n))
             forced_k = (set(range(R)) if trial % 4 == 3
                         else {k for k in range(R) if (k + trial) % 3 == 0})
-            first = [least_free_bin(row) for row in cb.encode_space(cs, 0)]
+            first = [least_free_bin(row) for row in codebook_space_bins(cb, cs, 0)]
             chains = cb.encode_rows(truth, cs, range(cb.J))
             for k in forced_k:
                 chains[0, k] = first[k]
